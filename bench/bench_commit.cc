@@ -1,39 +1,38 @@
-// Sharded serving core: registration throughput, aggregate commit
-// throughput at 1/4/16 shards on a disjoint-shard change stream, and
-// pinned-snapshot read latency (p50/p99) while commits are in flight.
+// One EveSystem with full snapshots on the disjoint rename stream: ms per
+// commit on a 16,512-view pool, bulk registration in views per second,
+// and pinned-read latency (p50/p99) while a writer commits continuously.
 //
-// The commit sweep is the acceptance benchmark for the sharded refactor:
-// each change in the stream renames a payload attribute of one chain
-// relation, and every view anchored on that relation is name-salted onto
-// one 16-way hash shard, so a change touches exactly one shard's view
-// partition. Shards the change does not touch commit their MKB replica
-// through the shared-VIEWS fast path (O(MKB), no pool rendering), so in
-// full-snapshot versioning mode per-commit rendering drops from O(pool)
-// to O(pool / shards). That is per-commit WORK, not parallelism: this
-// container has a single core, and the sweep's speedup is entirely
-// explained by smaller version snapshots per shard.
+// Each change in the stream renames the payload attribute of one of 16
+// hot chain relations; each hot relation anchors 8 views, so a change
+// rewrites 8 views and leaves the rest of the pool untouched. Every
+// version still holds the whole pool, but a commit re-renders only the
+// VIEWS buckets of the 8 rewritten views and shares the others, so a
+// commit costs O(MKB + affected views) at any pool size.
 //
-// Before timing anything the binary replays the same change stream at 1,
-// 4, and 16 shards and byte-compares every merged report; a mismatch is a
-// determinism bug, so the whole binary refuses to produce numbers.
+// Before timing anything the binary replays the stream and checks the
+// per-commit oracle after every commit: the tip's view text equals
+// SaveViews of the live system, and exactly the rewritten views' buckets
+// hold new segments. A mismatch aborts the binary without numbers.
 //
-// Set EVE_BENCH_MILLION=1 to also run the million-view bulk-registration
-// smoke (skipped by default to keep local runs quick).
+// Set EVE_BENCH_MILLION=1 to also bulk-load a million views and time one
+// commit on that pool (skipped by default to keep local runs quick).
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/sharding.h"
-#include "eve/sharded_system.h"
+#include "common/stable_hash.h"
+#include "eve/eve_system.h"
+#include "eve/view_pool_io.h"
 #include "mkb/capability_change.h"
 #include "workload/generator.h"
 
@@ -41,13 +40,10 @@ namespace eve {
 namespace {
 
 constexpr size_t kChain = 32;
-constexpr size_t kAlignShards = 16;
 // The stream renames payloads of the last kHotRels chain relations; each
-// hot relation anchors kHotViews views, all name-salted onto shard
-// (relation % 16) of a 16-way partition. The rest of the pool is "cold":
+// hot relation anchors kHotViews views. The rest of the pool is "cold":
 // anchored on relations the stream never touches, so per-change CVS work
-// is constant while the pool (and thus the 1-shard snapshot render) can
-// grow arbitrarily.
+// is constant while the pool grows.
 constexpr size_t kHotRels = 16;
 constexpr size_t kHotViews = 8;
 
@@ -76,11 +72,11 @@ ViewDefinition SingleRelationView(std::string name, size_t r) {
                         std::move(from), {});
 }
 
-// `num_cold` cold views over the first kChain - kHotRels relations plus
-// kHotRels * kHotViews hot views, the hot ones salted so that renaming
-// R_r's payload affects views on exactly one 16-way hash bucket — the
-// disjoint-shard stream the sweep needs.
-std::vector<ViewDefinition> AlignedPool(size_t num_cold) {
+// `num_cold` cold views plus kHotRels * kHotViews hot views. The hot views
+// keep the names earlier versions of this benchmark gave them (salted so
+// that relation r's views hash to r mod 16), so the pool, and thus every
+// number, compares with the earlier sixteen-way partitioned runs.
+std::vector<ViewDefinition> StreamPool(size_t num_cold) {
   std::vector<ViewDefinition> pool;
   pool.reserve(num_cold + kHotRels * kHotViews);
   for (size_t v = 0; v < num_cold; ++v) {
@@ -91,8 +87,7 @@ std::vector<ViewDefinition> AlignedPool(size_t num_cold) {
   for (size_t r = kChain - kHotRels; r < kChain; ++r) {
     for (size_t k = 0; k < kHotViews; ++k, ++h) {
       std::string name = "hv" + std::to_string(h);
-      for (uint64_t salt = 0; ShardOf(name, kAlignShards) != r % kAlignShards;
-           ++salt) {
+      for (uint64_t salt = 0; StableHash64(name) % 16 != r % 16; ++salt) {
         name = "hv" + std::to_string(h) + "_s" + std::to_string(salt);
       }
       pool.push_back(SingleRelationView(std::move(name), r));
@@ -114,10 +109,10 @@ CapabilityChange StreamChange(size_t i) {
              : CapabilityChange::RenameAttribute(rel, payload + "x", payload);
 }
 
-std::unique_ptr<ShardedEveSystem> FreshSystem(const Mkb& mkb, size_t shards,
-                                              const std::vector<ViewDefinition>& pool) {
-  auto system = std::make_unique<ShardedEveSystem>(mkb, CvsOptions{}, shards);
-  system->SetReportUnaffected(false);  // reports O(affected), all counts
+std::unique_ptr<EveSystem> FreshSystem(
+    const Mkb& mkb, const std::vector<ViewDefinition>& pool) {
+  auto system = std::make_unique<EveSystem>(mkb);
+  system->SetReportUnaffected(false);  // reports O(affected)
   const Status registered = system->RegisterViewsBulk(pool);
   if (!registered.ok()) {
     std::cerr << "bulk registration failed: " << registered << "\n";
@@ -126,43 +121,46 @@ std::unique_ptr<ShardedEveSystem> FreshSystem(const Mkb& mkb, size_t shards,
   return system;
 }
 
-// Determinism gate: the merged reports for the same stream must be
-// byte-identical at every shard count, or the numbers below are for a
-// broken system.
-void ValidateMergedReportDeterminism() {
+void Check(bool ok, const std::string& what) {
+  if (ok) return;
+  std::cerr << "per-commit oracle failed: " << what << "\n";
+  std::abort();
+}
+
+// The per-commit oracle over four laps of the stream.
+void ValidatePerCommitOracle() {
   const Mkb mkb = BenchMkb();
-  const std::vector<ViewDefinition> pool = AlignedPool(256);
-  std::vector<std::string> reference;
-  for (const size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
-    std::unique_ptr<ShardedEveSystem> system = FreshSystem(mkb, shards, pool);
-    std::vector<std::string> reports;
-    for (size_t i = 0; i < 4 * kHotRels; ++i) {
-      Result<ChangeReport> report = system->ApplyChange(StreamChange(i));
-      if (!report.ok()) {
-        std::cerr << "stream change " << i << " failed at " << shards
-                  << " shards: " << report.status() << "\n";
-        std::abort();
-      }
-      reports.push_back(report.value().ToString());
-    }
-    if (reference.empty()) {
-      reference = std::move(reports);
-    } else if (reports != reference) {
-      std::cerr << "merged reports diverge at " << shards << " shards\n";
-      std::abort();
+  std::unique_ptr<EveSystem> system = FreshSystem(mkb, StreamPool(256));
+  Check(system->ViewsTextAt(system->current_version()).value() ==
+            SaveViews(*system),
+        "bulk registration");
+  for (size_t i = 0; i < 4 * kHotRels; ++i) {
+    const CapabilityChange change = StreamChange(i);
+    const std::vector<std::string> affected = system->AffectedViews(change);
+    const PinnedMkb before = system->PinTip();
+    Check(system->ApplyChange(change).ok(), change.ToString());
+    const PinnedMkb after = system->PinTip();
+    Check(system->ViewsTextAt(after.id()).value() == SaveViews(*system),
+          "views text after " + change.ToString());
+    std::set<size_t> touched;
+    for (const std::string& name : affected) touched.insert(ViewBucketOf(name));
+    for (size_t b = 0; b < kViewBuckets; ++b) {
+      const bool renewed =
+          &before.version->view_bucket(b) != &after.version->view_bucket(b);
+      Check(renewed == (touched.count(b) > 0),
+            "bucket " + std::to_string(b) + " after " + change.ToString());
     }
   }
 }
 
-// Bulk registration throughput: one RegisterViewsBulk of the whole pool,
-// partitioned across shards; items/s = views registered per second.
+// Bulk registration throughput: one RegisterViewsBulk of a 4,224-view
+// pool, committed as one full-snapshot version; items/s = views per second.
 void BM_BulkRegistration(benchmark::State& state) {
   const Mkb mkb = BenchMkb();
-  const std::vector<ViewDefinition> pool = AlignedPool(4096);
-  const size_t shards = static_cast<size_t>(state.range(0));
+  const std::vector<ViewDefinition> pool = StreamPool(4096);
   for (auto _ : state) {
     state.PauseTiming();
-    auto system = std::make_unique<ShardedEveSystem>(mkb, CvsOptions{}, shards);
+    auto system = std::make_unique<EveSystem>(mkb);
     system->SetReportUnaffected(false);
     state.ResumeTiming();
     if (!system->RegisterViewsBulk(pool).ok()) std::abort();
@@ -173,19 +171,15 @@ void BM_BulkRegistration(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(pool.size()));
   state.counters["views"] = static_cast<double>(pool.size());
-  state.counters["shards"] = static_cast<double>(shards);
 }
-BENCHMARK(BM_BulkRegistration)->Arg(1)->Arg(4)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BulkRegistration)->Unit(benchmark::kMillisecond);
 
-// The acceptance sweep: aggregate ApplyChange throughput on the
-// disjoint-shard rename stream, full-snapshot versioning (the default),
-// at 1 / 4 / 16 shards. items/s = committed changes per second.
-void BM_DisjointCommitThroughput(benchmark::State& state) {
+// ApplyChange on the 16,512-view pool, full snapshots: the time per
+// iteration is ms per commit; items/s = commits per second.
+void BM_DisjointCommit(benchmark::State& state) {
   const Mkb mkb = BenchMkb();
-  const std::vector<ViewDefinition> pool = AlignedPool(16384);
-  const size_t shards = static_cast<size_t>(state.range(0));
-  std::unique_ptr<ShardedEveSystem> system = FreshSystem(mkb, shards, pool);
+  const std::vector<ViewDefinition> pool = StreamPool(16384);
+  std::unique_ptr<EveSystem> system = FreshSystem(mkb, pool);
   size_t i = 0;
   for (auto _ : state) {
     Result<ChangeReport> report = system->ApplyChange(StreamChange(i++));
@@ -196,24 +190,20 @@ void BM_DisjointCommitThroughput(benchmark::State& state) {
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.counters["shards"] = static_cast<double>(shards);
   state.counters["views"] = static_cast<double>(pool.size());
 }
-BENCHMARK(BM_DisjointCommitThroughput)->Arg(1)->Arg(4)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DisjointCommit)->Unit(benchmark::kMillisecond);
 
-// Pinned-snapshot reads while a writer commits the rename stream as fast
-// as it can. Each iteration pins the published snapshot (one atomic
-// load) and reads through it; per-read latency is collected by hand so
-// the counters can report p50/p99 and how many reads completed while a
-// commit was in flight. Zero-blocking evidence: reads overlapping a
-// commit complete orders of magnitude faster than the commit itself —
-// they never wait for it.
+// Pinned reads while a writer commits the rename stream as fast as it
+// can. Each iteration pins the tip version (PinTip) and reads through it;
+// per-read latency is collected by hand so the counters can report
+// p50/p99 and how many reads completed while a commit was in flight.
+// Commits render outside the store mutex and take it only to append the
+// finished version, so a read never waits for a commit's rendering.
 void BM_PinnedReadDuringCommits(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   const Mkb mkb = BenchMkb();
-  const std::vector<ViewDefinition> pool = AlignedPool(2048);
-  std::unique_ptr<ShardedEveSystem> system = FreshSystem(mkb, 16, pool);
+  std::unique_ptr<EveSystem> system = FreshSystem(mkb, StreamPool(2048));
 
   std::atomic<bool> stop{false};
   std::atomic<bool> in_commit{false};
@@ -238,15 +228,15 @@ void BM_PinnedReadDuringCommits(benchmark::State& state) {
   std::vector<uint64_t> latencies;
   latencies.reserve(1 << 20);
   uint64_t reads_during_commit = 0;
-  uint64_t epoch_floor = 0;
+  uint64_t version_floor = 0;
   for (auto _ : state) {
     const bool overlapped = in_commit.load(std::memory_order_acquire);
     const Clock::time_point t0 = Clock::now();
-    const std::shared_ptr<const ShardedSnapshot> snap = system->PinPublished();
-    // Read through the pin: the epoch must never run backwards.
-    if (snap->epoch < epoch_floor) std::abort();
-    epoch_floor = snap->epoch;
-    benchmark::DoNotOptimize(snap);
+    const PinnedMkb pin = system->PinTip();
+    // Read through the pin: the version must never run backwards.
+    if (pin.id() < version_floor) std::abort();
+    version_floor = pin.id();
+    benchmark::DoNotOptimize(pin);
     latencies.push_back(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
             .count()));
@@ -278,41 +268,49 @@ void BM_PinnedReadDuringCommits(benchmark::State& state) {
 BENCHMARK(BM_PinnedReadDuringCommits)->Unit(benchmark::kMillisecond)
     ->MinTime(2.0);
 
-// Million-view bulk registration (EVE_BENCH_MILLION=1): the ISSUE-target
-// pool size, MKB-only versioning so version commits stay O(MKB).
-void BM_MillionViewRegistration(benchmark::State& state) {
+// A million-view bulk load with full snapshots, then one stream commit on
+// that pool (EVE_BENCH_MILLION=1). The time is the load; the commit's time
+// is the commit_ms counter.
+void BM_MillionViewLoadAndCommit(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  constexpr size_t kViews = 1000000;
   const Mkb mkb = BenchMkb();
-  ViewPoolSpec spec;
-  spec.num_views = 1000000;
-  spec.zipf_s = 1.1;
-  spec.max_span = 1;
-  spec.seed = 7;
-  const std::vector<ViewDefinition> pool = MakeViewPool(mkb, spec).MoveValue();
+  const std::vector<ViewDefinition> pool =
+      StreamPool(kViews - kHotRels * kHotViews);
+  double commit_ms = 0.0;
+  double affected = 0.0;
   for (auto _ : state) {
     state.PauseTiming();
-    auto system = std::make_unique<ShardedEveSystem>(mkb, CvsOptions{}, 16);
-    system->SetVersioningMode(VersioningMode::kMkbOnly);
+    auto system = std::make_unique<EveSystem>(mkb);
     system->SetReportUnaffected(false);
     state.ResumeTiming();
     if (!system->RegisterViewsBulk(pool).ok()) std::abort();
-    if (system->NumViews() != spec.num_views) std::abort();
+    if (system->NumViews() != kViews) std::abort();
     state.PauseTiming();
+    const Clock::time_point t0 = Clock::now();
+    const Result<ChangeReport> report = system->ApplyChange(StreamChange(0));
+    if (!report.ok()) std::abort();
+    commit_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0)
+                    .count();
+    affected = static_cast<double>(report.value().outcomes.size());
     system.reset();
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(spec.num_views));
+                          static_cast<int64_t>(kViews));
+  state.counters["commit_ms"] = commit_ms;
+  state.counters["commit_affected_views"] = affected;
 }
 
 }  // namespace
 }  // namespace eve
 
 int main(int argc, char** argv) {
-  eve::ValidateMergedReportDeterminism();
+  eve::ValidatePerCommitOracle();
   if (const char* million = std::getenv("EVE_BENCH_MILLION");
       million != nullptr && std::string(million) == "1") {
-    ::benchmark::RegisterBenchmark("BM_MillionViewRegistration",
-                                   &eve::BM_MillionViewRegistration)
+    ::benchmark::RegisterBenchmark("BM_MillionViewLoadAndCommit",
+                                   &eve::BM_MillionViewLoadAndCommit)
         ->Unit(benchmark::kSecond)
         ->Iterations(1);
   }

@@ -12,10 +12,11 @@
 # queue batch latency under shedding) into BENCH_admission.json, and the
 # versioning sweep (bench_versioning: O(1) tip-pin snapshot cost, dry-run
 # overhead vs direct apply, COW byte amplification over 1k versions) into
-# BENCH_versioning.json, and the sharded serving-core sweep (bench_shards:
-# bulk-registration throughput, 1/4/16-shard disjoint-stream commit
-# throughput, pinned-snapshot read p50/p99 under concurrent commits, and
-# the million-view registration smoke) into BENCH_shards.json.
+# BENCH_versioning.json, and the one-system commit suite (bench_commit:
+# ms per full-snapshot commit on the 16,512-view disjoint rename stream,
+# bulk-registration throughput, pinned-read p50/p99 under concurrent
+# commits, and the million-view load plus one commit) into
+# BENCH_commit.json.
 #
 # The executor suite (bench_executor: vectorized vs hash vs nested-loop
 # query execution and full-vs-incremental extent re-materialization per
@@ -502,26 +503,26 @@ print(f"BENCHSUMMARY suite=versioning out={out_path}"
       f" reparse_factor={tip_entry.get('reparse_factor', 'n/a')}")
 PY
 
-SHARDS_BENCH="$BUILD_DIR/bench/bench_shards"
-if [[ ! -x "$SHARDS_BENCH" ]]; then
-  echo "bench binary not found: $SHARDS_BENCH (build the repo first)" >&2
+COMMIT_BENCH="$BUILD_DIR/bench/bench_commit"
+if [[ ! -x "$COMMIT_BENCH" ]]; then
+  echo "bench binary not found: $COMMIT_BENCH (build the repo first)" >&2
   exit 1
 fi
 
-SHARDS_JSON="$(mktemp)"
-trap 'rm -f "$CURRENT_JSON" "$ENUM_JSON" "$FED_JSON" "$ADM_JSON" "$VER_JSON" "$SHARDS_JSON"' EXIT
+COMMIT_JSON="$(mktemp)"
+trap 'rm -f "$CURRENT_JSON" "$ENUM_JSON" "$FED_JSON" "$ADM_JSON" "$VER_JSON" "$COMMIT_JSON"' EXIT
 
-# The binary replays the same change stream at 1/4/16 shards and
-# byte-compares every merged report before timing anything; a divergence
-# aborts the run (and, via set -e, this script). EVE_BENCH_MILLION=1 also
-# runs the million-view bulk-registration smoke; export it as 0 to skip
-# (e.g. under sanitizers).
+# The binary checks the per-commit oracle (tip view text == SaveViews, only
+# touched buckets renewed) over the stream before timing anything; a
+# violation aborts the run (and, via set -e, this script).
+# EVE_BENCH_MILLION=1 also runs the million-view load plus one commit;
+# export it as 0 to skip (e.g. under sanitizers).
 EVE_BENCH_MILLION="${EVE_BENCH_MILLION:-1}" \
-"$SHARDS_BENCH" --benchmark_min_time="${MIN_TIME}" \
-                --benchmark_out="$SHARDS_JSON" \
+"$COMMIT_BENCH" --benchmark_min_time="${MIN_TIME}" \
+                --benchmark_out="$COMMIT_JSON" \
                 --benchmark_out_format=json > /dev/null
 
-python3 - "$SHARDS_JSON" "$REPO_ROOT/BENCH_shards.json" <<'PY'
+python3 - "$COMMIT_JSON" "$REPO_ROOT/BENCH_commit.json" <<'PY'
 import json
 import sys
 
@@ -536,73 +537,52 @@ for bench in doc.get("benchmarks", []):
         continue
     runs[bench["name"]] = bench
 
-registration = []
-commits = []
-for shards in (1, 4, 16):
-    reg = runs.get(f"BM_BulkRegistration/{shards}")
-    if reg is not None:
-        registration.append({
-            "shards": shards,
-            "views": reg.get("views"),
-            "views_per_second": reg.get("items_per_second"),
-        })
-    com = runs.get(f"BM_DisjointCommitThroughput/{shards}")
-    if com is not None:
-        commits.append({
-            "shards": shards,
-            "pool_views": com.get("views"),
-            "commits_per_second": com.get("items_per_second"),
-            "ms_per_commit": com.get("real_time"),
-        })
-
-by_shards = {c["shards"]: c["commits_per_second"] for c in commits}
-speedup_16v1 = (round(by_shards[16] / by_shards[1], 2)
-                if by_shards.get(1) and by_shards.get(16) else None)
-
+registration = runs.get("BM_BulkRegistration", {})
+commit = runs.get("BM_DisjointCommit", {})
 reads = {}
 for name, bench in runs.items():
     if name.startswith("BM_PinnedReadDuringCommits"):
-        p99 = bench.get("read_p99_ns", 0.0)
-        mean_commit = bench.get("mean_commit_ns", 0.0)
-        during = bench.get("reads_during_commit", 0.0)
         reads = {
             "read_p50_ns": bench.get("read_p50_ns"),
-            "read_p99_ns": p99,
-            "reads_during_commit": during,
+            "read_p99_ns": bench.get("read_p99_ns"),
+            "reads_during_commit": bench.get("reads_during_commit"),
             "commits_during_run": bench.get("commits_during_run"),
-            "mean_commit_ns": mean_commit,
-            # Reads overlapping an in-flight commit completed, and the
-            # read tail is orders of magnitude below a single commit:
-            # pinned readers never wait for writers.
-            "zero_blocking_reads": bool(
-                during > 0 and mean_commit > 0 and p99 < mean_commit / 100),
+            "mean_commit_ns": bench.get("mean_commit_ns"),
         }
-
 million = None
 for name, bench in runs.items():
-    if name.startswith("BM_MillionViewRegistration"):
+    if name.startswith("BM_MillionViewLoadAndCommit"):
         million = {
-            "seconds": round(bench.get("real_time", 0.0), 2),
+            "load_seconds": round(bench.get("real_time", 0.0), 2),
             "views_per_second": bench.get("items_per_second"),
+            "commit_ms": bench.get("commit_ms"),
+            "commit_affected_views": bench.get("commit_affected_views"),
         }
 
+ms_per_commit = commit.get("real_time")
 out = {
-    "description": "Sharded view-pool serving core: bulk-registration "
-                   "throughput, aggregate commit throughput on a "
-                   "disjoint-shard rename stream at 1/4/16 shards "
-                   "(single-core container: the speedup is smaller "
-                   "per-shard snapshot rendering, not parallelism), and "
-                   "pinned-snapshot read latency while a writer commits "
-                   "continuously. Merged reports are validated "
-                   "byte-identical across shard counts before timing.",
+    "description": "One EveSystem with full snapshots on the disjoint "
+                   "rename stream (each change rewrites 8 views): ms per "
+                   "commit on a 16,512-view pool, bulk registration in "
+                   "views per second, pinned-read latency while a writer "
+                   "commits continuously, and a million-view load plus "
+                   "one commit. The per-commit oracle is checked over the "
+                   "stream before timing.",
     "context": doc.get("context", {}),
-    "merged_reports_identical": True,  # validated by the binary pre-timing
-    "registration": registration,
-    "commit_throughput": commits,
-    "commit_speedup_16_shards_vs_1": speedup_16v1,
-    "meets_3x_target": speedup_16v1 is not None and speedup_16v1 >= 3.0,
+    "per_commit_oracle": True,  # checked by the binary pre-timing
+    "commit": {
+        "pool_views": commit.get("views"),
+        "ms_per_commit": ms_per_commit,
+        "commits_per_second": commit.get("items_per_second"),
+        "meets_0_5_ms_target": ms_per_commit is not None
+                               and ms_per_commit <= 0.5,
+    },
+    "registration": {
+        "views": registration.get("views"),
+        "views_per_second": registration.get("items_per_second"),
+    },
     "pinned_reads_under_commits": reads,
-    "million_view_registration": million,
+    "million_view_load_and_commit": million,
     "raw": doc,
 }
 with open(out_path, "w") as f:
@@ -610,22 +590,19 @@ with open(out_path, "w") as f:
     f.write("\n")
 
 print(f"wrote {out_path}")
-for entry in commits:
-    print(f"commit throughput shards={entry['shards']:<3}"
-          f"  {entry['commits_per_second']:.1f}/s")
+if ms_per_commit is not None:
+    print(f"commit  {ms_per_commit:.3f} ms on {commit.get('views', 0):.0f} views")
 if reads:
     print(f"pinned reads  p50 {reads['read_p50_ns']:.0f} ns"
           f"  p99 {reads['read_p99_ns']:.0f} ns"
-          f"  during-commit {reads['reads_during_commit']:.0f}"
-          f"  (mean commit {reads['mean_commit_ns'] / 1e6:.1f} ms)")
+          f"  during-commit {reads['reads_during_commit']:.0f}")
 if million:
-    print(f"million-view registration  {million['seconds']:.1f} s")
-print(f"BENCHSUMMARY suite=shards out={out_path}"
-      f" commit_speedup_16v1={speedup_16v1}"
-      f" meets_3x_target={speedup_16v1 is not None and speedup_16v1 >= 3.0}"
-      f" zero_blocking_reads={reads.get('zero_blocking_reads', 'n/a')}"
+    print(f"million-view load {million['load_seconds']:.1f} s,"
+          f" one commit {million['commit_ms']:.1f} ms")
+print(f"BENCHSUMMARY suite=commit out={out_path}"
+      f" ms_per_commit={ms_per_commit}"
       f" read_p99_ns={reads.get('read_p99_ns', 'n/a')}"
-      f" merged_reports_identical=True")
+      f" per_commit_oracle=True")
 PY
 
 EXEC_BENCH="$BUILD_DIR/bench/bench_executor"
@@ -635,7 +612,7 @@ if [[ ! -x "$EXEC_BENCH" ]]; then
 fi
 
 EXEC_JSON="$(mktemp)"
-trap 'rm -f "$CURRENT_JSON" "$ENUM_JSON" "$FED_JSON" "$ADM_JSON" "$VER_JSON" "$SHARDS_JSON" "$EXEC_JSON"' EXIT
+trap 'rm -f "$CURRENT_JSON" "$ENUM_JSON" "$FED_JSON" "$ADM_JSON" "$VER_JSON" "$COMMIT_JSON" "$EXEC_JSON"' EXIT
 
 # The binary validates vectorized == nested-loop == hash and incremental
 # == full refresh for every verdict before timing anything, and exits

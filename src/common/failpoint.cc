@@ -96,10 +96,6 @@ const std::vector<std::string>& Failpoints::KnownSites() {
       fp::kRollbackAfterJournal,
       fp::kRollbackAfterRestore,
       fp::kVersionScrub,
-      fp::kShardedCommitShard,
-      fp::kShardedPublish,
-      fp::kShardedCheckpointManifest,
-      fp::kShardedJournalReset,
       fp::kNetAccept,
       fp::kNetSessionStart,
       fp::kNetFrameRead,

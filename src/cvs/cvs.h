@@ -54,7 +54,7 @@ struct CvsOptions {
   size_t candidate_budget = 0;
   // Include a kUnaffected outcome line for every untouched view in each
   // ChangeReport. The default preserves the paper's full per-view report;
-  // large pools (sharded serving, million-view benches) turn it off so a
+  // large pools (million-view benches) turn it off so a
   // change's report cost is O(affected), not O(pool).
   bool report_unaffected = true;
 };

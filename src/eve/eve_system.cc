@@ -177,10 +177,52 @@ EveSystem::EveSystem(Mkb mkb, CvsOptions options)
 }
 
 uint64_t EveSystem::CommitVersion(const std::string& change_desc) {
-  if (versioning_mode_ == VersioningMode::kMkbOnly) {
-    return versions_.CommitSharedViews(mkb_tip_, change_desc);
+  ViewBucketBodies buckets;
+  if (dirty_.all) {
+    for (size_t bucket = 0; bucket < kViewBuckets; ++bucket) buckets[bucket];
+    for (const auto& [name, view] : views_) {
+      AppendViewBlock(view, &buckets[ViewBucketOf(name)]);
+    }
+  } else {
+    // The tip's buckets hold every clean view's current block, so a dirty
+    // bucket is its tip body with the dirty views' blocks re-rendered in
+    // name order; blocks of clean views are copied, not rendered.
+    std::map<size_t, std::vector<const std::string*>> dirty_by_bucket;
+    for (const std::string& name : dirty_.names) {
+      dirty_by_bucket[ViewBucketOf(name)].push_back(&name);
+    }
+    const PinnedMkb tip = versions_.Tip();
+    for (const auto& [bucket, dirty] : dirty_by_bucket) {
+      std::string& body = buckets[bucket];
+      const std::vector<ViewBlock> old =
+          SplitViewBlocks(tip.version->view_bucket(bucket).body);
+      auto next = old.begin();
+      for (const std::string* name : dirty) {
+        for (; next != old.end() && next->name < *name; ++next) {
+          body.append(next->text);
+        }
+        if (next != old.end() && next->name == *name) ++next;
+        AppendViewBlock(views_.at(*name), &body);
+      }
+      for (; next != old.end(); ++next) body.append(next->text);
+    }
   }
-  return versions_.Commit(mkb_tip_, SaveViews(*this), change_desc);
+  dirty_ = DirtyViews();
+  return versions_.Commit(mkb_tip_, std::move(buckets), change_desc);
+}
+
+void EveSystem::AddView(const std::string& name, RegisteredView view) {
+  // Into an empty pool (whose tip buckets are all empty) every view is
+  // new: render the buckets afresh instead of tracking each name.
+  if (views_.empty()) dirty_ = DirtyViews{{}, true};
+  const auto [it, inserted] = views_.emplace(name, std::move(view));
+  IndexView(name, it->second.definition);
+  if (!dirty_.all) dirty_.names.insert(name);
+}
+
+RegisteredView& EveSystem::MutableView(const std::string& name) {
+  if (!dirty_.all) dirty_.names.insert(name);
+  return views_.at(name);
 }
 
 Status EveSystem::JournalAppend(const JournalRecord& record) {
@@ -229,8 +271,7 @@ Status EveSystem::RegisterView(const ViewDefinition& view) {
   // against; replay re-stamps the same id because version commits replay
   // deterministically.
   registered.synced_at_version = versions_.NextId();
-  const auto [it, inserted] = views_.emplace(view.name(), std::move(registered));
-  IndexView(view.name(), it->second.definition);
+  AddView(view.name(), std::move(registered));
   CommitVersion("register view " + view.name());
   EVE_FAILPOINT(fp::kRegisterViewAfterJournal);
   return Status::OK();
@@ -257,8 +298,7 @@ Status EveSystem::RestoreView(ViewDefinition definition, ViewState state,
   registered.definition = std::move(definition);
   registered.state = state;
   registered.synced_at_version = synced_at_version;
-  const auto [it, inserted] = views_.emplace(name, std::move(registered));
-  IndexView(name, it->second.definition);
+  AddView(name, std::move(registered));
   CommitVersion("restore view " + name);
   return Status::OK();
 }
@@ -290,23 +330,25 @@ Status EveSystem::RegisterViewsBulk(const std::vector<ViewDefinition>& views) {
     bound.push_back(std::move(rebound));
   }
   // One record for the whole batch, in the SaveViews block format so
-  // replay parses it with the same grammar as checkpoint pools.
-  std::string body;
-  for (const ViewDefinition& view : bound) {
-    body += "-- VIEW active\n";
-    body += view.ToString();
-    body += ";\n\n";
+  // replay parses it with the same grammar as checkpoint pools. Rendered
+  // only when a journal will take it.
+  if (journal_ != nullptr) {
+    std::string body;
+    for (const ViewDefinition& view : bound) {
+      body += "-- VIEW active\n";
+      body += view.ToString();
+      body += ";\n\n";
+    }
+    EVE_RETURN_IF_ERROR(
+        JournalAppend({JournalRecordKind::kRegisterViewsBulk, body}));
   }
-  EVE_RETURN_IF_ERROR(
-      JournalAppend({JournalRecordKind::kRegisterViewsBulk, body}));
   const uint64_t stamp = versions_.NextId();
   for (ViewDefinition& view : bound) {
     const std::string name = view.name();
     RegisteredView registered;
     registered.definition = std::move(view);
     registered.synced_at_version = stamp;
-    const auto [it, inserted] = views_.emplace(name, std::move(registered));
-    IndexView(name, it->second.definition);
+    AddView(name, std::move(registered));
   }
   CommitVersion("register " + std::to_string(bound.size()) + " views (bulk)");
   EVE_FAILPOINT(fp::kRegisterViewAfterJournal);
@@ -332,7 +374,7 @@ Status EveSystem::SetViewState(const std::string& name, ViewState state) {
                      std::string(state == ViewState::kActive ? "active"
                                                              : "disabled") +
                          "\n" + name}));
-  it->second.state = state;
+  MutableView(name).state = state;
   CommitVersion("set view state " + name);
   return Status::OK();
 }
@@ -689,22 +731,13 @@ Result<ChangeReport> EveSystem::CommitPrepared(PreparedChange prepared) {
   }
   mkb_tip_ = prepared.next_mkb;
   for (auto& [name, synced] : prepared.next_views) {
-    views_.at(name) = std::move(synced);
+    MutableView(name) = std::move(synced);
   }
   for (const std::string& name : prepared.affected) {
     IndexView(name, views_.at(name).definition);
   }
   change_log_.push_back(prepared.report);
-  if (prepared.affected.empty() && prepared.next_views.empty()) {
-    // No view record changed, so the tip's VIEWS segment is still this
-    // pool's exact rendering: share it instead of re-rendering O(pool)
-    // bytes. Replica shards whose view partition a change does not touch
-    // commit in O(MKB) through this path, which is where the sharded
-    // serving core's aggregate commit throughput comes from.
-    versions_.CommitSharedViews(mkb_tip_, prepared.change.ToString());
-  } else {
-    CommitVersion(prepared.change.ToString());
-  }
+  CommitVersion(prepared.change.ToString());
   const Status after = Failpoints::Instance().Hit(fp::kVersionAfterSwap);
   if (deferred.ok()) deferred = after;
   // Post-commit data-plane propagation: the control plane is committed, so
@@ -751,17 +784,11 @@ Result<ChangeReport> EveSystem::ApplyChange(const CapabilityChange& change) {
   return CommitPrepared(std::move(prepared));
 }
 
-Result<ChangeReport> EveSystem::PreviewChange(
-    const CapabilityChange& change) const {
-  // The prepare phase IS the preview: full CVS into private state, then
-  // the result is discarded instead of committed. No scratch copy, no
-  // journal writes, no version churn.
-  EVE_ASSIGN_OR_RETURN(PreparedChange prepared, PrepareChange(change));
-  return std::move(prepared.report);
-}
-
 Result<DryRunReport> EveSystem::DryRunChange(
     const CapabilityChange& change) const {
+  // The prepare phase IS the dry run: full CVS into private state, then
+  // the result is discarded instead of committed. No scratch copy, no
+  // journal writes, no version churn.
   EVE_ASSIGN_OR_RETURN(PreparedChange prepared, PrepareChange(change));
   DryRunReport dry;
   dry.base_version = prepared.base_version;
@@ -772,12 +799,6 @@ Result<DryRunReport> EveSystem::DryRunChange(
 
 Result<DryRunReport> EveSystem::DryRunChangeAt(const CapabilityChange& change,
                                                uint64_t version) const {
-  if (versioning_mode_ == VersioningMode::kMkbOnly &&
-      version != versions_.tip_id()) {
-    return Status::FailedPrecondition(
-        "dry-run at a non-tip version requires full-snapshot versioning "
-        "(the store is in MKB-only mode)");
-  }
   if (version == versions_.tip_id()) return DryRunChange(change);
   // A what-if against an older version: rehearse the real flow (rollback,
   // then apply) on a scratch copy. The scratch shares the immutable version
@@ -798,11 +819,6 @@ Result<DryRunReport> EveSystem::DryRunChangeAt(const CapabilityChange& change,
 }
 
 Result<uint64_t> EveSystem::RollbackToVersion(uint64_t version) {
-  if (versioning_mode_ == VersioningMode::kMkbOnly) {
-    return Status::FailedPrecondition(
-        "rollback requires full-snapshot versioning (the store is in "
-        "MKB-only mode: versions do not retain the view pool)");
-  }
   if (!versions_.HasVersion(version)) {
     return Status::NotFound("no retained version " + std::to_string(version) +
                             " (tip is " + std::to_string(versions_.tip_id()) +
@@ -834,6 +850,7 @@ Result<uint64_t> EveSystem::RollbackToVersion(uint64_t version) {
   mkb_tip_ = pinned.mkb;
   views_ = std::move(loader.views_);
   RebuildViewIndex();
+  dirty_ = DirtyViews{{}, true};
   for (auto& [name, view] : views_) {
     const auto it = histories.find(name);
     if (it != histories.end()) view.history = it->second;
@@ -885,7 +902,7 @@ Status EveSystem::SetViewSyncedVersion(const std::string& name,
   if (it == views_.end()) {
     return Status::NotFound("view not registered: " + name);
   }
-  it->second.synced_at_version = version;
+  MutableView(name).synced_at_version = version;
   return Status::OK();
 }
 
@@ -900,6 +917,7 @@ Status EveSystem::RestoreVersionStore(MkbVersionStore store) {
   }
   versions_ = store;
   mkb_tip_ = versions_.Tip().mkb;
+  dirty_ = DirtyViews{{}, true};
   return Status::OK();
 }
 
@@ -982,11 +1000,13 @@ Result<std::vector<ChangeReport>> EveSystem::ApplyChanges(
   MkbVersionStore versions_snapshot;
   std::shared_ptr<const Mkb> tip_snapshot;
   std::map<std::string, RegisteredView> views_snapshot;
+  DirtyViews dirty_snapshot;
   std::vector<ChangeReport> log_snapshot;
   if (transactional) {
     versions_snapshot = versions_;
     tip_snapshot = mkb_tip_;
     views_snapshot = views_;
+    dirty_snapshot = dirty_;
     log_snapshot = change_log_;
     // Bracket the batch so replay discards it unless the commit marker
     // lands: a crash mid-batch recovers to the pre-batch state, mirroring
@@ -1008,6 +1028,7 @@ Result<std::vector<ChangeReport>> EveSystem::ApplyChanges(
         versions_ = std::move(versions_snapshot);
         mkb_tip_ = std::move(tip_snapshot);
         views_ = std::move(views_snapshot);
+        dirty_ = std::move(dirty_snapshot);
         change_log_ = std::move(log_snapshot);
         RebuildViewIndex();
         EVE_RETURN_IF_ERROR(
@@ -1027,6 +1048,7 @@ Result<std::vector<ChangeReport>> EveSystem::ApplyChanges(
       versions_ = std::move(versions_snapshot);
       mkb_tip_ = std::move(tip_snapshot);
       views_ = std::move(views_snapshot);
+      dirty_ = std::move(dirty_snapshot);
       change_log_ = std::move(log_snapshot);
       RebuildViewIndex();
       return committed;
@@ -1060,6 +1082,7 @@ Result<std::vector<ChangeReport>> EveSystem::LeaveCascade(
   MkbVersionStore versions_snapshot = versions_;
   std::shared_ptr<const Mkb> tip_snapshot = mkb_tip_;
   std::map<std::string, RegisteredView> views_snapshot = views_;
+  DirtyViews dirty_snapshot = dirty_;
   std::vector<ChangeReport> log_snapshot = change_log_;
   std::map<std::string, federation::SourceMembership> membership_snapshot =
       membership_;
@@ -1067,6 +1090,7 @@ Result<std::vector<ChangeReport>> EveSystem::LeaveCascade(
     versions_ = std::move(versions_snapshot);
     mkb_tip_ = std::move(tip_snapshot);
     views_ = std::move(views_snapshot);
+    dirty_ = std::move(dirty_snapshot);
     change_log_ = std::move(log_snapshot);
     membership_ = std::move(membership_snapshot);
     RebuildViewIndex();
@@ -1131,7 +1155,11 @@ Status EveSystem::SetSourceMembership(
     // live views AND the logged outcomes makes the state converge to what
     // a fault-free run would have produced; replaying the same journal
     // repeats the same un-marking at the same position, so recovery agrees.
-    for (auto& [name, view] : views_) view.provisional_sources.erase(source);
+    for (const auto& [name, view] : views_) {
+      if (view.provisional_sources.count(source) > 0) {
+        MutableView(name).provisional_sources.erase(source);
+      }
+    }
     for (ChangeReport& report : change_log_) {
       for (ViewOutcome& outcome : report.outcomes) {
         auto& provisional = outcome.provisional_sources;
@@ -1151,7 +1179,7 @@ Status EveSystem::SetViewProvisionalSources(const std::string& name,
   if (it == views_.end()) {
     return Status::NotFound("view not registered: " + name);
   }
-  it->second.provisional_sources = std::move(sources);
+  MutableView(name).provisional_sources = std::move(sources);
   return Status::OK();
 }
 
@@ -1232,11 +1260,6 @@ Status EveSystem::ReplayRecord(const JournalRecord& record) {
       }
       return RegisterViewsBulk(batch);
     }
-    case JournalRecordKind::kJournalEpoch:
-      // Checkpoint-generation marker: consumed by the sharded recovery
-      // barrier before replay; reaching a single-system replay it is a
-      // no-op (the records after it are the live tail).
-      return Status::OK();
     case JournalRecordKind::kSetViewState: {
       std::string state_word, name;
       EVE_RETURN_IF_ERROR(SplitRecordBody(record.body, &state_word, &name));

@@ -141,19 +141,6 @@ struct DryRunReport {
   std::string ToString() const;
 };
 
-// What each committed version retains for the view pool.
-enum class VersioningMode {
-  // Every version carries the serialized view pool (the default): full
-  // point-in-time rollback and AT VERSION reads.
-  kFullSnapshots,
-  // Versions share the VIEWS segment frozen at the mode switch instead of
-  // re-rendering the pool — a commit costs O(MKB), not O(views). The MKB
-  // chain stays fully versioned; RollbackToVersion and DryRunChangeAt are
-  // unavailable. For million-view pools where rendering the pool per
-  // commit would dominate every change.
-  kMkbOnly,
-};
-
 class EveSystem {
  public:
   explicit EveSystem(Mkb mkb, CvsOptions options = {});
@@ -168,8 +155,11 @@ class EveSystem {
   // and state flips, capability changes, rollbacks) commits a new immutable
   // version into the copy-on-write chain; reads can pin any retained
   // version in O(1) and are never blocked (or torn) by a running
-  // synchronization. Federation membership rows are deliberately NOT
-  // versioned: a healed run must stay byte-identical to a fault-free run.
+  // synchronization. A version holds the whole view pool, but a commit
+  // re-renders only the VIEWS buckets of views changed since the last
+  // commit and shares the rest, so it costs O(MKB + changed views).
+  // Federation membership rows are deliberately NOT versioned: a healed
+  // run must stay byte-identical to a fault-free run.
 
   const MkbVersionStore& versions() const { return versions_; }
   uint64_t current_version() const { return versions_.tip_id(); }
@@ -235,12 +225,6 @@ class EveSystem {
   // registered if any view fails). Bulk loading a million-view pool this
   // way is O(batch) journal fsyncs instead of O(views).
   Status RegisterViewsBulk(const std::vector<ViewDefinition>& views);
-
-  // Selects what each committed version retains (see VersioningMode). Not
-  // journaled — a configuration like sync parallelism, set before heavy
-  // load; recovery replays under whatever mode the recovering process set.
-  void SetVersioningMode(VersioningMode mode) { versioning_mode_ = mode; }
-  VersioningMode versioning_mode() const { return versioning_mode_; }
 
   // Whether each ChangeReport lists a kUnaffected outcome per untouched
   // view (CvsOptions::report_unaffected): O(pool) per change when on.
@@ -395,14 +379,14 @@ class EveSystem {
   }
 
   // Per-view truncation/deadline lists for the most recent ApplyChange or
-  // PreviewChange (same lifecycle as last_sync_stats()).
+  // DryRunChange (same lifecycle as last_sync_stats()).
   const SyncDiagnostics& last_sync_diagnostics() const {
     return last_sync_diagnostics_;
   }
 
   // Enumeration counters aggregated (in view-name order, on the calling
   // thread) across the affected views of the most recent ApplyChange or
-  // PreviewChange. Observability only — not part of ChangeReport, not
+  // DryRunChange. Observability only — not part of ChangeReport, not
   // journaled, not restored by recovery.
   const EnumerationStats& last_sync_stats() const { return last_sync_stats_; }
 
@@ -410,11 +394,6 @@ class EveSystem {
   // affected view is either rewritten in place (keeping its registered
   // name) or disabled.
   Result<ChangeReport> ApplyChange(const CapabilityChange& change);
-
-  // What-if analysis: the report ApplyChange(change) WOULD produce, with
-  // no state mutated — lets an administrator see which views a change
-  // would disable before the source actually withdraws the capability.
-  Result<ChangeReport> PreviewChange(const CapabilityChange& change) const;
 
   // An information source leaves the environment (paper Sec. 1): applies
   // delete-relation for every relation the source exports, one change at a
@@ -501,9 +480,6 @@ class EveSystem {
                                    RecoveryReport* report = nullptr);
 
  private:
-  // The sharded serving core (eve/sharded_system.h) drives the
-  // prepare/commit split and per-shard internals directly.
-  friend class ShardedEveSystem;
   // The incremental replay loop (eve/journal.h) feeds ReplayRecord one
   // record at a time — recovery and replication replicas share it.
   friend class JournalReplayer;
@@ -532,8 +508,19 @@ class EveSystem {
   // if the tip advanced since the prepare.
   Result<ChangeReport> CommitPrepared(PreparedChange prepared);
 
-  // Commits the current live state as a new version.
+  // Commits the current live state as a new version. Only the blocks of
+  // dirty views are rendered; the rest of their buckets is copied from the
+  // tip version, and every other bucket is shared with it.
   uint64_t CommitVersion(const std::string& change_desc);
+
+  // The view pool's write path. AddView registers a view; MutableView is
+  // the one way to write a field SaveViews renders (definition, state,
+  // provisional sources, synced-at stamp). Both mark the view dirty, so
+  // the next commit re-renders its block — including changes that commit
+  // no version of their own (heal un-marking, checkpoint stamps), which
+  // the next commit then picks up.
+  void AddView(const std::string& name, RegisteredView view);
+  RegisteredView& MutableView(const std::string& name);
 
   // Post-commit data-plane propagation (see AttachMaterialization). Runs
   // after the in-memory commit; `old_defs` holds the affected views'
@@ -579,25 +566,33 @@ class EveSystem {
   // std::set values keep AffectedViews output name-sorted.
   std::unordered_map<std::string, std::set<std::string>> views_by_relation_;
   std::unordered_map<std::string, std::set<std::string>> views_by_attribute_;
+  // Views whose rendered block may differ from the tip version's. `all`
+  // is set when the pool (rollback) or the chain (checkpoint load) was
+  // replaced wholesale: the next commit renders every bucket afresh.
+  // Restored together with views_ when a batch rolls back.
+  struct DirtyViews {
+    std::set<std::string> names;
+    bool all = false;
+  };
+  DirtyViews dirty_;
   std::vector<ChangeReport> change_log_;
   std::map<std::string, federation::SourceMembership> membership_;
   Journal* journal_ = nullptr;  // non-owning
   MaterializedViewStore* mat_store_ = nullptr;  // non-owning
   Database* mat_db_ = nullptr;                  // non-owning
   JoinStrategy executor_strategy_ = JoinStrategy::kAuto;
-  // Shared (not per-copy) so PreviewChange scratch copies reuse the pool;
+  // Shared (not per-copy) so DryRunChangeAt scratch copies reuse the pool;
   // ParallelFor keeps per-call completion state, so concurrent use is safe.
   std::shared_ptr<ThreadPool> sync_pool_;
   size_t sync_parallelism_ = 1;
-  // mutable: PreviewChange is logically const but still reports how much
-  // of the candidate space its scratch run explored.
+  // mutable: DryRunChange is logically const but still reports how much
+  // of the candidate space its run explored.
   mutable EnumerationStats last_sync_stats_;
   mutable SyncDiagnostics last_sync_diagnostics_;
   uint64_t sync_work_budget_ = 0;
   uint64_t sync_deadline_micros_ = 0;
   uint64_t sync_watchdog_micros_ = 0;
   const Clock* sync_clock_ = nullptr;  // non-owning; nullptr = steady clock
-  VersioningMode versioning_mode_ = VersioningMode::kFullSnapshots;
   size_t sync_queue_limit_ = 0;
   std::deque<CapabilityChange> sync_queue_;
   AdmissionStats admission_stats_;

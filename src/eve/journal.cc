@@ -61,7 +61,7 @@ uint32_t GetU32(std::string_view bytes, size_t offset) {
 
 bool IsKnownRecordKind(uint8_t kind) {
   return kind >= static_cast<uint8_t>(JournalRecordKind::kExtendMkb) &&
-         kind <= static_cast<uint8_t>(JournalRecordKind::kJournalEpoch);
+         kind <= static_cast<uint8_t>(JournalRecordKind::kRegisterViewsBulk);
 }
 
 Status WriteAll(int fd, std::string_view bytes, const std::string& path) {
@@ -175,20 +175,6 @@ Status Journal::Reset() {
   }
   if (::fsync(fd_) != 0) return Errno("cannot fsync journal", path_);
   return Status::OK();
-}
-
-std::string RenderJournalBytes(const std::vector<JournalRecord>& records) {
-  std::string out(kJournalMagic, kMagicSize);
-  for (const JournalRecord& record : records) {
-    std::string payload;
-    payload.reserve(1 + record.body.size());
-    payload.push_back(static_cast<char>(record.kind));
-    payload.append(record.body);
-    PutU32(&out, static_cast<uint32_t>(payload.size()));
-    PutU32(&out, Crc32(payload));
-    out.append(payload);
-  }
-  return out;
 }
 
 Result<JournalScan> ScanJournalBytes(std::string_view bytes) {

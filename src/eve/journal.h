@@ -54,13 +54,8 @@ enum class JournalRecordKind : uint8_t {
   // blocks, the SaveViews rendering of the batch). One record + one version
   // commit for N views, so million-view registration is not O(N) fsyncs.
   kRegisterViewsBulk = 12,
-  // Checkpoint-generation marker (decimal generation in the body). Written
-  // as the first record after a sharded checkpoint resets the journal; on
-  // recovery a shard journal whose last epoch marker does not match the
-  // manifest generation is stale (a crash hit between the manifest rename
-  // and that shard's reset) and its pre-epoch records are superseded by the
-  // checkpoint.
-  kJournalEpoch = 13,
+  // 13 is retired (a checkpoint-generation marker of per-shard journals)
+  // and stays reserved: no later kind may reuse the number.
 };
 
 struct JournalRecord {
@@ -118,11 +113,6 @@ struct JournalScan {
   // truncation.
   size_t dropped_bytes = 0;
 };
-
-// Renders a complete journal file image (magic + CRC-framed records) —
-// the inverse of ScanJournalBytes. Sharded recovery uses it to rewrite a
-// barrier-truncated journal atomically (write-temp + rename).
-std::string RenderJournalBytes(const std::vector<JournalRecord>& records);
 
 // Parses raw journal bytes (magic + frames). Never fails on torn or
 // corrupted record bytes — the valid prefix is returned and torn_tail set —

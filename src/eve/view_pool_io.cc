@@ -1,7 +1,6 @@
 #include "eve/view_pool_io.h"
 
 #include <set>
-#include <sstream>
 
 #include "common/failpoint.h"
 #include "common/str_util.h"
@@ -10,31 +9,37 @@
 
 namespace eve {
 
-std::string SaveViews(const EveSystem& system) {
-  std::ostringstream os;
-  for (const std::string& name : system.ViewNames()) {
-    const RegisteredView* view = *system.GetView(name);
-    os << "-- VIEW "
-       << (view->state == ViewState::kActive ? "active" : "disabled");
-    if (!view->provisional_sources.empty()) {
-      // Degraded-mode marker (see eve_system.h); omitted when empty so
-      // fault-free pools keep the pre-federation format.
-      os << " provisional=";
-      bool first = true;
-      for (const std::string& source : view->provisional_sources) {
-        if (!first) os << ",";
-        os << source;
-        first = false;
-      }
+void AppendViewBlock(const RegisteredView& view, std::string* out) {
+  out->append("-- VIEW ");
+  out->append(view.state == ViewState::kActive ? "active" : "disabled");
+  if (!view.provisional_sources.empty()) {
+    // Degraded-mode marker (see eve_system.h); omitted when empty so
+    // fault-free pools keep the pre-federation format.
+    out->append(" provisional=");
+    bool first = true;
+    for (const std::string& source : view.provisional_sources) {
+      if (!first) out->push_back(',');
+      out->append(source);
+      first = false;
     }
-    if (view->synced_at_version != 0) {
-      // The MKB version the view was last synchronized against; omitted
-      // when unknown so legacy pools keep their format.
-      os << " synced_at=" << view->synced_at_version;
-    }
-    os << "\n" << view->definition.ToString() << ";\n\n";
   }
-  return os.str();
+  if (view.synced_at_version != 0) {
+    // The MKB version the view was last synchronized against; omitted
+    // when unknown so legacy pools keep their format.
+    out->append(" synced_at=");
+    out->append(std::to_string(view.synced_at_version));
+  }
+  out->push_back('\n');
+  out->append(view.definition.ToString());
+  out->append(";\n\n");
+}
+
+std::string SaveViews(const EveSystem& system) {
+  std::string text;
+  for (const std::string& name : system.ViewNames()) {
+    AppendViewBlock(**system.GetView(name), &text);
+  }
+  return text;
 }
 
 Status LoadViews(std::string_view text, EveSystem* system) {

@@ -21,6 +21,10 @@ namespace eve {
 // preserves the pool exactly.
 std::string SaveViews(const EveSystem& system);
 
+// Appends one view's SaveViews block to `out`: SaveViews is these blocks in
+// name order, and each version's VIEWS buckets hold them too.
+void AppendViewBlock(const RegisteredView& view, std::string* out);
+
 // Parses the SaveViews format and registers each view into `system`
 // (definitions are re-bound against the system's current MKB). Views
 // marked disabled are registered and then flagged disabled. Fails on the

@@ -3,19 +3,26 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/crc32.h"
 #include "common/failpoint.h"
+#include "common/stable_hash.h"
 #include "common/str_util.h"
 #include "mkb/serializer.h"
 
 namespace eve {
 
-const char* const kVersionSegmentNames[kNumVersionSegments] = {
-    "RELATIONS", "JOINS", "FUNCTIONS", "PCS", "VIEWS"};
+size_t ViewBucketOf(std::string_view view_name) {
+  return static_cast<size_t>(StableHash64(view_name) % kViewBuckets);
+}
 
 namespace {
+
+constexpr const char* kMkbSegmentNames[kNumMkbSegments] = {
+    "RELATIONS", "JOINS", "FUNCTIONS", "PCS"};
+constexpr char kViewBucketSegmentName[] = "VIEWS";
 
 // Change descriptions live on one line of the VERSIONS section, so any
 // embedded newline would break the framing.
@@ -34,13 +41,78 @@ std::shared_ptr<const MkbVersionSegment> MakeSegment(const char* name,
   return segment;
 }
 
+// Every empty bucket of every version is this one segment, so a small pool
+// costs one pointer per empty bucket and the VERSIONS section writes it once.
+const std::shared_ptr<const MkbVersionSegment>& EmptyViewBucket() {
+  static const std::shared_ptr<const MkbVersionSegment> kEmpty =
+      MakeSegment(kViewBucketSegmentName, "");
+  return kEmpty;
+}
+
+std::shared_ptr<const MkbVersionSegment> MakeViewBucket(std::string body) {
+  if (body.empty()) return EmptyViewBucket();
+  return MakeSegment(kViewBucketSegmentName, std::move(body));
+}
+
+const char* SegmentNameAt(size_t slot) {
+  return slot < kNumMkbSegments ? kMkbSegmentNames[slot]
+                                : kViewBucketSegmentName;
+}
+
+// Every bucket of whole-pool SaveViews text, empty ones included, so a
+// commit from text re-examines (and empties) buckets the text no longer
+// fills.
+ViewBucketBodies BucketsOfText(std::string_view views_text) {
+  ViewBucketBodies buckets;
+  for (size_t bucket = 0; bucket < kViewBuckets; ++bucket) buckets[bucket];
+  for (const ViewBlock& block : SplitViewBlocks(views_text)) {
+    buckets[ViewBucketOf(block.name)].append(block.text);
+  }
+  return buckets;
+}
+
+// Offset of the next "-- VIEW " header at a line start at or after `from`.
+size_t FindViewHeader(std::string_view text, size_t from) {
+  constexpr std::string_view kHeader = "-- VIEW ";
+  while (true) {
+    const size_t hit = text.find(kHeader, from);
+    if (hit == std::string_view::npos || hit == 0 || text[hit - 1] == '\n') {
+      return hit;
+    }
+    from = hit + 1;
+  }
+}
+
+// The view name of "CREATE VIEW <name> ...", undoing the printer's
+// double-quote escaping of non-plain identifiers.
+std::string ViewNameOf(std::string_view definition) {
+  constexpr std::string_view kPrefix = "CREATE VIEW ";
+  if (definition.substr(0, kPrefix.size()) != kPrefix) return "";
+  const std::string_view rest = definition.substr(kPrefix.size());
+  if (!rest.empty() && rest[0] == '"') {
+    std::string name;
+    for (size_t i = 1; i < rest.size(); ++i) {
+      if (rest[i] != '"') {
+        name += rest[i];
+      } else if (i + 1 < rest.size() && rest[i + 1] == '"') {
+        name += '"';
+        ++i;
+      } else {
+        break;
+      }
+    }
+    return name;
+  }
+  return std::string(rest.substr(0, rest.find_first_of(" \t\n(")));
+}
+
 std::string ToHex(uint32_t value) {
   std::ostringstream os;
   os << std::hex << value;
   return os.str();
 }
 
-bool ParseHex32(const std::string& word, uint32_t* out) {
+bool ParseHex32(std::string_view word, uint32_t* out) {
   if (word.empty() || word.size() > 8) return false;
   uint32_t value = 0;
   for (const char c : word) {
@@ -57,7 +129,7 @@ bool ParseHex32(const std::string& word, uint32_t* out) {
   return true;
 }
 
-bool ParseU64(const std::string& word, uint64_t* out) {
+bool ParseU64(std::string_view word, uint64_t* out) {
   if (word.empty()) return false;
   uint64_t value = 0;
   for (const char c : word) {
@@ -69,6 +141,48 @@ bool ParseU64(const std::string& word, uint64_t* out) {
 }
 
 }  // namespace
+
+std::vector<ViewBlock> SplitViewBlocks(std::string_view views_text) {
+  std::vector<ViewBlock> blocks;
+  size_t pos = FindViewHeader(views_text, 0);
+  while (pos != std::string_view::npos) {
+    const size_t next = FindViewHeader(views_text, pos + 1);
+    const size_t end =
+        next == std::string_view::npos ? views_text.size() : next;
+    ViewBlock block;
+    block.text = views_text.substr(pos, end - pos);
+    // The text starts with the 8-byte "-- VIEW " header prefix.
+    const size_t header_end =
+        std::min(block.text.find('\n'), block.text.size());
+    const std::string_view header = Trim(block.text.substr(8, header_end - 8));
+    block.active = header.substr(0, 8) != "disabled";
+    std::string_view definition =
+        Trim(block.text.substr(std::min(header_end + 1, block.text.size())));
+    if (!definition.empty() && definition.back() == ';') {
+      definition = Trim(definition.substr(0, definition.size() - 1));
+    }
+    block.definition = definition;
+    block.name = ViewNameOf(definition);
+    blocks.push_back(std::move(block));
+    pos = next;
+  }
+  return blocks;
+}
+
+std::vector<ViewBlock> VersionViewBlocks(const MkbVersion& version) {
+  std::vector<ViewBlock> blocks;
+  for (size_t bucket = 0; bucket < kViewBuckets; ++bucket) {
+    std::vector<ViewBlock> part =
+        SplitViewBlocks(version.view_bucket(bucket).body);
+    blocks.insert(blocks.end(), std::make_move_iterator(part.begin()),
+                  std::make_move_iterator(part.end()));
+  }
+  std::sort(blocks.begin(), blocks.end(),
+            [](const ViewBlock& a, const ViewBlock& b) {
+              return a.name < b.name;
+            });
+  return blocks;
+}
 
 std::string VersionScrubStats::ToString() const {
   std::ostringstream os;
@@ -101,94 +215,79 @@ MkbVersionStore& MkbVersionStore::operator=(const MkbVersionStore& other) {
   return *this;
 }
 
-void MkbVersionStore::Reset(std::shared_ptr<const Mkb> mkb,
-                            std::string views_text, std::string change) {
-  std::lock_guard<std::mutex> lock(mu_);
-  versions_.clear();
-  tip_mkb_ = nullptr;
+std::shared_ptr<MkbVersion> MkbVersionStore::BuildNode(
+    const MkbVersion* tip, const Mkb* mkb, ViewBucketBodies buckets,
+    std::string change) {
   auto node = std::make_shared<MkbVersion>();
-  node->id = 0;
-  node->parent = 0;
+  node->id = tip == nullptr ? 0 : tip->id + 1;
+  node->parent = tip == nullptr ? 0 : tip->id;
   node->change = SanitizeChange(std::move(change));
-  std::array<std::string, 4> rendered = RenderMkbSegments(*mkb);
-  for (size_t i = 0; i < 4; ++i) {
-    node->segments.push_back(
-        MakeSegment(kVersionSegmentNames[i], std::move(rendered[i])));
-  }
-  node->segments.push_back(
-      MakeSegment(kVersionSegmentNames[4], std::move(views_text)));
-  node->crc = VersionCrc(*node);
-  versions_.push_back(std::move(node));
-  tip_mkb_ = std::move(mkb);
-}
-
-uint64_t MkbVersionStore::Commit(std::shared_ptr<const Mkb> mkb,
-                                 std::string views_text, std::string change) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto node = std::make_shared<MkbVersion>();
-  node->id = versions_.size();
-  node->parent = versions_.empty() ? 0 : versions_.back()->id;
-  node->change = SanitizeChange(std::move(change));
-  const MkbVersion* tip = versions_.empty() ? nullptr : versions_.back().get();
-  if (tip != nullptr && mkb.get() == tip_mkb_.get()) {
+  node->segments.reserve(kNumVersionSegments);
+  if (mkb == nullptr) {
     // The MKB object is unchanged (view-pool-only commit): reuse the four
     // MISD segments without re-rendering.
-    node->segments.assign(tip->segments.begin(), tip->segments.begin() + 4);
+    node->segments.assign(tip->segments.begin(),
+                          tip->segments.begin() + kNumMkbSegments);
   } else {
-    std::array<std::string, 4> rendered = RenderMkbSegments(*mkb);
-    for (size_t i = 0; i < 4; ++i) {
+    std::array<std::string, kNumMkbSegments> rendered = RenderMkbSegments(*mkb);
+    for (size_t i = 0; i < kNumMkbSegments; ++i) {
       if (tip != nullptr && tip->segments[i]->body == rendered[i]) {
         node->segments.push_back(tip->segments[i]);
       } else {
         node->segments.push_back(
-            MakeSegment(kVersionSegmentNames[i], std::move(rendered[i])));
-      }
-    }
-  }
-  if (tip != nullptr && tip->segments[4]->body == views_text) {
-    node->segments.push_back(tip->segments[4]);
-  } else {
-    node->segments.push_back(
-        MakeSegment(kVersionSegmentNames[4], std::move(views_text)));
-  }
-  node->crc = VersionCrc(*node);
-  const uint64_t id = node->id;
-  versions_.push_back(std::move(node));
-  tip_mkb_ = std::move(mkb);
-  return id;
-}
-
-uint64_t MkbVersionStore::CommitSharedViews(std::shared_ptr<const Mkb> mkb,
-                                            std::string change) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto node = std::make_shared<MkbVersion>();
-  node->id = versions_.size();
-  node->parent = versions_.empty() ? 0 : versions_.back()->id;
-  node->change = SanitizeChange(std::move(change));
-  const MkbVersion* tip = versions_.empty() ? nullptr : versions_.back().get();
-  if (tip != nullptr && mkb.get() == tip_mkb_.get()) {
-    node->segments.assign(tip->segments.begin(), tip->segments.begin() + 4);
-  } else {
-    std::array<std::string, 4> rendered = RenderMkbSegments(*mkb);
-    for (size_t i = 0; i < 4; ++i) {
-      if (tip != nullptr && tip->segments[i]->body == rendered[i]) {
-        node->segments.push_back(tip->segments[i]);
-      } else {
-        node->segments.push_back(
-            MakeSegment(kVersionSegmentNames[i], std::move(rendered[i])));
+            MakeSegment(kMkbSegmentNames[i], std::move(rendered[i])));
       }
     }
   }
   if (tip != nullptr) {
-    node->segments.push_back(tip->segments[4]);
+    node->segments.insert(node->segments.end(),
+                          tip->segments.begin() + kNumMkbSegments,
+                          tip->segments.end());
   } else {
-    node->segments.push_back(MakeSegment(kVersionSegmentNames[4], ""));
+    node->segments.resize(kNumVersionSegments, EmptyViewBucket());
+  }
+  for (auto& [bucket, body] : buckets) {
+    std::shared_ptr<const MkbVersionSegment>& slot =
+        node->segments.at(kNumMkbSegments + bucket);
+    if (slot->body != body) slot = MakeViewBucket(std::move(body));
   }
   node->crc = VersionCrc(*node);
+  return node;
+}
+
+void MkbVersionStore::Reset(std::shared_ptr<const Mkb> mkb,
+                            std::string_view views_text, std::string change) {
+  std::shared_ptr<const MkbVersion> node = BuildNode(
+      nullptr, mkb.get(), BucketsOfText(views_text), std::move(change));
+  std::lock_guard<std::mutex> lock(mu_);
+  versions_.assign(1, std::move(node));
+  tip_mkb_ = std::move(mkb);
+}
+
+uint64_t MkbVersionStore::Commit(std::shared_ptr<const Mkb> mkb,
+                                 ViewBucketBodies buckets, std::string change) {
+  std::shared_ptr<const MkbVersion> tip;
+  bool same_mkb = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!versions_.empty()) tip = versions_.back();
+    same_mkb = tip != nullptr && mkb.get() == tip_mkb_.get();
+  }
+  // Rendering runs unlocked: readers pinning the tip never wait on it.
+  std::shared_ptr<const MkbVersion> node =
+      BuildNode(tip.get(), same_mkb ? nullptr : mkb.get(), std::move(buckets),
+                std::move(change));
   const uint64_t id = node->id;
+  std::lock_guard<std::mutex> lock(mu_);
   versions_.push_back(std::move(node));
   tip_mkb_ = std::move(mkb);
   return id;
+}
+
+uint64_t MkbVersionStore::Commit(std::shared_ptr<const Mkb> mkb,
+                                 std::string_view views_text,
+                                 std::string change) {
+  return Commit(std::move(mkb), BucketsOfText(views_text), std::move(change));
 }
 
 uint64_t MkbVersionStore::tip_id() const {
@@ -244,7 +343,9 @@ Result<PinnedMkb> MkbVersionStore::Pin(uint64_t id) const {
   }
   if (id == tip_version) return PinnedMkb{std::move(node), std::move(tip)};
   std::string text;
-  for (size_t i = 0; i < 4; ++i) text += node->segments[i]->body;
+  for (size_t i = 0; i < kNumMkbSegments; ++i) {
+    text += node->segments[i]->body;
+  }
   Result<Mkb> mkb = LoadMkb(text);
   if (!mkb.ok()) {
     return Status::Internal("version " + std::to_string(id) +
@@ -260,7 +361,9 @@ Result<std::string> MkbVersionStore::ViewsAt(uint64_t id) const {
   if (node == nullptr) {
     return Status::NotFound("no version " + std::to_string(id));
   }
-  return node->segments[4]->body;
+  std::string text;
+  for (const ViewBlock& block : VersionViewBlocks(*node)) text += block.text;
+  return text;
 }
 
 std::vector<std::shared_ptr<const MkbVersion>> MkbVersionStore::Versions()
@@ -285,6 +388,15 @@ uint32_t MkbVersionStore::VersionCrc(const MkbVersion& version) {
 VersionScrubStats MkbVersionStore::Scrub() const {
   const std::vector<std::shared_ptr<const MkbVersion>> versions = Versions();
   VersionScrubStats stats;
+  const auto finding = [&stats](const MkbVersion& version,
+                                const std::string& what) {
+    ++stats.corruptions;
+    stats.findings.push_back("version " + std::to_string(version.id) + " " +
+                             what);
+  };
+  // Versions share most segments; each distinct one is checksummed once.
+  std::unordered_set<const MkbVersionSegment*> verified;
+  const MkbVersion* parent = nullptr;
   for (size_t i = 0; i < versions.size(); ++i) {
     const MkbVersion& version = *versions[i];
     ++stats.versions_checked;
@@ -293,9 +405,7 @@ VersionScrubStats MkbVersionStore::Scrub() const {
     const Status injected =
         Failpoints::Instance().Hit(fp::kVersionScrub);
     if (!injected.ok()) {
-      ++stats.corruptions;
-      stats.findings.push_back("version " + std::to_string(version.id) +
-                               ": injected fault: " + injected.ToString());
+      finding(version, "injected fault: " + injected.ToString());
     }
     if (version.id != i) {
       ++stats.corruptions;
@@ -304,47 +414,48 @@ VersionScrubStats MkbVersionStore::Scrub() const {
     }
     const uint64_t expected_parent = i == 0 ? 0 : i - 1;
     if (version.parent != expected_parent) {
-      ++stats.corruptions;
-      stats.findings.push_back(
-          "version " + std::to_string(version.id) + " parent link " +
-          std::to_string(version.parent) + " != " +
-          std::to_string(expected_parent));
+      finding(version, "parent link " + std::to_string(version.parent) +
+                           " != " + std::to_string(expected_parent));
     }
     if (version.segments.size() != kNumVersionSegments) {
-      ++stats.corruptions;
-      stats.findings.push_back("version " + std::to_string(version.id) +
-                               " has " +
-                               std::to_string(version.segments.size()) +
-                               " segments, want " +
-                               std::to_string(kNumVersionSegments));
+      finding(version, "has " + std::to_string(version.segments.size()) +
+                           " segments, want " +
+                           std::to_string(kNumVersionSegments));
+      parent = nullptr;
       continue;
     }
+    bool views_shared = parent != nullptr;
     for (size_t s = 0; s < kNumVersionSegments; ++s) {
       const MkbVersionSegment& segment = *version.segments[s];
-      ++stats.segments_checked;
-      if (i > 0 && s < versions[i - 1]->segments.size() &&
-          version.segments[s] == versions[i - 1]->segments[s]) {
-        ++stats.segments_shared;
+      const bool shared =
+          parent != nullptr && version.segments[s] == parent->segments[s];
+      if (s < kNumMkbSegments) {
+        ++stats.segments_checked;
+        if (shared) ++stats.segments_shared;
+      } else if (!shared) {
+        views_shared = false;
       }
-      if (segment.name != kVersionSegmentNames[s]) {
-        ++stats.corruptions;
-        stats.findings.push_back("version " + std::to_string(version.id) +
-                                 " segment " + std::to_string(s) +
-                                 " named '" + segment.name + "', want '" +
-                                 kVersionSegmentNames[s] + "'");
+      const std::string where =
+          s < kNumMkbSegments
+              ? "segment " + std::to_string(s)
+              : "bucket " + std::to_string(s - kNumMkbSegments);
+      if (segment.name != SegmentNameAt(s)) {
+        finding(version, where + " named '" + segment.name + "', want '" +
+                             SegmentNameAt(s) + "'");
       }
-      if (Crc32(segment.body) != segment.crc) {
-        ++stats.corruptions;
-        stats.findings.push_back("version " + std::to_string(version.id) +
-                                 " segment " + segment.name +
-                                 " body fails its checksum");
+      if (verified.insert(&segment).second &&
+          Crc32(segment.body) != segment.crc) {
+        finding(version, where + " (" + segment.name +
+                             ") body fails its checksum");
       }
     }
+    // The VIEWS buckets count as one segment, as in an unbucketed chain.
+    ++stats.segments_checked;
+    if (views_shared) ++stats.segments_shared;
     if (VersionCrc(version) != version.crc) {
-      ++stats.corruptions;
-      stats.findings.push_back("version " + std::to_string(version.id) +
-                               " fails its version checksum");
+      finding(version, "fails its version checksum");
     }
+    parent = &version;
   }
   return stats;
 }
@@ -382,39 +493,77 @@ std::string MkbVersionStore::Render() const {
 
 std::string MkbVersionStore::Serialize() const {
   const std::vector<std::shared_ptr<const MkbVersion>> versions = Versions();
-  // Deduplicate shared segments: each unique segment is written once and
-  // versions reference it by table index.
-  std::vector<const MkbVersionSegment*> table;
-  std::map<const MkbVersionSegment*, size_t> index;
+  // Each distinct segment is written once, and versions reference it by
+  // table index. Segments are deduplicated by content, not just pointer, so
+  // no two table entries are interchangeable: retargeting any reference
+  // changes some checksum. Entry 0 is always the empty bucket, which every
+  // bucket of a version before v0 is taken to hold.
+  std::vector<const MkbVersionSegment*> table = {EmptyViewBucket().get()};
+  std::unordered_map<const MkbVersionSegment*, size_t> by_pointer = {
+      {table[0], 0}};
+  std::map<std::pair<std::string_view, std::string_view>, size_t> by_content =
+      {{{table[0]->name, table[0]->body}, 0}};
+  const auto intern = [&](const MkbVersionSegment* segment) {
+    const auto hit = by_pointer.find(segment);
+    if (hit != by_pointer.end()) return hit->second;
+    const auto [it, added] =
+        by_content.emplace(std::make_pair(std::string_view(segment->name),
+                                          std::string_view(segment->body)),
+                           table.size());
+    if (added) table.push_back(segment);
+    by_pointer.emplace(segment, it->second);
+    return it->second;
+  };
+  // A version lists the MISD segments, then only the buckets whose segment
+  // differs from its parent's.
+  std::vector<size_t> bucket_index(kViewBuckets, 0);
+  const MkbVersion* parent = nullptr;
+  std::ostringstream lines;
   for (const auto& version : versions) {
-    for (const auto& segment : version->segments) {
-      if (index.emplace(segment.get(), table.size()).second) {
-        table.push_back(segment.get());
-      }
+    lines << "VERSION " << version->id << " " << version->parent << " "
+          << ToHex(version->crc) << " MKB";
+    for (size_t i = 0; i < kNumMkbSegments; ++i) {
+      lines << " " << intern(version->segments[i].get());
     }
+    lines << " VIEWS";
+    for (size_t b = 0; b < kViewBuckets; ++b) {
+      const auto& segment = version->segments[kNumMkbSegments + b];
+      if (parent != nullptr &&
+          segment == parent->segments[kNumMkbSegments + b]) {
+        continue;
+      }
+      const size_t index = intern(segment.get());
+      if (index == bucket_index[b]) continue;
+      bucket_index[b] = index;
+      lines << " " << b << "=" << index;
+    }
+    lines << " CHANGE " << version->change << "\n";
+    parent = version.get();
   }
   std::ostringstream os;
+  os << "BUCKETS " << kViewBuckets << "\n";
   for (size_t i = 0; i < table.size(); ++i) {
     const MkbVersionSegment& segment = *table[i];
     os << "SEGMENT " << i << " " << segment.name << " "
        << segment.body.size() << " " << ToHex(segment.crc) << "\n"
        << segment.body << "\n";
   }
-  for (const auto& version : versions) {
-    os << "VERSION " << version->id << " " << version->parent << " "
-       << ToHex(version->crc) << " SEGS";
-    for (const auto& segment : version->segments) {
-      os << " " << index.at(segment.get());
-    }
-    os << " CHANGE " << version->change << "\n";
-  }
+  os << lines.str();
   return os.str();
 }
 
 Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
+  const std::string buckets_line = "BUCKETS " + std::to_string(kViewBuckets);
+  if (text.substr(0, text.find('\n')) != buckets_line) {
+    return Status::ParseError(
+        "VERSIONS: section does not start with '" + buckets_line +
+        "' (it was written before the VIEWS segment was split into " +
+        std::to_string(kViewBuckets) + " buckets, or is corrupt)");
+  }
   std::vector<std::shared_ptr<const MkbVersionSegment>> table;
   std::vector<std::shared_ptr<const MkbVersion>> versions;
-  size_t pos = 0;
+  std::vector<std::shared_ptr<const MkbVersionSegment>> buckets;
+  size_t pos = buckets_line.size() + 1;
   while (pos < text.size()) {
     size_t eol = text.find('\n', pos);
     if (eol == std::string_view::npos) eol = text.size();
@@ -467,37 +616,77 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
         }
         ++pos;
       }
+      if (index == 0) {
+        if (segment->name != kViewBucketSegmentName ||
+            !segment->body.empty()) {
+          return Status::ParseError(
+              "VERSIONS: SEGMENT 0 must be the empty VIEWS bucket");
+        }
+        table.push_back(EmptyViewBucket());
+        buckets.assign(kViewBuckets, EmptyViewBucket());
+        continue;
+      }
       table.push_back(std::move(segment));
     } else if (keyword == "VERSION") {
-      std::string id_word, parent_word, crc_word, segs_keyword;
-      if (!(is >> id_word >> parent_word >> crc_word >> segs_keyword) ||
-          segs_keyword != "SEGS") {
+      std::string id_word, parent_word, crc_word, mkb_keyword;
+      if (!(is >> id_word >> parent_word >> crc_word >> mkb_keyword) ||
+          mkb_keyword != "MKB") {
         return Status::ParseError("VERSIONS: malformed VERSION line: " + line);
       }
       uint64_t id = 0, parent = 0;
       uint32_t crc = 0;
       if (!ParseU64(id_word, &id) || !ParseU64(parent_word, &parent) ||
-          !ParseHex32(crc_word, &crc)) {
+          !ParseHex32(crc_word, &crc) || table.empty()) {
         return Status::ParseError("VERSIONS: malformed VERSION line: " + line);
       }
       auto node = std::make_shared<MkbVersion>();
       node->id = id;
       node->parent = parent;
       node->crc = crc;
-      std::string word;
-      while (is >> word) {
-        if (word == "CHANGE") break;
+      const auto resolve =
+          [&](const std::string& word,
+              std::shared_ptr<const MkbVersionSegment>* out) -> Status {
         uint64_t seg_index = 0;
         if (!ParseU64(word, &seg_index) || seg_index >= table.size()) {
           return Status::ParseError("VERSIONS: VERSION " + id_word +
                                     " references unknown segment " + word);
         }
-        node->segments.push_back(table[seg_index]);
+        *out = table[seg_index];
+        return Status::OK();
+      };
+      std::string word;
+      for (size_t i = 0; i < kNumMkbSegments; ++i) {
+        if (!(is >> word)) {
+          return Status::ParseError("VERSIONS: VERSION " + id_word +
+                                    " lists too few MKB segments");
+        }
+        node->segments.emplace_back();
+        EVE_RETURN_IF_ERROR(resolve(word, &node->segments.back()));
+      }
+      if (!(is >> word) || word != "VIEWS") {
+        return Status::ParseError("VERSIONS: VERSION " + id_word +
+                                  " missing VIEWS after its MKB segments");
+      }
+      // Listed buckets, strictly increasing, override the parent's.
+      size_t next_bucket = 0;
+      while (is >> word && word != "CHANGE") {
+        const size_t eq = word.find('=');
+        uint64_t bucket = 0;
+        if (eq == std::string::npos ||
+            !ParseU64(std::string_view(word).substr(0, eq), &bucket) ||
+            bucket < next_bucket || bucket >= kViewBuckets) {
+          return Status::ParseError("VERSIONS: VERSION " + id_word +
+                                    " has malformed bucket entry " + word);
+        }
+        EVE_RETURN_IF_ERROR(resolve(word.substr(eq + 1), &buckets[bucket]));
+        next_bucket = bucket + 1;
       }
       if (word != "CHANGE") {
         return Status::ParseError("VERSIONS: VERSION " + id_word +
                                   " missing CHANGE");
       }
+      node->segments.insert(node->segments.end(), buckets.begin(),
+                            buckets.end());
       std::string change;
       std::getline(is, change);
       // Strip only the single separator space and keep the rest verbatim:
@@ -505,18 +694,12 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
       // the version checksum could catch it.
       if (!change.empty() && change.front() == ' ') change.erase(0, 1);
       node->change = std::move(change);
-      if (node->segments.size() != kNumVersionSegments) {
-        return Status::ParseError("VERSIONS: VERSION " + id_word + " has " +
-                                  std::to_string(node->segments.size()) +
-                                  " segments, want " +
-                                  std::to_string(kNumVersionSegments));
-      }
       for (size_t s = 0; s < kNumVersionSegments; ++s) {
-        if (node->segments[s]->name != kVersionSegmentNames[s]) {
+        if (node->segments[s]->name != SegmentNameAt(s)) {
           return Status::ParseError(
               "VERSIONS: VERSION " + id_word + " segment " +
               std::to_string(s) + " is '" + node->segments[s]->name +
-              "', want '" + kVersionSegmentNames[s] + "'");
+              "', want '" + SegmentNameAt(s) + "'");
         }
       }
       if (id != versions.size()) {
@@ -543,7 +726,7 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
   }
   MkbVersionStore store;
   std::string tip_text;
-  for (size_t i = 0; i < 4; ++i) {
+  for (size_t i = 0; i < kNumMkbSegments; ++i) {
     tip_text += versions.back()->segments[i]->body;
   }
   Result<Mkb> tip_mkb = LoadMkb(tip_text);

@@ -1,15 +1,17 @@
 // Copy-on-write MKB version chain. Every committed capability change (and
 // every view-pool mutation that rides along with one) produces a new
 // immutable version v0..vN. A version is a list of CRC-checksummed text
-// segments — the four MISD blocks of the MKB plus the serialized view pool
-// — and versions that leave a block untouched share the previous version's
-// segment by shared_ptr, so a 1k-version chain over a slowly-evolving MKB
-// retains far fewer bytes than 1k full snapshots.
+// segments — the four MISD blocks of the MKB, then the serialized view pool
+// split into kViewBuckets hash buckets — and a version shares by
+// shared_ptr every segment it leaves untouched. A commit therefore renders
+// the MKB plus only the buckets holding views it changed: O(MKB + affected
+// views), never O(pool).
 //
 // Readers pin a version in O(1): `Tip()` / `Pin(id)` hand out a
 // shared_ptr<const Mkb> plus the version node, and the pin stays valid (and
-// byte-stable) across any number of concurrent commits — commits only
-// append to the chain and swap the tip pointer under the store mutex.
+// byte-stable) across any number of concurrent commits — commits build the
+// new node outside the store mutex and take it only to append the node and
+// swap the tip pointer.
 //
 // The chain is append-only even under rollback: RollbackToVersion commits
 // the restored state as a NEW version, so history is never truncated and
@@ -19,9 +21,11 @@
 #define EVE_MKB_VERSION_STORE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -30,16 +34,26 @@
 namespace eve {
 
 // One immutable, checksummed text segment. Shared (by shared_ptr) between
-// adjacent versions whose renderings are byte-identical.
+// versions whose renderings are byte-identical.
 struct MkbVersionSegment {
   std::string name;  // RELATIONS, JOINS, FUNCTIONS, PCS, VIEWS
   std::string body;
   uint32_t crc = 0;  // Crc32(body)
 };
 
-// The number of segments every version carries, in order.
-inline constexpr size_t kNumVersionSegments = 5;
-extern const char* const kVersionSegmentNames[kNumVersionSegments];
+// The four MISD segments (RELATIONS, JOINS, FUNCTIONS, PCS) lead every
+// version, in this order.
+inline constexpr size_t kNumMkbSegments = 4;
+
+// The VIEWS part of a version: view v's SaveViews block lives in bucket
+// ViewBucketOf(v), each bucket holding its blocks in name order. Fixed at
+// compile time because checkpoints store the buckets; see
+// docs/VERSIONING.md for how the count was measured.
+inline constexpr size_t kViewBuckets = 1024;
+size_t ViewBucketOf(std::string_view view_name);
+
+// The number of segments every version carries: MISD, then the buckets.
+inline constexpr size_t kNumVersionSegments = kNumMkbSegments + kViewBuckets;
 
 // One immutable node in the version chain.
 struct MkbVersion {
@@ -48,7 +62,34 @@ struct MkbVersion {
   std::string change;   // single-line description of the committing change
   std::vector<std::shared_ptr<const MkbVersionSegment>> segments;
   uint32_t crc = 0;  // covers id, parent, change and the segment crcs
+
+  const MkbVersionSegment& view_bucket(size_t bucket) const {
+    return *segments[kNumMkbSegments + bucket];
+  }
 };
+
+// One view's block in SaveViews text: the "-- VIEW <state> ..." header line
+// through to the next header. The views point into the split text.
+struct ViewBlock {
+  std::string name;
+  bool active = true;
+  std::string_view text;        // the whole block, as rendered
+  std::string_view definition;  // the CREATE VIEW statement, without ';'
+};
+
+// Splits SaveViews-format text into its view blocks, in text order. This is
+// the one parser of versioned view text: commits bucket with it, and
+// ViewsAt and the console's SHOW VIEW(S) read with it.
+std::vector<ViewBlock> SplitViewBlocks(std::string_view views_text);
+
+// Every view block `version` froze, merged from its buckets into name
+// order — the blocks of the SaveViews text of that version, in order. The
+// views point into the version's segments.
+std::vector<ViewBlock> VersionViewBlocks(const MkbVersion& version);
+
+// Re-rendered VIEWS buckets handed to a commit: bucket index → the
+// bucket's view blocks in name order.
+using ViewBucketBodies = std::map<size_t, std::string>;
 
 // A pinned snapshot: the version node plus a parsed MKB. Holding the
 // returned shared_ptrs keeps both alive across concurrent commits.
@@ -58,7 +99,8 @@ struct PinnedMkb {
   uint64_t id() const { return version ? version->id : 0; }
 };
 
-// Scrub result: counters plus a human-readable line per finding.
+// Scrub result: counters plus a human-readable line per finding. The VIEWS
+// buckets of a version count as one segment, shared when every bucket is.
 struct VersionScrubStats {
   uint64_t versions_checked = 0;
   uint64_t segments_checked = 0;
@@ -83,24 +125,23 @@ class MkbVersionStore {
   MkbVersionStore& operator=(const MkbVersionStore& other);
 
   // Re-seeds the chain with a single version v0 holding `mkb` + the view
-  // pool text. Used at system construction and checkpoint load.
-  void Reset(std::shared_ptr<const Mkb> mkb, std::string views_text,
+  // pool text (SaveViews format, split into buckets here). Used at system
+  // construction and checkpoint load.
+  void Reset(std::shared_ptr<const Mkb> mkb, std::string_view views_text,
              std::string change);
 
-  // Appends version NextId() rendering `mkb` + `views_text`. Segments that
-  // are byte-identical to the current tip's are shared, not copied; when
-  // `mkb` is pointer-identical to the tip's MKB the four MISD segments are
-  // reused without re-rendering. Returns the new version id.
-  uint64_t Commit(std::shared_ptr<const Mkb> mkb, std::string views_text,
+  // Appends version NextId() rendering `mkb` and re-rendering only the
+  // `buckets` handed in; every other bucket is the tip's, shared by
+  // pointer. Segments byte-identical to the tip's are shared, not copied;
+  // when `mkb` is pointer-identical to the tip's MKB the four MISD
+  // segments are reused without re-rendering. Returns the new version id.
+  // Commits and resets must come from one thread at a time.
+  uint64_t Commit(std::shared_ptr<const Mkb> mkb, ViewBucketBodies buckets,
                   std::string change);
-
-  // Commit variant for callers that KNOW the view pool is unchanged since
-  // the tip: shares the tip's VIEWS segment by pointer without rendering or
-  // byte-comparing the pool — O(MKB), not O(views). Used by the sharded
-  // serving core, where an MKB evolution is fanned out to shards whose view
-  // partition the change does not touch.
-  uint64_t CommitSharedViews(std::shared_ptr<const Mkb> mkb,
-                             std::string change);
+  // The same from whole-pool SaveViews text: splits it into buckets and
+  // shares every bucket that renders byte-identically to the tip's.
+  uint64_t Commit(std::shared_ptr<const Mkb> mkb, std::string_view views_text,
+                  std::string change);
 
   uint64_t tip_id() const;
   // The id the next Commit will assign (== number of versions).
@@ -113,15 +154,16 @@ class MkbVersionStore {
   // Pins an arbitrary retained version; non-tip versions reparse the MISD
   // segments (the price of time travel, not of the hot path).
   Result<PinnedMkb> Pin(uint64_t id) const;
-  // The serialized view pool frozen at version `id`.
+  // The serialized view pool frozen at version `id` (its buckets merged).
   Result<std::string> ViewsAt(uint64_t id) const;
   // Snapshot of the chain (shared immutable nodes).
   std::vector<std::shared_ptr<const MkbVersion>> Versions() const;
 
-  // Walks the whole chain verifying segment checksums, version checksums,
-  // id sequencing and parent links. Never throws; corruption is counted
-  // and described. Also consults the mkb.version_store.scrub failpoint so
-  // tests can inject a detected finding.
+  // Walks the whole chain verifying segment checksums (each unique segment
+  // once), version checksums, segment layout, id sequencing and parent
+  // links. Never throws; corruption is counted and described. Also
+  // consults the mkb.version_store.scrub failpoint so tests can inject a
+  // detected finding.
   VersionScrubStats Scrub() const;
 
   VersionByteStats ByteStats() const;
@@ -131,6 +173,8 @@ class MkbVersionStore {
 
   // Serializes the chain for the checkpoint VERSIONS section and loads it
   // back, verifying every CRC and link; any flipped/missing byte fails.
+  // Each distinct segment is written once, and a version lists only the
+  // buckets that differ from its parent's.
   std::string Serialize() const;
   static Result<MkbVersionStore> Deserialize(std::string_view text);
 
@@ -142,6 +186,14 @@ class MkbVersionStore {
 
  private:
   static uint32_t VersionCrc(const MkbVersion& version);
+  // Builds the node that follows `tip` (nullptr: a v0 with empty buckets):
+  // MISD segments rendered from `mkb` (nullptr: the tip's, shared), the
+  // `buckets` handed in, every other bucket shared with the tip. Runs
+  // without the store mutex.
+  static std::shared_ptr<MkbVersion> BuildNode(const MkbVersion* tip,
+                                               const Mkb* mkb,
+                                               ViewBucketBodies buckets,
+                                               std::string change);
   std::shared_ptr<const MkbVersion> NodeAt(uint64_t id) const;
 
   mutable std::mutex mu_;

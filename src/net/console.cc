@@ -36,70 +36,6 @@ std::string Unquote(const std::string& word) {
   return word;
 }
 
-// One view block extracted from a pinned VIEWS segment (the SaveViews
-// format of view_pool_io.h): the name, the state word, and the CREATE VIEW
-// statement exactly as the committing version rendered it.
-struct PinnedViewBlock {
-  std::string name;
-  bool active = true;
-  std::string definition;  // without the terminating ';'
-};
-
-// Parses the view name from "CREATE VIEW <name> ...", handling the
-// printer's double-quote escaping for non-plain identifiers.
-std::string PinnedViewName(std::string_view definition) {
-  constexpr std::string_view kPrefix = "CREATE VIEW ";
-  if (definition.substr(0, kPrefix.size()) != kPrefix) return "";
-  std::string_view rest = definition.substr(kPrefix.size());
-  if (!rest.empty() && rest[0] == '"') {
-    std::string name;
-    for (size_t i = 1; i < rest.size(); ++i) {
-      if (rest[i] == '"') {
-        if (i + 1 < rest.size() && rest[i + 1] == '"') {
-          name += '"';
-          ++i;
-        } else {
-          return name;
-        }
-      } else {
-        name += rest[i];
-      }
-    }
-    return name;
-  }
-  const size_t end = rest.find_first_of(" \t\n(");
-  return std::string(rest.substr(0, end));
-}
-
-// Extracts the view blocks of one shard's pinned VIEWS segment. Reads only
-// the snapshot's immutable bytes — no shard lock, no live-state access.
-void AppendPinnedViews(const std::string& text,
-                       std::vector<PinnedViewBlock>* out) {
-  size_t pos = 0;
-  while (pos < text.size()) {
-    const size_t header = text.find("-- VIEW ", pos);
-    if (header == std::string::npos) break;
-    const size_t header_end = text.find('\n', header);
-    if (header_end == std::string::npos) break;
-    const std::string_view header_rest = Trim(std::string_view(text).substr(
-        header + 8, header_end - header - 8));
-    size_t next = text.find("-- VIEW ", header_end);
-    if (next == std::string::npos) next = text.size();
-    std::string body(Trim(std::string_view(text).substr(
-        header_end + 1, next - header_end - 1)));
-    if (!body.empty() && body.back() == ';') {
-      body.pop_back();
-      body = std::string(Trim(body));
-    }
-    PinnedViewBlock block;
-    block.active = header_rest.substr(0, 6) != "disabl";
-    block.definition = std::move(body);
-    block.name = PinnedViewName(block.definition);
-    if (!block.name.empty()) out->push_back(std::move(block));
-    pos = next;
-  }
-}
-
 }  // namespace
 
 std::vector<Statement> SplitStatements(const std::string& script) {
@@ -160,9 +96,8 @@ std::vector<Statement> SplitStatements(const std::string& script) {
 bool Console::IsSnapshotRead(const std::string& statement) {
   const std::vector<std::string> words = SplitWords(statement);
   if (words.empty() || !EqualsIgnoreCase(words[0], "SHOW")) return false;
-  // Exactly the forms answered from the pinned snapshot; the AT VERSION
-  // variants read the single system's version chain and are excluded by
-  // the size checks.
+  // Exactly the forms answered from the pinned tip; the AT VERSION
+  // variants reparse older versions and are excluded by the size checks.
   if (words.size() == 2 && (EqualsIgnoreCase(words[1], "MKB") ||
                             EqualsIgnoreCase(words[1], "HYPERGRAPH") ||
                             EqualsIgnoreCase(words[1], "VIEWS"))) {
@@ -178,54 +113,40 @@ bool Console::RunSnapshotRead(const std::string& statement, std::ostream& out,
 
 bool Console::SnapshotShow(const std::vector<std::string>& words,
                            std::ostream& out, std::ostream& err) const {
-  // MKB and hypergraph reads answer from the last published snapshot: one
-  // atomic pin, no shard locks, stable against concurrent commits.
+  // Every form reads the pinned tip version: one pin under the store
+  // mutex, then only the version's immutable bytes, byte-stable against
+  // any later commit.
+  const PinnedMkb tip = system_.PinTip();
   if (words.size() >= 2 && EqualsIgnoreCase(words[1], "MKB")) {
-    out << sharded_.PinPublished()->mkb->ToString();
+    out << tip.mkb->ToString();
     return true;
   }
   if (words.size() >= 2 && EqualsIgnoreCase(words[1], "HYPERGRAPH")) {
-    out << Hypergraph::Build(*sharded_.PinPublished()->mkb).Summary();
+    out << Hypergraph::Build(*tip.mkb).Summary();
     return true;
   }
   if (words.size() >= 2 && EqualsIgnoreCase(words[1], "VIEWS")) {
-    // Served from the pinned snapshot: one atomic load, then only the
-    // snapshot's immutable segment bytes — no shard lock is taken, and
-    // the listing is byte-stable across any concurrent commit.
-    const auto snapshot = sharded_.PinPublished();
-    std::vector<PinnedViewBlock> views;
-    for (size_t i = 0; i < sharded_.shard_count(); ++i) {
-      AppendPinnedViews(snapshot->ViewsText(i), &views);
-    }
-    std::sort(views.begin(), views.end(),
-              [](const PinnedViewBlock& a, const PinnedViewBlock& b) {
-                return a.name < b.name;
-              });
-    for (const PinnedViewBlock& view : views) {
+    for (const ViewBlock& view : VersionViewBlocks(*tip.version)) {
       out << "  [" << (view.active ? "active" : "DISABLED") << "] "
           << view.name << "\n";
     }
     return true;
   }
   if (words.size() >= 3 && EqualsIgnoreCase(words[1], "VIEW")) {
-    // The definition is served from the pinned snapshot (the owning
-    // shard's immutable VIEWS segment), lock-free like SHOW VIEWS.
-    const auto snapshot = sharded_.PinPublished();
-    const size_t shard = sharded_.ShardOfView(words[2]);
-    std::vector<PinnedViewBlock> views;
-    AppendPinnedViews(snapshot->ViewsText(shard), &views);
-    const PinnedViewBlock* found = nullptr;
-    for (const PinnedViewBlock& view : views) {
-      if (view.name == words[2]) found = &view;
-    }
-    if (found == nullptr) {
-      err << "error: not_found: view not registered: " << words[2] << "\n";
+    // Only the view's own bucket is parsed.
+    const std::string& name = words[2];
+    const std::vector<ViewBlock> bucket =
+        SplitViewBlocks(tip.version->view_bucket(ViewBucketOf(name)).body);
+    const auto found =
+        std::find_if(bucket.begin(), bucket.end(),
+                     [&](const ViewBlock& view) { return view.name == name; });
+    if (found == bucket.end()) {
+      err << "error: not_found: view not registered: " << name << "\n";
       return false;
     }
     out << found->definition << "\n";
-    // History is live provenance (not part of the versioned bytes); it
-    // rides along from the owning shard for the console's benefit.
-    const Result<const RegisteredView*> view = sharded_.GetView(words[2]);
+    // History is live provenance (not part of the versioned bytes).
+    const Result<const RegisteredView*> view = system_.GetView(name);
     if (view.ok()) {
       for (const std::string& event : view.value()->history) {
         out << "  history: " << event << "\n";
@@ -238,31 +159,29 @@ bool Console::SnapshotShow(const std::vector<std::string>& words,
 }
 
 std::string Console::RenderSnapshotText() const {
-  return RenderCheckpoint(sharded_.shard(0));
+  return RenderCheckpoint(system_);
 }
 
 Status Console::InstallSnapshotText(const std::string& text) {
   Result<EveSystem> loaded = LoadCheckpoint(text);
   if (!loaded.ok()) return loaded.status();
-  sys() = std::move(loaded.value());
+  system_ = std::move(loaded.value());
   if (journal_.has_value() && system_journal_attached_) {
-    sys().AttachJournal(&*journal_);
+    system_.AttachJournal(&*journal_);
   }
-  sharded_.PublishSnapshot();
   return Status::OK();
 }
 
 Status Console::ApplyReplicatedRecord(const JournalRecord& record,
                                       JournalReplayer* replayer) {
-  replayer->Apply(&sys(), record, nullptr);
-  sharded_.PublishSnapshot();
+  replayer->Apply(&system_, record, nullptr);
   return Status::OK();
 }
 
 void Console::SetSystemJournalAttached(bool attached) {
   system_journal_attached_ = attached;
   if (!journal_.has_value()) return;
-  sys().AttachJournal(attached ? &*journal_ : nullptr);
+  system_.AttachJournal(attached ? &*journal_ : nullptr);
 }
 
 bool Console::RunWithLimits(const std::string& statement,
@@ -270,36 +189,26 @@ bool Console::RunWithLimits(const std::string& statement,
                             std::ostream& out, std::ostream& err) {
   const bool override_deadline = deadline_micros != 0;
   const bool override_budget = work_budget != 0;
-  if (override_deadline) {
-    ForEachShard([&](EveSystem& s) { s.SetSyncDeadlineMicros(deadline_micros); });
-  }
-  if (override_budget) {
-    ForEachShard([&](EveSystem& s) { s.SetSyncWorkBudget(work_budget); });
-  }
+  if (override_deadline) system_.SetSyncDeadlineMicros(deadline_micros);
+  if (override_budget) system_.SetSyncWorkBudget(work_budget);
+  // Run may itself execute SET SYNC DEADLINE/WORKBUDGET, updating the
+  // configured values — restoring to them is still correct.
+  const auto restore = [&] {
+    if (override_deadline) {
+      system_.SetSyncDeadlineMicros(configured_deadline_micros_);
+    }
+    if (override_budget) system_.SetSyncWorkBudget(configured_work_budget_);
+  };
   bool ok = false;
   try {
     ok = Run(statement, out, err);
   } catch (...) {
     // A SimulatedCrash must not leave the per-request override behind:
     // the server survives error-mode injections and keeps serving.
-    if (override_deadline) {
-      ForEachShard(
-          [&](EveSystem& s) { s.SetSyncDeadlineMicros(configured_deadline_micros_); });
-    }
-    if (override_budget) {
-      ForEachShard([&](EveSystem& s) { s.SetSyncWorkBudget(configured_work_budget_); });
-    }
+    restore();
     throw;
   }
-  // Run may itself have executed SET SYNC DEADLINE/WORKBUDGET, updating
-  // the configured values — restoring to them is still correct.
-  if (override_deadline) {
-    ForEachShard(
-        [&](EveSystem& s) { s.SetSyncDeadlineMicros(configured_deadline_micros_); });
-  }
-  if (override_budget) {
-    ForEachShard([&](EveSystem& s) { s.SetSyncWorkBudget(configured_work_budget_); });
-  }
+  restore();
   return ok;
 }
 
@@ -312,15 +221,15 @@ bool Console::Run(const std::string& statement, std::ostream& out,
   const std::string head = ToLower(words[0]);
 
   if (head == "create") {
-    return Report(sharded_.RegisterViewText(statement), statement);
+    return Report(system_.RegisterViewText(statement), statement);
   }
   if (head == "retract" && words.size() >= 2) {
-    return Report(sharded_.RetractConstraint(words[1]), statement);
+    return Report(system_.RetractConstraint(words[1]), statement);
   }
   if (head == "define") {
     const std::string body(Trim(
         std::string_view(statement).substr(std::string("define").size())));
-    return Report(sharded_.ExtendMkb(body), statement);
+    return Report(system_.ExtendMkb(body), statement);
   }
   if (head == "load" && words.size() >= 3 &&
       EqualsIgnoreCase(words[1], "MISD")) {
@@ -346,10 +255,6 @@ bool Console::Run(const std::string& statement, std::ostream& out,
   }
   if (head == "recover" && words.size() >= 3) {
     return Recover(Unquote(words[1]), Unquote(words[2]));
-  }
-  if (head == "set" && words.size() >= 3 &&
-      EqualsIgnoreCase(words[1], "SHARDS")) {
-    return SetShards(words[2]);
   }
   if (head == "set" && words.size() >= 4 &&
       EqualsIgnoreCase(words[1], "SYNC")) {
@@ -453,34 +358,6 @@ bool Console::Report(const Status& status, const std::string& context) {
   return true;
 }
 
-bool Console::RequireSingleShard(const std::string& what) {
-  if (sharded_.shard_count() == 1) return true;
-  Err() << "error: " << what << " requires SET SHARDS 1 (currently "
-        << sharded_.shard_count() << " shards)\n";
-  return false;
-}
-
-bool Console::SetShards(const std::string& value) {
-  uint64_t count = 0;
-  if (!ParseTicks(value, &count)) return false;
-  if (journal_.has_value()) {
-    Err() << "error: SET SHARDS after JOURNAL is not allowed (journal "
-             "records are placed per shard)\n";
-    return false;
-  }
-  if (!sys().source_membership().empty()) {
-    Err() << "error: SET SHARDS after TRACK SOURCES is not allowed\n";
-    return false;
-  }
-  const Status status = sharded_.SetShardCount(static_cast<size_t>(count));
-  if (!status.ok()) {
-    Err() << "error: " << status << "\n";
-    return false;
-  }
-  Out() << "shards = " << count << "\n";
-  return true;
-}
-
 bool Console::LoadMisd(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -494,11 +371,9 @@ bool Console::LoadMisd(const std::string& path) {
     Err() << "error: " << mkb.status() << "\n";
     return false;
   }
-  // Rebuilding keeps the configured shard count: SET SHARDS n; LOAD
-  // MISD ...; CREATE VIEW ... is the sharded bring-up sequence.
-  sharded_ = ShardedEveSystem(mkb.value(), {}, sharded_.shard_count());
+  system_ = EveSystem(mkb.value());
   if (journal_.has_value() && system_journal_attached_) {
-    sys().AttachJournal(&*journal_);
+    system_.AttachJournal(&*journal_);
   }
   Out() << "loaded " << mkb.value().catalog().NumRelations()
         << " relations, " << mkb.value().join_constraints().size()
@@ -510,9 +385,7 @@ bool Console::LoadMisd(const std::string& path) {
 }
 
 bool Console::SaveMisd(const std::string& path) {
-  // The MKB replicas agree byte-for-byte; save from the pinned snapshot.
-  const Status status =
-      AtomicWriteFile(path, SaveMkb(*sharded_.PinPublished()->mkb));
+  const Status status = AtomicWriteFile(path, SaveMkb(system_.mkb()));
   if (!status.ok()) {
     Err() << "error: " << status << "\n";
     return false;
@@ -522,7 +395,6 @@ bool Console::SaveMisd(const std::string& path) {
 }
 
 bool Console::LoadViewPool(const std::string& path) {
-  if (!RequireSingleShard("LOAD VIEWS")) return false;
   std::ifstream in(path);
   if (!in) {
     Err() << "error: cannot open " << path << "\n";
@@ -530,43 +402,39 @@ bool Console::LoadViewPool(const std::string& path) {
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const Status status = LoadViews(buffer.str(), &sys());
+  const Status status = LoadViews(buffer.str(), &system_);
   if (!status.ok()) {
     Err() << "error: " << status << "\n";
     return false;
   }
-  sharded_.PublishSnapshot();
-  Out() << "loaded " << sys().NumViews() << " views from " << path << "\n";
+  Out() << "loaded " << system_.NumViews() << " views from " << path << "\n";
   return true;
 }
 
 bool Console::SaveViewPool(const std::string& path) {
-  if (!RequireSingleShard("SAVE VIEWS")) return false;
-  const Status status = AtomicWriteFile(path, SaveViews(sys()));
+  const Status status = AtomicWriteFile(path, SaveViews(system_));
   if (!status.ok()) {
     Err() << "error: " << status << "\n";
     return false;
   }
-  Out() << "saved " << sys().NumViews() << " views to " << path << "\n";
+  Out() << "saved " << system_.NumViews() << " views to " << path << "\n";
   return true;
 }
 
 bool Console::OpenJournal(const std::string& path) {
-  if (!RequireSingleShard("JOURNAL")) return false;
   Result<Journal> journal = Journal::Open(path);
   if (!journal.ok()) {
     Err() << "error: " << journal.status() << "\n";
     return false;
   }
   journal_ = std::move(journal.value());
-  if (system_journal_attached_) sys().AttachJournal(&*journal_);
+  if (system_journal_attached_) system_.AttachJournal(&*journal_);
   Out() << "journaling to " << path << "\n";
   return true;
 }
 
 bool Console::Checkpoint(const std::string& path) {
-  if (!RequireSingleShard("CHECKPOINT")) return false;
-  const Status status = WriteCheckpoint(sys(), path);
+  const Status status = WriteCheckpoint(system_, path);
   if (!status.ok()) {
     Err() << "error: " << status << "\n";
     return false;
@@ -585,7 +453,6 @@ bool Console::Checkpoint(const std::string& path) {
 
 bool Console::Recover(const std::string& checkpoint_path,
                       const std::string& journal_path) {
-  if (!RequireSingleShard("RECOVER")) return false;
   RecoveryReport report;
   Result<EveSystem> recovered =
       RecoverFromFiles(checkpoint_path, journal_path, &report);
@@ -593,14 +460,13 @@ bool Console::Recover(const std::string& checkpoint_path,
     Err() << "error: " << recovered.status() << "\n";
     return false;
   }
-  sys() = std::move(recovered.value());
+  system_ = std::move(recovered.value());
   if (journal_.has_value() && system_journal_attached_) {
-    sys().AttachJournal(&*journal_);
+    system_.AttachJournal(&*journal_);
   }
-  sharded_.PublishSnapshot();
   Out() << report.ToString();
-  Out() << "recovered " << sys().NumViews() << " views, "
-        << sys().mkb().catalog().NumRelations() << " relations\n";
+  Out() << "recovered " << system_.NumViews() << " views, "
+        << system_.mkb().catalog().NumRelations() << " relations\n";
   return true;
 }
 
@@ -613,45 +479,40 @@ bool Console::SetSync(const std::string& knob, const std::string& value) {
           << " expects a non-negative integer, got " << value << "\n";
     return false;
   }
-  // Per-shard sync knobs fan out to every replica so behavior is uniform
-  // no matter which shard a view lands on.
   if (EqualsIgnoreCase(knob, "TOPK")) {
-    ForEachShard(
-        [&](EveSystem& s) { s.SetSyncTopK(static_cast<size_t>(parsed)); });
+    system_.SetSyncTopK(static_cast<size_t>(parsed));
     Out() << "sync top-k = " << parsed << "\n";
     return true;
   }
   if (EqualsIgnoreCase(knob, "BUDGET")) {
-    ForEachShard([&](EveSystem& s) {
-      s.SetSyncCandidateBudget(static_cast<size_t>(parsed));
-    });
+    system_.SetSyncCandidateBudget(static_cast<size_t>(parsed));
     Out() << "sync candidate budget = " << parsed << "\n";
     return true;
   }
   if (EqualsIgnoreCase(knob, "PARALLELISM")) {
-    sharded_.SetSyncParallelism(static_cast<size_t>(parsed));
+    system_.SetSyncParallelism(static_cast<size_t>(parsed));
     Out() << "sync parallelism = " << parsed << "\n";
     return true;
   }
   if (EqualsIgnoreCase(knob, "WORKBUDGET")) {
-    ForEachShard([&](EveSystem& s) { s.SetSyncWorkBudget(parsed); });
+    system_.SetSyncWorkBudget(parsed);
     configured_work_budget_ = parsed;
     Out() << "sync work budget = " << parsed << " units/view\n";
     return true;
   }
   if (EqualsIgnoreCase(knob, "DEADLINE")) {
-    ForEachShard([&](EveSystem& s) { s.SetSyncDeadlineMicros(parsed); });
+    system_.SetSyncDeadlineMicros(parsed);
     configured_deadline_micros_ = parsed;
     Out() << "sync deadline = " << parsed << " us\n";
     return true;
   }
   if (EqualsIgnoreCase(knob, "WATCHDOG")) {
-    ForEachShard([&](EveSystem& s) { s.SetSyncWatchdogMicros(parsed); });
+    system_.SetSyncWatchdogMicros(parsed);
     Out() << "sync watchdog = " << parsed << " us\n";
     return true;
   }
   if (EqualsIgnoreCase(knob, "QUEUE")) {
-    sharded_.SetSyncQueueLimit(static_cast<size_t>(parsed));
+    system_.SetSyncQueueLimit(static_cast<size_t>(parsed));
     Out() << "sync queue limit = " << parsed << "\n";
     return true;
   }
@@ -666,7 +527,7 @@ bool Console::SetExecutor(const std::string& value) {
     Err() << "error: " << strategy.status() << "\n";
     return false;
   }
-  sharded_.SetExecutorStrategy(strategy.value());
+  system_.SetExecutorStrategy(strategy.value());
   Out() << "executor strategy = " << JoinStrategyToString(strategy.value())
         << "\n";
   return true;
@@ -680,20 +541,20 @@ bool Console::Enqueue(const Result<CapabilityChange>& change) {
     Err() << "error: " << change.status() << "\n";
     return false;
   }
-  const Status status = sharded_.EnqueueChange(change.value());
+  const Status status = system_.EnqueueChange(change.value());
   if (status.ok()) {
-    Out() << "enqueued (" << sharded_.queued_changes() << " queued)\n";
+    Out() << "enqueued (" << system_.queued_changes() << " queued)\n";
     return true;
   }
   // Any admission rejection (capacity or an injected fault) is counted
   // as shed by EnqueueChange, so it is an accounted-for outcome.
   Out() << "SHED: " << status << "\n";
-  Out() << "admission: " << sharded_.admission_stats().ToString() << "\n";
+  Out() << "admission: " << system_.admission_stats().ToString() << "\n";
   return true;
 }
 
 bool Console::Drain() {
-  const Result<std::vector<ChangeReport>> reports = sharded_.DrainSyncQueue();
+  const Result<std::vector<ChangeReport>> reports = system_.DrainSyncQueue();
   if (!reports.ok()) {
     Err() << "error: " << reports.status() << "\n";
     return false;
@@ -701,19 +562,13 @@ bool Console::Drain() {
   for (const ChangeReport& report : reports.value()) {
     Out() << report.ToString();
   }
-  Out() << "admission: " << sharded_.admission_stats().ToString() << "\n";
+  Out() << "admission: " << system_.admission_stats().ToString() << "\n";
   return true;
 }
 
 bool Console::Show(const std::vector<std::string>& words) {
-  if (words.size() >= 3 && EqualsIgnoreCase(words[1], "SHARD") &&
-      EqualsIgnoreCase(words[2], "STATS")) {
-    Out() << sharded_.RenderShardStats();
-    return true;
-  }
   if (words.size() >= 2 && EqualsIgnoreCase(words[1], "VERSIONS")) {
-    if (!RequireSingleShard("SHOW VERSIONS")) return false;
-    Out() << sys().versions().Render();
+    Out() << system_.versions().Render();
     return true;
   }
   if (words.size() >= 3 && EqualsIgnoreCase(words[1], "SCRUB") &&
@@ -728,10 +583,9 @@ bool Console::Show(const std::vector<std::string>& words) {
   if (words.size() >= 5 && EqualsIgnoreCase(words[1], "MKB") &&
       EqualsIgnoreCase(words[2], "AT") &&
       EqualsIgnoreCase(words[3], "VERSION")) {
-    if (!RequireSingleShard("SHOW MKB AT VERSION")) return false;
     uint64_t version = 0;
     if (!ParseTicks(words[4], &version)) return false;
-    const Result<PinnedMkb> pinned = sys().PinVersion(version);
+    const Result<PinnedMkb> pinned = system_.PinVersion(version);
     if (!pinned.ok()) {
       Err() << "error: " << pinned.status() << "\n";
       return false;
@@ -743,10 +597,9 @@ bool Console::Show(const std::vector<std::string>& words) {
   if (words.size() >= 5 && EqualsIgnoreCase(words[1], "VIEWS") &&
       EqualsIgnoreCase(words[2], "AT") &&
       EqualsIgnoreCase(words[3], "VERSION")) {
-    if (!RequireSingleShard("SHOW VIEWS AT VERSION")) return false;
     uint64_t version = 0;
     if (!ParseTicks(words[4], &version)) return false;
-    const Result<std::string> views = sys().ViewsTextAt(version);
+    const Result<std::string> views = system_.ViewsTextAt(version);
     if (!views.ok()) {
       Err() << "error: " << views.status() << "\n";
       return false;
@@ -757,7 +610,7 @@ bool Console::Show(const std::vector<std::string>& words) {
   if (words.size() >= 3 && EqualsIgnoreCase(words[1], "EXECUTOR") &&
       EqualsIgnoreCase(words[2], "STATS")) {
     const ExecutorCounters& counters = GlobalExecutorCounters();
-    Out() << "strategy: " << JoinStrategyToString(sharded_.executor_strategy())
+    Out() << "strategy: " << JoinStrategyToString(system_.executor_strategy())
           << "\n"
           << "queries: nested_loop " << counters.nested_loop_queries.load()
           << ", hash " << counters.hash_queries.load() << ", vectorized "
@@ -767,12 +620,12 @@ bool Console::Show(const std::vector<std::string>& words) {
   }
   if (words.size() >= 3 && EqualsIgnoreCase(words[1], "SYNC") &&
       EqualsIgnoreCase(words[2], "STATS")) {
-    Out() << "enumeration: " << sys().last_sync_stats().ToString() << "\n";
+    Out() << "enumeration: " << system_.last_sync_stats().ToString() << "\n";
     // Per-view truncation/deadline lists and watchdog count for the last
     // change or preview (name-ordered, deterministic).
-    const std::string diagnostics = sys().last_sync_diagnostics().ToString();
+    const std::string diagnostics = system_.last_sync_diagnostics().ToString();
     if (!diagnostics.empty()) Out() << "sync: " << diagnostics << "\n";
-    Out() << "admission: " << sharded_.admission_stats().ToString() << "\n";
+    Out() << "admission: " << system_.admission_stats().ToString() << "\n";
     return true;
   }
   if (words.size() >= 2 && EqualsIgnoreCase(words[1], "SOURCES")) {
@@ -791,14 +644,13 @@ bool Console::Show(const std::vector<std::string>& words) {
     return SnapshotShow(words, Out(), Err());
   }
   Err() << "error: SHOW expects MKB, HYPERGRAPH, VIEWS, VIEW <name>, "
-           "VERSIONS, MKB|VIEWS AT VERSION <n>, SHARD STATS, SCRUB "
-           "STATS or SYNC STATS\n";
+           "VERSIONS, MKB|VIEWS AT VERSION <n>, SCRUB STATS or SYNC "
+           "STATS\n";
   return false;
 }
 
 // SYNC DRYRUN <change words> [AT VERSION n]: the full what-if pipeline.
 bool Console::DryRun(std::vector<std::string> rest) {
-  if (!RequireSingleShard("SYNC DRYRUN")) return false;
   std::optional<uint64_t> at_version;
   if (rest.size() >= 3 && EqualsIgnoreCase(rest[rest.size() - 3], "AT") &&
       EqualsIgnoreCase(rest[rest.size() - 2], "VERSION")) {
@@ -820,8 +672,9 @@ bool Console::DryRun(std::vector<std::string> rest) {
     return false;
   }
   const Result<DryRunReport> report =
-      at_version.has_value() ? sys().DryRunChangeAt(change.value(), *at_version)
-                             : sys().DryRunChange(change.value());
+      at_version.has_value()
+          ? system_.DryRunChangeAt(change.value(), *at_version)
+          : system_.DryRunChange(change.value());
   if (!report.ok()) {
     Err() << "error: " << report.status() << "\n";
     return false;
@@ -831,15 +684,13 @@ bool Console::DryRun(std::vector<std::string> rest) {
 }
 
 bool Console::Rollback(const std::string& version_word) {
-  if (!RequireSingleShard("ROLLBACK")) return false;
   uint64_t version = 0;
   if (!ParseTicks(version_word, &version)) return false;
-  const Result<uint64_t> committed = sys().RollbackToVersion(version);
+  const Result<uint64_t> committed = system_.RollbackToVersion(version);
   if (!committed.ok()) {
     Err() << "error: " << committed.status() << "\n";
     return false;
   }
-  sharded_.PublishSnapshot();
   Out() << "rolled back to version " << version << " (committed as v"
         << committed.value() << ")\n";
   return true;
@@ -848,8 +699,7 @@ bool Console::Rollback(const std::string& version_word) {
 // SCRUB fails the script on any detected corruption, so CI chaos jobs can
 // gate on its exit code.
 bool Console::Scrub() {
-  if (!RequireSingleShard("SCRUB")) return false;
-  last_scrub_ = sys().ScrubVersions();
+  last_scrub_ = system_.ScrubVersions();
   Out() << last_scrub_->ToString() << "\n";
   if (last_scrub_->corruptions > 0) {
     Err() << "error: scrub found " << last_scrub_->corruptions
@@ -905,31 +755,29 @@ bool Console::ParseTicks(const std::string& word, uint64_t* out) {
 // A fresh monitor aligned to the console's federation clock. Stats are
 // accumulated per command into fed_stats_.
 federation::FederationMonitor Console::MakeMonitor() {
-  federation::FederationMonitor monitor(&sys(), &transport_);
+  federation::FederationMonitor monitor(&system_, &transport_);
   monitor.SetNow(federation_now_);
   return monitor;
 }
 
 bool Console::TrackSources() {
-  if (!RequireSingleShard("TRACK SOURCES")) return false;
   federation::FederationMonitor monitor = MakeMonitor();
   const Status status = monitor.TrackSources();
   if (!status.ok()) {
     Err() << "error: " << status << "\n";
     return false;
   }
-  Out() << "tracking " << sys().source_membership().size()
+  Out() << "tracking " << system_.source_membership().size()
         << " sources at tick " << federation_now_ << "\n";
   return true;
 }
 
 bool Console::ShowSources() {
-  if (!RequireSingleShard("SHOW SOURCES")) return false;
-  if (sys().source_membership().empty()) {
+  if (system_.source_membership().empty()) {
     Out() << "no tracked sources (use TRACK SOURCES)\n";
     return true;
   }
-  for (const auto& [source, m] : sys().source_membership()) {
+  for (const auto& [source, m] : system_.source_membership()) {
     Out() << "  " << source << "  "
           << federation::SourceStateToString(m.state)
           << "  breaker=" << federation::BreakerStateToString(m.breaker)
@@ -951,15 +799,15 @@ bool Console::ShowSources() {
 
 bool Console::SetSource(const std::string& source, const std::string& knob,
                         const std::string& value) {
-  if (!RequireSingleShard("SET SOURCE")) return false;
   uint64_t ticks = 0;
   if (!ParseTicks(value, &ticks)) return false;
-  const std::vector<std::string> sources = sys().mkb().catalog().SourceNames();
+  const std::vector<std::string> sources =
+      system_.mkb().catalog().SourceNames();
   if (std::find(sources.begin(), sources.end(), source) == sources.end()) {
     Err() << "error: unknown source " << source << "\n";
     return false;
   }
-  const auto& table = sys().source_membership();
+  const auto& table = system_.source_membership();
   const auto it = table.find(source);
   federation::SourceMembership m =
       it != table.end() ? it->second
@@ -976,7 +824,7 @@ bool Console::SetSource(const std::string& source, const std::string& knob,
     Err() << "error: SET SOURCE expects LEASE, PROBE or BREAKER\n";
     return false;
   }
-  const Status status = sys().SetSourceMembership(source, m);
+  const Status status = system_.SetSourceMembership(source, m);
   if (!status.ok()) {
     Err() << "error: " << status << "\n";
     return false;
@@ -1010,7 +858,6 @@ bool Console::FaultSource(const std::string& source,
 }
 
 bool Console::Tick(const std::string& count_word) {
-  if (!RequireSingleShard("TICK")) return false;
   uint64_t count = 0;
   if (!ParseTicks(count_word, &count)) return false;
   federation::FederationMonitor monitor = MakeMonitor();
@@ -1020,9 +867,6 @@ bool Console::Tick(const std::string& count_word) {
     return false;
   }
   federation_now_ += count;
-  // Departure cascades committed capability changes on shard 0 directly;
-  // republish so snapshot readers see them.
-  sharded_.PublishSnapshot();
   const federation::MonitorStats& stats = monitor.stats();
   Out() << "tick " << federation_now_ << ": probes=" << stats.probes
         << " ok=" << stats.successes << " failed=" << stats.failures
@@ -1030,7 +874,7 @@ bool Console::Tick(const std::string& count_word) {
         << " departures=" << stats.departures << "\n";
   // A departure ran the SourceLeaves cascade: show its reports.
   if (stats.departures > 0) {
-    const auto& log = sys().change_log();
+    const auto& log = system_.change_log();
     const size_t shown = std::min<size_t>(log.size(), stats.departures);
     for (size_t i = log.size() - shown; i < log.size(); ++i) {
       Out() << log[i].ToString();
@@ -1044,10 +888,15 @@ bool Console::Change(const Result<CapabilityChange>& change, bool preview) {
     Err() << "error: " << change.status() << "\n";
     return false;
   }
-  if (preview && !RequireSingleShard("PREVIEW")) return false;
-  const Result<ChangeReport> report =
-      preview ? sys().PreviewChange(change.value())
-              : sharded_.ApplyChange(change.value());
+  // PREVIEW prints a dry run's report: the report the change would
+  // commit, with nothing applied.
+  const auto run = [&]() -> Result<ChangeReport> {
+    if (!preview) return system_.ApplyChange(change.value());
+    EVE_ASSIGN_OR_RETURN(DryRunReport dry,
+                         system_.DryRunChange(change.value()));
+    return std::move(dry.report);
+  };
+  const Result<ChangeReport> report = run();
   if (!report.ok()) {
     Err() << "error: " << report.status() << "\n";
     return false;
@@ -1056,16 +905,12 @@ bool Console::Change(const Result<CapabilityChange>& change, bool preview) {
   Out() << report.value().ToString();
   // Enumeration counters ride along after the report (never inside it:
   // ChangeReport bytes are journaled/checkpointed and must not change).
-  // With several shards the per-shard counters are not meaningful as a
-  // single line, so they are only printed in the classic 1-shard mode.
-  if (sharded_.shard_count() == 1) {
-    const EnumerationStats& stats = sys().last_sync_stats();
-    if (stats.combos_generated > 0 || stats.candidates_yielded > 0) {
-      Out() << "enumeration: " << stats.ToString() << "\n";
-    }
-    const std::string diagnostics = sys().last_sync_diagnostics().ToString();
-    if (!diagnostics.empty()) Out() << "sync: " << diagnostics << "\n";
+  const EnumerationStats& stats = system_.last_sync_stats();
+  if (stats.combos_generated > 0 || stats.candidates_yielded > 0) {
+    Out() << "enumeration: " << stats.ToString() << "\n";
   }
+  const std::string diagnostics = system_.last_sync_diagnostics().ToString();
+  if (!diagnostics.empty()) Out() << "sync: " << diagnostics << "\n";
   return true;
 }
 

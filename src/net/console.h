@@ -1,7 +1,7 @@
 // The EVE statement console: parses and executes the ';'-terminated
 // command language (LOAD/SAVE, CREATE VIEW, capability changes, admission,
 // versioning, federation, journaling — see tools/evectl.cc for the full
-// statement reference) against a ShardedEveSystem.
+// statement reference) against one EveSystem.
 //
 // Extracted from evectl so the SAME dispatch serves two front ends:
 //  * evectl runs statements from a script file or stdin, writing to the
@@ -13,9 +13,11 @@
 // Threading: Run() mutates system state and console-local state; callers
 // with concurrent sessions must serialize it (the server holds an
 // exclusive lock). RunSnapshotRead() serves the IsSnapshotRead() subset —
-// reads answered entirely from the published RCU snapshot — without
-// touching any console state, so any number may run concurrently with
-// each other (the server holds a shared lock).
+// reads answered from the pinned tip version (PinTip) — without touching
+// any console state, so any number may run concurrently with each other
+// (the server holds a shared lock). No second publication pointer is
+// needed: mutations run only under the exclusive lock, so a reader never
+// sees a half-applied statement, and a pin stays byte-stable on its own.
 
 #ifndef EVE_NET_CONSOLE_H_
 #define EVE_NET_CONSOLE_H_
@@ -28,7 +30,6 @@
 
 #include "eve/eve_system.h"
 #include "eve/journal.h"
-#include "eve/sharded_system.h"
 #include "federation/monitor.h"
 #include "federation/transport.h"
 
@@ -54,48 +55,46 @@ class Console {
            std::ostream& err);
 
   // Like Run, but with per-request limits: a non-zero deadline/budget is
-  // applied to every shard for this statement only, then the console's
+  // applied to the system for this statement only, then the console's
   // own configured values (SET SYNC DEADLINE/WORKBUDGET) are restored.
   bool RunWithLimits(const std::string& statement, uint64_t deadline_micros,
                      uint64_t work_budget, std::ostream& out,
                      std::ostream& err);
 
-  // True when `statement` is served read-only from the published snapshot
+  // True when `statement` is served read-only from the pinned tip version
   // (SHOW MKB / SHOW HYPERGRAPH / SHOW VIEWS / SHOW VIEW <name>, without
   // an AT VERSION clause): safe to run as RunSnapshotRead under a shared
   // lock, concurrently with other snapshot reads.
   static bool IsSnapshotRead(const std::string& statement);
 
-  // Runs an IsSnapshotRead() statement against the current snapshot. Does
-  // not mutate console state. Returns false when the statement failed
+  // Runs an IsSnapshotRead() statement against the pinned tip. Does not
+  // mutate console state. Returns false when the statement failed
   // (e.g. SHOW VIEW on an unknown view).
   bool RunSnapshotRead(const std::string& statement, std::ostream& out,
                        std::ostream& err) const;
 
-  // The serving core, exposed for the server's stats/drain plumbing.
-  ShardedEveSystem& sharded() { return sharded_; }
-  const ShardedEveSystem& sharded() const { return sharded_; }
+  // The serving system, exposed for the server's stats plumbing.
+  const EveSystem& system() const { return system_; }
 
   // --- Replication plumbing (net/replication.h) ----------------------------
   // All of these require the caller to hold the server's exclusive console
   // lock (except CurrentVersion, which reads one atomic-ish counter and is
   // safe under the shared lock too).
 
-  // The committed version id of shard 0 (the replication unit).
-  uint64_t CurrentVersion() const { return sharded_.shard(0).current_version(); }
+  // The committed version id (the replication unit).
+  uint64_t CurrentVersion() const { return system_.current_version(); }
 
   // Renders the complete durable state as checkpoint text (the replication
   // bootstrap payload).
   std::string RenderSnapshotText() const;
 
-  // Replaces the in-memory system with a parsed checkpoint and republishes
-  // the snapshot. Does NOT touch durable files — the replica agent has
-  // already installed them (journal reset + checkpoint write) before
-  // calling this.
+  // Replaces the in-memory system with a parsed checkpoint. Does NOT touch
+  // durable files — the replica agent has already installed them (journal
+  // reset + checkpoint write) before calling this.
   Status InstallSnapshotText(const std::string& text);
 
   // Applies one shipped journal record through `replayer` (batch-buffering,
-  // tolerant — the recovery semantics) and republishes the snapshot.
+  // tolerant — the recovery semantics).
   Status ApplyReplicatedRecord(const JournalRecord& record,
                                JournalReplayer* replayer);
 
@@ -111,23 +110,11 @@ class Console {
  private:
   bool Report(const Status& status, const std::string& context);
 
-  // Shard 0 of a 1-shard system IS the classic single EveSystem; the
-  // commands that predate sharding operate on it directly.
-  EveSystem& sys() { return sharded_.shard(0); }
-
-  // Sync tuning knobs apply uniformly to every shard replica.
-  template <class Fn>
-  void ForEachShard(Fn fn) {
-    for (size_t i = 0; i < sharded_.shard_count(); ++i) fn(sharded_.shard(i));
-  }
-
   // The shared implementation of the snapshot-read SHOW forms; const and
   // stream-parameterized so the server can run it under a shared lock.
   bool SnapshotShow(const std::vector<std::string>& words, std::ostream& out,
                     std::ostream& err) const;
 
-  bool RequireSingleShard(const std::string& what);
-  bool SetShards(const std::string& value);
   bool LoadMisd(const std::string& path);
   bool SaveMisd(const std::string& path);
   bool LoadViewPool(const std::string& path);
@@ -163,9 +150,7 @@ class Console {
   std::ostream* out_ = nullptr;
   std::ostream* err_ = nullptr;
 
-  // The serving core. SET SHARDS 1 (the default) delegates to shard 0,
-  // which behaves exactly like the classic single EveSystem.
-  ShardedEveSystem sharded_{Mkb()};
+  EveSystem system_{Mkb()};
   std::optional<Journal> journal_;
   // False on a replica: journal_ stays open (the agent appends shipped
   // records) but the serving system must not journal its own replayed

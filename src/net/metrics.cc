@@ -40,22 +40,21 @@ std::string RenderMetricsText(Server& server, Console& console,
   os << "eve_server_crc_failures_total " << stats.crc_failures << "\n";
   os << "eve_server_goodbyes_total " << stats.goodbyes << "\n";
 
-  // admission_stats() is internally synchronized; no console lock needed.
-  const AdmissionStats admission =
-      console.sharded().shard(0).admission_stats();
-  os << "eve_admission_submitted_total " << admission.submitted << "\n";
-  os << "eve_admission_shed_total " << admission.shed << "\n";
-  os << "eve_admission_completed_total " << admission.completed << "\n";
-  os << "eve_admission_failed_total " << admission.failed << "\n";
-  os << "eve_admission_queued " << admission.queued_now << "\n";
-
   {
-    // The membership table is console state: walk it under the shared lock
-    // (coexists with snapshot reads, excludes writers).
+    // The system is console state (RECOVER and LOAD MISD replace it): read
+    // it under the shared lock, which coexists with snapshot reads and
+    // excludes writers. ENQUEUE and DRAIN go through this system's one
+    // admission queue, so these are the counters the clients moved.
     std::shared_lock<std::shared_mutex> lock(server.console_mutex());
+    const EveSystem& system = console.system();
+    const AdmissionStats admission = system.admission_stats();
+    os << "eve_admission_submitted_total " << admission.submitted << "\n";
+    os << "eve_admission_shed_total " << admission.shed << "\n";
+    os << "eve_admission_completed_total " << admission.completed << "\n";
+    os << "eve_admission_failed_total " << admission.failed << "\n";
+    os << "eve_admission_queued " << admission.queued_now << "\n";
     size_t by_state[4] = {0, 0, 0, 0};
-    for (const auto& [source, membership] :
-         console.sharded().shard(0).source_membership()) {
+    for (const auto& [source, membership] : system.source_membership()) {
       const size_t index = static_cast<size_t>(membership.state);
       if (index < 4) ++by_state[index];
     }

@@ -711,7 +711,7 @@ void Server::ExecuteRequest(std::shared_ptr<Session> session,
   try {
     if (snapshot_read) {
       // Snapshot reads share the lock: any number run concurrently, each
-      // against the pinned RCU snapshot, never blocked by a writer that
+      // against the pinned tip version, never blocked by a writer that
       // is WAITING (writers hold the lock only while executing).
       std::shared_lock<std::shared_mutex> lock(console_mu_);
       ok = console_->RunSnapshotRead(request.statement, out, err);

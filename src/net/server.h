@@ -9,7 +9,7 @@
 //     write buffer and nudges the I/O thread through an eventfd.
 //   * Statement execution is guarded by one reader/writer lock on the
 //     console: snapshot reads (Console::IsSnapshotRead) run concurrently
-//     under the shared lock against the RCU-published ShardedSnapshot;
+//     under the shared lock against the pinned tip version;
 //     everything else serializes under the exclusive lock (the classic
 //     single-writer console contract, now network-wide).
 //

@@ -5,7 +5,7 @@
 #include <map>
 #include <set>
 
-#include "common/sharding.h"
+#include "common/stable_hash.h"
 #include "mkb/builder.h"
 
 namespace eve {
@@ -488,9 +488,6 @@ Result<std::vector<ViewDefinition>> MakeViewPool(const Mkb& mkb,
   if (spec.max_span < 1) {
     return Status::InvalidArgument("max_span must be >= 1");
   }
-  if (spec.shard_skew < 0.0 || spec.shard_skew > 1.0) {
-    return Status::InvalidArgument("shard_skew must be in [0, 1]");
-  }
   // Chain length = contiguous R0..R{n-1} present in the catalog.
   size_t chain = 0;
   while (mkb.catalog().HasRelation(RelName(chain))) ++chain;
@@ -518,14 +515,6 @@ Result<std::vector<ViewDefinition>> MakeViewPool(const Mkb& mkb,
     const size_t start = std::min(anchor, chain - span);
 
     std::string name = "wv" + std::to_string(v);
-    if (spec.shard_skew > 0.0 && spec.skew_shards > 1 &&
-        unit(rng) < spec.shard_skew) {
-      // Hash placement cannot be steered, so steer the name: append the
-      // first salt that hashes the view onto shard 0.
-      for (uint64_t salt = 0; ShardOf(name, spec.skew_shards) != 0; ++salt) {
-        name = "wv" + std::to_string(v) + "_s" + std::to_string(salt);
-      }
-    }
 
     std::vector<ViewSelectItem> select;
     std::vector<ViewRelation> from;
@@ -595,7 +584,7 @@ Status PopulateRelationSkewed(const Catalog& catalog,
   // Relation-unique negative range for non-joining keys: distinct
   // relations' cold keys never collide with each other or the hot domain.
   const int64_t cold_base =
-      -1 - static_cast<int64_t>(ShardOf(relation, 1u << 20)) *
+      -1 - static_cast<int64_t>(StableHash64(relation) % (1u << 20)) *
                static_cast<int64_t>(spec.rows + 1);
 
   const size_t width = def->schema.size();

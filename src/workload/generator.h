@@ -105,15 +105,11 @@ Result<ViewDefinition> MakeRandomConnectedView(const Mkb& mkb,
                                                std::mt19937_64* rng,
                                                size_t num_relations);
 
-// Registration-workload generator for the sharded serving core: a pool of
-// `num_views` small chain views ("wv<i>...") over a chain MKB, with
-// relation popularity drawn zipfian (rank = chain position, exponent
-// `zipf_s`; 0 = uniform) so a few hot relations anchor most views — the
-// realistic shape for affected-set experiments. `shard_skew` optionally
-// forces that fraction of the views onto shard 0 of a `skew_shards`-way
-// partition by searching a name salt until the shard hash lands there
-// (hash placement itself cannot be steered), modeling a pathologically
-// imbalanced pool. Deterministic per spec (incl. seed); sized for
+// Registration-workload generator: a pool of `num_views` small chain views
+// ("wv<i>") over a chain MKB, with relation popularity drawn zipfian
+// (rank = chain position, exponent `zipf_s`; 0 = uniform) so a few hot
+// relations anchor most views — the realistic shape for affected-set
+// experiments. Deterministic per spec (incl. seed); sized for
 // RegisterViewsBulk million-view loads.
 struct ViewPoolSpec {
   size_t num_views = 1000;
@@ -121,8 +117,6 @@ struct ViewPoolSpec {
   // Views span 1..max_span chain relations (joined along the chain);
   // span-1 views bind cheapest, which is what bulk loads want.
   size_t max_span = 2;
-  double shard_skew = 0.0;  // 0 disables the salt search
-  size_t skew_shards = 1;
   uint64_t seed = 1;
 };
 

@@ -22,7 +22,6 @@
 #include "common/thread_pool.h"
 #include "esql/view_definition.h"
 #include "eve/eve_system.h"
-#include "eve/sharded_system.h"
 #include "federation/monitor.h"
 #include "federation/transport.h"
 #include "mkb/capability_change.h"
@@ -520,8 +519,7 @@ TEST_F(AdmissionFailpointTest, DeadlineExpiredSiteFiresOnPartialViews) {
 // accounts atomically under the admission lock, and a drain keeps the
 // in-flight change counted as queued until its completion is recorded.
 
-template <class System>
-void RaceAdmission(System& system) {
+void RaceAdmission(EveSystem& system) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 150;
   std::atomic<bool> stop{false};
@@ -579,23 +577,6 @@ void RaceAdmission(System& system) {
 TEST(AdmissionConcurrencyTest, InvariantHoldsUnderRacingEnqueueAndDrain) {
   EveSystem system = MakeChainSystem(4);
   system.SetSyncQueueLimit(8);  // small enough that bursts shed
-  RaceAdmission(system);
-}
-
-TEST(AdmissionConcurrencyTest, ShardedInvariantHoldsUnderRacingEnqueueAndDrain) {
-  ChainMkbSpec spec;
-  spec.length = 24;
-  spec.skip_edges = true;
-  spec.cover_distance = 2;
-  const Mkb mkb = MakeChainMkb(spec).MoveValue();
-  ShardedEveSystem system(mkb, {}, 2);
-  for (size_t i = 0; i < 4; ++i) {
-    const size_t start = (i % 2 == 0) ? (i / 2) % 2 : 10 + (i / 2) % 10;
-    ViewDefinition view = MakeChainView(mkb, start, 3).MoveValue();
-    view.set_name("BV" + std::to_string(i));
-    ASSERT_TRUE(system.RegisterView(view).ok());
-  }
-  system.SetSyncQueueLimit(8);
   RaceAdmission(system);
 }
 

@@ -19,7 +19,6 @@
 #include "common/file_io.h"
 #include "eve/eve_system.h"
 #include "eve/journal.h"
-#include "eve/sharded_system.h"
 #include "eve/view_pool_io.h"
 #include "federation/membership.h"
 #include "mkb/serializer.h"
@@ -421,13 +420,6 @@ TEST_F(CrashRecoveryTest, EveryKnownSiteIsExercised) {
       // The script never scrubs; versioning_test (ScrubFailpoint*) arms the
       // scrub site in both modes.
       fp::kVersionScrub,
-      // The sharded commit/publish/checkpoint windows are exercised by the
-      // ShardedCrashRecoveryTest suite below against
-      // RecoverShardedFromFiles.
-      fp::kShardedCommitShard,
-      fp::kShardedPublish,
-      fp::kShardedCheckpointManifest,
-      fp::kShardedJournalReset,
       // The network front end only exists inside eved; net_server_test
       // (ServerFailpoint*) arms each site in error mode against a live
       // server, and the eved crash/RECOVER shell test covers crash mode.
@@ -453,244 +445,6 @@ TEST_F(CrashRecoveryTest, EveryKnownSiteIsExercised) {
     EXPECT_GT(hits.at(site), 0u)
         << "site " << site << " is never hit by the scenario script; "
         << "extend ScriptOps so its crash/error behavior is tested";
-  }
-}
-
-// --- Sharded crash recovery -------------------------------------------------
-//
-// The same crash-at-every-site identity, against ShardedEveSystem and its
-// per-shard journals: a crash at ANY hit of the sharded commit, publish
-// and checkpoint sites must recover (RecoverShardedFromFiles, which
-// applies the cross-shard barrier) to exactly the pre- or post-state of
-// the interrupted op on EVERY shard — never a mixed fan-out.
-
-using ShardedOp = std::function<Status(ShardedEveSystem*)>;
-
-std::string SnapSharded(const ShardedEveSystem& system) {
-  std::string out;
-  for (size_t i = 0; i < system.shard_count(); ++i) {
-    out += "==== shard " + std::to_string(i) + "\n" +
-           SaveMkb(system.shard(i).mkb()) + SaveViews(system.shard(i)) +
-           "log " + std::to_string(system.shard(i).change_log().size()) +
-           "\n";
-  }
-  return out;
-}
-
-constexpr size_t kShardCount = 4;
-
-ShardedEveSystem MakeShardedBase() {
-  ShardedEveSystem system(MakeTravelAgencyMkb().MoveValue(), {}, kShardCount);
-  EXPECT_TRUE(system.RegisterViewText(CustomerPassengersAsiaSql()).ok());
-  return system;
-}
-
-// One entry per client-visible operation, covering every sharded crash
-// window: cross-shard fan-out commits, snapshot publication, batch
-// brackets, and the checkpoint manifest/reset protocol.
-std::vector<ShardedOp> ShardedScriptOps(const std::string& ckpt_base) {
-  return {
-      [](ShardedEveSystem* s) { return s->ExtendMkb(kExtraMisd); },
-      [](ShardedEveSystem* s) {
-        return s->RegisterViewText(AsiaCustomerSql());
-      },
-      [](ShardedEveSystem* s) {
-        return s->ApplyChange(CapabilityChange::DeleteRelation("RentACar"))
-            .status();
-      },
-      [](ShardedEveSystem* s) { return s->RetractConstraint("JC6"); },
-      [ckpt_base](ShardedEveSystem* s) {
-        return s->WriteShardedCheckpoint(ckpt_base);
-      },
-      [](ShardedEveSystem* s) {
-        return s
-            ->ApplyChanges({CapabilityChange::DeleteRelation("Hotels"),
-                            CapabilityChange::DeleteRelation("Tour")})
-            .status();
-      },
-      [](ShardedEveSystem* s) {
-        return s->SetViewState("CustomerPassengersAsia",
-                               ViewState::kDisabled);
-      },
-  };
-}
-
-class ShardedCrashRecoveryTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    Failpoints::Instance().Reset();
-    const std::string base =
-        ::testing::TempDir() + "sharded_crash_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ckpt_base_ = base + ".ckpt";
-    wal_base_ = base + ".wal";
-    RemoveFiles();
-  }
-  void TearDown() override {
-    Failpoints::Instance().Reset();
-    RemoveFiles();
-  }
-  void RemoveFiles() {
-    std::remove((ckpt_base_ + ".manifest").c_str());
-    std::remove((ckpt_base_ + ".manifest.tmp").c_str());
-    for (size_t i = 0; i < kShardCount; ++i) {
-      const std::string suffix = ".shard" + std::to_string(i);
-      std::remove((wal_base_ + suffix).c_str());
-      std::remove((wal_base_ + suffix + ".tmp").c_str());
-      for (uint64_t g = 1; g <= 4; ++g) {
-        std::remove(
-            (ckpt_base_ + suffix + ".g" + std::to_string(g)).c_str());
-      }
-    }
-  }
-
-  // Bootstraps the durable pair: base system, journals, and the initial
-  // checkpoint the journals replay on top of (the constructor-seeded MKB
-  // is not itself journaled).
-  ShardedEveSystem StartJournaledRun() {
-    RemoveFiles();
-    ShardedEveSystem system = MakeShardedBase();
-    EXPECT_TRUE(system.AttachJournals(wal_base_).ok());
-    EXPECT_TRUE(system.WriteShardedCheckpoint(ckpt_base_).ok());
-    return system;
-  }
-
-  // The clean per-op pre/post states (no journals, no faults).
-  void BuildCleanStates(std::vector<std::string>* states) {
-    ShardedEveSystem clean = MakeShardedBase();
-    states->push_back(SnapSharded(clean));
-    // The clean pass must checkpoint somewhere real but disposable.
-    const std::string scratch = ckpt_base_ + ".clean";
-    for (const ShardedOp& op : ShardedScriptOps(scratch)) {
-      ASSERT_TRUE(op(&clean).ok());
-      states->push_back(SnapSharded(clean));
-    }
-    for (size_t i = 0; i < kShardCount; ++i) {
-      for (uint64_t g = 1; g <= 4; ++g) {
-        std::remove((scratch + ".shard" + std::to_string(i) + ".g" +
-                     std::to_string(g))
-                        .c_str());
-      }
-    }
-    std::remove((scratch + ".manifest").c_str());
-  }
-
-  // Hits per sharded site during one journaled run.
-  std::map<std::string, uint64_t> MeasureHits() {
-    ShardedEveSystem system = StartJournaledRun();
-    Failpoints::Instance().Reset();
-    for (const ShardedOp& op : ShardedScriptOps(ckpt_base_)) {
-      EXPECT_TRUE(op(&system).ok());
-    }
-    std::map<std::string, uint64_t> hits;
-    for (const char* site : kShardedSites) {
-      hits[site] = Failpoints::Instance().HitCount(site);
-    }
-    Failpoints::Instance().Reset();
-    return hits;
-  }
-
-  static constexpr const char* kShardedSites[] = {
-      fp::kShardedCommitShard,
-      fp::kShardedPublish,
-      fp::kShardedCheckpointManifest,
-      fp::kShardedJournalReset,
-  };
-
-  std::string ckpt_base_;
-  std::string wal_base_;
-};
-
-constexpr const char* ShardedCrashRecoveryTest::kShardedSites[];
-
-TEST_F(ShardedCrashRecoveryTest, CrashAtEverySiteRecoversToPreOrPostState) {
-  std::vector<std::string> states;
-  BuildCleanStates(&states);
-  if (HasFailure()) return;
-  const std::map<std::string, uint64_t> hits = MeasureHits();
-
-  size_t crash_runs = 0;
-  for (const char* site : kShardedSites) {
-    ASSERT_GT(hits.at(site), 0u) << site << " never fires in the script";
-    for (uint64_t n = 1; n <= hits.at(site); ++n) {
-      SCOPED_TRACE(std::string(site) + " @ hit " + std::to_string(n));
-      ShardedEveSystem system = StartJournaledRun();
-      Failpoints::Instance().Reset();
-      Failpoints::Instance().Arm(site, FailpointAction::kCrash,
-                                 static_cast<int>(n));
-      const std::vector<ShardedOp> ops = ShardedScriptOps(ckpt_base_);
-      size_t crashed_op = ops.size();
-      for (size_t i = 0; i < ops.size(); ++i) {
-        try {
-          const Status status = ops[i](&system);
-          ASSERT_TRUE(status.ok()) << "op " << i << ": " << status;
-        } catch (const SimulatedCrash&) {
-          crashed_op = i;
-          break;
-        }
-      }
-      Failpoints::Instance().Reset();
-      ASSERT_LT(crashed_op, ops.size()) << "armed crash never fired";
-      ++crash_runs;
-
-      RecoveryReport report;
-      const Result<ShardedEveSystem> recovered =
-          ShardedEveSystem::RecoverShardedFromFiles(ckpt_base_, wal_base_,
-                                                    &report);
-      ASSERT_TRUE(recovered.ok()) << recovered.status();
-      const std::string got = SnapSharded(recovered.value());
-      EXPECT_TRUE(got == states[crashed_op] || got == states[crashed_op + 1])
-          << "recovered state after crashing op " << crashed_op
-          << " is neither its pre- nor post-state\n"
-          << report.ToString();
-    }
-  }
-  EXPECT_GE(crash_runs, 12u);
-}
-
-TEST_F(ShardedCrashRecoveryTest, InjectedErrorsRecoverConsistently) {
-  std::vector<std::string> states;
-  BuildCleanStates(&states);
-  if (HasFailure()) return;
-  const std::map<std::string, uint64_t> hits = MeasureHits();
-
-  for (const char* site : kShardedSites) {
-    for (uint64_t n = 1; n <= hits.at(site); ++n) {
-      SCOPED_TRACE(std::string(site) + " @ hit " + std::to_string(n));
-      ShardedEveSystem system = StartJournaledRun();
-      Failpoints::Instance().Reset();
-      Failpoints::Instance().Arm(site, FailpointAction::kError,
-                                 static_cast<int>(n));
-      const std::vector<ShardedOp> ops = ShardedScriptOps(ckpt_base_);
-      size_t failed_op = ops.size();
-      for (size_t i = 0; i < ops.size(); ++i) {
-        const Status status = ops[i](&system);
-        if (!status.ok()) {
-          EXPECT_NE(status.message().find("failpoint"), std::string::npos)
-              << "unexpected real failure: " << status;
-          failed_op = i;
-          break;
-        }
-      }
-      Failpoints::Instance().Reset();
-      ASSERT_LT(failed_op, ops.size()) << "armed error never fired";
-
-      // Recovery from the journals must land on the failed op's pre- or
-      // post-state. (The live system may be poisoned — a mid-fan-out
-      // error legitimately leaves the replicas diverged until exactly
-      // this recovery; when it is NOT poisoned, it must agree with disk.)
-      const Result<ShardedEveSystem> recovered =
-          ShardedEveSystem::RecoverShardedFromFiles(ckpt_base_, wal_base_);
-      ASSERT_TRUE(recovered.ok()) << recovered.status();
-      const std::string got = SnapSharded(recovered.value());
-      EXPECT_TRUE(got == states[failed_op] || got == states[failed_op + 1])
-          << "recovered state after failing op " << failed_op
-          << " is neither its pre- nor post-state";
-      if (!system.poisoned()) {
-        EXPECT_EQ(got, SnapSharded(system))
-            << "recovery disagrees with the unpoisoned live system";
-      }
-    }
   }
 }
 

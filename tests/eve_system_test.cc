@@ -268,11 +268,12 @@ TEST_F(EveSystemTest, ExtendedMkbEnablesNewRewritings) {
                   ->definition.HasFromRelation("Person"));
 }
 
-TEST_F(EveSystemTest, PreviewChangeDoesNotMutate) {
+TEST_F(EveSystemTest, DryRunChangeDoesNotMutate) {
   ASSERT_TRUE(system_->RegisterViewText(CustomerPassengersAsiaSql()).ok());
   const ChangeReport preview =
-      system_->PreviewChange(CapabilityChange::DeleteRelation("Customer"))
-          .value();
+      system_->DryRunChange(CapabilityChange::DeleteRelation("Customer"))
+          .value()
+          .report;
   EXPECT_EQ(preview.CountOutcome(ViewOutcomeKind::kRewritten), 1u);
   // Nothing changed.
   EXPECT_TRUE(system_->mkb().catalog().HasRelation("Customer"));

@@ -17,7 +17,6 @@
 #include "common/thread_pool.h"
 #include "eve/eve_system.h"
 #include "eve/journal.h"
-#include "eve/sharded_system.h"
 #include "eve/view_pool_io.h"
 #include "mkb/capability_change.h"
 #include "mkb/serializer.h"
@@ -325,129 +324,17 @@ TEST(ParallelSyncTest, PinnedReadersObserveOnlyWholeVersionsDuringCommits) {
   EXPECT_EQ(SaveMkb(system.mkb()), legal.at(system.current_version()));
 }
 
-TEST(ParallelSyncTest, PreviewChangeSharesThePoolSafely) {
+TEST(ParallelSyncTest, DryRunChangeSharesThePoolSafely) {
   EveSystem system = MakeBatchSystem(12);
   system.SetSyncParallelism(4);
   const CapabilityChange change = CapabilityChange::DeleteRelation("R1");
-  // Previews run on scratch copies sharing the same pool; interleave a few
-  // with a real apply to exercise concurrent ParallelFor invocations.
-  const Result<ChangeReport> preview = system.PreviewChange(change);
-  ASSERT_TRUE(preview.ok());
+  // A dry run fans out over the same sync pool as the real apply that
+  // follows it, and reports exactly what that apply commits.
+  const Result<DryRunReport> dry = system.DryRunChange(change);
+  ASSERT_TRUE(dry.ok());
   const Result<ChangeReport> applied = system.ApplyChange(change);
   ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(preview.value().ToString(), applied.value().ToString());
-}
-
-// The sharded serving core must keep the determinism contract at every
-// (shard count × sync parallelism × drain mode) point: the same queued
-// change stream produces byte-identical per-shard state and byte-identical
-// merged reports.
-ShardedEveSystem MakeShardedBatchSystem(size_t num_views, size_t shards) {
-  ChainMkbSpec spec;
-  spec.length = 48;
-  spec.skip_edges = true;
-  spec.cover_distance = 2;
-  const Mkb mkb = MakeChainMkb(spec).MoveValue();
-  ShardedEveSystem system(mkb, {}, shards);
-  for (size_t i = 0; i < num_views; ++i) {
-    const size_t start = (i % 2 == 0) ? (i / 2) % 2 : 20 + (i / 2) % 20;
-    ViewDefinition view = MakeChainView(mkb, start, 3).MoveValue();
-    view.set_name("BV" + std::to_string(i));
-    EXPECT_TRUE(system.RegisterView(view).ok());
-  }
-  return system;
-}
-
-TEST(ParallelSyncTest, ShardedDrainIsDeterministicAcrossShardsAndThreads) {
-  const std::vector<CapabilityChange> stream = {
-      CapabilityChange::DeleteAttribute("R1", "P1"),
-      CapabilityChange::DeleteRelation("R1"),
-      CapabilityChange::RenameRelation("R21", "R21x"),
-      CapabilityChange::DeleteRelation("R30"),
-  };
-
-  std::string reference_reports;  // merged reports: shard-count invariant
-  std::map<size_t, std::string> reference_shards;  // per-shard, per count
-  for (const size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
-    for (const size_t threads : {size_t{1}, size_t{8}}) {
-      for (const bool parallel_drain : {false, true}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) +
-                     " threads=" + std::to_string(threads) +
-                     (parallel_drain ? " par" : " seq"));
-        ShardedEveSystem system = MakeShardedBatchSystem(24, shards);
-        system.SetSyncParallelism(threads);
-        for (const CapabilityChange& change : stream) {
-          ASSERT_TRUE(system.EnqueueChange(change).ok());
-        }
-        const Result<std::vector<ChangeReport>> reports =
-            parallel_drain ? system.DrainSyncQueueParallel()
-                           : system.DrainSyncQueue();
-        ASSERT_TRUE(reports.ok()) << reports.status();
-        ASSERT_EQ(reports.value().size(), stream.size());
-        EXPECT_EQ(system.queued_changes(), 0u);
-
-        std::string merged;
-        for (const ChangeReport& report : reports.value()) {
-          merged += report.ToString() + "\n====\n";
-        }
-        std::string per_shard;
-        for (size_t s = 0; s < shards; ++s) {
-          per_shard += "== shard " + std::to_string(s) + "\n" +
-                       SaveMkb(system.shard(s).mkb()) +
-                       SaveViews(system.shard(s));
-        }
-        if (reference_reports.empty()) {
-          reference_reports = merged;
-        } else {
-          EXPECT_EQ(merged, reference_reports);
-        }
-        const auto it = reference_shards.find(shards);
-        if (it == reference_shards.end()) {
-          reference_shards[shards] = per_shard;
-        } else {
-          EXPECT_EQ(per_shard, it->second);
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelSyncTest, ShardedParallelDrainStopsAtTheFailingChange) {
-  // A mid-stream prepare failure (unknown relation) must stop both drain
-  // modes at the same change, with the same error, the same applied
-  // prefix, and the remainder still queued.
-  const std::vector<CapabilityChange> stream = {
-      CapabilityChange::DeleteRelation("R1"),
-      CapabilityChange::DeleteRelation("NoSuchRelation"),
-      CapabilityChange::DeleteRelation("R30"),
-  };
-  std::string sequential_state;
-  Status sequential_error;
-  for (const bool parallel_drain : {false, true}) {
-    SCOPED_TRACE(parallel_drain ? "par" : "seq");
-    ShardedEveSystem system = MakeShardedBatchSystem(24, 4);
-    for (const CapabilityChange& change : stream) {
-      ASSERT_TRUE(system.EnqueueChange(change).ok());
-    }
-    const Result<std::vector<ChangeReport>> reports =
-        parallel_drain ? system.DrainSyncQueueParallel()
-                       : system.DrainSyncQueue();
-    ASSERT_FALSE(reports.ok());
-    EXPECT_FALSE(system.poisoned());  // prepare failures abort cleanly
-    EXPECT_EQ(system.queued_changes(), 1u);  // R30 still waiting
-    EXPECT_EQ(system.admission_stats().failed, 1u);
-    std::string state;
-    for (size_t s = 0; s < system.shard_count(); ++s) {
-      state += SaveMkb(system.shard(s).mkb()) + SaveViews(system.shard(s));
-    }
-    if (!parallel_drain) {
-      sequential_state = state;
-      sequential_error = reports.status();
-    } else {
-      EXPECT_EQ(state, sequential_state);
-      EXPECT_EQ(reports.status(), sequential_error);
-    }
-  }
+  EXPECT_EQ(dry.value().report.ToString(), applied.value().ToString());
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {

@@ -1009,7 +1009,7 @@ TEST(PlainServerTest, ReplicationStatementsDegradeGracefully) {
 
 // --- Metrics endpoint --------------------------------------------------------
 
-TEST_F(ClusterTest, MetricsEndpointServesReplicationGauges) {
+TEST_F(ClusterTest, MetricsEndpointServesAdmissionAndReplicationGauges) {
   Plan(3);
   // Start the primary with a metrics listener.
   {
@@ -1032,6 +1032,13 @@ TEST_F(ClusterTest, MetricsEndpointServesReplicationGauges) {
   ASSERT_TRUE(WaitForPeers(0, 2));
   NetClient client = ClientFor(0);
   ASSERT_EQ(client.Run(Define(1)).value().code, 0);
+  // Admission through the server's one queue: with room for one change,
+  // the second ENQUEUE is shed and DRAIN completes the first.
+  for (const char* statement :
+       {"SET SYNC QUEUE 1", "ENQUEUE RENAME RELATION Rel1 TO Rel1x",
+        "ENQUEUE RENAME RELATION Rel1 TO Rel1y", "DRAIN"}) {
+    ASSERT_EQ(client.Run(statement).value().code, 0) << statement;
+  }
 
   // Scrape over plain HTTP.
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -1054,9 +1061,16 @@ TEST_F(ClusterTest, MetricsEndpointServesReplicationGauges) {
 
   EXPECT_NE(body.find("200 OK"), std::string::npos);
   EXPECT_NE(body.find("eve_server_accepted_total"), std::string::npos);
-  EXPECT_NE(body.find("eve_admission_submitted_total"), std::string::npos);
+  EXPECT_NE(body.find("eve_admission_submitted_total 2\n"), std::string::npos)
+      << body;
+  EXPECT_NE(body.find("eve_admission_shed_total 1\n"), std::string::npos)
+      << body;
+  EXPECT_NE(body.find("eve_admission_completed_total 1\n"), std::string::npos)
+      << body;
   EXPECT_NE(body.find("eve_repl_role 1"), std::string::npos) << body;
-  EXPECT_NE(body.find("eve_repl_position 1"), std::string::npos) << body;
+  // Journal position: DEFINE's record, then DRAIN's change and its
+  // version-commit marker.
+  EXPECT_NE(body.find("eve_repl_position 3"), std::string::npos) << body;
   EXPECT_NE(body.find("eve_repl_peer_lag{node=\"n2\"}"), std::string::npos)
       << body;
 }

@@ -244,6 +244,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MutationTest,
 TEST(CheckpointVersionsFuzzTest, EveryFlipInVersionsSectionIsDetected) {
   EveSystem system(MakeTravelAgencyMkb().MoveValue());
   ASSERT_TRUE(system.RegisterViewText(CustomerPassengersAsiaSql()).ok());
+  // Two more views in other VIEWS buckets: the delete below re-renders the
+  // Rentals bucket and shares the other two.
+  ASSERT_TRUE(system
+                  .RegisterViewText(
+                      "CREATE VIEW AsiaTours (VE = ~) AS SELECT "
+                      "P.Participant (true, true) FROM Participant P "
+                      "(true, true) WHERE (P.Loc = 'Asia') (false, true)")
+                  .ok());
+  ASSERT_TRUE(system
+                  .RegisterViewText("CREATE VIEW Rentals (VE = ~) AS SELECT "
+                                    "R.Company (true, true) FROM RentACar R "
+                                    "(true, true)")
+                  .ok());
   ASSERT_TRUE(
       system.ApplyChange(CapabilityChange::DeleteRelation("RentACar")).ok());
   const std::string checkpoint = RenderCheckpoint(system);

@@ -1,18 +1,21 @@
-// Large-pool smoke test for the sharded serving core. By default it
-// registers a modest pool so plain ctest stays fast; CI's dedicated smoke
-// step raises EVE_SCALE_VIEWS to the ISSUE target of one million
-// registered views (reduced again under sanitizers). The assertions are
-// scale-independent: bulk registration lands every view on its hash
-// shard, a capability change touches only the affected views' shards, and
-// pinned snapshot reads stay available throughout.
+// Large-pool smoke test for one EveSystem with full snapshots. By default
+// it registers a modest pool so plain ctest stays fast; CI's dedicated
+// smoke step raises EVE_SCALE_VIEWS to one million registered views
+// (reduced again under sanitizers). The assertions are scale-independent:
+// every view lands in its hash bucket of the version chain, a capability
+// change re-renders only the buckets of the views it touched, every
+// version still holds the whole pool, and a pin taken before the change
+// keeps the pre-change bytes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <set>
 #include <string>
 
-#include "common/sharding.h"
-#include "eve/sharded_system.h"
+#include "eve/eve_system.h"
+#include "eve/view_pool_io.h"
 #include "mkb/capability_change.h"
 #include "workload/generator.h"
 
@@ -25,6 +28,14 @@ size_t ScaleViews() {
     return static_cast<size_t>(std::strtoull(env, nullptr, 10));
   }
   return 50000;
+}
+
+bool BucketHolds(const MkbVersion& version, const std::string& name) {
+  const std::vector<ViewBlock> blocks =
+      SplitViewBlocks(version.view_bucket(ViewBucketOf(name)).body);
+  return std::any_of(
+      blocks.begin(), blocks.end(),
+      [&](const ViewBlock& block) { return block.name == name; });
 }
 
 TEST(ScaleSmokeTest, BulkLoadServeAndSyncAtScale) {
@@ -42,36 +53,50 @@ TEST(ScaleSmokeTest, BulkLoadServeAndSyncAtScale) {
   const std::vector<ViewDefinition> pool =
       MakeViewPool(mkb, pool_spec).MoveValue();
 
-  ShardedEveSystem system(mkb, {}, 16);
-  // Million-view configuration: versions share the VIEWS segment (O(MKB)
-  // commits) and reports list only affected views (O(affected) reports).
-  system.SetVersioningMode(VersioningMode::kMkbOnly);
+  EveSystem system(mkb);
+  // Reports list only affected views (O(affected) reports).
   system.SetReportUnaffected(false);
   ASSERT_TRUE(system.RegisterViewsBulk(pool).ok());
   ASSERT_EQ(system.NumViews(), num_views);
 
-  // Every shard carries a share of the pool, each view on its hash shard.
-  for (size_t s = 0; s < 16; ++s) {
-    EXPECT_GT(system.shard(s).NumViews(), 0u) << "shard " << s;
-  }
+  const PinnedMkb before = system.PinTip();
   for (size_t i = 0; i < 100 && i < pool.size(); ++i) {
-    const std::string& name = pool[i].name();
-    EXPECT_EQ(system.shard(ShardOf(name, 16)).GetView(name).ok(), true);
+    EXPECT_TRUE(BucketHolds(*before.version, pool[i].name())) << pool[i].name();
   }
 
   // A change at the cold end of the zipfian chain affects a thin slice;
   // the report is O(affected), not O(pool).
-  const std::shared_ptr<const ShardedSnapshot> pinned = system.PinPublished();
   const CapabilityChange change = CapabilityChange::DeleteRelation("R63");
-  const size_t affected = system.AffectedViews(change).size();
-  ASSERT_LT(affected, num_views / 4);
+  const std::vector<std::string> affected = system.AffectedViews(change);
+  ASSERT_FALSE(affected.empty());
+  ASSERT_LT(affected.size(), num_views / 4);
   const Result<ChangeReport> report = system.ApplyChange(change);
   ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(report.value().outcomes.size(), affected);
+  EXPECT_EQ(report.value().outcomes.size(), affected.size());
 
-  // The pre-change pin survived the commit; the fresh pin moved on.
-  ASSERT_NE(pinned, nullptr);
-  EXPECT_LT(pinned->epoch, system.PinPublished()->epoch);
+  // Exactly the affected views' buckets were re-rendered; every other
+  // bucket is the pre-change segment, shared by pointer.
+  const PinnedMkb after = system.PinTip();
+  std::set<size_t> touched;
+  for (const std::string& name : affected) touched.insert(ViewBucketOf(name));
+  for (size_t b = 0; b < kViewBuckets; ++b) {
+    const bool shared =
+        &before.version->view_bucket(b) == &after.version->view_bucket(b);
+    EXPECT_EQ(shared, touched.count(b) == 0) << "bucket " << b;
+  }
+
+  // The version holds the whole pool, and the pre-change pin still shows
+  // the pre-change definition of an affected view.
+  EXPECT_EQ(system.ViewsTextAt(after.id()).value(), SaveViews(system));
+  const std::vector<ViewBlock> old_bucket = SplitViewBlocks(
+      before.version->view_bucket(ViewBucketOf(affected.front())).body);
+  const auto old_view =
+      std::find_if(old_bucket.begin(), old_bucket.end(),
+                   [&](const ViewBlock& block) {
+                     return block.name == affected.front();
+                   });
+  ASSERT_NE(old_view, old_bucket.end());
+  EXPECT_NE(old_view->definition.find("R63"), std::string_view::npos);
   EXPECT_EQ(system.NumViews(), num_views);
 }
 

@@ -1,15 +1,20 @@
 // Versioned-MKB invariants: copy-on-write segment sharing, O(1) pinned
 // snapshots that survive concurrent commits, what-if dry-runs that match the
 // real commit byte for byte while mutating nothing, rollback-as-new-version,
-// checkpoint VERSIONS round-trips where every flipped byte is detected, and
-// the online scrubber (synchronous and background) catching 100% of injected
-// corruptions.
+// checkpoint VERSIONS round-trips where every flipped byte is detected, the
+// online scrubber (synchronous and background) catching 100% of injected
+// corruptions, and the per-commit oracle of the bucketed VIEWS segment:
+// every commit's view text is the live pool's, and only the buckets of
+// views it changed hold new segments.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <optional>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,9 +24,11 @@
 #include "eve/eve_system.h"
 #include "eve/journal.h"
 #include "eve/view_pool_io.h"
+#include "federation/membership.h"
 #include "mkb/scrubber.h"
 #include "mkb/serializer.h"
 #include "mkb/version_store.h"
+#include "workload/generator.h"
 #include "workload/travel_agency.h"
 
 namespace eve {
@@ -32,6 +39,23 @@ EveSystem MakeSystem() {
   EXPECT_TRUE(AddAccidentInsPc(&mkb).ok());
   EveSystem system(std::move(mkb));
   EXPECT_TRUE(system.RegisterViewText(CustomerPassengersAsiaSql()).ok());
+  return system;
+}
+
+// Two more views over the travel-agency MKB, so chains built from
+// MakeSystem span several VIEWS buckets, shared and re-rendered.
+constexpr char kAsiaToursSql[] =
+    "CREATE VIEW AsiaTours (VE = ~) AS SELECT P.Participant (true, true), "
+    "P.TourID (true, true) FROM Participant P (true, true) "
+    "WHERE (P.Loc = 'Asia') (false, true)";
+constexpr char kRentalsSql[] =
+    "CREATE VIEW Rentals (VE = ~) AS SELECT R.Company (true, true) "
+    "FROM RentACar R (true, true)";
+
+EveSystem MakeBucketedSystem() {
+  EveSystem system = MakeSystem();
+  EXPECT_TRUE(system.RegisterViewText(kAsiaToursSql).ok());
+  EXPECT_TRUE(system.RegisterViewText(kRentalsSql).ok());
   return system;
 }
 
@@ -246,7 +270,9 @@ TEST_F(VersioningTest, SerializeDeserializeRoundTrips) {
 // is detected — either the load fails outright or the loaded chain scrubs
 // dirty. No silent corruption.
 TEST_F(VersioningTest, EveryFlippedSerializedByteIsDetected) {
-  EveSystem system = MakeSystem();
+  // Three views in three buckets; the delete re-renders one bucket and
+  // shares the other two.
+  EveSystem system = MakeBucketedSystem();
   ASSERT_TRUE(
       system.ApplyChange(CapabilityChange::DeleteRelation("RentACar")).ok());
   const std::string text = system.versions().Serialize();
@@ -270,7 +296,7 @@ TEST_F(VersioningTest, EveryFlippedSerializedByteIsDetected) {
 // The scrubber finds every injected segment corruption: any version, any
 // segment.
 TEST_F(VersioningTest, ScrubDetectsEveryInjectedSegmentCorruption) {
-  EveSystem system = MakeSystem();
+  EveSystem system = MakeBucketedSystem();
   ASSERT_TRUE(
       system.ExtendMkb("SOURCE IS9 RELATION Extra9 (Name string, X int)")
           .ok());
@@ -410,6 +436,271 @@ TEST_F(VersioningTest, RecoveryRestoresTheVersionChain) {
 
   std::remove(checkpoint_path.c_str());
   std::remove(journal_path.c_str());
+}
+
+TEST_F(VersioningTest, ParentFormatVersionsSectionIsRejectedClearly) {
+  // A chain written with one unsplit VIEWS segment per version has no
+  // BUCKETS header and five segment references per version.
+  const std::string old_format =
+      "SEGMENT 0 RELATIONS 0 0\n\nVERSION 0 0 0 SEGS 0 0 0 0 0 CHANGE x\n";
+  const Result<MkbVersionStore> loaded =
+      MkbVersionStore::Deserialize(old_format);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("BUCKETS"), std::string::npos)
+      << loaded.status();
+}
+
+// --- Per-commit oracle ------------------------------------------------------
+//
+// A seeded random op stream over registration, bulk registration, restore,
+// disabling, changes, aborted batches and cascades, rollback, source
+// degradation and heal, and LoadViews with synced_at=/provisional=
+// headers; then recovery replay and replica apply of the journal. After
+// every op that advanced the version, the tip's view text equals SaveViews
+// of the system, and a bucket holds a new segment exactly when a view in
+// it renders differently from the previous version. LoadViews stamps its
+// header fields after each registration commits, as heal un-marks without
+// committing; both reach the chain with the next commit, where the oracle
+// checks them.
+
+// Names of the views whose block differs between two versions.
+std::set<std::string> ChangedViews(const MkbVersion& before,
+                                   const MkbVersion& after) {
+  std::map<std::string, std::string_view> old_blocks;
+  for (const ViewBlock& block : VersionViewBlocks(before)) {
+    old_blocks[block.name] = block.text;
+  }
+  std::set<std::string> changed;
+  for (const ViewBlock& block : VersionViewBlocks(after)) {
+    const auto it = old_blocks.find(block.name);
+    if (it == old_blocks.end() || it->second != block.text) {
+      changed.insert(block.name);
+    }
+    if (it != old_blocks.end()) old_blocks.erase(it);
+  }
+  for (const auto& [name, text] : old_blocks) changed.insert(name);
+  return changed;
+}
+
+// Checks the oracle across a step from `before` to the system's tip.
+void CheckCommit(const EveSystem& system, const PinnedMkb& before,
+                 const std::string& op) {
+  SCOPED_TRACE(op);
+  const PinnedMkb after = system.PinTip();
+  if (after.id() == before.id()) return;
+  ASSERT_EQ(system.ViewsTextAt(after.id()).value(), SaveViews(system));
+  std::set<size_t> touched;
+  for (const std::string& name :
+       ChangedViews(*before.version, *after.version)) {
+    touched.insert(ViewBucketOf(name));
+  }
+  for (size_t b = 0; b < kViewBuckets; ++b) {
+    const bool renewed =
+        &before.version->view_bucket(b) != &after.version->view_bucket(b);
+    EXPECT_EQ(renewed, touched.count(b) > 0) << "bucket " << b;
+  }
+}
+
+class OracleRun {
+ public:
+  explicit OracleRun(uint64_t seed) : rng_(seed) {
+    ChainMkbSpec spec;
+    spec.length = 12;
+    spec.cover_distance = 2;
+    mkb_ = MakeChainMkb(spec).MoveValue();
+    system_.emplace(mkb_);
+    // Three names sharing one bucket, so commits splice a bucket that
+    // holds clean views next to dirty ones.
+    for (uint64_t salt = 0; shared_bucket_names_.size() < 3; ++salt) {
+      const std::string name = "S" + std::to_string(salt);
+      if (ViewBucketOf(name) == ViewBucketOf("S0")) {
+        shared_bucket_names_.push_back(name);
+      }
+    }
+  }
+
+  EveSystem& system() { return *system_; }
+  // Heals that un-marked at least one provisional view.
+  size_t unmarking_heals() const { return unmarking_heals_; }
+
+  // One random op; `with_load` enables LoadViews (whose header stamps are
+  // not journaled, so it runs only before the journal is attached).
+  std::string Step(bool with_load) {
+    const size_t kinds = with_load ? 11 : 10;
+    switch (rng_() % kinds) {
+      case 0: {
+        ViewDefinition view = NextView();
+        return "register " + view.name() + ": " +
+               system_->RegisterView(view).ToString();
+      }
+      case 1: {
+        std::vector<ViewDefinition> batch;
+        for (int i = 0; i < 3; ++i) batch.push_back(NextView());
+        return "bulk: " + system_->RegisterViewsBulk(batch).ToString();
+      }
+      case 2: {
+        ViewDefinition view = NextView();
+        return "restore " + view.name() + ": " +
+               system_->RestoreView(view, ViewState::kDisabled, 1).ToString();
+      }
+      case 3: {
+        // Operators disable views; re-enabling one whose relations are
+        // gone would leave a pool no checkpoint can load.
+        const std::string name = AnyView();
+        if (name.empty()) return "disable: empty pool";
+        return "disable " + name + ": " +
+               system_->SetViewState(name, ViewState::kDisabled).ToString();
+      }
+      case 4:
+      case 5: {
+        const CapabilityChange change = NextChange();
+        return change.ToString() + ": " +
+               system_->ApplyChange(change).status().ToString();
+      }
+      case 6: {
+        const std::vector<CapabilityChange> batch = {
+            NextChange(), CapabilityChange::DeleteRelation("NoSuchRelation")};
+        return "aborted batch: " +
+               system_->ApplyChanges(batch).status().ToString();
+      }
+      case 7: {
+        Failpoints::Instance().Arm(fp::kSourceLeavesBeforeCommit,
+                                   FailpointAction::kError);
+        const std::string source = "IS" + std::to_string(rng_() % 12);
+        const Status status = system_->SourceLeaves(source).status();
+        Failpoints::Instance().Reset();
+        return "aborted cascade " + source + ": " + status.ToString();
+      }
+      case 8: {
+        const uint64_t target = rng_() % system_->current_version();
+        return "rollback to " + std::to_string(target) + ": " +
+               system_->RollbackToVersion(target).status().ToString();
+      }
+      case 9: {
+        // Degrade or heal one source. A heal un-marks provisional views
+        // without committing; the next commit must carry it.
+        const std::string source = "IS" + std::to_string(rng_() % 12);
+        federation::SourceMembership row = federation::MakeHealthy({}, 0);
+        if (rng_() % 2 == 0) row.state = federation::SourceState::kSuspect;
+        for (const std::string& name : system_->ViewNames()) {
+          if (row.state == federation::SourceState::kHealthy &&
+              system_->GetView(name).value()->provisional_sources.count(
+                  source) > 0) {
+            ++unmarking_heals_;
+            break;
+          }
+        }
+        return "membership " + source + ": " +
+               system_->SetSourceMembership(source, row).ToString();
+      }
+      default: {
+        ViewDefinition active = NextView();
+        ViewDefinition disabled = NextView();
+        const std::string text =
+            "-- VIEW active provisional=IS1,IS2 synced_at=1\n" +
+            active.ToString() + ";\n\n-- VIEW disabled synced_at=1\n" +
+            disabled.ToString() + ";\n\n";
+        return "load views: " + LoadViews(text, &*system_).ToString();
+      }
+    }
+  }
+
+ private:
+  ViewDefinition NextView() {
+    const size_t start = rng_() % 10;
+    Result<ViewDefinition> view =
+        MakeChainView(system_->mkb(), start, 1 + rng_() % 2);
+    if (!view.ok()) view = MakeChainView(mkb_, start, 1);
+    const size_t n = next_view_++;
+    view.value().set_name(n < shared_bucket_names_.size()
+                              ? shared_bucket_names_[n]
+                              : "V" + std::to_string(n));
+    return view.MoveValue();
+  }
+
+  std::string AnyView() {
+    const std::vector<std::string> names = system_->ViewNames();
+    return names.empty() ? "" : names[rng_() % names.size()];
+  }
+
+  CapabilityChange NextChange() {
+    const std::string relation = "R" + std::to_string(rng_() % 12);
+    const std::string payload = "P" + relation.substr(1);
+    switch (rng_() % 4) {
+      case 0:
+        return CapabilityChange::DeleteAttribute(relation, payload);
+      case 1:
+        return CapabilityChange::RenameAttribute(relation, payload,
+                                                 payload + "x");
+      case 2:
+        return CapabilityChange::RenameAttribute(relation, payload + "x",
+                                                 payload);
+      default:
+        return CapabilityChange::DeleteRelation(relation);
+    }
+  }
+
+  std::mt19937_64 rng_;
+  Mkb mkb_;
+  std::optional<EveSystem> system_;
+  std::vector<std::string> shared_bucket_names_;
+  size_t next_view_ = 0;
+  size_t unmarking_heals_ = 0;
+};
+
+TEST_F(VersioningTest, PerCommitOracleHoldsOverRandomOpStreams) {
+  size_t unmarking_heals = 0;
+  for (const uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    OracleRun run(seed);
+    EveSystem& system = run.system();
+    for (int i = 0; i < 60; ++i) {
+      const PinnedMkb before = system.PinTip();
+      const std::string op = run.Step(/*with_load=*/true);
+      if (op.rfind("load views", 0) == 0) continue;  // checked at next commit
+      CheckCommit(system, before, op);
+    }
+
+    // Journal the rest of the stream, and follow it on a replica that
+    // applies each record as it lands.
+    const std::string checkpoint = RenderCheckpoint(system);
+    const std::string path = ::testing::TempDir() + "oracle_" +
+                             std::to_string(seed) + ".wal";
+    std::remove(path.c_str());
+    Result<Journal> journal = Journal::Open(path);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    Result<EveSystem> replica = LoadCheckpoint(checkpoint);
+    ASSERT_TRUE(replica.ok()) << replica.status();
+    JournalReplayer replayer;
+    std::vector<JournalRecord> records;
+    journal.value().SetObserver(
+        [&](JournalRecordKind kind, std::string_view body) {
+          records.push_back({kind, std::string(body)});
+          const PinnedMkb replica_before = replica.value().PinTip();
+          replayer.Apply(&replica.value(), records.back(), nullptr);
+          CheckCommit(replica.value(), replica_before, "replica apply");
+        });
+    system.AttachJournal(&journal.value());
+    for (int i = 0; i < 60; ++i) {
+      const PinnedMkb before = system.PinTip();
+      CheckCommit(system, before, run.Step(/*with_load=*/false));
+    }
+    system.AttachJournal(nullptr);
+    replayer.Finish(nullptr);
+    EXPECT_EQ(SaveViews(replica.value()), SaveViews(system));
+    EXPECT_EQ(replica.value().versions().Render(), system.versions().Render());
+
+    const Result<EveSystem> recovered = EveSystem::Recover(checkpoint, records);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_EQ(SaveViews(recovered.value()), SaveViews(system));
+    EXPECT_EQ(recovered.value().versions().Render(),
+              system.versions().Render());
+    EXPECT_EQ(recovered.value().ScrubVersions().corruptions, 0u);
+    std::remove(path.c_str());
+    unmarking_heals += run.unmarking_heals();
+  }
+  // The streams exercised the heal trap: un-marking without a commit.
+  EXPECT_GT(unmarking_heals, 0u);
 }
 
 }  // namespace

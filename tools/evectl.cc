@@ -27,13 +27,6 @@
 //   SHOW HYPERGRAPH;                      -- H(MKB) summary (Fig. 4 style)
 //   SHOW VIEWS;                           -- registered views and states
 //   SHOW VIEW <name>;                     -- one view's E-SQL text
-//   SET SHARDS <n>;                       -- partition the view pool over n
-//                                            hash shards; rejected once any
-//                                            view is registered, a journal
-//                                            is attached or sources are
-//                                            tracked (placement is fixed)
-//   SHOW SHARD STATS;                     -- per-shard view counts, commits,
-//                                            queue depth, version tips
 //   CREATE VIEW ... ;                     -- register an E-SQL view
 //   DEFINE <MISD statement>;              -- a source publishes a relation
 //                                            or constraint (additive)
@@ -65,20 +58,23 @@
 //                                            and admission counters for the
 //                                            last change/preview
 //   SET EXECUTOR <strategy>;              -- join/executor strategy for view
-//                                            evaluation on every shard:
-//                                            NESTED_LOOP, HASH, VECTORIZED
-//                                            or AUTO
+//                                            evaluation: NESTED_LOOP, HASH,
+//                                            VECTORIZED or AUTO
 //   SHOW EXECUTOR STATS;                  -- configured strategy + process-
 //                                            wide executor counters (per-
 //                                            strategy query counts and
 //                                            cartesian fallbacks)
-//   PREVIEW DELETE RELATION <name>;       -- what-if: report without applying
+//   PREVIEW DELETE|RENAME ...;            -- what-if: the report the change
+//                                            would commit; applies nothing
 //   SYNC DRYRUN DELETE|RENAME ... [AT VERSION <n>];
 //                                         -- full what-if synchronization:
 //                                            the exact report a commit from
 //                                            the tip (or retained version n)
 //                                            would produce; commits nothing
 //   SHOW VERSIONS;                        -- the copy-on-write version chain
+//                                            (each version holds the whole
+//                                            pool; a commit re-renders only
+//                                            the VIEWS buckets it changed)
 //   SHOW MKB AT VERSION <n>;              -- pin and dump an old MKB
 //   SHOW VIEWS AT VERSION <n>;            -- the view pool frozen at n
 //   ROLLBACK TO VERSION <n>;              -- restore MKB + views to version
