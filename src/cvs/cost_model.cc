@@ -1,6 +1,8 @@
 #include "cvs/cost_model.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 namespace eve {
@@ -119,6 +121,24 @@ RewritingCost ScoreRewriting(const ViewDefinition& original,
       model.join_width_penalty * static_cast<double>(cost.join_width) +
       ExtentPenalty(model, extent);
   return cost;
+}
+
+bool TopKBound::Excludes(double lower_bound) const {
+  if (k_ == 0) return false;
+  // Rewritings that rank ahead of every candidate with total >= lower_bound.
+  size_t ahead = static_cast<size_t>(std::distance(
+      candidates_.begin(), candidates_.upper_bound(lower_bound)));
+  if (drop_.has_value() && *drop_ < lower_bound) ++ahead;
+  return ahead >= k_;
+}
+
+double TopKBound::KthBest() const {
+  std::multiset<double> totals = candidates_;
+  if (drop_.has_value()) totals.insert(*drop_);
+  if (k_ == 0 || totals.size() < k_) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return *std::next(totals.begin(), static_cast<std::ptrdiff_t>(k_ - 1));
 }
 
 }  // namespace eve

@@ -8,6 +8,9 @@
 #ifndef EVE_CVS_COST_MODEL_H_
 #define EVE_CVS_COST_MODEL_H_
 
+#include <optional>
+#include <set>
+
 #include "cvs/extent_relation.h"
 #include "esql/view_definition.h"
 
@@ -97,6 +100,34 @@ struct PartialCandidate {
 // extent penalties are lattice-monotone.
 double LowerBound(const PartialCandidate& partial,
                   const RewritingCostModel& model);
+
+// The stopping rule of a top-k pull loop. Candidates are pulled in
+// nondecreasing lower-bound order, and the final ranking is a stable sort
+// by total of the accepted candidates in pull order followed by the
+// drop-based rewriting, if any. A candidate not yet pulled therefore ranks
+// after every accepted candidate of equal total, but before a drop-based
+// rewriting of equal total.
+class TopKBound {
+ public:
+  // k = 0 keeps every rewriting: Excludes() is then always false.
+  explicit TopKBound(size_t k) : k_(k) {}
+
+  void AddCandidate(double total) { candidates_.insert(total); }
+  // The drop-based rewriting's total, known before the pull loop.
+  void SetDrop(double total) { drop_ = total; }
+
+  // True when no candidate whose total is at least `lower_bound` can enter
+  // the top k, so the loop may stop pulling.
+  bool Excludes(double lower_bound) const;
+  // The k-th best total so far (+infinity with fewer than k), for
+  // diagnostics.
+  double KthBest() const;
+
+ private:
+  size_t k_;
+  std::multiset<double> candidates_;
+  std::optional<double> drop_;
+};
 
 }  // namespace eve
 

@@ -1,9 +1,7 @@
 #include "cvs/cvs.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "cvs/extent.h"
@@ -92,28 +90,15 @@ Result<CvsResult> SynchronizeDeleteRelation(const ViewDefinition& view,
     return name;
   };
 
-  // Accepted rewritings in arrival order with their ranking totals; the
-  // drop-based rewriting (when legal) is appended last, as before.
+  // Accepted rewritings in arrival order; the drop-based rewriting (when
+  // legal) is appended last, as before.
   std::vector<SynchronizedView> accepted;
-  std::multiset<double> accepted_totals;
-  const double kInf = std::numeric_limits<double>::infinity();
-  // The total the next candidate must beat once top_k rewritings are in
-  // hand. A candidate tying the k-th best cannot displace it (ties keep
-  // the earlier arrival), so >= is the correct stopping comparison.
-  auto kth_best = [&]() -> double {
-    if (options.top_k == 0 || accepted_totals.size() < options.top_k) {
-      return kInf;
-    }
-    auto it = accepted_totals.begin();
-    std::advance(it, options.top_k - 1);
-    return *it;
-  };
+  TopKBound top_k(options.top_k);
 
   // Probe the drop-based rewriting up front: its cost participates in the
   // top-k bound, letting the pull loop stop before exploring candidates
   // that cannot beat it. The real drop rewriting (with its proper name)
   // is built after the loop to keep the historical result order.
-  bool drop_seeded = false;
   if (options.include_drop_rewriting && r_params.dispensable) {
     Result<ViewDefinition> probe =
         DropRelationRewriting(view, relation, view.name());
@@ -122,11 +107,9 @@ Result<CvsResult> SynchronizeDeleteRelation(const ViewDefinition& view,
           CheckLegality(view, probe.value(), change, mkb_prime,
                         ExtentRelation::kSuperset, {});
       if (legality.legal() || !options.require_view_extent) {
-        accepted_totals.insert(
-            ScoreRewriting(view, probe.value(), legality.inferred_extent,
-                           model)
-                .total);
-        drop_seeded = true;
+        top_k.SetDrop(ScoreRewriting(view, probe.value(),
+                                     legality.inferred_extent, model)
+                          .total);
       }
     }
   }
@@ -148,14 +131,13 @@ Result<CvsResult> SynchronizeDeleteRelation(const ViewDefinition& view,
   if (stream.has_value()) {
     const size_t probe_limit = r_params.replaceable ? pull_cap : 1;
     while (true) {
-      const double bound = kth_best();
-      if (bound < kInf && stream->NextLowerBound() >= bound) {
+      if (top_k.Excludes(stream->NextLowerBound())) {
         if (!stream->Exhausted()) {
           result.enumeration.terminated_early = true;
           std::ostringstream note;
           note << "top-k early termination: next candidate lower bound "
-               << stream->NextLowerBound() << " >= k-th best cost " << bound
-               << " with " << stream->PendingStates()
+               << stream->NextLowerBound() << " >= k-th best cost "
+               << top_k.KthBest() << " with " << stream->PendingStates()
                << " queue states unexplored";
           result.diagnostics.push_back(note.str());
         }
@@ -211,7 +193,7 @@ Result<CvsResult> SynchronizeDeleteRelation(const ViewDefinition& view,
           continue;
         }
       }
-      accepted_totals.insert(synced.cost.total);
+      top_k.AddCandidate(synced.cost.total);
       accepted.push_back(std::move(synced));
     }
   }
@@ -250,12 +232,6 @@ Result<CvsResult> SynchronizeDeleteRelation(const ViewDefinition& view,
       } else {
         result.diagnostics.push_back("drop-based rewriting rejected: " +
                                      synced.legality.ToString());
-        if (drop_seeded) {
-          // The probe admitted a rewriting the full check rejected; its
-          // total is no longer attainable. (CheckLegality is
-          // deterministic, so this cannot happen — kept for safety.)
-          accepted_totals.erase(accepted_totals.begin());
-        }
       }
     } else {
       result.diagnostics.push_back("drop-based rewriting not possible: " +

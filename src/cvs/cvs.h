@@ -46,7 +46,8 @@ struct CvsOptions {
   // Keep only the k best rewritings (0 = keep all). With k > 0 the
   // candidate pull loop stops as soon as the stream's next lower bound
   // reaches the k-th best accepted total — the returned prefix is
-  // provably the same top-k the exhaustive run would rank first.
+  // provably the same top-k the exhaustive run would rank first. EveSystem
+  // runs every view with k = 1.
   size_t top_k = 0;
   // Hard cap on candidates pulled from the stream per synchronization
   // (0 = no extra cap beyond replacement.max_results). When it fires, a

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <optional>
 #include <queue>
@@ -343,16 +342,7 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
   // Accepted replacement-based rewritings in arrival (lower-bound) order;
   // the drop-based rewriting is appended after the loop, as before.
   std::vector<SynchronizedView> accepted;
-  std::multiset<double> accepted_totals;
-  const double kInf = std::numeric_limits<double>::infinity();
-  auto kth_best = [&]() -> double {
-    if (options.top_k == 0 || accepted_totals.size() < options.top_k) {
-      return kInf;
-    }
-    auto it = accepted_totals.begin();
-    std::advance(it, options.top_k - 1);
-    return *it;
-  };
+  TopKBound top_k(options.top_k);
 
   // Probe the drop-based rewriting up front so its cost participates in
   // the top-k bound; the real rewriting (with its proper name) is built
@@ -375,10 +365,9 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
       const LegalityReport legality = CheckLegality(
           view, probe.value(), change, mkb_prime, drop_extent, {});
       if (legality.legal() || !options.require_view_extent) {
-        accepted_totals.insert(
-            ScoreRewriting(view, probe.value(), legality.inferred_extent,
-                           model)
-                .total);
+        top_k.SetDrop(ScoreRewriting(view, probe.value(),
+                                     legality.inferred_extent, model)
+                          .total);
       }
     }
   }
@@ -402,12 +391,12 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
       deadline_partial = true;
       break;
     }
-    const double bound = kth_best();
-    if (bound < kInf && heap.top().lower_bound >= bound) {
+    if (top_k.Excludes(heap.top().lower_bound)) {
       result.enumeration.terminated_early = true;
       std::ostringstream note;
       note << "top-k early termination: next candidate lower bound "
-           << heap.top().lower_bound << " >= k-th best cost " << bound
+           << heap.top().lower_bound << " >= k-th best cost "
+           << top_k.KthBest()
            << " with " << heap.size() << " queue states unexplored";
       result.diagnostics.push_back(note.str());
       break;
@@ -503,7 +492,7 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
       ++result.enumeration.candidates_rejected;
       continue;
     }
-    accepted_totals.insert(synced.cost.total);
+    top_k.AddCandidate(synced.cost.total);
     accepted.push_back(std::move(synced));
   }
   result.enumeration.states_pending = heap.size();

@@ -587,7 +587,10 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
         slots[i].emplace(injected);
         return;
       }
+      // Only the front rewriting is committed, and the top-1 bound stops
+      // the search once it is proven to be the exhaustive run's front.
       CvsOptions view_options = options_;
+      view_options.top_k = 1;
       view_options.replacement.token = tokens[i];
       slots[i].emplace(Synchronize(views_.at(affected[i]).definition, change,
                                    context, view_options));

@@ -143,6 +143,9 @@ struct DryRunReport {
 
 class EveSystem {
  public:
+  // `options` configures every view's CVS run, except that top_k is always
+  // 1: a change commits only the best rewriting, and the top-1 bound
+  // proves that rewriting without ranking the rest.
   explicit EveSystem(Mkb mkb, CvsOptions options = {});
 
   // The live (tip) MKB. Reads through the pinned tip snapshot, so copies
@@ -287,11 +290,9 @@ class EveSystem {
   void SetSyncParallelism(size_t threads);
   size_t sync_parallelism() const { return sync_parallelism_; }
 
-  // Per-sync enumeration knobs, threaded into every CVS run (including the
-  // parallel batch path — they only narrow each view's private search, so
-  // reports stay byte-identical across thread counts). 0 disables either.
-  void SetSyncTopK(size_t k) { options_.top_k = k; }
-  size_t sync_top_k() const { return options_.top_k; }
+  // Per-sync candidate cap, threaded into every CVS run (including the
+  // parallel batch path — it only narrows each view's private search, so
+  // reports stay byte-identical across thread counts). 0 disables it.
   void SetSyncCandidateBudget(size_t budget) {
     options_.candidate_budget = budget;
   }

@@ -5,44 +5,10 @@
 #include <optional>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/str_util.h"
 
 namespace eve {
-
-namespace {
-
-// Union-find over relation names.
-class UnionFind {
- public:
-  void Add(const std::string& x) { parent_.emplace(x, x); }
-  std::string Find(const std::string& x) {
-    std::string root = x;
-    while (parent_.at(root) != root) root = parent_.at(root);
-    // Path compression.
-    std::string cur = x;
-    while (parent_.at(cur) != root) {
-      std::string next = parent_.at(cur);
-      parent_[cur] = root;
-      cur = next;
-    }
-    return root;
-  }
-  // Returns true if a merge happened (they were separate).
-  bool Unite(const std::string& a, const std::string& b) {
-    const std::string ra = Find(a);
-    const std::string rb = Find(b);
-    if (ra == rb) return false;
-    parent_[ra] = rb;
-    return true;
-  }
-
- private:
-  std::unordered_map<std::string, std::string> parent_;
-};
-
-}  // namespace
 
 std::string JoinTree::ToString() const {
   if (relations.empty()) return "(empty)";
@@ -217,106 +183,207 @@ std::vector<JoinTree> JoinGraph::FindConnectingTrees(
 }
 
 JoinTreeEnumerator::JoinTreeEnumerator(
-    const JoinGraph& graph, std::set<std::string> required,
+    const JoinGraph& graph, const std::set<std::string>& required,
     std::vector<JoinConstraint> mandatory_edges,
     const JoinTreeSearchOptions& options)
     : graph_(&graph),
-      required_(std::move(required)),
       mandatory_edges_(std::move(mandatory_edges)),
       token_(options.token) {
-  if (required_.empty()) return;  // frontier stays empty: exhausted
-  for (const std::string& rel : required_) {
-    if (graph_->IndexOf(rel) == JoinGraph::kNpos) return;  // relation gone
+  if (required.empty()) return;  // frontier stays empty: exhausted
+  // `required` is name-sorted and so is relations_, so the seed comes out
+  // sorted by index.
+  std::vector<uint32_t> seed;
+  seed.reserve(required.size());
+  for (const std::string& rel : required) {
+    const size_t index = graph_->IndexOf(rel);
+    if (index == JoinGraph::kNpos) return;  // relation gone
+    seed.push_back(static_cast<uint32_t>(index));
   }
   // Fail fast on unreachable requests: a spanning tree can only exist
   // inside one connected component, so there is no point growing sets.
-  const std::string& first = *required_.begin();
-  for (const std::string& rel : required_) {
-    if (!graph_->SameComponent(first, rel)) return;
-  }
-  for (const JoinConstraint& edge : mandatory_edges_) {
-    if (required_.count(edge.lhs) == 0 || required_.count(edge.rhs) == 0) {
-      return;  // mandatory edge endpoint outside the required set
+  for (const uint32_t rel : seed) {
+    if (graph_->component_id_[rel] != graph_->component_id_[seed.front()]) {
+      return;
     }
   }
   for (const JoinConstraint& edge : mandatory_edges_) {
-    mandatory_ids_.insert(edge.id);
+    const size_t lhs = graph_->IndexOf(edge.lhs);
+    const size_t rhs = graph_->IndexOf(edge.rhs);
+    if (!std::binary_search(seed.begin(), seed.end(), lhs) ||
+        !std::binary_search(seed.begin(), seed.end(), rhs)) {
+      return;  // mandatory edge endpoint outside the required set
+    }
+    mandatory_ends_.emplace_back(static_cast<uint32_t>(lhs),
+                                 static_cast<uint32_t>(rhs));
+    mandatory_ids_.push_back(edge.id);
   }
-  max_relations_ = required_.size() + options.max_extra_relations;
+  std::sort(mandatory_ids_.begin(), mandatory_ids_.end());
+  mandatory_ids_.erase(
+      std::unique(mandatory_ids_.begin(), mandatory_ids_.end()),
+      mandatory_ids_.end());
+  max_relations_ = seed.size() + options.max_extra_relations;
 
   // Static size floor: a connecting tree contains a path between every
   // pair of required relations, so its relation count is at least the
   // largest pairwise BFS distance plus one. The uniform-cost frontier
-  // starts at |required_| no matter how far apart the required relations
+  // starts at |required| no matter how far apart the required relations
   // lie; this floor is visible through NextTreeSizeLowerBound() before
-  // any set is expanded.
-  min_tree_size_ = required_.size();
-  std::vector<size_t> targets;
-  targets.reserve(required_.size());
-  for (const std::string& rel : required_) {
-    targets.push_back(graph_->IndexOf(rel));
-  }
-  for (const size_t source : targets) {
-    std::vector<size_t> dist(graph_->relations_.size(), JoinGraph::kNpos);
-    std::deque<size_t> queue{source};
-    dist[source] = 0;
-    while (!queue.empty()) {
-      const size_t at = queue.front();
-      queue.pop_front();
-      for (const size_t edge_index : graph_->IncidentEdges(at)) {
-        const auto [lhs, rhs] = graph_->endpoints_[edge_index];
-        const size_t other = lhs == at ? rhs : lhs;
-        if (dist[other] != JoinGraph::kNpos) continue;
-        dist[other] = dist[at] + 1;
-        queue.push_back(other);
+  // any set is expanded. Distances are symmetric, so a BFS from each
+  // required relation only needs to reach the required relations after
+  // it, and stops once it has.
+  min_tree_size_ = seed.size();
+  if (seed.size() > 1) {
+    constexpr uint32_t kUnseen = static_cast<uint32_t>(-1);
+    std::vector<uint32_t> dist(graph_->relations_.size(), kUnseen);
+    std::vector<uint32_t> queue;
+    for (size_t source = 0; source + 1 < seed.size(); ++source) {
+      size_t pending = seed.size() - source - 1;
+      queue.assign(1, seed[source]);
+      dist[seed[source]] = 0;
+      for (size_t head = 0; head < queue.size() && pending > 0; ++head) {
+        const uint32_t at = queue[head];
+        for (const size_t edge_index : graph_->IncidentEdges(at)) {
+          const auto [lhs, rhs] = graph_->endpoints_[edge_index];
+          const uint32_t other = static_cast<uint32_t>(lhs == at ? rhs : lhs);
+          if (dist[other] != kUnseen) continue;
+          dist[other] = dist[at] + 1;
+          queue.push_back(other);
+          if (std::binary_search(seed.begin() + source + 1, seed.end(),
+                                 other)) {
+            min_tree_size_ =
+                std::max(min_tree_size_, static_cast<size_t>(dist[other]) + 1);
+            --pending;
+          }
+        }
       }
-    }
-    for (const size_t target : targets) {
-      min_tree_size_ = std::max(min_tree_size_, dist[target] + 1);
+      for (const uint32_t visited : queue) dist[visited] = kUnseen;
     }
   }
 
-  std::vector<std::string> seed(required_.begin(), required_.end());
-  visited_.insert(seed);
-  frontier_.insert(std::move(seed));
+  level_size_ = seed.size();
+  level_ = std::move(seed);
 }
 
-// Attempts to assemble a spanning tree over `chosen` (sorted): mandatory
-// edges first, then any JC between chosen relations that merges
-// components.
-std::optional<JoinTree> JoinTreeEnumerator::TryBuildTree(
-    const std::vector<std::string>& chosen) const {
-  UnionFind uf;
-  for (const std::string& rel : chosen) uf.Add(rel);
-  JoinTree tree;
-  tree.relations = chosen;
-  for (const JoinConstraint& edge : mandatory_edges_) {
-    uf.Unite(edge.lhs, edge.rhs);
-    tree.edges.push_back(edge);
+size_t JoinTreeEnumerator::PositionIn(const uint32_t* chosen,
+                                      size_t rel) const {
+  const uint32_t* end = chosen + level_size_;
+  const uint32_t* it = std::lower_bound(chosen, end, rel);
+  return it != end && *it == rel ? static_cast<size_t>(it - chosen)
+                                 : level_size_;
+}
+
+bool JoinTreeEnumerator::TryBuildTree(const uint32_t* chosen) {
+  const size_t size = level_size_;
+  parent_.resize(size);
+  for (size_t i = 0; i < size; ++i) parent_[i] = static_cast<uint32_t>(i);
+  auto find = [&](uint32_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];  // path halving
+      x = parent_[x];
+    }
+    return x;
+  };
+  auto unite = [&](size_t a, size_t b) {
+    const uint32_t ra = find(static_cast<uint32_t>(a));
+    const uint32_t rb = find(static_cast<uint32_t>(b));
+    if (ra == rb) return false;
+    parent_[ra] = rb;
+    return true;
+  };
+  // The set is connected once size - 1 merges happened; from then on no
+  // further edge can merge anything, so the scan stops there.
+  size_t merges = 0;
+  for (const auto& [lhs, rhs] : mandatory_ends_) {
+    if (unite(PositionIn(chosen, lhs), PositionIn(chosen, rhs))) ++merges;
   }
-  for (const std::string& rel : chosen) {
-    const size_t rel_idx = graph_->IndexOf(rel);
-    if (rel_idx == JoinGraph::kNpos) continue;  // isolated relation
-    for (const size_t edge_index : graph_->IncidentEdges(rel_idx)) {
-      const JoinConstraint& jc = graph_->Edges()[edge_index];
-      if (!std::binary_search(chosen.begin(), chosen.end(), jc.Other(rel))) {
+  tree_edges_.clear();
+  const std::vector<JoinConstraint>& edges = graph_->Edges();
+  for (size_t i = 0; i < size && merges + 1 < size; ++i) {
+    for (const size_t edge_index : graph_->IncidentEdges(chosen[i])) {
+      const auto [lhs, rhs] = graph_->endpoints_[edge_index];
+      const size_t j = PositionIn(chosen, lhs == chosen[i] ? rhs : lhs);
+      if (j == size) continue;
+      // Skip a JC already included as mandatory.
+      if (!mandatory_ids_.empty() &&
+          std::binary_search(mandatory_ids_.begin(), mandatory_ids_.end(),
+                             edges[edge_index].id)) {
         continue;
       }
-      // Skip a JC already included as mandatory.
-      if (mandatory_ids_.count(jc.id) > 0) continue;
-      if (uf.Unite(jc.lhs, jc.rhs)) tree.edges.push_back(jc);
+      if (!unite(i, j)) continue;
+      tree_edges_.push_back(static_cast<uint32_t>(edge_index));
+      if (++merges + 1 == size) break;
     }
   }
-  const std::string root = uf.Find(chosen.front());
-  for (const std::string& rel : chosen) {
-    if (uf.Find(rel) != root) return std::nullopt;
+  return merges + 1 == size;
+}
+
+JoinTree JoinTreeEnumerator::MakeTree(const uint32_t* chosen) const {
+  JoinTree tree;
+  tree.relations.reserve(level_size_);
+  for (size_t i = 0; i < level_size_; ++i) {
+    tree.relations.push_back(graph_->relations_[chosen[i]]);
+  }
+  tree.edges.reserve(mandatory_edges_.size() + tree_edges_.size());
+  tree.edges = mandatory_edges_;
+  const std::vector<JoinConstraint>& edges = graph_->Edges();
+  for (const uint32_t edge_index : tree_edges_) {
+    tree.edges.push_back(edges[edge_index]);
   }
   return tree;
 }
 
+void JoinTreeEnumerator::Expand(const uint32_t* chosen) {
+  neighbors_.clear();
+  for (size_t i = 0; i < level_size_; ++i) {
+    for (const size_t edge_index : graph_->IncidentEdges(chosen[i])) {
+      const auto [lhs, rhs] = graph_->endpoints_[edge_index];
+      const size_t other = lhs == chosen[i] ? rhs : lhs;
+      if (PositionIn(chosen, other) == level_size_) {
+        neighbors_.push_back(static_cast<uint32_t>(other));
+      }
+    }
+  }
+  std::sort(neighbors_.begin(), neighbors_.end());
+  neighbors_.erase(std::unique(neighbors_.begin(), neighbors_.end()),
+                   neighbors_.end());
+  const uint32_t* end = chosen + level_size_;
+  for (const uint32_t neighbor : neighbors_) {
+    const uint32_t* pos = std::lower_bound(chosen, end, neighbor);
+    next_level_.insert(next_level_.end(), chosen, pos);
+    next_level_.push_back(neighbor);
+    next_level_.insert(next_level_.end(), pos, end);
+  }
+}
+
+void JoinTreeEnumerator::PromoteNextLevel() {
+  const size_t stride = level_size_ + 1;
+  const uint32_t* sets = next_level_.data();
+  order_.resize(next_level_.size() / stride);
+  for (size_t k = 0; k < order_.size(); ++k) {
+    order_[k] = static_cast<uint32_t>(k * stride);
+  }
+  std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
+    return std::lexicographical_compare(sets + a, sets + a + stride, sets + b,
+                                        sets + b + stride);
+  });
+  level_.clear();
+  for (const uint32_t offset : order_) {
+    if (!level_.empty() &&
+        std::equal(sets + offset, sets + offset + stride,
+                   level_.end() - static_cast<std::ptrdiff_t>(stride))) {
+      continue;  // grown from more than one set of the previous level
+    }
+    level_.insert(level_.end(), sets + offset, sets + offset + stride);
+  }
+  level_size_ = stride;
+  level_next_ = 0;
+  next_level_.clear();
+}
+
 std::optional<JoinTree> JoinTreeEnumerator::Next() {
   if (interrupted_) return std::nullopt;
-  while (!frontier_.empty()) {
+  while (!Exhausted()) {
+    if (level_next_ == level_.size()) PromoteNextLevel();
     // One frontier pop is the unit of logical work: spend it before
     // expanding, so a refused step leaves the frontier (and with it the
     // first-cut lower bound) untouched.
@@ -324,57 +391,33 @@ std::optional<JoinTree> JoinTreeEnumerator::Next() {
       interrupted_ = true;
       return std::nullopt;
     }
-    const auto top = frontier_.begin();
-    const std::vector<std::string> chosen = *top;
-    frontier_.erase(top);
+    const uint32_t* chosen = level_.data() + level_next_;
+    level_next_ += level_size_;
     ++sets_expanded_;
 
-    std::optional<JoinTree> tree = TryBuildTree(chosen);
-    if (tree.has_value()) {
+    if (TryBuildTree(chosen)) {
       // Minimal connected superset found; don't grow it further.
       ++trees_yielded_;
-      return tree;
+      return MakeTree(chosen);
     }
-    if (chosen.size() >= max_relations_) {
+    if (level_size_ >= max_relations_) {
       ++sets_cut_;  // disconnected set hit the bound: lost search subtree
       continue;
     }
     // Grow by any relation adjacent to the current set.
-    std::set<std::string> neighbors;
-    for (const std::string& rel : chosen) {
-      const size_t rel_idx = graph_->IndexOf(rel);
-      if (rel_idx == JoinGraph::kNpos) continue;
-      for (const size_t edge_index : graph_->IncidentEdges(rel_idx)) {
-        const auto [lhs, rhs] = graph_->endpoints_[edge_index];
-        const std::string& other =
-            graph_->relations_[lhs == rel_idx ? rhs : lhs];
-        if (!std::binary_search(chosen.begin(), chosen.end(), other)) {
-          neighbors.insert(other);
-        }
-      }
-    }
-    for (const std::string& neighbor : neighbors) {
-      std::vector<std::string> next;
-      next.reserve(chosen.size() + 1);
-      const auto pos =
-          std::lower_bound(chosen.begin(), chosen.end(), neighbor);
-      next.insert(next.end(), chosen.begin(), pos);
-      next.push_back(neighbor);
-      next.insert(next.end(), pos, chosen.end());
-      if (visited_.insert(next).second) {
-        frontier_.insert(std::move(next));
-      }
-    }
+    Expand(chosen);
   }
   return std::nullopt;
 }
 
 size_t JoinTreeEnumerator::NextTreeSizeLowerBound() const {
-  if (frontier_.empty()) return static_cast<size_t>(-1);
+  if (Exhausted()) return static_cast<size_t>(-1);
   // Both are admissible (the distance floor bounds every tree this
   // enumerator can ever yield, the frontier minimum bounds the remaining
   // ones), so their maximum is too.
-  return std::max(frontier_.begin()->size(), min_tree_size_);
+  const size_t smallest =
+      level_next_ < level_.size() ? level_size_ : level_size_ + 1;
+  return std::max(smallest, min_tree_size_);
 }
 
 }  // namespace eve

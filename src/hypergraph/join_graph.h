@@ -13,9 +13,11 @@
 #ifndef EVE_HYPERGRAPH_JOIN_GRAPH_H_
 #define EVE_HYPERGRAPH_JOIN_GRAPH_H_
 
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -150,6 +152,15 @@ class JoinGraph {
 // weight plus one); within one size, in lexicographic order of the sorted
 // relation vector, which makes the emission sequence fully deterministic.
 //
+// The search runs on the graph's interned relation indices. A frontier set
+// is a sorted run of indices, and the frontier is processed one size level
+// at a time: a set of size s+1 only arises from expanding a set of size s,
+// so the sets grown from one level are sorted and deduplicated once, when
+// that level is used up, and no set of visited sets is kept. relations_ is
+// sorted by name, so index order is name order and the pop order is the
+// (size, lexicographic) order of the relation-name vectors. Names and JC
+// copies are made only for the trees that are yielded.
+//
 // The enumerator borrows `graph` (and, via it, the Mkb's edge storage):
 // it must not outlive either. Callers interleave Next() with
 // NextTreeSizeLowerBound() to drive best-first merges across many
@@ -158,8 +169,10 @@ class JoinTreeEnumerator {
  public:
   // `options.max_extra_relations` bounds growth exactly as in
   // FindConnectingTrees; `options.max_results` is ignored (the caller
-  // decides how many trees to pull).
-  JoinTreeEnumerator(const JoinGraph& graph, std::set<std::string> required,
+  // decides how many trees to pull). A graph JC whose id is the id of a
+  // mandatory edge is never added to a tree a second time.
+  JoinTreeEnumerator(const JoinGraph& graph,
+                     const std::set<std::string>& required,
                      std::vector<JoinConstraint> mandatory_edges,
                      const JoinTreeSearchOptions& options);
 
@@ -176,7 +189,9 @@ class JoinTreeEnumerator {
   // far-flung required set as expensive before expanding a single set.
   size_t NextTreeSizeLowerBound() const;
 
-  bool Exhausted() const { return frontier_.empty(); }
+  bool Exhausted() const {
+    return level_next_ == level_.size() && next_level_.empty();
+  }
 
   // True once the search was stopped by options.token rather than by
   // draining the space: the frontier is intact, NextTreeSizeLowerBound()
@@ -193,32 +208,47 @@ class JoinTreeEnumerator {
   size_t trees_yielded() const { return trees_yielded_; }
 
  private:
-  std::optional<JoinTree> TryBuildTree(
-      const std::vector<std::string>& chosen) const;
+  // Whether the JC edges among `chosen` (level_size_ sorted indices) span
+  // it: mandatory edges first, then, relation by relation in index order,
+  // every incident JC that merges two components. On success tree_edges_
+  // holds the graph edge indices taken after the mandatory edges.
+  bool TryBuildTree(const uint32_t* chosen);
+  // The yielded tree over `chosen`, from tree_edges_.
+  JoinTree MakeTree(const uint32_t* chosen) const;
+  // Appends every one-relation extension of `chosen` to next_level_.
+  void Expand(const uint32_t* chosen);
+  // Makes next_level_, sorted and deduplicated, the current level.
+  void PromoteNextLevel();
+  // Position of relation index `rel` in `chosen`, or level_size_ if absent.
+  size_t PositionIn(const uint32_t* chosen, size_t rel) const;
 
   const JoinGraph* graph_;
-  std::set<std::string> required_;
   std::vector<JoinConstraint> mandatory_edges_;
-  std::set<std::string> mandatory_ids_;
+  // Per mandatory edge: its endpoints' relation indices.
+  std::vector<std::pair<uint32_t, uint32_t>> mandatory_ends_;
+  std::vector<std::string> mandatory_ids_;  // sorted, unique
   size_t max_relations_ = 0;
   // Static size floor: max pairwise BFS distance among required + 1.
   size_t min_tree_size_ = 0;
   DeadlineToken token_;
   bool interrupted_ = false;
 
-  // Uniform-cost frontier: sorted relation vectors ordered by
-  // (size, lexicographic). std::set gives both the priority queue and the
-  // dedup-by-key behavior for pending sets; visited_ remembers every set
-  // ever enqueued so regrowing along a different edge order is skipped.
-  struct SizeLexLess {
-    bool operator()(const std::vector<std::string>& a,
-                    const std::vector<std::string>& b) const {
-      if (a.size() != b.size()) return a.size() < b.size();
-      return a < b;
-    }
-  };
-  std::set<std::vector<std::string>, SizeLexLess> frontier_;
-  std::set<std::vector<std::string>> visited_;
+  // The current level: its sets, each level_size_ indices long, back to
+  // back in lexicographic order; level_next_ is the offset of the first
+  // set not yet popped. next_level_ collects the sets (of size
+  // level_size_ + 1) grown from popped sets, repeats included.
+  std::vector<uint32_t> level_;
+  size_t level_size_ = 0;
+  size_t level_next_ = 0;
+  std::vector<uint32_t> next_level_;
+
+  // Buffers reused across sets: union-find parents over positions in the
+  // set, the tree's non-mandatory edges, a set's outside neighbours, and
+  // the sort order of a level being promoted.
+  std::vector<uint32_t> parent_;
+  std::vector<uint32_t> tree_edges_;
+  std::vector<uint32_t> neighbors_;
+  std::vector<uint32_t> order_;
 
   size_t sets_expanded_ = 0;
   size_t sets_cut_ = 0;

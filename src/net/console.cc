@@ -479,11 +479,6 @@ bool Console::SetSync(const std::string& knob, const std::string& value) {
           << " expects a non-negative integer, got " << value << "\n";
     return false;
   }
-  if (EqualsIgnoreCase(knob, "TOPK")) {
-    system_.SetSyncTopK(static_cast<size_t>(parsed));
-    Out() << "sync top-k = " << parsed << "\n";
-    return true;
-  }
   if (EqualsIgnoreCase(knob, "BUDGET")) {
     system_.SetSyncCandidateBudget(static_cast<size_t>(parsed));
     Out() << "sync candidate budget = " << parsed << "\n";
@@ -516,8 +511,8 @@ bool Console::SetSync(const std::string& knob, const std::string& value) {
     Out() << "sync queue limit = " << parsed << "\n";
     return true;
   }
-  Err() << "error: SET SYNC expects TOPK, BUDGET, PARALLELISM, "
-           "WORKBUDGET, DEADLINE, WATCHDOG or QUEUE\n";
+  Err() << "error: SET SYNC expects BUDGET, PARALLELISM, WORKBUDGET, "
+           "DEADLINE, WATCHDOG or QUEUE\n";
   return false;
 }
 

@@ -3,7 +3,7 @@
 // cancellation tree), hardened ThreadPool shutdown, FederationMonitor
 // probe budgeting, and EveSystem admission control — bounded queue with
 // explicit shedding, per-change deadlines, watchdog cancellation, and the
-// cover-fan partial-result acceptance scenario at sync parallelism
+// chain-view partial-result acceptance scenario at sync parallelism
 // {1, 4, 8}. This binary runs under TSan and ASan/UBSan in CI.
 
 #include <gtest/gtest.h>
@@ -304,10 +304,11 @@ TEST(AdmissionTest, DrainStopsAtAFailingChangeAndKeepsTheRemainder) {
   ExpectAdmissionInvariant(system);
 }
 
-// The acceptance workload: a cover-fan view whose rewriting search fans
-// over 8 covers at increasing join distance (expensive), next to an anchor
-// view whose only replaceable attribute is covered at distance zero
-// (cheap). Both reference the victim R0.
+// A cover-fan view whose rewriting search fans over 8 covers at
+// increasing join distance, next to an anchor view whose only replaceable
+// attribute is covered at distance zero. Both reference the victim R0.
+// Under the top-1 bound both prove their best rewriting within a few work
+// units; the watchdog tests below use the pair for its real-time cost.
 EveSystem MakeFanSystem() {
   CoverFanMkbSpec spec;
   spec.num_covers = 8;
@@ -334,43 +335,72 @@ EveSystem MakeFanSystem() {
   return system;
 }
 
-TEST(AdmissionTest, TightBudgetYieldsPartialFanCompleteAnchorAtAnyParallelism) {
+// The acceptance workload for work budgets: on a 16-relation chain whose
+// covers sit four joins away, a view over R4 ⋈ R5 stays expensive after
+// DELETE RELATION R5 (its join-tree search expands over a hundred frontier
+// sets, most of them cut at max_extra_relations, before the top-1 bound
+// proves its best rewriting), next to an anchor view over R5 alone whose
+// best rewriting is proven after two work units.
+EveSystem MakeBudgetSystem() {
+  ChainMkbSpec spec;
+  spec.length = 16;
+  spec.cover_distance = 4;
+  const Mkb mkb = MakeChainMkb(spec).MoveValue();
+  EveSystem system(mkb);
+  ViewDefinition chain = MakeChainView(mkb, 4, 2).MoveValue();
+  chain.set_name("chain_view");
+  EXPECT_TRUE(system.RegisterView(chain).ok());
+  ViewDefinition anchor = MakeChainView(mkb, 5, 1).MoveValue();
+  anchor.set_name("anchor_view");
+  EXPECT_TRUE(system.RegisterView(anchor).ok());
+  return system;
+}
+
+TEST(AdmissionTest,
+     TightBudgetYieldsPartialChainCompleteAnchorAtAnyParallelism) {
   // First establish the unbudgeted reference: both views rewrite, nothing
   // is deadline-stopped.
-  const CapabilityChange change = CapabilityChange::DeleteRelation("R0");
-  std::string unbudgeted_fingerprint;
+  const CapabilityChange change = CapabilityChange::DeleteRelation("R5");
   {
-    EveSystem system = MakeFanSystem();
+    EveSystem system = MakeBudgetSystem();
     const Result<ChangeReport> report = system.ApplyChange(change);
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report.value().CountOutcome(ViewOutcomeKind::kRewritten), 2u);
     EXPECT_TRUE(system.last_sync_diagnostics().deadline_views.empty());
-    unbudgeted_fingerprint = report.value().ToString();
   }
 
   std::string reference_report;
   std::string reference_stats;
   for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-    EveSystem system = MakeFanSystem();
+    EveSystem system = MakeBudgetSystem();
     system.SetSyncWorkBudget(40);
     system.SetSyncParallelism(threads);
     const Result<ChangeReport> report = system.ApplyChange(change);
     ASSERT_TRUE(report.ok()) << "threads=" << threads;
 
-    // The fan view ran out of budget and returned a partial (best-prefix)
-    // result; the anchor view completed inside the same budget.
+    // The chain view ran out of budget and returned a partial
+    // (best-prefix) result; the anchor view completed inside the same
+    // budget.
     const SyncDiagnostics& diagnostics = system.last_sync_diagnostics();
     EXPECT_EQ(diagnostics.deadline_views,
-              std::vector<std::string>{"fan_view"})
+              std::vector<std::string>{"chain_view"})
         << "threads=" << threads;
     EXPECT_TRUE(system.last_sync_stats().deadline.partial);
     EXPECT_EQ(system.last_sync_stats().deadline.stop_cause,
               StopCause::kWorkBudget);
-    // Both views still end up rewritten: the budgeted prefix contains the
-    // best candidate.
-    EXPECT_EQ(report.value().CountOutcome(ViewOutcomeKind::kRewritten), 2u);
+    // The anchor view is rewritten. The chain view's prefix holds no legal
+    // rewriting yet, so it ends DISABLED, with the deadline diagnostic as
+    // its reason (the unbudgeted run above rewrites it).
+    EXPECT_EQ(report.value().CountOutcome(ViewOutcomeKind::kRewritten), 1u);
+    EXPECT_EQ(report.value().CountOutcome(ViewOutcomeKind::kDisabled), 1u);
+    EXPECT_EQ(system.GetView("anchor_view").value()->state,
+              ViewState::kActive);
+    EXPECT_EQ(system.GetView("chain_view").value()->state,
+              ViewState::kDisabled);
 
     const std::string fingerprint = report.value().ToString();
+    EXPECT_NE(fingerprint.find("deadline stopped the enumeration"),
+              std::string::npos);
     const std::string stats = system.last_sync_stats().ToString();
     if (threads == 1) {
       reference_report = fingerprint;
@@ -380,9 +410,6 @@ TEST(AdmissionTest, TightBudgetYieldsPartialFanCompleteAnchorAtAnyParallelism) {
       EXPECT_EQ(stats, reference_stats) << "threads=" << threads;
     }
   }
-  // The budgeted runs are real partials, not the unbudgeted answer in
-  // disguise (the fan view's chosen rewriting may still coincide; the
-  // stats prove the search was cut).
   EXPECT_FALSE(reference_stats.empty());
 }
 
@@ -491,13 +518,13 @@ TEST_F(AdmissionFailpointTest, ViewStartCrashIsParkedAndRethrownOnTheCaller) {
 }
 
 TEST_F(AdmissionFailpointTest, DeadlineExpiredSiteFiresOnPartialViews) {
-  EveSystem system = MakeFanSystem();
+  EveSystem system = MakeBudgetSystem();
   system.SetSyncWorkBudget(40);
   Failpoints::Instance().Arm(fp::kSyncDeadlineExpired,
                              FailpointAction::kError);
-  // The fan view is deadline-stopped, so the site fires during aggregation
-  // and the injected error aborts the change pre-commit.
-  EXPECT_FALSE(system.ApplyChange(CapabilityChange::DeleteRelation("R0")).ok());
+  // The chain view is deadline-stopped, so the site fires during
+  // aggregation and the injected error aborts the change pre-commit.
+  EXPECT_FALSE(system.ApplyChange(CapabilityChange::DeleteRelation("R5")).ok());
   EXPECT_TRUE(system.change_log().empty());
 
   // Without a budget no view is deadline-stopped and the site never fires.
@@ -505,7 +532,7 @@ TEST_F(AdmissionFailpointTest, DeadlineExpiredSiteFiresOnPartialViews) {
   Failpoints::Instance().Arm(fp::kSyncDeadlineExpired,
                              FailpointAction::kError);
   system.SetSyncWorkBudget(0);
-  EXPECT_TRUE(system.ApplyChange(CapabilityChange::DeleteRelation("R0")).ok());
+  EXPECT_TRUE(system.ApplyChange(CapabilityChange::DeleteRelation("R5")).ok());
 }
 
 // --- Concurrent admission (runs under TSan in CI) ---------------------------

@@ -2,12 +2,15 @@
 // streaming pipeline must agree with the pre-refactor eager reference
 // (same candidate set), yield in nondecreasing lower-bound order with
 // admissible bounds, and a top-k run must return exactly the prefix the
-// exhaustive run ranks first.
+// exhaustive run ranks first. In particular a top-1 run, which is what
+// EveSystem commits from, returns the exhaustive run's front, ties
+// included.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -172,23 +175,217 @@ TEST_F(CoverFanTest, TopKPrefixMatchesExhaustiveRun) {
           .value();
   ASSERT_GE(full.rewritings.size(), 4u);
 
-  CvsOptions top_k = WideOptions();
-  top_k.top_k = 4;
-  const CvsResult pruned =
-      SynchronizeDeleteRelation(view_, "R0", mkb_, mkb_prime_, top_k)
-          .value();
-  ASSERT_EQ(pruned.rewritings.size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(pruned.rewritings[i].view.ToString(),
-              full.rewritings[i].view.ToString())
-        << "rank " << i;
-    EXPECT_EQ(pruned.rewritings[i].cost.total, full.rewritings[i].cost.total);
+  // k = 1 is what EveSystem runs: it commits only the front rewriting.
+  for (const size_t k : {size_t{1}, size_t{4}}) {
+    CvsOptions top_k = WideOptions();
+    top_k.top_k = k;
+    const CvsResult pruned =
+        SynchronizeDeleteRelation(view_, "R0", mkb_, mkb_prime_, top_k)
+            .value();
+    ASSERT_EQ(pruned.rewritings.size(), k);
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(pruned.rewritings[i].view.ToString(),
+                full.rewritings[i].view.ToString())
+          << "k " << k << " rank " << i;
+      EXPECT_EQ(pruned.rewritings[i].cost.total, full.rewritings[i].cost.total)
+          << "k " << k << " rank " << i;
+    }
+    // The bound must actually fire: the full space has strictly worse
+    // candidates behind the k-th best.
+    EXPECT_TRUE(pruned.enumeration.terminated_early) << "k " << k;
+    EXPECT_LT(pruned.enumeration.candidates_yielded,
+              full.enumeration.candidates_yielded)
+        << "k " << k;
   }
-  // The bound must actually fire: the full space has strictly worse
-  // candidates behind the k-th best.
-  EXPECT_TRUE(pruned.enumeration.terminated_early);
-  EXPECT_LT(pruned.enumeration.candidates_yielded,
-            full.enumeration.candidates_yielded);
+}
+
+// The view with every FROM relation, SELECT item and WHERE condition given
+// the parameters `params_of` picks for it (by the relations it mentions).
+template <typename ParamsOf>
+ViewDefinition WithParams(const ViewDefinition& view, ParamsOf params_of) {
+  std::vector<ViewSelectItem> select = view.select();
+  for (ViewSelectItem& item : select) {
+    std::vector<AttributeRef> refs;
+    item.expr->CollectColumns(&refs);
+    item.params = params_of(refs);
+  }
+  std::vector<ViewRelation> from = view.from();
+  for (ViewRelation& rel : from) {
+    rel.params =
+        params_of(std::vector<AttributeRef>{AttributeRef{rel.name, ""}});
+  }
+  std::vector<ViewCondition> where = view.where();
+  for (ViewCondition& cond : where) {
+    std::vector<AttributeRef> refs;
+    cond.clause->CollectColumns(&refs);
+    cond.params = params_of(refs);
+  }
+  return ViewDefinition(view.name(), view.extent(), std::move(select),
+                        std::move(from), std::move(where));
+}
+
+// What EveSystem commits from a result: the front rewriting, under the
+// registered name (rewritings are numbered V', V'2, ... in the order they
+// were built, and a top-1 run builds fewer of them).
+std::string FrontFingerprint(const CvsResult& result,
+                             const std::string& name) {
+  if (!result.ViewPreserved()) {
+    std::string out = "disabled:";
+    for (const std::string& diagnostic : result.diagnostics) {
+      out += " " + diagnostic + ";";
+    }
+    return out;
+  }
+  const SynchronizedView& front = result.rewritings.front();
+  ViewDefinition view = front.view;
+  view.set_name(name);
+  std::ostringstream os;
+  os << (front.is_drop ? "drop " : "replacement ") << front.cost.total << " "
+     << front.legality.ToString() << " legal=" << front.legality.legal()
+     << "\n"
+     << view.ToString();
+  return os.str();
+}
+
+struct FrontTotals {
+  size_t compared = 0;
+  size_t preserved = 0;
+  size_t drop_fronts = 0;
+  size_t drop_seeded = 0;  // a drop-based rewriting was ranked
+  size_t stopped_early = 0;
+  size_t attribute_changes = 0;
+};
+
+// A model that charges nothing: every rewriting ties with every other, so
+// the front is decided by arrival order alone, and a drop-based rewriting
+// ranks behind every candidate.
+RewritingCostModel FlatCostModel() {
+  RewritingCostModel model;
+  model.dropped_attribute_penalty = 0.0;
+  model.dropped_condition_penalty = 0.0;
+  model.extra_relation_penalty = 0.0;
+  model.extent_directional_penalty = 0.0;
+  model.extent_unknown_penalty = 0.0;
+  return model;
+}
+
+// Runs `change` on `view` with top_k = 0 and top_k = 1 and checks that the
+// fronts agree, with and without require_view_extent, under the default
+// ranking and under a flat cost model.
+void CompareFronts(const ViewDefinition& view, const CapabilityChange& change,
+                   const Mkb& mkb, const std::string& label,
+                   FrontTotals* totals) {
+  const Result<MkbEvolutionReport> evolution = EvolveMkb(mkb, change);
+  ASSERT_TRUE(evolution.ok()) << label;
+  const SyncContext context(mkb, evolution.value().mkb);
+  for (const int setting : {0, 1, 2, 3}) {
+    const bool require_extent = setting % 2 == 0;
+    CvsOptions exhaustive;
+    exhaustive.require_view_extent = require_extent;
+    if (setting >= 2) exhaustive.cost_model = FlatCostModel();
+    CvsOptions top_one = exhaustive;
+    top_one.top_k = 1;
+    const Result<CvsResult> full = Synchronize(view, change, context,
+                                               exhaustive);
+    const Result<CvsResult> front = Synchronize(view, change, context,
+                                                top_one);
+    ASSERT_EQ(full.ok(), front.ok()) << label;
+    if (!full.ok()) continue;
+    ++totals->compared;
+    if (change.kind == CapabilityChange::Kind::kDeleteAttribute) {
+      ++totals->attribute_changes;
+    }
+    EXPECT_EQ(FrontFingerprint(front.value(), view.name()),
+              FrontFingerprint(full.value(), view.name()))
+        << label << " setting " << setting;
+    EXPECT_LE(front.value().rewritings.size(), 1u) << label;
+    if (full.value().ViewPreserved()) {
+      ++totals->preserved;
+      if (full.value().rewritings.front().is_drop) ++totals->drop_fronts;
+    }
+    for (const SynchronizedView& rewriting : full.value().rewritings) {
+      if (rewriting.is_drop) ++totals->drop_seeded;
+    }
+    if (front.value().enumeration.terminated_early) ++totals->stopped_early;
+  }
+}
+
+TEST(EnumerationEquivalence, TopOneFrontMatchesExhaustiveFront) {
+  // Random federations and a whatif-style chain (covers four joins away),
+  // every FROM relation of each view deleted in turn, and its payload
+  // attribute deleted too. Each view runs in three parameter settings:
+  // as generated (nothing dispensable), with the victim's components
+  // dispensable (the drop-based rewriting is probed before the pull loop
+  // and seeds the top-1 bound), and with every component dispensable.
+  std::vector<std::pair<std::string, Mkb>> mkbs;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    RandomMkbSpec spec;
+    spec.num_relations = 10;
+    spec.seed = seed;
+    mkbs.emplace_back("random " + std::to_string(seed),
+                      MakeRandomMkb(spec).MoveValue());
+  }
+  ChainMkbSpec chain;
+  chain.length = 12;
+  chain.cover_distance = 4;
+  mkbs.emplace_back("chain", MakeChainMkb(chain).MoveValue());
+
+  FrontTotals totals;
+  for (const auto& [mkb_label, mkb] : mkbs) {
+    std::mt19937_64 rng(mkbs.size() + mkb_label.size());
+    std::vector<ViewDefinition> views;
+    for (size_t i = 0; i < 3; ++i) {
+      Result<ViewDefinition> view = MakeRandomConnectedView(mkb, &rng, 3);
+      if (view.ok()) views.push_back(view.MoveValue());
+    }
+    if (mkb_label == "chain") {
+      for (size_t start = 0; start + 3 <= 9; start += 3) {
+        views.push_back(MakeChainView(mkb, start, 3).MoveValue());
+      }
+    }
+    for (size_t v = 0; v < views.size(); ++v) {
+      const ViewDefinition& generated = views[v];
+      for (const ViewRelation& victim : generated.from()) {
+        const std::string& r = victim.name;
+        const auto touches_r = [&](const std::vector<AttributeRef>& refs) {
+          return std::any_of(refs.begin(), refs.end(),
+                             [&](const AttributeRef& ref) {
+                               return ref.relation == r;
+                             });
+        };
+        const std::vector<ViewDefinition> variants{
+            generated,
+            WithParams(generated,
+                       [&](const std::vector<AttributeRef>& refs) {
+                         return EvolutionParams{touches_r(refs), true};
+                       }),
+            WithParams(generated, [](const std::vector<AttributeRef>&) {
+              return EvolutionParams{true, true};
+            })};
+        for (size_t variant = 0; variant < variants.size(); ++variant) {
+          const std::string label = mkb_label + " view " + std::to_string(v) +
+                                    " victim " + r + " variant " +
+                                    std::to_string(variant);
+          CompareFronts(variants[variant],
+                        CapabilityChange::DeleteRelation(r), mkb, label,
+                        &totals);
+          for (const AttributeRef& attr : generated.AttributesOf(r)) {
+            CompareFronts(variants[variant],
+                          CapabilityChange::DeleteAttribute(r, attr.attribute),
+                          mkb, label + " attribute " + attr.attribute,
+                          &totals);
+          }
+        }
+      }
+    }
+  }
+  // The sweep must reach the cases the top-1 bound treats differently.
+  EXPECT_GE(totals.compared, 2000u);
+  EXPECT_GE(totals.preserved, 1500u);
+  EXPECT_GE(totals.drop_fronts, 500u);
+  EXPECT_GE(totals.drop_seeded, 1000u);
+  EXPECT_GE(totals.stopped_early, 300u);
+  EXPECT_GE(totals.attribute_changes, 1000u);
 }
 
 TEST_F(CoverFanTest, LowerBoundsAreAdmissible) {

@@ -1,0 +1,383 @@
+// Differential test of JoinTreeEnumerator against the string-keyed
+// enumerator it replaced (legacy_join_tree_enumerator.h). Both run side by
+// side on seeded random join graphs — chains with skip edges, grids,
+// stars, parallel JCs, disconnected components, plain random graphs, and
+// graphs with a relation erased — with random required sets, mandatory
+// edges, growth bounds and work budgets. After every Next() the two must
+// agree on the yielded tree (relations and edge ids, in order), the
+// expansion and cut counters, NextTreeSizeLowerBound(), Exhausted() and
+// interrupted(), so a budget stops both at the same step.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <random>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/cancellation.h"
+#include "hypergraph/join_graph.h"
+#include "legacy_join_tree_enumerator.h"
+#include "mkb/mkb.h"
+
+namespace eve {
+namespace {
+
+using Edge = std::pair<size_t, size_t>;
+
+// Relation names in a seeded random order, so that name order (the
+// interning order) differs from the order the generator numbers them in.
+std::vector<std::string> RelationNames(size_t n, std::mt19937_64* rng) {
+  std::vector<std::string> names;
+  for (size_t i = 0; i < n; ++i) names.push_back("R" + std::to_string(i));
+  std::shuffle(names.begin(), names.end(), *rng);
+  return names;
+}
+
+// An Mkb whose JCs are `edges` over relations `names`. JC ids are shuffled
+// too, so an edge's id order differs from its insertion (incident-edge)
+// order. Parallel edges between one pair get distinct ids and links.
+Mkb BuildMkb(const std::vector<std::string>& names,
+             const std::vector<Edge>& edges, std::mt19937_64* rng) {
+  std::vector<size_t> id_numbers(edges.size());
+  for (size_t k = 0; k < edges.size(); ++k) id_numbers[k] = k;
+  std::shuffle(id_numbers.begin(), id_numbers.end(), *rng);
+  std::vector<std::vector<AttributeDef>> attrs(names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    attrs[i].push_back({"P", DataType::kInt});
+  }
+  for (size_t k = 0; k < edges.size(); ++k) {
+    const std::string link = "K" + std::to_string(k);
+    attrs[edges[k].first].push_back({link, DataType::kInt});
+    attrs[edges[k].second].push_back({link, DataType::kInt});
+  }
+  Mkb mkb;
+  for (size_t i = 0; i < names.size(); ++i) {
+    RelationDef def;
+    def.source = "IS" + names[i];
+    def.name = names[i];
+    def.schema = Schema(std::move(attrs[i]));
+    EXPECT_TRUE(mkb.AddRelation(std::move(def)).ok());
+  }
+  for (size_t k = 0; k < edges.size(); ++k) {
+    const std::string link = "K" + std::to_string(k);
+    JoinConstraint jc;
+    jc.id = "J" + std::to_string(id_numbers[k]);
+    jc.lhs = names[edges[k].first];
+    jc.rhs = names[edges[k].second];
+    jc.clauses.push_back(Expr::ColumnsEqual(AttributeRef{jc.lhs, link},
+                                            AttributeRef{jc.rhs, link}));
+    EXPECT_TRUE(mkb.AddJoinConstraint(std::move(jc)).ok());
+  }
+  return mkb;
+}
+
+enum class Family {
+  kChain,
+  kGrid,
+  kStar,
+  kParallel,
+  kComponents,
+  kRandom,
+  kCount
+};
+
+const char* FamilyName(Family family) {
+  switch (family) {
+    case Family::kChain: return "chain";
+    case Family::kGrid: return "grid";
+    case Family::kStar: return "star";
+    case Family::kParallel: return "parallel";
+    case Family::kComponents: return "components";
+    case Family::kRandom: return "random";
+    case Family::kCount: break;
+  }
+  return "?";
+}
+
+// Random edges over `n` relations: a random spanning tree plus extras
+// with probability `p` per pair.
+void AddRandomGraph(size_t offset, size_t n, double p, std::mt19937_64* rng,
+                    std::vector<Edge>* edges) {
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  for (size_t i = 1; i < n; ++i) {
+    const size_t parent = std::uniform_int_distribution<size_t>(0, i - 1)(*rng);
+    edges->emplace_back(offset + parent, offset + i);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 2; j < n; ++j) {
+      if (coin(*rng) < p) edges->emplace_back(offset + i, offset + j);
+    }
+  }
+}
+
+// Relation count and edges of one graph of `family`.
+std::pair<size_t, std::vector<Edge>> MakeGraph(Family family,
+                                               std::mt19937_64* rng) {
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  auto pick = [&](size_t lo, size_t hi) {
+    return std::uniform_int_distribution<size_t>(lo, hi)(*rng);
+  };
+  std::vector<Edge> edges;
+  size_t n = 0;
+  switch (family) {
+    case Family::kChain: {
+      n = pick(3, 14);
+      const double skip = coin(*rng);
+      for (size_t i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
+      for (size_t i = 0; i + 2 < n; ++i) {
+        if (coin(*rng) < skip) edges.emplace_back(i, i + 2);
+      }
+      break;
+    }
+    case Family::kGrid: {
+      const size_t rows = pick(2, 4);
+      const size_t cols = pick(2, 4);
+      n = rows * cols;
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < cols; ++c) {
+          const size_t at = r * cols + c;
+          if (c + 1 < cols) edges.emplace_back(at, at + 1);
+          if (r + 1 < rows) edges.emplace_back(at, at + cols);
+        }
+      }
+      break;
+    }
+    case Family::kStar: {
+      n = pick(3, 12);
+      for (size_t i = 1; i < n; ++i) edges.emplace_back(0, i);
+      // A few rim edges between spokes.
+      for (size_t i = 1; i + 1 < n; ++i) {
+        if (coin(*rng) < 0.2) edges.emplace_back(i, i + 1);
+      }
+      break;
+    }
+    case Family::kParallel: {
+      n = pick(3, 9);
+      AddRandomGraph(0, n, 0.2, rng, &edges);
+      const size_t base = edges.size();
+      for (size_t k = 0; k < base; ++k) {
+        const size_t copies = pick(0, 2);
+        for (size_t c = 0; c < copies; ++c) edges.push_back(edges[k]);
+      }
+      std::shuffle(edges.begin(), edges.end(), *rng);
+      break;
+    }
+    case Family::kComponents: {
+      const size_t parts = pick(2, 3);
+      for (size_t part = 0; part < parts; ++part) {
+        const size_t size = pick(1, 6);
+        AddRandomGraph(n, size, 0.25, rng, &edges);
+        n += size;
+      }
+      // An isolated relation now and then.
+      if (coin(*rng) < 0.5) ++n;
+      break;
+    }
+    case Family::kRandom: {
+      n = pick(4, 12);
+      AddRandomGraph(0, n, coin(*rng) * 0.4, rng, &edges);
+      break;
+    }
+    case Family::kCount:
+      break;
+  }
+  // Random endpoint orientation: lhs is not always the smaller name.
+  for (Edge& edge : edges) {
+    if (coin(*rng) < 0.5) std::swap(edge.first, edge.second);
+  }
+  return {n, edges};
+}
+
+std::string TreeKey(const JoinTree& tree) {
+  std::ostringstream os;
+  for (const std::string& rel : tree.relations) os << rel << ",";
+  os << "|";
+  for (const JoinConstraint& edge : tree.edges) {
+    os << edge.id << "(" << edge.lhs << "," << edge.rhs << ")";
+  }
+  return os.str();
+}
+
+struct Totals {
+  size_t cases = 0;
+  size_t trees = 0;
+  size_t interrupted = 0;
+  size_t cut = 0;
+  size_t with_mandatory = 0;
+  size_t floor_above_frontier = 0;
+};
+
+// Runs both enumerators to the end (or to their budget) and compares them
+// after every step.
+void CompareOne(const JoinGraph& graph, const std::set<std::string>& required,
+                const std::vector<JoinConstraint>& mandatory,
+                size_t max_extra, uint64_t budget, const std::string& label,
+                Totals* totals) {
+  JoinTreeSearchOptions options;
+  options.max_extra_relations = max_extra;
+  JoinTreeSearchOptions legacy_options = options;
+  if (budget > 0) {
+    options.token = DeadlineToken::Root({budget, 0});
+    legacy_options.token = DeadlineToken::Root({budget, 0});
+  }
+  JoinTreeEnumerator current(graph, required, mandatory, options);
+  legacy::JoinTreeEnumerator oracle(graph, required, mandatory,
+                                    legacy_options);
+  ++totals->cases;
+  if (!mandatory.empty()) ++totals->with_mandatory;
+  auto same_state = [&](size_t step) {
+    SCOPED_TRACE(label + " step " + std::to_string(step));
+    EXPECT_EQ(current.sets_expanded(), oracle.sets_expanded());
+    EXPECT_EQ(current.sets_cut(), oracle.sets_cut());
+    EXPECT_EQ(current.trees_yielded(), oracle.trees_yielded());
+    EXPECT_EQ(current.NextTreeSizeLowerBound(),
+              oracle.NextTreeSizeLowerBound());
+    EXPECT_EQ(current.Exhausted(), oracle.Exhausted());
+    EXPECT_EQ(current.interrupted(), oracle.interrupted());
+    EXPECT_EQ(options.token.work_spent(), legacy_options.token.work_spent());
+    return current.sets_expanded() == oracle.sets_expanded() &&
+           current.Exhausted() == oracle.Exhausted();
+  };
+  if (!same_state(0)) return;
+  if (!current.Exhausted() && current.sets_expanded() == 0 &&
+      current.NextTreeSizeLowerBound() > required.size()) {
+    ++totals->floor_above_frontier;
+  }
+  for (size_t step = 1; step <= 2000; ++step) {
+    const std::optional<JoinTree> got = current.Next();
+    const std::optional<JoinTree> want = oracle.Next();
+    ASSERT_EQ(got.has_value(), want.has_value())
+        << label << " step " << step;
+    if (got.has_value()) {
+      EXPECT_EQ(TreeKey(*got), TreeKey(*want)) << label << " step " << step;
+      ++totals->trees;
+    }
+    if (!same_state(step)) return;
+    if (!got.has_value()) {
+      if (current.interrupted()) ++totals->interrupted;
+      if (current.sets_cut() > 0) ++totals->cut;
+      // A finished or stopped enumerator stays that way.
+      EXPECT_FALSE(current.Next().has_value()) << label;
+      EXPECT_FALSE(oracle.Next().has_value()) << label;
+      same_state(step + 1);
+      return;
+    }
+  }
+  ADD_FAILURE() << label << ": did not finish within 2000 steps";
+}
+
+TEST(JoinTreeEnumeratorDifferential, MatchesLegacyEnumeratorStepByStep) {
+  Totals totals;
+  std::mt19937_64 rng(20261017);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  auto pick = [&](size_t lo, size_t hi) {
+    return std::uniform_int_distribution<size_t>(lo, hi)(rng);
+  };
+  for (size_t graph_case = 0; graph_case < 600; ++graph_case) {
+    const Family family =
+        static_cast<Family>(graph_case % static_cast<size_t>(Family::kCount));
+    const auto [n, edges] = MakeGraph(family, &rng);
+    const std::vector<std::string> names = RelationNames(n, &rng);
+    const Mkb mkb = BuildMkb(names, edges, &rng);
+    JoinGraph graph = JoinGraph::Build(mkb);
+    std::string graph_label =
+        std::string(FamilyName(family)) + " #" + std::to_string(graph_case);
+    // Every third graph loses a relation: the enumerator then runs on an
+    // EraseRelation result, which owns its edges.
+    if (graph_case % 3 == 2) {
+      const std::string& gone = names[pick(0, n - 1)];
+      graph = graph.EraseRelation(gone);
+      graph_label += " minus " + gone;
+    }
+    const std::vector<std::string>& relations = graph.relations();
+    if (relations.empty()) continue;
+
+    for (size_t query = 0; query < 8; ++query) {
+      std::set<std::string> required;
+      const size_t want = pick(1, std::min<size_t>(4, relations.size()));
+      while (required.size() < want) {
+        required.insert(relations[pick(0, relations.size() - 1)]);
+      }
+      if (coin(rng) < 0.03) required.insert("Ghost");  // not in the graph
+      if (coin(rng) < 0.02) required.clear();
+      // Mandatory edges: graph JCs with both endpoints required, now and
+      // then one leaving the required set, and one JC the graph lacks
+      // between two required relations. Half of those reuse the id of a
+      // graph JC elsewhere, which neither enumerator may then add.
+      std::vector<JoinConstraint> mandatory;
+      for (const std::string& rel : required) {
+        if (!graph.HasRelation(rel)) continue;
+        for (const JoinGraph::Neighbor& neighbor : graph.Neighbors(rel)) {
+          if (required.count(neighbor.relation) > 0 && coin(rng) < 0.3) {
+            mandatory.push_back(neighbor.edge);
+          }
+        }
+      }
+      if (!required.empty() && coin(rng) < 0.05 &&
+          !graph.Neighbors(*required.begin()).empty()) {
+        mandatory.push_back(graph.Neighbors(*required.begin()).front().edge);
+      }
+      if (required.size() >= 2 && coin(rng) < 0.15) {
+        JoinConstraint foreign;
+        foreign.id = "X" + std::to_string(query);
+        const std::string& donor = relations[pick(0, relations.size() - 1)];
+        if (coin(rng) < 0.5 && !graph.Neighbors(donor).empty()) {
+          foreign.id = graph.Neighbors(donor).back().edge.id;
+        }
+        foreign.lhs = *required.begin();
+        foreign.rhs = *required.rbegin();
+        mandatory.push_back(foreign);
+      }
+      const size_t max_extra = pick(0, 4);
+      const uint64_t budget = coin(rng) < 0.35 ? pick(1, 30) : 0;
+      CompareOne(graph, required, mandatory, max_extra, budget,
+                 graph_label + " query " + std::to_string(query), &totals);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  // The sweep must reach every behaviour it is meant to compare.
+  EXPECT_GE(totals.cases, 4000u);
+  EXPECT_GE(totals.trees, 5000u);
+  EXPECT_GE(totals.interrupted, 100u);
+  EXPECT_GE(totals.cut, 500u);
+  EXPECT_GE(totals.with_mandatory, 1000u);
+  EXPECT_GE(totals.floor_above_frontier, 500u);
+}
+
+TEST(JoinTreeEnumeratorDifferential, FindConnectingTreesKeepsItsOrder) {
+  // The drain wrapper over a chain with skip edges: the same trees, in the
+  // same order, as draining the legacy enumerator.
+  std::mt19937_64 rng(7);
+  std::vector<Edge> edges;
+  for (size_t i = 0; i + 1 < 10; ++i) edges.emplace_back(i, i + 1);
+  for (size_t i = 0; i + 2 < 10; ++i) edges.emplace_back(i, i + 2);
+  const std::vector<std::string> names = RelationNames(10, &rng);
+  const Mkb mkb = BuildMkb(names, edges, &rng);
+  const JoinGraph graph = JoinGraph::Build(mkb);
+  JoinTreeSearchOptions options;
+  options.max_extra_relations = 3;
+  options.max_results = 40;
+  const std::set<std::string> required{names[0], names[5]};
+  const std::vector<JoinTree> trees =
+      graph.FindConnectingTrees(required, {}, options);
+  legacy::JoinTreeEnumerator oracle(graph, required, {}, options);
+  std::vector<std::string> want;
+  while (want.size() < options.max_results) {
+    const std::optional<JoinTree> tree = oracle.Next();
+    if (!tree.has_value()) break;
+    want.push_back(TreeKey(*tree));
+  }
+  std::vector<std::string> got;
+  for (const JoinTree& tree : trees) got.push_back(TreeKey(tree));
+  EXPECT_EQ(got, want);
+  EXPECT_GE(got.size(), 10u);
+}
+
+}  // namespace
+}  // namespace eve

@@ -124,16 +124,15 @@ TEST(ParallelSyncTest, ApplyChangesBatchIsDeterministicAcrossThreadCounts) {
 }
 
 TEST(ParallelSyncTest, TopKAndBudgetAreDeterministicAcrossThreadCounts) {
-  // The top-k / candidate-budget knobs narrow each view's private
-  // enumeration; they must not perturb determinism — reports, pools and
-  // the aggregated enumeration stats stay byte-identical at any
-  // parallelism.
+  // EveSystem's top-1 bound and the candidate-budget knob narrow each
+  // view's private enumeration; they must not perturb determinism —
+  // reports, pools and the aggregated enumeration stats stay
+  // byte-identical at any parallelism.
   const CapabilityChange change = CapabilityChange::DeleteRelation("R1");
   std::string reference_fingerprint;
   std::string reference_stats;
   for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
     EveSystem system = MakeBatchSystem(24);
-    system.SetSyncTopK(2);
     system.SetSyncCandidateBudget(16);
     system.SetSyncParallelism(threads);
     const Result<ChangeReport> report = system.ApplyChange(change);

@@ -31,9 +31,6 @@
 //   DEFINE <MISD statement>;              -- a source publishes a relation
 //                                            or constraint (additive)
 //   RETRACT <constraint id>;              -- a source withdraws a constraint
-//   SET SYNC TOPK <k>;                    -- keep only the k best rewritings
-//                                            per view (0 = all); enables
-//                                            early termination in CVS
 //   SET SYNC BUDGET <n>;                  -- cap candidates pulled per view
 //                                            synchronization (0 = no cap)
 //   SET SYNC PARALLELISM <n>;             -- threads for batch sync (0/1 =
