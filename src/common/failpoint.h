@@ -51,12 +51,15 @@ inline constexpr char kSourceLeavesBeforeCommit[] =
 inline constexpr char kSetMembershipAfterJournal[] =
     "eve.set_membership.after_journal";
 // Cancellation safe points (see common/cancellation.h). view_start fires
-// at the top of each per-view synchronization task (worker thread when
-// sync parallelism > 1; a crash is parked and rethrown on the caller in
-// slot order); deadline_expired fires on the caller thread, in view-name
-// order, for each view whose search was stopped by its DeadlineToken, so
-// an armed error converts a partial result into an explicit failure. The admission sites bracket the
-// bounded sync queue (eve/eve_system.h EnqueueChange / DrainSyncQueue).
+// at the top of each per-view synchronization task (on a pool worker when
+// a delete fans out over two or more views, which it does by default; a
+// crash is parked and rethrown on the caller in slot order, and an error
+// armed for the Nth hit may land on any view of the fan-out);
+// deadline_expired fires on the caller thread, in view-name order, for
+// each view whose search was stopped by its DeadlineToken, so an armed
+// error converts a partial result into an explicit failure. The admission
+// sites bracket the bounded sync queue (eve/eve_system.h EnqueueChange /
+// DrainSyncQueue).
 inline constexpr char kSyncViewStart[] = "eve.sync.view_start";
 inline constexpr char kSyncDeadlineExpired[] = "eve.sync.deadline_expired";
 inline constexpr char kAdmissionEnqueue[] = "eve.admission.enqueue";

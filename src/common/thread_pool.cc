@@ -10,6 +10,7 @@
 
 #if defined(__linux__)
 #include <pthread.h>
+#include <sched.h>
 #endif
 
 namespace eve {
@@ -177,6 +178,18 @@ void ParallelFor(ThreadPool* pool, size_t n, std::function<void(size_t)> fn) {
   state->cv.wait(lock, [&] {
     return state->done.load(std::memory_order_acquire) == state->total;
   });
+}
+
+size_t AvailableCpus() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int count = CPU_COUNT(&mask);
+    if (count > 0) return static_cast<size_t>(count);
+  }
+#endif
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 
 }  // namespace eve

@@ -85,6 +85,11 @@ class ThreadPool {
 void ParallelFor(ThreadPool* pool, size_t n,
                  std::function<void(size_t)> fn);
 
+// The number of CPUs the calling process may run on: its scheduler
+// affinity mask, or std::thread::hardware_concurrency() where the mask is
+// unavailable. Never 0.
+size_t AvailableCpus();
+
 }  // namespace eve
 
 #endif  // EVE_COMMON_THREAD_POOL_H_

@@ -461,14 +461,16 @@ std::vector<std::string> EveSystem::AffectedViews(
 }
 
 void EveSystem::SetSyncParallelism(size_t threads) {
-  sync_parallelism_ = threads;
-  if (threads <= 1) {
-    sync_pool_.reset();
-  } else {
-    // The calling thread participates in ParallelFor, so the pool carries
-    // one worker fewer than the requested parallelism.
-    sync_pool_ = std::make_shared<ThreadPool>(threads - 1);
-  }
+  sync_pool_ = std::make_shared<SyncPool>(threads);
+}
+
+ThreadPool* EveSystem::SyncPool::Get() {
+  if (threads <= 1) return nullptr;
+  // The calling thread participates in ParallelFor, so the pool carries
+  // one worker fewer than the parallelism.
+  std::call_once(started_,
+                 [this] { pool_ = std::make_unique<ThreadPool>(threads - 1); });
+  return pool_.get();
 }
 
 Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
@@ -514,10 +516,10 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
   //
   // The per-view CVS runs are independent of each other: they read the
   // shared SyncContext (MKB, MKB', and the lazily built join graph of
-  // MKB') and write private result slots, so they fan out across the sync
-  // pool. Everything order-dependent — outcome assembly, journaling, the
-  // commit — happens on this thread in view-name order, making the
-  // result byte-identical at any parallelism.
+  // MKB') and write private result slots, so a delete's runs fan out
+  // across the sync pool. Everything order-dependent — outcome assembly,
+  // journaling, the commit — happens on this thread in view-name order,
+  // making the result byte-identical at any parallelism.
   std::map<std::string, RegisteredView> next_views;
   for (const std::string& name : affected) {
     next_views.emplace(name, views_.at(name));
@@ -573,9 +575,16 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
         });
   }
 
+  // Only deletes run CVS enumeration; a rename's per-view rewrite is
+  // cheaper than waking a worker, and one view needs no pool at all.
+  const bool fan_out =
+      (change.kind == CapabilityChange::Kind::kDeleteRelation ||
+       change.kind == CapabilityChange::Kind::kDeleteAttribute) &&
+      affected.size() >= 2;
+  ThreadPool* const pool = fan_out ? sync_pool_->Get() : nullptr;
   std::vector<std::optional<Result<CvsResult>>> slots(affected.size());
   std::vector<std::exception_ptr> crashes(affected.size());
-  ParallelFor(sync_pool_.get(), affected.size(), [&](size_t i) {
+  ParallelFor(pool, affected.size(), [&](size_t i) {
     try {
       // Cancellation safe point and failpoint at the top of every per-view
       // task: an injected error fails just this view's synchronization; an

@@ -281,14 +281,20 @@ class EveSystem {
   // names in sorted order.
   std::vector<std::string> AffectedViews(const CapabilityChange& change) const;
 
-  // Sets how many threads (including the calling one) step 3 uses to
-  // synchronize the affected views of one change. 0 and 1 both mean fully
-  // sequential. Reports, journal records and all observable state are
-  // byte-identical at every setting: workers only compute per-view CVS
-  // results into private slots; assembly, journaling and commit stay on
-  // the calling thread in view-name order.
+  // How many threads (including the calling one) step 3 uses to
+  // synchronize the affected views of one change: AvailableCpus() unless
+  // SetSyncParallelism overrides it with exactly `threads` (0 and 1 both
+  // mean fully sequential). Only a delete-relation or delete-attribute
+  // with two or more affected views fans out, since only deletes run CVS
+  // enumeration; a rename's per-view rewrite takes a few microseconds, no
+  // more than waking a worker. The pool starts with the first fan-out, so
+  // a system that only registers, loads or renames never starts a thread.
+  // Reports, journal records and all observable state are byte-identical
+  // at every setting: workers only compute per-view CVS results into
+  // private slots; assembly, journaling and commit stay on the calling
+  // thread in view-name order.
   void SetSyncParallelism(size_t threads);
-  size_t sync_parallelism() const { return sync_parallelism_; }
+  size_t sync_parallelism() const { return sync_pool_->threads; }
 
   // Per-sync candidate cap, threaded into every CVS run (including the
   // parallel batch path — it only narrows each view's private search, so
@@ -582,10 +588,24 @@ class EveSystem {
   MaterializedViewStore* mat_store_ = nullptr;  // non-owning
   Database* mat_db_ = nullptr;                  // non-owning
   JoinStrategy executor_strategy_ = JoinStrategy::kAuto;
-  // Shared (not per-copy) so DryRunChangeAt scratch copies reuse the pool;
-  // ParallelFor keeps per-call completion state, so concurrent use is safe.
-  std::shared_ptr<ThreadPool> sync_pool_;
-  size_t sync_parallelism_ = 1;
+  // The step-3 worker pool, started by the first fan-out that needs one.
+  class SyncPool {
+   public:
+    explicit SyncPool(size_t threads) : threads(threads) {}
+    // The pool, started on the first call; nullptr when threads <= 1.
+    ThreadPool* Get();
+
+    const size_t threads;
+
+   private:
+    std::once_flag started_;
+    std::unique_ptr<ThreadPool> pool_;
+  };
+  // Shared (not per-copy) so DryRunChangeAt scratch copies and copies made
+  // before the first fan-out use one pool; ParallelFor keeps per-call
+  // completion state, so concurrent use is safe.
+  std::shared_ptr<SyncPool> sync_pool_ =
+      std::make_shared<SyncPool>(AvailableCpus());
   // mutable: DryRunChange is logically const but still reports how much
   // of the candidate space its run explored.
   mutable EnumerationStats last_sync_stats_;

@@ -165,11 +165,19 @@ std::string Console::RenderSnapshotText() const {
 Status Console::InstallSnapshotText(const std::string& text) {
   Result<EveSystem> loaded = LoadCheckpoint(text);
   if (!loaded.ok()) return loaded.status();
-  system_ = std::move(loaded.value());
+  ReplaceSystem(std::move(loaded.value()));
+  return Status::OK();
+}
+
+void Console::ReplaceSystem(EveSystem system) {
+  system_ = std::move(system);
   if (journal_.has_value() && system_journal_attached_) {
     system_.AttachJournal(&*journal_);
   }
-  return Status::OK();
+  // The new system runs with its own (default) sync limits, and
+  // RunWithLimits restores these after a per-request override.
+  configured_deadline_micros_ = 0;
+  configured_work_budget_ = 0;
 }
 
 Status Console::ApplyReplicatedRecord(const JournalRecord& record,
@@ -371,10 +379,7 @@ bool Console::LoadMisd(const std::string& path) {
     Err() << "error: " << mkb.status() << "\n";
     return false;
   }
-  system_ = EveSystem(mkb.value());
-  if (journal_.has_value() && system_journal_attached_) {
-    system_.AttachJournal(&*journal_);
-  }
+  ReplaceSystem(EveSystem(mkb.value()));
   Out() << "loaded " << mkb.value().catalog().NumRelations()
         << " relations, " << mkb.value().join_constraints().size()
         << " join constraints, "
@@ -460,10 +465,7 @@ bool Console::Recover(const std::string& checkpoint_path,
     Err() << "error: " << recovered.status() << "\n";
     return false;
   }
-  system_ = std::move(recovered.value());
-  if (journal_.has_value() && system_journal_attached_) {
-    system_.AttachJournal(&*journal_);
-  }
+  ReplaceSystem(std::move(recovered.value()));
   Out() << report.ToString();
   Out() << "recovered " << system_.NumViews() << " views, "
         << system_.mkb().catalog().NumRelations() << " relations\n";
@@ -482,11 +484,6 @@ bool Console::SetSync(const std::string& knob, const std::string& value) {
   if (EqualsIgnoreCase(knob, "BUDGET")) {
     system_.SetSyncCandidateBudget(static_cast<size_t>(parsed));
     Out() << "sync candidate budget = " << parsed << "\n";
-    return true;
-  }
-  if (EqualsIgnoreCase(knob, "PARALLELISM")) {
-    system_.SetSyncParallelism(static_cast<size_t>(parsed));
-    Out() << "sync parallelism = " << parsed << "\n";
     return true;
   }
   if (EqualsIgnoreCase(knob, "WORKBUDGET")) {
@@ -511,8 +508,8 @@ bool Console::SetSync(const std::string& knob, const std::string& value) {
     Out() << "sync queue limit = " << parsed << "\n";
     return true;
   }
-  Err() << "error: SET SYNC expects BUDGET, PARALLELISM, WORKBUDGET, "
-           "DEADLINE, WATCHDOG or QUEUE\n";
+  Err() << "error: SET SYNC expects BUDGET, WORKBUDGET, DEADLINE, WATCHDOG "
+           "or QUEUE\n";
   return false;
 }
 

@@ -110,6 +110,11 @@ class Console {
  private:
   bool Report(const Status& status, const std::string& context);
 
+  // Installs a freshly built system (LOAD MISD, RECOVER, snapshot install):
+  // re-attaches the journal and resets the configured SET SYNC limits,
+  // since the new system starts without them.
+  void ReplaceSystem(EveSystem system);
+
   // The shared implementation of the snapshot-read SHOW forms; const and
   // stream-parameterized so the server can run it under a shared lock.
   bool SnapshotShow(const std::vector<std::string>& words, std::ostream& out,

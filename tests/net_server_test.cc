@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -522,6 +523,55 @@ TEST_F(ServerTest, ServerFailpointFrameWriteCrashStopsTheServer) {
   (void)client.Run("SHOW MKB");
   server_->WaitUntilStopped();
   EXPECT_EQ(server_->crashed_site(), fp::kNetFrameWrite);
+}
+
+// --- Console: replacing the serving system ---------------------------------
+
+TEST(ConsoleTest, ReplacingTheSystemForgetsTheConfiguredSyncLimits) {
+  // LOAD MISD, RECOVER and a replica's snapshot install each serve a new
+  // system without the old SET SYNC limits. A request with its own budget
+  // and deadline must afterwards restore the new system's limits, not
+  // write the replaced system's back.
+  const std::string dir = ::testing::TempDir();
+  const std::string misd = dir + "console_replace.misd";
+  const std::string checkpoint = dir + "console_replace.ckpt";
+  const std::string journal = dir + "console_replace.wal";
+  const std::vector<std::string> replacements = {
+      "LOAD MISD '" + misd + "'",
+      "RECOVER '" + checkpoint + "' '" + journal + "'",
+      "snapshot install",
+  };
+  for (const std::string& replacement : replacements) {
+    std::remove(journal.c_str());
+    Console console;
+    std::ostringstream out;
+    std::ostringstream err;
+    ASSERT_TRUE(console.Run(kDefineCustomer, out, err)) << err.str();
+    ASSERT_TRUE(console.Run("SAVE MISD '" + misd + "'", out, err)) << err.str();
+    ASSERT_TRUE(console.Run("JOURNAL '" + journal + "'", out, err))
+        << err.str();
+    ASSERT_TRUE(console.Run("CHECKPOINT '" + checkpoint + "'", out, err))
+        << err.str();
+    const std::string snapshot = console.RenderSnapshotText();
+    ASSERT_TRUE(console.Run("SET SYNC WORKBUDGET 5", out, err));
+    ASSERT_TRUE(console.Run("SET SYNC DEADLINE 9000", out, err));
+
+    if (replacement == "snapshot install") {
+      ASSERT_TRUE(console.InstallSnapshotText(snapshot).ok());
+    } else {
+      ASSERT_TRUE(console.Run(replacement, out, err)) << err.str();
+    }
+    EXPECT_EQ(console.system().sync_work_budget(), 0u) << replacement;
+    EXPECT_EQ(console.system().sync_deadline_micros(), 0u) << replacement;
+
+    ASSERT_TRUE(console.RunWithLimits("SHOW MKB", 100, 7, out, err))
+        << err.str();
+    EXPECT_EQ(console.system().sync_work_budget(), 0u) << replacement;
+    EXPECT_EQ(console.system().sync_deadline_micros(), 0u) << replacement;
+  }
+  std::remove(misd.c_str());
+  std::remove(checkpoint.c_str());
+  std::remove(journal.c_str());
 }
 
 // --- SplitStatements line accounting (the evectl file:line contract) --------

@@ -1,13 +1,18 @@
 // Determinism of parallel batch synchronization: ApplyChange /
-// ApplyChanges at sync parallelism 1 (the sequential reference), 4 and 8
-// must produce byte-identical change reports, identical view pools, and
-// byte-identical journal files. Also unit-tests the ThreadPool /
-// ParallelFor primitives (this binary runs under TSan in CI).
+// ApplyChanges at sync parallelism 1 (the sequential reference), 4, 8 and
+// the host default must produce byte-identical change reports, identical
+// view pools, and byte-identical journal files. Also checks when the sync
+// pool starts and unit-tests the ThreadPool / ParallelFor primitives (this
+// binary runs under TSan in CI).
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +49,27 @@ EveSystem MakeBatchSystem(size_t num_views) {
   return system;
 }
 
+// The sync parallelism settings of every determinism test: 1 is the
+// sequential reference and runs first; nullopt keeps the system's default
+// (no SetSyncParallelism call).
+const std::vector<std::optional<size_t>> kParallelisms = {1, 4, 8,
+                                                          std::nullopt};
+
+void SetParallelism(EveSystem* system, std::optional<size_t> threads) {
+  if (threads.has_value()) system->SetSyncParallelism(*threads);
+}
+
+std::string Label(std::optional<size_t> threads) {
+  return threads.has_value() ? std::to_string(*threads) : "default";
+}
+
+// Threads of this process, as listed in /proc/self/task.
+size_t ProcessThreads() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator()));
+}
+
 // Flattens everything observable about a system after a change: the
 // report, every view's definition, state and history.
 std::string Fingerprint(const ChangeReport& report, const EveSystem& system) {
@@ -58,41 +84,78 @@ std::string Fingerprint(const ChangeReport& report, const EveSystem& system) {
   return out;
 }
 
+TEST(ParallelSyncTest, OnlyAMultiViewDeleteStartsThePool) {
+  // Defined first, so no pool of an earlier test is still winding down
+  // when the threads are counted.
+  const size_t before = ProcessThreads();
+  // Registering and loading views, a rename however many views it
+  // touches, and a one-view delete all stay on the calling thread.
+  EveSystem system = MakeBatchSystem(24);
+  EXPECT_EQ(system.sync_parallelism(), AvailableCpus());
+  EveSystem loaded(system.mkb());
+  ASSERT_TRUE(LoadViews(SaveViews(system), &loaded).ok());
+  const CapabilityChange rename = CapabilityChange::RenameRelation("R1", "R1x");
+  ASSERT_EQ(system.AffectedViews(rename).size(), 12u);
+  ASSERT_TRUE(system.ApplyChange(rename).ok());
+  const CapabilityChange one_view = CapabilityChange::DeleteRelation("R20");
+  ASSERT_EQ(system.AffectedViews(one_view).size(), 1u);
+  ASSERT_TRUE(system.DryRunChange(one_view).ok());
+  EXPECT_EQ(ProcessThreads(), before);
+
+  // The first multi-view delete starts the pool's parallelism - 1 workers
+  // (a sanitizer runtime may add a thread of its own with the first one),
+  // and a copy made before it fans out over the same workers.
+  const EveSystem copy = system;
+  const CapabilityChange multi_view = CapabilityChange::DeleteRelation("R1x");
+  ASSERT_TRUE(system.ApplyChange(multi_view).ok());
+  const size_t started = ProcessThreads();
+  EXPECT_GE(started, before + system.sync_parallelism() - 1);
+  ASSERT_TRUE(copy.DryRunChange(multi_view).ok());
+  EXPECT_EQ(ProcessThreads(), started);
+}
+
 TEST(ParallelSyncTest, ApplyChangeIsDeterministicAcrossThreadCounts) {
   const EveSystem base = MakeBatchSystem(24);
-  const CapabilityChange change = CapabilityChange::DeleteRelation("R1");
+  // The deletes fan out; the rename never does, and must still match.
+  for (const CapabilityChange& change :
+       {CapabilityChange::DeleteRelation("R1"),
+        CapabilityChange::DeleteAttribute("R1", "P1"),
+        CapabilityChange::RenameRelation("R1", "R1x")}) {
+    ASSERT_GE(base.AffectedViews(change).size(), 2u) << change.ToString();
+    std::string reference_fingerprint;
+    std::string reference_journal;
+    for (const std::optional<size_t> threads : kParallelisms) {
+      EveSystem system = base;
+      SetParallelism(&system, threads);
+      const std::string journal_path = ::testing::TempDir() +
+                                       "parallel_sync_apply_" +
+                                       Label(threads) + ".wal";
+      std::remove(journal_path.c_str());
+      Result<Journal> journal = Journal::Open(journal_path);
+      ASSERT_TRUE(journal.ok());
+      system.AttachJournal(&journal.value());
 
-  std::string reference_fingerprint;
-  std::string reference_journal;
-  for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-    EveSystem system = base;
-    system.SetSyncParallelism(threads);
-    const std::string journal_path = ::testing::TempDir() +
-                                     "parallel_sync_apply_" +
-                                     std::to_string(threads) + ".wal";
-    std::remove(journal_path.c_str());
-    Result<Journal> journal = Journal::Open(journal_path);
-    ASSERT_TRUE(journal.ok());
-    system.AttachJournal(&journal.value());
+      const Result<ChangeReport> report = system.ApplyChange(change);
+      ASSERT_TRUE(report.ok()) << "threads=" << Label(threads);
+      system.AttachJournal(nullptr);
 
-    const Result<ChangeReport> report = system.ApplyChange(change);
-    ASSERT_TRUE(report.ok()) << "threads=" << threads;
-    system.AttachJournal(nullptr);
-
-    const std::string fingerprint = Fingerprint(report.value(), system);
-    const std::string journal_bytes =
-        ReadFileToString(journal_path).MoveValue();
-    EXPECT_GT(report.value().CountOutcome(ViewOutcomeKind::kRewritten) +
-                  report.value().CountOutcome(ViewOutcomeKind::kDisabled),
-              0u);
-    if (threads == 1) {
-      reference_fingerprint = fingerprint;
-      reference_journal = journal_bytes;
-    } else {
-      EXPECT_EQ(fingerprint, reference_fingerprint) << "threads=" << threads;
-      EXPECT_EQ(journal_bytes, reference_journal) << "threads=" << threads;
+      const std::string fingerprint = Fingerprint(report.value(), system);
+      const std::string journal_bytes =
+          ReadFileToString(journal_path).MoveValue();
+      EXPECT_GT(report.value().CountOutcome(ViewOutcomeKind::kRewritten) +
+                    report.value().CountOutcome(ViewOutcomeKind::kDisabled),
+                0u);
+      if (threads == 1) {
+        reference_fingerprint = fingerprint;
+        reference_journal = journal_bytes;
+      } else {
+        EXPECT_EQ(fingerprint, reference_fingerprint)
+            << change.ToString() << " threads=" << Label(threads);
+        EXPECT_EQ(journal_bytes, reference_journal)
+            << change.ToString() << " threads=" << Label(threads);
+      }
+      std::remove(journal_path.c_str());
     }
-    std::remove(journal_path.c_str());
   }
 }
 
@@ -105,12 +168,12 @@ TEST(ParallelSyncTest, ApplyChangesBatchIsDeterministicAcrossThreadCounts) {
   };
 
   std::string reference;
-  for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
+  for (const std::optional<size_t> threads : kParallelisms) {
     EveSystem system = base;
-    system.SetSyncParallelism(threads);
+    SetParallelism(&system, threads);
     const Result<std::vector<ChangeReport>> reports =
         system.ApplyChanges(changes);
-    ASSERT_TRUE(reports.ok()) << "threads=" << threads;
+    ASSERT_TRUE(reports.ok()) << "threads=" << Label(threads);
     std::string fingerprint;
     for (const ChangeReport& report : reports.value()) {
       fingerprint += Fingerprint(report, system) + "\n====\n";
@@ -118,7 +181,7 @@ TEST(ParallelSyncTest, ApplyChangesBatchIsDeterministicAcrossThreadCounts) {
     if (threads == 1) {
       reference = fingerprint;
     } else {
-      EXPECT_EQ(fingerprint, reference) << "threads=" << threads;
+      EXPECT_EQ(fingerprint, reference) << "threads=" << Label(threads);
     }
   }
 }
@@ -131,20 +194,21 @@ TEST(ParallelSyncTest, TopKAndBudgetAreDeterministicAcrossThreadCounts) {
   const CapabilityChange change = CapabilityChange::DeleteRelation("R1");
   std::string reference_fingerprint;
   std::string reference_stats;
-  for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
+  for (const std::optional<size_t> threads : kParallelisms) {
     EveSystem system = MakeBatchSystem(24);
     system.SetSyncCandidateBudget(16);
-    system.SetSyncParallelism(threads);
+    SetParallelism(&system, threads);
     const Result<ChangeReport> report = system.ApplyChange(change);
-    ASSERT_TRUE(report.ok()) << "threads=" << threads;
+    ASSERT_TRUE(report.ok()) << "threads=" << Label(threads);
     const std::string fingerprint = Fingerprint(report.value(), system);
     const std::string stats = system.last_sync_stats().ToString();
     if (threads == 1) {
       reference_fingerprint = fingerprint;
       reference_stats = stats;
     } else {
-      EXPECT_EQ(fingerprint, reference_fingerprint) << "threads=" << threads;
-      EXPECT_EQ(stats, reference_stats) << "threads=" << threads;
+      EXPECT_EQ(fingerprint, reference_fingerprint)
+          << "threads=" << Label(threads);
+      EXPECT_EQ(stats, reference_stats) << "threads=" << Label(threads);
     }
   }
 }
@@ -159,22 +223,22 @@ TEST(ParallelSyncTest, WorkBudgetPartialsAreDeterministicAcrossThreadCounts) {
   std::string reference_stats;
   std::string reference_diagnostics;
   std::string reference_journal;
-  for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
+  for (const std::optional<size_t> threads : kParallelisms) {
     // The chain views' searches are tiny (one frontier expansion + one
     // emission each), so budget 1 is the tight setting that actually
     // deadline-stops them.
     EveSystem system = MakeBatchSystem(24);
     system.SetSyncWorkBudget(1);
-    system.SetSyncParallelism(threads);
+    SetParallelism(&system, threads);
     const std::string journal_path = ::testing::TempDir() +
                                      "parallel_sync_budget_" +
-                                     std::to_string(threads) + ".wal";
+                                     Label(threads) + ".wal";
     std::remove(journal_path.c_str());
     Result<Journal> journal = Journal::Open(journal_path);
     ASSERT_TRUE(journal.ok());
     system.AttachJournal(&journal.value());
     const Result<ChangeReport> report = system.ApplyChange(change);
-    ASSERT_TRUE(report.ok()) << "threads=" << threads;
+    ASSERT_TRUE(report.ok()) << "threads=" << Label(threads);
     system.AttachJournal(nullptr);
 
     // The budget is tight enough to stop at least one view's search.
@@ -194,10 +258,13 @@ TEST(ParallelSyncTest, WorkBudgetPartialsAreDeterministicAcrossThreadCounts) {
       reference_diagnostics = diagnostics;
       reference_journal = journal_bytes;
     } else {
-      EXPECT_EQ(fingerprint, reference_fingerprint) << "threads=" << threads;
-      EXPECT_EQ(stats, reference_stats) << "threads=" << threads;
-      EXPECT_EQ(diagnostics, reference_diagnostics) << "threads=" << threads;
-      EXPECT_EQ(journal_bytes, reference_journal) << "threads=" << threads;
+      EXPECT_EQ(fingerprint, reference_fingerprint)
+          << "threads=" << Label(threads);
+      EXPECT_EQ(stats, reference_stats) << "threads=" << Label(threads);
+      EXPECT_EQ(diagnostics, reference_diagnostics)
+          << "threads=" << Label(threads);
+      EXPECT_EQ(journal_bytes, reference_journal)
+          << "threads=" << Label(threads);
     }
     std::remove(journal_path.c_str());
   }
@@ -209,65 +276,70 @@ TEST(ParallelSyncTest, DryRunThenCommitMatchesDirectCommitAcrossThreadCounts) {
   // view pools and journal files to committing it directly — at every
   // sync parallelism.
   const EveSystem base = MakeBatchSystem(24);
-  const CapabilityChange change = CapabilityChange::DeleteRelation("R1");
+  for (const CapabilityChange& change :
+       {CapabilityChange::DeleteRelation("R1"),
+        CapabilityChange::DeleteAttribute("R1", "P1")}) {
+    std::string reference_fingerprint;
+    std::string reference_journal;
+    for (const std::optional<size_t> threads : kParallelisms) {
+      const std::string label =
+          change.ToString() + " threads=" + Label(threads);
+      // Direct commit.
+      EveSystem direct = base;
+      SetParallelism(&direct, threads);
+      const std::string direct_path = ::testing::TempDir() +
+                                      "parallel_sync_direct_" +
+                                      Label(threads) + ".wal";
+      std::remove(direct_path.c_str());
+      Result<Journal> direct_journal = Journal::Open(direct_path);
+      ASSERT_TRUE(direct_journal.ok());
+      direct.AttachJournal(&direct_journal.value());
+      const Result<ChangeReport> direct_report = direct.ApplyChange(change);
+      ASSERT_TRUE(direct_report.ok()) << label;
+      direct.AttachJournal(nullptr);
 
-  std::string reference_fingerprint;
-  std::string reference_journal;
-  for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-    // Direct commit.
-    EveSystem direct = base;
-    direct.SetSyncParallelism(threads);
-    const std::string direct_path = ::testing::TempDir() +
-                                    "parallel_sync_direct_" +
-                                    std::to_string(threads) + ".wal";
-    std::remove(direct_path.c_str());
-    Result<Journal> direct_journal = Journal::Open(direct_path);
-    ASSERT_TRUE(direct_journal.ok());
-    direct.AttachJournal(&direct_journal.value());
-    const Result<ChangeReport> direct_report = direct.ApplyChange(change);
-    ASSERT_TRUE(direct_report.ok()) << "threads=" << threads;
-    direct.AttachJournal(nullptr);
+      // Dry-run first, then commit.
+      EveSystem rehearsed = base;
+      SetParallelism(&rehearsed, threads);
+      const std::string rehearsed_path = ::testing::TempDir() +
+                                         "parallel_sync_rehearsed_" +
+                                         Label(threads) + ".wal";
+      std::remove(rehearsed_path.c_str());
+      Result<Journal> rehearsed_journal = Journal::Open(rehearsed_path);
+      ASSERT_TRUE(rehearsed_journal.ok());
+      rehearsed.AttachJournal(&rehearsed_journal.value());
+      const Result<DryRunReport> dry = rehearsed.DryRunChange(change);
+      ASSERT_TRUE(dry.ok()) << label;
+      const Result<ChangeReport> committed = rehearsed.ApplyChange(change);
+      ASSERT_TRUE(committed.ok()) << label;
+      rehearsed.AttachJournal(nullptr);
 
-    // Dry-run first, then commit.
-    EveSystem rehearsed = base;
-    rehearsed.SetSyncParallelism(threads);
-    const std::string rehearsed_path = ::testing::TempDir() +
-                                       "parallel_sync_rehearsed_" +
-                                       std::to_string(threads) + ".wal";
-    std::remove(rehearsed_path.c_str());
-    Result<Journal> rehearsed_journal = Journal::Open(rehearsed_path);
-    ASSERT_TRUE(rehearsed_journal.ok());
-    rehearsed.AttachJournal(&rehearsed_journal.value());
-    const Result<DryRunReport> dry = rehearsed.DryRunChange(change);
-    ASSERT_TRUE(dry.ok()) << "threads=" << threads;
-    const Result<ChangeReport> committed = rehearsed.ApplyChange(change);
-    ASSERT_TRUE(committed.ok()) << "threads=" << threads;
-    rehearsed.AttachJournal(nullptr);
+      // The dry-run predicted the commit exactly...
+      EXPECT_EQ(dry.value().report.ToString(), committed.value().ToString())
+          << label;
+      // ...and left no trace: fingerprints and journal bytes match the
+      // direct run.
+      EXPECT_EQ(Fingerprint(committed.value(), rehearsed),
+                Fingerprint(direct_report.value(), direct))
+          << label;
+      const std::string direct_bytes =
+          ReadFileToString(direct_path).MoveValue();
+      const std::string rehearsed_bytes =
+          ReadFileToString(rehearsed_path).MoveValue();
+      EXPECT_EQ(rehearsed_bytes, direct_bytes) << label;
 
-    // The dry-run predicted the commit exactly...
-    EXPECT_EQ(dry.value().report.ToString(), committed.value().ToString())
-        << "threads=" << threads;
-    // ...and left no trace: fingerprints and journal bytes match the
-    // direct run.
-    EXPECT_EQ(Fingerprint(committed.value(), rehearsed),
-              Fingerprint(direct_report.value(), direct))
-        << "threads=" << threads;
-    const std::string direct_bytes = ReadFileToString(direct_path).MoveValue();
-    const std::string rehearsed_bytes =
-        ReadFileToString(rehearsed_path).MoveValue();
-    EXPECT_EQ(rehearsed_bytes, direct_bytes) << "threads=" << threads;
-
-    if (threads == 1) {
-      reference_fingerprint = Fingerprint(direct_report.value(), direct);
-      reference_journal = direct_bytes;
-    } else {
-      EXPECT_EQ(Fingerprint(direct_report.value(), direct),
-                reference_fingerprint)
-          << "threads=" << threads;
-      EXPECT_EQ(direct_bytes, reference_journal) << "threads=" << threads;
+      if (threads == 1) {
+        reference_fingerprint = Fingerprint(direct_report.value(), direct);
+        reference_journal = direct_bytes;
+      } else {
+        EXPECT_EQ(Fingerprint(direct_report.value(), direct),
+                  reference_fingerprint)
+            << label;
+        EXPECT_EQ(direct_bytes, reference_journal) << label;
+      }
+      std::remove(direct_path.c_str());
+      std::remove(rehearsed_path.c_str());
     }
-    std::remove(direct_path.c_str());
-    std::remove(rehearsed_path.c_str());
   }
 }
 
@@ -351,6 +423,29 @@ TEST(ThreadPoolTest, ParallelForWorksWithoutAPool) {
   std::atomic<size_t> sum{0};
   ParallelFor(nullptr, 100, [&](size_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 4950u);
+}
+
+TEST(ThreadPoolTest, AvailableCpusFollowsTheAffinityMask) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(AvailableCpus(), static_cast<size_t>(CPU_COUNT(&original)));
+  // With the calling thread narrowed to one CPU, a system built on it
+  // defaults to sequential sync.
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &original)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const size_t narrowed = AvailableCpus();
+  const size_t narrowed_default = EveSystem(Mkb()).sync_parallelism();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(narrowed, 1u);
+  EXPECT_EQ(narrowed_default, 1u);
 }
 
 TEST(ThreadPoolTest, ConcurrentParallelForCallsOnOnePool) {

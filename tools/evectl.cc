@@ -33,8 +33,6 @@
 //   RETRACT <constraint id>;              -- a source withdraws a constraint
 //   SET SYNC BUDGET <n>;                  -- cap candidates pulled per view
 //                                            synchronization (0 = no cap)
-//   SET SYNC PARALLELISM <n>;             -- threads for batch sync (0/1 =
-//                                            sequential; reports identical)
 //   SET SYNC WORKBUDGET <n>;              -- per-view logical work budget
 //                                            (0 = unlimited): deterministic
 //                                            best-under-budget partials
