@@ -22,6 +22,7 @@ std::string SynchronizedView::ToString() const {
 const JoinGraph& SyncContext::graph_prime() const {
   std::call_once(graph_once_, [this] {
     graph_prime_.emplace(JoinGraph::Build(*mkb_prime_));
+    graph_prime_->ShareSearches();
   });
   return *graph_prime_;
 }
@@ -95,21 +96,32 @@ Result<CvsResult> SynchronizeDeleteRelation(const ViewDefinition& view,
   std::vector<SynchronizedView> accepted;
   TopKBound top_k(options.top_k);
 
-  // Probe the drop-based rewriting up front: its cost participates in the
+  // Build the drop-based rewriting up front: its cost participates in the
   // top-k bound, letting the pull loop stop before exploring candidates
-  // that cannot beat it. The real drop rewriting (with its proper name)
-  // is built after the loop to keep the historical result order.
-  if (options.include_drop_rewriting && r_params.dispensable) {
-    Result<ViewDefinition> probe =
+  // that cannot beat it. It is named, and joins the result, after the
+  // loop, which keeps the historical names and result order (neither the
+  // legality check nor the score reads the name).
+  const bool drop_wanted =
+      options.include_drop_rewriting && r_params.dispensable;
+  Status drop_status = Status::OK();  // why there is no drop rewriting
+  SynchronizedView drop;
+  if (drop_wanted) {
+    Result<ViewDefinition> dropped =
         DropRelationRewriting(view, relation, view.name());
-    if (probe.ok()) {
-      const LegalityReport legality =
-          CheckLegality(view, probe.value(), change, mkb_prime,
-                        ExtentRelation::kSuperset, {});
-      if (legality.legal() || !options.require_view_extent) {
-        top_k.SetDrop(ScoreRewriting(view, probe.value(),
-                                     legality.inferred_extent, model)
-                          .total);
+    drop_status = dropped.status();
+    if (dropped.ok()) {
+      drop.mapping = mapping;
+      drop.is_drop = true;
+      // Dropping a relation (and only dispensable components with it)
+      // projects away columns and removes join filters: on the common
+      // interface the new extent contains the old one.
+      drop.legality = CheckLegality(view, dropped.value(), change, mkb_prime,
+                                    ExtentRelation::kSuperset, {});
+      drop.cost = ScoreRewriting(view, dropped.value(),
+                                 drop.legality.inferred_extent, model);
+      drop.view = dropped.MoveValue();
+      if (drop.legality.legal() || !options.require_view_extent) {
+        top_k.SetDrop(drop.cost.total);
       }
     }
   }
@@ -211,31 +223,19 @@ Result<CvsResult> SynchronizeDeleteRelation(const ViewDefinition& view,
   }
 
   // Drop-based rewriting for a dispensable relation.
-  if (options.include_drop_rewriting && r_params.dispensable) {
-    Result<ViewDefinition> dropped =
-        DropRelationRewriting(view, relation, next_name());
-    if (dropped.ok()) {
-      ViewDefinition dropped_view = dropped.MoveValue();
-      SynchronizedView synced;
-      synced.mapping = mapping;
-      synced.is_drop = true;
-      // Dropping a relation (and only dispensable components with it)
-      // projects away columns and removes join filters: on the common
-      // interface the new extent contains the old one.
-      synced.legality = CheckLegality(view, dropped_view, change, mkb_prime,
-                                      ExtentRelation::kSuperset, {});
-      synced.cost = ScoreRewriting(view, dropped_view,
-                                   synced.legality.inferred_extent, model);
-      synced.view = std::move(dropped_view);
-      if (synced.legality.legal() || !options.require_view_extent) {
-        accepted.push_back(std::move(synced));
+  if (drop_wanted) {
+    const std::string name = next_name();
+    if (drop_status.ok()) {
+      drop.view.set_name(name);
+      if (drop.legality.legal() || !options.require_view_extent) {
+        accepted.push_back(std::move(drop));
       } else {
         result.diagnostics.push_back("drop-based rewriting rejected: " +
-                                     synced.legality.ToString());
+                                     drop.legality.ToString());
       }
     } else {
       result.diagnostics.push_back("drop-based rewriting not possible: " +
-                                   dropped.status().ToString());
+                                   drop_status.ToString());
     }
   }
 

@@ -90,13 +90,23 @@ struct CvsResult {
 
 // Per-change shared synchronization context. One capability change can
 // affect many views; everything that depends only on the change — not on
-// the individual view — lives here and is computed once, then shared
-// read-only by every affected view's synchronization (possibly from many
-// worker threads; all accessors are const and thread-safe).
+// the individual view — lives here and is computed once, then shared by
+// every affected view's synchronization (possibly from many worker
+// threads; all accessors are const and thread-safe):
 //
-// The MKBs are held by reference: the context must not outlive them. The
-// join graph of MKB' is built lazily on first use, so changes whose
-// synchronization never consults it (renames, adds) pay nothing.
+// - the MKBs, held by reference: the context must not outlive them;
+// - the join graph of MKB', built lazily on first use, so changes whose
+//   synchronization never consults it (renames, adds) pay nothing;
+// - the join-tree searches over that graph (JoinGraph::ShareSearches).
+//   Def. 3's R-replacement search depends on the required relations, the
+//   surviving edges of Min(H_R) and the growth bound alone, and views
+//   built over the same sources ask for the same ones, so each distinct
+//   search runs once per change and its log is freed with the context.
+//
+// Sharing leaves every result deterministic. A view's enumerators replay
+// a log pop by pop and spend one token unit per pop, whichever thread
+// made it, so each view sees the trees, counters, bounds and budget stops
+// of a private search, at any parallelism and in any interleaving.
 class SyncContext {
  public:
   // Borrowing construction: both MKBs must outlive the context (the
@@ -124,7 +134,8 @@ class SyncContext {
   const Mkb& mkb_prime() const { return *mkb_prime_; }
   uint64_t base_version() const { return base_version_; }
 
-  // H'(MKB') at the relation level, built once per change.
+  // H'(MKB') at the relation level, built once per change, with its
+  // join-tree searches shared.
   const JoinGraph& graph_prime() const;
 
  private:

@@ -344,9 +344,10 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
   std::vector<SynchronizedView> accepted;
   TopKBound top_k(options.top_k);
 
-  // Probe the drop-based rewriting up front so its cost participates in
-  // the top-k bound; the real rewriting (with its proper name) is built
-  // after the loop to keep the historical result order.
+  // Build the drop-based rewriting up front so its cost participates in
+  // the top-k bound. It is named, and joins the result, after the loop,
+  // which keeps the historical names and result order (neither the
+  // legality check nor the score reads the name).
   const bool drop_possible =
       options.include_drop_rewriting && !any_indispensable;
   bool dropped_condition = false;
@@ -358,16 +359,21 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
   const ExtentRelation drop_extent = dropped_condition
                                          ? ExtentRelation::kSuperset
                                          : ExtentRelation::kEqual;
+  Status drop_status = Status::OK();  // why there is no drop rewriting
+  SynchronizedView drop;
   if (drop_possible) {
-    Result<ViewDefinition> probe =
+    Result<ViewDefinition> dropped =
         DropAttributeRewriting(view, attr, view.name());
-    if (probe.ok()) {
-      const LegalityReport legality = CheckLegality(
-          view, probe.value(), change, mkb_prime, drop_extent, {});
-      if (legality.legal() || !options.require_view_extent) {
-        top_k.SetDrop(ScoreRewriting(view, probe.value(),
-                                     legality.inferred_extent, model)
-                          .total);
+    drop_status = dropped.status();
+    if (dropped.ok()) {
+      drop.is_drop = true;
+      drop.legality = CheckLegality(view, dropped.value(), change, mkb_prime,
+                                    drop_extent, {});
+      drop.cost = ScoreRewriting(view, dropped.value(),
+                                 drop.legality.inferred_extent, model);
+      drop.view = dropped.MoveValue();
+      if (drop.legality.legal() || !options.require_view_extent) {
+        top_k.SetDrop(drop.cost.total);
       }
     }
   }
@@ -527,26 +533,18 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
 
   // Drop path: only when every usage is dispensable.
   if (drop_possible) {
-    Result<ViewDefinition> dropped =
-        DropAttributeRewriting(view, attr, next_name());
-    if (dropped.ok()) {
-      ViewDefinition dropped_view = dropped.MoveValue();
-      SynchronizedView synced;
-      synced.is_drop = true;
-      synced.legality = CheckLegality(view, dropped_view, change, mkb_prime,
-                                      drop_extent, {});
-      synced.cost = ScoreRewriting(view, dropped_view,
-                                   synced.legality.inferred_extent, model);
-      synced.view = std::move(dropped_view);
-      if (synced.legality.legal() || !options.require_view_extent) {
-        result.rewritings.push_back(std::move(synced));
+    const std::string name = next_name();
+    if (drop_status.ok()) {
+      drop.view.set_name(name);
+      if (drop.legality.legal() || !options.require_view_extent) {
+        result.rewritings.push_back(std::move(drop));
       } else {
         result.diagnostics.push_back("drop-based rewriting rejected: " +
-                                     synced.legality.ToString());
+                                     drop.legality.ToString());
       }
     } else {
       result.diagnostics.push_back("drop-based rewriting not possible: " +
-                                   dropped.status().ToString());
+                                   drop_status.ToString());
     }
   }
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
-#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -51,6 +50,33 @@ std::string AttrKey(const std::string& relation, const std::string& attribute) {
 bool CountBoundTruncated(const EnumerationStats& stats) {
   if (stats.combos_truncated > 0 || stats.search_sets_cut > 0) return true;
   return !stats.exhausted && !stats.terminated_early && !stats.deadline.partial;
+}
+
+// The detail of a view's kRewritten outcome line: the kind of rewriting,
+// its extent, and what it replaced, dropped and joined in.
+std::string RewrittenDetail(const ViewDefinition& original,
+                            const SynchronizedView& best) {
+  const RewritingExplanation explanation = ExplainRewriting(original, best);
+  std::string detail = best.is_drop ? "drop-based" : "replacement-based";
+  detail += ", extent " +
+            std::string(ExtentRelationToString(best.legality.inferred_extent));
+  if (!explanation.replaced_attributes.empty()) {
+    detail += "; replaced " +
+              std::to_string(explanation.replaced_attributes.size()) +
+              " attribute(s)";
+  }
+  if (!explanation.dropped_attributes.empty()) {
+    detail += "; dropped " +
+              std::to_string(explanation.dropped_attributes.size()) +
+              " attribute(s)";
+  }
+  if (!explanation.added_relations.empty()) {
+    detail += "; joined in";
+    for (const std::string& rel : explanation.added_relations) {
+      detail += " " + rel;
+    }
+  }
+  return detail;
 }
 
 // Joins `names` with ", ".
@@ -514,12 +540,15 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
   // costs O(affected), not O(pool); the delta, the evolved MKB and the log
   // entry commit together in CommitPrepared.
   //
-  // The per-view CVS runs are independent of each other: they read the
-  // shared SyncContext (MKB, MKB', and the lazily built join graph of
-  // MKB') and write private result slots, so a delete's runs fan out
-  // across the sync pool. Everything order-dependent — outcome assembly,
-  // journaling, the commit — happens on this thread in view-name order,
-  // making the result byte-identical at any parallelism.
+  // The per-view work is independent across views: each view's CVS run
+  // reads the shared SyncContext (MKB, MKB', the lazily built join graph
+  // of MKB' and its shared join-tree searches), and the view's half of
+  // its outcome (explanation, detail line, renamed rewriting, degraded
+  // sources) reads only that run, so a delete's views fan out across the
+  // sync pool into private slots. Everything order-dependent — merging
+  // the stats, the outcome appends, journaling, the commit — happens on
+  // this thread in view-name order, making the result byte-identical at
+  // any parallelism.
   std::map<std::string, RegisteredView> next_views;
   for (const std::string& name : affected) {
     next_views.emplace(name, views_.at(name));
@@ -582,7 +611,19 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
        change.kind == CapabilityChange::Kind::kDeleteAttribute) &&
       affected.size() >= 2;
   ThreadPool* const pool = fan_out ? sync_pool_->Get() : nullptr;
-  std::vector<std::optional<Result<CvsResult>>> slots(affected.size());
+  // One affected view's synchronization, finished on the thread that ran
+  // it: everything of its outcome that reads no other view.
+  struct ViewSync {
+    Status status;  // the CVS run's error, or an injected one
+    EnumerationStats enumeration;
+    bool preserved = false;
+    ViewDefinition definition;  // the rewriting, under the registered name
+    ExtentRelation verdict = ExtentRelation::kUnknown;
+    std::string detail;                 // the outcome line's detail
+    std::vector<std::string> degraded;  // degraded sources it leans on
+  };
+  const Catalog& next_catalog = prepared.next_mkb->catalog();
+  std::vector<ViewSync> slots(affected.size());
   std::vector<std::exception_ptr> crashes(affected.size());
   ParallelFor(pool, affected.size(), [&](size_t i) {
     try {
@@ -591,18 +632,40 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
       // injected crash is parked here and rethrown on the calling thread
       // (lowest slot first) once the fan-out has drained — tasks must
       // never let exceptions escape into the pool.
-      const Status injected = Failpoints::Instance().Hit(fp::kSyncViewStart);
-      if (!injected.ok()) {
-        slots[i].emplace(injected);
-        return;
-      }
+      ViewSync& slot = slots[i];
+      slot.status = Failpoints::Instance().Hit(fp::kSyncViewStart);
+      if (!slot.status.ok()) return;
       // Only the front rewriting is committed, and the top-1 bound stops
       // the search once it is proven to be the exhaustive run's front.
       CvsOptions view_options = options_;
       view_options.top_k = 1;
       view_options.replacement.token = tokens[i];
-      slots[i].emplace(Synchronize(views_.at(affected[i]).definition, change,
-                                   context, view_options));
+      const ViewDefinition& original = views_.at(affected[i]).definition;
+      Result<CvsResult> synced =
+          Synchronize(original, change, context, view_options);
+      slot.status = synced.status();
+      if (!slot.status.ok()) return;
+      CvsResult result = synced.MoveValue();
+      slot.enumeration = result.enumeration;
+      slot.preserved = result.ViewPreserved();
+      if (slot.preserved) {
+        SynchronizedView& best = result.rewritings.front();
+        slot.detail = RewrittenDetail(original, best);
+        slot.verdict = best.legality.inferred_extent;
+        slot.definition = std::move(best.view);
+        slot.definition.set_name(affected[i]);  // keep the registered name
+        // Degraded-mode bookkeeping: when the chosen rewriting leans on a
+        // SUSPECT/QUARANTINED source, its constraints came from that
+        // source's last-known snapshot, so the rewriting is provisional
+        // until the source heals (SetSourceMembership clears the marks)
+        // or departs.
+        slot.degraded = DegradedSourcesOf(slot.definition, next_catalog);
+      } else {
+        for (const std::string& diagnostic : result.diagnostics) {
+          if (!slot.detail.empty()) slot.detail += "; ";
+          slot.detail += diagnostic;
+        }
+      }
     } catch (...) {
       crashes[i] = std::current_exception();
     }
@@ -629,69 +692,36 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
   if (watchdog_state != nullptr && watchdog_state->fired) {
     diagnostics.watchdog_cancels = 1;
   }
+  const std::string change_text = change.ToString();
   for (size_t slot = 0; slot < affected.size(); ++slot) {
     const std::string& name = affected[slot];
-    RegisteredView& registered = next_views.at(name);
-    EVE_RETURN_IF_ERROR(slots[slot]->status());
-    const CvsResult result = slots[slot]->MoveValue();
-    sync_stats.MergeFrom(result.enumeration);
+    ViewSync& synced = slots[slot];
+    EVE_RETURN_IF_ERROR(synced.status);
+    sync_stats.MergeFrom(synced.enumeration);
     // `affected` is name-sorted, so both lists come out deterministic.
-    if (result.enumeration.deadline.partial) {
+    if (synced.enumeration.deadline.partial) {
       diagnostics.deadline_views.push_back(name);
       EVE_FAILPOINT(fp::kSyncDeadlineExpired);
-    } else if (CountBoundTruncated(result.enumeration)) {
+    } else if (CountBoundTruncated(synced.enumeration)) {
       diagnostics.truncated_views.push_back(name);
     }
-    if (result.ViewPreserved()) {
-      const SynchronizedView& best = result.rewritings.front();
-      const RewritingExplanation explanation =
-          ExplainRewriting(registered.definition, best);
-      ViewDefinition rewritten = best.view;
-      rewritten.set_name(name);  // keep the registered name
-      registered.definition = std::move(rewritten);
-      registered.history.push_back("rewritten under " + change.ToString());
-      std::string detail = best.is_drop ? "drop-based" : "replacement-based";
-      detail += ", extent " + std::string(ExtentRelationToString(
-                                  best.legality.inferred_extent));
-      if (!explanation.replaced_attributes.empty()) {
-        detail += "; replaced " +
-                  std::to_string(explanation.replaced_attributes.size()) +
-                  " attribute(s)";
-      }
-      if (!explanation.dropped_attributes.empty()) {
-        detail += "; dropped " +
-                  std::to_string(explanation.dropped_attributes.size()) +
-                  " attribute(s)";
-      }
-      if (!explanation.added_relations.empty()) {
-        detail += "; joined in";
-        for (const std::string& rel : explanation.added_relations) {
-          detail += " " + rel;
-        }
-      }
-      // Degraded-mode bookkeeping: when the chosen rewriting leans on a
-      // SUSPECT/QUARANTINED source, its constraints came from that source's
-      // last-known snapshot, so the rewriting is provisional until the
-      // source heals (SetSourceMembership clears the marks) or departs.
-      const std::vector<std::string> degraded =
-          DegradedSourcesOf(registered.definition, prepared.next_mkb->catalog());
+    RegisteredView& registered = next_views.at(name);
+    if (synced.preserved) {
+      registered.definition = std::move(synced.definition);
+      registered.history.push_back("rewritten under " + change_text);
       registered.provisional_sources =
-          std::set<std::string>(degraded.begin(), degraded.end());
-      ViewOutcome outcome{name, ViewOutcomeKind::kRewritten, detail, {}};
-      outcome.provisional_sources = degraded;
+          std::set<std::string>(synced.degraded.begin(), synced.degraded.end());
+      ViewOutcome outcome{name, ViewOutcomeKind::kRewritten,
+                          std::move(synced.detail), {}};
+      outcome.provisional_sources = std::move(synced.degraded);
       report.outcomes.push_back(std::move(outcome));
-      prepared.verdicts.emplace(name, best.legality.inferred_extent);
+      prepared.verdicts.emplace(name, synced.verdict);
     } else {
       registered.state = ViewState::kDisabled;
       registered.provisional_sources.clear();
-      registered.history.push_back("disabled under " + change.ToString());
-      std::string detail;
-      for (const std::string& diagnostic : result.diagnostics) {
-        if (!detail.empty()) detail += "; ";
-        detail += diagnostic;
-      }
-      report.outcomes.push_back(
-          ViewOutcome{name, ViewOutcomeKind::kDisabled, detail, {}});
+      registered.history.push_back("disabled under " + change_text);
+      report.outcomes.push_back(ViewOutcome{name, ViewOutcomeKind::kDisabled,
+                                            std::move(synced.detail), {}});
     }
     // Rewritten or disabled, the view was synchronized against `base` and
     // will carry the version this change commits (base + 1).

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <mutex>
 #include <optional>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 
 #include "common/str_util.h"
@@ -182,47 +184,134 @@ std::vector<JoinTree> JoinGraph::FindConnectingTrees(
   return results;
 }
 
-JoinTreeEnumerator::JoinTreeEnumerator(
-    const JoinGraph& graph, const std::set<std::string>& required,
-    std::vector<JoinConstraint> mandatory_edges,
-    const JoinTreeSearchOptions& options)
-    : graph_(&graph),
-      mandatory_edges_(std::move(mandatory_edges)),
-      token_(options.token) {
-  if (required.empty()) return;  // frontier stays empty: exhausted
-  // `required` is name-sorted and so is relations_, so the seed comes out
-  // sorted by index.
+// What names a join-tree search: the required relations' indices (sorted,
+// nonempty, one component), the relation pairs the mandatory edges join
+// and their JC ids (both sorted, unique), and the relation bound. The
+// search depends on nothing else.
+struct JoinTreeSearchRequest {
   std::vector<uint32_t> seed;
-  seed.reserve(required.size());
-  for (const std::string& rel : required) {
-    const size_t index = graph_->IndexOf(rel);
-    if (index == JoinGraph::kNpos) return;  // relation gone
-    seed.push_back(static_cast<uint32_t>(index));
-  }
-  // Fail fast on unreachable requests: a spanning tree can only exist
-  // inside one connected component, so there is no point growing sets.
-  for (const uint32_t rel : seed) {
-    if (graph_->component_id_[rel] != graph_->component_id_[seed.front()]) {
-      return;
-    }
-  }
-  for (const JoinConstraint& edge : mandatory_edges_) {
-    const size_t lhs = graph_->IndexOf(edge.lhs);
-    const size_t rhs = graph_->IndexOf(edge.rhs);
-    if (!std::binary_search(seed.begin(), seed.end(), lhs) ||
-        !std::binary_search(seed.begin(), seed.end(), rhs)) {
-      return;  // mandatory edge endpoint outside the required set
-    }
-    mandatory_ends_.emplace_back(static_cast<uint32_t>(lhs),
-                                 static_cast<uint32_t>(rhs));
-    mandatory_ids_.push_back(edge.id);
-  }
-  std::sort(mandatory_ids_.begin(), mandatory_ids_.end());
-  mandatory_ids_.erase(
-      std::unique(mandatory_ids_.begin(), mandatory_ids_.end()),
-      mandatory_ids_.end());
-  max_relations_ = seed.size() + options.max_extra_relations;
+  std::vector<std::pair<uint32_t, uint32_t>> mandatory_ends;
+  std::vector<std::string> mandatory_ids;
+  size_t max_relations = 0;
 
+  bool operator<(const JoinTreeSearchRequest& other) const {
+    return std::tie(seed, mandatory_ends, mandatory_ids, max_relations) <
+           std::tie(other.seed, other.mandatory_ends, other.mandatory_ids,
+                    other.max_relations);
+  }
+};
+
+// One uniform-cost join-tree search over a JoinGraph and, when shared,
+// the record of every frontier pop it has made. The search is the one a
+// private JoinTreeEnumerator used to run, minus the token: pops are made
+// on demand, one at a time, by the first cursor that asks for them. A
+// shared log records each pop with what it did and the frontier bound
+// after it, so later cursors replay it without searching, and serializes
+// its cursors on mu_. A private log has one cursor, which asks for each
+// pop exactly when it is made, so it records nothing and takes no lock.
+class JoinTreeSearchLog {
+ public:
+  enum class Step : uint8_t { kTree, kCut, kGrown };
+
+  JoinTreeSearchLog(const JoinGraph& graph, JoinTreeSearchRequest request,
+                    bool shared);
+  // Cursors hold the log's address.
+  JoinTreeSearchLog(const JoinTreeSearchLog&) = delete;
+  JoinTreeSearchLog& operator=(const JoinTreeSearchLog&) = delete;
+
+  const JoinTreeSearchRequest& request() const { return request_; }
+  // NextTreeSizeLowerBound() before the first pop.
+  size_t initial_bound() const { return initial_bound_; }
+
+  // Pop number `index` (0-based), made now if no cursor has reached it: a
+  // cursor asks for its pops in order, and only while its bound shows the
+  // search is not exhausted. Sets `*bound_after` to the frontier bound
+  // after the pop. For a tree, calls on_tree(relations, num_relations,
+  // edges, num_edges) with its relation indices and its non-mandatory edge
+  // indices, which stay valid during the call only.
+  template <typename OnTree>
+  Step Replay(size_t index, size_t* bound_after, const OnTree& on_tree);
+
+ private:
+  struct Pop {
+    Step step = Step::kGrown;
+    uint32_t relations = 0;  // kTree: its relation count, and where its
+    size_t tree_begin = 0;   // indices lie in trees_
+    size_t tree_end = 0;
+    size_t bound_after = 0;
+  };
+
+  // Makes the next pop. For a tree, `*chosen` points at its level_size_
+  // relation indices and tree_edges_ holds its non-mandatory edges, both
+  // until the next pop.
+  Step MakePop(const uint32_t** chosen);
+  bool Exhausted() const {
+    return level_next_ == level_.size() && next_level_.empty();
+  }
+  // NextTreeSizeLowerBound() at the current frontier.
+  size_t Bound() const;
+
+  // Whether the JC edges among `chosen` (level_size_ sorted indices) span
+  // it: mandatory edges first, then, relation by relation in index order,
+  // every incident JC that merges two components. On success tree_edges_
+  // holds the graph edge indices taken after the mandatory edges.
+  bool TryBuildTree(const uint32_t* chosen);
+  // Appends every one-relation extension of `chosen` to next_level_.
+  void Expand(const uint32_t* chosen);
+  // Makes next_level_, sorted and deduplicated, the current level.
+  void PromoteNextLevel();
+  // Position of relation index `rel` in `chosen`, or level_size_ if absent.
+  size_t PositionIn(const uint32_t* chosen, size_t rel) const;
+
+  const JoinGraph* graph_;
+  // A private log moves the seed into the first level; only a shared log
+  // keeps it, as part of its registry key.
+  JoinTreeSearchRequest request_;
+  const bool shared_;
+  // Static size floor: max pairwise BFS distance among required + 1.
+  size_t min_tree_size_ = 0;
+  size_t initial_bound_ = 0;
+
+  // In a shared log, mu_ guards everything below: the pops made so far
+  // and the yielded trees' relation and edge indices back to back (both
+  // kept by shared logs only), and the search state.
+  std::mutex mu_;
+  std::vector<Pop> pops_;
+  std::vector<uint32_t> trees_;
+
+  // The current level: its sets, each level_size_ indices long, back to
+  // back in lexicographic order; level_next_ is the offset of the first
+  // set not yet popped. next_level_ collects the sets (of size
+  // level_size_ + 1) grown from popped sets, repeats included.
+  std::vector<uint32_t> level_;
+  size_t level_size_ = 0;
+  size_t level_next_ = 0;
+  std::vector<uint32_t> next_level_;
+
+  // Buffers reused across sets: union-find parents over positions in the
+  // set, the tree's non-mandatory edges, a set's outside neighbours, and
+  // the sort order of a level being promoted.
+  std::vector<uint32_t> parent_;
+  std::vector<uint32_t> tree_edges_;
+  std::vector<uint32_t> neighbors_;
+  std::vector<uint32_t> order_;
+};
+
+// The shared logs of one graph, sorted by request.
+struct JoinGraph::SearchLogs {
+  std::mutex mu;
+  std::vector<std::shared_ptr<JoinTreeSearchLog>> logs;
+};
+
+void JoinGraph::ShareSearches() {
+  shared_searches_.logs = std::make_shared<SearchLogs>();
+}
+
+JoinTreeSearchLog::JoinTreeSearchLog(const JoinGraph& graph,
+                                     JoinTreeSearchRequest request,
+                                     bool shared)
+    : graph_(&graph), request_(std::move(request)), shared_(shared) {
+  const std::vector<uint32_t>& seed = request_.seed;
   // Static size floor: a connecting tree contains a path between every
   // pair of required relations, so its relation count is at least the
   // largest pairwise BFS distance plus one. The uniform-cost frontier
@@ -261,18 +350,23 @@ JoinTreeEnumerator::JoinTreeEnumerator(
   }
 
   level_size_ = seed.size();
-  level_ = std::move(seed);
+  if (shared_) {
+    level_ = seed;
+  } else {
+    level_ = std::move(request_.seed);
+  }
+  initial_bound_ = Bound();
 }
 
-size_t JoinTreeEnumerator::PositionIn(const uint32_t* chosen,
-                                      size_t rel) const {
+size_t JoinTreeSearchLog::PositionIn(const uint32_t* chosen,
+                                     size_t rel) const {
   const uint32_t* end = chosen + level_size_;
   const uint32_t* it = std::lower_bound(chosen, end, rel);
   return it != end && *it == rel ? static_cast<size_t>(it - chosen)
                                  : level_size_;
 }
 
-bool JoinTreeEnumerator::TryBuildTree(const uint32_t* chosen) {
+bool JoinTreeSearchLog::TryBuildTree(const uint32_t* chosen) {
   const size_t size = level_size_;
   parent_.resize(size);
   for (size_t i = 0; i < size; ++i) parent_[i] = static_cast<uint32_t>(i);
@@ -293,7 +387,7 @@ bool JoinTreeEnumerator::TryBuildTree(const uint32_t* chosen) {
   // The set is connected once size - 1 merges happened; from then on no
   // further edge can merge anything, so the scan stops there.
   size_t merges = 0;
-  for (const auto& [lhs, rhs] : mandatory_ends_) {
+  for (const auto& [lhs, rhs] : request_.mandatory_ends) {
     if (unite(PositionIn(chosen, lhs), PositionIn(chosen, rhs))) ++merges;
   }
   tree_edges_.clear();
@@ -304,9 +398,9 @@ bool JoinTreeEnumerator::TryBuildTree(const uint32_t* chosen) {
       const size_t j = PositionIn(chosen, lhs == chosen[i] ? rhs : lhs);
       if (j == size) continue;
       // Skip a JC already included as mandatory.
-      if (!mandatory_ids_.empty() &&
-          std::binary_search(mandatory_ids_.begin(), mandatory_ids_.end(),
-                             edges[edge_index].id)) {
+      const std::vector<std::string>& ids = request_.mandatory_ids;
+      if (!ids.empty() &&
+          std::binary_search(ids.begin(), ids.end(), edges[edge_index].id)) {
         continue;
       }
       if (!unite(i, j)) continue;
@@ -317,22 +411,7 @@ bool JoinTreeEnumerator::TryBuildTree(const uint32_t* chosen) {
   return merges + 1 == size;
 }
 
-JoinTree JoinTreeEnumerator::MakeTree(const uint32_t* chosen) const {
-  JoinTree tree;
-  tree.relations.reserve(level_size_);
-  for (size_t i = 0; i < level_size_; ++i) {
-    tree.relations.push_back(graph_->relations_[chosen[i]]);
-  }
-  tree.edges.reserve(mandatory_edges_.size() + tree_edges_.size());
-  tree.edges = mandatory_edges_;
-  const std::vector<JoinConstraint>& edges = graph_->Edges();
-  for (const uint32_t edge_index : tree_edges_) {
-    tree.edges.push_back(edges[edge_index]);
-  }
-  return tree;
-}
-
-void JoinTreeEnumerator::Expand(const uint32_t* chosen) {
+void JoinTreeSearchLog::Expand(const uint32_t* chosen) {
   neighbors_.clear();
   for (size_t i = 0; i < level_size_; ++i) {
     for (const size_t edge_index : graph_->IncidentEdges(chosen[i])) {
@@ -355,7 +434,7 @@ void JoinTreeEnumerator::Expand(const uint32_t* chosen) {
   }
 }
 
-void JoinTreeEnumerator::PromoteNextLevel() {
+void JoinTreeSearchLog::PromoteNextLevel() {
   const size_t stride = level_size_ + 1;
   const uint32_t* sets = next_level_.data();
   order_.resize(next_level_.size() / stride);
@@ -380,44 +459,180 @@ void JoinTreeEnumerator::PromoteNextLevel() {
   next_level_.clear();
 }
 
+JoinTreeSearchLog::Step JoinTreeSearchLog::MakePop(const uint32_t** chosen) {
+  if (level_next_ == level_.size()) PromoteNextLevel();
+  *chosen = level_.data() + level_next_;
+  level_next_ += level_size_;
+  if (TryBuildTree(*chosen)) {
+    return Step::kTree;  // minimal connected superset: don't grow it further
+  }
+  if (level_size_ >= request_.max_relations) {
+    return Step::kCut;  // disconnected set hit the bound
+  }
+  Expand(*chosen);  // grow by any relation adjacent to the set
+  return Step::kGrown;
+}
+
+size_t JoinTreeSearchLog::Bound() const {
+  if (Exhausted()) return static_cast<size_t>(-1);
+  // Both are admissible (the distance floor bounds every tree this search
+  // can ever yield, the frontier minimum bounds the remaining ones), so
+  // their maximum is too.
+  const size_t smallest =
+      level_next_ < level_.size() ? level_size_ : level_size_ + 1;
+  return std::max(smallest, min_tree_size_);
+}
+
+template <typename OnTree>
+JoinTreeSearchLog::Step JoinTreeSearchLog::Replay(size_t index,
+                                                  size_t* bound_after,
+                                                  const OnTree& on_tree) {
+  const uint32_t* chosen = nullptr;
+  if (!shared_) {
+    const Step step = MakePop(&chosen);
+    *bound_after = Bound();
+    if (step == Step::kTree) {
+      on_tree(chosen, level_size_, tree_edges_.data(), tree_edges_.size());
+    }
+    return step;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (index == pops_.size()) {
+    Pop pop;
+    pop.step = MakePop(&chosen);
+    pop.bound_after = Bound();
+    if (pop.step == Step::kTree) {
+      pop.relations = static_cast<uint32_t>(level_size_);
+      pop.tree_begin = trees_.size();
+      trees_.insert(trees_.end(), chosen, chosen + level_size_);
+      trees_.insert(trees_.end(), tree_edges_.begin(), tree_edges_.end());
+      pop.tree_end = trees_.size();
+    }
+    pops_.push_back(pop);
+  }
+  const Pop& pop = pops_[index];
+  *bound_after = pop.bound_after;
+  if (pop.step == Step::kTree) {
+    const uint32_t* tree = trees_.data() + pop.tree_begin;
+    on_tree(tree, pop.relations, tree + pop.relations,
+            pop.tree_end - pop.tree_begin - pop.relations);
+  }
+  return pop.step;
+}
+
+JoinTreeEnumerator::JoinTreeEnumerator(
+    const JoinGraph& graph, const std::set<std::string>& required,
+    std::vector<JoinConstraint> mandatory_edges,
+    const JoinTreeSearchOptions& options)
+    : graph_(&graph),
+      mandatory_edges_(std::move(mandatory_edges)),
+      token_(options.token) {
+  if (required.empty()) return;  // nothing to search: exhausted
+  // `required` is name-sorted and so is relations_, so the seed comes out
+  // sorted by index.
+  JoinTreeSearchRequest request;
+  std::vector<uint32_t>& seed = request.seed;
+  seed.reserve(required.size());
+  for (const std::string& rel : required) {
+    const size_t index = graph_->IndexOf(rel);
+    if (index == JoinGraph::kNpos) return;  // relation gone
+    seed.push_back(static_cast<uint32_t>(index));
+  }
+  // Fail fast on unreachable requests: a spanning tree can only exist
+  // inside one connected component, so there is no point growing sets.
+  for (const uint32_t rel : seed) {
+    if (graph_->component_id_[rel] != graph_->component_id_[seed.front()]) {
+      return;
+    }
+  }
+  // The search only depends on which relation pairs the mandatory edges
+  // join and which JC ids they hold, so both are normalized.
+  std::vector<std::pair<uint32_t, uint32_t>>& ends = request.mandatory_ends;
+  std::vector<std::string>& ids = request.mandatory_ids;
+  for (const JoinConstraint& edge : mandatory_edges_) {
+    const size_t lhs = graph_->IndexOf(edge.lhs);
+    const size_t rhs = graph_->IndexOf(edge.rhs);
+    if (!std::binary_search(seed.begin(), seed.end(), lhs) ||
+        !std::binary_search(seed.begin(), seed.end(), rhs)) {
+      return;  // mandatory edge endpoint outside the required set
+    }
+    ends.emplace_back(static_cast<uint32_t>(std::min(lhs, rhs)),
+                      static_cast<uint32_t>(std::max(lhs, rhs)));
+    ids.push_back(edge.id);
+  }
+  std::sort(ends.begin(), ends.end());
+  ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  request.max_relations = seed.size() + options.max_extra_relations;
+
+  JoinGraph::SearchLogs* shared = graph_->shared_searches_.logs.get();
+  if (shared == nullptr) {
+    log_ = std::make_shared<JoinTreeSearchLog>(*graph_, std::move(request),
+                                               /*shared=*/false);
+  } else {
+    std::lock_guard<std::mutex> lock(shared->mu);
+    std::vector<std::shared_ptr<JoinTreeSearchLog>>& logs = shared->logs;
+    auto it = std::lower_bound(
+        logs.begin(), logs.end(), request,
+        [](const std::shared_ptr<JoinTreeSearchLog>& log,
+           const JoinTreeSearchRequest& wanted) {
+          return log->request() < wanted;
+        });
+    if (it == logs.end() || request < (*it)->request()) {
+      it = logs.insert(it, std::make_shared<JoinTreeSearchLog>(
+                               *graph_, std::move(request), /*shared=*/true));
+    }
+    log_ = *it;
+  }
+  bound_ = log_->initial_bound();
+}
+
+JoinTree JoinTreeEnumerator::MakeTree(const uint32_t* relations,
+                                      size_t num_relations,
+                                      const uint32_t* edges,
+                                      size_t num_edges) const {
+  JoinTree tree;
+  tree.relations.reserve(num_relations);
+  for (size_t i = 0; i < num_relations; ++i) {
+    tree.relations.push_back(graph_->relations_[relations[i]]);
+  }
+  tree.edges.reserve(mandatory_edges_.size() + num_edges);
+  tree.edges = mandatory_edges_;
+  const std::vector<JoinConstraint>& graph_edges = graph_->Edges();
+  for (size_t i = 0; i < num_edges; ++i) {
+    tree.edges.push_back(graph_edges[edges[i]]);
+  }
+  return tree;
+}
+
 std::optional<JoinTree> JoinTreeEnumerator::Next() {
   if (interrupted_) return std::nullopt;
   while (!Exhausted()) {
-    if (level_next_ == level_.size()) PromoteNextLevel();
-    // One frontier pop is the unit of logical work: spend it before
-    // expanding, so a refused step leaves the frontier (and with it the
-    // first-cut lower bound) untouched.
+    // One frontier pop is the unit of logical work, whether this cursor
+    // makes it or replays it: spend it first, so a refused step leaves the
+    // position (and with it the first-cut lower bound) untouched.
     if (!token_.Spend(1)) {
       interrupted_ = true;
       return std::nullopt;
     }
-    const uint32_t* chosen = level_.data() + level_next_;
-    level_next_ += level_size_;
+    std::optional<JoinTree> tree;
+    const JoinTreeSearchLog::Step step = log_->Replay(
+        sets_expanded_, &bound_,
+        [&](const uint32_t* relations, size_t num_relations,
+            const uint32_t* edges, size_t num_edges) {
+          tree = MakeTree(relations, num_relations, edges, num_edges);
+        });
     ++sets_expanded_;
-
-    if (TryBuildTree(chosen)) {
-      // Minimal connected superset found; don't grow it further.
+    if (step == JoinTreeSearchLog::Step::kTree) {
       ++trees_yielded_;
-      return MakeTree(chosen);
+      return tree;
     }
-    if (level_size_ >= max_relations_) {
+    if (step == JoinTreeSearchLog::Step::kCut) {
       ++sets_cut_;  // disconnected set hit the bound: lost search subtree
-      continue;
     }
-    // Grow by any relation adjacent to the current set.
-    Expand(chosen);
   }
   return std::nullopt;
-}
-
-size_t JoinTreeEnumerator::NextTreeSizeLowerBound() const {
-  if (Exhausted()) return static_cast<size_t>(-1);
-  // Both are admissible (the distance floor bounds every tree this
-  // enumerator can ever yield, the frontier minimum bounds the remaining
-  // ones), so their maximum is too.
-  const size_t smallest =
-      level_next_ < level_.size() ? level_size_ : level_size_ + 1;
-  return std::max(smallest, min_tree_size_);
 }
 
 }  // namespace eve

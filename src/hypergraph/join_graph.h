@@ -14,6 +14,7 @@
 #define EVE_HYPERGRAPH_JOIN_GRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -35,6 +36,10 @@ struct JoinTree {
   // "R1 ⋈[JC1] R2 ⋈[JC4] R3".
   std::string ToString() const;
 };
+
+// One join-tree search (join_graph.cc); JoinTreeEnumerators are cursors
+// over it.
+class JoinTreeSearchLog;
 
 // Options bounding the join-tree search in FindConnectingTrees.
 struct JoinTreeSearchOptions {
@@ -98,8 +103,31 @@ class JoinGraph {
       const std::vector<JoinConstraint>& mandatory_edges,
       const JoinTreeSearchOptions& options) const;
 
+  // Shares the join-tree searches over this graph: from now on every
+  // JoinTreeEnumerator built over this object with the same required
+  // relations, mandatory edges and max_extra_relations replays one search
+  // log (see JoinTreeEnumerator) instead of searching on its own. The logs
+  // live as long as this object; a copy or move of the graph starts
+  // without them. Call it before the graph is handed to other threads.
+  void ShareSearches();
+
  private:
   friend class JoinTreeEnumerator;
+  friend class JoinTreeSearchLog;
+
+  // The shared search logs, sorted by request (join_graph.cc).
+  struct SearchLogs;
+  // Holds them. Every log walks this graph object, so a copied or moved
+  // graph starts with none.
+  struct SharedSearches {
+    SharedSearches() = default;
+    SharedSearches(const SharedSearches&) {}
+    SharedSearches& operator=(const SharedSearches&) {
+      logs.reset();
+      return *this;
+    }
+    std::shared_ptr<SearchLogs> logs;
+  };
 
   // Resolves edge endpoints to relation indices, builds the CSR adjacency
   // and assigns connected-component ids. Expects relations_ (sorted) and
@@ -142,6 +170,7 @@ class JoinGraph {
   std::vector<size_t> adj_edges_;
   // Per relation index: connected-component id.
   std::vector<size_t> component_id_;
+  SharedSearches shared_searches_;
 };
 
 // Resumable uniform-cost enumeration of the connecting join trees of a
@@ -160,6 +189,19 @@ class JoinGraph {
 // sorted by name, so index order is name order and the pop order is the
 // (size, lexicographic) order of the relation-name vectors. Names and JC
 // copies are made only for the trees that are yielded.
+//
+// The search itself is a JoinTreeSearchLog, and an enumerator is a cursor
+// that replays it pop by pop, spending one token unit per pop. Over a
+// graph that shares its searches (JoinGraph::ShareSearches), every
+// enumerator with the same required relations, mandatory edges and
+// max_extra_relations replays one log: the record of every frontier pop
+// made so far, grown one pop at a time under the log's lock, and only
+// when a cursor asks for a pop no cursor has made yet. A search that many
+// views of one change need thus runs once. Otherwise each enumerator has
+// a private log, which records nothing and takes no lock. A cursor's
+// trees, their order, its counters, its bound and the pop at which its
+// budget stops it depend on its pop count alone, so they are those of a
+// private search either way.
 //
 // The enumerator borrows `graph` (and, via it, the Mkb's edge storage):
 // it must not outlive either. Callers interleave Next() with
@@ -187,11 +229,9 @@ class JoinTreeEnumerator {
   // distance + 1 relations). SIZE_MAX once exhausted. The distance floor
   // is what lets a best-first merge across many enumerators rank a
   // far-flung required set as expensive before expanding a single set.
-  size_t NextTreeSizeLowerBound() const;
+  size_t NextTreeSizeLowerBound() const { return bound_; }
 
-  bool Exhausted() const {
-    return level_next_ == level_.size() && next_level_.empty();
-  }
+  bool Exhausted() const { return bound_ == kExhausted; }
 
   // True once the search was stopped by options.token rather than by
   // draining the space: the frontier is intact, NextTreeSizeLowerBound()
@@ -208,47 +248,22 @@ class JoinTreeEnumerator {
   size_t trees_yielded() const { return trees_yielded_; }
 
  private:
-  // Whether the JC edges among `chosen` (level_size_ sorted indices) span
-  // it: mandatory edges first, then, relation by relation in index order,
-  // every incident JC that merges two components. On success tree_edges_
-  // holds the graph edge indices taken after the mandatory edges.
-  bool TryBuildTree(const uint32_t* chosen);
-  // The yielded tree over `chosen`, from tree_edges_.
-  JoinTree MakeTree(const uint32_t* chosen) const;
-  // Appends every one-relation extension of `chosen` to next_level_.
-  void Expand(const uint32_t* chosen);
-  // Makes next_level_, sorted and deduplicated, the current level.
-  void PromoteNextLevel();
-  // Position of relation index `rel` in `chosen`, or level_size_ if absent.
-  size_t PositionIn(const uint32_t* chosen, size_t rel) const;
+  static constexpr size_t kExhausted = static_cast<size_t>(-1);
+
+  // The yielded tree over `relations`: the mandatory edges, then the graph
+  // edges `edges`.
+  JoinTree MakeTree(const uint32_t* relations, size_t num_relations,
+                    const uint32_t* edges, size_t num_edges) const;
 
   const JoinGraph* graph_;
   std::vector<JoinConstraint> mandatory_edges_;
-  // Per mandatory edge: its endpoints' relation indices.
-  std::vector<std::pair<uint32_t, uint32_t>> mandatory_ends_;
-  std::vector<std::string> mandatory_ids_;  // sorted, unique
-  size_t max_relations_ = 0;
-  // Static size floor: max pairwise BFS distance among required + 1.
-  size_t min_tree_size_ = 0;
   DeadlineToken token_;
+  // Null when there is nothing to search (the enumerator is born
+  // exhausted).
+  std::shared_ptr<JoinTreeSearchLog> log_;
+  // NextTreeSizeLowerBound() after the sets_expanded_ pops replayed.
+  size_t bound_ = kExhausted;
   bool interrupted_ = false;
-
-  // The current level: its sets, each level_size_ indices long, back to
-  // back in lexicographic order; level_next_ is the offset of the first
-  // set not yet popped. next_level_ collects the sets (of size
-  // level_size_ + 1) grown from popped sets, repeats included.
-  std::vector<uint32_t> level_;
-  size_t level_size_ = 0;
-  size_t level_next_ = 0;
-  std::vector<uint32_t> next_level_;
-
-  // Buffers reused across sets: union-find parents over positions in the
-  // set, the tree's non-mandatory edges, a set's outside neighbours, and
-  // the sort order of a level being promoted.
-  std::vector<uint32_t> parent_;
-  std::vector<uint32_t> tree_edges_;
-  std::vector<uint32_t> neighbors_;
-  std::vector<uint32_t> order_;
 
   size_t sets_expanded_ = 0;
   size_t sets_cut_ = 0;

@@ -388,6 +388,101 @@ TEST(EnumerationEquivalence, TopOneFrontMatchesExhaustiveFront) {
   EXPECT_GE(totals.attribute_changes, 1000u);
 }
 
+// Every rewriting's ToString(), then the diagnostics, then the stats.
+std::string ResultFingerprint(const Result<CvsResult>& result) {
+  if (!result.ok()) return "error: " + result.status().ToString();
+  std::string out;
+  for (const SynchronizedView& rewriting : result.value().rewritings) {
+    out += rewriting.ToString() + "\n";
+  }
+  out += "--\n";
+  for (const std::string& diagnostic : result.value().diagnostics) {
+    out += diagnostic + "\n";
+  }
+  return out + "--\n" + result.value().enumeration.ToString();
+}
+
+TEST(EnumerationEquivalence, SharedContextMatchesPrivateContexts) {
+  // A whatif-style chain pool (covers four joins away) in which every view
+  // shape appears twice under different names, once more with every
+  // component dispensable: the affected views of a delete ask for the same
+  // join-tree searches, which one SyncContext runs once and shares. Each
+  // view synchronized through that shared context, after the views before
+  // it grew the logs, must come out exactly as through a fresh context of
+  // its own, at top_k 0 and 1 and without and with every work budget from
+  // 1 to 8 (a fresh token per run).
+  ChainMkbSpec spec;
+  spec.length = 14;
+  spec.cover_distance = 4;
+  const Mkb mkb = MakeChainMkb(spec).MoveValue();
+  std::vector<ViewDefinition> pool;
+  for (size_t start = 1; start <= 7; ++start) {
+    for (size_t span = 1; span <= 3; ++span) {
+      const ViewDefinition shape = MakeChainView(mkb, start, span).MoveValue();
+      for (const bool dispensable : {false, false, true}) {
+        ViewDefinition view =
+            WithParams(shape, [&](const std::vector<AttributeRef>&) {
+              return EvolutionParams{dispensable, true};
+            });
+        view.set_name("v" + std::to_string(pool.size()));
+        pool.push_back(std::move(view));
+      }
+    }
+  }
+  size_t compared = 0, preserved = 0, partial = 0, stopped_early = 0;
+  size_t searched = 0;
+  for (const CapabilityChange& change :
+       {CapabilityChange::DeleteRelation("R4"),
+        CapabilityChange::DeleteAttribute("R4", "P4"),
+        CapabilityChange::DeleteRelation("R5"),
+        CapabilityChange::DeleteAttribute("R5", "P5"),
+        CapabilityChange::DeleteRelation("R6"),
+        CapabilityChange::DeleteAttribute("R6", "P6")}) {
+    const Mkb mkb_prime = EvolveMkb(mkb, change).MoveValue().mkb;
+    for (const size_t top_k : {size_t{0}, size_t{1}}) {
+      for (uint64_t budget = 0; budget <= 8; ++budget) {
+        const SyncContext shared(mkb, mkb_prime);
+        for (const ViewDefinition& view : pool) {
+          if (!view.HasFromRelation(change.relation)) continue;
+          if (change.kind == CapabilityChange::Kind::kDeleteAttribute &&
+              !view.ReferencesAttribute({change.relation, change.attribute})) {
+            continue;
+          }
+          CvsOptions options;
+          options.top_k = top_k;
+          CvsOptions private_options = options;
+          if (budget > 0) {
+            options.replacement.token = DeadlineToken::Root({budget, 0});
+            private_options.replacement.token =
+                DeadlineToken::Root({budget, 0});
+          }
+          const Result<CvsResult> got =
+              Synchronize(view, change, shared, options);
+          const SyncContext fresh(mkb, mkb_prime);
+          const Result<CvsResult> want =
+              Synchronize(view, change, fresh, private_options);
+          ASSERT_EQ(ResultFingerprint(got), ResultFingerprint(want))
+              << view.name() << " under " << change.ToString() << ", top_k "
+              << top_k << ", budget " << budget;
+          ++compared;
+          if (!got.ok()) continue;
+          const EnumerationStats& stats = got.value().enumeration;
+          if (got.value().ViewPreserved()) ++preserved;
+          if (stats.deadline.partial) ++partial;
+          if (stats.terminated_early) ++stopped_early;
+          if (stats.trees_expanded > 0) ++searched;
+        }
+      }
+    }
+  }
+  // The sweep must reach searches, budget stops and top-1 stops.
+  EXPECT_GE(compared, 1800u);
+  EXPECT_GE(preserved, 700u);
+  EXPECT_GE(partial, 1000u);
+  EXPECT_GE(stopped_early, 150u);
+  EXPECT_GE(searched, 1500u);
+}
+
 TEST_F(CoverFanTest, LowerBoundsAreAdmissible) {
   const CvsResult result =
       SynchronizeDeleteRelation(view_, "R0", mkb_, mkb_prime_, WideOptions())

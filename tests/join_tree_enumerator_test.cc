@@ -7,16 +7,23 @@
 // agree on the yielded tree (relations and edge ids, in order), the
 // expansion and cut counters, NextTreeSizeLowerBound(), Exhausted() and
 // interrupted(), so a budget stops both at the same step.
+//
+// The second half checks shared searches (JoinGraph::ShareSearches):
+// enumerators replaying one search log must match, step by step, a
+// private search of the same request — interleaved on one thread, racing
+// from four threads, and stopped by every work budget the search admits.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <optional>
 #include <random>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -204,6 +211,90 @@ std::string TreeKey(const JoinTree& tree) {
   return os.str();
 }
 
+// One join-tree request.
+struct Request {
+  std::set<std::string> required;
+  std::vector<JoinConstraint> mandatory;
+  size_t max_extra = 0;
+};
+
+// A random request over `graph`: one to four required relations, now and
+// then one the graph lacks or none at all. Mandatory edges: graph JCs
+// with both endpoints required, now and then one leaving the required
+// set, and one JC the graph lacks between two required relations. Half of
+// those reuse the id of a graph JC elsewhere, which no enumerator may then
+// add.
+Request RandomRequest(const JoinGraph& graph, std::mt19937_64* rng) {
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  auto pick = [&](size_t lo, size_t hi) {
+    return std::uniform_int_distribution<size_t>(lo, hi)(*rng);
+  };
+  const std::vector<std::string>& relations = graph.relations();
+  Request request;
+  std::set<std::string>& required = request.required;
+  const size_t want = pick(1, std::min<size_t>(4, relations.size()));
+  while (required.size() < want) {
+    required.insert(relations[pick(0, relations.size() - 1)]);
+  }
+  if (coin(*rng) < 0.03) required.insert("Ghost");  // not in the graph
+  if (coin(*rng) < 0.02) required.clear();
+  for (const std::string& rel : required) {
+    if (!graph.HasRelation(rel)) continue;
+    for (const JoinGraph::Neighbor& neighbor : graph.Neighbors(rel)) {
+      if (required.count(neighbor.relation) > 0 && coin(*rng) < 0.3) {
+        request.mandatory.push_back(neighbor.edge);
+      }
+    }
+  }
+  if (!required.empty() && coin(*rng) < 0.05 &&
+      !graph.Neighbors(*required.begin()).empty()) {
+    request.mandatory.push_back(graph.Neighbors(*required.begin()).front().edge);
+  }
+  if (required.size() >= 2 && coin(*rng) < 0.15) {
+    JoinConstraint foreign;
+    foreign.id = "X";
+    const std::string& donor = relations[pick(0, relations.size() - 1)];
+    if (coin(*rng) < 0.5 && !graph.Neighbors(donor).empty()) {
+      foreign.id = graph.Neighbors(donor).back().edge.id;
+    }
+    foreign.lhs = *required.begin();
+    foreign.rhs = *required.rbegin();
+    request.mandatory.push_back(foreign);
+  }
+  request.max_extra = pick(0, 4);
+  return request;
+}
+
+// One graph of the sweep, its family picked by case number. Every third
+// graph loses a relation: enumerators then run on an EraseRelation result,
+// which owns its edges. Held by pointer, since the graph borrows the Mkb's
+// edge storage.
+struct GraphCase {
+  Mkb mkb;
+  std::optional<JoinGraph> graph;
+  std::string label;
+};
+
+std::unique_ptr<GraphCase> MakeGraphCase(size_t graph_case,
+                                         std::mt19937_64* rng) {
+  const Family family =
+      static_cast<Family>(graph_case % static_cast<size_t>(Family::kCount));
+  const auto [n, edges] = MakeGraph(family, rng);
+  const std::vector<std::string> names = RelationNames(n, rng);
+  auto sample = std::make_unique<GraphCase>();
+  sample->mkb = BuildMkb(names, edges, rng);
+  sample->graph.emplace(JoinGraph::Build(sample->mkb));
+  sample->label =
+      std::string(FamilyName(family)) + " #" + std::to_string(graph_case);
+  if (graph_case % 3 == 2) {
+    const std::string& gone =
+        names[std::uniform_int_distribution<size_t>(0, n - 1)(*rng)];
+    sample->graph.emplace(sample->graph->EraseRelation(gone));
+    sample->label += " minus " + gone;
+  }
+  return sample;
+}
+
 struct Totals {
   size_t cases = 0;
   size_t trees = 0;
@@ -276,68 +367,18 @@ TEST(JoinTreeEnumeratorDifferential, MatchesLegacyEnumeratorStepByStep) {
   Totals totals;
   std::mt19937_64 rng(20261017);
   std::uniform_real_distribution<double> coin(0.0, 1.0);
-  auto pick = [&](size_t lo, size_t hi) {
-    return std::uniform_int_distribution<size_t>(lo, hi)(rng);
-  };
   for (size_t graph_case = 0; graph_case < 600; ++graph_case) {
-    const Family family =
-        static_cast<Family>(graph_case % static_cast<size_t>(Family::kCount));
-    const auto [n, edges] = MakeGraph(family, &rng);
-    const std::vector<std::string> names = RelationNames(n, &rng);
-    const Mkb mkb = BuildMkb(names, edges, &rng);
-    JoinGraph graph = JoinGraph::Build(mkb);
-    std::string graph_label =
-        std::string(FamilyName(family)) + " #" + std::to_string(graph_case);
-    // Every third graph loses a relation: the enumerator then runs on an
-    // EraseRelation result, which owns its edges.
-    if (graph_case % 3 == 2) {
-      const std::string& gone = names[pick(0, n - 1)];
-      graph = graph.EraseRelation(gone);
-      graph_label += " minus " + gone;
-    }
-    const std::vector<std::string>& relations = graph.relations();
-    if (relations.empty()) continue;
-
+    const std::unique_ptr<GraphCase> sample = MakeGraphCase(graph_case, &rng);
+    const JoinGraph& graph = *sample->graph;
+    if (graph.relations().empty()) continue;
     for (size_t query = 0; query < 8; ++query) {
-      std::set<std::string> required;
-      const size_t want = pick(1, std::min<size_t>(4, relations.size()));
-      while (required.size() < want) {
-        required.insert(relations[pick(0, relations.size() - 1)]);
-      }
-      if (coin(rng) < 0.03) required.insert("Ghost");  // not in the graph
-      if (coin(rng) < 0.02) required.clear();
-      // Mandatory edges: graph JCs with both endpoints required, now and
-      // then one leaving the required set, and one JC the graph lacks
-      // between two required relations. Half of those reuse the id of a
-      // graph JC elsewhere, which neither enumerator may then add.
-      std::vector<JoinConstraint> mandatory;
-      for (const std::string& rel : required) {
-        if (!graph.HasRelation(rel)) continue;
-        for (const JoinGraph::Neighbor& neighbor : graph.Neighbors(rel)) {
-          if (required.count(neighbor.relation) > 0 && coin(rng) < 0.3) {
-            mandatory.push_back(neighbor.edge);
-          }
-        }
-      }
-      if (!required.empty() && coin(rng) < 0.05 &&
-          !graph.Neighbors(*required.begin()).empty()) {
-        mandatory.push_back(graph.Neighbors(*required.begin()).front().edge);
-      }
-      if (required.size() >= 2 && coin(rng) < 0.15) {
-        JoinConstraint foreign;
-        foreign.id = "X" + std::to_string(query);
-        const std::string& donor = relations[pick(0, relations.size() - 1)];
-        if (coin(rng) < 0.5 && !graph.Neighbors(donor).empty()) {
-          foreign.id = graph.Neighbors(donor).back().edge.id;
-        }
-        foreign.lhs = *required.begin();
-        foreign.rhs = *required.rbegin();
-        mandatory.push_back(foreign);
-      }
-      const size_t max_extra = pick(0, 4);
-      const uint64_t budget = coin(rng) < 0.35 ? pick(1, 30) : 0;
-      CompareOne(graph, required, mandatory, max_extra, budget,
-                 graph_label + " query " + std::to_string(query), &totals);
+      const Request request = RandomRequest(graph, &rng);
+      const uint64_t budget =
+          coin(rng) < 0.35 ? std::uniform_int_distribution<uint64_t>(1, 30)(rng)
+                           : 0;
+      CompareOne(graph, request.required, request.mandatory, request.max_extra,
+                 budget, sample->label + " query " + std::to_string(query),
+                 &totals);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
@@ -377,6 +418,239 @@ TEST(JoinTreeEnumeratorDifferential, FindConnectingTreesKeepsItsOrder) {
   for (const JoinTree& tree : trees) got.push_back(TreeKey(tree));
   EXPECT_EQ(got, want);
   EXPECT_GE(got.size(), 10u);
+}
+
+// What a caller sees after one Next() (or, for the first, before any).
+struct Step {
+  std::string tree;  // TreeKey of the yielded tree, "-" for nullopt
+  size_t expanded = 0;
+  size_t cut = 0;
+  size_t yielded = 0;
+  size_t bound = 0;
+  bool exhausted = false;
+  bool interrupted = false;
+  uint64_t spent = 0;
+
+  bool operator==(const Step&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Step& step) {
+  return os << "{tree " << step.tree << ", expanded " << step.expanded
+            << ", cut " << step.cut << ", yielded " << step.yielded
+            << ", bound " << step.bound << ", exhausted " << step.exhausted
+            << ", interrupted " << step.interrupted << ", spent "
+            << step.spent << "}";
+}
+
+Step Observe(const JoinTreeEnumerator& enumerator,
+             const std::optional<JoinTree>& tree, const DeadlineToken& token) {
+  Step step;
+  step.tree = tree.has_value() ? TreeKey(*tree) : "-";
+  step.expanded = enumerator.sets_expanded();
+  step.cut = enumerator.sets_cut();
+  step.yielded = enumerator.trees_yielded();
+  step.bound = enumerator.NextTreeSizeLowerBound();
+  step.exhausted = enumerator.Exhausted();
+  step.interrupted = enumerator.interrupted();
+  step.spent = token.work_spent();
+  return step;
+}
+
+// An enumerator for `request` with its own token (budget 0 = none).
+struct Cursor {
+  Cursor(const JoinGraph& graph, const Request& request, uint64_t budget)
+      : token(budget > 0 ? DeadlineToken::Root({budget, 0}) : DeadlineToken()),
+        enumerator(graph, request.required, request.mandatory, Options(request)) {}
+
+  JoinTreeSearchOptions Options(const Request& request) const {
+    JoinTreeSearchOptions options;
+    options.max_extra_relations = request.max_extra;
+    options.token = token;
+    return options;
+  }
+
+  // Pulls once and returns what the caller sees. Done() once Next() has
+  // returned nullopt twice (a finished or stopped enumerator stays so).
+  Step Pull() {
+    const std::optional<JoinTree> tree = enumerator.Next();
+    if (!tree.has_value()) ++nullopts;
+    return Observe(enumerator, tree, token);
+  }
+  bool Done() const { return nullopts >= 2; }
+
+  DeadlineToken token;
+  JoinTreeEnumerator enumerator;
+  size_t nullopts = 0;
+};
+
+// The steps of `request` over `graph`: the state before the first Next(),
+// then one per Next() until nullopt has come back twice.
+std::vector<Step> Trajectory(const JoinGraph& graph, const Request& request,
+                             uint64_t budget) {
+  Cursor cursor(graph, request, budget);
+  std::vector<Step> steps{Observe(cursor.enumerator, std::nullopt,
+                                  cursor.token)};
+  while (!cursor.Done() && steps.size() < 3000) steps.push_back(cursor.Pull());
+  return steps;
+}
+
+// A random request whose search takes the most pops among a few draws,
+// so that there is a search to share.
+Request SearchingRequest(const JoinGraph& graph, std::mt19937_64* rng) {
+  Request best;
+  size_t best_pops = 0;
+  for (size_t draw = 0; draw < 8; ++draw) {
+    Request request = RandomRequest(graph, rng);
+    const size_t pops = Trajectory(graph, request, 0).back().expanded;
+    if (draw == 0 || pops > best_pops) {
+      best = std::move(request);
+      best_pops = pops;
+    }
+  }
+  return best;
+}
+
+// A copy of `graph` that shares its searches.
+std::unique_ptr<JoinGraph> SharingCopy(const JoinGraph& graph) {
+  auto shared = std::make_unique<JoinGraph>(graph);
+  shared->ShareSearches();
+  return shared;
+}
+
+TEST(JoinTreeSearchSharing, InterleavedCursorsMatchPrivateSearches) {
+  // Per graph: three distinct requests and eight cursors over them, some
+  // with the mandatory edges in another order (the same search, another
+  // tree edge order) and some with work budgets, pulled in a random
+  // interleaving on one thread. Every step must be the private search's.
+  std::mt19937_64 rng(20261018);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  size_t cursors_run = 0, trees = 0, interrupted = 0, cut = 0, replays = 0;
+  for (size_t graph_case = 0; graph_case < 300; ++graph_case) {
+    const std::unique_ptr<GraphCase> sample = MakeGraphCase(graph_case, &rng);
+    const JoinGraph& graph = *sample->graph;
+    if (graph.relations().empty()) continue;
+    const std::unique_ptr<JoinGraph> shared = SharingCopy(graph);
+    std::vector<Request> requests;
+    for (size_t r = 0; r < 3; ++r) {
+      requests.push_back(SearchingRequest(graph, &rng));
+    }
+    std::set<size_t> searched;  // requests some cursor asked for
+    std::vector<std::vector<Step>> want;
+    std::vector<std::unique_ptr<Cursor>> cursors;
+    for (size_t c = 0; c < 8; ++c) {
+      const size_t index = std::uniform_int_distribution<size_t>(0, 2)(rng);
+      searched.insert(index);
+      Request request = requests[index];
+      if (coin(rng) < 0.3) {
+        std::shuffle(request.mandatory.begin(), request.mandatory.end(), rng);
+      }
+      const uint64_t budget =
+          coin(rng) < 0.4 ? std::uniform_int_distribution<uint64_t>(1, 12)(rng)
+                          : 0;
+      want.push_back(Trajectory(graph, request, budget));
+      cursors.push_back(std::make_unique<Cursor>(*shared, request, budget));
+      EXPECT_EQ(Observe(cursors.back()->enumerator, std::nullopt,
+                        cursors.back()->token),
+                want.back().front())
+          << sample->label << " cursor " << c << " before the first pull";
+    }
+    std::vector<size_t> steps(cursors.size(), 0);
+    std::vector<size_t> live(cursors.size());
+    for (size_t c = 0; c < live.size(); ++c) live[c] = c;
+    while (!live.empty()) {
+      const size_t slot =
+          std::uniform_int_distribution<size_t>(0, live.size() - 1)(rng);
+      const size_t c = live[slot];
+      const Step got = cursors[c]->Pull();
+      const size_t step = ++steps[c];
+      ASSERT_LT(step, want[c].size()) << sample->label << " cursor " << c;
+      ASSERT_EQ(got, want[c][step])
+          << sample->label << " cursor " << c << " step " << step;
+      if (cursors[c]->Done()) {
+        ASSERT_EQ(step + 1, want[c].size()) << sample->label;
+        ++cursors_run;
+        if (got.interrupted) ++interrupted;
+        if (got.cut > 0) ++cut;
+        trees += got.yielded;
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(slot));
+      }
+    }
+    // Cursors after the first of each request replayed its log.
+    replays += cursors.size() - searched.size();
+  }
+  EXPECT_GE(cursors_run, 2000u);
+  EXPECT_GE(trees, 8000u);
+  EXPECT_GE(interrupted, 300u);
+  EXPECT_GE(cut, 500u);
+  EXPECT_GE(replays, 1200u);
+}
+
+TEST(JoinTreeSearchSharing, FourThreadsRacingOnOneLogMatchThePrivateSearch) {
+  // Four threads build cursors for one request on a fresh shared graph at
+  // the same moment and pull them to the end, so the log's growth races
+  // with its replay. Each thread's steps must be the private search's.
+  std::mt19937_64 rng(20261019);
+  size_t races = 0;
+  for (size_t graph_case = 0; graph_case < 120; ++graph_case) {
+    const std::unique_ptr<GraphCase> sample = MakeGraphCase(graph_case, &rng);
+    const JoinGraph& graph = *sample->graph;
+    if (graph.relations().empty()) continue;
+    const Request request = SearchingRequest(graph, &rng);
+    const std::vector<Step> want = Trajectory(graph, request, 0);
+    const std::unique_ptr<JoinGraph> shared = SharingCopy(graph);
+    constexpr size_t kThreads = 4;
+    std::vector<std::vector<Step>> got(kThreads);
+    std::atomic<size_t> arrived{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        arrived.fetch_add(1);
+        while (arrived.load() < kThreads) std::this_thread::yield();
+        got[t] = Trajectory(*shared, request, 0);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(got[t].size(), want.size()) << sample->label << " thread " << t;
+      for (size_t step = 0; step < want.size(); ++step) {
+        ASSERT_EQ(got[t][step], want[step])
+            << sample->label << " thread " << t << " step " << step;
+      }
+    }
+    if (want.back().expanded > 1) ++races;
+  }
+  EXPECT_GE(races, 70u);
+}
+
+TEST(JoinTreeSearchSharing, EveryBudgetStopsAtThePrivateSearchsPop) {
+  // For every work budget from 1 to the exhaustive pop count, a budgeted
+  // cursor stops at the same pop, with the same frontier bound and trees,
+  // as a budgeted private search: both when it is the cursor making the
+  // pops and when it replays a log another cursor already grew.
+  std::mt19937_64 rng(20261020);
+  size_t budgets_checked = 0;
+  for (size_t graph_case = 0; graph_case < 60; ++graph_case) {
+    const std::unique_ptr<GraphCase> sample = MakeGraphCase(graph_case, &rng);
+    const JoinGraph& graph = *sample->graph;
+    if (graph.relations().empty()) continue;
+    const Request request = SearchingRequest(graph, &rng);
+    const size_t pops = Trajectory(graph, request, 0).back().expanded;
+    // A shared graph whose log an unbudgeted cursor has grown to the end.
+    const std::unique_ptr<JoinGraph> grown = SharingCopy(graph);
+    Trajectory(*grown, request, 0);
+    for (uint64_t budget = 1; budget <= pops; ++budget) {
+      const std::vector<Step> want = Trajectory(graph, request, budget);
+      const std::vector<Step> leading =
+          Trajectory(*SharingCopy(graph), request, budget);
+      const std::vector<Step> replaying = Trajectory(*grown, request, budget);
+      ASSERT_EQ(leading, want) << sample->label << " budget " << budget;
+      ASSERT_EQ(replaying, want) << sample->label << " budget " << budget;
+      EXPECT_EQ(want.back().interrupted, budget < pops)
+          << sample->label << " budget " << budget;
+      ++budgets_checked;
+    }
+  }
+  EXPECT_GE(budgets_checked, 1500u);
 }
 
 }  // namespace
