@@ -3,7 +3,8 @@
 // cartesian-product enumeration, swept over candidate-space size (number
 // of covers in a cover-fan MKB — candidates grow quadratically with it)
 // and k. The validation pass asserts the top-k run returns byte-identical
-// rewritings to the exhaustive run's prefix before any timing starts.
+// rewritings to the exhaustive run's prefix before any timing starts. The
+// eager enumeration is the test oracle in tests/legacy_candidate_stream.h.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include "cvs/r_mapping.h"
 #include "cvs/r_replacement.h"
 #include "hypergraph/join_graph.h"
+#include "legacy_candidate_stream.h"
 #include "mkb/evolution.h"
 #include "workload/generator.h"
 
@@ -71,8 +73,8 @@ void BM_EnumerateEager(benchmark::State& state) {
   const RReplacementOptions options = WideOptions(state.range(0));
   size_t candidates = 0;
   for (auto _ : state) {
-    const auto result = ComputeRReplacementsEager(s->view, s->mapping, s->mkb,
-                                                  s->graph(), options);
+    const auto result = legacy::ComputeRReplacementsEager(
+        s->view, s->mapping, s->mkb, s->graph(), options);
     candidates = result.value().size();
     benchmark::DoNotOptimize(result);
   }

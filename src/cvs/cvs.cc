@@ -187,7 +187,7 @@ Result<CvsResult> SynchronizeDeleteRelation(const ViewDefinition& view,
         substitution.emplace(repl.original, repl.replacement);
       }
       const ExtentRelation extent =
-          InferExtentRelation(view, spliced_view, mapping, candidate, mkb);
+          InferExtentRelation(view, spliced_view, mapping, candidate);
       SynchronizedView synced;
       synced.mapping = mapping;
       synced.candidate = candidate;

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <queue>
 #include <set>
 #include <sstream>
@@ -129,49 +128,6 @@ Result<ViewDefinition> DropAttributeRewriting(const ViewDefinition& view,
                         view.from(), std::move(where));
 }
 
-// Extent contribution of replacing `attr` via the cover pair
-// (R.attr -> S.source), from PC constraints in the pre-change MKB. Only a
-// constraint that certifies this correspondence counts (Ex. 4 (iv):
-// π[Name, PAddr](Person) ⊇ π[Name, Addr](Customer) lists the pair
-// (Addr, PAddr)).
-ExtentRelation AttrPcJustification(const Mkb& mkb, const AttributeRef& attr,
-                                   const AttributeRef& source) {
-  const std::string& r = attr.relation;
-  const std::string& s = source.relation;
-  ExtentRelation best = ExtentRelation::kUnknown;
-  for (const PCConstraint* pc : mkb.PCConstraintsBetween(r, s)) {
-    const bool s_is_lhs = pc->lhs_relation == s;
-    const std::vector<AttributeRef>& s_attrs =
-        s_is_lhs ? pc->lhs_attrs : pc->rhs_attrs;
-    const std::vector<AttributeRef>& r_attrs =
-        s_is_lhs ? pc->rhs_attrs : pc->lhs_attrs;
-    bool certifies = false;
-    for (size_t i = 0; i < s_attrs.size(); ++i) {
-      if (s_attrs[i] == source && r_attrs[i] == attr) certifies = true;
-    }
-    if (!certifies) continue;
-    SetRelation rel = pc->relation;
-    if (pc->lhs_relation == r) rel = FlipSetRelation(rel);
-    ExtentRelation contribution = ExtentRelation::kUnknown;
-    switch (rel) {
-      case SetRelation::kEqual:
-        contribution = ExtentRelation::kEqual;
-        break;
-      case SetRelation::kSuperset:
-      case SetRelation::kProperSuperset:
-        contribution = ExtentRelation::kSuperset;
-        break;
-      case SetRelation::kSubset:
-      case SetRelation::kProperSubset:
-        contribution = ExtentRelation::kSubset;
-        break;
-    }
-    if (contribution == ExtentRelation::kEqual) return contribution;
-    if (best == ExtentRelation::kUnknown) best = contribution;
-  }
-  return best;
-}
-
 }  // namespace
 
 Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
@@ -247,9 +203,21 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
   // Like the delete-relation driver, the candidates are explored lazily in
   // nondecreasing lower-bound order: one resumable join-tree enumerator per
   // cover, merged through a priority queue. A cover's extent contribution
-  // (AttrPcJustification) is fixed up front and is the exact final extent,
-  // so the only component the search refines is the join width.
+  // (the PC justification of its one cover pair) is fixed up front and is
+  // the exact final extent, so the only component the search refines is
+  // the join width. Heap states are plain keys: a ready state names the
+  // tree's indices in `trees`, and the JoinTree is built only when the
+  // state is pulled.
   const JoinGraph& graph_prime = context.graph_prime();
+  // Graph indices of the view's FROM relations (sorted: from_set and the
+  // graph's relations are both in name order).
+  std::vector<uint32_t> from_indices;
+  for (const std::string& rel : from_set) {
+    const size_t index = graph_prime.IndexOf(rel);
+    if (index != JoinGraph::kNpos) {
+      from_indices.push_back(static_cast<uint32_t>(index));
+    }
+  }
 
   struct CoverState {
     const FunctionOfConstraint* cover;
@@ -259,14 +227,23 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
     size_t seen_expanded = 0;
     size_t seen_cut = 0;
   };
-  enum class Kind { kSearch, kReady };
+  enum class Kind : uint8_t { kSearch, kReady };
   struct State {
     double lower_bound = 0.0;
     uint64_t seq = 0;  // deterministic tie-break: creation order
     Kind kind = Kind::kSearch;
-    size_t cover_index = 0;
-    std::optional<JoinTree> tree;  // set for kReady
+    uint32_t cover_index = 0;
+    uint32_t tree = 0;  // kReady: index into `trees`
   };
+  // A ready tree's relation and edge indices, back to back in `arena`.
+  struct ReadyTree {
+    size_t begin = 0;
+    uint32_t num_relations = 0;
+    uint32_t num_edges = 0;
+  };
+  std::vector<ReadyTree> trees;
+  std::vector<uint32_t> arena;
+  JoinTreeIndices popped;
   struct StateGreater {
     bool operator()(const State& a, const State& b) const {
       if (a.lower_bound != b.lower_bound) {
@@ -323,7 +300,9 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
   for (const FunctionOfConstraint* cover : mkb.CoversOf(attr)) {
     if (cover->source.relation == relation) continue;
     if (!graph_prime.HasRelation(cover->source.relation)) continue;
-    CoverState cs{cover, AttrPcJustification(mkb, attr, cover->source),
+    CoverState cs{cover,
+                  PcJustification(mkb, relation, cover->source.relation,
+                                  {CoverPair{attr, cover->source}}),
                   JoinTreeEnumerator(graph_prime,
                                      {relation, cover->source.relation}, {},
                                      search)};
@@ -333,10 +312,10 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
       unreachable_note(cs);
       continue;
     }
-    const size_t index = cover_states.size();
+    const uint32_t index = static_cast<uint32_t>(cover_states.size());
     cover_states.push_back(std::move(cs));
     heap.push(State{search_lower_bound(cover_states[index]), next_seq++,
-                    Kind::kSearch, index, std::nullopt});
+                    Kind::kSearch, index, 0});
   }
 
   // Accepted replacement-based rewritings in arrival (lower-bound) order;
@@ -428,10 +407,9 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
         heap.push(std::move(state));
         continue;
       }
-      std::optional<JoinTree> tree = cs.enumerator.Next();
+      const bool found = cs.enumerator.NextIndices(&popped);
       fold_stats(cs);
-      if (!tree.has_value() && cs.enumerator.interrupted() &&
-          deadline_frontier == 0) {
+      if (!found && cs.enumerator.interrupted() && deadline_frontier == 0) {
         // First-cut frontier bound: the smallest tree the interrupted
         // search had not yet explored. The Expired() check above ends
         // the loop on the next iteration.
@@ -439,17 +417,29 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
       }
       if (!cs.enumerator.Exhausted()) {
         heap.push(State{std::max(search_lower_bound(cs), state.lower_bound),
-                        next_seq++, Kind::kSearch, state.cover_index,
-                        std::nullopt});
+                        next_seq++, Kind::kSearch, state.cover_index, 0});
       }
-      if (tree.has_value()) {
+      if (found) {
         ++cs.yielded;
-        std::set<std::string> merged = from_set;
-        for (const std::string& rel : tree->relations) merged.insert(rel);
+        // The spliced FROM is FROM ∪ tree.
+        size_t merged = from_set.size();
+        for (const uint32_t rel : popped.relations) {
+          if (!std::binary_search(from_indices.begin(), from_indices.end(),
+                                  rel)) {
+            ++merged;
+          }
+        }
         const double lb =
-            std::max(cover_lower_bound(cs, merged.size()), state.lower_bound);
+            std::max(cover_lower_bound(cs, merged), state.lower_bound);
+        trees.push_back(
+            ReadyTree{arena.size(),
+                      static_cast<uint32_t>(popped.relations.size()),
+                      static_cast<uint32_t>(popped.edges.size())});
+        arena.insert(arena.end(), popped.relations.begin(),
+                     popped.relations.end());
+        arena.insert(arena.end(), popped.edges.begin(), popped.edges.end());
         heap.push(State{lb, next_seq++, Kind::kReady, state.cover_index,
-                        std::move(tree)});
+                        static_cast<uint32_t>(trees.size() - 1)});
       } else if (cs.enumerator.Exhausted() && cs.yielded == 0) {
         // The search drained (possibly cut by max_extra_relations) without
         // a single connecting tree.
@@ -461,7 +451,11 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
     // kReady: splice and legality-check the candidate.
     ++pulled;
     ++result.enumeration.candidates_yielded;
-    const JoinTree tree = std::move(*state.tree);
+    const ReadyTree& ready = trees[state.tree];
+    const uint32_t* indices = arena.data() + ready.begin;
+    const JoinTree tree = cs.enumerator.Materialize(
+        {indices, ready.num_relations},
+        {indices + ready.num_relations, ready.num_edges});
     const FunctionOfConstraint& cover = *cs.cover;
     Result<ViewDefinition> spliced =
         SpliceAttributeReplacement(view, attr, cover, tree, next_name());

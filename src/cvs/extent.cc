@@ -1,8 +1,6 @@
 #include "cvs/extent.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "algebra/executor.h"
 #include "esql/evaluator.h"
@@ -48,26 +46,16 @@ bool SatisfiesViewExtent(ExtentRelation inferred, ViewExtent required) {
 
 namespace {
 
-// One covered-attribute correspondence: R.target replaced via f(S.source).
-struct CoverPair {
-  AttributeRef target;  // attribute of the dropped relation R
-  AttributeRef source;  // attribute of the cover relation S
-};
-
 // True when `pc`, oriented with `s` on the lhs, certifies at least one of
 // `pairs`: some index i has (lhs_attrs[i], rhs_attrs[i]) equal to
-// (pair.source, pair.target). This is the shape of the paper's Ex. 4
-// constraint (iv): π[Name, PAddr](Person) ⊇ π[Name, Addr](Customer)
-// certifies the Addr -> PAddr replacement (and the Name join attribute).
-bool PcCertifiesAPair(const PCConstraint& pc, const std::string& r,
-                      const std::string& s,
+// (pair.source, pair.target).
+bool PcCertifiesAPair(const PCConstraint& pc, const std::string& s,
                       const std::vector<CoverPair>& pairs) {
   const bool s_is_lhs = pc.lhs_relation == s;
   const std::vector<AttributeRef>& s_attrs =
       s_is_lhs ? pc.lhs_attrs : pc.rhs_attrs;
   const std::vector<AttributeRef>& r_attrs =
       s_is_lhs ? pc.rhs_attrs : pc.lhs_attrs;
-  (void)r;
   for (size_t i = 0; i < s_attrs.size(); ++i) {
     for (const CoverPair& pair : pairs) {
       if (s_attrs[i] == pair.source && r_attrs[i] == pair.target) {
@@ -78,17 +66,15 @@ bool PcCertifiesAPair(const PCConstraint& pc, const std::string& r,
   return false;
 }
 
-// Direction contributed by the strongest PC constraint between the dropped
-// relation `r` and the cover relation `s` that certifies one of the
-// attribute correspondences actually used, oriented as
-// "π(s-side) θ π(r-side)". Unknown when no such constraint exists.
+}  // namespace
+
 ExtentRelation PcJustification(const Mkb& mkb, const std::string& r,
                                const std::string& s,
                                const std::vector<CoverPair>& pairs) {
   ExtentRelation best = ExtentRelation::kUnknown;
   for (const PCConstraint* pc : mkb.PCConstraintsBetween(r, s)) {
-    if (!pairs.empty() && !PcCertifiesAPair(*pc, r, s, pairs)) continue;
-    // Orient so the lhs is the cover relation s.
+    if (!pairs.empty() && !PcCertifiesAPair(*pc, s, pairs)) continue;
+    // Orient so the lhs is s.
     SetRelation rel = pc->relation;
     if (pc->lhs_relation == r) rel = FlipSetRelation(rel);
     ExtentRelation contribution = ExtentRelation::kUnknown;
@@ -113,45 +99,11 @@ ExtentRelation PcJustification(const Mkb& mkb, const std::string& r,
   return best;
 }
 
-}  // namespace
-
-ExtentRelation CandidateExtentFloor(const RMapping& mapping,
-                                    const ReplacementCandidate& candidate,
-                                    const Mkb& mkb) {
-  ExtentRelation result = ExtentRelation::kEqual;
-  const std::string& r = mapping.relation;
-
-  // Cover relations, justified by PC constraints (from the pre-change MKB)
-  // that certify the attribute correspondences actually used.
-  std::map<std::string, std::vector<CoverPair>> cover_pairs;
-  for (const AttributeReplacement& repl : candidate.replacements) {
-    std::vector<AttributeRef> sources;
-    repl.replacement->CollectColumns(&sources);
-    if (sources.empty()) continue;
-    cover_pairs[repl.cover_relation].push_back(
-        CoverPair{repl.original, sources[0]});
-  }
-  for (const auto& [s, pairs] : cover_pairs) {
-    result = CombineExtent(result, PcJustification(mkb, r, s, pairs));
-  }
-
-  // Steiner relations (in the tree, neither kept nor covers) without any
-  // PC justification make the direction unknown.
-  std::set<std::string> kept(mapping.relations.begin(),
-                             mapping.relations.end());
-  for (const std::string& rel : candidate.tree.relations) {
-    if (kept.count(rel) > 0 || cover_pairs.count(rel) > 0) continue;
-    result = CombineExtent(result, PcJustification(mkb, r, rel, {}));
-  }
-  return result;
-}
-
 ExtentRelation InferExtentRelation(const ViewDefinition& old_view,
                                    const ViewDefinition& new_view,
                                    const RMapping& mapping,
-                                   const ReplacementCandidate& candidate,
-                                   const Mkb& mkb) {
-  ExtentRelation result = CandidateExtentFloor(mapping, candidate, mkb);
+                                   const ReplacementCandidate& candidate) {
+  ExtentRelation result = candidate.extent_floor;
   const std::string& r = mapping.relation;
 
   // Dropped dispensable conditions widen the extent.

@@ -27,32 +27,35 @@ namespace eve {
 // ≈ accepts anything).
 bool SatisfiesViewExtent(ExtentRelation inferred, ViewExtent required);
 
-// Conservative inference for a replacement-based rewriting:
-//  * each cover relation S for R justified by a PC constraint
-//    π(S) θ π(R) contributes θ's direction;
-//  * each dropped dispensable condition contributes Superset;
-//  * Steiner relations without PC justification contribute Unknown.
-// `mkb` is the PRE-change MKB: PC constraints mentioning the deleted
-// relation only exist there (MKB' drops them), yet they still describe
-// the data and justify the rewriting.
+// One covered-attribute correspondence: R.target replaced via f(S.source).
+struct CoverPair {
+  AttributeRef target;  // attribute of the dropped relation R
+  AttributeRef source;  // attribute of the cover relation S
+};
+
+// Direction contributed by the strongest PC constraint between the dropped
+// relation `r` and the relation `s`, oriented as "π(s-side) θ π(r-side)":
+// Equal if some qualifying constraint is an equality, else the direction
+// of the first one, else Unknown. With `pairs`, only a constraint that
+// certifies one of them qualifies: some position i holds (pair.source,
+// pair.target) on its (s, r) sides, which is the shape of the paper's
+// Ex. 4 constraint (iv), π[Name, PAddr](Person) ⊇ π[Name, Addr](Customer)
+// certifying the Addr -> PAddr replacement. With no pairs (a Steiner
+// relation) any constraint between the two qualifies. `mkb` is the
+// PRE-change MKB: constraints mentioning a deleted relation only exist
+// there (MKB' drops them), yet they still describe the data.
+ExtentRelation PcJustification(const Mkb& mkb, const std::string& r,
+                               const std::string& s,
+                               const std::vector<CoverPair>& pairs);
+
+// Conservative inference for a replacement-based rewriting: the
+// candidate's extent_floor (the PC justification of its covers and its
+// Steiner relations, see ReplacementCandidate), widened to Superset by
+// every dispensable condition the rewriting dropped.
 ExtentRelation InferExtentRelation(const ViewDefinition& old_view,
                                    const ViewDefinition& new_view,
                                    const RMapping& mapping,
-                                   const ReplacementCandidate& candidate,
-                                   const Mkb& mkb);
-
-// The tree-and-cover part of InferExtentRelation: the combined PC
-// justification of the candidate's covers plus its Steiner relations,
-// ignoring dropped conditions (which can only widen, i.e. move the result
-// further up the lattice). Because a candidate with more tree relations
-// or fewer surviving conditions combines in *more* contributions, this is
-// a lattice floor for the final inferred extent — the admissible
-// extent_floor fed to LowerBound during lazy enumeration. A candidate
-// with an empty tree floors the covers alone (used before any tree is
-// known).
-ExtentRelation CandidateExtentFloor(const RMapping& mapping,
-                                    const ReplacementCandidate& candidate,
-                                    const Mkb& mkb);
+                                   const ReplacementCandidate& candidate);
 
 // Empirical comparison: evaluates both views over `db` (which must still
 // hold the pre-change tables so the old view is evaluable), projects each

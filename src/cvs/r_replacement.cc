@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -27,6 +28,10 @@ std::vector<AttributeRef> AttrsOfRelation(const Expr& expr,
     if (ref.relation == relation) AddUnique(&out, ref);
   }
   return out;
+}
+
+bool Contains(const std::vector<uint32_t>& sorted, uint32_t value) {
+  return std::binary_search(sorted.begin(), sorted.end(), value);
 }
 
 }  // namespace
@@ -95,153 +100,6 @@ Result<AttributeNeeds> ClassifyAttributeNeeds(const ViewDefinition& view,
            needs.mandatory.end();
   });
   return needs;
-}
-
-Result<std::vector<ReplacementCandidate>> ComputeRReplacementsEager(
-    const ViewDefinition& view, const RMapping& mapping, const Mkb& mkb,
-    const JoinGraph& graph_prime, const RReplacementOptions& options) {
-  const std::string& r = mapping.relation;
-  EVE_ASSIGN_OR_RETURN(const AttributeNeeds needs,
-                       ClassifyAttributeNeeds(view, mapping));
-
-  // Surviving part of Min(H_R) (Def. 3 (III)).
-  std::set<std::string> kept;
-  for (const std::string& rel : mapping.relations) {
-    if (rel != r) kept.insert(rel);
-  }
-  std::vector<JoinConstraint> mandatory_edges;
-  for (const JoinConstraint& edge : mapping.min_edges) {
-    if (!edge.Involves(r)) mandatory_edges.push_back(edge);
-  }
-
-  // Candidate covers per attribute: one choice list per mandatory
-  // attribute (choosing is compulsory), plus — under chase_optional_covers
-  // — one per dispensable attribute with a "skip" (nullptr) choice so
-  // dropping remains an option.
-  std::vector<std::vector<const FunctionOfConstraint*>> cover_choices;
-  std::vector<AttributeRef> choice_attrs;
-  for (const AttributeRef& attr : needs.mandatory) {
-    std::vector<const FunctionOfConstraint*> candidates;
-    for (const FunctionOfConstraint* fc : mkb.CoversOf(attr)) {
-      if (fc->source.relation == r) continue;
-      if (!graph_prime.HasRelation(fc->source.relation)) continue;
-      candidates.push_back(fc);
-    }
-    if (candidates.empty()) {
-      // A mandatory attribute with no cover: R-replacement is empty.
-      return std::vector<ReplacementCandidate>{};
-    }
-    cover_choices.push_back(std::move(candidates));
-    choice_attrs.push_back(attr);
-  }
-  if (options.chase_optional_covers) {
-    for (const AttributeRef& attr : needs.optional) {
-      std::vector<const FunctionOfConstraint*> candidates{nullptr};
-      for (const FunctionOfConstraint* fc : mkb.CoversOf(attr)) {
-        if (fc->source.relation == r) continue;
-        if (!graph_prime.HasRelation(fc->source.relation)) continue;
-        candidates.push_back(fc);
-      }
-      if (candidates.size() > 1) {
-        cover_choices.push_back(std::move(candidates));
-        choice_attrs.push_back(attr);
-      }
-    }
-  }
-
-  std::vector<ReplacementCandidate> results;
-  std::set<std::string> dedup_keys;
-
-  // Iterates the (bounded) cartesian product of cover choices.
-  std::vector<size_t> combo(cover_choices.size(), 0);
-  size_t combos_tried = 0;
-  while (true) {
-    if (combos_tried++ >= options.max_cover_combinations) break;
-
-    std::set<std::string> required = kept;
-    std::vector<const FunctionOfConstraint*> chosen;
-    chosen.reserve(combo.size());
-    for (size_t i = 0; i < combo.size(); ++i) {
-      chosen.push_back(cover_choices[i][combo[i]]);
-      if (chosen.back() != nullptr) {
-        required.insert(chosen.back()->source.relation);
-      }
-    }
-
-    if (!required.empty()) {
-      JoinTreeSearchOptions search;
-      search.max_extra_relations = options.max_extra_relations;
-      search.max_results = options.max_results;
-      const std::vector<JoinTree> trees =
-          graph_prime.FindConnectingTrees(required, mandatory_edges, search);
-      for (const JoinTree& tree : trees) {
-        ReplacementCandidate candidate;
-        candidate.tree = tree;
-        std::set<AttributeRef> replaced;
-        for (size_t i = 0; i < chosen.size(); ++i) {
-          if (chosen[i] == nullptr) continue;  // skipped optional cover
-          candidate.replacements.push_back(
-              AttributeReplacement{choice_attrs[i], chosen[i]->fn,
-                                   chosen[i]->source.relation,
-                                   chosen[i]->id});
-          replaced.insert(choice_attrs[i]);
-        }
-        // Opportunistic covers for the remaining optional attributes,
-        // using relations already in the tree (paper Ex. 10:
-        // Age -> f(Birthday)).
-        for (const AttributeRef& attr : needs.optional) {
-          if (replaced.count(attr) > 0) continue;
-          const FunctionOfConstraint* found = nullptr;
-          for (const FunctionOfConstraint* fc : mkb.CoversOf(attr)) {
-            if (fc->source.relation == r) continue;
-            if (std::binary_search(tree.relations.begin(),
-                                   tree.relations.end(),
-                                   fc->source.relation)) {
-              found = fc;
-              break;
-            }
-          }
-          if (found != nullptr) {
-            candidate.replacements.push_back(AttributeReplacement{
-                attr, found->fn, found->source.relation, found->id});
-          } else {
-            candidate.unreplaced.push_back(attr);
-          }
-        }
-        // Dedup on (relations, substitutions).
-        std::string key;
-        for (const std::string& rel : candidate.tree.relations) {
-          key += rel + "|";
-        }
-        key += "#";
-        for (const AttributeReplacement& repl : candidate.replacements) {
-          key += repl.original.ToString() + ">" + repl.constraint_id + "|";
-        }
-        if (dedup_keys.insert(key).second) {
-          results.push_back(std::move(candidate));
-        }
-        if (results.size() >= options.max_results) return results;
-      }
-    }
-
-    // Advance the combo odometer.
-    size_t pos = 0;
-    while (pos < combo.size()) {
-      if (++combo[pos] < cover_choices[pos].size()) break;
-      combo[pos] = 0;
-      ++pos;
-    }
-    if (pos == combo.size()) break;  // odometer wrapped: done
-    if (combo.empty()) break;        // no mandatory attrs: single combo
-  }
-
-  // Prefer smaller join skeletons.
-  std::stable_sort(results.begin(), results.end(),
-                   [](const ReplacementCandidate& a,
-                      const ReplacementCandidate& b) {
-                     return a.tree.relations.size() < b.tree.relations.size();
-                   });
-  return results;
 }
 
 std::string DeadlineStats::ToString() const {
@@ -314,76 +172,121 @@ Result<CandidateStream> CandidateStream::Create(
   stream.graph_ = &graph_prime;
   stream.options_ = options;
   stream.model_ = model;
-  stream.optional_attrs_ = needs.optional;
 
+  // Sorted graph_prime indices of the relations in `names`.
+  const auto indices_of = [&](const auto& names) {
+    std::vector<uint32_t> indices;
+    for (const std::string& rel : names) {
+      const size_t index = graph_prime.IndexOf(rel);
+      if (index != JoinGraph::kNpos) {
+        indices.push_back(static_cast<uint32_t>(index));
+      }
+    }
+    std::sort(indices.begin(), indices.end());
+    return indices;
+  };
   // Surviving part of Min(H_R) (Def. 3 (III)).
+  std::set<std::string> kept;
   for (const std::string& rel : mapping.relations) {
-    if (rel != r) stream.kept_.insert(rel);
+    if (rel != r) kept.insert(rel);
   }
+  stream.mapping_relations_ = indices_of(mapping.relations);
   for (const JoinConstraint& edge : mapping.min_edges) {
     if (!edge.Involves(r)) stream.mandatory_edges_.push_back(edge);
   }
+  std::set<std::string> from_minus_r;
   for (const ViewRelation& rel : view.from()) {
-    if (rel.name != r) stream.from_minus_r_.insert(rel.name);
+    if (rel.name != r) from_minus_r.insert(rel.name);
   }
+  stream.from_minus_r_ = from_minus_r.size();
+  stream.from_relations_ = indices_of(from_minus_r);
 
-  // Candidate covers per attribute, exactly as in the eager enumeration:
-  // one choice list per mandatory attribute, plus — under
-  // chase_optional_covers — one per dispensable attribute with a "skip"
-  // (nullptr) choice.
-  std::vector<std::vector<const FunctionOfConstraint*>> cover_choices;
-  for (const AttributeRef& attr : needs.mandatory) {
-    std::vector<const FunctionOfConstraint*> candidates;
+  // Attribute ids: the mandatory attributes of R, then the optional ones
+  // (ClassifyAttributeNeeds keeps the lists unique and disjoint).
+  stream.attrs_ = needs.mandatory;
+  stream.attrs_.insert(stream.attrs_.end(), needs.optional.begin(),
+                       needs.optional.end());
+  stream.attr_marks_.assign(stream.attrs_.size(), 0);
+  // The covers of `attr` a candidate can use, as cover ids in CoversOf
+  // order: not sourced at R, and sourced at a relation of graph_prime.
+  std::map<const FunctionOfConstraint*, uint32_t> cover_ids;
+  const auto usable_covers = [&](const AttributeRef& attr) {
+    std::vector<uint32_t> ids;
     for (const FunctionOfConstraint* fc : mkb.CoversOf(attr)) {
       if (fc->source.relation == r) continue;
-      if (!graph_prime.HasRelation(fc->source.relation)) continue;
-      candidates.push_back(fc);
+      const size_t relation = graph_prime.IndexOf(fc->source.relation);
+      if (relation == JoinGraph::kNpos) continue;
+      const auto [it, inserted] = cover_ids.emplace(
+          fc, static_cast<uint32_t>(stream.covers_.size()));
+      if (inserted) {
+        stream.covers_.push_back(Cover{fc, static_cast<uint32_t>(relation)});
+      }
+      ids.push_back(it->second);
     }
+    return ids;
+  };
+
+  // Candidate covers per attribute: one choice list per mandatory
+  // attribute, plus — under chase_optional_covers — one per dispensable
+  // attribute with a "skip" (kNone) choice.
+  std::vector<std::vector<uint32_t>> cover_choices;
+  for (size_t i = 0; i < needs.mandatory.size(); ++i) {
+    std::vector<uint32_t> candidates = usable_covers(needs.mandatory[i]);
     if (candidates.empty()) {
       // A mandatory attribute with no cover: R-replacement is empty. The
       // stream is born exhausted.
       return stream;
     }
     cover_choices.push_back(std::move(candidates));
-    stream.choice_attrs_.push_back(attr);
+    stream.choice_attrs_.push_back(static_cast<uint32_t>(i));
+  }
+  for (size_t j = 0; j < needs.optional.size(); ++j) {
+    stream.optional_attrs_.push_back(
+        static_cast<uint32_t>(needs.mandatory.size() + j));
+    stream.optional_covers_.push_back(usable_covers(needs.optional[j]));
   }
   if (options.chase_optional_covers) {
-    for (const AttributeRef& attr : needs.optional) {
-      std::vector<const FunctionOfConstraint*> candidates{nullptr};
-      for (const FunctionOfConstraint* fc : mkb.CoversOf(attr)) {
-        if (fc->source.relation == r) continue;
-        if (!graph_prime.HasRelation(fc->source.relation)) continue;
-        candidates.push_back(fc);
-      }
-      if (candidates.size() > 1) {
-        cover_choices.push_back(std::move(candidates));
-        stream.choice_attrs_.push_back(attr);
-      }
+    for (size_t j = 0; j < needs.optional.size(); ++j) {
+      const std::vector<uint32_t>& covers = stream.optional_covers_[j];
+      if (covers.empty()) continue;
+      std::vector<uint32_t> candidates{kNone};
+      candidates.insert(candidates.end(), covers.begin(), covers.end());
+      cover_choices.push_back(std::move(candidates));
+      stream.choice_attrs_.push_back(stream.optional_attrs_[j]);
     }
   }
 
-  // SELECT items no candidate can preserve: those mentioning an attribute
-  // of R that is neither mandatory (always substituted) nor an optional
-  // attribute with at least one surviving cover. Admissible floor on
-  // dropped_attributes for every candidate.
-  std::set<AttributeRef> coverable(needs.mandatory.begin(),
-                                   needs.mandatory.end());
-  for (const AttributeRef& attr : needs.optional) {
-    for (const FunctionOfConstraint* fc : mkb.CoversOf(attr)) {
-      if (fc->source.relation == r) continue;
-      if (!graph_prime.HasRelation(fc->source.relation)) continue;
-      coverable.insert(attr);
-      break;
-    }
-  }
+  // SELECT items that mention R, by the attribute ids they need
+  // substituted. dropped_floor_ counts the items no candidate can
+  // preserve: those mentioning an attribute of R that is neither
+  // mandatory (always substituted) nor an optional attribute with at
+  // least one usable cover. Admissible floor on dropped_attributes.
   for (const ViewSelectItem& item : view.select()) {
     const std::vector<AttributeRef> attrs = AttrsOfRelation(*item.expr, r);
     if (attrs.empty()) continue;
-    const bool preservable =
-        std::all_of(attrs.begin(), attrs.end(), [&](const AttributeRef& a) {
-          return coverable.count(a) > 0;
-        });
+    std::vector<uint32_t> ids;
+    bool preservable = true;
+    for (const AttributeRef& attr : attrs) {
+      const auto it =
+          std::find(stream.attrs_.begin(), stream.attrs_.end(), attr);
+      if (it == stream.attrs_.end()) {
+        ids.clear();
+        preservable = false;
+        break;
+      }
+      const size_t id = static_cast<size_t>(it - stream.attrs_.begin());
+      ids.push_back(static_cast<uint32_t>(id));
+      if (id >= needs.mandatory.size() &&
+          stream.optional_covers_[id - needs.mandatory.size()].empty()) {
+        preservable = false;
+      }
+    }
     if (!preservable) ++stream.dropped_floor_;
+    if (ids.empty()) {
+      ++stream.never_substitutable_;
+    } else {
+      stream.select_attrs_.push_back(std::move(ids));
+    }
   }
 
   // Materialize the (bounded) cartesian product of cover choices. This is
@@ -403,41 +306,47 @@ Result<CandidateStream> CandidateStream::Create(
   std::vector<size_t> combo(cover_choices.size(), 0);
   while (stream.combos_.size() < options.max_cover_combinations) {
     Combo c;
-    c.required = stream.kept_;
-    c.chosen.reserve(combo.size());
+    c.required = kept;
     for (size_t i = 0; i < combo.size(); ++i) {
-      c.chosen.push_back(cover_choices[i][combo[i]]);
-      if (c.chosen.back() != nullptr) {
-        c.required.insert(c.chosen.back()->source.relation);
-      }
+      const uint32_t cover = cover_choices[i][combo[i]];
+      if (cover == kNone) continue;  // skipped optional cover
+      c.required.insert(stream.covers_[cover].fc->source.relation);
+      c.substitutions.emplace_back(stream.choice_attrs_[i], cover);
     }
     if (!c.required.empty()) {
+      for (const auto& [attr, cover] : c.substitutions) {
+        stream.attr_marks_[attr] = 1;
+      }
+      for (size_t j = 0; j < stream.optional_attrs_.size(); ++j) {
+        if (stream.attr_marks_[stream.optional_attrs_[j]] == 0) {
+          c.open_optional.push_back(static_cast<uint32_t>(j));
+        }
+      }
+      for (const auto& [attr, cover] : c.substitutions) {
+        stream.attr_marks_[attr] = 0;
+      }
+      for (const std::string& rel : c.required) {
+        if (from_minus_r.count(rel) == 0) ++c.required_outside_from;
+      }
       // Extent floor of the chosen covers alone: every later contribution
       // (opportunistic covers, Steiner relations) only moves the combined
       // extent up the lattice.
-      ReplacementCandidate floor_probe;
-      for (size_t i = 0; i < c.chosen.size(); ++i) {
-        if (c.chosen[i] == nullptr) continue;
-        floor_probe.replacements.push_back(AttributeReplacement{
-            stream.choice_attrs_[i], c.chosen[i]->fn,
-            c.chosen[i]->source.relation, c.chosen[i]->id});
-      }
-      c.extent_floor = CandidateExtentFloor(mapping, floor_probe, mkb);
+      c.cover_part = stream.CoverPartOf(c.substitutions);
       PartialCandidate partial;
       partial.original_from_size = view.from().size();
-      partial.join_width =
-          stream.JoinWidthLowerBound(c.required, c.required.size());
+      partial.join_width = stream.JoinWidthLowerBound(c.required_outside_from,
+                                                      c.required.size());
       partial.dropped_attributes = stream.dropped_floor_;
-      partial.extent_floor = c.extent_floor;
+      partial.extent_floor = stream.cover_parts_[c.cover_part].extent;
       c.base_lower_bound = LowerBound(partial, model);
 
-      const size_t index = stream.combos_.size();
+      const uint32_t index = static_cast<uint32_t>(stream.combos_.size());
       stream.combos_.push_back(std::move(c));
       State state;
       state.lower_bound = stream.combos_[index].base_lower_bound;
       state.kind = StateKind::kSearch;
-      state.combo_index = index;
-      stream.PushState(std::move(state));
+      state.combo = index;
+      stream.PushState(state);
     }
 
     // Advance the odometer.
@@ -460,44 +369,73 @@ Result<CandidateStream> CandidateStream::Create(
 
 void CandidateStream::PushState(State state) {
   state.seq = next_seq_++;
-  heap_.push(std::move(state));
+  heap_.push(state);
 }
 
-size_t CandidateStream::JoinWidthLowerBound(
-    const std::set<std::string>& required, size_t tree_size) const {
+size_t CandidateStream::JoinWidthLowerBound(size_t required_outside_from,
+                                            size_t tree_size) const {
   // Spliced FROM = (view FROM minus R) plus the tree relations not
   // already present. The tree spans `required` and has >= tree_size
   // relations, so it brings in at least
   // max(|required \ FROM|, tree_size - |FROM|) new ones.
-  size_t outside_from = 0;
-  for (const std::string& rel : required) {
-    if (from_minus_r_.count(rel) == 0) ++outside_from;
+  size_t outside_from = required_outside_from;
+  if (tree_size > from_minus_r_) {
+    outside_from = std::max(outside_from, tree_size - from_minus_r_);
   }
-  if (tree_size > from_minus_r_.size()) {
-    outside_from =
-        std::max(outside_from, tree_size - from_minus_r_.size());
-  }
-  return from_minus_r_.size() + outside_from;
+  return from_minus_r_ + outside_from;
 }
 
-size_t CandidateStream::CountDroppedSelectItems(
-    const std::vector<AttributeReplacement>& replacements) const {
-  std::set<AttributeRef> replaced;
-  for (const AttributeReplacement& repl : replacements) {
-    replaced.insert(repl.original);
-  }
-  size_t dropped = 0;
-  for (const ViewSelectItem& item : view_->select()) {
-    const std::vector<AttributeRef> attrs =
-        AttrsOfRelation(*item.expr, mapping_->relation);
-    if (attrs.empty()) continue;
-    const bool substitutable =
-        std::all_of(attrs.begin(), attrs.end(), [&](const AttributeRef& a) {
-          return replaced.count(a) > 0;
-        });
-    if (!substitutable) ++dropped;
+size_t CandidateStream::CountDroppedSelectItems() const {
+  size_t dropped = never_substitutable_;
+  for (const std::vector<uint32_t>& ids : select_attrs_) {
+    for (const uint32_t id : ids) {
+      if (attr_marks_[id] == 0) {
+        ++dropped;
+        break;
+      }
+    }
   }
   return dropped;
+}
+
+uint32_t CandidateStream::CoverPartOf(
+    std::vector<Substitution> substitutions) {
+  std::sort(substitutions.begin(), substitutions.end());
+  const auto [it, inserted] = cover_part_ids_.try_emplace(
+      std::move(substitutions), static_cast<uint32_t>(cover_parts_.size()));
+  if (!inserted) return it->second;
+  // Cover relations, justified by PC constraints (from the pre-change MKB)
+  // that certify the attribute correspondences actually used.
+  std::map<uint32_t, std::vector<CoverPair>> pairs;
+  for (const auto& [attr, cover] : it->first) {
+    std::vector<AttributeRef> sources;
+    covers_[cover].fc->fn->CollectColumns(&sources);
+    if (sources.empty()) continue;
+    pairs[covers_[cover].relation].push_back(
+        CoverPair{attrs_[attr], sources[0]});
+  }
+  CoverPart part;
+  for (const auto& [relation, relation_pairs] : pairs) {
+    part.extent = CombineExtent(
+        part.extent, PcJustification(*mkb_, mapping_->relation,
+                                     graph_->relations()[relation],
+                                     relation_pairs));
+    part.relations.push_back(relation);
+  }
+  cover_parts_.push_back(std::move(part));
+  return it->second;
+}
+
+ExtentRelation CandidateStream::SteinerExtent(uint32_t relation) {
+  const auto [it, inserted] =
+      steiner_extents_.try_emplace(relation, ExtentRelation::kUnknown);
+  if (inserted) {
+    // A Steiner relation without any PC justification makes the
+    // direction unknown.
+    it->second = PcJustification(*mkb_, mapping_->relation,
+                                 graph_->relations()[relation], {});
+  }
+  return it->second;
 }
 
 void CandidateStream::FoldEnumeratorStats(Combo* combo) {
@@ -512,15 +450,15 @@ void CandidateStream::FoldEnumeratorStats(Combo* combo) {
 double CandidateStream::SearchLowerBound(const Combo& combo) const {
   PartialCandidate partial;
   partial.original_from_size = view_->from().size();
-  partial.join_width = JoinWidthLowerBound(
-      combo.required, combo.enumerator->NextTreeSizeLowerBound());
+  partial.join_width =
+      JoinWidthLowerBound(combo.required_outside_from,
+                          combo.enumerator->NextTreeSizeLowerBound());
   partial.dropped_attributes = dropped_floor_;
-  partial.extent_floor = combo.extent_floor;
+  partial.extent_floor = cover_parts_[combo.cover_part].extent;
   return std::max(LowerBound(partial, model_), combo.base_lower_bound);
 }
 
 std::optional<ReplacementCandidate> CandidateStream::Next() {
-  const std::string& r = mapping_->relation;
   if (deadline_stopped_) return std::nullopt;
   while (!heap_.empty()) {
     // Safe point: a token expired elsewhere (wall clock, a sibling's
@@ -535,14 +473,14 @@ std::optional<ReplacementCandidate> CandidateStream::Next() {
       // Emitting a candidate is one unit of logical work. A refused emit
       // pushes the state back so the stream stays coherent.
       if (!options_.token.Spend(1)) {
-        PushState(std::move(top));
+        PushState(top);
         MarkDeadlineStop(0);
         return std::nullopt;
       }
       ++stats_.candidates_yielded;
-      return std::move(top.ready);
+      return Materialize(ready_[top.slot]);
     }
-    Combo& combo = combos_[top.combo_index];
+    Combo& combo = combos_[top.combo];
     if (!combo.enumerator.has_value()) {
       JoinTreeSearchOptions search;
       search.max_extra_relations = options_.max_extra_relations;
@@ -556,12 +494,12 @@ std::optional<ReplacementCandidate> CandidateStream::Next() {
     const double fresh = SearchLowerBound(combo);
     if (fresh > top.lower_bound) {
       top.lower_bound = fresh;
-      PushState(std::move(top));
+      PushState(top);
       continue;
     }
-    std::optional<JoinTree> tree = combo.enumerator->Next();
+    const bool found = combo.enumerator->NextIndices(&tree_);
     FoldEnumeratorStats(&combo);
-    if (!tree.has_value()) {
+    if (!found) {
       // A token stop inside the enumerator must not read as combo
       // exhaustion: record the frontier bound where the search was cut
       // and stop the whole stream (the token is shared).
@@ -569,8 +507,8 @@ std::optional<ReplacementCandidate> CandidateStream::Next() {
         State search_state;
         search_state.lower_bound = top.lower_bound;
         search_state.kind = StateKind::kSearch;
-        search_state.combo_index = top.combo_index;
-        PushState(std::move(search_state));
+        search_state.combo = top.combo;
+        PushState(search_state);
         MarkDeadlineStop(combo.enumerator->NextTreeSizeLowerBound());
         return std::nullopt;
       }
@@ -580,82 +518,138 @@ std::optional<ReplacementCandidate> CandidateStream::Next() {
       State search_state;
       search_state.lower_bound = SearchLowerBound(combo);
       search_state.kind = StateKind::kSearch;
-      search_state.combo_index = top.combo_index;
-      PushState(std::move(search_state));
+      search_state.combo = top.combo;
+      PushState(search_state);
     }
-
-    // Assemble the candidate exactly as the eager enumeration does.
-    ReplacementCandidate candidate;
-    candidate.tree = std::move(*tree);
-    std::set<AttributeRef> replaced;
-    for (size_t i = 0; i < combo.chosen.size(); ++i) {
-      if (combo.chosen[i] == nullptr) continue;  // skipped optional cover
-      candidate.replacements.push_back(
-          AttributeReplacement{choice_attrs_[i], combo.chosen[i]->fn,
-                               combo.chosen[i]->source.relation,
-                               combo.chosen[i]->id});
-      replaced.insert(choice_attrs_[i]);
-    }
-    // Opportunistic covers for the remaining optional attributes, using
-    // relations already in the tree (paper Ex. 10: Age -> f(Birthday)).
-    for (const AttributeRef& attr : optional_attrs_) {
-      if (replaced.count(attr) > 0) continue;
-      const FunctionOfConstraint* found = nullptr;
-      for (const FunctionOfConstraint* fc : mkb_->CoversOf(attr)) {
-        if (fc->source.relation == r) continue;
-        if (std::binary_search(candidate.tree.relations.begin(),
-                               candidate.tree.relations.end(),
-                               fc->source.relation)) {
-          found = fc;
-          break;
-        }
-      }
-      if (found != nullptr) {
-        candidate.replacements.push_back(AttributeReplacement{
-            attr, found->fn, found->source.relation, found->id});
-      } else {
-        candidate.unreplaced.push_back(attr);
-      }
-    }
-    // Dedup on (relations, substitutions) — same key as the eager path.
-    std::string key;
-    for (const std::string& rel : candidate.tree.relations) {
-      key += rel + "|";
-    }
-    key += "#";
-    for (const AttributeReplacement& repl : candidate.replacements) {
-      key += repl.original.ToString() + ">" + repl.constraint_id + "|";
-    }
-    if (!dedup_keys_.insert(key).second) {
-      ++stats_.duplicates_skipped;
-      continue;
-    }
-
-    // Exact componentwise bound for the finished candidate: width and
-    // dropped attributes are now known, the extent floor includes Steiner
-    // relations. Clamped to the popped bound so emission stays monotone.
-    size_t new_relations = 0;
-    for (const std::string& rel : candidate.tree.relations) {
-      if (from_minus_r_.count(rel) == 0) ++new_relations;
-    }
-    PartialCandidate partial;
-    partial.original_from_size = view_->from().size();
-    partial.join_width = from_minus_r_.size() + new_relations;
-    partial.dropped_attributes =
-        CountDroppedSelectItems(candidate.replacements);
-    partial.extent_floor = CandidateExtentFloor(*mapping_, candidate, *mkb_);
-    candidate.cost_lower_bound =
-        std::max(LowerBound(partial, model_), top.lower_bound);
-
-    State ready;
-    ready.lower_bound = candidate.cost_lower_bound;
-    ready.kind = StateKind::kReady;
-    ready.combo_index = top.combo_index;
-    ready.ready = std::move(candidate);
-    PushState(std::move(ready));
+    PushReady(top.combo, top.lower_bound);
   }
   stats_.exhausted = true;
   return std::nullopt;
+}
+
+void CandidateStream::PushReady(uint32_t combo_index, double popped_bound) {
+  const Combo& combo = combos_[combo_index];
+  const std::vector<uint32_t>& relations = tree_.relations;
+  // Opportunistic covers for the open optional attributes, using relations
+  // already in the tree (paper Ex. 10: Age -> f(Birthday)).
+  opportunistic_.clear();
+  bool any_opportunistic = false;
+  for (const uint32_t j : combo.open_optional) {
+    uint32_t found = kNone;
+    for (const uint32_t cover : optional_covers_[j]) {
+      if (Contains(relations, covers_[cover].relation)) {
+        found = cover;
+        break;
+      }
+    }
+    opportunistic_.push_back(found);
+    any_opportunistic = any_opportunistic || found != kNone;
+  }
+
+  // Dedup on (relations, substitutions in order): the relation count,
+  // the relation indices, then an (attribute, cover) pair per
+  // substitution.
+  key_.assign(1, static_cast<uint32_t>(relations.size()));
+  key_.insert(key_.end(), relations.begin(), relations.end());
+  for (const auto& [attr, cover] : combo.substitutions) {
+    key_.push_back(attr);
+    key_.push_back(cover);
+  }
+  for (size_t k = 0; k < opportunistic_.size(); ++k) {
+    if (opportunistic_[k] == kNone) continue;
+    key_.push_back(optional_attrs_[combo.open_optional[k]]);
+    key_.push_back(opportunistic_[k]);
+  }
+  if (!dedup_keys_.insert(key_).second) {
+    ++stats_.duplicates_skipped;
+    return;
+  }
+
+  // Exact componentwise bound for the finished candidate: width and
+  // dropped attributes are now known, the extent floor includes Steiner
+  // relations. Clamped to the popped bound so emission stays monotone.
+  size_t new_relations = 0;
+  for (const uint32_t rel : relations) {
+    if (!Contains(from_relations_, rel)) ++new_relations;
+  }
+  uint32_t cover_part = combo.cover_part;
+  for (const auto& [attr, cover] : combo.substitutions) attr_marks_[attr] = 1;
+  if (any_opportunistic) {
+    std::vector<Substitution> substitutions = combo.substitutions;
+    for (size_t k = 0; k < opportunistic_.size(); ++k) {
+      if (opportunistic_[k] == kNone) continue;
+      const uint32_t attr = optional_attrs_[combo.open_optional[k]];
+      attr_marks_[attr] = 1;
+      substitutions.emplace_back(attr, opportunistic_[k]);
+    }
+    cover_part = CoverPartOf(std::move(substitutions));
+  }
+  const size_t dropped = CountDroppedSelectItems();
+  std::fill(attr_marks_.begin(), attr_marks_.end(), 0);
+  const CoverPart& part = cover_parts_[cover_part];
+  ExtentRelation extent = part.extent;
+  for (const uint32_t rel : relations) {
+    if (Contains(mapping_relations_, rel) || Contains(part.relations, rel)) {
+      continue;
+    }
+    extent = CombineExtent(extent, SteinerExtent(rel));
+  }
+  PartialCandidate partial;
+  partial.original_from_size = view_->from().size();
+  partial.join_width = from_minus_r_ + new_relations;
+  partial.dropped_attributes = dropped;
+  partial.extent_floor = extent;
+
+  Ready ready;
+  ready.combo = combo_index;
+  ready.num_relations = static_cast<uint32_t>(relations.size());
+  ready.num_edges = static_cast<uint32_t>(tree_.edges.size());
+  ready.begin = arena_.size();
+  ready.cost_lower_bound =
+      std::max(LowerBound(partial, model_), popped_bound);
+  ready.extent_floor = extent;
+  arena_.insert(arena_.end(), relations.begin(), relations.end());
+  arena_.insert(arena_.end(), tree_.edges.begin(), tree_.edges.end());
+  arena_.insert(arena_.end(), opportunistic_.begin(), opportunistic_.end());
+  ready_.push_back(ready);
+
+  State state;
+  state.lower_bound = ready.cost_lower_bound;
+  state.kind = StateKind::kReady;
+  state.combo = combo_index;
+  state.slot = static_cast<uint32_t>(ready_.size() - 1);
+  PushState(state);
+}
+
+ReplacementCandidate CandidateStream::Materialize(const Ready& ready) const {
+  const Combo& combo = combos_[ready.combo];
+  const uint32_t* relations = arena_.data() + ready.begin;
+  const uint32_t* edges = relations + ready.num_relations;
+  const uint32_t* opportunistic = edges + ready.num_edges;
+  ReplacementCandidate candidate;
+  candidate.tree = combo.enumerator->Materialize(
+      {relations, ready.num_relations}, {edges, ready.num_edges});
+  const auto substitute = [&](uint32_t attr, uint32_t cover) {
+    const FunctionOfConstraint& fc = *covers_[cover].fc;
+    candidate.replacements.push_back(AttributeReplacement{
+        attrs_[attr], fc.fn, fc.source.relation, fc.id});
+  };
+  // The chosen covers in choice order, then the optional attributes in
+  // order: covered opportunistically, or left unreplaced.
+  for (const auto& [attr, cover] : combo.substitutions) {
+    substitute(attr, cover);
+  }
+  for (size_t k = 0; k < combo.open_optional.size(); ++k) {
+    const uint32_t attr = optional_attrs_[combo.open_optional[k]];
+    if (opportunistic[k] == kNone) {
+      candidate.unreplaced.push_back(attrs_[attr]);
+    } else {
+      substitute(attr, opportunistic[k]);
+    }
+  }
+  candidate.cost_lower_bound = ready.cost_lower_bound;
+  candidate.extent_floor = ready.extent_floor;
+  return candidate;
 }
 
 void CandidateStream::MarkDeadlineStop(size_t frontier_bound) {

@@ -5,15 +5,19 @@
 #ifndef EVE_CVS_R_REPLACEMENT_H_
 #define EVE_CVS_R_REPLACEMENT_H_
 
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <queue>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "common/result.h"
 #include "cvs/cost_model.h"
+#include "cvs/extent_relation.h"
 #include "cvs/r_mapping.h"
 #include "esql/view_definition.h"
 #include "hypergraph/join_graph.h"
@@ -44,10 +48,16 @@ struct ReplacementCandidate {
   // exists in this candidate; the splice step drops those components.
   std::vector<AttributeRef> unreplaced;
   // Admissible lower bound on this candidate's final ranking cost under
-  // the cost model the stream was built with (see CandidateStream; 0 for
-  // the eager enumeration). Candidates leave the stream in nondecreasing
-  // cost_lower_bound order.
+  // the cost model the stream was built with (see CandidateStream).
+  // Candidates leave the stream in nondecreasing cost_lower_bound order.
   double cost_lower_bound = 0.0;
+  // The tree-and-cover part of the inferred extent (cvs/extent.h): the PC
+  // justification of each cover relation for the attribute pairs it
+  // covers, combined with that of every Steiner relation (a tree relation
+  // neither in Min(H_R) nor a cover). Dropped conditions can only widen
+  // it, so it is a lattice floor for the final extent; InferExtentRelation
+  // starts from it. Set by CandidateStream.
+  ExtentRelation extent_floor = ExtentRelation::kEqual;
 
   std::string ToString() const;
 };
@@ -143,8 +153,7 @@ struct EnumerationStats {
   void MergeFrom(const EnumerationStats& other);
 };
 
-// Lazy best-first enumeration of replacement candidates: the streaming
-// replacement for the historical eager cartesian-product loop. Cover
+// Lazy best-first enumeration of replacement candidates. Cover
 // combinations are materialized eagerly (they are cheap set unions,
 // bounded by max_cover_combinations), but join-tree search and candidate
 // assembly run lazily, merged across combinations by a priority queue
@@ -155,6 +164,18 @@ struct EnumerationStats {
 // ScoreRewriting total under the same model. NextLowerBound() bounds every
 // candidate not yet yielded, which is what lets a top-k driver stop
 // pulling the moment NextLowerBound() >= its k-th best accepted total.
+//
+// Assembly runs on indices. Create() interns the attributes of R, their
+// covers, the view's SELECT items and the graph_prime relations that the
+// view's FROM and Min(H_R) list. A popped tree comes
+// from JoinTreeEnumerator::NextIndices as relation and edge indices; its
+// opportunistic covers, dedup key (integers), join width, dropped SELECT
+// count and extent floor are computed from those tables, with the PC
+// justifications of cover sets and Steiner relations filled in on first
+// use. The heap holds plain keys, and a ready candidate is a compact
+// record in a side arena. Only a candidate that Next() returns is
+// materialized into a ReplacementCandidate, with relation names and JC
+// copies (JoinTreeEnumerator::Materialize).
 //
 // The stream borrows `view`, `mapping`, `mkb` and `graph_prime`; it must
 // not outlive any of them. `mkb` is the PRE-change MKB (covers of R's
@@ -196,25 +217,58 @@ class CandidateStream {
   std::vector<std::string> TruncationNotes() const;
 
  private:
+  static constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+
+  // One function-of constraint that covers an attribute of R, and the
+  // index of its source relation in graph_prime.
+  struct Cover {
+    const FunctionOfConstraint* fc = nullptr;
+    uint32_t relation = kNone;
+  };
+  // One substitution: (attribute id, cover id).
+  using Substitution = std::pair<uint32_t, uint32_t>;
+  // The cover part of an extent floor for one set of substitutions: the
+  // combined PC justification of its cover relations, and those relations
+  // (sorted indices; only covers whose function has a source column).
+  struct CoverPart {
+    ExtentRelation extent = ExtentRelation::kEqual;
+    std::vector<uint32_t> relations;
+  };
   // One choice of cover per choice-attribute, plus the lazily created
   // enumerator over join trees connecting kept ∪ cover sources.
   struct Combo {
-    std::vector<const FunctionOfConstraint*> chosen;  // null = skipped
+    // The substitutions of the chosen covers, in choice order.
+    std::vector<Substitution> substitutions;
+    // Optional attributes (indices into optional_attrs_) the chosen covers
+    // leave to opportunistic covers, in order.
+    std::vector<uint32_t> open_optional;
     std::set<std::string> required;
-    ExtentRelation extent_floor = ExtentRelation::kEqual;
+    size_t required_outside_from = 0;  // |required \ (FROM minus R)|
+    uint32_t cover_part = 0;           // of `substitutions`
     double base_lower_bound = 0.0;
     std::optional<JoinTreeEnumerator> enumerator;
     // Enumerator counters already folded into stats_.
     size_t seen_expanded = 0;
     size_t seen_cut = 0;
   };
-  enum class StateKind { kSearch, kReady };
+  // A ready candidate: its tree's relation and edge indices, then the
+  // cover chosen for each of its combo's open optional attributes (kNone =
+  // unreplaced), back to back in arena_ from `begin`.
+  struct Ready {
+    uint32_t combo = 0;
+    uint32_t num_relations = 0;
+    uint32_t num_edges = 0;
+    size_t begin = 0;
+    double cost_lower_bound = 0.0;
+    ExtentRelation extent_floor = ExtentRelation::kEqual;
+  };
+  enum class StateKind : uint8_t { kSearch, kReady };
   struct State {
     double lower_bound = 0.0;
     uint64_t seq = 0;  // deterministic tie-break: creation order
     StateKind kind = StateKind::kSearch;
-    size_t combo_index = 0;
-    std::optional<ReplacementCandidate> ready;
+    uint32_t combo = 0;
+    uint32_t slot = 0;  // kReady: index into ready_
   };
   struct StateGreater {
     bool operator()(const State& a, const State& b) const {
@@ -224,22 +278,30 @@ class CandidateStream {
       return a.seq > b.seq;
     }
   };
-
   CandidateStream() = default;
 
   void PushState(State state);
   // Lower bound for the combo given its enumerator's current frontier.
   double SearchLowerBound(const Combo& combo) const;
   // Lower bound on the spliced FROM size given a tree-relation lower
-  // bound `tree_size` and the relations `required` of the combo.
-  size_t JoinWidthLowerBound(const std::set<std::string>& required,
+  // bound `tree_size` and the number of required relations outside FROM.
+  size_t JoinWidthLowerBound(size_t required_outside_from,
                              size_t tree_size) const;
-  // Exact count of SELECT items the splice step will drop for
-  // `replacements` (every item mentioning an attribute of R outside the
-  // substitution set).
-  size_t CountDroppedSelectItems(
-      const std::vector<AttributeReplacement>& replacements) const;
+  // Exact count of SELECT items the splice step drops when exactly the
+  // attributes marked in attr_marks_ are substituted.
+  size_t CountDroppedSelectItems() const;
+  // Index into cover_parts_ of the cover part of `substitutions`.
+  uint32_t CoverPartOf(std::vector<Substitution> substitutions);
+  // PC justification of relation index `relation` as a Steiner relation.
+  ExtentRelation SteinerExtent(uint32_t relation);
+  // Assembles the popped tree tree_ of `combo_index` into a ready record,
+  // unless it duplicates an earlier one, and pushes it.
+  void PushReady(uint32_t combo_index, double popped_bound);
+  ReplacementCandidate Materialize(const Ready& ready) const;
   void FoldEnumeratorStats(Combo* combo);
+  // Records a token stop: sets deadline_stopped_ and folds the
+  // interrupted search's frontier bound (0 = none) into stats_.
+  void MarkDeadlineStop(size_t frontier_bound);
 
   const ViewDefinition* view_ = nullptr;
   const RMapping* mapping_ = nullptr;
@@ -248,20 +310,44 @@ class CandidateStream {
   RReplacementOptions options_;
   RewritingCostModel model_;
 
-  std::vector<AttributeRef> choice_attrs_;   // parallel to Combo::chosen
-  std::vector<AttributeRef> optional_attrs_; // opportunistically covered
-  std::set<std::string> kept_;
+  // Interned tables, built by Create. Attribute ids index attrs_ (the
+  // mandatory attributes of R, then the optional ones); cover ids index
+  // covers_.
+  std::vector<AttributeRef> attrs_;
+  std::vector<uint32_t> choice_attrs_;    // attribute id per choice list
+  std::vector<uint32_t> optional_attrs_;  // attribute ids, opportunistic
+  // Per optional attribute: the covers an opportunistic match may use, in
+  // CoversOf order.
+  std::vector<std::vector<uint32_t>> optional_covers_;
+  std::vector<Cover> covers_;
+  // Attribute ids of R each SELECT item mentions, for the items that
+  // mention R and can be substituted at all; never_substitutable_ counts
+  // the others.
+  std::vector<std::vector<uint32_t>> select_attrs_;
+  size_t never_substitutable_ = 0;
+  // Sorted graph_prime indices of the view's FROM relations minus R, and
+  // of the relations of Min(H_R).
+  std::vector<uint32_t> from_relations_;
+  std::vector<uint32_t> mapping_relations_;
   std::vector<JoinConstraint> mandatory_edges_;
-  std::set<std::string> from_minus_r_;  // FROM relations minus R
+  size_t from_minus_r_ = 0;   // |FROM minus R|
   size_t dropped_floor_ = 0;  // SELECT items no candidate can preserve
+  // Filled on first use.
+  std::map<std::vector<Substitution>, uint32_t> cover_part_ids_;
+  std::vector<CoverPart> cover_parts_;
+  std::map<uint32_t, ExtentRelation> steiner_extents_;
 
   std::vector<Combo> combos_;
   std::priority_queue<State, std::vector<State>, StateGreater> heap_;
-  // Records a token stop: sets deadline_stopped_ and folds the
-  // interrupted search's frontier bound (0 = none) into stats_.
-  void MarkDeadlineStop(size_t frontier_bound);
+  std::vector<Ready> ready_;
+  std::vector<uint32_t> arena_;
+  std::set<std::vector<uint32_t>> dedup_keys_;
+  // Buffers reused across pops.
+  JoinTreeIndices tree_;
+  std::vector<uint32_t> key_;
+  std::vector<uint32_t> opportunistic_;
+  std::vector<uint8_t> attr_marks_;
 
-  std::set<std::string> dedup_keys_;
   uint64_t next_seq_ = 0;
   EnumerationStats stats_;
   bool deadline_stopped_ = false;
@@ -279,14 +365,6 @@ class CandidateStream {
 // options.max_results candidates and re-applies the historical
 // smallest-tree-first ordering.
 Result<std::vector<ReplacementCandidate>> ComputeRReplacements(
-    const ViewDefinition& view, const RMapping& mapping, const Mkb& mkb,
-    const JoinGraph& graph_prime, const RReplacementOptions& options);
-
-// The pre-refactor eager enumeration, kept verbatim as the reference
-// implementation: the equivalence property test checks the stream against
-// it, and bench_enumeration uses it as the before/after baseline. Not
-// used by the synchronization drivers.
-Result<std::vector<ReplacementCandidate>> ComputeRReplacementsEager(
     const ViewDefinition& view, const RMapping& mapping, const Mkb& mkb,
     const JoinGraph& graph_prime, const RReplacementOptions& options);
 

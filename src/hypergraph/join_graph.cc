@@ -588,51 +588,54 @@ JoinTreeEnumerator::JoinTreeEnumerator(
   bound_ = log_->initial_bound();
 }
 
-JoinTree JoinTreeEnumerator::MakeTree(const uint32_t* relations,
-                                      size_t num_relations,
-                                      const uint32_t* edges,
-                                      size_t num_edges) const {
+JoinTree JoinTreeEnumerator::Materialize(
+    std::span<const uint32_t> relations,
+    std::span<const uint32_t> edges) const {
   JoinTree tree;
-  tree.relations.reserve(num_relations);
-  for (size_t i = 0; i < num_relations; ++i) {
-    tree.relations.push_back(graph_->relations_[relations[i]]);
+  tree.relations.reserve(relations.size());
+  for (const uint32_t relation : relations) {
+    tree.relations.push_back(graph_->relations_[relation]);
   }
-  tree.edges.reserve(mandatory_edges_.size() + num_edges);
+  tree.edges.reserve(mandatory_edges_.size() + edges.size());
   tree.edges = mandatory_edges_;
   const std::vector<JoinConstraint>& graph_edges = graph_->Edges();
-  for (size_t i = 0; i < num_edges; ++i) {
-    tree.edges.push_back(graph_edges[edges[i]]);
-  }
+  for (const uint32_t edge : edges) tree.edges.push_back(graph_edges[edge]);
   return tree;
 }
 
-std::optional<JoinTree> JoinTreeEnumerator::Next() {
-  if (interrupted_) return std::nullopt;
+bool JoinTreeEnumerator::NextIndices(JoinTreeIndices* tree) {
+  if (interrupted_) return false;
   while (!Exhausted()) {
     // One frontier pop is the unit of logical work, whether this cursor
     // makes it or replays it: spend it first, so a refused step leaves the
     // position (and with it the first-cut lower bound) untouched.
     if (!token_.Spend(1)) {
       interrupted_ = true;
-      return std::nullopt;
+      return false;
     }
-    std::optional<JoinTree> tree;
     const JoinTreeSearchLog::Step step = log_->Replay(
         sets_expanded_, &bound_,
         [&](const uint32_t* relations, size_t num_relations,
             const uint32_t* edges, size_t num_edges) {
-          tree = MakeTree(relations, num_relations, edges, num_edges);
+          tree->relations.assign(relations, relations + num_relations);
+          tree->edges.assign(edges, edges + num_edges);
         });
     ++sets_expanded_;
     if (step == JoinTreeSearchLog::Step::kTree) {
       ++trees_yielded_;
-      return tree;
+      return true;
     }
     if (step == JoinTreeSearchLog::Step::kCut) {
       ++sets_cut_;  // disconnected set hit the bound: lost search subtree
     }
   }
-  return std::nullopt;
+  return false;
+}
+
+std::optional<JoinTree> JoinTreeEnumerator::Next() {
+  JoinTreeIndices tree;
+  if (!NextIndices(&tree)) return std::nullopt;
+  return Materialize(tree.relations, tree.edges);
 }
 
 }  // namespace eve

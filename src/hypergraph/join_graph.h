@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +36,15 @@ struct JoinTree {
 
   // "R1 ⋈[JC1] R2 ⋈[JC4] R3".
   std::string ToString() const;
+};
+
+// A join tree on its graph's interned indices: the relations as sorted
+// indices into JoinGraph::relations(), and the JC edges the tree takes
+// after its mandatory edges, as indices into the graph's edge storage.
+// JoinTreeEnumerator::Materialize turns it into the JoinTree.
+struct JoinTreeIndices {
+  std::vector<uint32_t> relations;
+  std::vector<uint32_t> edges;
 };
 
 // One join-tree search (join_graph.cc); JoinTreeEnumerators are cursors
@@ -66,6 +76,10 @@ class JoinGraph {
   bool HasRelation(const std::string& relation) const {
     return IndexOf(relation) != kNpos;
   }
+
+  static constexpr size_t kNpos = static_cast<size_t>(-1);
+  // Index of `relation` in relations() (binary search), or kNpos if absent.
+  size_t IndexOf(const std::string& relation) const;
 
   // JC edges incident to `relation` (with the neighbor on the other side).
   struct Neighbor {
@@ -134,11 +148,6 @@ class JoinGraph {
   // the edge storage to be populated.
   void IndexParts();
 
-  // Index of `relation` in relations_ (binary search), or npos if absent.
-  size_t IndexOf(const std::string& relation) const;
-
-  static constexpr size_t kNpos = static_cast<size_t>(-1);
-
   // Every JC edge once; adjacency lists hold indices into this vector.
   // Build() borrows the Mkb's vector (external_edges_); EraseRelation()
   // fills owned_edges_. The pointer never aims inside the object itself,
@@ -187,8 +196,10 @@ class JoinGraph {
 // so the sets grown from one level are sorted and deduplicated once, when
 // that level is used up, and no set of visited sets is kept. relations_ is
 // sorted by name, so index order is name order and the pop order is the
-// (size, lexicographic) order of the relation-name vectors. Names and JC
-// copies are made only for the trees that are yielded.
+// (size, lexicographic) order of the relation-name vectors. A caller that
+// works on indices pulls trees with NextIndices() and builds names and JC
+// copies with Materialize() only for the trees it keeps; Next() is the two
+// calls in a row.
 //
 // The search itself is a JoinTreeSearchLog, and an enumerator is a cursor
 // that replays it pop by pop, spending one token unit per pop. Over a
@@ -219,8 +230,20 @@ class JoinTreeEnumerator {
                      const JoinTreeSearchOptions& options);
 
   // The next tree in nondecreasing size order, or nullopt when the search
-  // space is exhausted.
+  // space is exhausted: NextIndices(), then Materialize().
   std::optional<JoinTree> Next();
+
+  // The index-level pull behind Next(): copies the next tree's relation and
+  // edge indices into `*tree`, reusing its buffers, and returns true, or
+  // returns false where Next() returns nullopt. Order, counters, bound and
+  // token spending are those of Next(); no name or JC is copied.
+  bool NextIndices(JoinTreeIndices* tree);
+
+  // The JoinTree Next() yields for a tree NextIndices() returned: the
+  // relation names, then the mandatory edges followed by the graph edges
+  // `edges`.
+  JoinTree Materialize(std::span<const uint32_t> relations,
+                       std::span<const uint32_t> edges) const;
 
   // Admissible lower bound on the relation count of every tree not yet
   // yielded: the larger of the smallest frontier set's size and the
@@ -249,11 +272,6 @@ class JoinTreeEnumerator {
 
  private:
   static constexpr size_t kExhausted = static_cast<size_t>(-1);
-
-  // The yielded tree over `relations`: the mandatory edges, then the graph
-  // edges `edges`.
-  JoinTree MakeTree(const uint32_t* relations, size_t num_relations,
-                    const uint32_t* edges, size_t num_edges) const;
 
   const JoinGraph* graph_;
   std::vector<JoinConstraint> mandatory_edges_;

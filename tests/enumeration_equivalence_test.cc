@@ -1,10 +1,10 @@
 // Property tests for the lazy best-first candidate enumeration: the
-// streaming pipeline must agree with the pre-refactor eager reference
-// (same candidate set), yield in nondecreasing lower-bound order with
-// admissible bounds, and a top-k run must return exactly the prefix the
-// exhaustive run ranks first. In particular a top-1 run, which is what
-// EveSystem commits from, returns the exhaustive run's front, ties
-// included.
+// streaming pipeline must agree with the eager reference kept in
+// legacy_candidate_stream.h (same candidate set), yield in nondecreasing
+// lower-bound order with admissible bounds, and a top-k run must return
+// exactly the prefix the exhaustive run ranks first. In particular a
+// top-1 run, which is what EveSystem commits from, returns the exhaustive
+// run's front, ties included.
 
 #include <gtest/gtest.h>
 
@@ -18,30 +18,19 @@
 #include "cvs/r_mapping.h"
 #include "cvs/r_replacement.h"
 #include "hypergraph/join_graph.h"
+#include "legacy_candidate_stream.h"
 #include "mkb/evolution.h"
 #include "workload/generator.h"
 
 namespace eve {
 namespace {
 
-// Canonical identity of a candidate: the join skeleton plus the exact
-// substitutions used (the same key the stream dedups on).
-std::string CandidateKey(const ReplacementCandidate& candidate) {
-  std::string key;
-  for (const std::string& rel : candidate.tree.relations) key += rel + "|";
-  key += "#";
-  for (const AttributeReplacement& repl : candidate.replacements) {
-    key += repl.original.ToString() + ">" + repl.constraint_id + "|";
-  }
-  return key;
-}
-
 std::vector<std::string> SortedKeys(
     const std::vector<ReplacementCandidate>& candidates) {
   std::vector<std::string> keys;
   keys.reserve(candidates.size());
   for (const ReplacementCandidate& candidate : candidates) {
-    keys.push_back(CandidateKey(candidate));
+    keys.push_back(legacy::CandidateKey(candidate));
   }
   std::sort(keys.begin(), keys.end());
   return keys;
@@ -80,8 +69,8 @@ TEST(EnumerationEquivalence, StreamMatchesEagerOnRandomMkbs) {
 
     const RReplacementOptions options = ExhaustiveOptions();
     const Result<std::vector<ReplacementCandidate>> eager =
-        ComputeRReplacementsEager(view, mapping_or.value(), mkb, graph_prime,
-                                  options);
+        legacy::ComputeRReplacementsEager(view, mapping_or.value(), mkb,
+                                          graph_prime, options);
     const Result<std::vector<ReplacementCandidate>> lazy =
         ComputeRReplacements(view, mapping_or.value(), mkb, graph_prime,
                              options);
