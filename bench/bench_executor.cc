@@ -1,5 +1,5 @@
-// Columnar data plane at scale: vectorized executor vs hash vs the
-// nested-loop oracle, and incremental extent maintenance
+// Columnar data plane at scale: Execute() vs the nested-loop oracle
+// (tests/nested_loop_oracle.h), and incremental extent maintenance
 // (IncrementalRefresh) vs full re-materialization for every CVS verdict.
 //
 // The workload is a two-relation chain join R0 ⋈ R1 with a 10M-row R0
@@ -17,7 +17,7 @@
 //                  extent with no base scan at all
 //
 // Before any timing, the binary validates (and exits nonzero on failure):
-//   1. nested-loop, hash and vectorized execution produce identical sets;
+//   1. Execute and the nested-loop oracle produce identical sets;
 //   2. IncrementalRefresh is byte-identical to a full Refresh for the
 //      Equal, Superset and Subset verdicts, AND actually took the delta
 //      path (a silent fallback to kFull would make the timings a lie).
@@ -33,6 +33,7 @@
 #include "algebra/executor.h"
 #include "esql/evaluator.h"
 #include "eve/materialization.h"
+#include "nested_loop_oracle.h"
 #include "workload/generator.h"
 
 namespace eve {
@@ -141,7 +142,6 @@ void CheckIncremental(Fixture& f, const ViewDefinition& old_view,
                       const ViewDefinition& new_view, ExtentRelation verdict,
                       RefreshPath want_path) {
   MaterializedViewStore store(&f.registry);
-  store.SetStrategy(JoinStrategy::kVectorized);
   Require(store.Refresh(old_view, f.db, f.mkb.catalog()).ok(),
           "materialize old view");
   Require(store
@@ -153,7 +153,6 @@ void CheckIncremental(Fixture& f, const ViewDefinition& old_view,
           std::string("expected path ") + RefreshPathToString(want_path) +
               ", got " + RefreshPathToString(store.StatsFor("V").last_path));
   MaterializedViewStore full(&f.registry);
-  full.SetStrategy(JoinStrategy::kVectorized);
   Require(full.Refresh(new_view, f.db, f.mkb.catalog()).ok(),
           "full refresh of new view");
   Require(store.Extent("V").value()->SetEquals(*full.Extent("V").value()),
@@ -163,18 +162,13 @@ void CheckIncremental(Fixture& f, const ViewDefinition& old_view,
 
 void PrintReproduction() {
   Fixture& f = GetFixture(16384);
-  const Result<Table> nested = EvaluateView(
-      f.base, f.db, f.mkb.catalog(), &f.registry, JoinStrategy::kNestedLoop);
-  const Result<Table> hashed = EvaluateView(
-      f.base, f.db, f.mkb.catalog(), &f.registry, JoinStrategy::kHash);
-  const Result<Table> vectorized = EvaluateView(
-      f.base, f.db, f.mkb.catalog(), &f.registry, JoinStrategy::kVectorized);
-  Require(nested.ok() && hashed.ok() && vectorized.ok(),
-          "strategy evaluation errored");
-  Require(vectorized.value().SetEquals(nested.value()),
-          "vectorized != nested-loop oracle");
-  Require(hashed.value().SetEquals(nested.value()),
-          "hash != nested-loop oracle");
+  const Result<Table> nested = oracle::ExecuteNestedLoop(
+      ViewQuery(f.base), f.db, f.mkb.catalog(), &f.registry);
+  const Result<Table> executed =
+      EvaluateView(f.base, f.db, f.mkb.catalog(), &f.registry);
+  Require(nested.ok() && executed.ok(), "view evaluation errored");
+  Require(executed.value().SetEquals(nested.value()),
+          "Execute != nested-loop oracle");
 
   CheckIncremental(f, f.base, f.base, ExtentRelation::kEqual,
                    RefreshPath::kReuseEqual);
@@ -184,22 +178,24 @@ void PrintReproduction() {
                    RefreshPath::kDeltaSubset);
 
   std::cout << "=== executor ablation ===\n"
-            << "16384-row join: all three strategies agree ("
+            << "16384-row join: Execute agrees with the oracle ("
             << nested.value().NumRows() << " rows); incremental refresh "
             << "matches full refresh for Equal/Superset/Subset via the "
             << "delta paths\n"
             << "timed R0 rows: " << BigRows() << "\n\n";
 }
 
-// --- Query execution strategies -----------------------------------------
+// --- Query execution -----------------------------------------------------
 
-void RunStrategy(benchmark::State& state, JoinStrategy strategy,
-                 size_t rows) {
+// Times `evaluate(view, db, catalog, registry)` on the base view over a
+// fixture with `rows` R0 rows.
+template <typename Evaluate>
+void RunQuery(benchmark::State& state, Evaluate evaluate, size_t rows) {
   Fixture& f = GetFixture(rows);
   size_t out_rows = 0;
   for (auto _ : state) {
     Result<Table> result =
-        EvaluateView(f.base, f.db, f.mkb.catalog(), &f.registry, strategy);
+        evaluate(f.base, f.db, f.mkb.catalog(), &f.registry);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
@@ -217,25 +213,27 @@ void RunStrategy(benchmark::State& state, JoinStrategy strategy,
 // so it runs at a capped size where the quadratic blowup is visible but
 // bounded.
 void BM_QueryNestedLoop(benchmark::State& state) {
-  RunStrategy(state, JoinStrategy::kNestedLoop,
-              BigRows() < 8192 ? BigRows() : 8192);
+  RunQuery(
+      state,
+      [](const ViewDefinition& view, const Database& db,
+         const Catalog& catalog, const FunctionRegistry* registry) {
+        return oracle::ExecuteNestedLoop(ViewQuery(view), db, catalog,
+                                         registry);
+      },
+      BigRows() < 8192 ? BigRows() : 8192);
 }
 BENCHMARK(BM_QueryNestedLoop)->Unit(benchmark::kMillisecond);
 
-void BM_QueryHash(benchmark::State& state) {
-  RunStrategy(state, JoinStrategy::kHash, BigRows());
+void BM_QueryExecute(benchmark::State& state) {
+  RunQuery(
+      state,
+      [](const ViewDefinition& view, const Database& db,
+         const Catalog& catalog, const FunctionRegistry* registry) {
+        return EvaluateView(view, db, catalog, registry);
+      },
+      BigRows());
 }
-BENCHMARK(BM_QueryHash)->Unit(benchmark::kMillisecond);
-
-void BM_QueryVectorized(benchmark::State& state) {
-  RunStrategy(state, JoinStrategy::kVectorized, BigRows());
-}
-BENCHMARK(BM_QueryVectorized)->Unit(benchmark::kMillisecond);
-
-void BM_QueryAuto(benchmark::State& state) {
-  RunStrategy(state, JoinStrategy::kAuto, BigRows());
-}
-BENCHMARK(BM_QueryAuto)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QueryExecute)->Unit(benchmark::kMillisecond);
 
 // --- Full vs incremental re-materialization ------------------------------
 
@@ -244,7 +242,6 @@ BENCHMARK(BM_QueryAuto)->Unit(benchmark::kMillisecond);
 void BM_FullRefresh(benchmark::State& state) {
   Fixture& f = GetFixture(BigRows());
   MaterializedViewStore store(&f.registry);
-  store.SetStrategy(JoinStrategy::kAuto);
   for (auto _ : state) {
     const Status status = store.Refresh(f.base, f.db, f.mkb.catalog());
     if (!status.ok()) {
@@ -262,7 +259,6 @@ BENCHMARK(BM_FullRefresh)->Unit(benchmark::kMillisecond);
 void BM_IncrementalEqual(benchmark::State& state) {
   Fixture& f = GetFixture(BigRows());
   MaterializedViewStore store(&f.registry);
-  store.SetStrategy(JoinStrategy::kAuto);
   Status status = store.Refresh(f.base, f.db, f.mkb.catalog());
   if (!status.ok()) {
     state.SkipWithError(status.ToString().c_str());
@@ -295,7 +291,6 @@ void RunIncremental(benchmark::State& state, const ViewDefinition& old_view,
                     RefreshPath want_path) {
   Fixture& f = GetFixture(BigRows());
   MaterializedViewStore store(&f.registry);
-  store.SetStrategy(JoinStrategy::kAuto);
   for (auto _ : state) {
     state.PauseTiming();
     Status status = store.Refresh(old_view, f.db, f.mkb.catalog());

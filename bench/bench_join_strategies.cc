@@ -1,7 +1,7 @@
-// Join-strategy ablation: nested-loop vs hash execution of view extents.
-// The empirical P3 check (E8) evaluates views over growing states; this
-// bench quantifies why the hash path is the default there (O(N) vs O(N²)
-// on equi-joins) and verifies both strategies agree.
+// Join ablation: the nested-loop oracle (tests/nested_loop_oracle.h) vs
+// Execute() on the paper's Eq. 5 view. The empirical P3 check (E8)
+// evaluates views over growing states; this bench measures how each
+// scales with the number of customers and verifies both agree.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 
 #include "esql/binder.h"
 #include "esql/evaluator.h"
+#include "nested_loop_oracle.h"
 #include "workload/travel_agency.h"
 
 namespace eve {
@@ -36,24 +37,26 @@ void PrintReproduction() {
     std::cerr << status << std::endl;
     std::exit(1);
   }
-  const Result<Table> nested = EvaluateView(
-      f.view, db, f.mkb.catalog(), nullptr, JoinStrategy::kNestedLoop);
-  const Result<Table> hashed = EvaluateView(f.view, db, f.mkb.catalog(),
-                                            nullptr, JoinStrategy::kHash);
-  if (!nested.ok() || !hashed.ok()) {
-    std::cerr << nested.status() << " / " << hashed.status() << std::endl;
+  const Result<Table> nested = oracle::ExecuteNestedLoop(
+      ViewQuery(f.view), db, f.mkb.catalog());
+  const Result<Table> executed = EvaluateView(f.view, db, f.mkb.catalog());
+  if (!nested.ok() || !executed.ok()) {
+    std::cerr << nested.status() << " / " << executed.status() << std::endl;
     std::exit(1);
   }
-  std::cout << "=== join-strategy ablation ===\n"
-            << "paper view over 200 customers: nested-loop rows = "
+  const bool same = nested.value().SetEquals(executed.value());
+  std::cout << "=== join ablation: oracle vs Execute ===\n"
+            << "paper view over 200 customers: oracle rows = "
             << nested.value().NumRows()
-            << ", hash rows = " << hashed.value().NumRows()
-            << ", identical sets: "
-            << (nested.value().SetEquals(hashed.value()) ? "yes" : "NO")
-            << "\n\n";
+            << ", Execute rows = " << executed.value().NumRows()
+            << ", identical sets: " << (same ? "yes" : "NO") << "\n\n";
+  if (!same) std::exit(1);
 }
 
-void RunStrategy(benchmark::State& state, JoinStrategy strategy) {
+// Times `evaluate(view, db, catalog)` over a travel-agency database with
+// state.range(0) customers.
+template <typename Evaluate>
+void RunEvaluation(benchmark::State& state, Evaluate evaluate) {
   Fixture f = MakeFixture();
   Database db;
   Status status = PopulateTravelAgencyDatabase(
@@ -63,21 +66,26 @@ void RunStrategy(benchmark::State& state, JoinStrategy strategy) {
     return;
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        EvaluateView(f.view, db, f.mkb.catalog(), nullptr, strategy));
+    benchmark::DoNotOptimize(evaluate(f.view, db, f.mkb.catalog()));
   }
   state.SetComplexityN(state.range(0));
 }
 
 void BM_NestedLoop(benchmark::State& state) {
-  RunStrategy(state, JoinStrategy::kNestedLoop);
+  RunEvaluation(state, [](const ViewDefinition& view, const Database& db,
+                          const Catalog& catalog) {
+    return oracle::ExecuteNestedLoop(ViewQuery(view), db, catalog);
+  });
 }
 BENCHMARK(BM_NestedLoop)->RangeMultiplier(4)->Range(16, 1024)->Complexity();
 
-void BM_HashJoin(benchmark::State& state) {
-  RunStrategy(state, JoinStrategy::kHash);
+void BM_Execute(benchmark::State& state) {
+  RunEvaluation(state, [](const ViewDefinition& view, const Database& db,
+                          const Catalog& catalog) {
+    return EvaluateView(view, db, catalog);
+  });
 }
-BENCHMARK(BM_HashJoin)->RangeMultiplier(4)->Range(16, 4096)->Complexity();
+BENCHMARK(BM_Execute)->RangeMultiplier(4)->Range(16, 4096)->Complexity();
 
 }  // namespace
 }  // namespace eve

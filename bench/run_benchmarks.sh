@@ -18,12 +18,12 @@
 # commits, and the million-view load plus one commit) into
 # BENCH_commit.json.
 #
-# The executor suite (bench_executor: vectorized vs hash vs nested-loop
-# query execution and full-vs-incremental extent re-materialization per
-# CVS verdict on a 10M-row skewed join; EVE_BENCH_EXECUTOR_ROWS overrides
-# the scale, e.g. under sanitizers) goes into BENCH_executor.json. The
-# binary validates vectorized == nested-loop and incremental == full for
-# every verdict before timing anything, and exits nonzero on a mismatch.
+# The executor suite (bench_executor: Execute vs the nested-loop oracle
+# and full-vs-incremental extent re-materialization per CVS verdict on a
+# 10M-row skewed join; EVE_BENCH_EXECUTOR_ROWS overrides the scale, e.g.
+# under sanitizers) goes into BENCH_executor.json. The binary validates
+# Execute == the oracle and incremental == full for every verdict before
+# timing anything, and exits nonzero on a mismatch.
 #
 # The server suite (bench_server: closed-loop chaos load against a forked
 # eved serving loop — 10k concurrent sessions, ~3% running scripted
@@ -614,7 +614,7 @@ fi
 EXEC_JSON="$(mktemp)"
 trap 'rm -f "$CURRENT_JSON" "$ENUM_JSON" "$FED_JSON" "$ADM_JSON" "$VER_JSON" "$COMMIT_JSON" "$EXEC_JSON"' EXIT
 
-# The binary validates vectorized == nested-loop == hash and incremental
+# The binary validates Execute == the nested-loop oracle and incremental
 # == full refresh for every verdict before timing anything, and exits
 # nonzero on a mismatch (aborting this script via set -e).
 # EVE_BENCH_EXECUTOR_ROWS sets the R0 scale; the 10M default is the
@@ -646,25 +646,19 @@ def time_of(name):
 rows = None
 full = time_of("BM_FullRefresh")
 
-# Query-strategy ablation: hash is the in-run baseline for the columnar
-# path (the nested-loop oracle runs at a capped size, so its time is
-# reported but not a fair ratio).
-strategies = []
-hash_time = time_of("BM_QueryHash")
-for name in ("BM_QueryNestedLoop", "BM_QueryHash", "BM_QueryVectorized",
-             "BM_QueryAuto"):
+# Query execution: Execute at the full scale, and the nested-loop oracle
+# at a capped size (its time is reported but not a fair ratio).
+queries = []
+for name in ("BM_QueryNestedLoop", "BM_QueryExecute"):
     t = time_of(name)
     if t is None:
         continue
     bench = runs[name]
     entry = {"name": name, "current": t[0], "time_unit": t[1],
              "rows": bench.get("rows"), "out_rows": bench.get("out_rows")}
-    if rows is None and name != "BM_QueryNestedLoop":
+    if name == "BM_QueryExecute":
         rows = bench.get("rows")
-    if (name in ("BM_QueryVectorized", "BM_QueryAuto")
-            and hash_time is not None and t[0] > 0):
-        entry["speedup_vs_hash"] = round(hash_time[0] / t[0], 2)
-    strategies.append(entry)
+    queries.append(entry)
 
 # Incremental maintenance vs the full re-materialization baseline.
 incremental = []
@@ -689,15 +683,15 @@ for verdict, name in (("equal", "BM_IncrementalEqual"),
 meets_5x = all(speedups.get(v, 0) >= 5.0 for v in ("equal", "superset"))
 
 out = {
-    "description": "Columnar data plane: vectorized vs hash vs nested-"
-                   "loop execution of a skewed two-relation join, and "
+    "description": "Columnar data plane: Execute vs the nested-loop "
+                   "oracle on a skewed two-relation join, and "
                    "incremental extent maintenance (IncrementalRefresh "
                    "per CVS verdict) vs full re-materialization. The "
-                   "binary validates strategy agreement and incremental "
+                   "binary validates Execute == oracle and incremental "
                    "== full for every verdict before timing.",
     "context": doc.get("context", {}),
     "rows": rows,
-    "strategies": strategies,
+    "queries": queries,
     "incremental": incremental,
     "incremental_speedups_vs_full": speedups,
     "meets_5x_target_equal_superset": meets_5x,
@@ -708,11 +702,8 @@ with open(out_path, "w") as f:
     f.write("\n")
 
 print(f"wrote {out_path}")
-for entry in strategies:
-    note = f"  {entry['current']:.1f} {entry['time_unit']}"
-    if "speedup_vs_hash" in entry:
-        note += f"  ({entry['speedup_vs_hash']}x hash)"
-    print(f"{entry['name']:<24}{note}")
+for entry in queries:
+    print(f"{entry['name']:<24}  {entry['current']:.1f} {entry['time_unit']}")
 for entry in incremental:
     note = f"  {entry['current']:.2f} {entry['time_unit']}"
     if "speedup_vs_full" in entry:

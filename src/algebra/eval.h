@@ -71,7 +71,7 @@ Result<bool> EvalPredicate(const Expr& expr, const RowBinding& binding,
                            const FunctionRegistry* registry);
 
 // Scalar kernels shared by the row-at-a-time evaluator above and the
-// vectorized evaluator (algebra/vectorized.cc): one binary / unary
+// vectorized evaluator (algebra/executor.cc): one binary / unary
 // application with exactly EvalExpr's semantics (3VL comparisons, Kleene
 // AND/OR, int-preserving arithmetic, date/string rules).
 Result<Value> EvalBinaryValues(BinaryOp op, const Value& lhs,

@@ -1,7 +1,12 @@
 // Executor for conjunctive SELECT-PROJECT-JOIN queries over the in-memory
-// Database — the evaluation substrate for E-SQL views. Joins are computed
-// with a predicate-pushdown nested-loop strategy: each conjunct is applied
-// as soon as all relations it references are bound.
+// Database — the evaluation substrate for E-SQL views. Execution is
+// batch-at-a-time and columnar: intermediate join state is a set of
+// per-relation row-id vectors into the base tables (late materialization),
+// equi-joins are hashed, predicates run as typed kernels over gathered
+// column chunks where possible (falling back to the shared scalar kernels
+// in algebra/eval.h), and projections of bare columns borrow the base
+// chunks. tests/nested_loop_oracle.h keeps a row-at-a-time nested-loop
+// executor as the differential-testing oracle.
 
 #ifndef EVE_ALGEBRA_EXECUTOR_H_
 #define EVE_ALGEBRA_EXECUTOR_H_
@@ -32,58 +37,31 @@ struct ConjunctiveQuery {
   bool distinct = true;
 };
 
-enum class JoinStrategy {
-  // Predicate-pushdown nested loops: no memory overhead, O(∏|Ri|) worst
-  // case. Retained as the differential-testing oracle.
-  kNestedLoop,
-  // Left-deep hash joins on equi-join conjuncts (column = column across
-  // relations); non-equi conjuncts become post-filters. Falls back to a
-  // cartesian extension for relations with no equi-join link.
-  kHash,
-  // Batch-at-a-time columnar execution: selection vectors over base-table
-  // row ids, hashed equi-joins, typed comparison kernels, and
-  // late-materialized projections (zero-copy for bare columns). Same
-  // cartesian fallback as kHash.
-  kVectorized,
-  // Cost-based pick between kHash (small inputs, where batch setup
-  // overhead dominates) and kVectorized (everything else).
-  kAuto,
-};
-
-const char* JoinStrategyToString(JoinStrategy strategy);
-
-// Parses "nested" / "nested_loop" / "hash" / "vectorized" / "auto"
-// (case-insensitive).
-Result<JoinStrategy> ParseJoinStrategy(const std::string& text);
-
-// Process-wide executor telemetry. The cartesian fallback in the hash and
-// vectorized paths is correct but O(|L|x|R|); instead of silently
-// exploding it bumps `cartesian_fallbacks` so operators can spot the
-// missing equi-join predicate (surfaced via evectl SHOW EXECUTOR STATS).
+// Process-wide executor telemetry. A relation with no equi-join link to
+// the relations before it is joined by a cartesian extension, which is
+// correct but O(|L|x|R|); instead of silently exploding it bumps
+// `cartesian_fallbacks` so operators can spot the missing equi-join
+// predicate (surfaced via evectl SHOW EXECUTOR STATS).
 struct ExecutorCounters {
+  std::atomic<uint64_t> queries{0};
   std::atomic<uint64_t> cartesian_fallbacks{0};
-  std::atomic<uint64_t> nested_loop_queries{0};
-  std::atomic<uint64_t> hash_queries{0};
-  std::atomic<uint64_t> vectorized_queries{0};
 
   void Reset() {
+    queries.store(0, std::memory_order_relaxed);
     cartesian_fallbacks.store(0, std::memory_order_relaxed);
-    nested_loop_queries.store(0, std::memory_order_relaxed);
-    hash_queries.store(0, std::memory_order_relaxed);
-    vectorized_queries.store(0, std::memory_order_relaxed);
   }
 };
 
 ExecutorCounters& GlobalExecutorCounters();
 
 // Executes `query` against `db`; output schema types are inferred from
-// `catalog`. `registry` resolves function calls (may be null). All
-// strategies produce identical result sets (tested in
+// `catalog`. `registry` resolves function calls (may be null). Evaluation
+// stops as soon as a scan, join or filter leaves no rows, so expressions
+// are evaluated only over rows that exist (tested against the oracle in
 // tests/executor_equivalence_test).
 Result<Table> Execute(const ConjunctiveQuery& query, const Database& db,
                       const Catalog& catalog,
-                      const FunctionRegistry* registry = nullptr,
-                      JoinStrategy strategy = JoinStrategy::kNestedLoop);
+                      const FunctionRegistry* registry = nullptr);
 
 }  // namespace eve
 

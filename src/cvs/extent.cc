@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "algebra/executor.h"
 #include "esql/evaluator.h"
 
 namespace eve {
@@ -132,17 +131,11 @@ ExtentRelation InferExtentRelation(const ViewDefinition& old_view,
 Result<ExtentRelation> CompareExtentsEmpirically(
     const ViewDefinition& old_view, const ViewDefinition& new_view,
     const Database& db, const Catalog& old_catalog,
-    const Catalog& new_catalog, const FunctionRegistry* registry,
-    JoinStrategy strategy) {
-  // Hash joins by default: the empirical check is run over many
-  // seeds/states and the nested-loop cost is quadratic in table size (E8
-  // measures both).
-  EVE_ASSIGN_OR_RETURN(
-      const Table old_table,
-      EvaluateView(old_view, db, old_catalog, registry, strategy));
-  EVE_ASSIGN_OR_RETURN(
-      const Table new_table,
-      EvaluateView(new_view, db, new_catalog, registry, strategy));
+    const Catalog& new_catalog, const FunctionRegistry* registry) {
+  EVE_ASSIGN_OR_RETURN(const Table old_table,
+                       EvaluateView(old_view, db, old_catalog, registry));
+  EVE_ASSIGN_OR_RETURN(const Table new_table,
+                       EvaluateView(new_view, db, new_catalog, registry));
 
   // Common interface attributes (B̄_V ∩ B̄_V' by output name).
   std::vector<std::string> common;

@@ -11,7 +11,6 @@
 #define EVE_CVS_EXTENT_H_
 
 #include "algebra/eval.h"
-#include "algebra/executor.h"
 #include "common/result.h"
 #include "cvs/extent_relation.h"
 #include "cvs/r_mapping.h"
@@ -59,14 +58,11 @@ ExtentRelation InferExtentRelation(const ViewDefinition& old_view,
 
 // Empirical comparison: evaluates both views over `db` (which must still
 // hold the pre-change tables so the old view is evaluable), projects each
-// onto the common interface attributes, and compares as sets. `strategy`
-// picks the join implementation for both evaluations (hash by default;
-// kAuto upgrades large inputs to the vectorized path).
+// onto the common interface attributes, and compares as sets.
 Result<ExtentRelation> CompareExtentsEmpirically(
     const ViewDefinition& old_view, const ViewDefinition& new_view,
     const Database& db, const Catalog& old_catalog,
-    const Catalog& new_catalog, const FunctionRegistry* registry = nullptr,
-    JoinStrategy strategy = JoinStrategy::kHash);
+    const Catalog& new_catalog, const FunctionRegistry* registry = nullptr);
 
 }  // namespace eve
 

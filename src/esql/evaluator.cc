@@ -2,10 +2,7 @@
 
 namespace eve {
 
-Result<Table> EvaluateView(const ViewDefinition& view, const Database& db,
-                           const Catalog& catalog,
-                           const FunctionRegistry* registry,
-                           JoinStrategy strategy) {
+ConjunctiveQuery ViewQuery(const ViewDefinition& view) {
   ConjunctiveQuery query;
   query.relations = view.FromRelationNames();
   query.conjuncts.reserve(view.where().size());
@@ -18,7 +15,13 @@ Result<Table> EvaluateView(const ViewDefinition& view, const Database& db,
     query.output_names.push_back(item.output_name);
   }
   query.distinct = true;
-  return Execute(query, db, catalog, registry, strategy);
+  return query;
+}
+
+Result<Table> EvaluateView(const ViewDefinition& view, const Database& db,
+                           const Catalog& catalog,
+                           const FunctionRegistry* registry) {
+  return Execute(ViewQuery(view), db, catalog, registry);
 }
 
 }  // namespace eve

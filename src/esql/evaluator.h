@@ -14,12 +14,14 @@
 
 namespace eve {
 
-// Materializes `view` over `db` with set semantics. `strategy` picks the
-// join implementation; results are identical.
+// The set-semantics conjunctive query of `view`: its FROM relations, WHERE
+// clauses and SELECT items.
+ConjunctiveQuery ViewQuery(const ViewDefinition& view);
+
+// Materializes `view` over `db`: Execute(ViewQuery(view), ...).
 Result<Table> EvaluateView(const ViewDefinition& view, const Database& db,
                            const Catalog& catalog,
-                           const FunctionRegistry* registry = nullptr,
-                           JoinStrategy strategy = JoinStrategy::kNestedLoop);
+                           const FunctionRegistry* registry = nullptr);
 
 }  // namespace eve
 

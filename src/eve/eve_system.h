@@ -252,18 +252,8 @@ class EveSystem {
   void AttachMaterialization(MaterializedViewStore* store, Database* db) {
     mat_store_ = store;
     mat_db_ = db;
-    if (mat_store_ != nullptr) mat_store_->SetStrategy(executor_strategy_);
   }
   MaterializedViewStore* materialization() const { return mat_store_; }
-
-  // Join/executor strategy for all view evaluation this system triggers
-  // (incremental-refresh delta queries and full refreshes through the
-  // attached store). Also forwarded to the attached store, if any.
-  void SetExecutorStrategy(JoinStrategy strategy) {
-    executor_strategy_ = strategy;
-    if (mat_store_ != nullptr) mat_store_->SetStrategy(strategy);
-  }
-  JoinStrategy executor_strategy() const { return executor_strategy_; }
 
   Result<const RegisteredView*> GetView(const std::string& name) const;
 
@@ -587,7 +577,6 @@ class EveSystem {
   Journal* journal_ = nullptr;  // non-owning
   MaterializedViewStore* mat_store_ = nullptr;  // non-owning
   Database* mat_db_ = nullptr;                  // non-owning
-  JoinStrategy executor_strategy_ = JoinStrategy::kAuto;
   // The step-3 worker pool, started by the first fan-out that needs one.
   class SyncPool {
    public:

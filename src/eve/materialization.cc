@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "algebra/executor.h"
 #include "esql/evaluator.h"
 
 namespace eve {
@@ -159,7 +160,7 @@ Status MaterializedViewStore::Refresh(const ViewDefinition& view,
                                       const Database& db,
                                       const Catalog& catalog) {
   EVE_ASSIGN_OR_RETURN(
-      Table extent, EvaluateView(view, db, catalog, registry_, strategy_));
+      Table extent, EvaluateView(view, db, catalog, registry_));
   extents_.insert_or_assign(view.name(), std::move(extent));
   Record(view.name(), RefreshPath::kFull);
   return Status::OK();
@@ -260,9 +261,8 @@ Result<bool> MaterializedViewStore::TryDeltaSubset(
   }
   q.distinct = true;
 
-  EVE_ASSIGN_OR_RETURN(
-      Table filtered,
-      Execute(q, temp_db, temp_catalog, registry_, strategy_));
+  EVE_ASSIGN_OR_RETURN(Table filtered,
+                       Execute(q, temp_db, temp_catalog, registry_));
   extents_.insert_or_assign(new_view.name(), std::move(filtered));
   return true;
 }
@@ -311,8 +311,7 @@ Result<bool> MaterializedViewStore::TryDeltaSuperset(
     }
     for (size_t j = 0; j < i; ++j) q.conjuncts.push_back(dropped[j]);
     q.conjuncts.push_back(Expr::Func("__not_true", {dropped[i]}));
-    EVE_ASSIGN_OR_RETURN(Table delta,
-                         Execute(q, db, catalog, &local, strategy_));
+    EVE_ASSIGN_OR_RETURN(Table delta, Execute(q, db, catalog, &local));
     if (delta.NumRows() == 0) continue;
     if (!delta.IsDedupSorted()) delta.Deduplicate();
     result = Table::SortedUnion(result, delta);

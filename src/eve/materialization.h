@@ -17,7 +17,6 @@
 #include <string>
 
 #include "algebra/eval.h"
-#include "algebra/executor.h"
 #include "common/result.h"
 #include "cvs/extent_relation.h"
 #include "esql/view_definition.h"
@@ -66,12 +65,6 @@ class MaterializedViewStore {
   explicit MaterializedViewStore(const FunctionRegistry* registry)
       : registry_(registry) {}
 
-  // Join strategy for view evaluation (full refreshes, delta queries and
-  // empirical checks). Hash joins by default; kAuto upgrades large inputs
-  // to the vectorized path.
-  void SetStrategy(JoinStrategy strategy) { strategy_ = strategy; }
-  JoinStrategy strategy() const { return strategy_; }
-
   // (Re-)materializes `view` over `db`, replacing any stored extent under
   // the same view name. Always a full recompute.
   Status Refresh(const ViewDefinition& view, const Database& db,
@@ -104,12 +97,11 @@ class MaterializedViewStore {
   //
   // Pointer-stability contract: the returned Table* stays valid (and its
   // contents unchanged) across Refresh/IncrementalRefresh/Drop of OTHER
-  // views and across strategy changes; it is invalidated by Refresh,
-  // IncrementalRefresh or Drop of THIS view. (Extents live in a
-  // std::map keyed by view name — node-based, so unrelated mutations
-  // never move them; a refresh of the same name assigns over the mapped
-  // Table in place, which replaces the data the pointer sees.) Tested in
-  // tests/materialization_test.cc.
+  // views; it is invalidated by Refresh, IncrementalRefresh or Drop of
+  // THIS view. (Extents live in a std::map keyed by view name —
+  // node-based, so unrelated mutations never move them; a refresh of the
+  // same name assigns over the mapped Table in place, which replaces the
+  // data the pointer sees.) Tested in tests/materialization_test.cc.
   Result<const Table*> Extent(const std::string& view_name) const;
 
   // Drops a stored extent (for disabled views). Missing names are fine.
@@ -140,7 +132,6 @@ class MaterializedViewStore {
                                 const Database& db, const Catalog& catalog);
 
   const FunctionRegistry* registry_ = nullptr;
-  JoinStrategy strategy_ = JoinStrategy::kHash;
   std::map<std::string, Table> extents_;
   std::map<std::string, RefreshStats> stats_;
 };

@@ -268,10 +268,6 @@ bool Console::Run(const std::string& statement, std::ostream& out,
       EqualsIgnoreCase(words[1], "SYNC")) {
     return SetSync(words[2], words[3]);
   }
-  if (head == "set" && words.size() >= 3 &&
-      EqualsIgnoreCase(words[1], "EXECUTOR")) {
-    return SetExecutor(words[2]);
-  }
   if (head == "set" && words.size() >= 5 &&
       EqualsIgnoreCase(words[1], "SOURCE")) {
     return SetSource(words[2], words[3], words[4]);
@@ -513,18 +509,6 @@ bool Console::SetSync(const std::string& knob, const std::string& value) {
   return false;
 }
 
-bool Console::SetExecutor(const std::string& value) {
-  const Result<JoinStrategy> strategy = ParseJoinStrategy(value);
-  if (!strategy.ok()) {
-    Err() << "error: " << strategy.status() << "\n";
-    return false;
-  }
-  system_.SetExecutorStrategy(strategy.value());
-  Out() << "executor strategy = " << JoinStrategyToString(strategy.value())
-        << "\n";
-  return true;
-}
-
 // A shed change is an EXPECTED admission outcome (the error is explicit,
 // the counters account for it), so it does not fail the script; any
 // other enqueue error does.
@@ -602,11 +586,7 @@ bool Console::Show(const std::vector<std::string>& words) {
   if (words.size() >= 3 && EqualsIgnoreCase(words[1], "EXECUTOR") &&
       EqualsIgnoreCase(words[2], "STATS")) {
     const ExecutorCounters& counters = GlobalExecutorCounters();
-    Out() << "strategy: " << JoinStrategyToString(system_.executor_strategy())
-          << "\n"
-          << "queries: nested_loop " << counters.nested_loop_queries.load()
-          << ", hash " << counters.hash_queries.load() << ", vectorized "
-          << counters.vectorized_queries.load() << "; cartesian fallbacks "
+    Out() << "queries: " << counters.queries.load() << "; cartesian fallbacks "
           << counters.cartesian_fallbacks.load() << "\n";
     return true;
   }

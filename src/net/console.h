@@ -129,7 +129,6 @@ class Console {
   bool Recover(const std::string& checkpoint_path,
                const std::string& journal_path);
   bool SetSync(const std::string& knob, const std::string& value);
-  bool SetExecutor(const std::string& value);
   bool Enqueue(const Result<CapabilityChange>& change);
   bool Drain();
   bool Show(const std::vector<std::string>& words);

@@ -1,6 +1,6 @@
 // ColumnChunk: one typed column vector of a relation extent, with a packed
 // null bitmap. The columnar substrate under Table (storage/table.h) and the
-// vectorized executor (algebra/vectorized.h).
+// executor (algebra/executor.h).
 //
 // Representation contract: a chunk declared with column type T stores its
 // non-null cells in a flat std::vector of T's physical type as long as every

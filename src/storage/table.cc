@@ -16,38 +16,6 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
-Table::Table(const Table& other)
-    : schema_(other.schema_),
-      columns_(other.columns_),
-      num_rows_(other.num_rows_),
-      dedup_sorted_(other.dedup_sorted_) {}
-
-Table& Table::operator=(const Table& other) {
-  if (this == &other) return *this;
-  schema_ = other.schema_;
-  columns_ = other.columns_;
-  num_rows_ = other.num_rows_;
-  dedup_sorted_ = other.dedup_sorted_;
-  InvalidateRowCache();
-  return *this;
-}
-
-Table::Table(Table&& other) noexcept
-    : schema_(std::move(other.schema_)),
-      columns_(std::move(other.columns_)),
-      num_rows_(other.num_rows_),
-      dedup_sorted_(other.dedup_sorted_) {}
-
-Table& Table::operator=(Table&& other) noexcept {
-  if (this == &other) return *this;
-  schema_ = std::move(other.schema_);
-  columns_ = std::move(other.columns_);
-  num_rows_ = other.num_rows_;
-  dedup_sorted_ = other.dedup_sorted_;
-  InvalidateRowCache();
-  return *this;
-}
-
 Table Table::FromColumns(
     Schema schema, std::vector<std::shared_ptr<const ColumnChunk>> columns,
     size_t num_rows) {
@@ -57,34 +25,6 @@ Table Table::FromColumns(
   t.num_rows_ = num_rows;
   assert(t.columns_.size() == t.schema_.size());
   return t;
-}
-
-const std::vector<Tuple>& Table::rows() const {
-  std::lock_guard<std::mutex> lock(row_cache_mu_);
-  if (!row_cache_valid_.load(std::memory_order_relaxed)) {
-    row_cache_.clear();
-    row_cache_.reserve(num_rows_);
-    for (size_t r = 0; r < num_rows_; ++r) {
-      Tuple row;
-      row.reserve(columns_.size());
-      for (const auto& col : columns_) row.push_back(col->GetValue(r));
-      row_cache_.push_back(std::move(row));
-    }
-    row_cache_valid_.store(true, std::memory_order_relaxed);
-  }
-  return row_cache_;
-}
-
-void Table::InvalidateRowCache() {
-  if (!row_cache_valid_.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(row_cache_mu_);
-  row_cache_valid_.store(false, std::memory_order_relaxed);
-  row_cache_.clear();
-}
-
-void Table::InvalidateDerived() {
-  dedup_sorted_ = false;
-  InvalidateRowCache();
 }
 
 ColumnChunk& Table::MutableColumn(size_t i) {
@@ -107,7 +47,7 @@ void Table::InsertUnchecked(Tuple tuple) {
     MutableColumn(i).Append(tuple[i]);
   }
   ++num_rows_;
-  InvalidateDerived();
+  dedup_sorted_ = false;
 }
 
 void Table::Clear() {
@@ -117,7 +57,7 @@ void Table::Clear() {
         std::make_shared<ColumnChunk>(schema_.attribute(i).type);
   }
   num_rows_ = 0;
-  InvalidateDerived();
+  dedup_sorted_ = false;
 }
 
 void Table::Reserve(size_t rows) {
@@ -131,7 +71,7 @@ Status Table::DropColumn(const std::string& name) {
   attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(*idx));
   EVE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(attrs)));
   columns_.erase(columns_.begin() + static_cast<ptrdiff_t>(*idx));
-  InvalidateDerived();
+  dedup_sorted_ = false;
   return Status::OK();
 }
 
@@ -146,8 +86,6 @@ Status Table::RenameColumn(const std::string& name,
   std::vector<AttributeDef> attrs = schema_.attributes();
   attrs[*idx].name = new_name;
   EVE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(attrs)));
-  // Column data is untouched; only the row-cache header is unaffected (the
-  // cache stores values, not names), so it can survive a rename.
   return Status::OK();
 }
 
@@ -161,7 +99,7 @@ Status Table::AddColumn(AttributeDef attr) {
   EVE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(attrs)));
   columns_.push_back(std::make_shared<ColumnChunk>(
       ColumnChunk::MakeAllNull(type, num_rows_)));
-  InvalidateDerived();
+  dedup_sorted_ = false;
   return Status::OK();
 }
 
@@ -227,7 +165,6 @@ void Table::Deduplicate() {
     }
   }
   if (!identity) GatherInPlace(idx);
-  InvalidateDerived();
   dedup_sorted_ = true;
 }
 

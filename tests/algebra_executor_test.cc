@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "algebra/executor.h"
+#include "nested_loop_oracle.h"
 
 namespace eve {
 namespace {
@@ -173,19 +174,16 @@ TEST_F(ExecutorTest, PredicatePushdownMatchesUnpushedSemantics) {
   EXPECT_EQ(a.NumRows(), 2u);
 }
 
-// --- Hash-join strategy parity -----------------------------------------------
+// --- Hash-join parity with the nested-loop oracle ----------------------------
 
-TEST_F(ExecutorTest, HashJoinMatchesNestedLoopOnEquiJoin) {
+TEST_F(ExecutorTest, HashJoinMatchesOracleOnEquiJoin) {
   ConjunctiveQuery query;
   query.relations = {"R", "S"};
   query.conjuncts = {Expr::ColumnsEqual({"R", "id"}, {"S", "rid"})};
   query.projections = {Col("R", "name"), Col("S", "tag")};
   query.output_names = {"name", "tag"};
-  const Table nested = Execute(query, db_, catalog_, nullptr,
-                               JoinStrategy::kNestedLoop)
-                           .value();
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
+  const Table nested = oracle::ExecuteNestedLoop(query, db_, catalog_).value();
+  const Table hashed = Execute(query, db_, catalog_).value();
   EXPECT_TRUE(nested.SetEquals(hashed));
   EXPECT_EQ(hashed.NumRows(), 3u);
 }
@@ -201,9 +199,8 @@ TEST_F(ExecutorTest, HashJoinHandlesFiltersAndFlippedConjuncts) {
                    Expr::Lit(Value::String("t0")))};
   query.projections = {Col("R", "name"), Col("S", "tag")};
   query.output_names = {"name", "tag"};
-  const Table nested = Execute(query, db_, catalog_).value();
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
+  const Table nested = oracle::ExecuteNestedLoop(query, db_, catalog_).value();
+  const Table hashed = Execute(query, db_, catalog_).value();
   EXPECT_TRUE(nested.SetEquals(hashed));
 }
 
@@ -213,8 +210,7 @@ TEST_F(ExecutorTest, HashJoinCartesianFallback) {
   query.projections = {Col("R", "id"), Col("S", "rid")};
   query.output_names = {"a", "b"};
   query.distinct = false;
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
+  const Table hashed = Execute(query, db_, catalog_).value();
   EXPECT_EQ(hashed.NumRows(), 16u);
 }
 
@@ -226,12 +222,11 @@ TEST_F(ExecutorTest, HashJoinNullKeysNeverMatch) {
   query.conjuncts = {Expr::ColumnsEqual({"R", "id"}, {"S", "rid"})};
   query.projections = {Col("R", "name"), Col("S", "tag")};
   query.output_names = {"name", "tag"};
-  const Table nested = Execute(query, db_, catalog_).value();
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
+  const Table nested = oracle::ExecuteNestedLoop(query, db_, catalog_).value();
+  const Table hashed = Execute(query, db_, catalog_).value();
   EXPECT_TRUE(nested.SetEquals(hashed));
-  for (const Tuple& row : hashed.rows()) {
-    EXPECT_NE(row[1].string_value(), "ghost");
+  for (size_t row = 0; row < hashed.NumRows(); ++row) {
+    EXPECT_NE(hashed.column(1).GetValue(row).string_value(), "ghost");
   }
 }
 
@@ -243,9 +238,8 @@ TEST_F(ExecutorTest, HashJoinNonEquiConjunctBecomesPostFilter) {
       Expr::Binary(BinaryOp::kLt, Col("R", "id"), Col("S", "rid"))};
   query.projections = {Col("R", "id")};
   query.output_names = {"id"};
-  const Table nested = Execute(query, db_, catalog_).value();
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
+  const Table nested = oracle::ExecuteNestedLoop(query, db_, catalog_).value();
+  const Table hashed = Execute(query, db_, catalog_).value();
   EXPECT_TRUE(nested.SetEquals(hashed));
   EXPECT_EQ(hashed.NumRows(), 0u);  // id = rid contradicts id < rid
 }
@@ -256,8 +250,8 @@ TEST_F(ExecutorTest, HashJoinRejectsForeignConjuncts) {
   query.conjuncts = {Expr::ColumnsEqual({"R", "id"}, {"S", "rid"})};
   query.projections = {Col("R", "id")};
   query.output_names = {"id"};
-  EXPECT_FALSE(
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).ok());
+  EXPECT_FALSE(Execute(query, db_, catalog_).ok());
+  EXPECT_FALSE(oracle::ExecuteNestedLoop(query, db_, catalog_).ok());
 }
 
 TEST_F(ExecutorTest, ThreeWayJoin) {
@@ -278,10 +272,9 @@ TEST_F(ExecutorTest, ThreeWayJoin) {
   query.output_names = {"name", "score"};
   const Table result = Execute(query, db_, catalog_).value();
   EXPECT_EQ(result.NumRows(), 2u);  // (n1,10), (n2,20)
-  // Strategy parity on the three-way join.
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
-  EXPECT_TRUE(result.SetEquals(hashed));
+  // Oracle parity on the three-way join.
+  const Table nested = oracle::ExecuteNestedLoop(query, db_, catalog_).value();
+  EXPECT_TRUE(result.SetEquals(nested));
 }
 
 TEST_F(ExecutorTest, HashJoinCompositeKey) {
@@ -303,15 +296,14 @@ TEST_F(ExecutorTest, HashJoinCompositeKey) {
   query.projections = {Expr::Column(AttributeRef{"S", "rid"}),
                        Expr::Column(AttributeRef{"S", "tag"})};
   query.output_names = {"rid", "tag"};
-  const Table nested = Execute(query, db_, catalog_).value();
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
+  const Table nested = oracle::ExecuteNestedLoop(query, db_, catalog_).value();
+  const Table hashed = Execute(query, db_, catalog_).value();
   EXPECT_TRUE(nested.SetEquals(hashed));
   // Only (1, t1) and (2, t2) match on BOTH columns.
   EXPECT_EQ(hashed.NumRows(), 2u);
 }
 
-TEST_F(ExecutorTest, StrategyParityOnRandomData) {
+TEST_F(ExecutorTest, OracleParityOnWidenedKeys) {
   // A wider randomized parity check: widened int/double keys included.
   RelationDef u;
   u.source = "IS4";
@@ -329,9 +321,8 @@ TEST_F(ExecutorTest, StrategyParityOnRandomData) {
   query.conjuncts = {Expr::ColumnsEqual({"R", "id"}, {"U", "k"})};
   query.projections = {Col("R", "name"), Col("U", "p")};
   query.output_names = {"name", "p"};
-  const Table nested = Execute(query, db_, catalog_).value();
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
+  const Table nested = oracle::ExecuteNestedLoop(query, db_, catalog_).value();
+  const Table hashed = Execute(query, db_, catalog_).value();
   EXPECT_TRUE(nested.SetEquals(hashed));
   EXPECT_GT(hashed.NumRows(), 0u);
 }

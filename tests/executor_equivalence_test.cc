@@ -1,8 +1,10 @@
-// Differential testing of the executor strategies and of incremental view
+// Differential testing of the executor and of incremental view
 // maintenance:
 //  * randomized conjunctive queries (joins, 3VL predicates, expression
-//    projections, NULL-heavy data) must produce byte-identical result
-//    tables under kNestedLoop (the oracle), kHash, kVectorized and kAuto;
+//    projections, NULL-heavy data, empty relations) must give Execute()
+//    and the nested-loop oracle in nested_loop_oracle.h byte-identical
+//    result tables; variants carrying an expression that fails when
+//    evaluated must fail in both exactly when a row reaches it;
 //  * MaterializedViewStore::IncrementalRefresh must produce an extent
 //    byte-identical (after Deduplicate) to a full Refresh for every CVS
 //    verdict — Equal (wholesale reuse, incl. permuted interfaces),
@@ -19,6 +21,7 @@
 #include "algebra/executor.h"
 #include "cvs/extent.h"
 #include "eve/materialization.h"
+#include "nested_loop_oracle.h"
 #include "storage/database.h"
 #include "workload/generator.h"
 
@@ -158,8 +161,8 @@ ConjunctiveQuery RandomQuery(std::mt19937_64* rng) {
     q.relations = {"R", "A"};
     q.conjuncts.push_back(Expr::ColumnsEqual({"R", "k"}, {"A", "k"}));
   } else if (shape == 2) {
-    // Deliberately join-free pair: exercises the cartesian fallback in the
-    // hash and vectorized paths (tables are small).
+    // Deliberately join-free pair: exercises the cartesian fallback
+    // (tables are small).
     q.relations = {"A", "B"};
   } else {
     q.relations = {"R", "A", "B"};
@@ -194,6 +197,13 @@ ConjunctiveQuery RandomQuery(std::mt19937_64* rng) {
   return q;
 }
 
+// An ill-typed literal conjunct: fails with a TypeError whenever a row
+// reaches it.
+ExprPtr IllTypedLiteral() {
+  return Expr::Binary(BinaryOp::kEq, Expr::Lit(Value::Int(1)),
+                      Expr::Lit(Value::String("a")));
+}
+
 // Byte-identity after Deduplicate: same schema, same row count, and
 // strictly equal Values cell by cell in dedup-sorted order.
 void ExpectTablesIdentical(const Table& got, const Table& want,
@@ -215,31 +225,131 @@ void ExpectTablesIdentical(const Table& got, const Table& want,
   }
 }
 
-TEST(ExecutorEquivalenceTest, RandomizedDifferentialAcrossStrategies) {
+TEST(ExecutorEquivalenceTest, RandomizedDifferentialAgainstOracle) {
   const Catalog catalog = MakeCatalog();
-  for (uint64_t seed = 0; seed < 40; ++seed) {
+  // Seeds from 40 on empty R, A and B in turn.
+  for (uint64_t seed = 0; seed < 64; ++seed) {
     std::mt19937_64 rng(seed * 7919 + 1);
+    const int empty = seed < 40 ? -1 : static_cast<int>(seed % 3);
     const Database db =
-        MakeDatabase(catalog, &rng, /*r_rows=*/60 + seed % 64,
-                     /*a_rows=*/20 + seed % 16, /*b_rows=*/6);
+        MakeDatabase(catalog, &rng,
+                     /*r_rows=*/empty == 0 ? 0 : 60 + seed % 64,
+                     /*a_rows=*/empty == 1 ? 0 : 20 + seed % 16,
+                     /*b_rows=*/empty == 2 ? 0 : 6);
     const ConjunctiveQuery query = RandomQuery(&rng);
-    const Result<Table> oracle =
-        Execute(query, db, catalog, nullptr, JoinStrategy::kNestedLoop);
-    ASSERT_TRUE(oracle.ok()) << "seed " << seed << ": " << oracle.status();
-    for (const JoinStrategy strategy :
-         {JoinStrategy::kHash, JoinStrategy::kVectorized,
-          JoinStrategy::kAuto}) {
-      const Result<Table> got =
-          Execute(query, db, catalog, nullptr, strategy);
-      ASSERT_TRUE(got.ok()) << "seed " << seed << " strategy "
-                            << JoinStrategyToString(strategy) << ": "
-                            << got.status();
-      ExpectTablesIdentical(
-          got.value(), oracle.value(),
-          "seed " + std::to_string(seed) + " strategy " +
-              JoinStrategyToString(strategy));
+    const std::string context = "seed " + std::to_string(seed);
+    const Result<Table> want = oracle::ExecuteNestedLoop(query, db, catalog);
+    ASSERT_TRUE(want.ok()) << context << ": " << want.status();
+    const Result<Table> got = Execute(query, db, catalog);
+    ASSERT_TRUE(got.ok()) << context << ": " << got.status();
+    ExpectTablesIdentical(got.value(), want.value(), context);
+
+    // Two variants of the query carry an expression that fails whenever a
+    // row reaches it. A function call without a registry, projected, is
+    // reached iff the query has output rows; the ill-typed literal,
+    // scheduled first, iff the first relation has rows. Both executors
+    // must fail with its code exactly then, and otherwise return the
+    // oracle's empty table.
+    ConjunctiveQuery function = query;
+    function.projections.push_back(
+        Expr::Func("abs", {Col(query.relations.front(), "k")}));
+    function.output_names.push_back("F");
+    ConjunctiveQuery literal = query;
+    literal.conjuncts.insert(literal.conjuncts.begin(), IllTypedLiteral());
+    const bool first_has_rows =
+        db.GetTable(query.relations.front()).value()->NumRows() > 0;
+    const struct {
+      const char* name;
+      const ConjunctiveQuery& query;
+      bool reached;
+      StatusCode code;
+    } variants[] = {{"function projection", function,
+                     want.value().NumRows() > 0,
+                     StatusCode::kFailedPrecondition},
+                    {"literal conjunct", literal, first_has_rows,
+                     StatusCode::kTypeError}};
+    for (const auto& v : variants) {
+      const std::string where = context + " " + v.name;
+      const Result<Table> want_v =
+          oracle::ExecuteNestedLoop(v.query, db, catalog);
+      const Result<Table> got_v = Execute(v.query, db, catalog);
+      if (v.reached) {
+        EXPECT_EQ(want_v.status().code(), v.code)
+            << where << ": oracle " << want_v.status();
+        EXPECT_EQ(got_v.status().code(), v.code)
+            << where << ": " << got_v.status();
+        continue;
+      }
+      ASSERT_TRUE(want_v.ok()) << where << ": oracle " << want_v.status();
+      ASSERT_TRUE(got_v.ok()) << where << ": " << got_v.status();
+      EXPECT_EQ(got_v.value().NumRows(), 0u) << where;
+      ExpectTablesIdentical(got_v.value(), want_v.value(), where);
     }
   }
+}
+
+// Expressions are evaluated only over rows that exist: an ill-typed
+// literal conjunct or a function call without a registry returns the
+// oracle's empty table when a scan, a join or a filter leaves no rows.
+TEST(ExecutorEquivalenceTest, EmptyBatchReturnsOracleTable) {
+  const Catalog catalog = MakeCatalog();
+  Database empty_r;
+  ASSERT_TRUE(empty_r.CreateAllTables(catalog).ok());
+  ASSERT_TRUE(empty_r.Insert("A", {Value::Int(1), Value::Int(2)}).ok());
+  // Five R rows and one A row whose key matches none of them.
+  Database no_match;
+  ASSERT_TRUE(no_match.CreateAllTables(catalog).ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(no_match
+                    .Insert("R", {Value::Int(i), Value::Int(i), Value::Int(i),
+                                  Value::Double(i), Value::String("x")})
+                    .ok());
+  }
+  ASSERT_TRUE(no_match.Insert("A", {Value::Int(100), Value::Int(0)}).ok());
+
+  ConjunctiveQuery literal;
+  literal.relations = {"R"};
+  literal.conjuncts = {IllTypedLiteral()};
+  literal.projections = {Col("R", "p")};
+  literal.output_names = {"P"};
+  ConjunctiveQuery function;
+  function.relations = {"R"};
+  function.projections = {Expr::Func("abs", {Col("R", "k")})};
+  function.output_names = {"F"};
+  ConjunctiveQuery joined = function;
+  joined.relations = {"R", "A"};
+  joined.conjuncts = {Expr::ColumnsEqual({"R", "k"}, {"A", "k"})};
+  ConjunctiveQuery filtered = function;
+  filtered.conjuncts = {Expr::Binary(BinaryOp::kGt, Col("R", "k"),
+                                     Expr::Lit(Value::Int(100)))};
+
+  const struct {
+    const char* name;
+    const ConjunctiveQuery& query;
+    const Database& db;
+  } cases[] = {{"literal conjunct, empty scan", literal, empty_r},
+               {"function projection, empty scan", function, empty_r},
+               {"function projection, empty join", joined, no_match},
+               {"function projection, empty filter", filtered, no_match}};
+  for (const auto& c : cases) {
+    const Result<Table> want =
+        oracle::ExecuteNestedLoop(c.query, c.db, catalog);
+    const Result<Table> got = Execute(c.query, c.db, catalog);
+    ASSERT_TRUE(want.ok()) << c.name << ": " << want.status();
+    ASSERT_TRUE(got.ok()) << c.name << ": " << got.status();
+    EXPECT_EQ(got.value().NumRows(), 0u) << c.name;
+    ExpectTablesIdentical(got.value(), want.value(), c.name);
+  }
+
+  // The up-front check still rejects a conjunct over a relation outside
+  // FROM when the scan is empty.
+  ConjunctiveQuery foreign = literal;
+  foreign.conjuncts = {Expr::ColumnsEqual({"R", "k"}, {"B", "j"})};
+  EXPECT_EQ(Execute(foreign, empty_r, catalog).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      oracle::ExecuteNestedLoop(foreign, empty_r, catalog).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(ExecutorEquivalenceTest, CartesianFallbackBumpsCounter) {
@@ -251,31 +361,9 @@ TEST(ExecutorEquivalenceTest, CartesianFallbackBumpsCounter) {
   q.projections = {Col("A", "w"), Col("B", "u")};
   q.output_names = {"W", "U"};
   GlobalExecutorCounters().Reset();
-  for (const JoinStrategy strategy :
-       {JoinStrategy::kHash, JoinStrategy::kVectorized}) {
-    ASSERT_TRUE(Execute(q, db, catalog, nullptr, strategy).ok());
-  }
-  EXPECT_EQ(GlobalExecutorCounters().cartesian_fallbacks.load(), 2u);
-  EXPECT_EQ(GlobalExecutorCounters().hash_queries.load(), 1u);
-  EXPECT_EQ(GlobalExecutorCounters().vectorized_queries.load(), 1u);
-}
-
-TEST(ExecutorEquivalenceTest, AutoRoutesByInputSize) {
-  const Catalog catalog = MakeCatalog();
-  std::mt19937_64 rng(7);
-  // Small inputs -> hash; >= 256-row largest input -> vectorized.
-  const Database small = MakeDatabase(catalog, &rng, 50, 10, 4);
-  const Database large = MakeDatabase(catalog, &rng, 400, 10, 4);
-  ConjunctiveQuery q;
-  q.relations = {"R"};
-  q.projections = {Col("R", "p")};
-  q.output_names = {"P"};
-  GlobalExecutorCounters().Reset();
-  ASSERT_TRUE(Execute(q, small, catalog, nullptr, JoinStrategy::kAuto).ok());
-  EXPECT_EQ(GlobalExecutorCounters().hash_queries.load(), 1u);
-  EXPECT_EQ(GlobalExecutorCounters().vectorized_queries.load(), 0u);
-  ASSERT_TRUE(Execute(q, large, catalog, nullptr, JoinStrategy::kAuto).ok());
-  EXPECT_EQ(GlobalExecutorCounters().vectorized_queries.load(), 1u);
+  ASSERT_TRUE(Execute(q, db, catalog).ok());
+  EXPECT_EQ(GlobalExecutorCounters().cartesian_fallbacks.load(), 1u);
+  EXPECT_EQ(GlobalExecutorCounters().queries.load(), 1u);
 }
 
 // --- Incremental refresh vs full refresh ----------------------------------
@@ -368,8 +456,7 @@ TEST(IncrementalRefreshTest, MatchesFullRefreshForEveryVerdict) {
       // and new evaluate over the same state). Unknown claims nothing.
       if (c.verdict != ExtentRelation::kUnknown) {
         const Result<ExtentRelation> empirical = CompareExtentsEmpirically(
-            c.old_view, c.new_view, db, catalog, catalog, nullptr,
-            JoinStrategy::kVectorized);
+            c.old_view, c.new_view, db, catalog, catalog);
         ASSERT_TRUE(empirical.ok()) << context;
         const bool compatible =
             empirical.value() == c.verdict ||
@@ -380,7 +467,6 @@ TEST(IncrementalRefreshTest, MatchesFullRefreshForEveryVerdict) {
       }
 
       MaterializedViewStore incremental;
-      incremental.SetStrategy(JoinStrategy::kVectorized);
       ASSERT_TRUE(incremental.Refresh(c.old_view, db, catalog).ok())
           << context;
       ASSERT_TRUE(incremental
@@ -437,7 +523,6 @@ TEST(IncrementalRefreshTest, RandomizedConditionSubsets) {
                                   " seed " + std::to_string(seed);
 
       MaterializedViewStore incremental;
-      incremental.SetStrategy(JoinStrategy::kAuto);
       ASSERT_TRUE(incremental.Refresh(old_view, db, catalog).ok()) << context;
       ASSERT_TRUE(incremental
                       .IncrementalRefresh(old_view, new_view, verdict, db,

@@ -182,22 +182,25 @@ TEST(TravelAgencyDatabaseTest, ConstraintConsistentPopulation) {
   // PC-AI: every Customer.Name appears in Accident-Ins.Holder.
   const Table& customer = *db.GetTable("Customer").value();
   const Table& insurance = *db.GetTable("Accident-Ins").value();
-  for (const Tuple& row : customer.rows()) {
+  auto cell = [](const Table& table, size_t row, size_t col) {
+    return table.column(col).GetValue(row);
+  };
+  for (size_t c = 0; c < customer.NumRows(); ++c) {
     bool found = false;
-    for (const Tuple& ins : insurance.rows()) {
-      if (ins[0] == row[0]) found = true;
+    for (size_t i = 0; i < insurance.NumRows(); ++i) {
+      if (cell(insurance, i, 0) == cell(customer, c, 0)) found = true;
     }
-    EXPECT_TRUE(found) << row[0].ToString();
+    EXPECT_TRUE(found) << cell(customer, c, 0).ToString();
   }
   // F3 holds: age reproduces from birthday.
   const Date today = Date::FromYmd(2026, 7, 7).value();
-  for (const Tuple& ins : insurance.rows()) {
-    const int64_t days =
-        today.days_since_epoch() - ins[3].date_value().days_since_epoch();
+  for (size_t i = 0; i < insurance.NumRows(); ++i) {
+    const int64_t days = today.days_since_epoch() -
+                         cell(insurance, i, 3).date_value().days_since_epoch();
     bool found_customer = false;
-    for (const Tuple& row : customer.rows()) {
-      if (row[0] == ins[0]) {
-        EXPECT_EQ(days / 365, row[3].int_value());
+    for (size_t c = 0; c < customer.NumRows(); ++c) {
+      if (cell(customer, c, 0) == cell(insurance, i, 0)) {
+        EXPECT_EQ(days / 365, cell(customer, c, 3).int_value());
         found_customer = true;
       }
     }

@@ -52,13 +52,9 @@
 //                                            block, per-view truncation list
 //                                            and admission counters for the
 //                                            last change/preview
-//   SET EXECUTOR <strategy>;              -- join/executor strategy for view
-//                                            evaluation: NESTED_LOOP, HASH,
-//                                            VECTORIZED or AUTO
-//   SHOW EXECUTOR STATS;                  -- configured strategy + process-
-//                                            wide executor counters (per-
-//                                            strategy query counts and
-//                                            cartesian fallbacks)
+//   SHOW EXECUTOR STATS;                  -- process-wide executor counters:
+//                                            queries run and cartesian
+//                                            fallbacks
 //   PREVIEW DELETE|RENAME ...;            -- what-if: the report the change
 //                                            would commit; applies nothing
 //   SYNC DRYRUN DELETE|RENAME ... [AT VERSION <n>];
