@@ -1,6 +1,7 @@
 // One EveSystem with full snapshots on the disjoint rename stream: ms per
-// commit on a 16,512-view pool, bulk registration in views per second,
-// and pinned-read latency (p50/p99) while a writer commits continuously.
+// commit on a 16,512-view pool (with and without the report text eved
+// sends), bulk registration in views per second, and pinned-read latency
+// (p50/p99) while a writer commits continuously.
 //
 // Each change in the stream renames the payload attribute of one of 16
 // hot chain relations; each hot relation anchors 8 views, so a change
@@ -109,10 +110,13 @@ CapabilityChange StreamChange(size_t i) {
              : CapabilityChange::RenameAttribute(rel, payload + "x", payload);
 }
 
-std::unique_ptr<EveSystem> FreshSystem(
-    const Mkb& mkb, const std::vector<ViewDefinition>& pool) {
+// `report_unaffected` off keeps each report's text O(affected); eved
+// leaves it on and sends the whole O(pool) text.
+std::unique_ptr<EveSystem> FreshSystem(const Mkb& mkb,
+                                       const std::vector<ViewDefinition>& pool,
+                                       bool report_unaffected = false) {
   auto system = std::make_unique<EveSystem>(mkb);
-  system->SetReportUnaffected(false);  // reports O(affected)
+  system->SetReportUnaffected(report_unaffected);
   const Status registered = system->RegisterViewsBulk(pool);
   if (!registered.ok()) {
     std::cerr << "bulk registration failed: " << registered << "\n";
@@ -175,24 +179,41 @@ void BM_BulkRegistration(benchmark::State& state) {
 BENCHMARK(BM_BulkRegistration)->Unit(benchmark::kMillisecond);
 
 // ApplyChange on the 16,512-view pool, full snapshots: the time per
-// iteration is ms per commit; items/s = commits per second.
-void BM_DisjointCommit(benchmark::State& state) {
+// iteration is ms per commit; items/s = commits per second. With
+// `report_unaffected` each iteration also renders the report's text, the
+// path eved runs for every change (every other view listed as unaffected).
+void DisjointCommits(benchmark::State& state, bool report_unaffected) {
   const Mkb mkb = BenchMkb();
   const std::vector<ViewDefinition> pool = StreamPool(16384);
-  std::unique_ptr<EveSystem> system = FreshSystem(mkb, pool);
+  std::unique_ptr<EveSystem> system =
+      FreshSystem(mkb, pool, report_unaffected);
   size_t i = 0;
+  size_t report_bytes = 0;
   for (auto _ : state) {
     Result<ChangeReport> report = system->ApplyChange(StreamChange(i++));
     if (!report.ok()) {
       std::cerr << "commit failed: " << report.status() << "\n";
       std::abort();
     }
+    if (report_unaffected) report_bytes = report.value().ToString().size();
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.counters["views"] = static_cast<double>(pool.size());
+  if (report_unaffected) {
+    state.counters["report_bytes"] = static_cast<double>(report_bytes);
+  }
+}
+
+void BM_DisjointCommit(benchmark::State& state) {
+  DisjointCommits(state, /*report_unaffected=*/false);
 }
 BENCHMARK(BM_DisjointCommit)->Unit(benchmark::kMillisecond);
+
+void BM_DisjointCommitWithReport(benchmark::State& state) {
+  DisjointCommits(state, /*report_unaffected=*/true);
+}
+BENCHMARK(BM_DisjointCommitWithReport)->Unit(benchmark::kMillisecond);
 
 // Pinned reads while a writer commits the rename stream as fast as it
 // can. Each iteration pins the tip version (PinTip) and reads through it;

@@ -108,6 +108,13 @@ void DeadlineToken::Cancel() const {
   state_->cancelled.store(true, std::memory_order_relaxed);
 }
 
+bool DeadlineToken::cancelled() const {
+  for (const State* s = state_.get(); s != nullptr; s = s->parent.get()) {
+    if (s->cancelled.load(std::memory_order_relaxed)) return true;
+  }
+  return false;
+}
+
 StopCause DeadlineToken::cause() const {
   if (state_ == nullptr) return StopCause::kNone;
   return state_->cause.load(std::memory_order_relaxed);

@@ -108,6 +108,9 @@ class DeadlineToken {
   // Cancels this token and, transitively via the parent chain, every
   // descendant (observed at their next Spend/Expired check).
   void Cancel() const;
+  // True once this token or an ancestor was cancelled. Reads no clock and
+  // records no cause.
+  bool cancelled() const;
 
   // First cause observed; kNone while live (or for the null token).
   StopCause cause() const;

@@ -1,6 +1,7 @@
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven. Used to frame
-// durable records (journal entries) so torn or corrupted bytes are detected
-// on replay instead of being parsed as garbage.
+// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven, eight bytes
+// per step (slicing-by-8). The one CRC of the program: it frames journal
+// records and wire-protocol frames, and checksums version segments, so
+// torn or corrupted bytes are detected instead of being parsed as garbage.
 
 #ifndef EVE_COMMON_CRC32_H_
 #define EVE_COMMON_CRC32_H_

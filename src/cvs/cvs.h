@@ -53,10 +53,11 @@ struct CvsOptions {
   // (0 = no extra cap beyond replacement.max_results). When it fires, a
   // diagnostic reports exactly how much of the space was left unexplored.
   size_t candidate_budget = 0;
-  // Include a kUnaffected outcome line for every untouched view in each
-  // ChangeReport. The default preserves the paper's full per-view report;
-  // large pools (million-view benches) turn it off so a
-  // change's report cost is O(affected), not O(pool).
+  // List every untouched view as unaffected in each ChangeReport's text.
+  // The default preserves the paper's full per-view report; building a
+  // report is O(affected) either way (the unaffected lines come from a
+  // shared active-view list), but its text stays O(pool), so large pools
+  // (million-view benches) turn it off.
   bool report_unaffected = true;
 };
 

@@ -129,6 +129,10 @@ std::string AdmissionStats::ToString() const {
 }
 
 size_t ChangeReport::CountOutcome(ViewOutcomeKind kind) const {
+  if (kind == ViewOutcomeKind::kUnaffected) {
+    // Every outcome belongs to an affected, hence active, view.
+    return active_views == nullptr ? 0 : active_views->size() - outcomes.size();
+  }
   size_t count = 0;
   for (const ViewOutcome& outcome : outcomes) {
     if (outcome.kind == kind) ++count;
@@ -137,42 +141,61 @@ size_t ChangeReport::CountOutcome(ViewOutcomeKind kind) const {
 }
 
 std::string ChangeReport::ToString() const {
-  std::ostringstream os;
-  os << "change: " << change.ToString() << "\n";
+  static constexpr std::string_view kUnaffectedLine = ": unaffected\n";
+  std::string out = "change: " + change.ToString() + "\n";
   if (!dropped_constraints.empty()) {
-    os << "  dropped constraints:";
-    for (const std::string& id : dropped_constraints) os << " " << id;
-    os << "\n";
+    out += "  dropped constraints:";
+    for (const std::string& id : dropped_constraints) out += " " + id;
+    out += "\n";
   }
   if (!weakened_constraints.empty()) {
-    os << "  weakened constraints:";
-    for (const std::string& id : weakened_constraints) os << " " << id;
-    os << "\n";
+    out += "  weakened constraints:";
+    for (const std::string& id : weakened_constraints) out += " " + id;
+    out += "\n";
+  }
+  if (active_views != nullptr) {
+    size_t bytes = out.size();
+    for (const std::string& name : *active_views) {
+      bytes += 7 + name.size() + kUnaffectedLine.size();
+    }
+    out.reserve(bytes);
+    // Both lists are name-sorted: one merge pass skips the affected views.
+    auto affected = outcomes.begin();
+    for (const std::string& name : *active_views) {
+      while (affected != outcomes.end() && affected->view_name < name) {
+        ++affected;
+      }
+      if (affected != outcomes.end() && affected->view_name == name) continue;
+      out += "  view ";
+      out += name;
+      out += kUnaffectedLine;
+    }
   }
   for (const ViewOutcome& outcome : outcomes) {
-    os << "  view " << outcome.view_name << ": ";
+    out += "  view ";
+    out += outcome.view_name;
     switch (outcome.kind) {
       case ViewOutcomeKind::kUnaffected:
-        os << "unaffected";
+        out += ": unaffected";
         break;
       case ViewOutcomeKind::kRewritten:
-        os << "rewritten";
+        out += ": rewritten";
         break;
       case ViewOutcomeKind::kDisabled:
-        os << "DISABLED";
+        out += ": DISABLED";
         break;
     }
-    if (!outcome.detail.empty()) os << " — " << outcome.detail;
+    if (!outcome.detail.empty()) out += " — " + outcome.detail;
     if (!outcome.provisional_sources.empty()) {
-      os << " [provisional:";
+      out += " [provisional:";
       for (const std::string& source : outcome.provisional_sources) {
-        os << " " << source;
+        out += " " + source;
       }
-      os << "]";
+      out += "]";
     }
-    os << "\n";
+    out += "\n";
   }
-  return os.str();
+  return out;
 }
 
 std::string RecoveryReport::ToString() const {
@@ -188,12 +211,11 @@ std::string RecoveryReport::ToString() const {
 }
 
 std::string DryRunReport::ToString() const {
-  std::ostringstream os;
-  os << "dry-run against version " << base_version << " (nothing applied)\n"
-     << report.ToString();
+  std::string out = "dry-run against version " + std::to_string(base_version) +
+                    " (nothing applied)\n" + report.ToString();
   const std::string sync = diagnostics.ToString();
-  if (!sync.empty()) os << "sync: " << sync << "\n";
-  return os.str();
+  if (!sync.empty()) out += "sync: " + sync + "\n";
+  return out;
 }
 
 EveSystem::EveSystem(Mkb mkb, CvsOptions options)
@@ -202,7 +224,8 @@ EveSystem::EveSystem(Mkb mkb, CvsOptions options)
   versions_.Reset(mkb_tip_, SaveViews(*this), "initial");
 }
 
-uint64_t EveSystem::CommitVersion(const std::string& change_desc) {
+uint64_t EveSystem::CommitVersion(const std::string& change_desc,
+                                  MkbSegmentSet changed_segments) {
   ViewBucketBodies buckets;
   if (dirty_.all) {
     for (size_t bucket = 0; bucket < kViewBuckets; ++bucket) buckets[bucket];
@@ -234,7 +257,8 @@ uint64_t EveSystem::CommitVersion(const std::string& change_desc) {
     }
   }
   dirty_ = DirtyViews();
-  return versions_.Commit(mkb_tip_, std::move(buckets), change_desc);
+  return versions_.Commit(mkb_tip_, std::move(buckets), change_desc,
+                          changed_segments);
 }
 
 void EveSystem::AddView(const std::string& name, RegisteredView view) {
@@ -243,6 +267,7 @@ void EveSystem::AddView(const std::string& name, RegisteredView view) {
   if (views_.empty()) dirty_ = DirtyViews{{}, true};
   const auto [it, inserted] = views_.emplace(name, std::move(view));
   IndexView(name, it->second.definition);
+  if (it->second.state == ViewState::kActive) InvalidateActiveViews();
   if (!dirty_.all) dirty_.names.insert(name);
 }
 
@@ -254,6 +279,19 @@ RegisteredView& EveSystem::MutableView(const std::string& name) {
 Status EveSystem::JournalAppend(const JournalRecord& record) {
   if (journal_ == nullptr) return Status::OK();
   return journal_->Append(record.kind, record.body);
+}
+
+std::shared_ptr<const std::vector<std::string>> EveSystem::ActiveViewList()
+    const {
+  std::lock_guard<std::mutex> lock(*active_views_mu_);
+  if (active_views_ == nullptr) {
+    auto names = std::make_shared<std::vector<std::string>>();
+    for (const auto& [name, view] : views_) {
+      if (view.state == ViewState::kActive) names->push_back(name);
+    }
+    active_views_ = std::move(names);
+  }
+  return active_views_;
 }
 
 Status EveSystem::ExtendMkb(std::string_view misd_text) {
@@ -401,6 +439,7 @@ Status EveSystem::SetViewState(const std::string& name, ViewState state) {
                                                              : "disabled") +
                          "\n" + name}));
   MutableView(name).state = state;
+  InvalidateActiveViews();
   CommitVersion("set view state " + name);
   return Status::OK();
 }
@@ -515,24 +554,16 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
   // Step 1: evolve the MKB.
   EVE_ASSIGN_OR_RETURN(MkbEvolutionReport evolution,
                        EvolveMkb(*base.mkb, change));
-  report.dropped_constraints = evolution.dropped_constraints;
-  report.weakened_constraints = evolution.weakened_constraints;
+  report.dropped_constraints = std::move(evolution.dropped_constraints);
+  report.weakened_constraints = std::move(evolution.weakened_constraints);
+  prepared.changed_segments = evolution.changed_segments;
   EVE_FAILPOINT(fp::kApplyChangeAfterMkbEvolve);
 
-  // Step 2: detect affected views.
+  // Step 2: detect affected views. The report lists the unaffected ones
+  // through the shared active-view list, not one outcome per view.
   const std::vector<std::string> affected = AffectedViews(change);
   prepared.affected = affected;
-  if (options_.report_unaffected) {
-    for (const auto& [name, view] : views_) {
-      if (view.state != ViewState::kActive) continue;
-      const bool is_affected =
-          std::binary_search(affected.begin(), affected.end(), name);
-      if (!is_affected) {
-        report.outcomes.push_back(
-            ViewOutcome{name, ViewOutcomeKind::kUnaffected, "", {}});
-      }
-    }
-  }
+  if (options_.report_unaffected) report.active_views = ActiveViewList();
 
   // Step 3: synchronize each affected view. All mutations land on a delta
   // map holding just the affected views, so discarding the PreparedChange
@@ -741,21 +772,23 @@ Result<ChangeReport> EveSystem::CommitPrepared(PreparedChange prepared) {
         std::to_string(prepared.base_version) + ", tip is " +
         std::to_string(versions_.tip_id()));
   }
-  // Write-ahead: the change record must be durable before any of the
-  // in-memory state commits.
+  // Write-ahead: the change record and its (validation-only) version
+  // marker must be durable before any of the in-memory state commits. They
+  // go out with one write and one fsync; a failed append keeps neither, so
+  // memory stays untouched.
   EVE_FAILPOINT(fp::kApplyChangeBeforeCommit);
-  EVE_RETURN_IF_ERROR(JournalAppend({JournalRecordKind::kApplyChange,
-                                     SerializeChange(prepared.change)}));
-  // Once the change record is durable, replay WILL commit — so a failure
-  // writing the (validation-only) version marker, or an injected ERROR at
-  // the swap site, must not stop the in-memory commit: the error is
+  if (journal_ != nullptr) {
+    const JournalRecord records[] = {
+        {JournalRecordKind::kApplyChange, SerializeChange(prepared.change)},
+        {JournalRecordKind::kVersionCommit,
+         std::to_string(prepared.base_version + 1)}};
+    EVE_RETURN_IF_ERROR(journal_->AppendAll(records));
+  }
+  // Once the records are durable, replay WILL commit — so an injected
+  // ERROR at the swap site must not stop the in-memory commit: the error is
   // deferred past the swap and models a response lost after commit. A
   // simulated CRASH may throw here: recovery replays to the post state.
-  Status deferred =
-      JournalAppend({JournalRecordKind::kVersionCommit,
-                     std::to_string(prepared.base_version + 1)});
-  const Status swap_hit = Failpoints::Instance().Hit(fp::kVersionBeforeSwap);
-  if (deferred.ok()) deferred = swap_hit;
+  Status deferred = Failpoints::Instance().Hit(fp::kVersionBeforeSwap);
   // The materialization hook needs the pre-change definitions after the
   // swap below overwrites them (IncrementalRefresh diffs old vs new).
   std::map<std::string, ViewDefinition> old_defs;
@@ -773,13 +806,14 @@ Result<ChangeReport> EveSystem::CommitPrepared(PreparedChange prepared) {
   }
   mkb_tip_ = prepared.next_mkb;
   for (auto& [name, synced] : prepared.next_views) {
+    if (synced.state != ViewState::kActive) InvalidateActiveViews();
     MutableView(name) = std::move(synced);
   }
   for (const std::string& name : prepared.affected) {
     IndexView(name, views_.at(name).definition);
   }
   change_log_.push_back(prepared.report);
-  CommitVersion(prepared.change.ToString());
+  CommitVersion(prepared.change.ToString(), prepared.changed_segments);
   const Status after = Failpoints::Instance().Hit(fp::kVersionAfterSwap);
   if (deferred.ok()) deferred = after;
   // Post-commit data-plane propagation: the control plane is committed, so
@@ -892,6 +926,7 @@ Result<uint64_t> EveSystem::RollbackToVersion(uint64_t version) {
   mkb_tip_ = pinned.mkb;
   views_ = std::move(loader.views_);
   RebuildViewIndex();
+  InvalidateActiveViews();
   dirty_ = DirtyViews{{}, true};
   for (auto& [name, view] : views_) {
     const auto it = histories.find(name);
@@ -966,6 +1001,11 @@ Status EveSystem::RestoreVersionStore(MkbVersionStore store) {
 void EveSystem::CancelActiveSync() const {
   std::lock_guard<std::mutex> lock(*sync_token_mu_);
   active_sync_token_.Cancel();  // no-op on a null token
+}
+
+bool EveSystem::SyncCancelled() const {
+  std::lock_guard<std::mutex> lock(*sync_token_mu_);
+  return active_sync_token_.cancelled();
 }
 
 Status EveSystem::EnqueueChange(const CapabilityChange& change) {
@@ -1073,6 +1113,7 @@ Result<std::vector<ChangeReport>> EveSystem::ApplyChanges(
         dirty_ = std::move(dirty_snapshot);
         change_log_ = std::move(log_snapshot);
         RebuildViewIndex();
+        InvalidateActiveViews();
         EVE_RETURN_IF_ERROR(
             JournalAppend({JournalRecordKind::kAbortBatch, ""}));
       }
@@ -1093,6 +1134,7 @@ Result<std::vector<ChangeReport>> EveSystem::ApplyChanges(
       dirty_ = std::move(dirty_snapshot);
       change_log_ = std::move(log_snapshot);
       RebuildViewIndex();
+      InvalidateActiveViews();
       return committed;
     }
   }
@@ -1136,6 +1178,7 @@ Result<std::vector<ChangeReport>> EveSystem::LeaveCascade(
     change_log_ = std::move(log_snapshot);
     membership_ = std::move(membership_snapshot);
     RebuildViewIndex();
+    InvalidateActiveViews();
   };
   EVE_RETURN_IF_ERROR(JournalAppend({JournalRecordKind::kBeginBatch, ""}));
   const auto abort = [&](const Status& cause) -> Status {

@@ -71,9 +71,19 @@ struct ChangeReport {
   CapabilityChange change;
   std::vector<std::string> dropped_constraints;
   std::vector<std::string> weakened_constraints;
+  // The affected views' outcomes (kRewritten or kDisabled), name-sorted.
   std::vector<ViewOutcome> outcomes;
+  // The views active when the change was prepared, name-sorted; each one
+  // without an outcome is unaffected. Immutable and shared by every report
+  // prepared while the active set stayed the same, so a report costs
+  // O(affected views). Null when the system does not report unaffected
+  // views (EveSystem::SetReportUnaffected).
+  std::shared_ptr<const std::vector<std::string>> active_views;
 
+  // kUnaffected counts the active views without an outcome.
   size_t CountOutcome(ViewOutcomeKind kind) const;
+  // "change: ..." plus one line per active view: the unaffected ones
+  // first, then the outcomes, each group in name order.
   std::string ToString() const;
 };
 
@@ -229,8 +239,11 @@ class EveSystem {
   // way is O(batch) journal fsyncs instead of O(views).
   Status RegisterViewsBulk(const std::vector<ViewDefinition>& views);
 
-  // Whether each ChangeReport lists a kUnaffected outcome per untouched
-  // view (CvsOptions::report_unaffected): O(pool) per change when on.
+  // Whether each ChangeReport lists the untouched views as unaffected
+  // (CvsOptions::report_unaffected). Either way a report holds only the
+  // affected views' outcomes; the unaffected lines come from a shared list
+  // of the active views, rebuilt only after the active set changes, and
+  // are rendered by ChangeReport::ToString.
   void SetReportUnaffected(bool on) { options_.report_unaffected = on; }
   bool report_unaffected() const { return options_.report_unaffected; }
 
@@ -336,6 +349,10 @@ class EveSystem {
   // point, returning its best-so-far prefix. Safe to call from any thread;
   // a no-op when no sync is active.
   void CancelActiveSync() const;
+  // Whether the change being synchronized has been cancelled, by
+  // CancelActiveSync or by the watchdog; false when no sync is in flight.
+  // Safe to call from any thread.
+  bool SyncCancelled() const;
 
   // --- Admission control ---------------------------------------------------
   //
@@ -494,21 +511,28 @@ class EveSystem {
     std::map<std::string, RegisteredView> next_views;
     std::vector<std::string> affected;
     ChangeReport report;
+    // The MISD segments the evolution changed (MkbEvolutionReport).
+    MkbSegmentSet changed_segments;
     // CVS-inferred extent verdict per rewritten view (absent for disabled
     // views). Consumed by the post-commit materialization hook; not
     // journaled — recovery rebuilds extents by refreshing, not by replay.
     std::map<std::string, ExtentRelation> verdicts;
   };
   Result<PreparedChange> PrepareChange(const CapabilityChange& change) const;
-  // Journals (kApplyChange + kVersionCommit), swaps the tip pointer and
-  // view pool, and commits the new version. Fails with kFailedPrecondition
-  // if the tip advanced since the prepare.
+  // Journals kApplyChange and kVersionCommit with one write and one fsync,
+  // swaps the tip pointer and view pool, and commits the new version. Fails
+  // with kFailedPrecondition if the tip advanced since the prepare, and
+  // with the journal's error (nothing journaled, nothing changed) if the
+  // append fails.
   Result<ChangeReport> CommitPrepared(PreparedChange prepared);
 
   // Commits the current live state as a new version. Only the blocks of
   // dirty views are rendered; the rest of their buckets is copied from the
-  // tip version, and every other bucket is shared with it.
-  uint64_t CommitVersion(const std::string& change_desc);
+  // tip version, and every other bucket is shared with it. Of the MISD
+  // segments only `changed_segments` are rendered (see
+  // MkbVersionStore::Commit).
+  uint64_t CommitVersion(const std::string& change_desc,
+                         MkbSegmentSet changed_segments = kAllMkbSegments);
 
   // The view pool's write path. AddView registers a view; MutableView is
   // the one way to write a field SaveViews renders (definition, state,
@@ -529,6 +553,11 @@ class EveSystem {
 
   // Appends to the attached journal, if any.
   Status JournalAppend(const JournalRecord& record);
+  // The name-sorted active views for reports (see ChangeReport), built on
+  // first use after InvalidateActiveViews.
+  std::shared_ptr<const std::vector<std::string>> ActiveViewList() const;
+  // Called wherever the set of active views may have changed.
+  void InvalidateActiveViews() { active_views_.reset(); }
   // Replays one journal record onto this system (no journaling).
   Status ReplayRecord(const JournalRecord& record);
 
@@ -572,6 +601,11 @@ class EveSystem {
     bool all = false;
   };
   DirtyViews dirty_;
+  // Cache behind ActiveViewList(); null until built. mutable: a dry run
+  // builds it too. Guarded by active_views_mu_ (shared across copies, like
+  // the other mutexes) against concurrent const callers.
+  mutable std::shared_ptr<const std::vector<std::string>> active_views_;
+  std::shared_ptr<std::mutex> active_views_mu_ = std::make_shared<std::mutex>();
   std::vector<ChangeReport> change_log_;
   std::map<std::string, federation::SourceMembership> membership_;
   Journal* journal_ = nullptr;  // non-owning

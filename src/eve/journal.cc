@@ -132,39 +132,53 @@ Journal::~Journal() {
 }
 
 Status Journal::Append(JournalRecordKind kind, std::string_view body) {
+  const JournalRecord record{kind, std::string(body)};
+  return AppendAll({&record, 1});
+}
+
+Status Journal::AppendAll(std::span<const JournalRecord> records) {
   if (fd_ < 0) return Status::FailedPrecondition("journal is closed");
   EVE_FAILPOINT(fp::kJournalAppendBeforeWrite);
-  std::string payload;
-  payload.reserve(1 + body.size());
-  payload.push_back(static_cast<char>(kind));
-  payload.append(body);
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32(payload));
-  frame.append(payload);
-  // The frame is written in two halves with a failpoint between them: a
+  size_t total = 0;
+  for (const JournalRecord& record : records) {
+    total += kFrameHeaderSize + 1 + record.body.size();
+  }
+  std::string frames;
+  frames.reserve(total);
+  for (const JournalRecord& record : records) {
+    const uint32_t payload_size = static_cast<uint32_t>(1 + record.body.size());
+    const char kind = static_cast<char>(record.kind);
+    PutU32(&frames, payload_size);
+    PutU32(&frames, Crc32(record.body, Crc32(&kind, 1)));
+    frames.push_back(kind);
+    frames.append(record.body);
+  }
+  // The frames are written in two halves with a failpoint between them: a
   // crash there leaves a torn final record for recovery to detect and drop.
   const off_t start = ::lseek(fd_, 0, SEEK_END);
-  const size_t half = frame.size() / 2;
+  const size_t half = frames.size() / 2;
   const Status written = [&]() -> Status {
     EVE_RETURN_IF_ERROR(
-        WriteAll(fd_, std::string_view(frame).substr(0, half), path_));
+        WriteAll(fd_, std::string_view(frames).substr(0, half), path_));
     EVE_FAILPOINT(fp::kJournalAppendPartialWrite);
     EVE_RETURN_IF_ERROR(
-        WriteAll(fd_, std::string_view(frame).substr(half), path_));
+        WriteAll(fd_, std::string_view(frames).substr(half), path_));
     EVE_FAILPOINT(fp::kJournalAppendBeforeFsync);
     if (::fsync(fd_) != 0) return Errno("cannot fsync journal", path_);
     return Status::OK();
   }();
   if (!written.ok()) {
-    // Reported failure (not a crash): drop whatever part of the frame made
+    // Reported failure (not a crash): drop whatever part of the frames made
     // it out, so a later append cannot bury a torn record mid-journal.
     if (start >= 0 && ::ftruncate(fd_, start) == 0) ::fsync(fd_);
     return written;
   }
-  // The record is durable: let the replication tail ship it.
-  if (observer_) observer_(kind, body);
+  // The records are durable: let the replication tail ship them.
+  if (observer_) {
+    for (const JournalRecord& record : records) {
+      observer_(record.kind, record.body);
+    }
+  }
   return Status::OK();
 }
 

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,6 +79,11 @@ class Journal {
 
   // Appends one framed record and fsyncs. On return the record is durable.
   Status Append(JournalRecordKind kind, std::string_view body);
+  // Appends `records` in order with one write and one fsync. On success
+  // every record is durable; on a reported failure none is (the file is cut
+  // back to its length before the call). A crash mid-write leaves a prefix
+  // of whole records plus at most one torn one, which recovery drops.
+  Status AppendAll(std::span<const JournalRecord> records);
 
   // Durably truncates the journal back to just the magic header — called
   // after a successful checkpoint subsumes the journaled history.

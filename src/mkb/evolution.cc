@@ -6,10 +6,13 @@ namespace eve {
 
 namespace {
 
-bool ExprMentionsAttribute(const Expr& expr, const AttributeRef& attr) {
+using ConstraintEdit = Mkb::ConstraintEdit;
+
+bool ExprMentions(const Expr& expr,
+                  const std::function<bool(const AttributeRef&)>& match) {
   std::vector<AttributeRef> cols;
   expr.CollectColumns(&cols);
-  return std::find(cols.begin(), cols.end(), attr) != cols.end();
+  return std::any_of(cols.begin(), cols.end(), match);
 }
 
 // True if `clause` relates the two endpoint relations of a JC (touches
@@ -27,213 +30,189 @@ bool ClauseCrosses(const Expr& clause, const std::string& lhs,
   return touches_lhs && touches_rhs;
 }
 
-AttributeRef RenameRelationInRef(const AttributeRef& ref,
-                                 const std::string& old_name,
-                                 const std::string& new_name) {
-  if (ref.relation == old_name) return AttributeRef{new_name, ref.attribute};
-  return ref;
+bool ListMentions(const std::vector<AttributeRef>& attrs,
+                  const AttributeRef& attr) {
+  return std::find(attrs.begin(), attrs.end(), attr) != attrs.end();
 }
 
-AttributeRef RenameAttributeInRef(const AttributeRef& ref,
-                                  const AttributeRef& old_attr,
-                                  const std::string& new_name) {
-  if (ref == old_attr) return AttributeRef{ref.relation, new_name};
-  return ref;
-}
+// Renames, in place, every reference to one relation (`from.attribute`
+// empty) or one attribute. Each Apply returns whether it renamed
+// anything, so an edit reports kRewritten only for a constraint that
+// named the renamed element.
+struct Rename {
+  AttributeRef from;
+  std::string to;
 
-// Copies constraints from `src` into `dst.mkb`, applying `keep` and
-// `rewrite` (either may be identity). `keep_jc_clause` filters individual
-// JC clauses; a JC that loses its crossing clauses is dropped.
-struct CopyFilters {
-  std::function<bool(const JoinConstraint&)> keep_jc = nullptr;
-  std::function<bool(const ExprPtr&)> keep_jc_clause = nullptr;
-  std::function<bool(const FunctionOfConstraint&)> keep_fc = nullptr;
-  std::function<bool(const PCConstraint&)> keep_pc = nullptr;
-  std::function<ExprPtr(const ExprPtr&)> rewrite_expr = nullptr;
-  std::function<AttributeRef(const AttributeRef&)> rewrite_ref = nullptr;
-  std::function<std::string(const std::string&)> rewrite_relation = nullptr;
+  bool renames_relation() const { return from.attribute.empty(); }
+  bool Matches(const AttributeRef& ref) const {
+    return ref.relation == from.relation &&
+           (renames_relation() || ref.attribute == from.attribute);
+  }
+  // A JC's or PC's endpoint relation.
+  bool Apply(std::string* relation) const {
+    if (!renames_relation() || *relation != from.relation) return false;
+    *relation = to;
+    return true;
+  }
+  bool Apply(AttributeRef* ref) const {
+    if (!Matches(*ref)) return false;
+    (renames_relation() ? ref->relation : ref->attribute) = to;
+    return true;
+  }
+  bool Apply(std::vector<AttributeRef>* refs) const {
+    bool renamed = false;
+    for (AttributeRef& ref : *refs) renamed = Apply(&ref) || renamed;
+    return renamed;
+  }
+  bool Apply(ExprPtr* expr) const {
+    if (*expr == nullptr ||
+        !ExprMentions(**expr, [this](const AttributeRef& ref) {
+          return Matches(ref);
+        })) {
+      return false;
+    }
+    *expr = (*expr)->TransformColumns([this](AttributeRef ref) {
+      Apply(&ref);
+      return ref;
+    });
+    return true;
+  }
 };
 
-Status CopyConstraints(const Mkb& src, const CopyFilters& filters,
-                       MkbEvolutionReport* report) {
-  auto rewrite_expr = [&](const ExprPtr& e) {
-    return filters.rewrite_expr ? filters.rewrite_expr(e) : e;
-  };
-  auto rewrite_ref = [&](const AttributeRef& r) {
-    return filters.rewrite_ref ? filters.rewrite_ref(r) : r;
-  };
-  auto rewrite_relation = [&](const std::string& r) {
-    return filters.rewrite_relation ? filters.rewrite_relation(r) : r;
-  };
+ConstraintEdit RewrittenIf(bool renamed) {
+  return renamed ? ConstraintEdit::kRewritten : ConstraintEdit::kKept;
+}
 
-  for (const JoinConstraint& jc : src.join_constraints()) {
-    if (filters.keep_jc && !filters.keep_jc(jc)) {
-      report->dropped_constraints.push_back(jc.id);
-      continue;
+// Edits applying `rename` to every reference of every constraint.
+Mkb::ConstraintEdits RenameEdits(const Rename& rename) {
+  Mkb::ConstraintEdits edits;
+  edits.join = [&rename](JoinConstraint* jc) {
+    bool renamed = rename.Apply(&jc->lhs);
+    renamed = rename.Apply(&jc->rhs) || renamed;
+    for (ExprPtr& clause : jc->clauses) {
+      renamed = rename.Apply(&clause) || renamed;
     }
-    JoinConstraint copy;
-    copy.id = jc.id;
-    copy.lhs = rewrite_relation(jc.lhs);
-    copy.rhs = rewrite_relation(jc.rhs);
-    bool weakened = false;
-    for (const ExprPtr& clause : jc.clauses) {
-      if (filters.keep_jc_clause && !filters.keep_jc_clause(clause)) {
-        weakened = true;
-        continue;
-      }
-      copy.clauses.push_back(rewrite_expr(clause));
-    }
-    const bool still_crosses = std::any_of(
-        copy.clauses.begin(), copy.clauses.end(), [&](const ExprPtr& c) {
-          return ClauseCrosses(*c, copy.lhs, copy.rhs);
-        });
-    if (!still_crosses) {
-      report->dropped_constraints.push_back(jc.id);
-      continue;
-    }
-    if (weakened) report->weakened_constraints.push_back(jc.id);
-    EVE_RETURN_IF_ERROR(report->mkb.AddJoinConstraint(std::move(copy)));
-  }
-
-  for (const FunctionOfConstraint& fc : src.function_of_constraints()) {
-    if (filters.keep_fc && !filters.keep_fc(fc)) {
-      report->dropped_constraints.push_back(fc.id);
-      continue;
-    }
-    FunctionOfConstraint copy;
-    copy.id = fc.id;
-    copy.target = rewrite_ref(fc.target);
-    copy.source = rewrite_ref(fc.source);
-    copy.fn = rewrite_expr(fc.fn);
-    EVE_RETURN_IF_ERROR(report->mkb.AddFunctionOf(std::move(copy)));
-  }
-
-  for (const PCConstraint& pc : src.pc_constraints()) {
-    if (filters.keep_pc && !filters.keep_pc(pc)) {
-      report->dropped_constraints.push_back(pc.id);
-      continue;
-    }
-    PCConstraint copy;
-    copy.id = pc.id;
-    copy.lhs_relation = rewrite_relation(pc.lhs_relation);
-    copy.rhs_relation = rewrite_relation(pc.rhs_relation);
-    for (const AttributeRef& ref : pc.lhs_attrs) {
-      copy.lhs_attrs.push_back(rewrite_ref(ref));
-    }
-    for (const AttributeRef& ref : pc.rhs_attrs) {
-      copy.rhs_attrs.push_back(rewrite_ref(ref));
-    }
-    copy.lhs_condition =
-        pc.lhs_condition ? rewrite_expr(pc.lhs_condition) : nullptr;
-    copy.rhs_condition =
-        pc.rhs_condition ? rewrite_expr(pc.rhs_condition) : nullptr;
-    copy.relation = pc.relation;
-    EVE_RETURN_IF_ERROR(report->mkb.AddPCConstraint(std::move(copy)));
-  }
-  return Status::OK();
+    return RewrittenIf(renamed);
+  };
+  edits.function_of = [&rename](FunctionOfConstraint* fc) {
+    bool renamed = rename.Apply(&fc->target);
+    renamed = rename.Apply(&fc->source) || renamed;
+    renamed = rename.Apply(&fc->fn) || renamed;
+    return RewrittenIf(renamed);
+  };
+  edits.pc = [&rename](PCConstraint* pc) {
+    bool renamed = rename.Apply(&pc->lhs_relation);
+    renamed = rename.Apply(&pc->rhs_relation) || renamed;
+    renamed = rename.Apply(&pc->lhs_attrs) || renamed;
+    renamed = rename.Apply(&pc->rhs_attrs) || renamed;
+    renamed = rename.Apply(&pc->lhs_condition) || renamed;
+    renamed = rename.Apply(&pc->rhs_condition) || renamed;
+    return RewrittenIf(renamed);
+  };
+  return edits;
 }
 
 }  // namespace
 
 Result<MkbEvolutionReport> EvolveMkb(const Mkb& mkb,
                                      const CapabilityChange& change) {
-  MkbEvolutionReport report;
-  report.mkb.catalog() = mkb.catalog();
+  MkbEvolutionReport report{mkb, {}, {}, {}};
+  Mkb& next = report.mkb;
+  std::vector<std::string>& dropped = report.dropped_constraints;
+  const auto drop = [&dropped](const std::string& id) {
+    dropped.push_back(id);
+    return ConstraintEdit::kDropped;
+  };
+  Mkb::ConstraintEdits edits;
 
   switch (change.kind) {
-    case CapabilityChange::Kind::kAddRelation: {
-      EVE_RETURN_IF_ERROR(report.mkb.AddRelation(change.new_relation));
-      EVE_RETURN_IF_ERROR(CopyConstraints(mkb, CopyFilters{}, &report));
-      return report;
-    }
-    case CapabilityChange::Kind::kAddAttribute: {
-      EVE_RETURN_IF_ERROR(report.mkb.catalog().AddAttribute(
-          change.relation, change.new_attribute));
-      EVE_RETURN_IF_ERROR(CopyConstraints(mkb, CopyFilters{}, &report));
-      return report;
-    }
+    case CapabilityChange::Kind::kAddRelation:
+      EVE_RETURN_IF_ERROR(next.AddRelation(change.new_relation));
+      break;
+    case CapabilityChange::Kind::kAddAttribute:
+      EVE_RETURN_IF_ERROR(next.catalog().AddAttribute(change.relation,
+                                                      change.new_attribute));
+      break;
     case CapabilityChange::Kind::kDeleteRelation: {
-      EVE_RETURN_IF_ERROR(report.mkb.catalog().DropRelation(change.relation));
+      EVE_RETURN_IF_ERROR(next.catalog().DropRelation(change.relation));
       const std::string& rel = change.relation;
-      CopyFilters filters;
-      filters.keep_jc = [&](const JoinConstraint& jc) {
-        return !jc.Involves(rel);
+      edits.join = [&](JoinConstraint* jc) {
+        return jc->Involves(rel) ? drop(jc->id) : ConstraintEdit::kKept;
       };
-      filters.keep_fc = [&](const FunctionOfConstraint& fc) {
-        return fc.target.relation != rel && fc.source.relation != rel;
+      edits.function_of = [&](FunctionOfConstraint* fc) {
+        return fc->target.relation == rel || fc->source.relation == rel
+                   ? drop(fc->id)
+                   : ConstraintEdit::kKept;
       };
-      filters.keep_pc = [&](const PCConstraint& pc) {
-        return pc.lhs_relation != rel && pc.rhs_relation != rel;
+      edits.pc = [&](PCConstraint* pc) {
+        return pc->lhs_relation == rel || pc->rhs_relation == rel
+                   ? drop(pc->id)
+                   : ConstraintEdit::kKept;
       };
-      EVE_RETURN_IF_ERROR(CopyConstraints(mkb, filters, &report));
-      return report;
+      report.changed_segments = next.EditConstraints(edits);
+      break;
     }
     case CapabilityChange::Kind::kDeleteAttribute: {
-      EVE_RETURN_IF_ERROR(report.mkb.catalog().DropAttribute(
-          change.relation, change.attribute));
+      EVE_RETURN_IF_ERROR(
+          next.catalog().DropAttribute(change.relation, change.attribute));
       const AttributeRef attr{change.relation, change.attribute};
-      CopyFilters filters;
-      filters.keep_jc_clause = [&](const ExprPtr& clause) {
-        return !ExprMentionsAttribute(*clause, attr);
+      const auto is_attr = [&attr](const AttributeRef& ref) {
+        return ref == attr;
       };
-      filters.keep_fc = [&](const FunctionOfConstraint& fc) {
-        return fc.target != attr && fc.source != attr;
+      // A JC loses the clauses mentioning the attribute, and is dropped
+      // when no clause relating its two relations remains.
+      edits.join = [&](JoinConstraint* jc) {
+        std::vector<ExprPtr>& clauses = jc->clauses;
+        const auto removed = std::remove_if(
+            clauses.begin(), clauses.end(),
+            [&](const ExprPtr& c) { return ExprMentions(*c, is_attr); });
+        if (removed == clauses.end()) return ConstraintEdit::kKept;
+        clauses.erase(removed, clauses.end());
+        const bool still_crosses = std::any_of(
+            clauses.begin(), clauses.end(), [&](const ExprPtr& c) {
+              return ClauseCrosses(*c, jc->lhs, jc->rhs);
+            });
+        if (!still_crosses) return drop(jc->id);
+        report.weakened_constraints.push_back(jc->id);
+        return ConstraintEdit::kRewritten;
       };
-      filters.keep_pc = [&](const PCConstraint& pc) {
-        const auto mentions = [&](const std::vector<AttributeRef>& attrs) {
-          return std::find(attrs.begin(), attrs.end(), attr) != attrs.end();
-        };
-        if (mentions(pc.lhs_attrs) || mentions(pc.rhs_attrs)) return false;
-        if (pc.lhs_condition && ExprMentionsAttribute(*pc.lhs_condition, attr)) {
-          return false;
-        }
-        if (pc.rhs_condition && ExprMentionsAttribute(*pc.rhs_condition, attr)) {
-          return false;
-        }
-        return true;
+      edits.function_of = [&](FunctionOfConstraint* fc) {
+        return fc->target == attr || fc->source == attr
+                   ? drop(fc->id)
+                   : ConstraintEdit::kKept;
       };
-      EVE_RETURN_IF_ERROR(CopyConstraints(mkb, filters, &report));
-      return report;
+      edits.pc = [&](PCConstraint* pc) {
+        const bool mentions =
+            ListMentions(pc->lhs_attrs, attr) ||
+            ListMentions(pc->rhs_attrs, attr) ||
+            (pc->lhs_condition && ExprMentions(*pc->lhs_condition, is_attr)) ||
+            (pc->rhs_condition && ExprMentions(*pc->rhs_condition, is_attr));
+        return mentions ? drop(pc->id) : ConstraintEdit::kKept;
+      };
+      report.changed_segments = next.EditConstraints(edits);
+      break;
     }
     case CapabilityChange::Kind::kRenameRelation: {
-      EVE_RETURN_IF_ERROR(report.mkb.catalog().RenameRelation(
-          change.relation, change.new_name));
-      const std::string old_name = change.relation;
-      const std::string new_name = change.new_name;
-      CopyFilters filters;
-      filters.rewrite_relation = [=](const std::string& rel) {
-        return rel == old_name ? new_name : rel;
-      };
-      filters.rewrite_ref = [=](const AttributeRef& ref) {
-        return RenameRelationInRef(ref, old_name, new_name);
-      };
-      filters.rewrite_expr = [=](const ExprPtr& expr) {
-        return expr->TransformColumns([=](const AttributeRef& ref) {
-          return RenameRelationInRef(ref, old_name, new_name);
-        });
-      };
-      EVE_RETURN_IF_ERROR(CopyConstraints(mkb, filters, &report));
-      return report;
+      EVE_RETURN_IF_ERROR(
+          next.catalog().RenameRelation(change.relation, change.new_name));
+      const Rename rename{{change.relation, ""}, change.new_name};
+      report.changed_segments = next.EditConstraints(RenameEdits(rename));
+      break;
     }
     case CapabilityChange::Kind::kRenameAttribute: {
-      EVE_RETURN_IF_ERROR(report.mkb.catalog().RenameAttribute(
+      EVE_RETURN_IF_ERROR(next.catalog().RenameAttribute(
           change.relation, change.attribute, change.new_name));
-      const AttributeRef old_attr{change.relation, change.attribute};
-      const std::string new_name = change.new_name;
-      CopyFilters filters;
-      filters.rewrite_ref = [=](const AttributeRef& ref) {
-        return RenameAttributeInRef(ref, old_attr, new_name);
-      };
-      filters.rewrite_expr = [=](const ExprPtr& expr) {
-        return expr->TransformColumns([=](const AttributeRef& ref) {
-          return RenameAttributeInRef(ref, old_attr, new_name);
-        });
-      };
-      EVE_RETURN_IF_ERROR(CopyConstraints(mkb, filters, &report));
-      return report;
+      const Rename rename{{change.relation, change.attribute},
+                          change.new_name};
+      report.changed_segments = next.EditConstraints(RenameEdits(rename));
+      break;
     }
+    default:
+      return Status::Internal("unexpected capability change kind");
   }
-  return Status::Internal("unexpected capability change kind");
+  // Every change kind edits the catalog.
+  report.changed_segments.set(kRelationsSegment);
+  return report;
 }
 
 }  // namespace eve

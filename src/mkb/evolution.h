@@ -20,6 +20,10 @@ struct MkbEvolutionReport {
   // Join-constraint ids that survived with some clauses removed
   // (delete-attribute only).
   std::vector<std::string> weakened_constraints;
+  // The MISD segments of MKB' that may render differently from the input
+  // MKB's; every other segment renders byte-identically, so a version
+  // commit can share it unrendered.
+  MkbSegmentSet changed_segments;
 };
 
 // Produces MKB' from `mkb` under `change`:
@@ -30,6 +34,9 @@ struct MkbEvolutionReport {
 //  * rename-relation / rename-attribute: rewrite all references in place;
 //  * add-relation / add-attribute: extend the catalog (no constraints are
 //    inferred automatically).
+// MKB' starts as a copy of `mkb`, and only the constraints the change
+// names are rewritten or dropped; the rest are neither rebuilt nor
+// re-validated, and keep their order.
 Result<MkbEvolutionReport> EvolveMkb(const Mkb& mkb,
                                      const CapabilityChange& change);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 namespace eve {
 
@@ -15,6 +16,64 @@ std::string PairKey(const std::string& a, const std::string& b) {
 
 std::string AttrKey(const AttributeRef& ref) {
   return ref.relation + '\x1f' + ref.attribute;
+}
+
+using PositionIndex = std::unordered_map<std::string, std::vector<size_t>>;
+
+// Moves constraint `index` from key `from` to key `to`, keeping each key's
+// positions ascending (registration order).
+void MoveIndexEntry(PositionIndex* positions, const std::string& from,
+                    const std::string& to, size_t index) {
+  if (from == to) return;
+  const auto it = positions->find(from);
+  if (it != positions->end()) {
+    std::vector<size_t>& old = it->second;
+    old.erase(std::remove(old.begin(), old.end(), index), old.end());
+    if (old.empty()) positions->erase(it);
+  }
+  std::vector<size_t>& dest = (*positions)[to];
+  dest.insert(std::lower_bound(dest.begin(), dest.end(), index), index);
+}
+
+// Applies `edit` to every constraint of `constraints` and erases the
+// dropped ones. `key(c)` reads the fields a constraint is indexed under,
+// and `rekey(i, old_key)` re-indexes a rewritten constraint; it is skipped
+// once anything was dropped (`*dropped_any`), since a drop shifts positions
+// and the caller rebuilds the indexes. Returns whether any constraint was
+// rewritten or dropped.
+template <typename Constraint, typename Edit, typename Key, typename Rekey>
+bool EditVector(std::vector<Constraint>* constraints, const Edit& edit,
+                const Key& key, const Rekey& rekey, bool* dropped_any) {
+  if (!edit) return false;
+  bool changed = false;
+  std::vector<bool> dropped;
+  for (size_t i = 0; i < constraints->size(); ++i) {
+    auto old_key = key((*constraints)[i]);
+    switch (edit(&(*constraints)[i])) {
+      case Mkb::ConstraintEdit::kKept:
+        break;
+      case Mkb::ConstraintEdit::kRewritten:
+        changed = true;
+        if (!*dropped_any) rekey(i, old_key);
+        break;
+      case Mkb::ConstraintEdit::kDropped:
+        changed = true;
+        *dropped_any = true;
+        dropped.resize(constraints->size());
+        dropped[i] = true;
+        break;
+    }
+  }
+  if (!dropped.empty()) {
+    size_t kept = 0;
+    for (size_t i = 0; i < constraints->size(); ++i) {
+      if (dropped[i]) continue;
+      if (kept != i) (*constraints)[kept] = std::move((*constraints)[i]);
+      ++kept;
+    }
+    constraints->resize(kept);
+  }
+  return changed;
 }
 
 }  // namespace
@@ -220,6 +279,45 @@ Status Mkb::RemoveConstraint(const std::string& id) {
   // retracting a published constraint), so a full rebuild is fine.
   Reindex();
   return Status::OK();
+}
+
+MkbSegmentSet Mkb::EditConstraints(const ConstraintEdits& edits) {
+  using Endpoints = std::pair<std::string, std::string>;
+  MkbSegmentSet changed;
+  bool dropped_any = false;
+  changed[kJoinsSegment] = EditVector(
+      &join_constraints_, edits.join,
+      [](const JoinConstraint& jc) { return Endpoints(jc.lhs, jc.rhs); },
+      [&](size_t i, const Endpoints& old) {
+        const JoinConstraint& jc = join_constraints_[i];
+        MoveIndexEntry(&joins_by_relation_, old.first, jc.lhs, i);
+        MoveIndexEntry(&joins_by_relation_, old.second, jc.rhs, i);
+        MoveIndexEntry(&joins_by_pair_, PairKey(old.first, old.second),
+                       PairKey(jc.lhs, jc.rhs), i);
+      },
+      &dropped_any);
+  changed[kFunctionsSegment] = EditVector(
+      &function_of_constraints_, edits.function_of,
+      [](const FunctionOfConstraint& fc) { return fc.target; },
+      [&](size_t i, const AttributeRef& old) {
+        MoveIndexEntry(&covers_by_target_, AttrKey(old),
+                       AttrKey(function_of_constraints_[i].target), i);
+      },
+      &dropped_any);
+  changed[kPcsSegment] = EditVector(
+      &pc_constraints_, edits.pc,
+      [](const PCConstraint& pc) {
+        return Endpoints(pc.lhs_relation, pc.rhs_relation);
+      },
+      [&](size_t i, const Endpoints& old) {
+        const PCConstraint& pc = pc_constraints_[i];
+        MoveIndexEntry(&pcs_by_pair_, PairKey(old.first, old.second),
+                       PairKey(pc.lhs_relation, pc.rhs_relation), i);
+      },
+      &dropped_any);
+  // A drop shifts every later position: rebuild instead of patching.
+  if (dropped_any) Reindex();
+  return changed;
 }
 
 std::vector<const JoinConstraint*> Mkb::JoinConstraintsOf(

@@ -5,6 +5,8 @@
 #ifndef EVE_MKB_MKB_H_
 #define EVE_MKB_MKB_H_
 
+#include <bitset>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -14,6 +16,18 @@
 #include "mkb/constraints.h"
 
 namespace eve {
+
+// The four MISD segments an MKB renders as (RenderMkbSegments in
+// mkb/serializer.h), in rendering order.
+enum MkbSegment : size_t {
+  kRelationsSegment = 0,
+  kJoinsSegment = 1,
+  kFunctionsSegment = 2,
+  kPcsSegment = 3,
+};
+inline constexpr size_t kNumMkbSegments = 4;
+using MkbSegmentSet = std::bitset<kNumMkbSegments>;
+inline constexpr MkbSegmentSet kAllMkbSegments{0xF};
 
 class Mkb {
  public:
@@ -41,6 +55,24 @@ class Mkb {
   // withdrawing a previously published semantic relationship. NotFound if
   // no constraint carries the id.
   Status RemoveConstraint(const std::string& id);
+
+  // --- In-place evolution (EvolveMkb) ------------------------------------
+  enum class ConstraintEdit { kKept, kRewritten, kDropped };
+  // One edit per constraint kind; a missing edit keeps every constraint of
+  // its kind. An edit may rewrite the constraint it is handed (never its
+  // id) and says what it did.
+  struct ConstraintEdits {
+    std::function<ConstraintEdit(JoinConstraint*)> join;
+    std::function<ConstraintEdit(FunctionOfConstraint*)> function_of;
+    std::function<ConstraintEdit(PCConstraint*)> pc;
+  };
+  // Hands every constraint to the edit of its kind, kind by kind (joins,
+  // function-of, PC) in registration order, removes the dropped ones and
+  // keeps the lookup indexes in step. Nothing is re-validated: a rewritten
+  // constraint must stay valid against the catalog. Returns the segments
+  // (kJoinsSegment, kFunctionsSegment, kPcsSegment) whose constraints an
+  // edit rewrote or dropped.
+  MkbSegmentSet EditConstraints(const ConstraintEdits& edits);
 
   // --- Queries -----------------------------------------------------------
   const std::vector<JoinConstraint>& join_constraints() const {

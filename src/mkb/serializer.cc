@@ -1,7 +1,5 @@
 #include "mkb/serializer.h"
 
-#include <sstream>
-
 #include "common/failpoint.h"
 #include "common/str_util.h"
 #include "sql/lexer.h"
@@ -39,14 +37,13 @@ Result<SetRelation> SetRelationFromKeyword(std::string_view keyword) {
                             std::string(keyword));
 }
 
-void AppendAttrList(std::ostringstream* os,
-                    const std::vector<AttributeRef>& attrs) {
-  *os << "(";
+void AppendAttrList(std::string* out, const std::vector<AttributeRef>& attrs) {
+  *out += "(";
   for (size_t i = 0; i < attrs.size(); ++i) {
-    if (i > 0) *os << ", ";
-    *os << QuoteIdentifier(attrs[i].attribute);
+    if (i > 0) *out += ", ";
+    *out += QuoteIdentifier(attrs[i].attribute);
   }
-  *os << ")";
+  *out += ")";
 }
 
 // Token-cursor parser over the MISD statement stream. Expression payloads
@@ -290,85 +287,88 @@ class MisdParser {
 }  // namespace
 
 std::string RenderRelationMisd(const RelationDef& def) {
-  std::ostringstream os;
-  os << "SOURCE " << QuoteIdentifier(def.source) << " RELATION "
-     << QuoteIdentifier(def.name) << " (";
+  std::string out = "SOURCE " + QuoteIdentifier(def.source) + " RELATION " +
+                    QuoteIdentifier(def.name) + " (";
   for (size_t i = 0; i < def.schema.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << QuoteIdentifier(def.schema.attribute(i).name) << " "
-       << DataTypeToString(def.schema.attribute(i).type);
+    if (i > 0) out += ", ";
+    out += QuoteIdentifier(def.schema.attribute(i).name);
+    out += " ";
+    out += DataTypeToString(def.schema.attribute(i).type);
   }
-  os << ")";
+  out += ")";
   if (!def.ordered_by.empty()) {
-    os << " ORDER BY (";
+    out += " ORDER BY (";
     for (size_t i = 0; i < def.ordered_by.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << QuoteIdentifier(def.ordered_by[i]);
+      if (i > 0) out += ", ";
+      out += QuoteIdentifier(def.ordered_by[i]);
     }
-    os << ")";
+    out += ")";
   }
-  return os.str();
+  return out;
 }
 
-std::array<std::string, 4> RenderMkbSegments(const Mkb& mkb) {
-  std::array<std::string, 4> segments;
-  {
-    std::ostringstream os;
-    for (const std::string& name : mkb.catalog().RelationNames()) {
-      const RelationDef& def = *mkb.catalog().GetRelation(name).value();
-      os << RenderRelationMisd(def) << "\n";
-    }
-    segments[0] = os.str();
-  }
-  {
-    std::ostringstream os;
-    for (const JoinConstraint& jc : mkb.join_constraints()) {
-      os << "JOIN CONSTRAINT " << QuoteIdentifier(jc.id) << " BETWEEN "
-         << QuoteIdentifier(jc.lhs) << " AND " << QuoteIdentifier(jc.rhs)
-         << " WHERE ";
-      for (size_t i = 0; i < jc.clauses.size(); ++i) {
-        if (i > 0) os << " AND ";
-        os << PrintExpression(*jc.clauses[i]);
+std::string RenderMkbSegment(const Mkb& mkb, size_t segment) {
+  std::string out;
+  switch (segment) {
+    case kRelationsSegment:
+      for (const std::string& name : mkb.catalog().RelationNames()) {
+        out += RenderRelationMisd(*mkb.catalog().GetRelation(name).value());
+        out += "\n";
       }
-      os << "\n";
-    }
-    segments[1] = os.str();
-  }
-  {
-    std::ostringstream os;
-    for (const FunctionOfConstraint& fc : mkb.function_of_constraints()) {
-      os << "FUNCTION " << QuoteIdentifier(fc.id) << " "
-         << QuoteIdentifier(fc.target.relation) << "."
-         << QuoteIdentifier(fc.target.attribute) << " = "
-         << PrintExpression(*fc.fn) << "\n";
-    }
-    segments[2] = os.str();
-  }
-  {
-    std::ostringstream os;
-    for (const PCConstraint& pc : mkb.pc_constraints()) {
-      std::ostringstream line;
-      line << "PC " << QuoteIdentifier(pc.id) << " "
-           << QuoteIdentifier(pc.lhs_relation) << " ";
-      AppendAttrList(&line, pc.lhs_attrs);
-      if (pc.lhs_condition != nullptr) {
-        line << " WHERE (" << PrintExpression(*pc.lhs_condition) << ")";
+      break;
+    case kJoinsSegment:
+      for (const JoinConstraint& jc : mkb.join_constraints()) {
+        out += "JOIN CONSTRAINT " + QuoteIdentifier(jc.id) + " BETWEEN " +
+               QuoteIdentifier(jc.lhs) + " AND " + QuoteIdentifier(jc.rhs) +
+               " WHERE ";
+        for (size_t i = 0; i < jc.clauses.size(); ++i) {
+          if (i > 0) out += " AND ";
+          out += PrintExpression(*jc.clauses[i]);
+        }
+        out += "\n";
       }
-      line << " " << SetRelationKeyword(pc.relation) << " "
-           << QuoteIdentifier(pc.rhs_relation) << " ";
-      AppendAttrList(&line, pc.rhs_attrs);
-      if (pc.rhs_condition != nullptr) {
-        line << " WHERE (" << PrintExpression(*pc.rhs_condition) << ")";
+      break;
+    case kFunctionsSegment:
+      for (const FunctionOfConstraint& fc : mkb.function_of_constraints()) {
+        out += "FUNCTION " + QuoteIdentifier(fc.id) + " " +
+               QuoteIdentifier(fc.target.relation) + "." +
+               QuoteIdentifier(fc.target.attribute) + " = " +
+               PrintExpression(*fc.fn) + "\n";
       }
-      os << line.str() << "\n";
-    }
-    segments[3] = os.str();
+      break;
+    case kPcsSegment:
+      for (const PCConstraint& pc : mkb.pc_constraints()) {
+        out += "PC " + QuoteIdentifier(pc.id) + " " +
+               QuoteIdentifier(pc.lhs_relation) + " ";
+        AppendAttrList(&out, pc.lhs_attrs);
+        if (pc.lhs_condition != nullptr) {
+          out += " WHERE (" + PrintExpression(*pc.lhs_condition) + ")";
+        }
+        out += " ";
+        out += SetRelationKeyword(pc.relation);
+        out += " " + QuoteIdentifier(pc.rhs_relation) + " ";
+        AppendAttrList(&out, pc.rhs_attrs);
+        if (pc.rhs_condition != nullptr) {
+          out += " WHERE (" + PrintExpression(*pc.rhs_condition) + ")";
+        }
+        out += "\n";
+      }
+      break;
+  }
+  return out;
+}
+
+std::array<std::string, kNumMkbSegments> RenderMkbSegments(const Mkb& mkb) {
+  std::array<std::string, kNumMkbSegments> segments;
+  for (size_t i = 0; i < kNumMkbSegments; ++i) {
+    segments[i] = RenderMkbSegment(mkb, i);
   }
   return segments;
 }
 
 std::string SaveMkb(const Mkb& mkb) {
-  const std::array<std::string, 4> segments = RenderMkbSegments(mkb);
+  const std::array<std::string, kNumMkbSegments> segments =
+      RenderMkbSegments(mkb);
   std::string out = "-- MISD description (generated)\n";
   for (const std::string& segment : segments) out += segment;
   return out;

@@ -33,7 +33,9 @@ std::string SaveMkb(const Mkb& mkb);
 // Concatenating all four reparses to the same MKB; the version store
 // checksums and shares these segments individually so that a change
 // touching only one block reuses the other three byte-for-byte.
-std::array<std::string, 4> RenderMkbSegments(const Mkb& mkb);
+std::array<std::string, kNumMkbSegments> RenderMkbSegments(const Mkb& mkb);
+// One of the four blocks (`segment` < kNumMkbSegments).
+std::string RenderMkbSegment(const Mkb& mkb, size_t segment);
 
 // Renders one relation as its MISD SOURCE statement (no trailing newline).
 // Also used to encode add-relation capability changes in the change journal.

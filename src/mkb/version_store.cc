@@ -216,27 +216,28 @@ MkbVersionStore& MkbVersionStore::operator=(const MkbVersionStore& other) {
 }
 
 std::shared_ptr<MkbVersion> MkbVersionStore::BuildNode(
-    const MkbVersion* tip, const Mkb* mkb, ViewBucketBodies buckets,
-    std::string change) {
+    const MkbVersion* tip, const Mkb* mkb, MkbSegmentSet changed,
+    ViewBucketBodies buckets, std::string change) {
   auto node = std::make_shared<MkbVersion>();
   node->id = tip == nullptr ? 0 : tip->id + 1;
   node->parent = tip == nullptr ? 0 : tip->id;
   node->change = SanitizeChange(std::move(change));
   node->segments.reserve(kNumVersionSegments);
-  if (mkb == nullptr) {
-    // The MKB object is unchanged (view-pool-only commit): reuse the four
-    // MISD segments without re-rendering.
-    node->segments.assign(tip->segments.begin(),
-                          tip->segments.begin() + kNumMkbSegments);
-  } else {
-    std::array<std::string, kNumMkbSegments> rendered = RenderMkbSegments(*mkb);
-    for (size_t i = 0; i < kNumMkbSegments; ++i) {
-      if (tip != nullptr && tip->segments[i]->body == rendered[i]) {
-        node->segments.push_back(tip->segments[i]);
-      } else {
-        node->segments.push_back(
-            MakeSegment(kMkbSegmentNames[i], std::move(rendered[i])));
-      }
+  // A view-pool-only commit (same MKB object) re-renders no MISD segment;
+  // a v0 has no tip to share with and renders them all.
+  if (mkb == nullptr) changed.reset();
+  if (tip == nullptr) changed = kAllMkbSegments;
+  for (size_t i = 0; i < kNumMkbSegments; ++i) {
+    if (!changed[i]) {
+      node->segments.push_back(tip->segments[i]);
+      continue;
+    }
+    std::string rendered = RenderMkbSegment(*mkb, i);
+    if (tip != nullptr && tip->segments[i]->body == rendered) {
+      node->segments.push_back(tip->segments[i]);
+    } else {
+      node->segments.push_back(
+          MakeSegment(kMkbSegmentNames[i], std::move(rendered)));
     }
   }
   if (tip != nullptr) {
@@ -257,15 +258,17 @@ std::shared_ptr<MkbVersion> MkbVersionStore::BuildNode(
 
 void MkbVersionStore::Reset(std::shared_ptr<const Mkb> mkb,
                             std::string_view views_text, std::string change) {
-  std::shared_ptr<const MkbVersion> node = BuildNode(
-      nullptr, mkb.get(), BucketsOfText(views_text), std::move(change));
+  std::shared_ptr<const MkbVersion> node =
+      BuildNode(nullptr, mkb.get(), kAllMkbSegments, BucketsOfText(views_text),
+                std::move(change));
   std::lock_guard<std::mutex> lock(mu_);
   versions_.assign(1, std::move(node));
   tip_mkb_ = std::move(mkb);
 }
 
 uint64_t MkbVersionStore::Commit(std::shared_ptr<const Mkb> mkb,
-                                 ViewBucketBodies buckets, std::string change) {
+                                 ViewBucketBodies buckets, std::string change,
+                                 MkbSegmentSet changed) {
   std::shared_ptr<const MkbVersion> tip;
   bool same_mkb = false;
   {
@@ -275,8 +278,8 @@ uint64_t MkbVersionStore::Commit(std::shared_ptr<const Mkb> mkb,
   }
   // Rendering runs unlocked: readers pinning the tip never wait on it.
   std::shared_ptr<const MkbVersion> node =
-      BuildNode(tip.get(), same_mkb ? nullptr : mkb.get(), std::move(buckets),
-                std::move(change));
+      BuildNode(tip.get(), same_mkb ? nullptr : mkb.get(), changed,
+                std::move(buckets), std::move(change));
   const uint64_t id = node->id;
   std::lock_guard<std::mutex> lock(mu_);
   versions_.push_back(std::move(node));

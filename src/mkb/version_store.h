@@ -41,9 +41,8 @@ struct MkbVersionSegment {
   uint32_t crc = 0;  // Crc32(body)
 };
 
-// The four MISD segments (RELATIONS, JOINS, FUNCTIONS, PCS) lead every
-// version, in this order.
-inline constexpr size_t kNumMkbSegments = 4;
+// The four MISD segments (RELATIONS, JOINS, FUNCTIONS, PCS; kNumMkbSegments
+// in mkb/mkb.h) lead every version, in this order.
 
 // The VIEWS part of a version: view v's SaveViews block lives in bucket
 // ViewBucketOf(v), each bucket holding its blocks in name order. Fixed at
@@ -132,12 +131,16 @@ class MkbVersionStore {
 
   // Appends version NextId() rendering `mkb` and re-rendering only the
   // `buckets` handed in; every other bucket is the tip's, shared by
-  // pointer. Segments byte-identical to the tip's are shared, not copied;
-  // when `mkb` is pointer-identical to the tip's MKB the four MISD
-  // segments are reused without re-rendering. Returns the new version id.
+  // pointer. Of the MISD segments only the `changed` ones are rendered:
+  // the caller vouches that the others render as the tip's do (as
+  // MkbEvolutionReport::changed_segments does for an evolved tip MKB), so
+  // they are shared unrendered, and so are all four when `mkb` is
+  // pointer-identical to the tip's MKB. A rendered segment byte-identical
+  // to the tip's is shared, not copied. Returns the new version id.
   // Commits and resets must come from one thread at a time.
   uint64_t Commit(std::shared_ptr<const Mkb> mkb, ViewBucketBodies buckets,
-                  std::string change);
+                  std::string change,
+                  MkbSegmentSet changed = kAllMkbSegments);
   // The same from whole-pool SaveViews text: splits it into buckets and
   // shares every bucket that renders byte-identically to the tip's.
   uint64_t Commit(std::shared_ptr<const Mkb> mkb, std::string_view views_text,
@@ -187,11 +190,13 @@ class MkbVersionStore {
  private:
   static uint32_t VersionCrc(const MkbVersion& version);
   // Builds the node that follows `tip` (nullptr: a v0 with empty buckets):
-  // MISD segments rendered from `mkb` (nullptr: the tip's, shared), the
-  // `buckets` handed in, every other bucket shared with the tip. Runs
+  // the `changed` MISD segments rendered from `mkb` and the rest shared
+  // with the tip (all four when `mkb` is nullptr; a v0 renders all four),
+  // the `buckets` handed in, every other bucket shared with the tip. Runs
   // without the store mutex.
   static std::shared_ptr<MkbVersion> BuildNode(const MkbVersion* tip,
                                                const Mkb* mkb,
+                                               MkbSegmentSet changed,
                                                ViewBucketBodies buckets,
                                                std::string change);
   std::shared_ptr<const MkbVersion> NodeAt(uint64_t id) const;

@@ -1,30 +1,14 @@
 #include "net/protocol.h"
 
-#include <array>
 #include <cstring>
 
+#include "common/crc32.h"
 #include "common/status.h"
 
 namespace eve {
 namespace net {
 
 namespace {
-
-// Reflected CRC-32 table for polynomial 0xEDB88320, built once.
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-      }
-      t[i] = crc;
-    }
-    return t;
-  }();
-  return table;
-}
 
 void PutU32(std::string* out, uint32_t value) {
   out->push_back(static_cast<char>(value & 0xFF));
@@ -88,15 +72,6 @@ bool KnownType(uint8_t type) {
 }
 
 }  // namespace
-
-uint32_t Crc32(std::string_view data) {
-  const std::array<uint32_t, 256>& table = CrcTable();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (const char c : data) {
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<uint8_t>(c)) & 0xFF];
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 std::string EncodeFrame(FrameType type, std::string_view payload) {
   std::string frame;

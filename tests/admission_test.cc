@@ -413,24 +413,39 @@ TEST(AdmissionTest,
   EXPECT_FALSE(reference_stats.empty());
 }
 
-// A clock stuck at time zero that sleeps on every read: the cooperative
-// wall deadline never passes, and each safe-point check yields the CPU
-// long enough that a pending watchdog is guaranteed to get scheduled
-// while the sync is still running.
-class StallClock : public Clock {
+// A clock stuck at time zero, so the cooperative wall deadline never
+// passes. Its first read (the change's deadline, taken before the watchdog
+// starts) returns at once; every later read comes from a safe point of the
+// sync and parks until the change is cancelled. The search therefore
+// cannot finish before the watchdog fires, however late the watchdog
+// thread is scheduled. The wait gives up after a minute, which fails the
+// test instead of hanging it.
+class WatchdogGateClock : public Clock {
  public:
+  explicit WatchdogGateClock(const EveSystem* system) : system_(system) {}
+
   uint64_t NowMicros() const override {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (reads_.fetch_add(1) == 0) return 0;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!system_->SyncCancelled() &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
     return 0;
   }
+
+ private:
+  const EveSystem* system_;
+  mutable std::atomic<uint64_t> reads_{0};
 };
 
 TEST(AdmissionTest, WatchdogCancelsAnOverrunningSync) {
-  // The stalled virtual clock disables the cooperative deadline; the
-  // real-time watchdog is the only thing that can stop the search. With a
-  // 1us timeout it always beats the (slowed) fan enumeration.
-  StallClock clock;
+  // The stalled clock disables the cooperative deadline and holds the
+  // search at its first safe point; the real-time watchdog is the only
+  // thing that can stop it.
   EveSystem system = MakeFanSystem();
+  const WatchdogGateClock clock(&system);
   system.SetClockForTesting(&clock);
   system.SetSyncDeadlineMicros(1000000);
   system.SetSyncWatchdogMicros(1);
@@ -438,12 +453,12 @@ TEST(AdmissionTest, WatchdogCancelsAnOverrunningSync) {
       system.ApplyChange(CapabilityChange::DeleteRelation("R0"));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(system.last_sync_diagnostics().watchdog_cancels, 1u);
-  // If the cancel landed before the searches finished, the stop cause is
-  // kCancelled — never a spurious budget/deadline cause.
-  if (!system.last_sync_diagnostics().deadline_views.empty()) {
-    EXPECT_EQ(system.last_sync_stats().deadline.stop_cause,
-              StopCause::kCancelled);
-  }
+  // The cancel landed while the searches ran, so they stopped early, and
+  // the stop cause is kCancelled — never a spurious budget/deadline cause.
+  EXPECT_FALSE(system.last_sync_diagnostics().deadline_views.empty());
+  EXPECT_EQ(system.last_sync_stats().deadline.stop_cause,
+            StopCause::kCancelled);
+  EXPECT_FALSE(system.SyncCancelled());  // no sync in flight any more
 }
 
 TEST(AdmissionTest, CancelActiveSyncIsSafeWhenIdle) {

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "common/crc32.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/str_util.h"
@@ -130,6 +136,71 @@ TEST(StrUtilTest, Trim) {
   EXPECT_EQ(Trim("hi"), "hi");
   EXPECT_EQ(Trim("   "), "");
   EXPECT_EQ(Trim("\t\n x \r"), "x");
+}
+
+// The bytewise reflected CRC-32 (polynomial 0xEDB88320): the oracle the
+// slicing-by-8 Crc32 must match on every input.
+uint32_t BytewiseCrc32(const unsigned char* data, size_t size, uint32_t seed) {
+  uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownVectors) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(Crc32("a"), 0xE8B7BE43u);
+  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"), 0x414FA339u);
+}
+
+TEST(Crc32Test, SeedChainsAcrossSplits) {
+  const std::string text = "slicing-by-8 must chain like the bytewise loop";
+  const uint32_t whole = Crc32(text);
+  for (size_t split = 0; split <= text.size(); ++split) {
+    const std::string_view view(text);
+    EXPECT_EQ(Crc32(view.substr(split), Crc32(view.substr(0, split))), whole)
+        << "split at " << split;
+  }
+  // A seed is the CRC of everything before: empty input returns it.
+  EXPECT_EQ(Crc32(std::string_view(), whole), whole);
+}
+
+TEST(Crc32Test, EveryLengthAndAlignmentMatchesBytewise) {
+  std::vector<unsigned char> buffer(64 + 8);
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<unsigned char>(i * 37 + 11);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      const unsigned char* data = buffer.data() + offset;
+      for (const uint32_t seed : {0u, 0xDEADBEEFu}) {
+        EXPECT_EQ(Crc32(data, length, seed), BytewiseCrc32(data, length, seed))
+            << "offset " << offset << " length " << length << " seed "
+            << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, RandomBuffersMatchBytewise) {
+  std::mt19937_64 rng(20261018);
+  std::uniform_int_distribution<size_t> length(0, 30000);
+  std::uniform_int_distribution<int> byte(0, 255);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<unsigned char> buffer(length(rng) + 8);
+    for (unsigned char& b : buffer) b = static_cast<unsigned char>(byte(rng));
+    const size_t offset = static_cast<size_t>(round) % 8;
+    const size_t size = buffer.size() - 8;
+    const uint32_t seed = static_cast<uint32_t>(rng());
+    ASSERT_EQ(Crc32(buffer.data() + offset, size, seed),
+              BytewiseCrc32(buffer.data() + offset, size, seed))
+        << "round " << round << " size " << size;
+  }
 }
 
 }  // namespace

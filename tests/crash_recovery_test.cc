@@ -386,6 +386,105 @@ TEST_F(CrashRecoveryTest, CheckpointResetsJournalAndRecoveryStillAgrees) {
   EXPECT_TRUE(Snap(recovered.value()) == Snap(system));
 }
 
+// --- The one-fsync commit: kApplyChange + kVersionCommit in one write -----
+
+// Little-endian u32 at `offset` of `bytes` (the journal frame length).
+uint32_t FrameLength(const std::string& bytes, size_t offset) {
+  uint32_t value = 0;
+  for (int i = 3; i >= 0; --i) {
+    value = (value << 8) | static_cast<uint8_t>(bytes[offset + i]);
+  }
+  return value;
+}
+
+// A change that rewrites the base system's registered view.
+CapabilityChange CommitUnderTest() {
+  return CapabilityChange::RenameRelation("Customer", "Client");
+}
+
+TEST_F(CrashRecoveryTest, CommitWritesBothRecordsWithOneFsync) {
+  std::optional<Journal> journal;
+  EveSystem system = StartJournaledRun(&journal);
+  Failpoints::Instance().Reset();
+  ASSERT_TRUE(system.ApplyChange(CommitUnderTest()).ok());
+  EXPECT_EQ(Failpoints::Instance().HitCount(fp::kJournalAppendBeforeWrite), 1u);
+  EXPECT_EQ(Failpoints::Instance().HitCount(fp::kJournalAppendBeforeFsync), 1u);
+  const Result<JournalScan> scan = ReadJournal(journal_path_);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  ASSERT_EQ(scan.value().records.size(), 2u);
+  EXPECT_EQ(scan.value().records[0].kind, JournalRecordKind::kApplyChange);
+  EXPECT_EQ(scan.value().records[1].kind, JournalRecordKind::kVersionCommit);
+  EXPECT_EQ(scan.value().records[1].body,
+            std::to_string(system.current_version()));
+}
+
+TEST_F(CrashRecoveryTest, JournalCutInsideTheCommitRecoversToPreOrPost) {
+  std::optional<Journal> journal;
+  EveSystem system = StartJournaledRun(&journal);
+  const Snapshot pre = Snap(system);
+  const size_t pre_length = ReadFileToString(journal_path_).MoveValue().size();
+  ASSERT_TRUE(system.ApplyChange(CommitUnderTest()).ok());
+  const Snapshot post = Snap(system);
+  ASSERT_FALSE(post == pre);
+  const std::string bytes = ReadFileToString(journal_path_).MoveValue();
+  const size_t first_end = pre_length + 8 + FrameLength(bytes, pre_length);
+  ASSERT_LT(first_end, bytes.size());
+
+  const std::string cut_path = journal_path_ + ".cut";
+  for (size_t cut = pre_length + 1; cut < bytes.size(); ++cut) {
+    SCOPED_TRACE("journal cut at byte " + std::to_string(cut) + " of " +
+                 std::to_string(bytes.size()));
+    ASSERT_TRUE(AtomicWriteFile(cut_path, bytes.substr(0, cut)).ok());
+    RecoveryReport report;
+    const Result<EveSystem> recovered =
+        RecoverFromFiles(checkpoint_path_, cut_path, &report);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_TRUE(report.torn_tail || cut == first_end);
+    // Cut inside the first frame: the change never reached disk. From the
+    // end of the first frame on, the change replays; the torn (or missing)
+    // version marker is validation only.
+    const Snapshot& expected = cut < first_end ? pre : post;
+    EXPECT_TRUE(Snap(recovered.value()) == expected)
+        << (cut < first_end ? "expected the pre-state"
+                            : "expected the post-state");
+  }
+  std::remove(cut_path.c_str());
+}
+
+TEST_F(CrashRecoveryTest, ReportedCommitFailureKeepsNeitherRecord) {
+  for (const char* site :
+       {fp::kJournalAppendBeforeWrite, fp::kJournalAppendPartialWrite,
+        fp::kJournalAppendBeforeFsync}) {
+    SCOPED_TRACE(site);
+    std::optional<Journal> journal;
+    EveSystem system = StartJournaledRun(&journal);
+    const Snapshot pre = Snap(system);
+    const uint64_t pre_version = system.current_version();
+    const std::string pre_bytes = ReadFileToString(journal_path_).MoveValue();
+    Failpoints::Instance().Arm(site, FailpointAction::kError);
+    const Result<ChangeReport> failed = system.ApplyChange(CommitUnderTest());
+    Failpoints::Instance().Reset();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_NE(failed.status().message().find("failpoint"), std::string::npos)
+        << failed.status();
+    // The journal is cut back to its pre-commit length and memory holds the
+    // pre-state: no version, no log entry, no rewritten view.
+    EXPECT_EQ(ReadFileToString(journal_path_).MoveValue(), pre_bytes);
+    EXPECT_TRUE(Snap(system) == pre);
+    EXPECT_EQ(system.current_version(), pre_version);
+    const Result<EveSystem> recovered =
+        RecoverFromFiles(checkpoint_path_, journal_path_);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_TRUE(Snap(recovered.value()) == pre);
+    // The journal stays usable: the retry commits and recovers.
+    ASSERT_TRUE(system.ApplyChange(CommitUnderTest()).ok());
+    const Result<EveSystem> after_retry =
+        RecoverFromFiles(checkpoint_path_, journal_path_);
+    ASSERT_TRUE(after_retry.ok()) << after_retry.status();
+    EXPECT_TRUE(Snap(after_retry.value()) == Snap(system));
+  }
+}
+
 // Every site in the catalog is exercised by this suite: either it fires
 // during the script runs above, or a dedicated test covers it.
 TEST_F(CrashRecoveryTest, EveryKnownSiteIsExercised) {

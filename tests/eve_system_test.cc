@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "common/failpoint.h"
 #include "eve/eve_system.h"
+#include "eve/journal.h"
 #include "eve/view_pool_io.h"
+#include "federation/membership.h"
 #include "mkb/serializer.h"
+#include "workload/generator.h"
 #include "workload/travel_agency.h"
 
 namespace eve {
@@ -346,6 +356,278 @@ TEST_F(EveSystemTest, TransactionalBatchRollsBackOnFailure) {
   EXPECT_TRUE(system_->mkb().catalog().HasRelation("Customer"));
   EXPECT_EQ(system_->GetView("Rigid").value()->state, ViewState::kActive);
   EXPECT_EQ(system_->change_log().size(), log_before);
+}
+
+// --- Reports against the full-outcome-list renderer ------------------------
+
+// ChangeReport::ToString as it was when a report carried one kUnaffected
+// outcome per untouched active view: `outcomes` is that full list.
+std::string LegacyRender(const ChangeReport& report,
+                         const std::vector<ViewOutcome>& outcomes) {
+  std::ostringstream os;
+  os << "change: " << report.change.ToString() << "\n";
+  if (!report.dropped_constraints.empty()) {
+    os << "  dropped constraints:";
+    for (const std::string& id : report.dropped_constraints) os << " " << id;
+    os << "\n";
+  }
+  if (!report.weakened_constraints.empty()) {
+    os << "  weakened constraints:";
+    for (const std::string& id : report.weakened_constraints) os << " " << id;
+    os << "\n";
+  }
+  for (const ViewOutcome& outcome : outcomes) {
+    os << "  view " << outcome.view_name << ": ";
+    switch (outcome.kind) {
+      case ViewOutcomeKind::kUnaffected:
+        os << "unaffected";
+        break;
+      case ViewOutcomeKind::kRewritten:
+        os << "rewritten";
+        break;
+      case ViewOutcomeKind::kDisabled:
+        os << "DISABLED";
+        break;
+    }
+    if (!outcome.detail.empty()) os << " — " << outcome.detail;
+    if (!outcome.provisional_sources.empty()) {
+      os << " [provisional:";
+      for (const std::string& source : outcome.provisional_sources) {
+        os << " " << source;
+      }
+      os << "]";
+    }
+    os << "\n";
+  }
+  return os.str();
+}
+
+// Drives a seeded op stream and mirrors, for every change_log() entry, the
+// full outcome list the old reports carried (unaffected views first, then
+// the affected views' outcomes), computed from the pool before the change.
+class ReportStream {
+ public:
+  explicit ReportStream(EveSystem* system) : system_(system) {}
+
+  void set_system(EveSystem* system) { system_ = system; }
+
+  std::vector<std::string> ActiveViews() const {
+    std::vector<std::string> active;
+    for (const std::string& name : system_->ViewNames()) {
+      if (system_->GetView(name).value()->state == ViewState::kActive) {
+        active.push_back(name);
+      }
+    }
+    return active;
+  }
+
+  // The full outcome list of `report`, prepared against `active` with
+  // `affected` affected views.
+  static std::vector<ViewOutcome> FullOutcomes(
+      const std::vector<std::string>& active,
+      const std::vector<std::string>& affected, const ChangeReport& report) {
+    std::vector<ViewOutcome> full;
+    for (const std::string& name : active) {
+      if (!std::binary_search(affected.begin(), affected.end(), name)) {
+        full.push_back(ViewOutcome{name, ViewOutcomeKind::kUnaffected, "", {}});
+      }
+    }
+    full.insert(full.end(), report.outcomes.begin(), report.outcomes.end());
+    return full;
+  }
+
+  static void ExpectRendersAs(const ChangeReport& report,
+                              const std::vector<ViewOutcome>& full) {
+    EXPECT_EQ(report.ToString(), LegacyRender(report, full))
+        << report.change.ToString();
+    for (const ViewOutcomeKind kind :
+         {ViewOutcomeKind::kUnaffected, ViewOutcomeKind::kRewritten,
+          ViewOutcomeKind::kDisabled}) {
+      EXPECT_EQ(report.CountOutcome(kind),
+                static_cast<size_t>(std::count_if(
+                    full.begin(), full.end(),
+                    [&](const ViewOutcome& o) { return o.kind == kind; })))
+          << report.change.ToString();
+    }
+  }
+
+  // Applies `change`, which must succeed, and checks its report. Returns
+  // the report.
+  ChangeReport Apply(const CapabilityChange& change) {
+    const std::vector<std::string> active = ActiveViews();
+    const std::vector<std::string> affected = system_->AffectedViews(change);
+    // A dry run reports exactly what the commit will.
+    const Result<DryRunReport> dry = system_->DryRunChange(change);
+    EXPECT_TRUE(dry.ok()) << dry.status();
+    Result<ChangeReport> report = system_->ApplyChange(change);
+    EXPECT_TRUE(report.ok()) << change.ToString() << ": " << report.status();
+    if (!report.ok()) return ChangeReport();
+    // The report (and its log entry) holds exactly the affected outcomes.
+    std::vector<std::string> names;
+    for (const ViewOutcome& outcome : report.value().outcomes) {
+      names.push_back(outcome.view_name);
+      EXPECT_NE(outcome.kind, ViewOutcomeKind::kUnaffected);
+    }
+    EXPECT_EQ(names, affected) << change.ToString();
+    EXPECT_EQ(system_->change_log().back().outcomes.size(), affected.size());
+    const std::vector<ViewOutcome> full =
+        FullOutcomes(active, affected, report.value());
+    ExpectRendersAs(report.value(), full);
+    if (dry.ok()) ExpectRendersAs(dry.value().report, full);
+    log_.push_back(full);
+    ExpectLog();
+    return report.MoveValue();
+  }
+
+  // Every change_log() entry still renders as its mirrored full list.
+  void ExpectLog() const {
+    ASSERT_EQ(system_->change_log().size(), log_.size());
+    for (size_t i = 0; i < log_.size(); ++i) {
+      ExpectRendersAs(system_->change_log()[i], log_[i]);
+    }
+  }
+
+  std::vector<std::vector<ViewOutcome>>& log() { return log_; }
+
+ private:
+  EveSystem* system_;
+  std::vector<std::vector<ViewOutcome>> log_;
+};
+
+TEST(ReportTest, OpStreamMatchesTheFullOutcomeRenderer) {
+  ChainMkbSpec spec;
+  spec.length = 8;
+  spec.cover_distance = 1;
+  EveSystem system(MakeChainMkb(spec).MoveValue());
+  ViewPoolSpec pool_spec;
+  pool_spec.num_views = 60;
+  pool_spec.seed = 11;
+  const std::vector<ViewDefinition> pool =
+      MakeViewPool(system.mkb(), pool_spec).MoveValue();
+  ASSERT_TRUE(system.RegisterViewsBulk(pool).ok());
+  ViewDefinition extra = MakeChainView(system.mkb(), 6, 2).MoveValue();
+  extra.set_name("zz_extra");
+  ASSERT_TRUE(system.RegisterView(extra).ok());
+  ReportStream stream(&system);
+
+  // Renames disable nothing: consecutive reports share one active list.
+  const ChangeReport first =
+      stream.Apply(CapabilityChange::RenameAttribute("R5", "P5", "P5x"));
+  const ChangeReport second =
+      stream.Apply(CapabilityChange::RenameAttribute("R6", "P6", "P6x"));
+  ASSERT_NE(first.active_views, nullptr);
+  EXPECT_EQ(first.active_views.get(), second.active_views.get());
+  EXPECT_EQ(system.change_log()[0].active_views.get(),
+            system.change_log()[1].active_views.get());
+  EXPECT_EQ(first.active_views->size(), system.NumActiveViews());
+
+  // A state flip rebuilds the list; flipping back rebuilds it again. (The
+  // flipped view reads R1, which the renames in between leave alone.)
+  const std::string flipped = system.AffectedViews(
+      CapabilityChange::RenameAttribute("R1", "P1", "P1x")).front();
+  ASSERT_TRUE(system.SetViewState(flipped, ViewState::kDisabled).ok());
+  const ChangeReport after_disable =
+      stream.Apply(CapabilityChange::RenameAttribute("R5", "P5x", "P5"));
+  EXPECT_NE(after_disable.active_views.get(), second.active_views.get());
+  ASSERT_TRUE(system.SetViewState(flipped, ViewState::kActive).ok());
+  const ChangeReport after_enable =
+      stream.Apply(CapabilityChange::RenameAttribute("R6", "P6x", "P6"));
+  EXPECT_NE(after_enable.active_views.get(), after_disable.active_views.get());
+
+  // R7 has no cover: deleting it disables its views, and the next report
+  // is built on a fresh list without them.
+  const uint64_t before_delete = system.current_version();
+  const ChangeReport deleted =
+      stream.Apply(CapabilityChange::DeleteRelation("R7"));
+  ASSERT_GT(deleted.CountOutcome(ViewOutcomeKind::kDisabled), 0u);
+  const ChangeReport after_delete =
+      stream.Apply(CapabilityChange::RenameAttribute("R4", "P4", "P4x"));
+  EXPECT_NE(after_delete.active_views.get(), deleted.active_views.get());
+  EXPECT_EQ(after_delete.active_views->size(), system.NumActiveViews());
+
+  // Rollback re-enables the disabled views (the log keeps its entries).
+  const Result<uint64_t> rolled = system.RollbackToVersion(before_delete);
+  ASSERT_TRUE(rolled.ok()) << rolled.status();
+  stream.ExpectLog();
+  const ChangeReport after_rollback =
+      stream.Apply(CapabilityChange::RenameAttribute("R3", "P3", "P3x"));
+  EXPECT_EQ(after_rollback.active_views->size(), system.NumActiveViews());
+
+  // An aborted batch (its delete disables views first) restores the pool
+  // and the log.
+  const Result<std::vector<ChangeReport>> batch = system.ApplyChanges(
+      {CapabilityChange::DeleteRelation("R7"),
+       CapabilityChange::DeleteRelation("Nowhere")});
+  ASSERT_FALSE(batch.ok());
+  stream.ExpectLog();
+  stream.Apply(CapabilityChange::RenameAttribute("R3", "P3x", "P3"));
+
+  // An aborted source-leave cascade (IS7 exports R7) does the same.
+  Failpoints::Instance().Arm(fp::kSourceLeavesBeforeCommit,
+                             FailpointAction::kError);
+  ASSERT_FALSE(system.SourceLeaves("IS7").ok());
+  Failpoints::Instance().Reset();
+  stream.ExpectLog();
+  stream.Apply(CapabilityChange::RenameAttribute("R2", "P2", "P2x"));
+
+  // Heal un-marking: R3's cover lives on R4 (IS4). With IS4 degraded the
+  // rewritings of R3's views are provisional; healing IS4 clears the
+  // marks in the logged outcomes too.
+  const federation::SourceMembership degraded = federation::OnProbeFailure(
+      federation::MakeHealthy({}, 0), "IS4", 10);
+  ASSERT_TRUE(system.SetSourceMembership("IS4", degraded).ok());
+  const ChangeReport provisional =
+      stream.Apply(CapabilityChange::DeleteRelation("R3"));
+  ASSERT_NE(provisional.ToString().find("[provisional: IS4]"),
+            std::string::npos);
+  ASSERT_TRUE(system
+                  .SetSourceMembership(
+                      "IS4", federation::OnProbeSuccess(degraded, "IS4", 20))
+                  .ok());
+  for (ViewOutcome& outcome : stream.log().back()) {
+    outcome.provisional_sources.clear();
+  }
+  stream.ExpectLog();
+  EXPECT_EQ(system.change_log().back().ToString().find("provisional"),
+            std::string::npos);
+
+  // A checkpoint reload keeps only the changes of the log; reports made
+  // after it list the same views as the original system's.
+  Result<EveSystem> reloaded = LoadCheckpoint(RenderCheckpoint(system));
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EveSystem copy = reloaded.MoveValue();
+  stream.set_system(&copy);
+  for (std::vector<ViewOutcome>& full : stream.log()) full.clear();
+  stream.ExpectLog();
+  const ChangeReport reloaded_report =
+      stream.Apply(CapabilityChange::RenameAttribute("R5", "P5", "P5y"));
+  const ChangeReport original_report =
+      system.ApplyChange(CapabilityChange::RenameAttribute("R5", "P5", "P5y"))
+          .value();
+  EXPECT_EQ(reloaded_report.ToString(), original_report.ToString());
+}
+
+TEST(ReportTest, UnaffectedListingOffKeepsOnlyTheOutcomes) {
+  ChainMkbSpec spec;
+  spec.length = 6;
+  EveSystem system(MakeChainMkb(spec).MoveValue());
+  ViewPoolSpec pool_spec;
+  pool_spec.num_views = 20;
+  ASSERT_TRUE(system
+                  .RegisterViewsBulk(
+                      MakeViewPool(system.mkb(), pool_spec).MoveValue())
+                  .ok());
+  system.SetReportUnaffected(false);
+  const CapabilityChange change =
+      CapabilityChange::RenameAttribute("R1", "P1", "P1x");
+  const std::vector<std::string> affected = system.AffectedViews(change);
+  ASSERT_FALSE(affected.empty());
+  const ChangeReport report = system.ApplyChange(change).value();
+  EXPECT_EQ(report.active_views, nullptr);
+  EXPECT_EQ(report.CountOutcome(ViewOutcomeKind::kUnaffected), 0u);
+  EXPECT_EQ(report.ToString(),
+            LegacyRender(report, ReportStream::FullOutcomes(
+                                     affected, affected, report)));
 }
 
 }  // namespace

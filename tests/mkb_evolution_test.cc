@@ -1,9 +1,16 @@
 #include <algorithm>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "eve/eve_system.h"
+#include "legacy_mkb_evolution.h"
 #include "mkb/builder.h"
 #include "mkb/evolution.h"
+#include "mkb/serializer.h"
 #include "workload/travel_agency.h"
 
 namespace eve {
@@ -180,6 +187,297 @@ TEST(CapabilityChangeTest, ToStringForms) {
   EXPECT_EQ(
       CapabilityChange::AddAttribute("R", {"x", DataType::kInt}).ToString(),
       "add-attribute R.x");
+}
+
+// --- In-place evolution vs. the re-add-and-revalidate oracle ---------------
+
+// A seeded random MKB: a chain of relations with skip edges, multi-clause
+// and single-side JC clauses, covers (function-of constraints, identity
+// and arithmetic), PC constraints with conditions, and names that need
+// quoting ("R-2", "Pay-2").
+struct RandomMkb {
+  Mkb mkb;
+  std::vector<std::string> relations;
+};
+
+std::string RelName(size_t i) {
+  return i % 3 == 2 ? "R-" + std::to_string(i) : "R" + std::to_string(i);
+}
+std::string PayName(size_t i) {
+  return i % 2 == 0 ? "Pay-" + std::to_string(i) : "P" + std::to_string(i);
+}
+
+RandomMkb MakeRandomMkb(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto coin = [&rng](double p) {
+    return std::uniform_real_distribution<double>(0, 1)(rng) < p;
+  };
+  RandomMkb out;
+  const size_t n = 4 + rng() % 4;
+  for (size_t i = 0; i < n; ++i) {
+    RelationDef def;
+    def.source = "IS" + std::to_string(i % 3);
+    def.name = RelName(i);
+    std::vector<AttributeDef> attrs = {
+        {"K", DataType::kInt},
+        {PayName(i), DataType::kString},
+        {"X" + std::to_string(i), DataType::kInt},
+        {"C" + std::to_string(i), DataType::kString}};
+    def.schema = Schema(std::move(attrs));
+    if (coin(0.5)) def.ordered_by = {"K"};
+    EXPECT_TRUE(out.mkb.AddRelation(def).ok());
+    out.relations.push_back(def.name);
+  }
+  const auto ref = [](size_t r, const std::string& attr) {
+    return AttributeRef{RelName(r), attr};
+  };
+  const auto x = [&](size_t r) { return ref(r, "X" + std::to_string(r)); };
+  size_t jc = 0;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    for (const size_t j : {i + 1, i + 2}) {
+      if (j >= n || (j == i + 2 && !coin(0.6))) continue;
+      JoinConstraint c;
+      c.id = (jc % 4 == 3 ? "JC-" : "JC") + std::to_string(jc);
+      ++jc;
+      c.lhs = RelName(i);
+      c.rhs = RelName(j);
+      c.clauses.push_back(Expr::ColumnsEqual(ref(i, "K"), ref(j, "K")));
+      if (coin(0.5)) c.clauses.push_back(Expr::ColumnsEqual(x(i), x(j)));
+      if (coin(0.4)) {
+        c.clauses.push_back(Expr::Binary(BinaryOp::kGt, Expr::Column(x(i)),
+                                         Expr::Lit(Value::Int(3))));
+      }
+      EXPECT_TRUE(out.mkb.AddJoinConstraint(std::move(c)).ok());
+    }
+  }
+  size_t fc = 0;
+  size_t pc = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (!coin(0.7)) continue;
+    const size_t target = (i + 1 + rng() % (n - 1)) % n;  // never i
+    FunctionOfConstraint f;
+    f.id = "F" + std::to_string(fc++);
+    f.target = ref(target, "C" + std::to_string(target));
+    f.source = ref(i, PayName(i));
+    f.fn = Expr::Column(f.source);
+    EXPECT_TRUE(out.mkb.AddFunctionOf(f).ok());
+    if (coin(0.5)) {
+      FunctionOfConstraint g;
+      g.id = "F" + std::to_string(fc++);
+      g.target = ref(target, "X" + std::to_string(target));
+      g.source = x(i);
+      g.fn = Expr::Binary(BinaryOp::kAdd, Expr::Column(g.source),
+                          Expr::Lit(Value::Int(1)));
+      EXPECT_TRUE(out.mkb.AddFunctionOf(g).ok());
+    }
+    if (coin(0.8)) {
+      PCConstraint p;
+      p.id = (pc % 3 == 1 ? "PC-" : "PC") + std::to_string(pc);
+      ++pc;
+      p.lhs_relation = RelName(target);
+      p.rhs_relation = RelName(i);
+      p.lhs_attrs = {f.target};
+      p.rhs_attrs = {f.source};
+      if (coin(0.5)) {
+        p.lhs_attrs.push_back(ref(target, "K"));
+        p.rhs_attrs.push_back(ref(i, "K"));
+      }
+      if (coin(0.4)) {
+        p.lhs_condition = Expr::Binary(BinaryOp::kLt, Expr::Column(x(target)),
+                                       Expr::Lit(Value::Int(9)));
+      }
+      if (coin(0.4)) {
+        p.rhs_condition = Expr::Binary(BinaryOp::kGe, Expr::Column(x(i)),
+                                       Expr::Lit(Value::Int(2)));
+      }
+      p.relation = coin(0.5) ? SetRelation::kSuperset : SetRelation::kEqual;
+      EXPECT_TRUE(out.mkb.AddPCConstraint(std::move(p)).ok());
+    }
+  }
+  return out;
+}
+
+// Every change kind against every relation and attribute, plus changes
+// that must fail (unknown names, clashing names).
+std::vector<CapabilityChange> AllChanges(const Mkb& mkb) {
+  std::vector<CapabilityChange> changes;
+  const std::vector<std::string> relations = mkb.catalog().RelationNames();
+  for (const std::string& rel : relations) {
+    changes.push_back(CapabilityChange::DeleteRelation(rel));
+    changes.push_back(CapabilityChange::RenameRelation(rel, "New-" + rel));
+    changes.push_back(CapabilityChange::RenameRelation(rel, relations.front()));
+    changes.push_back(
+        CapabilityChange::AddAttribute(rel, {"Extra", DataType::kInt}));
+    changes.push_back(
+        CapabilityChange::AddAttribute(rel, {"K", DataType::kInt}));
+    changes.push_back(CapabilityChange::DeleteAttribute(rel, "Missing"));
+    changes.push_back(CapabilityChange::RenameAttribute(rel, "Missing", "M2"));
+    const RelationDef& def = *mkb.catalog().GetRelation(rel).value();
+    for (const AttributeDef& attr : def.schema.attributes()) {
+      changes.push_back(CapabilityChange::DeleteAttribute(rel, attr.name));
+      changes.push_back(
+          CapabilityChange::RenameAttribute(rel, attr.name, attr.name + "x"));
+      changes.push_back(CapabilityChange::RenameAttribute(rel, attr.name, "K"));
+    }
+  }
+  RelationDef fresh;
+  fresh.source = "IS9";
+  fresh.name = "Fresh-Rel";
+  fresh.schema = Schema({{"K", DataType::kInt}, {"Z", DataType::kString}});
+  changes.push_back(CapabilityChange::AddRelation(fresh));
+  RelationDef clash = fresh;
+  clash.name = relations.front();
+  changes.push_back(CapabilityChange::AddRelation(clash));
+  changes.push_back(CapabilityChange::DeleteRelation("Nowhere"));
+  changes.push_back(CapabilityChange::RenameRelation("Nowhere", "Elsewhere"));
+  return changes;
+}
+
+// Every index lookup over every relation, pair and attribute of `mkb`'s
+// catalog, by constraint id in result order.
+std::string IndexFingerprint(const Mkb& mkb) {
+  std::ostringstream os;
+  const std::vector<std::string> relations = mkb.catalog().RelationNames();
+  for (const std::string& a : relations) {
+    os << "of " << a << ":";
+    for (const JoinConstraint* jc : mkb.JoinConstraintsOf(a)) {
+      os << " " << jc->id;
+    }
+    os << "\n";
+    for (const std::string& b : relations) {
+      os << a << "~" << b << ":";
+      for (const JoinConstraint* jc : mkb.JoinConstraintsBetween(a, b)) {
+        os << " " << jc->id;
+      }
+      for (const PCConstraint* pc : mkb.PCConstraintsBetween(a, b)) {
+        os << " " << pc->id;
+      }
+      os << "\n";
+    }
+    for (const AttributeDef& attr :
+         mkb.catalog().GetRelation(a).value()->schema.attributes()) {
+      os << "covers " << a << "." << attr.name << ":";
+      for (const FunctionOfConstraint* fc : mkb.CoversOf({a, attr.name})) {
+        os << " " << fc->id;
+      }
+      os << "\n";
+    }
+  }
+  for (const JoinConstraint& jc : mkb.join_constraints()) {
+    os << "get " << jc.id << " " << mkb.GetJoinConstraint(jc.id).ok() << "\n";
+  }
+  for (const FunctionOfConstraint& fc : mkb.function_of_constraints()) {
+    os << "get " << fc.id << " " << mkb.GetFunctionOf(fc.id).ok() << "\n";
+  }
+  return os.str();
+}
+
+TEST(EvolutionDifferentialTest, MatchesTheReAddOracleOnRandomMkbs) {
+  size_t compared = 0;
+  size_t failed = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const RandomMkb random = MakeRandomMkb(seed);
+    const std::array<std::string, kNumMkbSegments> before =
+        RenderMkbSegments(random.mkb);
+    for (const CapabilityChange& change : AllChanges(random.mkb)) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ": " + change.ToString());
+      const Result<MkbEvolutionReport> evolved = EvolveMkb(random.mkb, change);
+      const Result<MkbEvolutionReport> oracle =
+          legacy::EvolveMkbByCopy(random.mkb, change);
+      ++compared;
+      ASSERT_EQ(evolved.status(), oracle.status());
+      if (!oracle.ok()) {
+        ++failed;
+        continue;
+      }
+      const MkbEvolutionReport& got = evolved.value();
+      const MkbEvolutionReport& want = oracle.value();
+      EXPECT_EQ(SaveMkb(got.mkb), SaveMkb(want.mkb));
+      EXPECT_EQ(got.dropped_constraints, want.dropped_constraints);
+      EXPECT_EQ(got.weakened_constraints, want.weakened_constraints);
+      EXPECT_EQ(IndexFingerprint(got.mkb), IndexFingerprint(want.mkb));
+      const std::array<std::string, kNumMkbSegments> after =
+          RenderMkbSegments(got.mkb);
+      for (size_t i = 0; i < kNumMkbSegments; ++i) {
+        if (after[i] != before[i]) {
+          EXPECT_TRUE(got.changed_segments[i])
+              << "segment " << i << " changed but is not flagged";
+        }
+      }
+      // The evolved MKB keeps evolving like the oracle's (indexes intact).
+      const CapabilityChange follow_up = CapabilityChange::RenameAttribute(
+          random.relations.back(), "K", "K2");
+      const Result<MkbEvolutionReport> next = EvolveMkb(got.mkb, follow_up);
+      const Result<MkbEvolutionReport> next_oracle =
+          legacy::EvolveMkbByCopy(want.mkb, follow_up);
+      ASSERT_EQ(next.status(), next_oracle.status());
+      if (next.ok()) {
+        EXPECT_EQ(SaveMkb(next.value().mkb), SaveMkb(next_oracle.value().mkb));
+        EXPECT_EQ(IndexFingerprint(next.value().mkb),
+                  IndexFingerprint(next_oracle.value().mkb));
+      }
+    }
+  }
+  // Both outcomes are exercised in bulk.
+  EXPECT_GT(compared, 1000u);
+  EXPECT_GT(failed, 200u);
+  EXPECT_LT(failed, compared / 2);
+}
+
+TEST(EvolutionDifferentialTest, RenameFlagsExactlyTheSegmentsItTouches) {
+  // A rename to a new name changes the text of every constraint it
+  // rewrites, so its flags are exact, not just a superset.
+  const RandomMkb random = MakeRandomMkb(3);
+  const Mkb& mkb = random.mkb;
+  size_t renames = 0;
+  for (const CapabilityChange& change : AllChanges(mkb)) {
+    if (change.kind != CapabilityChange::Kind::kRenameAttribute ||
+        change.new_name == change.attribute) {
+      continue;
+    }
+    const Result<MkbEvolutionReport> evolved = EvolveMkb(mkb, change);
+    if (!evolved.ok()) continue;
+    const std::array<std::string, kNumMkbSegments> before =
+        RenderMkbSegments(mkb);
+    const std::array<std::string, kNumMkbSegments> after =
+        RenderMkbSegments(evolved.value().mkb);
+    for (size_t i = 0; i < kNumMkbSegments; ++i) {
+      EXPECT_EQ(evolved.value().changed_segments[i], after[i] != before[i])
+          << change.ToString() << " segment " << i;
+    }
+    ++renames;
+  }
+  EXPECT_GT(renames, 10u);
+}
+
+TEST(EvolutionDifferentialTest, VersionChainScrubsCleanAfterEveryCommit) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    RandomMkb random = MakeRandomMkb(100 + seed);
+    EveSystem system(random.mkb);
+    std::mt19937_64 rng(seed);
+    size_t applied = 0;
+    for (int step = 0; step < 60; ++step) {
+      const std::vector<CapabilityChange> changes =
+          AllChanges(system.mkb());
+      const CapabilityChange& change = changes[rng() % changes.size()];
+      // Deletes shrink the MKB; keep most of the stream to renames so it
+      // stays long.
+      if ((change.kind == CapabilityChange::Kind::kDeleteRelation ||
+           change.kind == CapabilityChange::Kind::kDeleteAttribute) &&
+          rng() % 4 != 0) {
+        continue;
+      }
+      if (system.ApplyChange(change).ok()) ++applied;
+      const VersionScrubStats scrub = system.ScrubVersions();
+      ASSERT_EQ(scrub.corruptions, 0u)
+          << "seed " << seed << " after " << change.ToString() << "\n"
+          << scrub.ToString();
+      ASSERT_EQ(SaveMkb(system.mkb()),
+                SaveMkb(system.PinTip().mkb != nullptr ? *system.PinTip().mkb
+                                                       : Mkb()));
+    }
+    EXPECT_GT(applied, 10u) << "seed " << seed;
+  }
 }
 
 }  // namespace

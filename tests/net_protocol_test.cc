@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "net/protocol.h"
 
 namespace eve {
@@ -25,7 +26,8 @@ std::string Corrupt(std::string frame, size_t at) {
 // --- CRC --------------------------------------------------------------------
 
 TEST(Crc32Test, MatchesKnownVectors) {
-  // The IEEE CRC-32 check value for "123456789".
+  // Frames checksum with eve::Crc32 (common/crc32.h). The IEEE CRC-32
+  // check value for "123456789".
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
   // Sensitivity: one flipped bit changes the CRC.
