@@ -1,6 +1,7 @@
 // One EveSystem with full snapshots on the disjoint rename stream: ms per
 // commit on a 16,512-view pool (with and without the report text eved
-// sends), bulk registration in views per second, and pinned-read latency
+// sends), bulk registration in views per second, µs per registration on
+// the LOAD VIEWS path (one version per view), and pinned-read latency
 // (p50/p99) while a writer commits continuously.
 //
 // Each change in the stream renames the payload attribute of one of 16
@@ -177,6 +178,42 @@ void BM_BulkRegistration(benchmark::State& state) {
   state.counters["views"] = static_cast<double>(pool.size());
 }
 BENCHMARK(BM_BulkRegistration)->Unit(benchmark::kMillisecond);
+
+// The LOAD VIEWS path: LoadViews registers the views of SaveViews text
+// one at a time, and each registration commits a version of its own, so a
+// 1,024-view load commits 1,024 versions. The time is the whole load;
+// us_per_view is the time per registration (parse, bind, render the
+// view's bucket, commit the version).
+void BM_RegisterViewsOneByOne(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const Mkb mkb = BenchMkb();
+  const size_t views = static_cast<size_t>(state.range(0));
+  const std::string text =
+      SaveViews(*FreshSystem(mkb, StreamPool(views - kHotRels * kHotViews)));
+  double load_us = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto system = std::make_unique<EveSystem>(mkb);
+    system->SetReportUnaffected(false);
+    state.ResumeTiming();
+    const Clock::time_point t0 = Clock::now();
+    const Status loaded = LoadViews(text, system.get());
+    load_us += std::chrono::duration<double, std::micro>(Clock::now() - t0)
+                   .count();
+    state.PauseTiming();
+    if (!loaded.ok() || system->current_version() != views) {
+      std::cerr << "LoadViews failed: " << loaded << "\n";
+      std::abort();
+    }
+    system.reset();
+    state.ResumeTiming();
+  }
+  state.counters["views"] = static_cast<double>(views);
+  state.counters["us_per_view"] =
+      load_us / static_cast<double>(state.iterations()) /
+      static_cast<double>(views);
+}
+BENCHMARK(BM_RegisterViewsOneByOne)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 // ApplyChange on the 16,512-view pool, full snapshots: the time per
 // iteration is ms per commit; items/s = commits per second. With

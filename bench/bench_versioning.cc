@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "eve/eve_system.h"
 #include "mkb/capability_change.h"
@@ -105,14 +107,28 @@ void BM_DryRunThenCommit(benchmark::State& state) {
 }
 BENCHMARK(BM_DryRunThenCommit);
 
+// The version nodes' own tables: every node, plus every distinct bucket
+// chunk the nodes point at (a commit copies only the chunks it changed).
+uint64_t TableBytes(const MkbVersionStore& store) {
+  const std::vector<std::shared_ptr<const MkbVersion>> versions =
+      store.Versions();
+  std::unordered_set<const MkbBucketChunk*> chunks;
+  for (const auto& version : versions) {
+    for (const auto& chunk : version->chunks) chunks.insert(chunk.get());
+  }
+  return chunks.size() * sizeof(MkbBucketChunk) +
+         versions.size() * sizeof(MkbVersion);
+}
+
 // COW amplification across a long chain of view-pool-only commits (the
 // slowly-evolving-MKB regime): each version re-renders one segment and
 // shares the other four. Reports retained vs logical bytes and the
 // amplification ratio logical/retained — the factor full snapshots would
-// have cost.
+// have cost — and table_bytes, what the version nodes' tables hold.
 void BM_CowMemoryAmplification(benchmark::State& state) {
   const size_t versions = static_cast<size_t>(state.range(0));
   VersionByteStats bytes;
+  uint64_t table_bytes = 0;
   for (auto _ : state) {
     EveSystem system = FreshSystem();
     for (size_t i = 0; i < versions; ++i) {
@@ -123,11 +139,13 @@ void BM_CowMemoryAmplification(benchmark::State& state) {
       }
     }
     bytes = system.versions().ByteStats();
+    table_bytes = TableBytes(system.versions());
     benchmark::DoNotOptimize(bytes);
   }
   state.counters["versions"] = static_cast<double>(versions);
   state.counters["retained_bytes"] = static_cast<double>(bytes.retained_bytes);
   state.counters["logical_bytes"] = static_cast<double>(bytes.logical_bytes);
+  state.counters["table_bytes"] = static_cast<double>(table_bytes);
   state.counters["amplification"] =
       bytes.retained_bytes > 0
           ? static_cast<double>(bytes.logical_bytes) /

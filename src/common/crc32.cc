@@ -7,6 +7,8 @@ namespace eve {
 
 namespace {
 
+constexpr uint32_t kPolynomial = 0xEDB88320u;
+
 // Slicing-by-8 tables: kTables[0] is the classic bytewise table, and
 // kTables[k][i] is the CRC of byte i followed by k zero bytes, so eight
 // lookups advance the CRC over eight input bytes at once.
@@ -17,7 +19,7 @@ Crc32Tables BuildTables() {
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      c = (c & 1) ? (kPolynomial ^ (c >> 1)) : (c >> 1);
     }
     tables[0][i] = c;
   }
@@ -28,6 +30,32 @@ Crc32Tables BuildTables() {
     }
   }
   return tables;
+}
+
+// a(x) * b(x) modulo the CRC polynomial, in the CRC's reflected bit order
+// (bit 31 holds x^0).
+uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1) != 0 ? (b >> 1) ^ kPolynomial : b >> 1;
+  }
+  return product;
+}
+
+// kPowers[k] = x^(2^k) modulo the polynomial; x^n is the product of the
+// entries for the set bits of n. x^(2^32) = x modulo this polynomial, so
+// the table repeats after 32 entries.
+using PowerTable = std::array<uint32_t, 32>;
+
+PowerTable BuildPowers() {
+  PowerTable powers{};
+  uint32_t p = 1u << 30;  // x^1
+  for (uint32_t& power : powers) {
+    power = p;
+    p = MultModP(p, p);
+  }
+  return powers;
 }
 
 // Little-endian load of four bytes, independent of host byte order.
@@ -54,6 +82,19 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
     crc = kTables[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+Crc32Combiner::Crc32Combiner(size_t size_b) : shift_(1u << 31) {
+  static const PowerTable kPowers = BuildPowers();
+  // x^(8 size_b): the bits of size_b, starting at x^8 = x^(2^3).
+  uint64_t n = size_b;
+  for (size_t k = 3; n != 0; n >>= 1, ++k) {
+    if ((n & 1) != 0) shift_ = MultModP(kPowers[k % kPowers.size()], shift_);
+  }
+}
+
+uint32_t Crc32Combiner::Combine(uint32_t crc_a, uint32_t crc_b) const {
+  return MultModP(shift_, crc_a) ^ crc_b;
 }
 
 }  // namespace eve

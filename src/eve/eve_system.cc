@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -433,12 +434,27 @@ Status EveSystem::SetViewState(const std::string& name, ViewState state) {
   if (it == views_.end()) {
     return Status::NotFound("view not registered: " + name);
   }
+  // Re-enabling re-validates against the current MKB, as registration
+  // does: a view disabled across a change to a capability it reads stays
+  // disabled rather than coming back with a dead reference.
+  std::optional<ViewDefinition> rebound;
+  if (state == ViewState::kActive) {
+    EVE_ASSIGN_OR_RETURN(
+        rebound, BindView(it->second.definition.ToParsedView(),
+                          mkb().catalog()));
+  }
   EVE_RETURN_IF_ERROR(
       JournalAppend({JournalRecordKind::kSetViewState,
                      std::string(state == ViewState::kActive ? "active"
                                                              : "disabled") +
                          "\n" + name}));
-  MutableView(name).state = state;
+  RegisteredView& view = MutableView(name);
+  view.state = state;
+  if (rebound.has_value()) {
+    UnindexView(name, view.definition);
+    view.definition = std::move(*rebound);
+    IndexView(name, view.definition);
+  }
   InvalidateActiveViews();
   CommitVersion("set view state " + name);
   return Status::OK();
@@ -957,11 +973,12 @@ VersionScrubStats EveSystem::ScrubVersions() const {
   }
   // The live MKB must re-render byte-identically to the tip version's MISD
   // segments — catches a tip pointer / version chain split-brain.
-  const std::array<std::string, 4> live = RenderMkbSegments(*mkb_tip_);
+  const std::array<std::string, kNumMkbSegments> live =
+      RenderMkbSegments(*mkb_tip_);
   const PinnedMkb tip = versions_.Tip();
-  if (tip.version != nullptr && tip.version->segments.size() >= live.size()) {
+  if (tip.version != nullptr) {
     for (size_t i = 0; i < live.size(); ++i) {
-      const auto& segment = tip.version->segments[i];
+      const auto& segment = tip.version->misd[i];
       if (segment != nullptr && segment->body != live[i]) {
         ++stats.corruptions;
         stats.findings.push_back("live MKB diverges from tip version " +

@@ -271,7 +271,11 @@ class EveSystem {
   Result<const RegisteredView*> GetView(const std::string& name) const;
 
   // Flags a registered view (used by view-pool persistence and operators
-  // manually disabling a view).
+  // manually disabling a view). Re-enabling binds the definition against
+  // the current MKB first, as RegisterView does; if it no longer binds
+  // (a capability it reads changed while it was disabled), returns the
+  // binder's error, journals and commits nothing, and the view stays
+  // disabled.
   Status SetViewState(const std::string& name, ViewState state);
   std::vector<std::string> ViewNames() const;
   size_t NumViews() const { return views_.size(); }

@@ -32,8 +32,11 @@ std::string SanitizeChange(std::string change) {
   return change;
 }
 
-std::shared_ptr<const MkbVersionSegment> MakeSegment(const char* name,
-                                                     std::string body) {
+using SegmentPtr = std::shared_ptr<const MkbVersionSegment>;
+using BucketChunks =
+    std::array<std::shared_ptr<const MkbBucketChunk>, kBucketChunks>;
+
+SegmentPtr MakeSegment(const char* name, std::string body) {
   auto segment = std::make_shared<MkbVersionSegment>();
   segment->name = name;
   segment->crc = Crc32(body);
@@ -43,16 +46,90 @@ std::shared_ptr<const MkbVersionSegment> MakeSegment(const char* name,
 
 // Every empty bucket of every version is this one segment, so a small pool
 // costs one pointer per empty bucket and the VERSIONS section writes it once.
-const std::shared_ptr<const MkbVersionSegment>& EmptyViewBucket() {
-  static const std::shared_ptr<const MkbVersionSegment> kEmpty =
-      MakeSegment(kViewBucketSegmentName, "");
+const SegmentPtr& EmptyViewBucket() {
+  static const SegmentPtr kEmpty = MakeSegment(kViewBucketSegmentName, "");
   return kEmpty;
 }
 
-std::shared_ptr<const MkbVersionSegment> MakeViewBucket(std::string body) {
+SegmentPtr MakeViewBucket(std::string body) {
   if (body.empty()) return EmptyViewBucket();
   return MakeSegment(kViewBucketSegmentName, std::move(body));
 }
+
+// Folds one segment's (name, crc) pair into a running version CRC.
+uint32_t PairCrc(const MkbVersionSegment& segment, uint32_t crc) {
+  crc = Crc32(segment.name, crc);
+  return Crc32(&segment.crc, sizeof(segment.crc), crc);
+}
+
+// The length of a chunk's pair run. Every bucket is named VIEWS: buckets
+// are built by MakeViewBucket, and Deserialize rejects any other name.
+constexpr size_t kChunkRunBytes =
+    kChunkBuckets *
+    (sizeof(kViewBucketSegmentName) - 1 + sizeof(MkbVersionSegment::crc));
+
+// The CRC of the chunk's pair run, checksummed in one call: 64 calls on
+// 5 and 4 bytes cost several times more.
+uint32_t ChunkCrc(const MkbBucketChunk& chunk) {
+  std::string run;
+  run.reserve(kChunkRunBytes);
+  for (const SegmentPtr& bucket : chunk.buckets) {
+    run += bucket->name;
+    run.append(reinterpret_cast<const char*>(&bucket->crc),
+               sizeof(bucket->crc));
+  }
+  return Crc32(run);
+}
+
+// A v0 holds only empty buckets, so every chunk of it is this one chunk.
+const BucketChunks& EmptyChunks() {
+  static const BucketChunks kEmpty = [] {
+    auto chunk = std::make_shared<MkbBucketChunk>();
+    chunk->buckets.fill(EmptyViewBucket());
+    chunk->crc = ChunkCrc(*chunk);
+    BucketChunks chunks;
+    chunks.fill(std::move(chunk));
+    return chunks;
+  }();
+  return kEmpty;
+}
+
+// Copy-on-write edits of a version's buckets: the first change to a chunk
+// copies it, and Seal() checksums the copies and installs them, so the
+// chunks left alone stay shared.
+class BucketEditor {
+ public:
+  explicit BucketEditor(BucketChunks* chunks) : chunks_(*chunks) {}
+
+  const SegmentPtr& Get(size_t bucket) const {
+    const size_t c = bucket / kChunkBuckets;
+    const MkbBucketChunk& chunk =
+        copies_.at(c) != nullptr ? *copies_[c] : *chunks_[c];
+    return chunk.buckets[bucket % kChunkBuckets];
+  }
+
+  // Points `bucket` at `segment`; a no-op when it already does.
+  void Set(size_t bucket, SegmentPtr segment) {
+    if (Get(bucket) == segment) return;
+    std::shared_ptr<MkbBucketChunk>& copy = copies_[bucket / kChunkBuckets];
+    if (copy == nullptr) {
+      copy = std::make_shared<MkbBucketChunk>(*chunks_[bucket / kChunkBuckets]);
+    }
+    copy->buckets[bucket % kChunkBuckets] = std::move(segment);
+  }
+
+  void Seal() {
+    for (size_t c = 0; c < kBucketChunks; ++c) {
+      if (copies_[c] == nullptr) continue;
+      copies_[c]->crc = ChunkCrc(*copies_[c]);
+      chunks_[c] = std::move(copies_[c]);
+    }
+  }
+
+ private:
+  BucketChunks& chunks_;
+  std::array<std::shared_ptr<MkbBucketChunk>, kBucketChunks> copies_;
+};
 
 const char* SegmentNameAt(size_t slot) {
   return slot < kNumMkbSegments ? kMkbSegmentNames[slot]
@@ -222,36 +299,31 @@ std::shared_ptr<MkbVersion> MkbVersionStore::BuildNode(
   node->id = tip == nullptr ? 0 : tip->id + 1;
   node->parent = tip == nullptr ? 0 : tip->id;
   node->change = SanitizeChange(std::move(change));
-  node->segments.reserve(kNumVersionSegments);
   // A view-pool-only commit (same MKB object) re-renders no MISD segment;
   // a v0 has no tip to share with and renders them all.
   if (mkb == nullptr) changed.reset();
   if (tip == nullptr) changed = kAllMkbSegments;
   for (size_t i = 0; i < kNumMkbSegments; ++i) {
     if (!changed[i]) {
-      node->segments.push_back(tip->segments[i]);
+      node->misd[i] = tip->misd[i];
       continue;
     }
     std::string rendered = RenderMkbSegment(*mkb, i);
-    if (tip != nullptr && tip->segments[i]->body == rendered) {
-      node->segments.push_back(tip->segments[i]);
+    if (tip != nullptr && tip->misd[i]->body == rendered) {
+      node->misd[i] = tip->misd[i];
     } else {
-      node->segments.push_back(
-          MakeSegment(kMkbSegmentNames[i], std::move(rendered)));
+      node->misd[i] = MakeSegment(kMkbSegmentNames[i], std::move(rendered));
     }
   }
-  if (tip != nullptr) {
-    node->segments.insert(node->segments.end(),
-                          tip->segments.begin() + kNumMkbSegments,
-                          tip->segments.end());
-  } else {
-    node->segments.resize(kNumVersionSegments, EmptyViewBucket());
-  }
+  // Only the chunks holding a re-rendered bucket are copied.
+  node->chunks = tip != nullptr ? tip->chunks : EmptyChunks();
+  BucketEditor editor(&node->chunks);
   for (auto& [bucket, body] : buckets) {
-    std::shared_ptr<const MkbVersionSegment>& slot =
-        node->segments.at(kNumMkbSegments + bucket);
-    if (slot->body != body) slot = MakeViewBucket(std::move(body));
+    if (editor.Get(bucket)->body != body) {
+      editor.Set(bucket, MakeViewBucket(std::move(body)));
+    }
   }
+  editor.Seal();
   node->crc = VersionCrc(*node);
   return node;
 }
@@ -346,9 +418,7 @@ Result<PinnedMkb> MkbVersionStore::Pin(uint64_t id) const {
   }
   if (id == tip_version) return PinnedMkb{std::move(node), std::move(tip)};
   std::string text;
-  for (size_t i = 0; i < kNumMkbSegments; ++i) {
-    text += node->segments[i]->body;
-  }
+  for (const SegmentPtr& segment : node->misd) text += segment->body;
   Result<Mkb> mkb = LoadMkb(text);
   if (!mkb.ok()) {
     return Status::Internal("version " + std::to_string(id) +
@@ -376,14 +446,16 @@ std::vector<std::shared_ptr<const MkbVersion>> MkbVersionStore::Versions()
 }
 
 uint32_t MkbVersionStore::VersionCrc(const MkbVersion& version) {
+  static const Crc32Combiner kChunkRun(kChunkRunBytes);
   const std::string head = std::to_string(version.id) + "|" +
                            std::to_string(version.parent) + "|" +
                            version.change;
   uint32_t crc = Crc32(head);
-  for (const auto& segment : version.segments) {
-    crc = Crc32(segment->name, crc);
-    const uint32_t body_crc = segment->crc;
-    crc = Crc32(&body_crc, sizeof(body_crc), crc);
+  for (const SegmentPtr& segment : version.misd) crc = PairCrc(*segment, crc);
+  // The bucket pairs, a chunk's run at a time: the value is the CRC of the
+  // whole run of kNumVersionSegments pairs.
+  for (const auto& chunk : version.chunks) {
+    crc = kChunkRun.Combine(crc, chunk->crc);
   }
   return crc;
 }
@@ -397,8 +469,25 @@ VersionScrubStats MkbVersionStore::Scrub() const {
     stats.findings.push_back("version " + std::to_string(version.id) + " " +
                              what);
   };
-  // Versions share most segments; each distinct one is checksummed once.
+  // Versions share most segments and chunks; each distinct one is
+  // checked once.
   std::unordered_set<const MkbVersionSegment*> verified;
+  std::unordered_set<const MkbBucketChunk*> verified_chunks;
+  const auto check_segment = [&](const MkbVersion& version, size_t s,
+                                 const MkbVersionSegment& segment) {
+    const std::string where =
+        s < kNumMkbSegments ? "segment " + std::to_string(s)
+                            : "bucket " + std::to_string(s - kNumMkbSegments);
+    if (segment.name != SegmentNameAt(s)) {
+      finding(version, where + " named '" + segment.name + "', want '" +
+                           SegmentNameAt(s) + "'");
+    }
+    if (verified.insert(&segment).second &&
+        Crc32(segment.body) != segment.crc) {
+      finding(version,
+              where + " (" + segment.name + ") body fails its checksum");
+    }
+  };
   const MkbVersion* parent = nullptr;
   for (size_t i = 0; i < versions.size(); ++i) {
     const MkbVersion& version = *versions[i];
@@ -420,36 +509,29 @@ VersionScrubStats MkbVersionStore::Scrub() const {
       finding(version, "parent link " + std::to_string(version.parent) +
                            " != " + std::to_string(expected_parent));
     }
-    if (version.segments.size() != kNumVersionSegments) {
-      finding(version, "has " + std::to_string(version.segments.size()) +
-                           " segments, want " +
-                           std::to_string(kNumVersionSegments));
-      parent = nullptr;
-      continue;
+    for (size_t s = 0; s < kNumMkbSegments; ++s) {
+      ++stats.segments_checked;
+      if (parent != nullptr && version.misd[s] == parent->misd[s]) {
+        ++stats.segments_shared;
+      }
+      check_segment(version, s, *version.misd[s]);
     }
+    // A chunk changes only where a bucket pointer does, so sharing every
+    // chunk is sharing every bucket.
     bool views_shared = parent != nullptr;
-    for (size_t s = 0; s < kNumVersionSegments; ++s) {
-      const MkbVersionSegment& segment = *version.segments[s];
-      const bool shared =
-          parent != nullptr && version.segments[s] == parent->segments[s];
-      if (s < kNumMkbSegments) {
-        ++stats.segments_checked;
-        if (shared) ++stats.segments_shared;
-      } else if (!shared) {
+    for (size_t c = 0; c < kBucketChunks; ++c) {
+      const MkbBucketChunk& chunk = *version.chunks[c];
+      if (parent == nullptr || version.chunks[c] != parent->chunks[c]) {
         views_shared = false;
       }
-      const std::string where =
-          s < kNumMkbSegments
-              ? "segment " + std::to_string(s)
-              : "bucket " + std::to_string(s - kNumMkbSegments);
-      if (segment.name != SegmentNameAt(s)) {
-        finding(version, where + " named '" + segment.name + "', want '" +
-                             SegmentNameAt(s) + "'");
+      if (!verified_chunks.insert(&chunk).second) continue;
+      for (size_t k = 0; k < kChunkBuckets; ++k) {
+        check_segment(version, kNumMkbSegments + c * kChunkBuckets + k,
+                      *chunk.buckets[k]);
       }
-      if (verified.insert(&segment).second &&
-          Crc32(segment.body) != segment.crc) {
-        finding(version, where + " (" + segment.name +
-                             ") body fails its checksum");
+      if (ChunkCrc(chunk) != chunk.crc) {
+        finding(version,
+                "bucket chunk " + std::to_string(c) + " fails its checksum");
       }
     }
     // The VIEWS buckets count as one segment, as in an unbucketed chain.
@@ -468,10 +550,11 @@ VersionByteStats MkbVersionStore::ByteStats() const {
   VersionByteStats stats;
   std::unordered_set<const MkbVersionSegment*> seen;
   for (const auto& version : versions) {
-    for (const auto& segment : version->segments) {
-      stats.logical_bytes += segment->body.size();
-      if (seen.insert(segment.get()).second) {
-        stats.retained_bytes += segment->body.size();
+    for (size_t i = 0; i < kNumVersionSegments; ++i) {
+      const MkbVersionSegment& segment = version->segment(i);
+      stats.logical_bytes += segment.body.size();
+      if (seen.insert(&segment).second) {
+        stats.retained_bytes += segment.body.size();
       }
     }
   }
@@ -486,8 +569,8 @@ std::string MkbVersionStore::Render() const {
     if (version->id != version->parent) os << " <- v" << version->parent;
     os << "  crc=" << ToHex(version->crc);
     uint64_t bytes = 0;
-    for (const auto& segment : version->segments) {
-      bytes += segment->body.size();
+    for (size_t i = 0; i < kNumVersionSegments; ++i) {
+      bytes += version->segment(i).body.size();
     }
     os << " bytes=" << bytes << "  " << version->change << "\n";
   }
@@ -525,20 +608,26 @@ std::string MkbVersionStore::Serialize() const {
   for (const auto& version : versions) {
     lines << "VERSION " << version->id << " " << version->parent << " "
           << ToHex(version->crc) << " MKB";
-    for (size_t i = 0; i < kNumMkbSegments; ++i) {
-      lines << " " << intern(version->segments[i].get());
+    for (const SegmentPtr& segment : version->misd) {
+      lines << " " << intern(segment.get());
     }
     lines << " VIEWS";
-    for (size_t b = 0; b < kViewBuckets; ++b) {
-      const auto& segment = version->segments[kNumMkbSegments + b];
-      if (parent != nullptr &&
-          segment == parent->segments[kNumMkbSegments + b]) {
-        continue;
+    for (size_t c = 0; c < kBucketChunks; ++c) {
+      const MkbBucketChunk* parent_chunk =
+          parent != nullptr ? parent->chunks[c].get() : nullptr;
+      const MkbBucketChunk& chunk = *version->chunks[c];
+      if (&chunk == parent_chunk) continue;
+      for (size_t k = 0; k < kChunkBuckets; ++k) {
+        const SegmentPtr& segment = chunk.buckets[k];
+        if (parent_chunk != nullptr && segment == parent_chunk->buckets[k]) {
+          continue;
+        }
+        const size_t b = c * kChunkBuckets + k;
+        const size_t index = intern(segment.get());
+        if (index == bucket_index[b]) continue;
+        bucket_index[b] = index;
+        lines << " " << b << "=" << index;
       }
-      const size_t index = intern(segment.get());
-      if (index == bucket_index[b]) continue;
-      bucket_index[b] = index;
-      lines << " " << b << "=" << index;
     }
     lines << " CHANGE " << version->change << "\n";
     parent = version.get();
@@ -563,9 +652,10 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
         "' (it was written before the VIEWS segment was split into " +
         std::to_string(kViewBuckets) + " buckets, or is corrupt)");
   }
-  std::vector<std::shared_ptr<const MkbVersionSegment>> table;
+  std::vector<SegmentPtr> table;
   std::vector<std::shared_ptr<const MkbVersion>> versions;
-  std::vector<std::shared_ptr<const MkbVersionSegment>> buckets;
+  // The buckets of the last version read; each VERSION line edits them.
+  BucketChunks chunks = EmptyChunks();
   size_t pos = buckets_line.size() + 1;
   while (pos < text.size()) {
     size_t eol = text.find('\n', pos);
@@ -626,7 +716,6 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
               "VERSIONS: SEGMENT 0 must be the empty VIEWS bucket");
         }
         table.push_back(EmptyViewBucket());
-        buckets.assign(kViewBuckets, EmptyViewBucket());
         continue;
       }
       table.push_back(std::move(segment));
@@ -646,13 +735,19 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
       node->id = id;
       node->parent = parent;
       node->crc = crc;
-      const auto resolve =
-          [&](const std::string& word,
-              std::shared_ptr<const MkbVersionSegment>* out) -> Status {
+      // Resolves a segment reference for slot `s` of the version.
+      const auto resolve = [&](const std::string& word, size_t s,
+                               SegmentPtr* out) -> Status {
         uint64_t seg_index = 0;
         if (!ParseU64(word, &seg_index) || seg_index >= table.size()) {
           return Status::ParseError("VERSIONS: VERSION " + id_word +
                                     " references unknown segment " + word);
+        }
+        if (table[seg_index]->name != SegmentNameAt(s)) {
+          return Status::ParseError(
+              "VERSIONS: VERSION " + id_word + " segment " +
+              std::to_string(s) + " is '" + table[seg_index]->name +
+              "', want '" + SegmentNameAt(s) + "'");
         }
         *out = table[seg_index];
         return Status::OK();
@@ -663,14 +758,14 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
           return Status::ParseError("VERSIONS: VERSION " + id_word +
                                     " lists too few MKB segments");
         }
-        node->segments.emplace_back();
-        EVE_RETURN_IF_ERROR(resolve(word, &node->segments.back()));
+        EVE_RETURN_IF_ERROR(resolve(word, i, &node->misd[i]));
       }
       if (!(is >> word) || word != "VIEWS") {
         return Status::ParseError("VERSIONS: VERSION " + id_word +
                                   " missing VIEWS after its MKB segments");
       }
       // Listed buckets, strictly increasing, override the parent's.
+      BucketEditor editor(&chunks);
       size_t next_bucket = 0;
       while (is >> word && word != "CHANGE") {
         const size_t eq = word.find('=');
@@ -681,15 +776,18 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
           return Status::ParseError("VERSIONS: VERSION " + id_word +
                                     " has malformed bucket entry " + word);
         }
-        EVE_RETURN_IF_ERROR(resolve(word.substr(eq + 1), &buckets[bucket]));
+        SegmentPtr segment;
+        EVE_RETURN_IF_ERROR(resolve(word.substr(eq + 1),
+                                    kNumMkbSegments + bucket, &segment));
+        editor.Set(bucket, std::move(segment));
         next_bucket = bucket + 1;
       }
       if (word != "CHANGE") {
         return Status::ParseError("VERSIONS: VERSION " + id_word +
                                   " missing CHANGE");
       }
-      node->segments.insert(node->segments.end(), buckets.begin(),
-                            buckets.end());
+      editor.Seal();
+      node->chunks = chunks;
       std::string change;
       std::getline(is, change);
       // Strip only the single separator space and keep the rest verbatim:
@@ -697,14 +795,6 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
       // the version checksum could catch it.
       if (!change.empty() && change.front() == ' ') change.erase(0, 1);
       node->change = std::move(change);
-      for (size_t s = 0; s < kNumVersionSegments; ++s) {
-        if (node->segments[s]->name != SegmentNameAt(s)) {
-          return Status::ParseError(
-              "VERSIONS: VERSION " + id_word + " segment " +
-              std::to_string(s) + " is '" + node->segments[s]->name +
-              "', want '" + SegmentNameAt(s) + "'");
-        }
-      }
       if (id != versions.size()) {
         return Status::ParseError("VERSIONS: VERSION " + id_word +
                                   " out of sequence");
@@ -729,8 +819,8 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
   }
   MkbVersionStore store;
   std::string tip_text;
-  for (size_t i = 0; i < kNumMkbSegments; ++i) {
-    tip_text += versions.back()->segments[i]->body;
+  for (const SegmentPtr& segment : versions.back()->misd) {
+    tip_text += segment->body;
   }
   Result<Mkb> tip_mkb = LoadMkb(tip_text);
   if (!tip_mkb.ok()) {
@@ -745,17 +835,36 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
 bool MkbVersionStore::CorruptSegmentForTesting(uint64_t id, size_t segment,
                                                size_t byte_offset) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (id >= versions_.size()) return false;
-  if (segment >= versions_[id]->segments.size()) return false;
-  const MkbVersionSegment& victim = *versions_[id]->segments[segment];
+  if (id >= versions_.size() || segment >= kNumVersionSegments) return false;
+  const MkbVersionSegment& victim = versions_[id]->segment(segment);
   if (byte_offset >= victim.body.size()) return false;
   auto corrupt_segment = std::make_shared<MkbVersionSegment>(victim);
   corrupt_segment->body[byte_offset] =
       static_cast<char>(corrupt_segment->body[byte_offset] ^ 0x40);
   auto corrupt_version = std::make_shared<MkbVersion>(*versions_[id]);
-  corrupt_version->segments[segment] = std::move(corrupt_segment);
+  if (segment < kNumMkbSegments) {
+    corrupt_version->misd[segment] = std::move(corrupt_segment);
+  } else {
+    BucketEditor editor(&corrupt_version->chunks);
+    editor.Set(segment - kNumMkbSegments, std::move(corrupt_segment));
+    editor.Seal();
+  }
   // The node keeps its recorded crcs, which no longer match the body — the
-  // scrubber must flag both the segment and the version checksum.
+  // scrubber must flag the segment.
+  versions_[id] = std::move(corrupt_version);
+  return true;
+}
+
+bool MkbVersionStore::CorruptChunkCrcForTesting(uint64_t id, size_t chunk) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (id >= versions_.size() || chunk >= kBucketChunks) return false;
+  auto corrupt_chunk =
+      std::make_shared<MkbBucketChunk>(*versions_[id]->chunks[chunk]);
+  corrupt_chunk->crc ^= 1;
+  auto corrupt_version = std::make_shared<MkbVersion>(*versions_[id]);
+  corrupt_version->chunks[chunk] = std::move(corrupt_chunk);
+  // The version keeps its recorded crc: the scrubber must flag the chunk
+  // and the version checksum.
   versions_[id] = std::move(corrupt_version);
   return true;
 }

@@ -7,6 +7,13 @@
 // the MKB plus only the buckets holding views it changed: O(MKB + affected
 // views), never O(pool).
 //
+// The node's own table costs what the commit changed, too: it holds the
+// four MISD segment pointers and kBucketChunks pointers to immutable chunks
+// of kChunkBuckets bucket pointers each. A commit copies only the chunks
+// holding a re-rendered bucket and shares the rest with its parent, and
+// each chunk carries the CRC of its (name, segment CRC) pairs, so the
+// version CRC folds in one CRC per chunk instead of rehashing every bucket.
+//
 // Readers pin a version in O(1): `Tip()` / `Pin(id)` hand out a
 // shared_ptr<const Mkb> plus the version node, and the pin stays valid (and
 // byte-stable) across any number of concurrent commits — commits build the
@@ -20,6 +27,7 @@
 #ifndef EVE_MKB_VERSION_STORE_H_
 #define EVE_MKB_VERSION_STORE_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -54,16 +62,37 @@ size_t ViewBucketOf(std::string_view view_name);
 // The number of segments every version carries: MISD, then the buckets.
 inline constexpr size_t kNumVersionSegments = kNumMkbSegments + kViewBuckets;
 
+// The buckets of a version, in kBucketChunks chunks of kChunkBuckets.
+inline constexpr size_t kChunkBuckets = 32;
+inline constexpr size_t kBucketChunks = kViewBuckets / kChunkBuckets;
+static_assert(kBucketChunks * kChunkBuckets == kViewBuckets);
+
+// kChunkBuckets consecutive bucket pointers, shared by every version whose
+// buckets in that range are pointer-identical. Immutable once built.
+struct MkbBucketChunk {
+  std::array<std::shared_ptr<const MkbVersionSegment>, kChunkBuckets> buckets;
+  // CRC-32 of the buckets' (name, segment crc) pairs in order, which the
+  // version CRC folds in.
+  uint32_t crc = 0;
+};
+
 // One immutable node in the version chain.
 struct MkbVersion {
   uint64_t id = 0;
   uint64_t parent = 0;  // id - 1; v0 is its own parent
   std::string change;   // single-line description of the committing change
-  std::vector<std::shared_ptr<const MkbVersionSegment>> segments;
-  uint32_t crc = 0;  // covers id, parent, change and the segment crcs
+  std::array<std::shared_ptr<const MkbVersionSegment>, kNumMkbSegments> misd;
+  std::array<std::shared_ptr<const MkbBucketChunk>, kBucketChunks> chunks;
+  // Covers id, parent, change and every segment's name and crc, as one
+  // run: the MISD segments, then the buckets in order.
+  uint32_t crc = 0;
 
   const MkbVersionSegment& view_bucket(size_t bucket) const {
-    return *segments[kNumMkbSegments + bucket];
+    return *chunks[bucket / kChunkBuckets]->buckets[bucket % kChunkBuckets];
+  }
+  // Segment i < kNumVersionSegments: the MISD segments, then the buckets.
+  const MkbVersionSegment& segment(size_t i) const {
+    return i < kNumMkbSegments ? *misd[i] : view_bucket(i - kNumMkbSegments);
   }
 };
 
@@ -163,10 +192,11 @@ class MkbVersionStore {
   std::vector<std::shared_ptr<const MkbVersion>> Versions() const;
 
   // Walks the whole chain verifying segment checksums (each unique segment
-  // once), version checksums, segment layout, id sequencing and parent
-  // links. Never throws; corruption is counted and described. Also
-  // consults the mkb.version_store.scrub failpoint so tests can inject a
-  // detected finding.
+  // once), bucket chunk checksums (each unique chunk once), version
+  // checksums, segment names, id sequencing and parent links. Never
+  // throws; corruption is counted and described. Also consults the
+  // mkb.version_store.scrub failpoint so tests can inject a detected
+  // finding.
   VersionScrubStats Scrub() const;
 
   VersionByteStats ByteStats() const;
@@ -177,15 +207,18 @@ class MkbVersionStore {
   // Serializes the chain for the checkpoint VERSIONS section and loads it
   // back, verifying every CRC and link; any flipped/missing byte fails.
   // Each distinct segment is written once, and a version lists only the
-  // buckets that differ from its parent's.
+  // buckets that differ from its parent's (a chunk it shares with its
+  // parent lists none).
   std::string Serialize() const;
   static Result<MkbVersionStore> Deserialize(std::string_view text);
 
-  // Testing back door: deep-copies version `id` (and segment `segment`)
-  // and flips one byte of the copy's body, so exactly one version is
-  // corrupted and shared siblings stay intact. Returns false on bad args.
+  // Testing back doors: deep-copy version `id` (with the chunk involved)
+  // and flip one byte of segment `segment`'s body, or one bit of chunk
+  // `chunk`'s stored crc, in the copy, so exactly one version is corrupted
+  // and shared siblings stay intact. Return false on bad args.
   bool CorruptSegmentForTesting(uint64_t id, size_t segment,
                                 size_t byte_offset);
+  bool CorruptChunkCrcForTesting(uint64_t id, size_t chunk);
 
  private:
   static uint32_t VersionCrc(const MkbVersion& version);

@@ -203,5 +203,47 @@ TEST(Crc32Test, RandomBuffersMatchBytewise) {
   }
 }
 
+// Crc32Combine(Crc32(a), Crc32(b), |b|) == Crc32(a concat b) at every
+// split of random buffers, including empty halves.
+TEST(Crc32Test, CombineMatchesSequentialAtEverySplit) {
+  std::mt19937_64 rng(20261019);
+  std::uniform_int_distribution<size_t> length(0, 300);
+  std::uniform_int_distribution<int> byte(0, 255);
+  for (int round = 0; round < 40; ++round) {
+    std::string buffer(round == 0 ? 0 : length(rng), '\0');
+    for (char& c : buffer) c = static_cast<char>(byte(rng));
+    const std::string_view view(buffer);
+    const uint32_t whole = Crc32(view);
+    for (size_t split = 0; split <= view.size(); ++split) {
+      const std::string_view a = view.substr(0, split);
+      const std::string_view b = view.substr(split);
+      ASSERT_EQ(Crc32Combine(Crc32(a), Crc32(b), b.size()), whole)
+          << "round " << round << " size " << view.size() << " split "
+          << split;
+    }
+  }
+  // Length 0: appending nothing keeps the CRC.
+  EXPECT_EQ(Crc32Combine(0xCBF43926u, Crc32(""), 0), 0xCBF43926u);
+  EXPECT_EQ(Crc32Combine(0, 0, 0), 0u);
+}
+
+// The fixed run the version checksum folds a bucket chunk in with: 32
+// (name, crc) pairs of 9 bytes. One precomputed combiner serves every run.
+TEST(Crc32Test, CombinerFoldsFixedRuns) {
+  std::mt19937_64 rng(20261020);
+  std::uniform_int_distribution<int> byte(0, 255);
+  constexpr size_t kRun = 288;
+  const Crc32Combiner combiner(kRun);
+  std::string sequence = "head";
+  uint32_t combined = Crc32(sequence);
+  for (int run = 0; run < 32; ++run) {
+    std::string bytes(kRun, '\0');
+    for (char& c : bytes) c = static_cast<char>(byte(rng));
+    sequence += bytes;
+    combined = combiner.Combine(combined, Crc32(bytes));
+    ASSERT_EQ(combined, Crc32(sequence)) << "run " << run;
+  }
+}
+
 }  // namespace
 }  // namespace eve

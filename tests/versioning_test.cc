@@ -5,7 +5,10 @@
 // online scrubber (synchronous and background) catching 100% of injected
 // corruptions, and the per-commit oracle of the bucketed VIEWS segment:
 // every commit's view text is the live pool's, and only the buckets of
-// views it changed hold new segments.
+// views it changed hold new segments. Version nodes hold their buckets in
+// shared chunks: a commit copies only the chunks it changed, and the
+// chunked version checksum equals the whole-run one of
+// tests/legacy_version_crc.h.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +28,7 @@
 #include "eve/journal.h"
 #include "eve/view_pool_io.h"
 #include "federation/membership.h"
+#include "legacy_version_crc.h"
 #include "mkb/scrubber.h"
 #include "mkb/serializer.h"
 #include "mkb/version_store.h"
@@ -450,6 +454,173 @@ TEST_F(VersioningTest, ParentFormatVersionsSectionIsRejectedClearly) {
       << loaded.status();
 }
 
+// A commit that re-renders one bucket shares the four MISD segments and
+// every bucket chunk but the one holding that bucket with its parent.
+TEST_F(VersioningTest, OneBucketCommitCopiesOneChunk) {
+  EveSystem system = MakeBucketedSystem();
+  const PinnedMkb before = system.PinTip();
+  ASSERT_TRUE(system.SetViewState("Rentals", ViewState::kDisabled).ok());
+  const PinnedMkb after = system.PinTip();
+  ASSERT_EQ(after.id(), before.id() + 1);
+  for (size_t i = 0; i < kNumMkbSegments; ++i) {
+    EXPECT_EQ(after.version->misd[i], before.version->misd[i]) << i;
+  }
+  size_t shared = 0;
+  for (size_t c = 0; c < kBucketChunks; ++c) {
+    if (after.version->chunks[c] == before.version->chunks[c]) ++shared;
+  }
+  EXPECT_EQ(shared, kBucketChunks - 1);
+  const size_t bucket = ViewBucketOf("Rentals");
+  EXPECT_NE(after.version->chunks[bucket / kChunkBuckets],
+            before.version->chunks[bucket / kChunkBuckets]);
+  EXPECT_NE(&after.version->view_bucket(bucket),
+            &before.version->view_bucket(bucket));
+}
+
+// A flipped chunk checksum is a finding of the one version holding the
+// flipped copy, never of the versions sharing the original chunk.
+TEST_F(VersioningTest, ScrubFlagsAFlippedChunkChecksum) {
+  EveSystem system = MakeBucketedSystem();
+  ASSERT_TRUE(
+      system.ApplyChange(CapabilityChange::DeleteRelation("RentACar")).ok());
+  const uint64_t versions = system.versions().NumVersions();
+  for (uint64_t id = 0; id < versions; ++id) {
+    for (const size_t chunk : {size_t{0}, ViewBucketOf("Rentals") /
+                                              kChunkBuckets,
+                               kBucketChunks - 1}) {
+      MkbVersionStore corrupted = system.versions();
+      ASSERT_TRUE(corrupted.CorruptChunkCrcForTesting(id, chunk));
+      const VersionScrubStats stats = corrupted.Scrub();
+      const std::string version = "version " + std::to_string(id) + " ";
+      EXPECT_EQ(stats.corruptions, 2u) << stats.ToString();
+      ASSERT_EQ(stats.findings.size(), 2u) << stats.ToString();
+      EXPECT_EQ(stats.findings[0], version + "bucket chunk " +
+                                       std::to_string(chunk) +
+                                       " fails its checksum");
+      EXPECT_EQ(stats.findings[1], version + "fails its version checksum");
+    }
+  }
+  MkbVersionStore store = system.versions();
+  EXPECT_FALSE(store.CorruptChunkCrcForTesting(versions, 0));
+  EXPECT_FALSE(store.CorruptChunkCrcForTesting(0, kBucketChunks));
+  EXPECT_EQ(system.ScrubVersions().corruptions, 0u);
+}
+
+// Corrupting a bucket copies its chunk into one version: only that
+// version's findings appear, every other node is the original one, and the
+// corrupted node still shares its other chunks and MISD segments.
+TEST_F(VersioningTest, BucketCorruptionReachesExactlyOneVersion) {
+  EveSystem system = MakeBucketedSystem();
+  ASSERT_TRUE(
+      system.ApplyChange(CapabilityChange::DeleteRelation("RentACar")).ok());
+  const std::vector<std::shared_ptr<const MkbVersion>> originals =
+      system.versions().Versions();
+  for (const char* view : {"CustomerPassengersAsia", "AsiaTours", "Rentals"}) {
+    const size_t bucket = ViewBucketOf(view);
+    for (uint64_t id = 0; id < originals.size(); ++id) {
+      SCOPED_TRACE(std::string(view) + " in version " + std::to_string(id));
+      MkbVersionStore corrupted = system.versions();
+      if (!corrupted.CorruptSegmentForTesting(id, kNumMkbSegments + bucket,
+                                              /*byte_offset=*/0)) {
+        EXPECT_TRUE(originals[id]->view_bucket(bucket).body.empty());
+        continue;
+      }
+      const VersionScrubStats stats = corrupted.Scrub();
+      ASSERT_EQ(stats.corruptions, 1u) << stats.ToString();
+      EXPECT_EQ(stats.findings[0].rfind("version " + std::to_string(id) +
+                                            " bucket " +
+                                            std::to_string(bucket) + " ",
+                                        0),
+                0u)
+          << stats.findings[0];
+      const std::vector<std::shared_ptr<const MkbVersion>> chain =
+          corrupted.Versions();
+      for (uint64_t other = 0; other < chain.size(); ++other) {
+        if (other != id) {
+          EXPECT_EQ(chain[other], originals[other]) << other;
+        }
+      }
+      const MkbVersion& victim = *chain[id];
+      EXPECT_EQ(victim.misd, originals[id]->misd);
+      for (size_t c = 0; c < kBucketChunks; ++c) {
+        EXPECT_EQ(victim.chunks[c] == originals[id]->chunks[c],
+                  c != bucket / kChunkBuckets)
+            << c;
+      }
+    }
+  }
+  EXPECT_EQ(system.ScrubVersions().corruptions, 0u);
+}
+
+// Re-enabling a view re-binds it against the current MKB. A view disabled
+// across a rename of an attribute it reads does not bind any more, so
+// re-enabling it fails with the binder's error, journals and commits
+// nothing and leaves the view disabled; it used to come back active with a
+// dead reference, and a rollback to the version that re-enable committed
+// failed. Journal replay of the sequence lands on the same state.
+TEST_F(VersioningTest, ReEnablingAStaleViewFailsAndLeavesItDisabled) {
+  ChainMkbSpec spec;
+  spec.length = 8;
+  EveSystem system(MakeChainMkb(spec).MoveValue());
+  ViewDefinition view = MakeChainView(system.mkb(), 5, 1).MoveValue();
+  view.set_name("Stale");
+  ASSERT_TRUE(system.RegisterView(view).ok());
+  ASSERT_TRUE(system
+                  .ApplyChange(
+                      CapabilityChange::RenameAttribute("R5", "P5", "P5x"))
+                  .ok());
+  ASSERT_NE(SaveViews(system).find("R5.P5x"), std::string::npos);
+
+  const std::string checkpoint = RenderCheckpoint(system);
+  const std::string path = ::testing::TempDir() + "stale_view.wal";
+  std::remove(path.c_str());
+  Result<Journal> journal = Journal::Open(path);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  std::vector<JournalRecord> records;
+  journal.value().SetObserver(
+      [&records](JournalRecordKind kind, std::string_view body) {
+        records.push_back({kind, std::string(body)});
+      });
+  system.AttachJournal(&journal.value());
+
+  ASSERT_TRUE(system.SetViewState("Stale", ViewState::kDisabled).ok());
+  ASSERT_TRUE(system
+                  .ApplyChange(
+                      CapabilityChange::RenameAttribute("R5", "P5x", "P5"))
+                  .ok());
+  const uint64_t version = system.current_version();
+  const size_t journaled = records.size();
+  const std::string views = SaveViews(system);
+  const Status enabled = system.SetViewState("Stale", ViewState::kActive);
+  EXPECT_EQ(enabled.code(), StatusCode::kNotFound) << enabled;
+  EXPECT_NE(enabled.message().find("R5.P5x"), std::string::npos) << enabled;
+  EXPECT_EQ(system.current_version(), version);
+  EXPECT_EQ(records.size(), journaled);
+  EXPECT_EQ(system.GetView("Stale").value()->state, ViewState::kDisabled);
+  EXPECT_EQ(SaveViews(system), views);
+  EXPECT_EQ(system.NumActiveViews(), 0u);
+
+  // Every version rolls back, the tip at the failed re-enable included.
+  ASSERT_TRUE(system.RollbackToVersion(version).ok());
+  // Back where R5 reads P5x again, the view binds and comes back.
+  ASSERT_TRUE(system.RollbackToVersion(version - 1).ok());
+  ASSERT_TRUE(system.SetViewState("Stale", ViewState::kActive).ok());
+  EXPECT_EQ(system.NumActiveViews(), 1u);
+  EXPECT_TRUE(system.AffectedViews(CapabilityChange::DeleteAttribute(
+                                       "R5", "P5x")) ==
+              std::vector<std::string>{"Stale"});
+  system.AttachJournal(nullptr);
+
+  const Result<EveSystem> recovered = EveSystem::Recover(checkpoint, records);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(SaveViews(recovered.value()), SaveViews(system));
+  EXPECT_EQ(SaveMkb(recovered.value().mkb()), SaveMkb(system.mkb()));
+  EXPECT_EQ(recovered.value().versions().Render(),
+            system.versions().Render());
+  EXPECT_EQ(recovered.value().ScrubVersions().corruptions, 0u);
+  std::remove(path.c_str());
+}
+
 // --- Per-commit oracle ------------------------------------------------------
 //
 // A seeded random op stream over registration, bulk registration, restore,
@@ -701,6 +872,59 @@ TEST_F(VersioningTest, PerCommitOracleHoldsOverRandomOpStreams) {
   }
   // The streams exercised the heal trap: un-marking without a commit.
   EXPECT_GT(unmarking_heals, 0u);
+}
+
+// Over seeded op streams, every version's checksum (the head, the MISD
+// pairs and one combined CRC per bucket chunk) equals the whole-run oracle,
+// in the live chain, in the chain Deserialize rebuilds, and in the chain
+// recovery replays.
+TEST_F(VersioningTest, ChunkedVersionCrcMatchesTheWholeRunOracle) {
+  const auto check_chain = [](const MkbVersionStore& store,
+                              const std::string& what) {
+    SCOPED_TRACE(what);
+    for (const auto& version : store.Versions()) {
+      EXPECT_EQ(version->crc, legacy::VersionCrc(*version))
+          << "version " << version->id;
+    }
+    const VersionScrubStats stats = store.Scrub();
+    EXPECT_EQ(stats.corruptions, 0u) << stats.ToString();
+  };
+  for (const uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    OracleRun run(seed);
+    EveSystem& system = run.system();
+    for (int i = 0; i < 40; ++i) (void)run.Step(/*with_load=*/true);
+    const std::string checkpoint = RenderCheckpoint(system);
+    std::vector<JournalRecord> records;
+    const std::string path = ::testing::TempDir() + "crc_oracle_" +
+                             std::to_string(seed) + ".wal";
+    std::remove(path.c_str());
+    Result<Journal> journal = Journal::Open(path);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    journal.value().SetObserver(
+        [&records](JournalRecordKind kind, std::string_view body) {
+          records.push_back({kind, std::string(body)});
+        });
+    system.AttachJournal(&journal.value());
+    for (int i = 0; i < 60; ++i) (void)run.Step(/*with_load=*/false);
+    system.AttachJournal(nullptr);
+    ASSERT_GT(system.versions().NumVersions(), 20u);
+    check_chain(system.versions(), "live chain");
+
+    const std::string text = system.versions().Serialize();
+    const Result<MkbVersionStore> loaded = MkbVersionStore::Deserialize(text);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    check_chain(loaded.value(), "deserialized chain");
+    EXPECT_EQ(loaded.value().Serialize(), text);
+    EXPECT_EQ(loaded.value().Render(), system.versions().Render());
+
+    const Result<EveSystem> recovered = EveSystem::Recover(checkpoint, records);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    check_chain(recovered.value().versions(), "recovered chain");
+    EXPECT_EQ(recovered.value().versions().Render(),
+              system.versions().Render());
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
