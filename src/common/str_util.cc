@@ -1,6 +1,7 @@
 #include "common/str_util.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace eve {
 
@@ -61,6 +62,15 @@ std::string_view Trim(std::string_view s) {
     --end;
   }
   return s.substr(begin, end - begin);
+}
+
+bool ParseDecimal(std::string_view s, uint64_t* out) {
+  uint64_t value = 0;
+  const char* end = s.data() + s.size();
+  const auto [stop, error] = std::from_chars(s.data(), end, value);
+  if (s.empty() || error != std::errc() || stop != end) return false;
+  *out = value;
+  return true;
 }
 
 }  // namespace eve

@@ -3,6 +3,7 @@
 #ifndef EVE_COMMON_STR_UTIL_H_
 #define EVE_COMMON_STR_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,11 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 
 // Removes leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
+
+// Parses `s` as a decimal integer: one or more ASCII digits and nothing
+// else (no sign, no whitespace, no trailing bytes). False, with `*out`
+// untouched, when `s` is not such a number or exceeds UINT64_MAX.
+bool ParseDecimal(std::string_view s, uint64_t* out);
 
 }  // namespace eve
 

@@ -3,18 +3,22 @@
 // illustrates it in Ex. 4: the affected attribute is either dropped (when
 // dispensable) or replaced by f(S.B) from a function-of constraint, with
 // the cover relation S joined in through a chain of MKB' join constraints
-// anchored at the attribute's own relation R (which still exists).
+// anchored at the attribute's own relation R (which still exists). The
+// candidates come from a per-cover stream; which rewriting the view gets is
+// decided by the top-k driver it shares with delete-relation
+// (cvs/top_k_driver.h).
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <limits>
+#include <optional>
 #include <queue>
 #include <set>
-#include <sstream>
 
 #include "cvs/cvs.h"
 #include "cvs/extent.h"
 #include "cvs/rewriting.h"
+#include "cvs/top_k_driver.h"
 #include "hypergraph/join_graph.h"
 
 namespace eve {
@@ -28,11 +32,11 @@ bool ExprMentions(const Expr& expr, const AttributeRef& attr) {
 }
 
 // Builds the rewriting for one cover choice: joins the tree's new
-// relations into the view and substitutes the deleted attribute.
+// relations into the view and substitutes `fn`, the cover's function, for
+// the deleted attribute.
 Result<ViewDefinition> SpliceAttributeReplacement(
-    const ViewDefinition& view, const AttributeRef& attr,
-    const FunctionOfConstraint& cover, const JoinTree& tree,
-    const std::string& new_name) {
+    const ViewDefinition& view, const AttributeRef& attr, const ExprPtr& fn,
+    const JoinTree& tree, const std::string& new_name) {
   std::vector<ViewSelectItem> select;
   for (const ViewSelectItem& item : view.select()) {
     if (!ExprMentions(*item.expr, attr)) {
@@ -40,7 +44,7 @@ Result<ViewDefinition> SpliceAttributeReplacement(
       continue;
     }
     select.push_back(
-        ViewSelectItem{item.expr->SubstituteColumn(attr, cover.fn),
+        ViewSelectItem{item.expr->SubstituteColumn(attr, fn),
                        item.output_name, item.params});
   }
 
@@ -64,7 +68,7 @@ Result<ViewDefinition> SpliceAttributeReplacement(
       continue;
     }
     where.push_back(ViewCondition{
-        cond.clause->SubstituteColumn(attr, cover.fn), cond.params});
+        cond.clause->SubstituteColumn(attr, fn), cond.params});
     existing_clauses.insert(where.back().clause->ToString());
   }
   for (const JoinConstraint& edge : tree.edges) {
@@ -128,102 +132,56 @@ Result<ViewDefinition> DropAttributeRewriting(const ViewDefinition& view,
                         view.from(), std::move(where));
 }
 
-}  // namespace
+// The replacement candidates of R.A, best first: one join-tree search per
+// function-of constraint of the pre-change MKB that covers R.A, anchored at
+// R (which survives the change) and the cover's relation in H'(MKB'),
+// merged through a priority queue in nondecreasing lower-bound order. A
+// cover's extent (the PC justification of its one cover pair) is fixed up
+// front and is the exact final extent, so the only component a search
+// refines is the join width. Heap states are plain keys: a ready state
+// names its tree's indices in `arena_`, and the JoinTree is built only
+// when the state is pulled.
+//
+// The interface is CandidateStream's, but Next() advances one heap state:
+// a ready state yields its candidate, which spends no token unit, and a
+// search state expands its search by one tree and yields nothing, so the
+// driver re-checks its bounds before every expansion. deadline_stopped(),
+// which the driver checks first, is the safe point that reads the token.
+// A cover whose search drains without a tree is noted as unreachable when
+// that happens, in pull order.
+class CoverStream {
+ public:
+  CoverStream(const ViewDefinition& view, const AttributeRef& attr,
+              const Mkb& mkb, const JoinGraph& graph_prime,
+              const RReplacementOptions& options,
+              const RewritingCostModel& model,
+              std::vector<std::string>* notes);
 
-Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
-                                             const std::string& relation,
-                                             const std::string& attribute,
-                                             const SyncContext& context,
-                                             const CvsOptions& options) {
-  CvsResult result;
-  const Mkb& mkb = context.mkb();
-  const Mkb& mkb_prime = context.mkb_prime();
-  const AttributeRef attr{relation, attribute};
-  const CapabilityChange change =
-      CapabilityChange::DeleteAttribute(relation, attribute);
-
-  if (!view.ReferencesAttribute(attr)) {
-    SynchronizedView unchanged;
-    unchanged.view = view;
-    unchanged.legality.p1_unaffected = true;
-    unchanged.legality.p2_evaluable = true;
-    unchanged.legality.p3_extent = true;
-    unchanged.legality.p4_parameters = true;
-    unchanged.legality.inferred_extent = ExtentRelation::kEqual;
-    result.rewritings.push_back(std::move(unchanged));
-    return result;
+  std::optional<ReplacementCandidate> Next();
+  double NextLowerBound() const {
+    return heap_.empty() ? std::numeric_limits<double>::infinity()
+                         : heap_.top().lower_bound;
   }
-
-  // Classify usages of the attribute.
-  bool any_indispensable = false;
-  bool replacement_allowed = true;
-  for (const ViewSelectItem& item : view.select()) {
-    if (!ExprMentions(*item.expr, attr)) continue;
-    if (!item.params.dispensable) {
-      any_indispensable = true;
-      if (!item.params.replaceable) replacement_allowed = false;
+  bool Exhausted() const { return heap_.empty(); }
+  size_t PendingStates() const { return heap_.size(); }
+  // True once the token expired (its own limits, an ancestor's
+  // cancellation, or a refused expansion).
+  bool deadline_stopped() {
+    if (!stats_.deadline.partial && token_.Expired()) {
+      stats_.deadline.partial = true;
     }
+    return stats_.deadline.partial;
   }
-  for (const ViewCondition& cond : view.where()) {
-    if (!ExprMentions(*cond.clause, attr)) continue;
-    if (!cond.params.dispensable) {
-      any_indispensable = true;
-      if (!cond.params.replaceable) replacement_allowed = false;
-    }
-  }
-  if (any_indispensable && !replacement_allowed) {
-    result.diagnostics.push_back(
-        attr.ToString() +
-        " is used by an indispensable, non-replaceable component; the view "
-        "must be disabled");
-    return result;
-  }
+  const EnumerationStats& stats() const { return stats_; }
+  std::vector<std::string> TruncationNotes() const;
 
-  int name_counter = 0;
-  auto next_name = [&]() {
-    ++name_counter;
-    std::string name = view.name() + options.rename_suffix;
-    if (name_counter > 1) name += std::to_string(name_counter);
-    return name;
-  };
-
-  const RewritingCostModel model =
-      options.cost_model.has_value() ? *options.cost_model
-                                     : DefaultRankingCostModel();
-
-  const size_t from_size = view.from().size();
-  std::set<std::string> from_set;
-  for (const ViewRelation& rel : view.from()) from_set.insert(rel.name);
-
-  // Replacement path: cover the attribute via a function-of constraint
-  // from the pre-change MKB, joined in through MKB' (anchored at R, which
-  // still exists after a delete-attribute change). The join graph is built
-  // once per change and shared by every affected view.
-  //
-  // Like the delete-relation driver, the candidates are explored lazily in
-  // nondecreasing lower-bound order: one resumable join-tree enumerator per
-  // cover, merged through a priority queue. A cover's extent contribution
-  // (the PC justification of its one cover pair) is fixed up front and is
-  // the exact final extent, so the only component the search refines is
-  // the join width. Heap states are plain keys: a ready state names the
-  // tree's indices in `trees`, and the JoinTree is built only when the
-  // state is pulled.
-  const JoinGraph& graph_prime = context.graph_prime();
-  // Graph indices of the view's FROM relations (sorted: from_set and the
-  // graph's relations are both in name order).
-  std::vector<uint32_t> from_indices;
-  for (const std::string& rel : from_set) {
-    const size_t index = graph_prime.IndexOf(rel);
-    if (index != JoinGraph::kNpos) {
-      from_indices.push_back(static_cast<uint32_t>(index));
-    }
-  }
-
-  struct CoverState {
-    const FunctionOfConstraint* cover;
+ private:
+  struct Cover {
+    const FunctionOfConstraint* fc;
     ExtentRelation extent;
     JoinTreeEnumerator enumerator;
     size_t yielded = 0;
+    // Enumerator counters already folded into stats_.
     size_t seen_expanded = 0;
     size_t seen_cut = 0;
   };
@@ -232,18 +190,15 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
     double lower_bound = 0.0;
     uint64_t seq = 0;  // deterministic tie-break: creation order
     Kind kind = Kind::kSearch;
-    uint32_t cover_index = 0;
-    uint32_t tree = 0;  // kReady: index into `trees`
+    uint32_t cover = 0;
+    uint32_t tree = 0;  // kReady: index into trees_
   };
-  // A ready tree's relation and edge indices, back to back in `arena`.
+  // A ready tree's relation and edge indices, back to back in arena_.
   struct ReadyTree {
     size_t begin = 0;
     uint32_t num_relations = 0;
     uint32_t num_edges = 0;
   };
-  std::vector<ReadyTree> trees;
-  std::vector<uint32_t> arena;
-  JoinTreeIndices popped;
   struct StateGreater {
     bool operator()(const State& a, const State& b) const {
       if (a.lower_bound != b.lower_bound) {
@@ -253,309 +208,259 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
     }
   };
 
-  std::vector<CoverState> cover_states;
-  std::priority_queue<State, std::vector<State>, StateGreater> heap;
-  uint64_t next_seq = 0;
+  void Push(double lower_bound, Kind kind, uint32_t cover, uint32_t tree) {
+    heap_.push(State{lower_bound, next_seq_++, kind, cover, tree});
+  }
+  // Admissible lower bound for `cover` at a spliced FROM of `join_width`
+  // relations. Nothing is ever dropped on this path (components are
+  // substituted, not removed), and the extent is exact, so the bound is
+  // tight up to the final tree choice.
+  double BoundAtWidth(const Cover& cover, size_t join_width) const;
+  // The bound of every tree `cover`'s search has not yet yielded: the
+  // spliced FROM is FROM ∪ tree, so for a tree of f relations its size is
+  // at least |FROM| + max(|{R, S} \ FROM|, f - |FROM|).
+  double SearchLowerBound(const Cover& cover) const;
+  void NoteUnreachable(const Cover& cover);
 
-  // Admissible lower bound given a cover and a tree-relation count f: the
-  // spliced FROM is FROM ∪ tree, so its size is at least
-  // |FROM| + max(|{R, S} \ FROM|, f - |FROM|). Nothing is ever dropped on
-  // this path (components are substituted, not removed), and the extent is
-  // exact, so the bound is tight up to the final tree choice.
-  auto width_bound = [&](const CoverState& cs, size_t tree_size) {
-    const size_t missing =
-        from_set.count(cs.cover->source.relation) ? 0u : 1u;
-    const size_t beyond = tree_size > from_size ? tree_size - from_size : 0u;
-    return from_size + std::max(missing, beyond);
-  };
-  auto cover_lower_bound = [&](const CoverState& cs, size_t join_width) {
-    PartialCandidate partial;
-    partial.original_from_size = from_size;
-    partial.join_width = join_width;
-    partial.extent_floor = cs.extent;
-    return LowerBound(partial, model);
-  };
-  auto search_lower_bound = [&](const CoverState& cs) {
-    return cover_lower_bound(
-        cs, width_bound(cs, cs.enumerator.NextTreeSizeLowerBound()));
-  };
-  auto fold_stats = [&](CoverState& cs) {
-    result.enumeration.trees_expanded +=
-        cs.enumerator.sets_expanded() - cs.seen_expanded;
-    cs.seen_expanded = cs.enumerator.sets_expanded();
-    result.enumeration.search_sets_cut +=
-        cs.enumerator.sets_cut() - cs.seen_cut;
-    cs.seen_cut = cs.enumerator.sets_cut();
-  };
-  auto unreachable_note = [&](const CoverState& cs) {
-    result.diagnostics.push_back(
-        "cover " + cs.cover->id + " (" + cs.cover->source.relation +
-        ") is not reachable from " + relation + " in H'(MKB')");
-  };
+  const AttributeRef attr_;
+  const RewritingCostModel& model_;
+  const DeadlineToken token_;
+  const size_t max_extra_relations_;
+  std::vector<std::string>* notes_;
+  const size_t from_size_;
+  std::set<std::string> from_set_;
+  // Graph indices of the view's FROM relations (sorted: from_set_ and the
+  // graph's relations are both in name order).
+  std::vector<uint32_t> from_indices_;
+  std::vector<Cover> covers_;
+  std::priority_queue<State, std::vector<State>, StateGreater> heap_;
+  std::vector<ReadyTree> trees_;
+  std::vector<uint32_t> arena_;
+  JoinTreeIndices popped_;
+  uint64_t next_seq_ = 0;
+  EnumerationStats stats_;
+};
 
+CoverStream::CoverStream(const ViewDefinition& view, const AttributeRef& attr,
+                         const Mkb& mkb, const JoinGraph& graph_prime,
+                         const RReplacementOptions& options,
+                         const RewritingCostModel& model,
+                         std::vector<std::string>* notes)
+    : attr_(attr),
+      model_(model),
+      token_(options.token),
+      max_extra_relations_(options.max_extra_relations),
+      notes_(notes),
+      from_size_(view.from().size()) {
+  for (const ViewRelation& rel : view.from()) from_set_.insert(rel.name);
+  for (const std::string& rel : from_set_) {
+    const size_t index = graph_prime.IndexOf(rel);
+    if (index != JoinGraph::kNpos) {
+      from_indices_.push_back(static_cast<uint32_t>(index));
+    }
+  }
   JoinTreeSearchOptions search;
-  search.max_extra_relations = options.replacement.max_extra_relations;
-  search.max_results = options.replacement.max_results;
-  search.token = options.replacement.token;
-  for (const FunctionOfConstraint* cover : mkb.CoversOf(attr)) {
-    if (cover->source.relation == relation) continue;
-    if (!graph_prime.HasRelation(cover->source.relation)) continue;
-    CoverState cs{cover,
-                  PcJustification(mkb, relation, cover->source.relation,
-                                  {CoverPair{attr, cover->source}}),
-                  JoinTreeEnumerator(graph_prime,
-                                     {relation, cover->source.relation}, {},
-                                     search)};
-    ++result.enumeration.combos_generated;
-    if (cs.enumerator.Exhausted()) {
+  search.max_extra_relations = options.max_extra_relations;
+  search.token = options.token;
+  for (const FunctionOfConstraint* fc : mkb.CoversOf(attr)) {
+    const std::string& source = fc->source.relation;
+    if (source == attr.relation || !graph_prime.HasRelation(source)) continue;
+    Cover cover{fc,
+                PcJustification(mkb, attr.relation, source,
+                                {CoverPair{attr, fc->source}}),
+                JoinTreeEnumerator(graph_prime, {attr.relation, source}, {},
+                                   search)};
+    ++stats_.combos_generated;
+    if (cover.enumerator.Exhausted()) {
       // Dead on arrival: different component, so no tree can exist.
-      unreachable_note(cs);
+      NoteUnreachable(cover);
       continue;
     }
-    const uint32_t index = static_cast<uint32_t>(cover_states.size());
-    cover_states.push_back(std::move(cs));
-    heap.push(State{search_lower_bound(cover_states[index]), next_seq++,
-                    Kind::kSearch, index, 0});
+    covers_.push_back(std::move(cover));
+    Push(SearchLowerBound(covers_.back()), Kind::kSearch,
+         static_cast<uint32_t>(covers_.size() - 1), 0);
   }
+}
 
-  // Accepted replacement-based rewritings in arrival (lower-bound) order;
-  // the drop-based rewriting is appended after the loop, as before.
-  std::vector<SynchronizedView> accepted;
-  TopKBound top_k(options.top_k);
+double CoverStream::BoundAtWidth(const Cover& cover, size_t join_width) const {
+  PartialCandidate partial;
+  partial.original_from_size = from_size_;
+  partial.join_width = join_width;
+  partial.extent_floor = cover.extent;
+  return LowerBound(partial, model_);
+}
 
-  // Build the drop-based rewriting up front so its cost participates in
-  // the top-k bound. It is named, and joins the result, after the loop,
-  // which keeps the historical names and result order (neither the
-  // legality check nor the score reads the name).
-  const bool drop_possible =
-      options.include_drop_rewriting && !any_indispensable;
-  bool dropped_condition = false;
-  for (const ViewCondition& cond : view.where()) {
-    if (ExprMentions(*cond.clause, attr)) dropped_condition = true;
-  }
-  // Dropping a dispensable projection column leaves the extent equal on
-  // the common interface; dropping a dispensable filter widens it.
-  const ExtentRelation drop_extent = dropped_condition
-                                         ? ExtentRelation::kSuperset
-                                         : ExtentRelation::kEqual;
-  Status drop_status = Status::OK();  // why there is no drop rewriting
-  SynchronizedView drop;
-  if (drop_possible) {
-    Result<ViewDefinition> dropped =
-        DropAttributeRewriting(view, attr, view.name());
-    drop_status = dropped.status();
-    if (dropped.ok()) {
-      drop.is_drop = true;
-      drop.legality = CheckLegality(view, dropped.value(), change, mkb_prime,
-                                    drop_extent, {});
-      drop.cost = ScoreRewriting(view, dropped.value(),
-                                 drop.legality.inferred_extent, model);
-      drop.view = dropped.MoveValue();
-      if (drop.legality.legal() || !options.require_view_extent) {
-        top_k.SetDrop(drop.cost.total);
-      }
-    }
-  }
+double CoverStream::SearchLowerBound(const Cover& cover) const {
+  const size_t missing = from_set_.count(cover.fc->source.relation) ? 0u : 1u;
+  const size_t tree_size = cover.enumerator.NextTreeSizeLowerBound();
+  const size_t beyond = tree_size > from_size_ ? tree_size - from_size_ : 0u;
+  return BoundAtWidth(cover, from_size_ + std::max(missing, beyond));
+}
 
-  size_t pull_cap = options.replacement.max_results;
-  const char* cap_name = "max_results";
-  if (options.candidate_budget > 0 &&
-      (pull_cap == 0 || options.candidate_budget < pull_cap)) {
-    pull_cap = options.candidate_budget;
-    cap_name = "candidate_budget";
-  }
+void CoverStream::NoteUnreachable(const Cover& cover) {
+  notes_->push_back("cover " + cover.fc->id + " (" +
+                    cover.fc->source.relation + ") is not reachable from " +
+                    attr_.relation + " in H'(MKB')");
+}
 
-  size_t pulled = 0;
-  bool deadline_partial = false;
-  size_t deadline_frontier = 0;
-  while (!heap.empty()) {
-    // Safe point: stop before more work once the token expired (its own
-    // limits, an ancestor's cancellation, or an enumerator's refusal
-    // observed below). The accepted prefix stays valid.
-    if (options.replacement.token.Expired()) {
-      deadline_partial = true;
-      break;
-    }
-    if (top_k.Excludes(heap.top().lower_bound)) {
-      result.enumeration.terminated_early = true;
-      std::ostringstream note;
-      note << "top-k early termination: next candidate lower bound "
-           << heap.top().lower_bound << " >= k-th best cost "
-           << top_k.KthBest()
-           << " with " << heap.size() << " queue states unexplored";
-      result.diagnostics.push_back(note.str());
-      break;
-    }
-    if (pull_cap > 0 && pulled >= pull_cap) {
-      result.diagnostics.push_back(
-          std::string(cap_name) + "=" + std::to_string(pull_cap) +
-          " stopped the enumeration after " + std::to_string(pulled) +
-          " candidates with " + std::to_string(heap.size()) +
-          " queue states unexplored; the result may be incomplete");
-      break;
-    }
-    State state = heap.top();
-    heap.pop();
-    CoverState& cs = cover_states[state.cover_index];
+std::optional<ReplacementCandidate> CoverStream::Next() {
+  State state = heap_.top();
+  heap_.pop();
+  Cover& cover = covers_[state.cover];
 
-    if (state.kind == Kind::kSearch) {
-      // Lazy key update: the frontier may have shrunk to larger trees
-      // since this state was pushed.
-      const double fresh = search_lower_bound(cs);
-      if (fresh > state.lower_bound) {
-        state.lower_bound = fresh;
-        heap.push(std::move(state));
-        continue;
-      }
-      const bool found = cs.enumerator.NextIndices(&popped);
-      fold_stats(cs);
-      if (!found && cs.enumerator.interrupted() && deadline_frontier == 0) {
-        // First-cut frontier bound: the smallest tree the interrupted
-        // search had not yet explored. The Expired() check above ends
-        // the loop on the next iteration.
-        deadline_frontier = cs.enumerator.NextTreeSizeLowerBound();
-      }
-      if (!cs.enumerator.Exhausted()) {
-        heap.push(State{std::max(search_lower_bound(cs), state.lower_bound),
-                        next_seq++, Kind::kSearch, state.cover_index, 0});
-      }
-      if (found) {
-        ++cs.yielded;
-        // The spliced FROM is FROM ∪ tree.
-        size_t merged = from_set.size();
-        for (const uint32_t rel : popped.relations) {
-          if (!std::binary_search(from_indices.begin(), from_indices.end(),
-                                  rel)) {
-            ++merged;
-          }
-        }
-        const double lb =
-            std::max(cover_lower_bound(cs, merged), state.lower_bound);
-        trees.push_back(
-            ReadyTree{arena.size(),
-                      static_cast<uint32_t>(popped.relations.size()),
-                      static_cast<uint32_t>(popped.edges.size())});
-        arena.insert(arena.end(), popped.relations.begin(),
-                     popped.relations.end());
-        arena.insert(arena.end(), popped.edges.begin(), popped.edges.end());
-        heap.push(State{lb, next_seq++, Kind::kReady, state.cover_index,
-                        static_cast<uint32_t>(trees.size() - 1)});
-      } else if (cs.enumerator.Exhausted() && cs.yielded == 0) {
-        // The search drained (possibly cut by max_extra_relations) without
-        // a single connecting tree.
-        unreachable_note(cs);
-      }
-      continue;
-    }
-
-    // kReady: splice and legality-check the candidate.
-    ++pulled;
-    ++result.enumeration.candidates_yielded;
-    const ReadyTree& ready = trees[state.tree];
-    const uint32_t* indices = arena.data() + ready.begin;
-    const JoinTree tree = cs.enumerator.Materialize(
+  if (state.kind == Kind::kReady) {
+    ++stats_.candidates_yielded;
+    const ReadyTree& ready = trees_[state.tree];
+    const uint32_t* indices = arena_.data() + ready.begin;
+    ReplacementCandidate candidate;
+    candidate.tree = cover.enumerator.Materialize(
         {indices, ready.num_relations},
         {indices + ready.num_relations, ready.num_edges});
-    const FunctionOfConstraint& cover = *cs.cover;
-    Result<ViewDefinition> spliced =
-        SpliceAttributeReplacement(view, attr, cover, tree, next_name());
-    if (!spliced.ok()) {
-      result.diagnostics.push_back("candidate rejected: " +
-                                   spliced.status().ToString());
-      ++result.enumeration.candidates_rejected;
-      continue;
-    }
-    // One local copy, moved into the result below.
-    ViewDefinition spliced_view = spliced.MoveValue();
-    std::map<AttributeRef, ExprPtr> substitution;
-    substitution.emplace(attr, cover.fn);
-    SynchronizedView synced;
-    synced.candidate.tree = tree;
-    synced.candidate.cost_lower_bound = state.lower_bound;
-    synced.candidate.replacements.push_back(AttributeReplacement{
-        attr, cover.fn, cover.source.relation, cover.id});
-    synced.legality = CheckLegality(view, spliced_view, change, mkb_prime,
-                                    cs.extent, substitution);
-    synced.cost = ScoreRewriting(view, spliced_view,
-                                 synced.legality.inferred_extent, model);
-    synced.view = std::move(spliced_view);
-    if (!synced.legality.legal() && options.require_view_extent) {
-      result.diagnostics.push_back("candidate rejected: " +
-                                   synced.legality.ToString());
-      ++result.enumeration.candidates_rejected;
-      continue;
-    }
-    if (!synced.legality.p1_unaffected || !synced.legality.p2_evaluable ||
-        !synced.legality.p4_parameters) {
-      result.diagnostics.push_back("candidate rejected: " +
-                                   synced.legality.ToString());
-      ++result.enumeration.candidates_rejected;
-      continue;
-    }
-    top_k.AddCandidate(synced.cost.total);
-    accepted.push_back(std::move(synced));
+    candidate.replacements.push_back(AttributeReplacement{
+        attr_, cover.fc->fn, cover.fc->source.relation, cover.fc->id});
+    candidate.cost_lower_bound = state.lower_bound;
+    candidate.extent_floor = cover.extent;
+    return candidate;
   }
-  result.enumeration.states_pending = heap.size();
-  result.enumeration.exhausted = heap.empty();
-  {
-    const DeadlineToken& token = options.replacement.token;
-    if (token.valid()) {
-      result.enumeration.deadline.work_spent = token.work_spent();
-      result.enumeration.deadline.work_budget = token.work_budget();
-      result.enumeration.deadline.stop_cause = token.cause();
-      if (deadline_partial) {
-        result.enumeration.deadline.partial = true;
-        result.enumeration.deadline.frontier_bound = deadline_frontier;
-        result.diagnostics.push_back(
-            "deadline stopped the enumeration (" +
-            std::string(StopCauseToString(token.cause())) + " after " +
-            std::to_string(token.work_spent()) +
-            " work units); returning the best-under-budget prefix");
+
+  // Lazy key update: the frontier may have shrunk to larger trees since
+  // this state was pushed.
+  const double fresh = SearchLowerBound(cover);
+  if (fresh > state.lower_bound) {
+    state.lower_bound = fresh;
+    heap_.push(state);
+    return std::nullopt;
+  }
+  const bool found = cover.enumerator.NextIndices(&popped_);
+  const JoinTreeEnumerator& search = cover.enumerator;
+  stats_.trees_expanded += search.sets_expanded() - cover.seen_expanded;
+  cover.seen_expanded = search.sets_expanded();
+  stats_.search_sets_cut += search.sets_cut() - cover.seen_cut;
+  cover.seen_cut = search.sets_cut();
+  if (!search.Exhausted()) {
+    Push(std::max(SearchLowerBound(cover), state.lower_bound), Kind::kSearch,
+         state.cover, 0);
+  }
+  if (search.interrupted()) {
+    // The token refused the expansion: the search keeps its frontier, whose
+    // smallest unexplored tree size is the first-cut frontier bound.
+    stats_.deadline.partial = true;
+    stats_.deadline.frontier_bound = search.NextTreeSizeLowerBound();
+    return std::nullopt;
+  }
+  if (found) {
+    ++cover.yielded;
+    // The spliced FROM is FROM ∪ tree.
+    size_t merged = from_set_.size();
+    for (const uint32_t rel : popped_.relations) {
+      if (!std::binary_search(from_indices_.begin(), from_indices_.end(),
+                              rel)) {
+        ++merged;
       }
     }
+    trees_.push_back(ReadyTree{arena_.size(),
+                               static_cast<uint32_t>(popped_.relations.size()),
+                               static_cast<uint32_t>(popped_.edges.size())});
+    arena_.insert(arena_.end(), popped_.relations.begin(),
+                  popped_.relations.end());
+    arena_.insert(arena_.end(), popped_.edges.begin(), popped_.edges.end());
+    Push(std::max(BoundAtWidth(cover, merged), state.lower_bound), Kind::kReady,
+         state.cover, static_cast<uint32_t>(trees_.size() - 1));
+  } else if (search.Exhausted() && cover.yielded == 0) {
+    // The search drained (possibly cut by max_extra_relations) without a
+    // single connecting tree.
+    NoteUnreachable(cover);
   }
-  if (result.enumeration.search_sets_cut > 0) {
-    result.diagnostics.push_back(
-        "join-tree search cut " +
-        std::to_string(result.enumeration.search_sets_cut) +
-        " frontier sets at max_extra_relations=" +
-        std::to_string(options.replacement.max_extra_relations) +
-        "; the enumeration may be incomplete");
-  }
+  return std::nullopt;
+}
 
-  result.rewritings = std::move(accepted);
+std::vector<std::string> CoverStream::TruncationNotes() const {
+  if (stats_.search_sets_cut == 0) return {};
+  return {"join-tree search cut " + std::to_string(stats_.search_sets_cut) +
+          " frontier sets at max_extra_relations=" +
+          std::to_string(max_extra_relations_) +
+          "; the enumeration may be incomplete"};
+}
 
-  // Drop path: only when every usage is dispensable.
-  if (drop_possible) {
-    const std::string name = next_name();
-    if (drop_status.ok()) {
-      drop.view.set_name(name);
-      if (drop.legality.legal() || !options.require_view_extent) {
-        result.rewritings.push_back(std::move(drop));
-      } else {
-        result.diagnostics.push_back("drop-based rewriting rejected: " +
-                                     drop.legality.ToString());
-      }
-    } else {
-      result.diagnostics.push_back("drop-based rewriting not possible: " +
-                                   drop_status.ToString());
+}  // namespace
+
+Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
+                                             const std::string& relation,
+                                             const std::string& attribute,
+                                             const SyncContext& context,
+                                             const CvsOptions& options) {
+  const AttributeRef attr{relation, attribute};
+  if (!view.ReferencesAttribute(attr)) return PassThroughResult(view);
+  const CapabilityChange change =
+      CapabilityChange::DeleteAttribute(relation, attribute);
+
+  // Classify usages of the attribute.
+  bool any_indispensable = false;
+  bool replacement_allowed = true;
+  bool in_condition = false;
+  for (const ViewSelectItem& item : view.select()) {
+    if (!ExprMentions(*item.expr, attr)) continue;
+    if (!item.params.dispensable) {
+      any_indispensable = true;
+      if (!item.params.replaceable) replacement_allowed = false;
     }
   }
-
-  // One ranking path: sort by the model in effect. Ties keep arrival
-  // order — stream order for replacements, then the drop-based rewriting.
-  std::stable_sort(result.rewritings.begin(), result.rewritings.end(),
-                   [](const SynchronizedView& a, const SynchronizedView& b) {
-                     return a.cost.total < b.cost.total;
-                   });
-  if (options.top_k > 0 && result.rewritings.size() > options.top_k) {
+  for (const ViewCondition& cond : view.where()) {
+    if (!ExprMentions(*cond.clause, attr)) continue;
+    in_condition = true;
+    if (!cond.params.dispensable) {
+      any_indispensable = true;
+      if (!cond.params.replaceable) replacement_allowed = false;
+    }
+  }
+  CvsResult result;
+  if (any_indispensable && !replacement_allowed) {
     result.diagnostics.push_back(
-        "ranked " + std::to_string(result.rewritings.size()) +
-        " legal rewritings; returning top " +
-        std::to_string(options.top_k));
-    result.rewritings.resize(options.top_k);
+        attr.ToString() +
+        " is used by an indispensable, non-replaceable component; the view "
+        "must be disabled");
+    return result;
   }
 
+  const RewritingCostModel model =
+      options.cost_model.has_value() ? *options.cost_model
+                                     : DefaultRankingCostModel();
+  // The join graph is built once per change and shared by every affected
+  // view.
+  CoverStream stream(view, attr, context.mkb(), context.graph_prime(),
+                     options.replacement, model, &result.diagnostics);
+  const RMapping no_mapping;
+  TopKRequest request{.view = view,
+                      .change = change,
+                      .mkb_prime = context.mkb_prime(),
+                      .mapping = no_mapping,
+                      .options = options,
+                      .model = model};
+  if (options.include_drop_rewriting && !any_indispensable) {
+    // Dropping a dispensable projection column leaves the extent equal on
+    // the common interface; dropping a dispensable filter widens it.
+    request.drop = DropAttributeRewriting(view, attr, view.name());
+    request.drop_extent =
+        in_condition ? ExtentRelation::kSuperset : ExtentRelation::kEqual;
+  }
+  RunTopK(
+      std::move(request), &stream,
+      [&](const ReplacementCandidate& candidate,
+          const std::string& name) -> Result<SplicedCandidate> {
+        // The candidate's one replacement is the cover's function.
+        const ExprPtr& fn = candidate.replacements.front().replacement;
+        EVE_ASSIGN_OR_RETURN(
+            ViewDefinition spliced,
+            SpliceAttributeReplacement(view, attr, fn, candidate.tree, name));
+        return SplicedCandidate{std::move(spliced), candidate.extent_floor};
+      },
+      [&] {
+        FoldDeadline(options.replacement.token, &result);
+        for (std::string& note : stream.TruncationNotes()) {
+          result.diagnostics.push_back(std::move(note));
+        }
+      },
+      &result);
   if (result.rewritings.empty()) {
     result.diagnostics.push_back("no legal rewriting found for " +
                                  view.name() + " under " + change.ToString());

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/failpoint.h"
+#include "common/str_util.h"
 #include "cvs/explain.h"
 #include "esql/binder.h"
 #include "eve/journal.h"
@@ -88,18 +89,6 @@ std::string JoinNames(const std::vector<std::string>& names) {
     out += name;
   }
   return out;
-}
-
-// Strict decimal parse for journal record bodies carrying version ids.
-bool ParseDecimalU64(std::string_view text, uint64_t* out) {
-  if (text.empty()) return false;
-  uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
 }
 
 }  // namespace
@@ -394,24 +383,23 @@ Status EveSystem::RegisterViewsBulk(const std::vector<ViewDefinition>& views) {
                          BindView(view.ToParsedView(), mkb().catalog()));
     bound.push_back(std::move(rebound));
   }
-  // One record for the whole batch, in the SaveViews block format so
-  // replay parses it with the same grammar as checkpoint pools. Rendered
-  // only when a journal will take it.
+  std::vector<RegisteredView> batch(bound.size());
+  for (size_t i = 0; i < bound.size(); ++i) {
+    batch[i].definition = std::move(bound[i]);
+  }
+  // One record for the whole batch, in the SaveViews block format (before
+  // the views get their synced_at stamp, which the record leaves out) so
+  // replay reads it with the same reader as checkpoint pools. Rendered only
+  // when a journal will take it.
   if (journal_ != nullptr) {
     std::string body;
-    for (const ViewDefinition& view : bound) {
-      body += "-- VIEW active\n";
-      body += view.ToString();
-      body += ";\n\n";
-    }
+    for (const RegisteredView& view : batch) AppendViewBlock(view, &body);
     EVE_RETURN_IF_ERROR(
         JournalAppend({JournalRecordKind::kRegisterViewsBulk, body}));
   }
   const uint64_t stamp = versions_.NextId();
-  for (ViewDefinition& view : bound) {
-    const std::string name = view.name();
-    RegisteredView registered;
-    registered.definition = std::move(view);
+  for (RegisteredView& registered : batch) {
+    const std::string name = registered.definition.name();
     registered.synced_at_version = stamp;
     AddView(name, std::move(registered));
   }
@@ -1315,7 +1303,7 @@ Status EveSystem::ReplayRecord(const JournalRecord& record) {
       const size_t at = head.find('@');
       if (at != std::string::npos) {
         state_word = head.substr(0, at);
-        if (!ParseDecimalU64(head.substr(at + 1), &synced_at)) {
+        if (!ParseDecimal(head.substr(at + 1), &synced_at)) {
           return Status::ParseError("malformed synced-at suffix: " + head);
         }
       }
@@ -1338,27 +1326,16 @@ Status EveSystem::ReplayRecord(const JournalRecord& record) {
       // every block, then re-register through RegisterViewsBulk so replay
       // commits exactly one version, like the original call.
       std::vector<ViewDefinition> batch;
-      std::string_view text = record.body;
-      size_t pos = 0;
-      while (pos < text.size()) {
-        const size_t header = text.find("-- VIEW ", pos);
-        if (header == std::string_view::npos) break;
-        const size_t header_end = text.find('\n', header);
-        if (header_end == std::string_view::npos) {
-          return Status::ParseError("truncated bulk-registration header");
-        }
-        const size_t body_end = text.find(';', header_end);
-        if (body_end == std::string_view::npos) {
+      for (const ViewBlock& block : SplitViewBlocks(record.body)) {
+        if (!block.terminated) {
           return Status::ParseError(
               "bulk-registration statement missing terminating ';'");
         }
-        const std::string_view statement =
-            text.substr(header_end + 1, body_end - header_end - 1);
-        EVE_ASSIGN_OR_RETURN(const ParsedView parsed, ParseView(statement));
+        EVE_ASSIGN_OR_RETURN(const ParsedView parsed,
+                             ParseView(block.definition));
         EVE_ASSIGN_OR_RETURN(ViewDefinition bound,
                              BindView(parsed, mkb().catalog()));
         batch.push_back(std::move(bound));
-        pos = body_end + 1;
       }
       return RegisterViewsBulk(batch);
     }
@@ -1385,7 +1362,7 @@ Status EveSystem::ReplayRecord(const JournalRecord& record) {
       // version the original commit created, else checkpoint and journal
       // come from diverged histories.
       uint64_t expected = 0;
-      if (!ParseDecimalU64(record.body, &expected)) {
+      if (!ParseDecimal(record.body, &expected)) {
         return Status::ParseError("malformed version-commit record: " +
                                   record.body);
       }
@@ -1399,7 +1376,7 @@ Status EveSystem::ReplayRecord(const JournalRecord& record) {
     }
     case JournalRecordKind::kRollback: {
       uint64_t target = 0;
-      if (!ParseDecimalU64(record.body, &target)) {
+      if (!ParseDecimal(record.body, &target)) {
         return Status::ParseError("malformed rollback record: " + record.body);
       }
       return RollbackToVersion(target).status();

@@ -44,26 +44,18 @@ std::string SaveViews(const EveSystem& system) {
 
 Status LoadViews(std::string_view text, EveSystem* system) {
   EVE_FAILPOINT(fp::kViewPoolLoadValidate);
-  // Segment on "-- VIEW <state>" header lines; the statement body runs to
-  // the terminating ';'.
-  size_t pos = 0;
-  while (pos < text.size()) {
-    const size_t header = text.find("-- VIEW ", pos);
-    if (header == std::string_view::npos) break;
-    const size_t header_end = text.find('\n', header);
-    if (header_end == std::string_view::npos) {
-      return Status::ParseError("truncated view header");
+  for (const ViewBlock& block : SplitViewBlocks(text)) {
+    if (!block.terminated) {
+      return Status::ParseError("view statement missing terminating ';'");
     }
-    std::string_view header_rest =
-        Trim(text.substr(header + 8, header_end - header - 8));
-    std::string_view state_word = header_rest;
+    std::string_view state_word = block.header;
     std::set<std::string> provisional;
     uint64_t synced_at = 0;
-    const size_t space = header_rest.find(' ');
+    const size_t space = block.header.find(' ');
     if (space != std::string_view::npos) {
-      state_word = Trim(header_rest.substr(0, space));
+      state_word = Trim(block.header.substr(0, space));
       for (const std::string& token :
-           Split(Trim(header_rest.substr(space + 1)), ' ')) {
+           Split(Trim(block.header.substr(space + 1)), ' ')) {
         const std::string_view extra = Trim(token);
         if (extra.empty()) continue;
         if (StartsWith(extra, "provisional=")) {
@@ -75,15 +67,10 @@ Status LoadViews(std::string_view text, EveSystem* system) {
             }
           }
         } else if (StartsWith(extra, "synced_at=")) {
-          const std::string_view digits =
-              extra.substr(std::string_view("synced_at=").size());
-          synced_at = 0;
-          for (const char c : digits) {
-            if (c < '0' || c > '9') {
-              return Status::ParseError("malformed synced_at token: " +
-                                        std::string(extra));
-            }
-            synced_at = synced_at * 10 + static_cast<uint64_t>(c - '0');
+          if (!ParseDecimal(extra.substr(std::string_view("synced_at=").size()),
+                            &synced_at)) {
+            return Status::ParseError("malformed synced_at token: " +
+                                      std::string(extra));
           }
         } else {
           return Status::ParseError("unknown view header token: " +
@@ -100,13 +87,7 @@ Status LoadViews(std::string_view text, EveSystem* system) {
       return Status::ParseError("unknown view state: " +
                                 std::string(state_word));
     }
-    const size_t body_start = header_end + 1;
-    size_t body_end = text.find(';', body_start);
-    if (body_end == std::string_view::npos) {
-      return Status::ParseError("view statement missing terminating ';'");
-    }
-    const std::string_view statement =
-        Trim(text.substr(body_start, body_end - body_start));
+    const std::string_view statement = block.definition;
     std::string view_name;
     if (state == ViewState::kActive) {
       EVE_ASSIGN_OR_RETURN(const ParsedView parsed, ParseView(statement));
@@ -131,7 +112,6 @@ Status LoadViews(std::string_view text, EveSystem* system) {
       // the saved stamp wins (it names the version the pool was frozen at).
       EVE_RETURN_IF_ERROR(system->SetViewSyncedVersion(view_name, synced_at));
     }
-    pos = body_end + 1;
   }
   return Status::OK();
 }

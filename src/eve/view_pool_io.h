@@ -18,7 +18,11 @@ namespace eve {
 //   -- VIEW active|disabled
 //   CREATE VIEW ... ;
 // Disabled views are emitted too (their last definition), so a reload
-// preserves the pool exactly.
+// preserves the pool exactly. A block's statement ends at its first ';'
+// outside '...' literals and "..." identifiers, and the next "-- VIEW "
+// header counts only at a line start after that ';', so literals and
+// quoted names may hold either (SplitViewBlocks, mkb/version_store.h, is
+// the one reader).
 std::string SaveViews(const EveSystem& system);
 
 // Appends one view's SaveViews block to `out`: SaveViews is these blocks in
@@ -28,7 +32,7 @@ void AppendViewBlock(const RegisteredView& view, std::string* out);
 // Parses the SaveViews format and registers each view into `system`
 // (definitions are re-bound against the system's current MKB). Views
 // marked disabled are registered and then flagged disabled. Fails on the
-// first view that no longer binds.
+// first view that no longer binds, and on a statement without its ';'.
 Status LoadViews(std::string_view text, EveSystem* system);
 
 }  // namespace eve

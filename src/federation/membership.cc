@@ -1,7 +1,6 @@
 #include "federation/membership.h"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
 #include <vector>
 
@@ -154,12 +153,9 @@ Result<uint64_t> ParseU64(std::string_view text, std::string_view what) {
   if (text.empty()) {
     return Status::ParseError("empty " + std::string(what));
   }
-  for (const char c : text) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) {
-      return Status::ParseError("bad " + std::string(what) + ": " +
-                                std::string(text));
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+  if (!ParseDecimal(text, &value)) {
+    return Status::ParseError("bad " + std::string(what) + ": " +
+                              std::string(text));
   }
   return value;
 }

@@ -160,6 +160,19 @@ size_t FindViewHeader(std::string_view text, size_t from) {
   }
 }
 
+// Offset of the ';' ending the statement that starts at `from`: the first
+// one outside '...' literals and "..." identifiers (a doubled quote inside
+// either closes and reopens it). npos when there is none.
+size_t StatementEnd(std::string_view text, size_t from) {
+  while (true) {
+    const size_t hit = text.find_first_of(";'\"", from);
+    if (hit == std::string_view::npos || text[hit] == ';') return hit;
+    const size_t close = text.find(text[hit], hit + 1);
+    if (close == std::string_view::npos) return close;
+    from = close + 1;
+  }
+}
+
 // The view name of "CREATE VIEW <name> ...", undoing the printer's
 // double-quote escaping of non-plain identifiers.
 std::string ViewNameOf(std::string_view definition) {
@@ -206,40 +219,28 @@ bool ParseHex32(std::string_view word, uint32_t* out) {
   return true;
 }
 
-bool ParseU64(std::string_view word, uint64_t* out) {
-  if (word.empty()) return false;
-  uint64_t value = 0;
-  for (const char c : word) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 std::vector<ViewBlock> SplitViewBlocks(std::string_view views_text) {
+  constexpr size_t kNpos = std::string_view::npos;
   std::vector<ViewBlock> blocks;
   size_t pos = FindViewHeader(views_text, 0);
-  while (pos != std::string_view::npos) {
-    const size_t next = FindViewHeader(views_text, pos + 1);
-    const size_t end =
-        next == std::string_view::npos ? views_text.size() : next;
+  while (pos != kNpos) {
     ViewBlock block;
-    block.text = views_text.substr(pos, end - pos);
-    // The text starts with the 8-byte "-- VIEW " header prefix.
+    // The block starts with the 8-byte "-- VIEW " header prefix.
     const size_t header_end =
-        std::min(block.text.find('\n'), block.text.size());
-    const std::string_view header = Trim(block.text.substr(8, header_end - 8));
-    block.active = header.substr(0, 8) != "disabled";
-    std::string_view definition =
-        Trim(block.text.substr(std::min(header_end + 1, block.text.size())));
-    if (!definition.empty() && definition.back() == ';') {
-      definition = Trim(definition.substr(0, definition.size() - 1));
-    }
-    block.definition = definition;
-    block.name = ViewNameOf(definition);
+        std::min(views_text.find('\n', pos), views_text.size());
+    block.header = Trim(views_text.substr(pos + 8, header_end - pos - 8));
+    block.active = block.header.substr(0, 8) != "disabled";
+    const size_t body = std::min(header_end + 1, views_text.size());
+    const size_t end = StatementEnd(views_text, body);
+    block.terminated = end != kNpos;
+    block.definition =
+        Trim(views_text.substr(body, std::min(end, views_text.size()) - body));
+    block.name = ViewNameOf(block.definition);
+    const size_t next =
+        block.terminated ? FindViewHeader(views_text, end + 1) : kNpos;
+    block.text = views_text.substr(pos, next == kNpos ? kNpos : next - pos);
     blocks.push_back(std::move(block));
     pos = next;
   }
@@ -676,7 +677,7 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
       }
       uint64_t index = 0, len = 0;
       uint32_t crc = 0;
-      if (!ParseU64(index_word, &index) || !ParseU64(len_word, &len) ||
+      if (!ParseDecimal(index_word, &index) || !ParseDecimal(len_word, &len) ||
           !ParseHex32(crc_word, &crc)) {
         return Status::ParseError("VERSIONS: malformed SEGMENT header: " +
                                   line);
@@ -727,7 +728,7 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
       }
       uint64_t id = 0, parent = 0;
       uint32_t crc = 0;
-      if (!ParseU64(id_word, &id) || !ParseU64(parent_word, &parent) ||
+      if (!ParseDecimal(id_word, &id) || !ParseDecimal(parent_word, &parent) ||
           !ParseHex32(crc_word, &crc) || table.empty()) {
         return Status::ParseError("VERSIONS: malformed VERSION line: " + line);
       }
@@ -739,7 +740,7 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
       const auto resolve = [&](const std::string& word, size_t s,
                                SegmentPtr* out) -> Status {
         uint64_t seg_index = 0;
-        if (!ParseU64(word, &seg_index) || seg_index >= table.size()) {
+        if (!ParseDecimal(word, &seg_index) || seg_index >= table.size()) {
           return Status::ParseError("VERSIONS: VERSION " + id_word +
                                     " references unknown segment " + word);
         }
@@ -771,7 +772,7 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
         const size_t eq = word.find('=');
         uint64_t bucket = 0;
         if (eq == std::string::npos ||
-            !ParseU64(std::string_view(word).substr(0, eq), &bucket) ||
+            !ParseDecimal(std::string_view(word).substr(0, eq), &bucket) ||
             bucket < next_bucket || bucket >= kViewBuckets) {
           return Status::ParseError("VERSIONS: VERSION " + id_word +
                                     " has malformed bucket entry " + word);

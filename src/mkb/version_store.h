@@ -101,13 +101,20 @@ struct MkbVersion {
 struct ViewBlock {
   std::string name;
   bool active = true;
+  std::string_view header;      // the header line after "-- VIEW ", trimmed
   std::string_view text;        // the whole block, as rendered
   std::string_view definition;  // the CREATE VIEW statement, without ';'
+  bool terminated = true;       // false: the statement has no ';'
 };
 
-// Splits SaveViews-format text into its view blocks, in text order. This is
-// the one parser of versioned view text: commits bucket with it, and
-// ViewsAt and the console's SHOW VIEW(S) read with it.
+// Splits SaveViews-format text into its view blocks, in text order. A block
+// starts at a line that begins with "-- VIEW ", and its statement ends at
+// the first ';' outside '...' literals and "..." identifiers; the next
+// header is searched for only after that ';', so a literal may hold ';' or
+// "\n-- VIEW ". An unterminated statement runs to the end of the text.
+// This is the one reader of view-pool text: commits bucket with it,
+// ViewsAt and the console's SHOW VIEW(S) read with it, and so do
+// LoadViews and the replay of a bulk registration.
 std::vector<ViewBlock> SplitViewBlocks(std::string_view views_text);
 
 // Every view block `version` froze, merged from its buckets into name

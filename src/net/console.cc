@@ -470,9 +470,7 @@ bool Console::Recover(const std::string& checkpoint_path,
 
 bool Console::SetSync(const std::string& knob, const std::string& value) {
   uint64_t parsed = 0;
-  try {
-    parsed = std::stoull(value);
-  } catch (...) {
+  if (!ParseDecimal(value, &parsed)) {
     Err() << "error: SET SYNC " << knob
           << " expects a non-negative integer, got " << value << "\n";
     return false;
@@ -715,13 +713,9 @@ Result<CapabilityChange> Console::MakeRename(
 
 // Parses a non-negative integer command argument.
 bool Console::ParseTicks(const std::string& word, uint64_t* out) {
-  try {
-    *out = std::stoull(word);
-    return true;
-  } catch (...) {
-    Err() << "error: expected a non-negative integer, got " << word << "\n";
-    return false;
-  }
+  if (ParseDecimal(word, out)) return true;
+  Err() << "error: expected a non-negative integer, got " << word << "\n";
+  return false;
 }
 
 // A fresh monitor aligned to the console's federation clock. Stats are

@@ -1,5 +1,8 @@
 #include "sql/parser.h"
 
+#include <charconv>
+#include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "common/str_util.h"
@@ -250,10 +253,24 @@ class Parser {
       return Expr::Lit(Value::String(Advance().text));
     }
     if (Check(TokenType::kIntLiteral)) {
-      return Expr::Lit(Value::Int(std::stoll(Advance().text)));
+      uint64_t value = 0;
+      if (!ParseDecimal(Peek().text, &value) ||
+          value > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+        return Error("integer literal out of range");
+      }
+      Advance();
+      return Expr::Lit(Value::Int(static_cast<int64_t>(value)));
     }
     if (Check(TokenType::kDoubleLiteral)) {
-      return Expr::Lit(Value::Double(std::stod(Advance().text)));
+      const std::string& text = Peek().text;
+      double value = 0.0;
+      const auto [stop, error] =
+          std::from_chars(text.data(), text.data() + text.size(), value);
+      if (error != std::errc() || stop != text.data() + text.size()) {
+        return Error("numeric literal out of range");
+      }
+      Advance();
+      return Expr::Lit(Value::Double(value));
     }
     if (Check(TokenType::kIdentifier)) {
       const std::string& text = Peek().text;

@@ -134,6 +134,26 @@ TEST_F(ServerTest, FailedStatementCarriesCodeAndDiagnostic) {
       << response->error;
 }
 
+TEST_F(ServerTest, OutOfRangeLiteralFailsTheStatementNotTheServer) {
+  StartServer();
+  NetClient client = MustConnect();
+  ASSERT_TRUE(client.Run(kDefineCustomer).ok());
+  for (const std::string& statement :
+       {std::string("CREATE VIEW Big AS SELECT C.Name FROM Customer C WHERE "
+                    "C.Age = 99999999999999999999"),
+        "CREATE VIEW Big AS SELECT C.Name FROM Customer C WHERE C.Age = " +
+            std::string(400, '9') + ".5"}) {
+    Result<Response> response = client.Run(statement);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_NE(response->code, 0);
+    EXPECT_NE(response->error.find("parse_error"), std::string::npos)
+        << response->error;
+  }
+  Result<Response> alive = client.Run("SHOW MKB");
+  ASSERT_TRUE(alive.ok()) << alive.status().ToString();
+  EXPECT_EQ(alive->code, 0);
+}
+
 TEST_F(ServerTest, ShowServerStatsAnswersFromCounters) {
   StartServer();
   NetClient client = MustConnect();
@@ -572,6 +592,32 @@ TEST(ConsoleTest, ReplacingTheSystemForgetsTheConfiguredSyncLimits) {
   std::remove(misd.c_str());
   std::remove(checkpoint.c_str());
   std::remove(journal.c_str());
+}
+
+TEST(ConsoleTest, IntegerArgumentsAcceptOnlyPlainDecimals) {
+  // A sign, trailing bytes or a value past UINT64_MAX is refused with the
+  // usual message, by SET SYNC and by every other integer argument.
+  Console console;
+  for (const std::string value :
+       {"-5", "+5", "12abc", "123456789012345678901"}) {
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_FALSE(console.Run("SET SYNC BUDGET " + value, out, err));
+    EXPECT_EQ(err.str(),
+              "error: SET SYNC BUDGET expects a non-negative integer, got " +
+                  value + "\n");
+    std::ostringstream at_out;
+    std::ostringstream at_err;
+    EXPECT_FALSE(console.Run("SHOW MKB AT VERSION " + value, at_out, at_err));
+    EXPECT_EQ(at_err.str(),
+              "error: expected a non-negative integer, got " + value + "\n");
+  }
+  EXPECT_EQ(console.system().sync_candidate_budget(), 0u);
+  std::ostringstream out;
+  std::ostringstream err;
+  ASSERT_TRUE(console.Run("SET SYNC BUDGET 18446744073709551615", out, err))
+      << err.str();
+  EXPECT_EQ(console.system().sync_candidate_budget(), SIZE_MAX);
 }
 
 // --- SplitStatements line accounting (the evectl file:line contract) --------

@@ -256,6 +256,23 @@ TEST(ParserTest, TrailingGarbageFails) {
   EXPECT_FALSE(ParseExpression("1 + 2 extra +").ok());
 }
 
+TEST(ParserTest, OutOfRangeLiteralsAreParseErrors) {
+  // INT64_MAX still parses; one more, or a double past DBL_MAX, fails
+  // with a parse error instead of throwing.
+  EXPECT_TRUE(ParseExpression("9223372036854775807").ok());
+  for (const std::string& literal :
+       {std::string("9223372036854775808"),
+        std::string("99999999999999999999"),
+        std::string(400, '9') + ".5"}) {
+    const Result<ParsedView> view = ParseView(
+        "CREATE VIEW Big AS SELECT C.Name FROM Customer C WHERE C.Age = " +
+        literal);
+    ASSERT_FALSE(view.ok()) << literal;
+    EXPECT_EQ(view.status().code(), StatusCode::kParseError) << literal;
+    EXPECT_FALSE(ParseExpression(literal + " + 1").ok()) << literal;
+  }
+}
+
 TEST(ParserTest, MalformedAnnotationFails) {
   EXPECT_FALSE(
       ParseView("CREATE VIEW V AS SELECT R.a (AD = maybe) FROM R").ok());

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -743,7 +744,9 @@ class OracleRun {
         return "aborted cascade " + source + ": " + status.ToString();
       }
       case 8: {
-        const uint64_t target = rng_() % system_->current_version();
+        // A fresh system is at version 0: roll back to it.
+        const uint64_t target =
+            rng_() % std::max<uint64_t>(1, system_->current_version());
         return "rollback to " + std::to_string(target) + ": " +
                system_->RollbackToVersion(target).status().ToString();
       }
@@ -872,6 +875,35 @@ TEST_F(VersioningTest, PerCommitOracleHoldsOverRandomOpStreams) {
   }
   // The streams exercised the heal trap: un-marking without a commit.
   EXPECT_GT(unmarking_heals, 0u);
+}
+
+// A stream journaled from a fresh system can draw the rollback step before
+// its first commit, at version 0 (seed 1 draws it first).
+TEST_F(VersioningTest, FreshJournaledStreamRollsBackAtVersionZero) {
+  OracleRun run(1);
+  EveSystem& system = run.system();
+  ASSERT_EQ(system.current_version(), 0u);
+  const std::string checkpoint = RenderCheckpoint(system);
+  const std::string path = ::testing::TempDir() + "fresh_oracle.wal";
+  std::remove(path.c_str());
+  Result<Journal> journal = Journal::Open(path);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  system.AttachJournal(&journal.value());
+  const std::string first = run.Step(/*with_load=*/false);
+  EXPECT_EQ(first.rfind("rollback to 0: ", 0), 0u) << first;
+  for (int i = 0; i < 30; ++i) {
+    const PinnedMkb before = system.PinTip();
+    CheckCommit(system, before, run.Step(/*with_load=*/false));
+  }
+  system.AttachJournal(nullptr);
+  const Result<JournalScan> scan = ReadJournal(path);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  const Result<EveSystem> recovered =
+      EveSystem::Recover(checkpoint, scan.value().records);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(SaveViews(recovered.value()), SaveViews(system));
+  EXPECT_EQ(recovered.value().versions().Render(), system.versions().Render());
+  std::remove(path.c_str());
 }
 
 // Over seeded op streams, every version's checksum (the head, the MISD
