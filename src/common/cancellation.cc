@@ -30,8 +30,6 @@ std::string_view StopCauseToString(StopCause cause) {
       return "work-budget";
     case StopCause::kDeadline:
       return "deadline";
-    case StopCause::kCancelled:
-      return "cancelled";
   }
   return "unknown";
 }
@@ -42,15 +40,6 @@ DeadlineToken DeadlineToken::Root(const DeadlineLimits& limits,
   state->work_budget = limits.work_budget;
   state->deadline_micros = limits.deadline_micros;
   state->clock = clock != nullptr ? clock : SteadyClock();
-  return DeadlineToken(std::move(state));
-}
-
-DeadlineToken DeadlineToken::Child(const DeadlineLimits& limits) const {
-  auto state = std::make_shared<State>();
-  state->parent = state_;
-  state->work_budget = limits.work_budget;
-  state->deadline_micros = limits.deadline_micros;
-  state->clock = state_ != nullptr ? state_->clock : SteadyClock();
   return DeadlineToken(std::move(state));
 }
 
@@ -67,11 +56,6 @@ bool DeadlineToken::CheckLimits(State& state, uint64_t spent) {
   // budget and runs that set both agree on the recorded cause.
   if (state.work_budget != 0 && spent > state.work_budget) {
     return RecordCause(state, StopCause::kWorkBudget);
-  }
-  for (const State* s = &state; s != nullptr; s = s->parent.get()) {
-    if (s->cancelled.load(std::memory_order_relaxed)) {
-      return RecordCause(state, StopCause::kCancelled);
-    }
   }
   if (state.deadline_micros != 0 &&
       state.clock->NowMicros() >= state.deadline_micros) {
@@ -101,18 +85,6 @@ bool DeadlineToken::Expired() const {
     return true;
   }
   return !CheckLimits(s, s.work_spent.load(std::memory_order_relaxed));
-}
-
-void DeadlineToken::Cancel() const {
-  if (state_ == nullptr) return;
-  state_->cancelled.store(true, std::memory_order_relaxed);
-}
-
-bool DeadlineToken::cancelled() const {
-  for (const State* s = state_.get(); s != nullptr; s = s->parent.get()) {
-    if (s->cancelled.load(std::memory_order_relaxed)) return true;
-  }
-  return false;
 }
 
 StopCause DeadlineToken::cause() const {

@@ -1,6 +1,5 @@
-// Deadline propagation and cooperative cancellation for the
-// synchronization pipeline. A DeadlineToken bounds one unit of work (a
-// batch, a change, a per-view search) by
+// Deadline propagation for the synchronization pipeline. A DeadlineToken
+// bounds one unit of work (a per-view search, a monitor tick) by
 //   (a) a deterministic logical-work budget, spent one enumeration step at
 //       a time, so the same budget stops the same search at exactly the
 //       same step regardless of wall-clock speed or sync parallelism, and
@@ -8,8 +7,6 @@
 //       (SteadyClock in production, ManualClock in tests). Wall-clock
 //       expiry is inherently nondeterministic and must never gate anything
 //       whose bytes are journaled or compared across runs.
-// Tokens form a parent->child tree: cancelling a batch token cancels every
-// per-view child at its next safe point (the next Spend/Expired check).
 // Expiry is sticky — the first cause observed is recorded once and every
 // later check fails fast — which is what bounds overshoot to at most one
 // enumeration step past the limit.
@@ -59,10 +56,9 @@ enum class StopCause {
   kNone = 0,
   kWorkBudget,  // the deterministic logical-work budget ran out
   kDeadline,    // the wall-clock deadline passed (best-effort)
-  kCancelled,   // this token or an ancestor was cancelled explicitly
 };
 
-// Stable lower-case name ("none", "work-budget", "deadline", "cancelled").
+// Stable lower-case name ("none", "work-budget", "deadline").
 std::string_view StopCauseToString(StopCause cause);
 
 // Limits for one token. Zero means "no limit" for both fields.
@@ -74,11 +70,11 @@ struct DeadlineLimits {
 };
 
 // Copyable handle on shared expiry state. A default-constructed token is
-// the null token: it never expires, spends for free, and Cancel() is a
-// no-op — layers that receive no token pay (almost) nothing. All methods
-// are safe to call concurrently from many threads, but determinism of the
-// work budget additionally requires that one token's Spend calls happen on
-// one thread (the per-view child pattern used by EveSystem).
+// the null token: it never expires and spends for free — layers that
+// receive no token pay (almost) nothing. All methods are safe to call
+// concurrently from many threads, but determinism of the work budget
+// additionally requires that one token's Spend calls happen on one thread
+// (EveSystem gives each affected view its own token).
 class DeadlineToken {
  public:
   DeadlineToken() = default;
@@ -87,11 +83,6 @@ class DeadlineToken {
   // deadline_micros != 0; defaults to SteadyClock().
   static DeadlineToken Root(const DeadlineLimits& limits,
                             const Clock* clock = nullptr);
-
-  // A child sharing this token's cancellation scope but carrying its own
-  // budget/deadline and its own work counter. Child(…) on the null token
-  // behaves like Root(…).
-  DeadlineToken Child(const DeadlineLimits& limits) const;
 
   bool valid() const { return state_ != nullptr; }
 
@@ -105,13 +96,6 @@ class DeadlineToken {
   // True once any limit fired (checks limits; does not spend).
   bool Expired() const;
 
-  // Cancels this token and, transitively via the parent chain, every
-  // descendant (observed at their next Spend/Expired check).
-  void Cancel() const;
-  // True once this token or an ancestor was cancelled. Reads no clock and
-  // records no cause.
-  bool cancelled() const;
-
   // First cause observed; kNone while live (or for the null token).
   StopCause cause() const;
 
@@ -124,12 +108,10 @@ class DeadlineToken {
 
  private:
   struct State {
-    std::shared_ptr<State> parent;
     const Clock* clock = nullptr;
     uint64_t work_budget = 0;
     uint64_t deadline_micros = 0;
     std::atomic<uint64_t> work_spent{0};
-    std::atomic<bool> cancelled{false};
     // Sticky first cause; written once with compare-exchange.
     std::atomic<StopCause> cause{StopCause::kNone};
   };

@@ -50,7 +50,7 @@ inline constexpr char kSourceLeavesBeforeCommit[] =
     "eve.source_leaves.before_commit";
 inline constexpr char kSetMembershipAfterJournal[] =
     "eve.set_membership.after_journal";
-// Cancellation safe points (see common/cancellation.h). view_start fires
+// Deadline safe points (see common/cancellation.h). view_start fires
 // at the top of each per-view synchronization task (on a pool worker when
 // a delete fans out over two or more views, which it does by default; a
 // crash is parked and rethrown on the caller in slot order, and an error

@@ -164,8 +164,7 @@ class CoverStream {
   }
   bool Exhausted() const { return heap_.empty(); }
   size_t PendingStates() const { return heap_.size(); }
-  // True once the token expired (its own limits, an ancestor's
-  // cancellation, or a refused expansion).
+  // True once the token expired (its own limits or a refused expansion).
   bool deadline_stopped() {
     if (!stats_.deadline.partial && token_.Expired()) {
       stats_.deadline.partial = true;

@@ -461,8 +461,8 @@ double CandidateStream::SearchLowerBound(const Combo& combo) const {
 std::optional<ReplacementCandidate> CandidateStream::Next() {
   if (deadline_stopped_) return std::nullopt;
   while (!heap_.empty()) {
-    // Safe point: a token expired elsewhere (wall clock, a sibling's
-    // spending, an explicit Cancel) stops the stream before more work.
+    // Safe point: a token expired elsewhere (the wall clock, or another
+    // layer spending the same token) stops the stream before more work.
     if (options_.token.Expired()) {
       MarkDeadlineStop(0);
       return std::nullopt;

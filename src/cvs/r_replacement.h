@@ -75,11 +75,11 @@ struct RReplacementOptions {
   // candidates anchored by indispensable attributes only; turn on for
   // maximal preservation (see cvs/cost_model.h and bench_cost_model).
   bool chase_optional_covers = false;
-  // Optional deadline/cancellation scope for the whole enumeration: the
-  // join-tree enumerators spend one unit per frontier set expanded, the
-  // stream one per candidate emitted. When the token refuses, Next()
-  // returns nullopt with deadline_stopped() set — the candidates already
-  // yielded form a valid (partial) prefix. The null token costs nothing.
+  // Optional deadline scope for the whole enumeration: the join-tree
+  // enumerators spend one unit per frontier set expanded, the stream one
+  // per candidate emitted. When the token refuses, Next() returns nullopt
+  // with deadline_stopped() set — the candidates already yielded form a
+  // valid (partial) prefix. The null token costs nothing.
   DeadlineToken token;
 };
 
@@ -104,8 +104,8 @@ Result<AttributeNeeds> ClassifyAttributeNeeds(const ViewDefinition& view,
 struct DeadlineStats {
   uint64_t work_spent = 0;   // token units consumed (expansions+emissions)
   uint64_t work_budget = 0;  // configured logical budget; 0 = unlimited
-  // First limit that fired (work-budget / deadline / cancelled); kNone
-  // when the run finished inside its limits.
+  // First limit that fired (work-budget / deadline); kNone when the run
+  // finished inside its limits.
   StopCause stop_cause = StopCause::kNone;
   // Smallest join-tree relation count the interrupted search had not yet
   // explored — the first-cut frontier bound, i.e. how deep the search was

@@ -1,12 +1,9 @@
 #include "eve/eve_system.h"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "common/failpoint.h"
 #include "common/str_util.h"
@@ -101,10 +98,6 @@ std::string SyncDiagnostics::ToString() const {
   if (!deadline_views.empty()) {
     if (!out.empty()) out += "; ";
     out += "deadline views: " + JoinNames(deadline_views);
-  }
-  if (watchdog_cancels > 0) {
-    if (!out.empty()) out += "; ";
-    out += "watchdog cancels: " + std::to_string(watchdog_cancels);
   }
   return out;
 }
@@ -262,8 +255,10 @@ void EveSystem::AddView(const std::string& name, RegisteredView view) {
 }
 
 RegisteredView& EveSystem::MutableView(const std::string& name) {
+  RegisteredView& view = views_.at(name);
+  if (batch_ != nullptr) batch_->views.try_emplace(name, view);
   if (!dirty_.all) dirty_.names.insert(name);
-  return views_.at(name);
+  return view;
 }
 
 Status EveSystem::JournalAppend(const JournalRecord& record) {
@@ -592,51 +587,21 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
   const SyncContext context(base.mkb, prepared.next_mkb,
                             prepared.base_version);
 
-  // Deadline tokens: one cancellable root per change, one child per
-  // affected view. The logical work budget lives on the CHILDREN — each
-  // view's token is spent entirely by the thread running that view, so
-  // budget stops land on the same enumeration step at any parallelism.
-  // Tokens are created here, on the calling thread, in slot (name) order.
-  const Clock* clock = sync_clock_ != nullptr ? sync_clock_ : SteadyClock();
-  const bool deadline_active = sync_work_budget_ != 0 ||
-                               sync_deadline_micros_ != 0 ||
-                               sync_watchdog_micros_ != 0;
-  DeadlineToken root;
+  // Deadline tokens: one per affected view, carrying the logical work
+  // budget and the change's wall deadline. Each view's token is spent
+  // entirely by the thread running that view, so budget stops land on the
+  // same enumeration step at any parallelism. Tokens are created here, on
+  // the calling thread, in slot (name) order.
   std::vector<DeadlineToken> tokens(affected.size());
-  if (deadline_active) {
+  if (sync_work_budget_ != 0 || sync_deadline_micros_ != 0) {
+    const Clock* clock = sync_clock_ != nullptr ? sync_clock_ : SteadyClock();
     const uint64_t absolute_deadline =
         sync_deadline_micros_ != 0 ? clock->NowMicros() + sync_deadline_micros_
                                    : 0;
-    root = DeadlineToken::Root({0, absolute_deadline}, clock);
-    for (size_t i = 0; i < affected.size(); ++i) {
-      tokens[i] = root.Child({sync_work_budget_, absolute_deadline});
+    for (DeadlineToken& token : tokens) {
+      token = DeadlineToken::Root({sync_work_budget_, absolute_deadline},
+                                  clock);
     }
-    std::lock_guard<std::mutex> lock(*sync_token_mu_);
-    active_sync_token_ = root;
-  }
-
-  // Watchdog backstop: always real time, independent of the injected
-  // clock — its whole job is to catch a sync wedged while the virtual
-  // clock (or a stuck cooperative loop) never advances.
-  struct WatchdogState {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    bool fired = false;
-  };
-  std::shared_ptr<WatchdogState> watchdog_state;
-  std::thread watchdog;
-  if (deadline_active && sync_watchdog_micros_ != 0) {
-    watchdog_state = std::make_shared<WatchdogState>();
-    watchdog = std::thread(
-        [ws = watchdog_state, watched = root, micros = sync_watchdog_micros_] {
-          std::unique_lock<std::mutex> lock(ws->mu);
-          if (!ws->cv.wait_for(lock, std::chrono::microseconds(micros),
-                               [&] { return ws->done; })) {
-            watched.Cancel();
-            ws->fired = true;
-          }
-        });
   }
 
   // Only deletes run CVS enumeration; a rename's per-view rewrite is
@@ -662,11 +627,11 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
   std::vector<std::exception_ptr> crashes(affected.size());
   ParallelFor(pool, affected.size(), [&](size_t i) {
     try {
-      // Cancellation safe point and failpoint at the top of every per-view
-      // task: an injected error fails just this view's synchronization; an
-      // injected crash is parked here and rethrown on the calling thread
-      // (lowest slot first) once the fan-out has drained — tasks must
-      // never let exceptions escape into the pool.
+      // Failpoint at the top of every per-view task: an injected error
+      // fails just this view's synchronization; an injected crash is
+      // parked here and rethrown on the calling thread (lowest slot first)
+      // once the fan-out has drained — tasks must never let exceptions
+      // escape into the pool.
       ViewSync& slot = slots[i];
       slot.status = Failpoints::Instance().Hit(fp::kSyncViewStart);
       if (!slot.status.ok()) return;
@@ -705,18 +670,6 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
       crashes[i] = std::current_exception();
     }
   });
-  if (watchdog_state != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(watchdog_state->mu);
-      watchdog_state->done = true;
-    }
-    watchdog_state->cv.notify_all();
-    watchdog.join();
-  }
-  if (deadline_active) {
-    std::lock_guard<std::mutex> lock(*sync_token_mu_);
-    active_sync_token_ = DeadlineToken();
-  }
   for (std::exception_ptr& crash : crashes) {
     if (crash != nullptr) std::rethrow_exception(crash);
   }
@@ -724,9 +677,6 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
   EnumerationStats sync_stats;
   sync_stats.exhausted = true;  // MergeFrom ANDs; vacuously true for none
   SyncDiagnostics diagnostics;
-  if (watchdog_state != nullptr && watchdog_state->fired) {
-    diagnostics.watchdog_cancels = 1;
-  }
   const std::string change_text = change.ToString();
   for (size_t slot = 0; slot < affected.size(); ++slot) {
     const std::string& name = affected[slot];
@@ -1003,16 +953,6 @@ Status EveSystem::RestoreVersionStore(MkbVersionStore store) {
   return Status::OK();
 }
 
-void EveSystem::CancelActiveSync() const {
-  std::lock_guard<std::mutex> lock(*sync_token_mu_);
-  active_sync_token_.Cancel();  // no-op on a null token
-}
-
-bool EveSystem::SyncCancelled() const {
-  std::lock_guard<std::mutex> lock(*sync_token_mu_);
-  return active_sync_token_.cancelled();
-}
-
 Status EveSystem::EnqueueChange(const CapabilityChange& change) {
   // Producers from any thread share admission_mu_ with the drain's
   // bookkeeping, so every counter transition is atomic with its queue
@@ -1080,70 +1020,71 @@ Result<std::vector<ChangeReport>> EveSystem::DrainSyncQueue() {
   return reports;
 }
 
-Result<std::vector<ChangeReport>> EveSystem::ApplyChanges(
-    const std::vector<CapabilityChange>& changes, bool transactional) {
-  // Snapshot for rollback: all state members are value types (the version
-  // store copy shares its immutable segments, so it is cheap).
-  MkbVersionStore versions_snapshot;
-  std::shared_ptr<const Mkb> tip_snapshot;
-  std::map<std::string, RegisteredView> views_snapshot;
-  DirtyViews dirty_snapshot;
-  std::vector<ChangeReport> log_snapshot;
-  if (transactional) {
-    versions_snapshot = versions_;
-    tip_snapshot = mkb_tip_;
-    views_snapshot = views_;
-    dirty_snapshot = dirty_;
-    log_snapshot = change_log_;
-    // Bracket the batch so replay discards it unless the commit marker
-    // lands: a crash mid-batch recovers to the pre-batch state, mirroring
-    // the in-memory rollback below.
-    EVE_RETURN_IF_ERROR(
-        JournalAppend({JournalRecordKind::kBeginBatch, ""}));
-  }
+Result<std::vector<ChangeReport>> EveSystem::RunBatch(
+    const std::vector<CapabilityChange>& changes, const char* between_changes,
+    const std::function<std::string(const CapabilityChange&)>& aborted_at,
+    const std::function<Status()>& before_commit) {
+  // Bracket the batch so replay discards it unless the commit marker
+  // lands: a crash mid-batch recovers to the pre-batch state, mirroring
+  // the in-memory undo below.
+  EVE_RETURN_IF_ERROR(JournalAppend({JournalRecordKind::kBeginBatch, ""}));
+  BatchUndo undo{versions_.Tip(), change_log_.size(), dirty_, membership_, {}};
+  batch_ = &undo;
+  // Closes the batch on every exit, a simulated crash unwinding out of it
+  // included.
+  struct Close {
+    BatchUndo** batch;
+    ~Close() { *batch = nullptr; }
+  } close{&batch_};
   std::vector<ChangeReport> reports;
   reports.reserve(changes.size());
+  Status status = Status::OK();
   for (const CapabilityChange& change : changes) {
-    Status injected = Status::OK();
-    if (!reports.empty()) {
-      injected = Failpoints::Instance().Hit(fp::kApplyChangesMidBatch);
-    }
+    if (!reports.empty()) status = Failpoints::Instance().Hit(between_changes);
     Result<ChangeReport> report =
-        injected.ok() ? ApplyChange(change) : Result<ChangeReport>(injected);
+        status.ok() ? ApplyChange(change) : Result<ChangeReport>(status);
     if (!report.ok()) {
-      if (transactional) {
-        versions_ = std::move(versions_snapshot);
-        mkb_tip_ = std::move(tip_snapshot);
-        views_ = std::move(views_snapshot);
-        dirty_ = std::move(dirty_snapshot);
-        change_log_ = std::move(log_snapshot);
-        RebuildViewIndex();
-        InvalidateActiveViews();
-        EVE_RETURN_IF_ERROR(
-            JournalAppend({JournalRecordKind::kAbortBatch, ""}));
-      }
-      return Status(report.status().code(),
-                    "batch aborted at '" + change.ToString() +
-                        "': " + report.status().message());
+      status = Status(report.status().code(), aborted_at(change) + ": " +
+                                                  report.status().message());
+      break;
     }
     reports.push_back(report.MoveValue());
   }
-  if (transactional) {
-    const Status committed = JournalAppend({JournalRecordKind::kCommitBatch, ""});
-    if (!committed.ok()) {
-      // The commit marker never reached disk, so replay will discard the
-      // batch; roll back memory to match that outcome.
-      versions_ = std::move(versions_snapshot);
-      mkb_tip_ = std::move(tip_snapshot);
-      views_ = std::move(views_snapshot);
-      dirty_ = std::move(dirty_snapshot);
-      change_log_ = std::move(log_snapshot);
-      RebuildViewIndex();
-      InvalidateActiveViews();
-      return committed;
-    }
+  if (status.ok() && before_commit) status = before_commit();
+  if (status.ok()) {
+    status = JournalAppend({JournalRecordKind::kCommitBatch, ""});
+    if (status.ok()) return reports;
+    // The commit marker never reached disk, so replay will discard the
+    // batch; undo memory to match that outcome.
+    UndoBatch(undo);
+    return status;
   }
-  return reports;
+  UndoBatch(undo);
+  EVE_RETURN_IF_ERROR(JournalAppend({JournalRecordKind::kAbortBatch, ""}));
+  return status;
+}
+
+void EveSystem::UndoBatch(BatchUndo& undo) {
+  for (auto& [name, saved] : undo.views) {
+    RegisteredView& view = views_.at(name);
+    UnindexView(name, view.definition);
+    IndexView(name, saved.definition);
+    view = std::move(saved);
+  }
+  change_log_.erase(change_log_.begin() + undo.log_size, change_log_.end());
+  versions_.RevertTo(undo.tip);
+  mkb_tip_ = undo.tip.mkb;
+  dirty_ = std::move(undo.dirty);
+  membership_ = std::move(undo.membership);
+  InvalidateActiveViews();
+}
+
+Result<std::vector<ChangeReport>> EveSystem::ApplyChanges(
+    const std::vector<CapabilityChange>& changes) {
+  return RunBatch(changes, fp::kApplyChangesMidBatch,
+                  [](const CapabilityChange& change) {
+                    return "batch aborted at '" + change.ToString() + "'";
+                  });
 }
 
 Result<std::vector<ChangeReport>> EveSystem::SourceLeaves(
@@ -1158,75 +1099,29 @@ Result<std::vector<ChangeReport>> EveSystem::DepartSource(
 
 Result<std::vector<ChangeReport>> EveSystem::LeaveCascade(
     const std::string& source, bool require_relations) {
-  const std::vector<std::string> relations =
-      mkb().catalog().RelationsOfSource(source);
-  if (relations.empty() && require_relations) {
+  std::vector<CapabilityChange> changes;
+  for (const std::string& relation :
+       mkb().catalog().RelationsOfSource(source)) {
+    changes.push_back(CapabilityChange::DeleteRelation(relation));
+  }
+  if (changes.empty() && require_relations) {
     return Status::NotFound("no relations exported by source: " + source);
   }
-  // The cascade is one transaction: the per-relation changes (and the
-  // DEPARTED membership row of a tracked source) commit together or not at
-  // all. Snapshot for rollback — all state members are value types — and
-  // bracket the journal records as a batch so a crash mid-cascade replays
-  // to the pre-leave state, mirroring the in-memory rollback.
-  MkbVersionStore versions_snapshot = versions_;
-  std::shared_ptr<const Mkb> tip_snapshot = mkb_tip_;
-  std::map<std::string, RegisteredView> views_snapshot = views_;
-  DirtyViews dirty_snapshot = dirty_;
-  std::vector<ChangeReport> log_snapshot = change_log_;
-  std::map<std::string, federation::SourceMembership> membership_snapshot =
-      membership_;
-  const auto rollback = [&] {
-    versions_ = std::move(versions_snapshot);
-    mkb_tip_ = std::move(tip_snapshot);
-    views_ = std::move(views_snapshot);
-    dirty_ = std::move(dirty_snapshot);
-    change_log_ = std::move(log_snapshot);
-    membership_ = std::move(membership_snapshot);
-    RebuildViewIndex();
-    InvalidateActiveViews();
-  };
-  EVE_RETURN_IF_ERROR(JournalAppend({JournalRecordKind::kBeginBatch, ""}));
-  const auto abort = [&](const Status& cause) -> Status {
-    rollback();
-    EVE_RETURN_IF_ERROR(JournalAppend({JournalRecordKind::kAbortBatch, ""}));
-    return cause;
-  };
-  std::vector<ChangeReport> reports;
-  reports.reserve(relations.size());
-  for (const std::string& relation : relations) {
-    Status injected = Status::OK();
-    if (!reports.empty()) {
-      injected = Failpoints::Instance().Hit(fp::kSourceLeavesBetweenChanges);
-    }
-    Result<ChangeReport> report =
-        injected.ok() ? ApplyChange(CapabilityChange::DeleteRelation(relation))
-                      : Result<ChangeReport>(injected);
-    if (!report.ok()) {
-      return abort(Status(report.status().code(),
-                          "source-leave cascade aborted at '" + relation +
-                              "': " + report.status().message()));
-    }
-    reports.push_back(report.MoveValue());
-  }
-  if (membership_.count(source) > 0) {
-    // The monitor must not keep probing a departed source; the row rides
-    // in the batch so it vanishes with a rolled-back cascade.
-    federation::SourceMembership departed = membership_.at(source);
-    departed.state = federation::SourceState::kDeparted;
-    const Status recorded = SetSourceMembership(source, departed);
-    if (!recorded.ok()) return abort(recorded);
-  }
-  const Status late = Failpoints::Instance().Hit(fp::kSourceLeavesBeforeCommit);
-  if (!late.ok()) return abort(late);
-  const Status committed =
-      JournalAppend({JournalRecordKind::kCommitBatch, ""});
-  if (!committed.ok()) {
-    // The commit marker never reached disk, so replay will discard the
-    // batch; roll back memory to match that outcome.
-    rollback();
-    return committed;
-  }
-  return reports;
+  return RunBatch(
+      changes, fp::kSourceLeavesBetweenChanges,
+      [](const CapabilityChange& change) {
+        return "source-leave cascade aborted at '" + change.relation + "'";
+      },
+      [&]() -> Status {
+        if (membership_.count(source) > 0) {
+          // The monitor must not keep probing a departed source; the row
+          // rides in the batch so it vanishes with an undone cascade.
+          federation::SourceMembership departed = membership_.at(source);
+          departed.state = federation::SourceState::kDeparted;
+          EVE_RETURN_IF_ERROR(SetSourceMembership(source, departed));
+        }
+        return Failpoints::Instance().Hit(fp::kSourceLeavesBeforeCommit);
+      });
 }
 
 Status EveSystem::SetSourceMembership(

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -87,9 +88,9 @@ struct ChangeReport {
   std::string ToString() const;
 };
 
-// Per-view incompleteness lists for the most recent change, plus watchdog
-// accounting. Deterministic: assembled on the calling thread in view-name
-// order, so the lists are byte-identical at any sync parallelism.
+// Per-view incompleteness lists for the most recent change. Deterministic:
+// assembled on the calling thread in view-name order, so the lists are
+// byte-identical at any sync parallelism.
 // Observability only — not part of ChangeReport, not journaled.
 struct SyncDiagnostics {
   // Views whose candidate enumeration was cut by a count bound
@@ -97,13 +98,10 @@ struct SyncDiagnostics {
   // exhaustion, or search_sets_cut) — their result may be incomplete.
   // Sorted by name.
   std::vector<std::string> truncated_views;
-  // Views whose search was stopped by the deadline token (work budget,
-  // wall deadline, or cancellation): their rewriting list is a valid
-  // best-under-budget prefix. Sorted by name.
+  // Views whose search was stopped by the deadline token (work budget or
+  // wall deadline): their rewriting list is a valid best-under-budget
+  // prefix. Sorted by name.
   std::vector<std::string> deadline_views;
-  // Times the wall-clock watchdog cancelled a sync that overran its
-  // deadline without reaching a cooperative check first.
-  uint64_t watchdog_cancels = 0;
 
   // "truncated views: A, B; deadline views: C" — empty when clean.
   std::string ToString() const;
@@ -311,21 +309,21 @@ class EveSystem {
   }
   size_t sync_candidate_budget() const { return options_.candidate_budget; }
 
-  // --- Deadlines and cancellation ------------------------------------------
+  // --- Deadlines -------------------------------------------------------------
   //
   // Two independent stopping mechanisms, both cooperative (checked at
   // enumeration-step safe points, so a search never overruns by more than
-  // one step):
+  // one step); each affected view gets its own token carrying both:
   //
   //  * The logical work budget is DETERMINISTIC: it counts enumerator
   //    expansions and candidate emissions per view, each view's token is
   //    spent entirely on the thread running that view, and every stopped
   //    layer returns its best-so-far prefix. Reports, stats and journal
   //    bytes are therefore byte-identical at any sync parallelism.
-  //  * The wall-clock deadline (and the watchdog backstop) are BEST
-  //    EFFORT: where a run stops depends on machine speed, so results
-  //    under a wall deadline are valid partial results but not
-  //    reproducible bytes. Tests pin the clock with SetClockForTesting.
+  //  * The wall-clock deadline is BEST EFFORT: where a run stops depends
+  //    on machine speed, so results under a wall deadline are valid
+  //    partial results but not reproducible bytes. Tests pin the clock
+  //    with SetClockForTesting.
 
   // Per-view logical work budget (0 = unlimited). One unit is one join-tree
   // frontier expansion or one candidate emission.
@@ -337,26 +335,9 @@ class EveSystem {
   void SetSyncDeadlineMicros(uint64_t micros) { sync_deadline_micros_ = micros; }
   uint64_t sync_deadline_micros() const { return sync_deadline_micros_; }
 
-  // Watchdog backstop (0 = off): a real-time guard thread that cancels the
-  // change's whole cancellation tree if synchronization is still running
-  // after this long — catches a task stuck between cooperative checks.
-  // Always real time, independent of SetClockForTesting.
-  void SetSyncWatchdogMicros(uint64_t micros) { sync_watchdog_micros_ = micros; }
-  uint64_t sync_watchdog_micros() const { return sync_watchdog_micros_; }
-
   // Clock the deadline token reads (tests install a ManualClock; nullptr
   // restores the steady clock). Non-owning; must outlive the system.
   void SetClockForTesting(const Clock* clock) { sync_clock_ = clock; }
-
-  // Cancels the change currently being synchronized (if any): the root
-  // token is cancelled, and every per-view search stops at its next safe
-  // point, returning its best-so-far prefix. Safe to call from any thread;
-  // a no-op when no sync is active.
-  void CancelActiveSync() const;
-  // Whether the change being synchronized has been cancelled, by
-  // CancelActiveSync or by the watchdog; false when no sync is in flight.
-  // Safe to call from any thread.
-  bool SyncCancelled() const;
 
   // --- Admission control ---------------------------------------------------
   //
@@ -364,12 +345,12 @@ class EveSystem {
   // drained change runs under a fresh deadline token built from the knobs
   // above. Invariant: submitted == completed + shed + queued_now.
   //
-  // Thread safety: EnqueueChange, queued_changes, admission_stats and
-  // CancelActiveSync may be called concurrently from any number of threads
-  // (the network front end admits from many sessions at once). Drains are
-  // serialized among themselves, and a change being applied still counts
-  // as queued until its outcome is recorded, so the invariant above holds
-  // at EVERY observable instant, not just at rest.
+  // Thread safety: EnqueueChange, queued_changes and admission_stats may
+  // be called concurrently from any number of threads (the network front
+  // end admits from many sessions at once). Drains are serialized among
+  // themselves, and a change being applied still counts as queued until
+  // its outcome is recorded, so the invariant above holds at EVERY
+  // observable instant, not just at rest.
 
   // Queue bound for EnqueueChange (0 = unbounded).
   void SetSyncQueueLimit(size_t limit) { sync_queue_limit_ = limit; }
@@ -417,9 +398,9 @@ class EveSystem {
   // delete-relation for every relation the source exports, one change at a
   // time, so views can hop between the departing source's relations while
   // some still exist. Returns one report per deleted relation. The whole
-  // cascade is one transaction (journaled as a batch): a failure mid-way
-  // rolls every relation back, so the source is either fully present or
-  // fully departed — never half-left.
+  // cascade is one batch (see ApplyChanges): a failure mid-way undoes every
+  // relation, so the source is either fully present or fully departed —
+  // never half-left.
   Result<std::vector<ChangeReport>> SourceLeaves(const std::string& source);
 
   // --- Federation membership ----------------------------------------------
@@ -457,13 +438,13 @@ class EveSystem {
   Status SetViewProvisionalSources(const std::string& name,
                                    std::set<std::string> sources);
 
-  // Applies `changes` in order as one unit. When `transactional` is true
-  // and any change fails (e.g. it references an element that is already
-  // gone), the MKB, view pool and change log are restored to their state
-  // before the batch; views disabled mid-batch stay disabled otherwise.
+  // Applies `changes` in order as one batch, journaled between kBeginBatch
+  // and kCommitBatch. When any change fails (e.g. it references an element
+  // that is already gone), the batch is undone — MKB, version chain, view
+  // pool, change log and membership table are as before it — and journaled
+  // as aborted. The undo costs what the batch wrote, not the pool size.
   Result<std::vector<ChangeReport>> ApplyChanges(
-      const std::vector<CapabilityChange>& changes,
-      bool transactional = true);
+      const std::vector<CapabilityChange>& changes);
 
   const std::vector<ChangeReport>& change_log() const { return change_log_; }
 
@@ -539,11 +520,12 @@ class EveSystem {
                          MkbSegmentSet changed_segments = kAllMkbSegments);
 
   // The view pool's write path. AddView registers a view; MutableView is
-  // the one way to write a field SaveViews renders (definition, state,
-  // provisional sources, synced-at stamp). Both mark the view dirty, so
+  // the one way to write a registered view in place (RollbackToVersion
+  // replaces the pool wholesale). Both mark the view dirty, so
   // the next commit re-renders its block — including changes that commit
   // no version of their own (heal un-marking, checkpoint stamps), which
-  // the next commit then picks up.
+  // the next commit then picks up. Inside a batch, MutableView also saves
+  // the view's pre-batch state the first time the batch writes it.
   void AddView(const std::string& name, RegisteredView view);
   RegisteredView& MutableView(const std::string& name);
 
@@ -565,13 +547,29 @@ class EveSystem {
   // Replays one journal record onto this system (no journaling).
   Status ReplayRecord(const JournalRecord& record);
 
-  // The transactional delete-relation cascade shared by SourceLeaves and
-  // DepartSource. A tracked source's DEPARTED membership row is written
-  // inside the same batch. `require_relations` makes an empty source an
-  // error (an operator-invoked SourceLeaves on an unknown source is a
-  // typo; a lease expiry on a relation-less source is a plain departure).
+  // The delete-relation cascade shared by SourceLeaves and DepartSource,
+  // run as one batch. A tracked source's DEPARTED membership row is
+  // written inside the same batch. `require_relations` makes an empty
+  // source an error (an operator-invoked SourceLeaves on an unknown source
+  // is a typo; a lease expiry on a relation-less source is a plain
+  // departure).
   Result<std::vector<ChangeReport>> LeaveCascade(const std::string& source,
                                                  bool require_relations);
+
+  // The one batch path behind ApplyChanges and LeaveCascade. Journals
+  // kBeginBatch, applies `changes` in order (hitting the `between_changes`
+  // failpoint before every change after the first), then runs
+  // `before_commit` (if set) and journals kCommitBatch. A failed change
+  // fails the batch with `aborted_at(change) + ": " + its error`. A failed
+  // batch is undone and journaled kAbortBatch (whose append error, if any,
+  // is returned instead); a commit marker that fails to append undoes the
+  // batch without an abort marker, since replay discards a batch that has
+  // none.
+  Result<std::vector<ChangeReport>> RunBatch(
+      const std::vector<CapabilityChange>& changes,
+      const char* between_changes,
+      const std::function<std::string(const CapabilityChange&)>& aborted_at,
+      const std::function<Status()>& before_commit = nullptr);
 
   // Sources whose membership row is Degraded() among those owning a
   // relation `definition` references in `catalog` (sorted, deduped).
@@ -599,12 +597,26 @@ class EveSystem {
   // Views whose rendered block may differ from the tip version's. `all`
   // is set when the pool (rollback) or the chain (checkpoint load) was
   // replaced wholesale: the next commit renders every bucket afresh.
-  // Restored together with views_ when a batch rolls back.
   struct DirtyViews {
     std::set<std::string> names;
     bool all = false;
   };
   DirtyViews dirty_;
+  // What undoing the running batch restores. A batch body writes the pool
+  // only through MutableView, which saves each view's pre-batch state on
+  // the batch's first write to it; the rest is saved when the batch opens.
+  struct BatchUndo {
+    PinnedMkb tip;  // the pre-batch tip version and its MKB
+    size_t log_size = 0;
+    DirtyViews dirty;
+    std::map<std::string, federation::SourceMembership> membership;
+    std::map<std::string, RegisteredView> views;
+  };
+  // Restores the pre-batch state `undo` holds: re-indexes only the views
+  // the batch wrote and drops the versions and log entries it added.
+  void UndoBatch(BatchUndo& undo);
+  // The running batch's undo record; null outside RunBatch.
+  BatchUndo* batch_ = nullptr;
   // Cache behind ActiveViewList(); null until built. mutable: a dry run
   // builds it too. Guarded by active_views_mu_ (shared across copies, like
   // the other mutexes) against concurrent const callers.
@@ -639,23 +651,17 @@ class EveSystem {
   mutable SyncDiagnostics last_sync_diagnostics_;
   uint64_t sync_work_budget_ = 0;
   uint64_t sync_deadline_micros_ = 0;
-  uint64_t sync_watchdog_micros_ = 0;
   const Clock* sync_clock_ = nullptr;  // non-owning; nullptr = steady clock
   size_t sync_queue_limit_ = 0;
   std::deque<CapabilityChange> sync_queue_;
   AdmissionStats admission_stats_;
   // Guards sync_queue_ + admission_stats_ against concurrent producers
   // (EnqueueChange from many sessions) racing the drain. Shared across
-  // copies — like sync_token_mu_ — so EveSystem stays copyable.
+  // copies — like active_views_mu_ — so EveSystem stays copyable.
   std::shared_ptr<std::mutex> admission_mu_ = std::make_shared<std::mutex>();
   // Serializes DrainSyncQueue callers (two drains applying the same change
   // twice would corrupt the accounting; enqueues stay concurrent).
   std::shared_ptr<std::mutex> drain_mu_ = std::make_shared<std::mutex>();
-  // Root token of the in-flight change. Guarded by a shared (not per-copy)
-  // mutex so CancelActiveSync and the watchdog may fire from other threads
-  // while EveSystem itself stays copyable.
-  std::shared_ptr<std::mutex> sync_token_mu_ = std::make_shared<std::mutex>();
-  mutable DeadlineToken active_sync_token_;
 };
 
 }  // namespace eve

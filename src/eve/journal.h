@@ -12,10 +12,11 @@
 //   records: u32 payload_len (LE) | u32 crc32(payload) (LE) | payload
 //   payload: 1 byte record kind | body bytes
 //
-// Batch semantics: transactional ApplyChanges brackets its per-change
-// records with kBeginBatch/kCommitBatch (or kAbortBatch on rollback);
-// replay buffers a batch and discards it unless the commit marker is
-// present, so a crash mid-batch recovers to the pre-batch state.
+// Batch semantics: ApplyChanges and the source-departure cascade bracket
+// their per-change records with kBeginBatch/kCommitBatch (or kAbortBatch
+// when the batch is undone); replay buffers a batch and discards it unless
+// the commit marker is present, so a crash mid-batch recovers to the
+// pre-batch state.
 
 #ifndef EVE_EVE_JOURNAL_H_
 #define EVE_EVE_JOURNAL_H_

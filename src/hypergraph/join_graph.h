@@ -57,9 +57,9 @@ struct JoinTreeSearchOptions {
   size_t max_extra_relations = 3;
   // Maximum number of trees to return.
   size_t max_results = 64;
-  // Optional deadline/cancellation scope. The enumerator spends one unit
-  // per frontier set popped; when the token refuses, Next() stops at that
-  // safe point (interrupted(), not Exhausted()). The null token is free.
+  // Optional deadline scope. The enumerator spends one unit per frontier
+  // set popped; when the token refuses, Next() stops at that safe point
+  // (interrupted(), not Exhausted()). The null token is free.
   DeadlineToken token;
 };
 

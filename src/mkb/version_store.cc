@@ -366,6 +366,12 @@ uint64_t MkbVersionStore::Commit(std::shared_ptr<const Mkb> mkb,
   return Commit(std::move(mkb), BucketsOfText(views_text), std::move(change));
 }
 
+void MkbVersionStore::RevertTo(const PinnedMkb& tip) {
+  std::lock_guard<std::mutex> lock(mu_);
+  versions_.resize(tip.id() + 1);
+  tip_mkb_ = tip.mkb;
+}
+
 uint64_t MkbVersionStore::tip_id() const {
   std::lock_guard<std::mutex> lock(mu_);
   return versions_.empty() ? 0 : versions_.back()->id;

@@ -22,7 +22,9 @@
 //
 // The chain is append-only even under rollback: RollbackToVersion commits
 // the restored state as a NEW version, so history is never truncated and
-// every version id ever handed out stays resolvable.
+// every version id ever handed out stays resolvable. Only an aborted batch
+// (RevertTo) drops versions: those of its own commits, which no committed
+// state ever named.
 
 #ifndef EVE_MKB_VERSION_STORE_H_
 #define EVE_MKB_VERSION_STORE_H_
@@ -181,6 +183,11 @@ class MkbVersionStore {
   // shares every bucket that renders byte-identically to the tip's.
   uint64_t Commit(std::shared_ptr<const Mkb> mkb, std::string_view views_text,
                   std::string change);
+  // Undoes every Commit made since `tip` (a pin of this store's tip) was
+  // taken: drops the later versions, whose ids the next commits hand out
+  // again, and makes `tip` the tip, its MKB included. Pins of the dropped
+  // versions stay valid. O(dropped versions).
+  void RevertTo(const PinnedMkb& tip);
 
   uint64_t tip_id() const;
   // The id the next Commit will assign (== number of versions).

@@ -492,18 +492,12 @@ bool Console::SetSync(const std::string& knob, const std::string& value) {
     Out() << "sync deadline = " << parsed << " us\n";
     return true;
   }
-  if (EqualsIgnoreCase(knob, "WATCHDOG")) {
-    system_.SetSyncWatchdogMicros(parsed);
-    Out() << "sync watchdog = " << parsed << " us\n";
-    return true;
-  }
   if (EqualsIgnoreCase(knob, "QUEUE")) {
     system_.SetSyncQueueLimit(static_cast<size_t>(parsed));
     Out() << "sync queue limit = " << parsed << "\n";
     return true;
   }
-  Err() << "error: SET SYNC expects BUDGET, WORKBUDGET, DEADLINE, WATCHDOG "
-           "or QUEUE\n";
+  Err() << "error: SET SYNC expects BUDGET, WORKBUDGET, DEADLINE or QUEUE\n";
   return false;
 }
 
@@ -591,8 +585,8 @@ bool Console::Show(const std::vector<std::string>& words) {
   if (words.size() >= 3 && EqualsIgnoreCase(words[1], "SYNC") &&
       EqualsIgnoreCase(words[2], "STATS")) {
     Out() << "enumeration: " << system_.last_sync_stats().ToString() << "\n";
-    // Per-view truncation/deadline lists and watchdog count for the last
-    // change or preview (name-ordered, deterministic).
+    // Per-view truncation/deadline lists for the last change or preview
+    // (name-ordered, deterministic).
     const std::string diagnostics = system_.last_sync_diagnostics().ToString();
     if (!diagnostics.empty()) Out() << "sync: " << diagnostics << "\n";
     Out() << "admission: " << system_.admission_stats().ToString() << "\n";

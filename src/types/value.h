@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "common/result.h"
@@ -22,11 +23,15 @@ class Value {
   Value() : rep_(std::monostate{}) {}
 
   static Value Null() { return Value(); }
-  static Value Bool(bool v) { return Value(Rep(v)); }
-  static Value Int(int64_t v) { return Value(Rep(v)); }
-  static Value Double(double v) { return Value(Rep(v)); }
-  static Value String(std::string v) { return Value(Rep(std::move(v))); }
-  static Value MakeDate(Date v) { return Value(Rep(v)); }
+  static Value Bool(bool v) { return Value(std::in_place_type<bool>, v); }
+  static Value Int(int64_t v) { return Value(std::in_place_type<int64_t>, v); }
+  static Value Double(double v) {
+    return Value(std::in_place_type<double>, v);
+  }
+  static Value String(std::string v) {
+    return Value(std::in_place_type<std::string>, std::move(v));
+  }
+  static Value MakeDate(Date v) { return Value(std::in_place_type<Date>, v); }
 
   DataType type() const;
 
@@ -58,7 +63,10 @@ class Value {
   using Rep =
       std::variant<std::monostate, bool, int64_t, double, std::string, Date>;
 
-  explicit Value(Rep rep) : rep_(std::move(rep)) {}
+  // Builds the alternative in place: moving a temporary Rep in trips
+  // GCC 12's -Wmaybe-uninitialized on the string alternative.
+  template <typename T>
+  Value(std::in_place_type_t<T> type, T v) : rep_(type, std::move(v)) {}
 
   Rep rep_;
 };

@@ -1,15 +1,13 @@
-// The deadline/cancellation/admission layer: DeadlineToken semantics
-// (deterministic work budgets, virtual-clock deadlines, the parent→child
-// cancellation tree), hardened ThreadPool shutdown, FederationMonitor
-// probe budgeting, and EveSystem admission control — bounded queue with
-// explicit shedding, per-change deadlines, watchdog cancellation, and the
+// The deadline/admission layer: DeadlineToken semantics (deterministic
+// work budgets, virtual-clock deadlines), hardened ThreadPool shutdown,
+// FederationMonitor probe budgeting, and EveSystem admission control —
+// bounded queue with explicit shedding, per-change deadlines, and the
 // chain-view partial-result acceptance scenario at sync parallelism
 // {1, 4, 8}. This binary runs under TSan and ASan/UBSan in CI.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
@@ -69,38 +67,6 @@ TEST(DeadlineTokenTest, BudgetCauseWinsWhenBothLimitsAreExceeded) {
   const DeadlineToken token = DeadlineToken::Root({1, 500}, &clock);
   EXPECT_FALSE(token.Spend(2));
   EXPECT_EQ(token.cause(), StopCause::kWorkBudget);
-}
-
-TEST(DeadlineTokenTest, CancellingTheRootStopsEveryDescendant) {
-  const DeadlineToken root = DeadlineToken::Root({0, 0});
-  const DeadlineToken child = root.Child({0, 0});
-  const DeadlineToken grandchild = child.Child({0, 0});
-  EXPECT_TRUE(grandchild.Spend(1));
-  root.Cancel();
-  EXPECT_FALSE(grandchild.Spend(1));
-  EXPECT_FALSE(child.Spend(1));
-  EXPECT_EQ(grandchild.cause(), StopCause::kCancelled);
-  EXPECT_TRUE(root.Expired());
-}
-
-TEST(DeadlineTokenTest, CancellingAChildLeavesTheParentRunning) {
-  const DeadlineToken root = DeadlineToken::Root({0, 0});
-  const DeadlineToken child = root.Child({0, 0});
-  child.Cancel();
-  EXPECT_FALSE(child.Spend(1));
-  EXPECT_TRUE(root.Spend(1));
-  EXPECT_FALSE(root.Expired());
-}
-
-TEST(DeadlineTokenTest, ChildBudgetsAreIndependentOfTheParent) {
-  const DeadlineToken root = DeadlineToken::Root({0, 0});
-  const DeadlineToken a = root.Child({2, 0});
-  const DeadlineToken b = root.Child({2, 0});
-  EXPECT_TRUE(a.Spend(2));
-  EXPECT_FALSE(a.Spend(1));
-  // Sibling b has its own budget; a's exhaustion does not leak.
-  EXPECT_TRUE(b.Spend(2));
-  EXPECT_TRUE(root.Spend(1));
 }
 
 TEST(DeadlineTokenTest, DefaultTokenIsFree) {
@@ -304,37 +270,6 @@ TEST(AdmissionTest, DrainStopsAtAFailingChangeAndKeepsTheRemainder) {
   ExpectAdmissionInvariant(system);
 }
 
-// A cover-fan view whose rewriting search fans over 8 covers at
-// increasing join distance, next to an anchor view whose only replaceable
-// attribute is covered at distance zero. Both reference the victim R0.
-// Under the top-1 bound both prove their best rewriting within a few work
-// units; the watchdog tests below use the pair for its real-time cost.
-EveSystem MakeFanSystem() {
-  CoverFanMkbSpec spec;
-  spec.num_covers = 8;
-  const Mkb mkb = MakeCoverFanMkb(spec).MoveValue();
-  EveSystem system(mkb);
-  ViewDefinition fan = MakeCoverFanView(mkb).MoveValue();
-  fan.set_name("fan_view");
-  EXPECT_TRUE(system.RegisterView(fan).ok());
-
-  std::vector<ViewSelectItem> select;
-  select.push_back(ViewSelectItem{Expr::Column(AttributeRef{"A0", "PA"}),
-                                  "PA", EvolutionParams{false, true}});
-  std::vector<ViewRelation> from{
-      ViewRelation{"R0", EvolutionParams{false, true}},
-      ViewRelation{"A0", EvolutionParams{false, true}}};
-  std::vector<ViewCondition> where{
-      ViewCondition{Expr::ColumnsEqual(AttributeRef{"R0", "L0"},
-                                       AttributeRef{"A0", "L0"}),
-                    EvolutionParams{false, true}}};
-  const ViewDefinition cheap("anchor_view", ViewExtent::kAny,
-                             std::move(select), std::move(from),
-                             std::move(where));
-  EXPECT_TRUE(system.RegisterView(cheap).ok());
-  return system;
-}
-
 // The acceptance workload for work budgets: on a 16-relation chain whose
 // covers sit four joins away, a view over R4 ⋈ R5 stays expensive after
 // DELETE RELATION R5 (its join-tree search expands over a hundred frontier
@@ -413,63 +348,7 @@ TEST(AdmissionTest,
   EXPECT_FALSE(reference_stats.empty());
 }
 
-// A clock stuck at time zero, so the cooperative wall deadline never
-// passes. Its first read (the change's deadline, taken before the watchdog
-// starts) returns at once; every later read comes from a safe point of the
-// sync and parks until the change is cancelled. The search therefore
-// cannot finish before the watchdog fires, however late the watchdog
-// thread is scheduled. The wait gives up after a minute, which fails the
-// test instead of hanging it.
-class WatchdogGateClock : public Clock {
- public:
-  explicit WatchdogGateClock(const EveSystem* system) : system_(system) {}
-
-  uint64_t NowMicros() const override {
-    if (reads_.fetch_add(1) == 0) return 0;
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    while (!system_->SyncCancelled() &&
-           std::chrono::steady_clock::now() < give_up) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    return 0;
-  }
-
- private:
-  const EveSystem* system_;
-  mutable std::atomic<uint64_t> reads_{0};
-};
-
-TEST(AdmissionTest, WatchdogCancelsAnOverrunningSync) {
-  // The stalled clock disables the cooperative deadline and holds the
-  // search at its first safe point; the real-time watchdog is the only
-  // thing that can stop it.
-  EveSystem system = MakeFanSystem();
-  const WatchdogGateClock clock(&system);
-  system.SetClockForTesting(&clock);
-  system.SetSyncDeadlineMicros(1000000);
-  system.SetSyncWatchdogMicros(1);
-  const Result<ChangeReport> report =
-      system.ApplyChange(CapabilityChange::DeleteRelation("R0"));
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(system.last_sync_diagnostics().watchdog_cancels, 1u);
-  // The cancel landed while the searches ran, so they stopped early, and
-  // the stop cause is kCancelled — never a spurious budget/deadline cause.
-  EXPECT_FALSE(system.last_sync_diagnostics().deadline_views.empty());
-  EXPECT_EQ(system.last_sync_stats().deadline.stop_cause,
-            StopCause::kCancelled);
-  EXPECT_FALSE(system.SyncCancelled());  // no sync in flight any more
-}
-
-TEST(AdmissionTest, CancelActiveSyncIsSafeWhenIdle) {
-  EveSystem system = MakeFanSystem();
-  system.CancelActiveSync();  // no active sync: must be a no-op
-  const Result<ChangeReport> report =
-      system.ApplyChange(CapabilityChange::DeleteRelation("R0"));
-  EXPECT_TRUE(report.ok());
-}
-
-// --- Failpoints at the admission/cancellation safe points -------------------
+// --- Failpoints at the admission and deadline safe points -------------------
 
 class AdmissionFailpointTest : public ::testing::Test {
  protected:

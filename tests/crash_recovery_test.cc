@@ -78,8 +78,7 @@ std::vector<Op> ScriptOps() {
       [](EveSystem* s) {
         return s
             ->ApplyChanges({CapabilityChange::DeleteRelation("Hotels"),
-                            CapabilityChange::DeleteRelation("Tour")},
-                           /*transactional=*/true)
+                            CapabilityChange::DeleteRelation("Tour")})
             .status();
       },
       [](EveSystem* s) { return s->SourceLeaves("ExtraIS").status(); },

@@ -4,7 +4,7 @@
 // (random_federation.h): delete-relation of every FROM relation, and
 // delete-attribute of each FROM relation's payloads and of a join
 // attribute, under top_k 0, 1 and 2, candidate budgets 0, 1 and 3, work
-// budgets 0, 5, 12 and 40 and a token cancelled up front,
+// budgets 0, 5, 12 and 40 and a token whose deadline passed up front,
 // require_view_extent and include_drop_rewriting off and on, the default
 // and a flat cost model, and chase_optional_covers off and on, with every
 // view-extent parameter. Every result must match: the status, each rewriting's text,
@@ -206,17 +206,17 @@ std::vector<Change> ChangesFor(const World& world, const ViewDefinition& view) {
   return out;
 }
 
-// A work budget of kCancelled stands for a token cancelled before the
-// synchronization starts.
-constexpr uint64_t kCancelled = UINT64_MAX;
+// A work budget of kExpired stands for a token whose wall deadline has
+// passed before the synchronization starts: it stops at the first check.
+constexpr uint64_t kExpired = UINT64_MAX;
 
-// A fresh token per run: none for 0, else `work` units or cancelled.
+// A fresh token per run: none for 0, else `work` units or expired.
 DeadlineToken TokenFor(uint64_t work) {
   if (work == 0) return DeadlineToken();
-  if (work != kCancelled) return DeadlineToken::Root({work, 0});
-  DeadlineToken token = DeadlineToken::Root({});
-  token.Cancel();
-  return token;
+  if (work != kExpired) return DeadlineToken::Root({work, 0});
+  static ManualClock clock;
+  clock.Set(1);  // at the deadline below
+  return DeadlineToken::Root({0, 1}, &clock);
 }
 
 Result<CvsResult> RunLegacy(const ViewDefinition& view, const Change& change,
@@ -272,7 +272,7 @@ TEST(CvsDriverEquivalence, MatchesTheLegacyDriversOnRandomFederations) {
                     options.candidate_budget = budget;
                     for (const uint64_t work :
                          {uint64_t{0}, uint64_t{5}, uint64_t{12}, uint64_t{40},
-                          kCancelled}) {
+                          kExpired}) {
                       const std::string label =
                           "seed " + std::to_string(seed) + " view " +
                           view.name() + " " + change.change.ToString() +

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -13,6 +15,7 @@
 #include "eve/view_pool_io.h"
 #include "federation/membership.h"
 #include "mkb/serializer.h"
+#include "pool_snapshot.h"
 #include "workload/generator.h"
 #include "workload/travel_agency.h"
 
@@ -310,37 +313,6 @@ TEST_F(EveSystemTest, EmptyNameRejected) {
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(EveSystemTest, NonTransactionalBatchKeepsAppliedPrefix) {
-  // A rigid view that the first change disables (see
-  // ApplyChangeDisablesIncurableViews).
-  ASSERT_TRUE(system_->RegisterViewText(
-                         "CREATE VIEW Rigid (VE = =) AS "
-                         "SELECT C.Name (false, true) FROM Customer C, "
-                         "FlightRes F WHERE C.Name = F.PName")
-                  .ok());
-  const size_t log_before = system_->change_log().size();
-  // Change 1 succeeds and disables Rigid; change 2 succeeds; change 3
-  // fails (Customer is already gone).
-  const Result<std::vector<ChangeReport>> result = system_->ApplyChanges(
-      {CapabilityChange::DeleteRelation("Customer"),
-       CapabilityChange::DeleteRelation("Tour"),
-       CapabilityChange::DeleteRelation("Customer")},
-      /*transactional=*/false);
-  ASSERT_FALSE(result.ok());
-
-  // Without rollback, the applied prefix sticks: both deletions are live...
-  EXPECT_FALSE(system_->mkb().catalog().HasRelation("Customer"));
-  EXPECT_FALSE(system_->mkb().catalog().HasRelation("Tour"));
-  // ...the view disabled mid-batch stays disabled...
-  EXPECT_EQ(system_->GetView("Rigid").value()->state, ViewState::kDisabled);
-  // ...and the change log reflects exactly the applied prefix.
-  ASSERT_EQ(system_->change_log().size(), log_before + 2);
-  EXPECT_EQ(system_->change_log()[log_before].change.ToString(),
-            CapabilityChange::DeleteRelation("Customer").ToString());
-  EXPECT_EQ(system_->change_log()[log_before + 1].change.ToString(),
-            CapabilityChange::DeleteRelation("Tour").ToString());
-}
-
 TEST_F(EveSystemTest, TransactionalBatchRollsBackOnFailure) {
   ASSERT_TRUE(system_->RegisterViewText(
                          "CREATE VIEW Rigid (VE = =) AS "
@@ -350,12 +322,212 @@ TEST_F(EveSystemTest, TransactionalBatchRollsBackOnFailure) {
   const size_t log_before = system_->change_log().size();
   const Result<std::vector<ChangeReport>> result = system_->ApplyChanges(
       {CapabilityChange::DeleteRelation("Customer"),
-       CapabilityChange::DeleteRelation("Customer")},
-      /*transactional=*/true);
+       CapabilityChange::DeleteRelation("Customer")});
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(system_->mkb().catalog().HasRelation("Customer"));
   EXPECT_EQ(system_->GetView("Rigid").value()->state, ViewState::kActive);
   EXPECT_EQ(system_->change_log().size(), log_before);
+}
+
+// --- Batch undo -------------------------------------------------------------
+//
+// An aborted batch restores the views it wrote and leaves every other view
+// in place: each view is still the object GetView returned before, the
+// written ones hold their pre-batch fields again, and the inverted index
+// answers as before the batch.
+
+using testing_pool::ExpectSamePool;
+using testing_pool::PoolSnapshot;
+using testing_pool::SnapshotPool;
+using testing_pool::TouchedViews;
+
+// A 60-view pool on an 8-relation chain in which IS6 exports R6 and R7, so
+// its departure is a two-change cascade; IS6 is tracked, so the departure
+// also writes its membership row. IS2 and IS4 were suspect when R1 and R3
+// were deleted, so the views rewritten onto their covers on R2 and R4 got
+// provisional marks; IS2 has healed since, un-marking its views without a
+// commit, so they are still dirty when a batch starts.
+std::unique_ptr<EveSystem> MakeBatchSystem() {
+  ChainMkbSpec spec;
+  spec.length = 8;
+  std::string misd = SaveMkb(MakeChainMkb(spec).MoveValue());
+  const size_t r7 = misd.find("SOURCE IS7 RELATION");
+  EXPECT_NE(r7, std::string::npos);
+  misd.replace(r7, std::string("SOURCE IS7").size(), "SOURCE IS6");
+  auto system = std::make_unique<EveSystem>(LoadMkb(misd).MoveValue());
+  ViewPoolSpec pool_spec;
+  pool_spec.num_views = 60;
+  pool_spec.seed = 11;
+  EXPECT_TRUE(
+      system
+          ->RegisterViewsBulk(MakeViewPool(system->mkb(), pool_spec).value())
+          .ok());
+  EXPECT_TRUE(
+      system->SetSourceMembership("IS6", federation::MakeHealthy({}, 0)).ok());
+  for (const char* source : {"IS2", "IS4"}) {
+    EXPECT_TRUE(system
+                    ->SetSourceMembership(
+                        source, federation::OnProbeFailure(
+                                    federation::MakeHealthy({}, 0), source, 10))
+                    .ok());
+  }
+  EXPECT_TRUE(system->ApplyChange(CapabilityChange::DeleteRelation("R1")).ok());
+  EXPECT_TRUE(system->ApplyChange(CapabilityChange::DeleteRelation("R3")).ok());
+  EXPECT_NE(SaveViews(*system).find("provisional=IS2"), std::string::npos);
+  EXPECT_TRUE(
+      system->SetSourceMembership("IS2", federation::MakeHealthy({}, 20)).ok());
+  return system;
+}
+
+// Checks on a copy of `system` that `commit`, the part of a batch that
+// succeeds, writes some but not all views; then runs `abort`, the batch
+// that must fail, on `system` itself and checks that it left the pool as
+// it found it, probing the index with the committed copy's catalog too.
+void ExpectBatchUndone(EveSystem* system,
+                       const std::function<Status(EveSystem*)>& commit,
+                       const std::function<Status(EveSystem*)>& abort) {
+  EveSystem committed = *system;
+  committed.AttachJournal(nullptr);
+  ASSERT_TRUE(commit(&committed).ok());
+  const Catalog& extra = committed.mkb().catalog();
+  const PoolSnapshot before = SnapshotPool(*system, &extra);
+  const std::vector<std::string> touched =
+      TouchedViews(before, SnapshotPool(committed, &extra));
+  EXPECT_FALSE(touched.empty());
+  EXPECT_LT(touched.size(), before.views.size());
+  EXPECT_FALSE(abort(system).ok());
+  ExpectSamePool(before, SnapshotPool(*system, &extra));
+  // The pre-batch dirty marks are back: the next commit renders the views
+  // the heal un-marked.
+  ASSERT_TRUE(system->ExtendMkb("SOURCE ISP RELATION Probe (a int)").ok());
+  EXPECT_EQ(system->ViewsTextAt(system->current_version()).value(),
+            SaveViews(*system));
+}
+
+TEST_F(EveSystemTest, AbortedBatchRestoresOnlyTheViewsItWrote) {
+  system_ = MakeBatchSystem();
+  const std::vector<CapabilityChange> applied = {
+      CapabilityChange::DeleteRelation("R4"),
+      CapabilityChange::RenameAttribute("R5", "P5", "P5x")};
+  // The applied part rewrites views, disables views and clears
+  // provisional marks.
+  EveSystem committed = *system_;
+  ASSERT_TRUE(committed.ApplyChanges(applied).ok());
+  size_t rewritten = 0, disabled = 0, unmarked = 0;
+  for (const std::string& name : system_->ViewNames()) {
+    const RegisteredView& was = *system_->GetView(name).value();
+    const RegisteredView& now = *committed.GetView(name).value();
+    rewritten += was.definition.ToString() != now.definition.ToString();
+    disabled += was.state != now.state;
+    unmarked += was.provisional_sources.size() > now.provisional_sources.size();
+  }
+  EXPECT_GT(rewritten, 0u);
+  EXPECT_GT(disabled, 0u);
+  EXPECT_GT(unmarked, 0u);
+
+  std::vector<CapabilityChange> failing = applied;
+  failing.push_back(CapabilityChange::DeleteRelation("Nowhere"));
+  ExpectBatchUndone(
+      system_.get(),
+      [&](EveSystem* s) { return s->ApplyChanges(applied).status(); },
+      [&](EveSystem* s) { return s->ApplyChanges(failing).status(); });
+}
+
+TEST_F(EveSystemTest, AbortedBatchRestoresAViewTwoChangesRewrote) {
+  system_ = MakeBatchSystem();
+  const CapabilityChange first =
+      CapabilityChange::RenameAttribute("R5", "P5", "P5x");
+  const CapabilityChange second =
+      CapabilityChange::RenameAttribute("R5", "P5x", "P5y");
+  // Both changes rewrite the same views.
+  EveSystem committed = *system_;
+  const std::vector<std::string> affected = committed.AffectedViews(first);
+  ASSERT_FALSE(affected.empty());
+  ASSERT_TRUE(committed.ApplyChange(first).ok());
+  EXPECT_EQ(committed.AffectedViews(second), affected);
+
+  ExpectBatchUndone(
+      system_.get(),
+      [&](EveSystem* s) { return s->ApplyChanges({first, second}).status(); },
+      [&](EveSystem* s) {
+        return s
+            ->ApplyChanges({first, second,
+                            CapabilityChange::DeleteRelation("Nowhere")})
+            .status();
+      });
+  for (const std::string& name : affected) {
+    EXPECT_TRUE(system_->GetView(name).value()->definition.ReferencesAttribute(
+        {"R5", "P5"}))
+        << name;
+  }
+}
+
+TEST_F(EveSystemTest, AbortedCascadeRestoresOnlyTheViewsItWrote) {
+  for (const char* site :
+       {fp::kSourceLeavesBetweenChanges, fp::kSourceLeavesBeforeCommit}) {
+    SCOPED_TRACE(site);
+    system_ = MakeBatchSystem();
+    ExpectBatchUndone(
+        system_.get(),
+        [](EveSystem* s) { return s->DepartSource("IS6").status(); },
+        [&](EveSystem* s) {
+          Failpoints::Instance().Arm(site, FailpointAction::kError);
+          const Status status = s->DepartSource("IS6").status();
+          Failpoints::Instance().Reset();
+          return status;
+        });
+  }
+}
+
+TEST_F(EveSystemTest, FailedCommitMarkerUndoesTheBatchWithoutAnAbortMarker) {
+  system_ = MakeBatchSystem();
+  const std::string checkpoint = RenderCheckpoint(*system_);
+  const std::string mkb_before = SaveMkb(system_->mkb());
+  const std::string path = ::testing::TempDir() + "failed_commit_marker.wal";
+  std::remove(path.c_str());
+  Result<Journal> journal = Journal::Open(path);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  system_->AttachJournal(&journal.value());
+  // The cascade appends its begin marker, R6's and R7's change records,
+  // IS6's DEPARTED row, then the commit marker: the fifth append.
+  ExpectBatchUndone(
+      system_.get(),
+      [](EveSystem* s) { return s->DepartSource("IS6").status(); },
+      [](EveSystem* s) {
+        Failpoints::Instance().Arm(fp::kJournalAppendBeforeWrite,
+                                   FailpointAction::kError, 5);
+        const Status status = s->DepartSource("IS6").status();
+        Failpoints::Instance().Reset();
+        EXPECT_NE(status.message().find(fp::kJournalAppendBeforeWrite),
+                  std::string::npos)
+            << status;
+        // The batch stays open in the journal, so replay would fold later
+        // records into it: journal nothing after it.
+        s->AttachJournal(nullptr);
+        return status;
+      });
+
+  // Neither marker reached the journal, so replay discards the batch.
+  const Result<JournalScan> scan = ReadJournal(path);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  std::vector<JournalRecordKind> kinds;
+  for (const JournalRecord& record : scan.value().records) {
+    kinds.push_back(record.kind);
+  }
+  EXPECT_EQ(kinds, (std::vector<JournalRecordKind>{
+                       JournalRecordKind::kBeginBatch,
+                       JournalRecordKind::kApplyChange,
+                       JournalRecordKind::kVersionCommit,
+                       JournalRecordKind::kApplyChange,
+                       JournalRecordKind::kVersionCommit,
+                       JournalRecordKind::kSourceMembership}));
+  const Result<EveSystem> recovered =
+      EveSystem::Recover(checkpoint, scan.value().records);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(SaveViews(recovered.value()), SaveViews(*system_));
+  EXPECT_EQ(SaveMkb(recovered.value().mkb()), mkb_before);
+  EXPECT_EQ(SaveFederation(recovered.value()), SaveFederation(*system_));
+  std::remove(path.c_str());
 }
 
 // --- Reports against the full-outcome-list renderer ------------------------

@@ -33,6 +33,7 @@
 #include "mkb/scrubber.h"
 #include "mkb/serializer.h"
 #include "mkb/version_store.h"
+#include "pool_snapshot.h"
 #include "workload/generator.h"
 #include "workload/travel_agency.h"
 
@@ -630,7 +631,9 @@ TEST_F(VersioningTest, ReEnablingAStaleViewFailsAndLeavesItDisabled) {
 // headers; then recovery replay and replica apply of the journal. After
 // every op that advanced the version, the tip's view text equals SaveViews
 // of the system, and a bucket holds a new segment exactly when a view in
-// it renders differently from the previous version. LoadViews stamps its
+// it renders differently from the previous version. An aborted batch or
+// cascade leaves every view, the inverted index, the log, the chain and
+// the membership table as it found them. LoadViews stamps its
 // header fields after each registration commits, as heal un-marks without
 // committing; both reach the chain with the next commit, where the oracle
 // checks them.
@@ -732,15 +735,23 @@ class OracleRun {
       case 6: {
         const std::vector<CapabilityChange> batch = {
             NextChange(), CapabilityChange::DeleteRelation("NoSuchRelation")};
-        return "aborted batch: " +
-               system_->ApplyChanges(batch).status().ToString();
+        const testing_pool::PoolSnapshot before =
+            testing_pool::SnapshotPool(*system_);
+        const Status status = system_->ApplyChanges(batch).status();
+        testing_pool::ExpectSamePool(before,
+                                     testing_pool::SnapshotPool(*system_));
+        return "aborted batch: " + status.ToString();
       }
       case 7: {
+        const std::string source = "IS" + std::to_string(rng_() % 12);
+        const testing_pool::PoolSnapshot before =
+            testing_pool::SnapshotPool(*system_);
         Failpoints::Instance().Arm(fp::kSourceLeavesBeforeCommit,
                                    FailpointAction::kError);
-        const std::string source = "IS" + std::to_string(rng_() % 12);
         const Status status = system_->SourceLeaves(source).status();
         Failpoints::Instance().Reset();
+        testing_pool::ExpectSamePool(before,
+                                     testing_pool::SnapshotPool(*system_));
         return "aborted cascade " + source + ": " + status.ToString();
       }
       case 8: {

@@ -201,18 +201,6 @@ TEST(BatchChangesTest, TransactionalRollbackOnFailure) {
   EXPECT_TRUE(system.change_log().empty());
 }
 
-TEST(BatchChangesTest, NonTransactionalKeepsPrefix) {
-  EveSystem system = FreshSystem();
-  const std::vector<CapabilityChange> batch = {
-      CapabilityChange::DeleteRelation("Tour"),
-      CapabilityChange::DeleteRelation("DoesNotExist"),
-  };
-  const auto result = system.ApplyChanges(batch, /*transactional=*/false);
-  EXPECT_FALSE(result.ok());
-  EXPECT_FALSE(system.mkb().catalog().HasRelation("Tour"));
-  EXPECT_EQ(system.change_log().size(), 1u);
-}
-
 TEST(BatchChangesTest, SuccessfulBatchReportsPerChange) {
   EveSystem system = FreshSystem();
   ASSERT_TRUE(system.RegisterViewText(CustomerPassengersAsiaSql()).ok());

@@ -38,8 +38,6 @@
 //                                            best-under-budget partials
 //   SET SYNC DEADLINE <micros>;           -- wall-clock deadline per change
 //                                            (0 = none; best effort)
-//   SET SYNC WATCHDOG <micros>;           -- real-time backstop that cancels
-//                                            a stuck sync (0 = off)
 //   SET SYNC QUEUE <n>;                   -- admission queue bound (0 = no
 //                                            bound); a full queue sheds the
 //                                            newest ENQUEUE with an explicit
