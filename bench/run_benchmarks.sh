@@ -19,11 +19,10 @@
 # BENCH_commit.json.
 #
 # The executor suite (bench_executor: Execute vs the nested-loop oracle
-# and full-vs-incremental extent re-materialization per CVS verdict on a
-# 10M-row skewed join; EVE_BENCH_EXECUTOR_ROWS overrides the scale, e.g.
-# under sanitizers) goes into BENCH_executor.json. The binary validates
-# Execute == the oracle and incremental == full for every verdict before
-# timing anything, and exits nonzero on a mismatch.
+# on a 10M-row skewed join; EVE_BENCH_EXECUTOR_ROWS overrides the scale,
+# e.g. under sanitizers) goes into BENCH_executor.json. The binary
+# validates Execute == the oracle before timing anything, and exits
+# nonzero on a mismatch.
 #
 # The server suite (bench_server: closed-loop chaos load against a forked
 # eved serving loop — 10k concurrent sessions, ~3% running scripted
@@ -614,9 +613,9 @@ fi
 EXEC_JSON="$(mktemp)"
 trap 'rm -f "$CURRENT_JSON" "$ENUM_JSON" "$FED_JSON" "$ADM_JSON" "$VER_JSON" "$COMMIT_JSON" "$EXEC_JSON"' EXIT
 
-# The binary validates Execute == the nested-loop oracle and incremental
-# == full refresh for every verdict before timing anything, and exits
-# nonzero on a mismatch (aborting this script via set -e).
+# The binary validates Execute == the nested-loop oracle before timing
+# anything, and exits nonzero on a mismatch (aborting this script via
+# set -e).
 # EVE_BENCH_EXECUTOR_ROWS sets the R0 scale; the 10M default is the
 # ISSUE-target configuration — export a smaller value under sanitizers.
 EVE_BENCH_EXECUTOR_ROWS="${EVE_BENCH_EXECUTOR_ROWS:-10000000}" \
@@ -644,7 +643,6 @@ def time_of(name):
     return (bench["real_time"], bench["time_unit"]) if bench else None
 
 rows = None
-full = time_of("BM_FullRefresh")
 
 # Query execution: Execute at the full scale, and the nested-loop oracle
 # at a capped size (its time is reported but not a fair ratio).
@@ -660,41 +658,13 @@ for name in ("BM_QueryNestedLoop", "BM_QueryExecute"):
         rows = bench.get("rows")
     queries.append(entry)
 
-# Incremental maintenance vs the full re-materialization baseline.
-incremental = []
-speedups = {}
-for verdict, name in (("equal", "BM_IncrementalEqual"),
-                      ("superset", "BM_IncrementalSuperset"),
-                      ("subset", "BM_IncrementalSubset")):
-    t = time_of(name)
-    if t is None:
-        continue
-    bench = runs[name]
-    entry = {"verdict": verdict, "name": name, "current": t[0],
-             "time_unit": t[1], "out_rows": bench.get("out_rows")}
-    if full is not None and t[0] > 0:
-        entry["full_refresh"] = full[0]
-        entry["speedup_vs_full"] = round(full[0] / t[0], 2)
-        speedups[verdict] = entry["speedup_vs_full"]
-    incremental.append(entry)
-
-# The acceptance bar: Equal and Superset verdicts re-materialize >= 5x
-# faster than a full refresh at the benchmarked scale.
-meets_5x = all(speedups.get(v, 0) >= 5.0 for v in ("equal", "superset"))
-
 out = {
     "description": "Columnar data plane: Execute vs the nested-loop "
-                   "oracle on a skewed two-relation join, and "
-                   "incremental extent maintenance (IncrementalRefresh "
-                   "per CVS verdict) vs full re-materialization. The "
-                   "binary validates Execute == oracle and incremental "
-                   "== full for every verdict before timing.",
+                   "oracle on a skewed two-relation join. The binary "
+                   "validates Execute == oracle before timing.",
     "context": doc.get("context", {}),
     "rows": rows,
     "queries": queries,
-    "incremental": incremental,
-    "incremental_speedups_vs_full": speedups,
-    "meets_5x_target_equal_superset": meets_5x,
     "raw": doc,
 }
 with open(out_path, "w") as f:
@@ -704,18 +674,8 @@ with open(out_path, "w") as f:
 print(f"wrote {out_path}")
 for entry in queries:
     print(f"{entry['name']:<24}  {entry['current']:.1f} {entry['time_unit']}")
-for entry in incremental:
-    note = f"  {entry['current']:.2f} {entry['time_unit']}"
-    if "speedup_vs_full" in entry:
-        note += (f"  (full {entry['full_refresh']:.1f},"
-                 f" {entry['speedup_vs_full']}x)")
-    print(f"{entry['name']:<24}{note}")
 print(f"BENCHSUMMARY suite=executor out={out_path}"
-      f" rows={rows}"
-      f" equal_speedup={speedups.get('equal', 'n/a')}"
-      f" superset_speedup={speedups.get('superset', 'n/a')}"
-      f" subset_speedup={speedups.get('subset', 'n/a')}"
-      f" meets_5x_target={meets_5x}")
+      f" rows={rows}")
 PY
 
 SERVER_BENCH="$BUILD_DIR/bench/bench_server"

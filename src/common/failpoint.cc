@@ -27,11 +27,6 @@ void Failpoints::Arm(const std::string& site, FailpointAction action,
   armed_[site] = Arming{action, on_hit < 1 ? 1 : on_hit};
 }
 
-void Failpoints::Disarm(const std::string& site) {
-  std::lock_guard<std::mutex> lock(mu_);
-  armed_.erase(site);
-}
-
 void Failpoints::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   armed_.clear();
@@ -65,7 +60,6 @@ const std::vector<std::string>& Failpoints::KnownSites() {
       fp::kApplyChangeAfterJournal,
       fp::kApplyChangeAfterMkbEvolve,
       fp::kApplyChangeBeforeCommit,
-      fp::kApplyChangesMidBatch,
       fp::kExtendMkbAfterJournal,
       fp::kRegisterViewAfterJournal,
       fp::kRetractConstraintAfterJournal,

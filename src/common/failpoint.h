@@ -38,7 +38,6 @@ inline constexpr char kApplyChangeAfterMkbEvolve[] =
     "eve.apply_change.after_mkb_evolve";
 inline constexpr char kApplyChangeBeforeCommit[] =
     "eve.apply_change.before_commit";
-inline constexpr char kApplyChangesMidBatch[] = "eve.apply_changes.mid_batch";
 inline constexpr char kExtendMkbAfterJournal[] = "eve.extend_mkb.after_journal";
 inline constexpr char kRegisterViewAfterJournal[] =
     "eve.register_view.after_journal";
@@ -164,7 +163,6 @@ class Failpoints {
   // Arms `site` to fire on the `on_hit`-th upcoming hit (1-based, counted
   // from now), then auto-disarm. Re-arming replaces the previous arming.
   void Arm(const std::string& site, FailpointAction action, int on_hit = 1);
-  void Disarm(const std::string& site);
   // Disarms every site and resets all hit counters.
   void Reset();
 

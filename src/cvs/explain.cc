@@ -123,8 +123,4 @@ RewritingExplanation ExplainRewriting(const ViewDefinition& original,
   return explanation;
 }
 
-std::string ExplainEnumeration(const CvsResult& result) {
-  return "enumeration: " + result.enumeration.ToString();
-}
-
 }  // namespace eve

@@ -39,12 +39,6 @@ struct RewritingExplanation {
 RewritingExplanation ExplainRewriting(const ViewDefinition& original,
                                       const SynchronizedView& synced);
 
-// One line describing how much of the candidate space the enumeration
-// behind `result` explored — counters plus whether it ran to exhaustion,
-// stopped on the top-k bound, or was cut by a cap ("enumeration: combos 4,
-// trees expanded 37, ... [exhausted]").
-std::string ExplainEnumeration(const CvsResult& result);
-
 }  // namespace eve
 
 #endif  // EVE_CVS_EXPLAIN_H_

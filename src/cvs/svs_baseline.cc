@@ -11,15 +11,4 @@ Result<CvsResult> SvsSynchronizeDeleteRelation(const ViewDefinition& view,
   return SynchronizeDeleteRelation(view, relation, mkb, mkb_prime, options);
 }
 
-Result<CvsResult> SvsSynchronizeDeleteAttribute(const ViewDefinition& view,
-                                                const std::string& relation,
-                                                const std::string& attribute,
-                                                const Mkb& mkb,
-                                                const Mkb& mkb_prime,
-                                                CvsOptions options) {
-  options.replacement.max_extra_relations = 0;
-  return SynchronizeDeleteAttribute(view, relation, attribute, mkb, mkb_prime,
-                                    options);
-}
-
 }  // namespace eve

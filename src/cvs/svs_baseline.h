@@ -21,14 +21,6 @@ Result<CvsResult> SvsSynchronizeDeleteRelation(const ViewDefinition& view,
                                                const Mkb& mkb_prime,
                                                CvsOptions options = {});
 
-// One-step-away synchronization for ch = delete-attribute R.A.
-Result<CvsResult> SvsSynchronizeDeleteAttribute(const ViewDefinition& view,
-                                                const std::string& relation,
-                                                const std::string& attribute,
-                                                const Mkb& mkb,
-                                                const Mkb& mkb_prime,
-                                                CvsOptions options = {});
-
 }  // namespace eve
 
 #endif  // EVE_CVS_SVS_BASELINE_H_

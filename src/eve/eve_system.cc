@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <optional>
+#include <span>
 #include <sstream>
 
 #include "common/failpoint.h"
@@ -261,9 +262,18 @@ RegisteredView& EveSystem::MutableView(const std::string& name) {
   return view;
 }
 
-Status EveSystem::JournalAppend(const JournalRecord& record) {
+Status EveSystem::JournalAppendAll(std::span<const JournalRecord> records) {
   if (journal_ == nullptr) return Status::OK();
-  return journal_->Append(record.kind, record.body);
+  if (batch_ != nullptr) {
+    batch_->records.insert(batch_->records.end(), records.begin(),
+                           records.end());
+    return Status::OK();
+  }
+  return journal_->AppendAll(records);
+}
+
+Status EveSystem::JournalAppend(const JournalRecord& record) {
+  return JournalAppendAll({&record, 1});
 }
 
 std::shared_ptr<const std::vector<std::string>> EveSystem::ActiveViewList()
@@ -618,7 +628,6 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
     EnumerationStats enumeration;
     bool preserved = false;
     ViewDefinition definition;  // the rewriting, under the registered name
-    ExtentRelation verdict = ExtentRelation::kUnknown;
     std::string detail;                 // the outcome line's detail
     std::vector<std::string> degraded;  // degraded sources it leans on
   };
@@ -651,7 +660,6 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
       if (slot.preserved) {
         SynchronizedView& best = result.rewritings.front();
         slot.detail = RewrittenDetail(original, best);
-        slot.verdict = best.legality.inferred_extent;
         slot.definition = std::move(best.view);
         slot.definition.set_name(affected[i]);  // keep the registered name
         // Degraded-mode bookkeeping: when the chosen rewriting leans on a
@@ -700,7 +708,6 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
                           std::move(synced.detail), {}};
       outcome.provisional_sources = std::move(synced.degraded);
       report.outcomes.push_back(std::move(outcome));
-      prepared.verdicts.emplace(name, synced.verdict);
     } else {
       registered.state = ViewState::kDisabled;
       registered.provisional_sources.clear();
@@ -736,21 +743,13 @@ Result<ChangeReport> EveSystem::CommitPrepared(PreparedChange prepared) {
         {JournalRecordKind::kApplyChange, SerializeChange(prepared.change)},
         {JournalRecordKind::kVersionCommit,
          std::to_string(prepared.base_version + 1)}};
-    EVE_RETURN_IF_ERROR(journal_->AppendAll(records));
+    EVE_RETURN_IF_ERROR(JournalAppendAll(records));
   }
   // Once the records are durable, replay WILL commit — so an injected
   // ERROR at the swap site must not stop the in-memory commit: the error is
   // deferred past the swap and models a response lost after commit. A
   // simulated CRASH may throw here: recovery replays to the post state.
   Status deferred = Failpoints::Instance().Hit(fp::kVersionBeforeSwap);
-  // The materialization hook needs the pre-change definitions after the
-  // swap below overwrites them (IncrementalRefresh diffs old vs new).
-  std::map<std::string, ViewDefinition> old_defs;
-  if (mat_store_ != nullptr && mat_db_ != nullptr) {
-    for (const std::string& name : prepared.affected) {
-      old_defs.emplace(name, views_.at(name).definition);
-    }
-  }
   // Re-index the synchronized views: out with the pre-change definitions,
   // in with the rewritten ones (a disabled view keeps its definition and
   // thus its index entries). next_views is a delta of just the affected
@@ -770,43 +769,11 @@ Result<ChangeReport> EveSystem::CommitPrepared(PreparedChange prepared) {
   CommitVersion(prepared.change.ToString(), prepared.changed_segments);
   const Status after = Failpoints::Instance().Hit(fp::kVersionAfterSwap);
   if (deferred.ok()) deferred = after;
-  // Post-commit data-plane propagation: the control plane is committed, so
-  // a materialization failure is deferred (stale extent, explicit error)
-  // rather than rolled back.
-  if (mat_store_ != nullptr && mat_db_ != nullptr) {
-    const Status mat = SyncMaterialization(prepared, old_defs);
-    if (deferred.ok()) deferred = mat;
-  }
   // Past this point the change is committed both durably and in memory; an
   // injected error here models a response lost after commit.
   EVE_FAILPOINT(fp::kApplyChangeAfterJournal);
   if (!deferred.ok()) return deferred;
   return std::move(prepared.report);
-}
-
-Status EveSystem::SyncMaterialization(
-    const PreparedChange& prepared,
-    const std::map<std::string, ViewDefinition>& old_defs) {
-  // Evolve the base tables first so delta queries and fallback refreshes
-  // run against post-change data.
-  EVE_RETURN_IF_ERROR(ApplyChangeToDatabase(prepared.change, mat_db_));
-  const Catalog& catalog = mkb().catalog();
-  Status first = Status::OK();
-  for (const std::string& name : prepared.affected) {
-    const RegisteredView& view = views_.at(name);
-    if (view.state == ViewState::kDisabled) {
-      mat_store_->Drop(name);
-      continue;
-    }
-    if (!mat_store_->Has(name)) continue;  // never materialized: stay lazy
-    const auto it = prepared.verdicts.find(name);
-    const ExtentRelation verdict =
-        it == prepared.verdicts.end() ? ExtentRelation::kUnknown : it->second;
-    const Status refreshed = mat_store_->IncrementalRefresh(
-        old_defs.at(name), view.definition, verdict, *mat_db_, catalog);
-    if (first.ok()) first = refreshed;
-  }
-  return first;
 }
 
 Result<ChangeReport> EveSystem::ApplyChange(const CapabilityChange& change) {
@@ -1020,50 +987,6 @@ Result<std::vector<ChangeReport>> EveSystem::DrainSyncQueue() {
   return reports;
 }
 
-Result<std::vector<ChangeReport>> EveSystem::RunBatch(
-    const std::vector<CapabilityChange>& changes, const char* between_changes,
-    const std::function<std::string(const CapabilityChange&)>& aborted_at,
-    const std::function<Status()>& before_commit) {
-  // Bracket the batch so replay discards it unless the commit marker
-  // lands: a crash mid-batch recovers to the pre-batch state, mirroring
-  // the in-memory undo below.
-  EVE_RETURN_IF_ERROR(JournalAppend({JournalRecordKind::kBeginBatch, ""}));
-  BatchUndo undo{versions_.Tip(), change_log_.size(), dirty_, membership_, {}};
-  batch_ = &undo;
-  // Closes the batch on every exit, a simulated crash unwinding out of it
-  // included.
-  struct Close {
-    BatchUndo** batch;
-    ~Close() { *batch = nullptr; }
-  } close{&batch_};
-  std::vector<ChangeReport> reports;
-  reports.reserve(changes.size());
-  Status status = Status::OK();
-  for (const CapabilityChange& change : changes) {
-    if (!reports.empty()) status = Failpoints::Instance().Hit(between_changes);
-    Result<ChangeReport> report =
-        status.ok() ? ApplyChange(change) : Result<ChangeReport>(status);
-    if (!report.ok()) {
-      status = Status(report.status().code(), aborted_at(change) + ": " +
-                                                  report.status().message());
-      break;
-    }
-    reports.push_back(report.MoveValue());
-  }
-  if (status.ok() && before_commit) status = before_commit();
-  if (status.ok()) {
-    status = JournalAppend({JournalRecordKind::kCommitBatch, ""});
-    if (status.ok()) return reports;
-    // The commit marker never reached disk, so replay will discard the
-    // batch; undo memory to match that outcome.
-    UndoBatch(undo);
-    return status;
-  }
-  UndoBatch(undo);
-  EVE_RETURN_IF_ERROR(JournalAppend({JournalRecordKind::kAbortBatch, ""}));
-  return status;
-}
-
 void EveSystem::UndoBatch(BatchUndo& undo) {
   for (auto& [name, saved] : undo.views) {
     RegisteredView& view = views_.at(name);
@@ -1079,49 +1002,60 @@ void EveSystem::UndoBatch(BatchUndo& undo) {
   InvalidateActiveViews();
 }
 
-Result<std::vector<ChangeReport>> EveSystem::ApplyChanges(
-    const std::vector<CapabilityChange>& changes) {
-  return RunBatch(changes, fp::kApplyChangesMidBatch,
-                  [](const CapabilityChange& change) {
-                    return "batch aborted at '" + change.ToString() + "'";
-                  });
-}
-
-Result<std::vector<ChangeReport>> EveSystem::SourceLeaves(
-    const std::string& source) {
-  return LeaveCascade(source, /*require_relations=*/true);
-}
-
 Result<std::vector<ChangeReport>> EveSystem::DepartSource(
     const std::string& source) {
-  return LeaveCascade(source, /*require_relations=*/false);
-}
-
-Result<std::vector<ChangeReport>> EveSystem::LeaveCascade(
-    const std::string& source, bool require_relations) {
   std::vector<CapabilityChange> changes;
   for (const std::string& relation :
        mkb().catalog().RelationsOfSource(source)) {
     changes.push_back(CapabilityChange::DeleteRelation(relation));
   }
-  if (changes.empty() && require_relations) {
-    return Status::NotFound("no relations exported by source: " + source);
-  }
-  return RunBatch(
-      changes, fp::kSourceLeavesBetweenChanges,
-      [](const CapabilityChange& change) {
-        return "source-leave cascade aborted at '" + change.relation + "'";
-      },
-      [&]() -> Status {
-        if (membership_.count(source) > 0) {
-          // The monitor must not keep probing a departed source; the row
-          // rides in the batch so it vanishes with an undone cascade.
-          federation::SourceMembership departed = membership_.at(source);
-          departed.state = federation::SourceState::kDeparted;
-          EVE_RETURN_IF_ERROR(SetSourceMembership(source, departed));
-        }
-        return Failpoints::Instance().Hit(fp::kSourceLeavesBeforeCommit);
-      });
+  // The batch journals nothing until it commits: its records collect in
+  // `undo.records` and go out in one append, bracketed by kBeginBatch and
+  // kCommitBatch. A failure before or in that append leaves nothing of the
+  // batch on disk, and memory undoes what the batch wrote; a crash inside
+  // the append leaves a batch without its commit marker, which replay
+  // discards.
+  BatchUndo undo{versions_.Tip(), change_log_.size(), dirty_, membership_,
+                 {}, {{JournalRecordKind::kBeginBatch, ""}}};
+  batch_ = &undo;
+  // Closes the batch on every exit, a simulated crash unwinding out of it
+  // included.
+  struct Close {
+    BatchUndo** batch;
+    ~Close() { *batch = nullptr; }
+  } close{&batch_};
+  std::vector<ChangeReport> reports;
+  reports.reserve(changes.size());
+  const Status status = [&]() -> Status {
+    for (const CapabilityChange& change : changes) {
+      const Status between =
+          reports.empty()
+              ? Status::OK()
+              : Failpoints::Instance().Hit(fp::kSourceLeavesBetweenChanges);
+      Result<ChangeReport> report =
+          between.ok() ? ApplyChange(change) : Result<ChangeReport>(between);
+      if (!report.ok()) {
+        return Status(report.status().code(),
+                      "source-leave cascade aborted at '" + change.relation +
+                          "': " + report.status().message());
+      }
+      reports.push_back(report.MoveValue());
+    }
+    if (membership_.count(source) > 0) {
+      // The monitor must not keep probing a departed source; the row rides
+      // in the batch so it vanishes with an undone cascade.
+      federation::SourceMembership departed = membership_.at(source);
+      departed.state = federation::SourceState::kDeparted;
+      EVE_RETURN_IF_ERROR(SetSourceMembership(source, departed));
+    }
+    EVE_FAILPOINT(fp::kSourceLeavesBeforeCommit);
+    if (journal_ == nullptr) return Status::OK();
+    undo.records.push_back({JournalRecordKind::kCommitBatch, ""});
+    return journal_->AppendAll(undo.records);
+  }();
+  if (status.ok()) return reports;
+  UndoBatch(undo);
+  return status;
 }
 
 Status EveSystem::SetSourceMembership(

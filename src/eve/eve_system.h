@@ -8,11 +8,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -22,7 +22,6 @@
 #include "common/thread_pool.h"
 #include "cvs/cvs.h"
 #include "esql/view_definition.h"
-#include "eve/materialization.h"
 #include "federation/membership.h"
 #include "mkb/capability_change.h"
 #include "mkb/mkb.h"
@@ -49,7 +48,7 @@ struct RegisteredView {
   // The MKB version this view's definition was last validated or
   // synchronized against: the version created by its registration, by the
   // ApplyChange that last rewrote it, or carried verbatim through a
-  // rollback. The scrubber checks it always names a retained version.
+  // rollback. ScrubVersions checks it always names a retained version.
   uint64_t synced_at_version = 0;
 };
 
@@ -245,27 +244,6 @@ class EveSystem {
   void SetReportUnaffected(bool on) { options_.report_unaffected = on; }
   bool report_unaffected() const { return options_.report_unaffected; }
 
-  // --- Materialization (data plane) ----------------------------------------
-  //
-  // Optionally couples the control plane to a physical data plane: a
-  // MaterializedViewStore holding view extents and the Database holding
-  // the base tables (both non-owning; pass nullptr/nullptr to detach).
-  // While attached, every committed capability change is propagated
-  // post-commit: the change is applied to the database
-  // (ApplyChangeToDatabase), each rewritten view's stored extent is
-  // brought to its new definition via IncrementalRefresh — consulting the
-  // CVS-inferred extent verdict, so Equal-verdict rewritings reuse the old
-  // extent with zero scanning — and disabled views' extents are dropped.
-  // Data-plane failures surface as the change's (deferred) error but never
-  // roll back the already-committed control-plane state. The database must
-  // hold every relation a change touches. Rollback and recovery do NOT
-  // restore extents; re-attach and refresh after either.
-  void AttachMaterialization(MaterializedViewStore* store, Database* db) {
-    mat_store_ = store;
-    mat_db_ = db;
-  }
-  MaterializedViewStore* materialization() const { return mat_store_; }
-
   Result<const RegisteredView*> GetView(const std::string& name) const;
 
   // Flags a registered view (used by view-pool persistence and operators
@@ -394,15 +372,6 @@ class EveSystem {
   // name) or disabled.
   Result<ChangeReport> ApplyChange(const CapabilityChange& change);
 
-  // An information source leaves the environment (paper Sec. 1): applies
-  // delete-relation for every relation the source exports, one change at a
-  // time, so views can hop between the departing source's relations while
-  // some still exist. Returns one report per deleted relation. The whole
-  // cascade is one batch (see ApplyChanges): a failure mid-way undoes every
-  // relation, so the source is either fully present or fully departed —
-  // never half-left.
-  Result<std::vector<ChangeReport>> SourceLeaves(const std::string& source);
-
   // --- Federation membership ----------------------------------------------
   //
   // EveSystem is the durable home of the per-source membership table (see
@@ -422,9 +391,16 @@ class EveSystem {
   Status SetSourceMembership(const std::string& source,
                              const federation::SourceMembership& membership);
 
-  // Lease expiry: marks the source DEPARTED and runs the SourceLeaves
-  // cascade in the same transaction (tolerating a source that exports no
-  // relations). This is the only path from probe faults to rewriting churn.
+  // Lease expiry: an information source leaves the environment (paper
+  // Sec. 1). Applies delete-relation for every relation the source
+  // exports, one change at a time, so views can hop between the departing
+  // source's relations while some still exist, and marks a tracked source
+  // DEPARTED. Returns one report per deleted relation. The
+  // whole cascade is one batch, journaled with one append: a failure
+  // mid-way undoes every relation, so the source is either fully present
+  // or fully departed — never half-left. A source that exports no
+  // relations departs with an empty cascade. This is the only path from
+  // probe faults to rewriting churn.
   Result<std::vector<ChangeReport>> DepartSource(const std::string& source);
 
   // Checkpoint loading only: replaces the membership table verbatim, no
@@ -437,14 +413,6 @@ class EveSystem {
   // Checkpoint loading only: restores a view's provisional marks verbatim.
   Status SetViewProvisionalSources(const std::string& name,
                                    std::set<std::string> sources);
-
-  // Applies `changes` in order as one batch, journaled between kBeginBatch
-  // and kCommitBatch. When any change fails (e.g. it references an element
-  // that is already gone), the batch is undone — MKB, version chain, view
-  // pool, change log and membership table are as before it — and journaled
-  // as aborted. The undo costs what the batch wrote, not the pool size.
-  Result<std::vector<ChangeReport>> ApplyChanges(
-      const std::vector<CapabilityChange>& changes);
 
   const std::vector<ChangeReport>& change_log() const { return change_log_; }
 
@@ -498,10 +466,6 @@ class EveSystem {
     ChangeReport report;
     // The MISD segments the evolution changed (MkbEvolutionReport).
     MkbSegmentSet changed_segments;
-    // CVS-inferred extent verdict per rewritten view (absent for disabled
-    // views). Consumed by the post-commit materialization hook; not
-    // journaled — recovery rebuilds extents by refreshing, not by replay.
-    std::map<std::string, ExtentRelation> verdicts;
   };
   Result<PreparedChange> PrepareChange(const CapabilityChange& change) const;
   // Journals kApplyChange and kVersionCommit with one write and one fsync,
@@ -529,15 +493,10 @@ class EveSystem {
   void AddView(const std::string& name, RegisteredView view);
   RegisteredView& MutableView(const std::string& name);
 
-  // Post-commit data-plane propagation (see AttachMaterialization). Runs
-  // after the in-memory commit; `old_defs` holds the affected views'
-  // pre-change definitions. Returns the first failure, after attempting
-  // every view.
-  Status SyncMaterialization(
-      const PreparedChange& prepared,
-      const std::map<std::string, ViewDefinition>& old_defs);
-
-  // Appends to the attached journal, if any.
+  // Journals `records` with one append to the attached journal, if any.
+  // Inside a batch they go to the batch's record buffer instead, which
+  // DepartSource appends whole when the batch commits.
+  Status JournalAppendAll(std::span<const JournalRecord> records);
   Status JournalAppend(const JournalRecord& record);
   // The name-sorted active views for reports (see ChangeReport), built on
   // first use after InvalidateActiveViews.
@@ -546,30 +505,6 @@ class EveSystem {
   void InvalidateActiveViews() { active_views_.reset(); }
   // Replays one journal record onto this system (no journaling).
   Status ReplayRecord(const JournalRecord& record);
-
-  // The delete-relation cascade shared by SourceLeaves and DepartSource,
-  // run as one batch. A tracked source's DEPARTED membership row is
-  // written inside the same batch. `require_relations` makes an empty
-  // source an error (an operator-invoked SourceLeaves on an unknown source
-  // is a typo; a lease expiry on a relation-less source is a plain
-  // departure).
-  Result<std::vector<ChangeReport>> LeaveCascade(const std::string& source,
-                                                 bool require_relations);
-
-  // The one batch path behind ApplyChanges and LeaveCascade. Journals
-  // kBeginBatch, applies `changes` in order (hitting the `between_changes`
-  // failpoint before every change after the first), then runs
-  // `before_commit` (if set) and journals kCommitBatch. A failed change
-  // fails the batch with `aborted_at(change) + ": " + its error`. A failed
-  // batch is undone and journaled kAbortBatch (whose append error, if any,
-  // is returned instead); a commit marker that fails to append undoes the
-  // batch without an abort marker, since replay discards a batch that has
-  // none.
-  Result<std::vector<ChangeReport>> RunBatch(
-      const std::vector<CapabilityChange>& changes,
-      const char* between_changes,
-      const std::function<std::string(const CapabilityChange&)>& aborted_at,
-      const std::function<Status()>& before_commit = nullptr);
 
   // Sources whose membership row is Degraded() among those owning a
   // relation `definition` references in `catalog` (sorted, deduped).
@@ -602,20 +537,23 @@ class EveSystem {
     bool all = false;
   };
   DirtyViews dirty_;
-  // What undoing the running batch restores. A batch body writes the pool
-  // only through MutableView, which saves each view's pre-batch state on
-  // the batch's first write to it; the rest is saved when the batch opens.
+  // What undoing the running batch restores, and the records it journals.
+  // A batch body writes the pool only through MutableView, which saves each
+  // view's pre-batch state on the batch's first write to it; the rest is
+  // saved when the batch opens.
   struct BatchUndo {
     PinnedMkb tip;  // the pre-batch tip version and its MKB
     size_t log_size = 0;
     DirtyViews dirty;
     std::map<std::string, federation::SourceMembership> membership;
     std::map<std::string, RegisteredView> views;
+    // kBeginBatch, then every record the batch journaled so far.
+    std::vector<JournalRecord> records;
   };
   // Restores the pre-batch state `undo` holds: re-indexes only the views
   // the batch wrote and drops the versions and log entries it added.
   void UndoBatch(BatchUndo& undo);
-  // The running batch's undo record; null outside RunBatch.
+  // The running batch's undo record; null outside DepartSource.
   BatchUndo* batch_ = nullptr;
   // Cache behind ActiveViewList(); null until built. mutable: a dry run
   // builds it too. Guarded by active_views_mu_ (shared across copies, like
@@ -625,8 +563,6 @@ class EveSystem {
   std::vector<ChangeReport> change_log_;
   std::map<std::string, federation::SourceMembership> membership_;
   Journal* journal_ = nullptr;  // non-owning
-  MaterializedViewStore* mat_store_ = nullptr;  // non-owning
-  Database* mat_db_ = nullptr;                  // non-owning
   // The step-3 worker pool, started by the first fan-out that needs one.
   class SyncPool {
    public:

@@ -83,30 +83,42 @@ Status WriteAll(int fd, std::string_view bytes, const std::string& path) {
 Result<Journal> Journal::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) return Errno("cannot open journal", path);
+  Journal journal(path, fd);
   const off_t size = ::lseek(fd, 0, SEEK_END);
   if (size == 0) {
-    const Status status =
-        WriteAll(fd, std::string_view(kJournalMagic, kMagicSize), path);
-    if (!status.ok() || ::fsync(fd) != 0) {
-      ::close(fd);
-      return status.ok() ? Errno("cannot fsync journal", path) : status;
-    }
-  } else {
-    // Validate the magic so we never append records to an arbitrary file.
-    char magic[kMagicSize];
-    const int read_fd = ::open(path.c_str(), O_RDONLY);
-    const bool magic_ok =
-        read_fd >= 0 &&
-        ::read(read_fd, magic, kMagicSize) ==
-            static_cast<ssize_t>(kMagicSize) &&
-        std::memcmp(magic, kJournalMagic, kMagicSize) == 0;
-    if (read_fd >= 0) ::close(read_fd);
-    if (!magic_ok) {
-      ::close(fd);
-      return Status::ParseError("not a journal file: " + path);
-    }
+    EVE_RETURN_IF_ERROR(
+        WriteAll(fd, std::string_view(kJournalMagic, kMagicSize), path));
+    if (::fsync(fd) != 0) return Errno("cannot fsync journal", path);
+    return journal;
   }
-  return Journal(path, fd);
+  // The scan recovery runs decides what the file holds, so records are
+  // never appended to an arbitrary file, nor after bytes replay would not
+  // let them follow: a torn tail, where the scan stops, or a trailing batch
+  // without its commit marker (a crash inside the batch's append), into
+  // which replay would fold them before discarding it. That tail is cut
+  // off first.
+  EVE_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
+  const Result<JournalScan> scan = ScanJournalBytes(bytes);
+  if (!scan.ok()) return Status::ParseError("not a journal file: " + path);
+  size_t keep = kMagicSize;  // end of the last record outside a batch
+  size_t offset = kMagicSize;
+  bool in_batch = false;
+  for (const JournalRecord& record : scan.value().records) {
+    offset += kFrameHeaderSize + 1 + record.body.size();
+    if (record.kind == JournalRecordKind::kBeginBatch) in_batch = true;
+    if (record.kind == JournalRecordKind::kCommitBatch ||
+        record.kind == JournalRecordKind::kAbortBatch) {
+      in_batch = false;
+    }
+    if (!in_batch) keep = offset;
+  }
+  if (keep < bytes.size()) {
+    if (::ftruncate(fd, static_cast<off_t>(keep)) != 0) {
+      return Errno("cannot cut the tail of journal", path);
+    }
+    if (::fsync(fd) != 0) return Errno("cannot fsync journal", path);
+  }
+  return journal;
 }
 
 Journal::Journal(Journal&& other) noexcept

@@ -12,11 +12,14 @@
 //   records: u32 payload_len (LE) | u32 crc32(payload) (LE) | payload
 //   payload: 1 byte record kind | body bytes
 //
-// Batch semantics: ApplyChanges and the source-departure cascade bracket
-// their per-change records with kBeginBatch/kCommitBatch (or kAbortBatch
-// when the batch is undone); replay buffers a batch and discards it unless
-// the commit marker is present, so a crash mid-batch recovers to the
-// pre-batch state.
+// Batch semantics: the source-departure cascade (EveSystem::DepartSource)
+// writes its records in one append, bracketed by kBeginBatch/kCommitBatch,
+// once every change of the batch has applied; a batch that fails is undone
+// in memory and leaves nothing in the journal. Replay buffers a batch and
+// discards it unless the commit marker is present, so a crash mid-append
+// recovers to the pre-batch state. kAbortBatch is no longer written;
+// replay still discards a batch it closes, so older journals replay as
+// before.
 
 #ifndef EVE_EVE_JOURNAL_H_
 #define EVE_EVE_JOURNAL_H_
@@ -69,7 +72,9 @@ struct JournalRecord {
 class Journal {
  public:
   // Opens `path`, creating it (with the magic header) if absent. Rejects
-  // files that do not start with the journal magic.
+  // files ScanJournalBytes rejects. Cuts (durably) what replay would not
+  // let new records follow: a torn tail and a trailing batch without its
+  // commit marker.
   static Result<Journal> Open(const std::string& path);
 
   Journal(Journal&& other) noexcept;

@@ -9,7 +9,7 @@
 //      +--success---+------------(half-open probe succeeds)----+
 //
 //   any state --lease expiry--> DEPARTED   (the only transition that fires
-//                                           the SourceLeaves CVS cascade)
+//                                           the DepartSource CVS cascade)
 //
 // and only DEPARTED triggers rewriting churn: a transient outage that heals
 // within the lease never touches a view. All time is a logical tick count —

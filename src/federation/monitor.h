@@ -1,6 +1,6 @@
 // FederationMonitor: the probe scheduler that turns transport replies into
 // membership transitions. Each logical tick it (1) departs sources whose
-// lease lapsed (the only path into the SourceLeaves CVS cascade),
+// lease lapsed (the only path into the DepartSource CVS cascade),
 // (2) half-opens tripped breakers whose cooldown elapsed, (3) fans the due
 // probes out over a thread pool, and (4) folds the replies through the pure
 // transition functions in membership.h, journaling every changed row via

@@ -26,17 +26,6 @@ void SimulatedTransport::AddFault(const std::string& source,
   faults_[source].push_back(window);
 }
 
-void SimulatedTransport::ClearFaults() {
-  std::lock_guard<std::mutex> lock(mu_);
-  faults_.clear();
-  flap_counter_.clear();
-}
-
-uint64_t SimulatedTransport::probes_sent() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return probes_;
-}
-
 Result<ProbeReply> SimulatedTransport::Probe(const std::string& source,
                                              uint64_t tick) {
   // Generic send-path fault: an armed error here is a lost probe (the
@@ -59,7 +48,6 @@ Result<ProbeReply> SimulatedTransport::Probe(const std::string& source,
   bool flap_fails = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++probes_;
     if (!fault.has_value()) {
       const auto it = faults_.find(source);
       if (it != faults_.end()) {

@@ -61,17 +61,13 @@ class SimulatedTransport final : public SourceTransport {
   };
 
   void AddFault(const std::string& source, FaultWindow window);
-  void ClearFaults();
 
   Result<ProbeReply> Probe(const std::string& source, uint64_t tick) override;
-
-  uint64_t probes_sent() const;
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::vector<FaultWindow>> faults_;
   std::map<std::string, uint64_t> flap_counter_;
-  uint64_t probes_ = 0;
 };
 
 std::string_view FaultKindToString(SimulatedTransport::FaultKind kind);

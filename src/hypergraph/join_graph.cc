@@ -170,20 +170,6 @@ JoinGraph JoinGraph::EraseRelation(const std::string& relation) const {
   return out;
 }
 
-std::vector<JoinTree> JoinGraph::FindConnectingTrees(
-    const std::set<std::string>& required,
-    const std::vector<JoinConstraint>& mandatory_edges,
-    const JoinTreeSearchOptions& options) const {
-  std::vector<JoinTree> results;
-  JoinTreeEnumerator enumerator(*this, required, mandatory_edges, options);
-  while (results.size() < options.max_results) {
-    std::optional<JoinTree> tree = enumerator.Next();
-    if (!tree.has_value()) break;
-    results.push_back(std::move(*tree));
-  }
-  return results;
-}
-
 // What names a join-tree search: the required relations' indices (sorted,
 // nonempty, one component), the relation pairs the mandatory edges join
 // and their JC ids (both sorted, unique), and the relation bound. The

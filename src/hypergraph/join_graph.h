@@ -8,7 +8,7 @@
 // a dense index; adjacency lists, edge endpoints and connected-component
 // ids are plain index arrays over that interning, so membership and
 // component queries are O(1), traversals never hash a string, and a
-// cross-component FindConnectingTrees request fails fast.
+// cross-component join-tree search fails fast.
 
 #ifndef EVE_HYPERGRAPH_JOIN_GRAPH_H_
 #define EVE_HYPERGRAPH_JOIN_GRAPH_H_
@@ -51,12 +51,10 @@ struct JoinTreeIndices {
 // over it.
 class JoinTreeSearchLog;
 
-// Options bounding the join-tree search in FindConnectingTrees.
+// Options bounding the join-tree search of a JoinTreeEnumerator.
 struct JoinTreeSearchOptions {
   // Maximum relations added beyond the required set (Steiner nodes).
   size_t max_extra_relations = 3;
-  // Maximum number of trees to return.
-  size_t max_results = 64;
   // Optional deadline scope. The enumerator spends one unit per frontier
   // set popped; when the token refuses, Next() stops at that safe point
   // (interrupted(), not Exhausted()). The null token is free.
@@ -102,20 +100,6 @@ class JoinGraph {
   // The graph with `relation` (and its incident edges) erased — the
   // relation-level H'_R(MKB').
   JoinGraph EraseRelation(const std::string& relation) const;
-
-  // Enumerates join trees that (a) span every relation in `required`,
-  // (b) include every edge in `mandatory_edges` (the surviving part of
-  // Min(H_R), per Def. 3 (III)), and (c) use at most
-  // options.max_extra_relations relations beyond `required`.
-  // Trees are emitted smallest-first (fewest extra relations). Returns an
-  // empty vector when `required` spans multiple components.
-  //
-  // Compatibility wrapper: drains a JoinTreeEnumerator for up to
-  // options.max_results trees.
-  std::vector<JoinTree> FindConnectingTrees(
-      const std::set<std::string>& required,
-      const std::vector<JoinConstraint>& mandatory_edges,
-      const JoinTreeSearchOptions& options) const;
 
   // Shares the join-tree searches over this graph: from now on every
   // JoinTreeEnumerator built over this object with the same required
@@ -183,8 +167,12 @@ class JoinGraph {
 };
 
 // Resumable uniform-cost enumeration of the connecting join trees of a
-// required relation set: a generator over the same search space as
-// FindConnectingTrees, but pull-driven. Trees are yielded in nondecreasing
+// required relation set: the join trees that (a) span every relation in
+// `required`, (b) include every edge in `mandatory_edges` (the surviving
+// part of Min(H_R), per Def. 3 (III)), and (c) use at most
+// options.max_extra_relations relations beyond `required`. None exists
+// when `required` spans multiple components. Pull-driven: the caller
+// decides how many trees to take. Trees are yielded in nondecreasing
 // relation-count order (every JC edge has unit weight, and a tree over n
 // relations has exactly n-1 edges, so relation count IS the tree's edge
 // weight plus one); within one size, in lexicographic order of the sorted
@@ -220,10 +208,8 @@ class JoinGraph {
 // enumerators without materializing any tree list.
 class JoinTreeEnumerator {
  public:
-  // `options.max_extra_relations` bounds growth exactly as in
-  // FindConnectingTrees; `options.max_results` is ignored (the caller
-  // decides how many trees to pull). A graph JC whose id is the id of a
-  // mandatory edge is never added to a tree a second time.
+  // A graph JC whose id is the id of a mandatory edge is never added to a
+  // tree a second time.
   JoinTreeEnumerator(const JoinGraph& graph,
                      const std::set<std::string>& required,
                      std::vector<JoinConstraint> mandatory_edges,

@@ -136,20 +136,6 @@ NetClient::NetClient(NetClient&& other) noexcept
       leader_hint_(std::move(other.leader_hint_)),
       decoder_(std::move(other.decoder_)) {}
 
-NetClient& NetClient::operator=(NetClient&& other) noexcept {
-  if (this != &other) {
-    Close();
-    fd_ = std::exchange(other.fd_, -1);
-    options_ = std::move(other.options_);
-    next_request_id_ = other.next_request_id_;
-    sheds_retried_ = other.sheds_retried_;
-    transport_retries_ = other.transport_retries_;
-    leader_hint_ = std::move(other.leader_hint_);
-    decoder_ = std::move(other.decoder_);
-  }
-  return *this;
-}
-
 NetClient::~NetClient() { Close(); }
 
 void NetClient::Close() {

@@ -70,7 +70,7 @@ class NetClient {
   static Result<NetClient> Connect(const ClientOptions& options);
 
   NetClient(NetClient&& other) noexcept;
-  NetClient& operator=(NetClient&& other) noexcept;
+  NetClient& operator=(NetClient&& other) = delete;
   NetClient(const NetClient&) = delete;
   NetClient& operator=(const NetClient&) = delete;
   ~NetClient();

@@ -832,7 +832,7 @@ bool Console::Tick(const std::string& count_word) {
         << " ok=" << stats.successes << " failed=" << stats.failures
         << " transitions=" << stats.state_transitions
         << " departures=" << stats.departures << "\n";
-  // A departure ran the SourceLeaves cascade: show its reports.
+  // A departure ran the DepartSource cascade: show its reports.
   if (stats.departures > 0) {
     const auto& log = system_.change_log();
     const size_t shown = std::min<size_t>(log.size(), stats.departures);

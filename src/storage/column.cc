@@ -273,18 +273,6 @@ void ColumnChunk::Reserve(size_t rows) {
   }
 }
 
-void ColumnChunk::Clear() {
-  size_ = 0;
-  null_prefix_ = 0;
-  boxed_ = false;
-  null_words_.clear();
-  ints_.clear();
-  doubles_.clear();
-  strings_.clear();
-  bools_.clear();
-  values_.clear();
-}
-
 int ColumnChunk::CompareRows(size_t row, const ColumnChunk& other,
                              size_t other_row) const {
   bool an = IsNull(row), bn = other.IsNull(other_row);

@@ -29,15 +29,6 @@ class ColumnChunk {
   ColumnChunk() = default;
   explicit ColumnChunk(DataType type) : type_(type) {}
 
-  // An all-null chunk of `rows` cells with no materialized payload (O(1));
-  // how Table::AddColumn stays constant-time on huge extents.
-  static ColumnChunk MakeAllNull(DataType type, size_t rows) {
-    ColumnChunk c(type);
-    c.null_prefix_ = rows;
-    c.size_ = rows;
-    return c;
-  }
-
   DataType type() const { return type_; }
   size_t size() const { return size_; }
   bool boxed() const { return boxed_; }
@@ -64,7 +55,6 @@ class ColumnChunk {
   void AppendFrom(const ColumnChunk& other, size_t row);
 
   void Reserve(size_t rows);
-  void Clear();
 
   // Three-way row comparison mirroring Value::operator< / operator==
   // exactly (NULL sorts first and compares equal to NULL; numeric values

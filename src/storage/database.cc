@@ -28,22 +28,6 @@ Status Database::DropTable(const std::string& relation) {
   return Status::OK();
 }
 
-Status Database::RenameTable(const std::string& relation,
-                             const std::string& new_name) {
-  auto it = tables_.find(relation);
-  if (it == tables_.end()) {
-    return Status::NotFound("table not found: " + relation);
-  }
-  if (relation == new_name) return Status::OK();
-  if (tables_.count(new_name) > 0) {
-    return Status::AlreadyExists("table already exists: " + new_name);
-  }
-  Table table = std::move(it->second);
-  tables_.erase(it);
-  tables_.emplace(new_name, std::move(table));
-  return Status::OK();
-}
-
 Result<Table*> Database::GetTable(const std::string& relation) {
   auto it = tables_.find(relation);
   if (it == tables_.end()) {

@@ -26,9 +26,6 @@ class Database {
 
   Status DropTable(const std::string& relation);
 
-  Status RenameTable(const std::string& relation,
-                     const std::string& new_name);
-
   bool HasTable(const std::string& relation) const {
     return tables_.count(relation) > 0;
   }

@@ -50,57 +50,8 @@ void Table::InsertUnchecked(Tuple tuple) {
   dedup_sorted_ = false;
 }
 
-void Table::Clear() {
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    // Fresh chunks instead of Clear() so shared readers keep their data.
-    columns_[i] =
-        std::make_shared<ColumnChunk>(schema_.attribute(i).type);
-  }
-  num_rows_ = 0;
-  dedup_sorted_ = false;
-}
-
 void Table::Reserve(size_t rows) {
   for (size_t i = 0; i < columns_.size(); ++i) MutableColumn(i).Reserve(rows);
-}
-
-Status Table::DropColumn(const std::string& name) {
-  const auto idx = schema_.IndexOf(name);
-  if (!idx) return Status::NotFound("column not found: " + name);
-  std::vector<AttributeDef> attrs = schema_.attributes();
-  attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(*idx));
-  EVE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(attrs)));
-  columns_.erase(columns_.begin() + static_cast<ptrdiff_t>(*idx));
-  dedup_sorted_ = false;
-  return Status::OK();
-}
-
-Status Table::RenameColumn(const std::string& name,
-                           const std::string& new_name) {
-  const auto idx = schema_.IndexOf(name);
-  if (!idx) return Status::NotFound("column not found: " + name);
-  if (name == new_name) return Status::OK();
-  if (schema_.Contains(new_name)) {
-    return Status::AlreadyExists("column already exists: " + new_name);
-  }
-  std::vector<AttributeDef> attrs = schema_.attributes();
-  attrs[*idx].name = new_name;
-  EVE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(attrs)));
-  return Status::OK();
-}
-
-Status Table::AddColumn(AttributeDef attr) {
-  if (schema_.Contains(attr.name)) {
-    return Status::AlreadyExists("column already exists: " + attr.name);
-  }
-  DataType type = attr.type;
-  std::vector<AttributeDef> attrs = schema_.attributes();
-  attrs.push_back(std::move(attr));
-  EVE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(attrs)));
-  columns_.push_back(std::make_shared<ColumnChunk>(
-      ColumnChunk::MakeAllNull(type, num_rows_)));
-  dedup_sorted_ = false;
-  return Status::OK();
 }
 
 int Table::CompareTableRows(const Table& a, size_t ra, const Table& b,
@@ -188,48 +139,6 @@ bool Table::IsSubsetOf(const Table& other) const {
 
 bool Table::SetEquals(const Table& other) const {
   return IsSubsetOf(other) && other.IsSubsetOf(*this);
-}
-
-Table Table::SortedUnion(const Table& a, const Table& b) {
-  assert(a.dedup_sorted_ && b.dedup_sorted_);
-  Table out(a.schema_);
-  if (b.num_rows_ == 0) {
-    out = a;
-    return out;
-  }
-  if (a.num_rows_ == 0) {
-    out.columns_ = b.columns_;
-    out.num_rows_ = b.num_rows_;
-    out.dedup_sorted_ = true;
-    return out;
-  }
-  out.Reserve(a.num_rows_ + b.num_rows_);
-  size_t i = 0, j = 0;
-  auto append_row = [&out](const Table& src, size_t r) {
-    for (size_t c = 0; c < out.columns_.size(); ++c) {
-      out.MutableColumn(c).AppendFrom(*src.columns_[c], r);
-    }
-    ++out.num_rows_;
-  };
-  while (i < a.num_rows_ && j < b.num_rows_) {
-    int c = CompareTableRows(a, i, b, j);
-    if (c < 0) {
-      append_row(a, i++);
-    } else if (c > 0) {
-      append_row(b, j++);
-    } else {
-      // Tied under the sort order: emit both unless strictly equal (the
-      // historical unique() used strict Value equality).
-      append_row(a, i);
-      if (!TableRowsEqual(a, i, b, j)) append_row(b, j);
-      ++i;
-      ++j;
-    }
-  }
-  while (i < a.num_rows_) append_row(a, i++);
-  while (j < b.num_rows_) append_row(b, j++);
-  out.dedup_sorted_ = true;
-  return out;
 }
 
 std::string Table::ToString(size_t max_rows) const {

@@ -53,26 +53,13 @@ class Table {
   // tuple arity must match the schema.
   void InsertUnchecked(Tuple tuple);
 
-  void Clear();
-
   void Reserve(size_t rows);
-
-  // Schema evolution mirroring IS capability changes: removes the named
-  // column. O(1): drops the column pointer.
-  Status DropColumn(const std::string& name);
-
-  // Renames a column in place. O(1): schema-only.
-  Status RenameColumn(const std::string& name, const std::string& new_name);
-
-  // Appends a column filled with NULLs. O(1): the new chunk stores the
-  // all-null run as a prefix length, not materialized cells.
-  Status AddColumn(AttributeDef attr);
 
   // Set semantics helpers (relational extents are sets in the paper's
   // model): sorts rows (TupleLess order: columns left-to-right, NULLs
   // first) and removes duplicate rows in place. Tables that went through
-  // Deduplicate stay dedup-sorted until the next mutation, which makes
-  // SortedUnion / IsSubsetOf on them linear.
+  // Deduplicate stay dedup-sorted until the next mutation, so a second
+  // Deduplicate is free.
   void Deduplicate();
 
   // True if every row of *this appears in `other` (bag-to-set containment:
@@ -81,15 +68,6 @@ class Table {
 
   // True if both tables hold the same set of rows.
   bool SetEquals(const Table& other) const;
-
-  // Set-union of two dedup-sorted tables (each must have been
-  // Deduplicate()d and not mutated since) via a linear merge. The result
-  // carries `a`'s schema and is dedup-sorted.
-  static Table SortedUnion(const Table& a, const Table& b);
-
-  // True if Deduplicate() ran and no mutation followed (rows are sorted
-  // and unique).
-  bool IsDedupSorted() const { return dedup_sorted_; }
 
   // Renders header + rows, for examples and debugging.
   std::string ToString(size_t max_rows = 20) const;

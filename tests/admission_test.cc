@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <latch>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -446,8 +447,12 @@ void RaceAdmission(EveSystem& system) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> violations{0};
   std::atomic<uint64_t> samples{0};
+  // The producers and the drainer start after the sampler's first sample,
+  // so the sampler is running however the threads are scheduled.
+  std::latch sampling(1);
 
   std::thread sampler([&] {
+    bool first = true;
     while (!stop.load(std::memory_order_acquire)) {
       const AdmissionStats stats = system.admission_stats();
       if (stats.submitted !=
@@ -455,6 +460,10 @@ void RaceAdmission(EveSystem& system) {
         violations.fetch_add(1);
       }
       samples.fetch_add(1);
+      if (first) {
+        sampling.count_down();
+        first = false;
+      }
       (void)system.queued_changes();
     }
   });
@@ -462,6 +471,7 @@ void RaceAdmission(EveSystem& system) {
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&] {
+      sampling.wait();
       for (int i = 0; i < kPerProducer; ++i) {
         // Outcomes intentionally vary: the first drain of R1 applies it,
         // re-deletes fail (completed-with-failure), and the queue bound
@@ -471,6 +481,7 @@ void RaceAdmission(EveSystem& system) {
     });
   }
   std::thread drainer([&] {
+    sampling.wait();
     for (int i = 0; i < 40; ++i) (void)system.DrainSyncQueue();
   });
 

@@ -15,6 +15,7 @@
 #include "mkb/evolution.h"
 #include "sql/parser.h"
 #include "hypergraph/join_graph.h"
+#include "join_tree_drain.h"
 #include "workload/travel_agency.h"
 
 namespace eve {
@@ -239,8 +240,8 @@ TEST(JoinGraphEdgeTest, MandatoryEdgesAlreadyConnectRequired) {
   const Mkb mkb = MakeTravelAgencyMkb().value();
   const JoinGraph graph = JoinGraph::Build(mkb);
   const JoinConstraint* jc1 = mkb.GetJoinConstraint("JC1").value();
-  const auto trees = graph.FindConnectingTrees(
-      {"Customer", "FlightRes"}, {*jc1}, {});
+  const auto trees = testing_trees::DrainJoinTrees(
+      graph, {"Customer", "FlightRes"}, {*jc1});
   ASSERT_EQ(trees.size(), 1u);
   EXPECT_EQ(trees[0].edges.size(), 1u);
   EXPECT_EQ(trees[0].edges[0].id, "JC1");

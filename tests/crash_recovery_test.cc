@@ -3,6 +3,9 @@
 // pre-operation or post-operation clean state — never a third state. The
 // error action additionally checks the write-ahead invariant: after an
 // injected error, the in-memory state and a fresh recovery from disk agree.
+// Both sweeps then keep going the way eved does — after an error with the
+// journal still attached, after a crash from the recovered state with the
+// same journal reopened — and check that memory and disk still agree.
 
 #include <gtest/gtest.h>
 
@@ -41,11 +44,14 @@ Snapshot Snap(const EveSystem& system) {
                   SaveFederation(system), system.change_log().size()};
 }
 
-// Two relations under one source so SourceLeaves applies two changes (and
-// hits its between-changes failpoint).
+// Two sources of two relations each, so each departure applies two changes
+// (and hits its between-changes failpoint). ExtraIS is tracked, so its
+// departure also writes its membership row; StayIS is not.
 const char kExtraMisd[] =
     "SOURCE ExtraIS RELATION Extra1 (Name string, X int)\n"
-    "SOURCE ExtraIS RELATION Extra2 (Name string, Y int)";
+    "SOURCE ExtraIS RELATION Extra2 (Name string, Y int)\n"
+    "SOURCE StayIS RELATION Stay1 (Name string, Z int)\n"
+    "SOURCE StayIS RELATION Stay2 (Name string, W int)";
 
 using Op = std::function<Status(EveSystem*)>;
 
@@ -75,13 +81,8 @@ std::vector<Op> ScriptOps() {
             .status();
       },
       [](EveSystem* s) { return s->RetractConstraint("JC6"); },
-      [](EveSystem* s) {
-        return s
-            ->ApplyChanges({CapabilityChange::DeleteRelation("Hotels"),
-                            CapabilityChange::DeleteRelation("Tour")})
-            .status();
-      },
-      [](EveSystem* s) { return s->SourceLeaves("ExtraIS").status(); },
+      [](EveSystem* s) { return s->DepartSource("StayIS").status(); },
+      [](EveSystem* s) { return s->DepartSource("ExtraIS").status(); },
       // Point-in-time rollback to the version RetractConstraint committed
       // (v5: RentACar deleted, JC6 retracted, everything later restored).
       // Journaled as kRollback and committed as a NEW version, so a crash
@@ -107,7 +108,7 @@ EveSystem MakeBaseSystem() {
 // Runs the script cleanly (no journal, no failpoints), recording the state
 // after every ATOMIC durable step. `ranges[i]` is the inclusive range of
 // state indices a crash inside op i may legally recover to: exactly the
-// pre-op and post-op states. Every op is atomic — including SourceLeaves,
+// pre-op and post-op states. Every op is atomic — including DepartSource,
 // whose multi-relation cascade commits as one batch.
 void BuildCleanStates(EveSystem* system, std::vector<Snapshot>* states,
                       std::vector<std::pair<size_t, size_t>>* ranges) {
@@ -153,6 +154,34 @@ class CrashRecoveryTest : public ::testing::Test {
     *journal = opened.MoveValue();
     system.AttachJournal(&**journal);
     return system;
+  }
+
+  // After an op of a run that keeps going: the disk must describe `system`
+  // both to recovery from the checkpoint and the WAL, and to a replica —
+  // a replayer fed the WAL's records as they stand, without Finish(),
+  // which must not be left inside a batch.
+  void ExpectDiskMatchesMemory(const EveSystem& system,
+                               const std::string& what) {
+    SCOPED_TRACE(what);
+    RecoveryReport report;
+    const Result<EveSystem> recovered =
+        RecoverFromFiles(checkpoint_path_, journal_path_, &report);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_TRUE(Snap(recovered.value()) == Snap(system))
+        << "recovery disagrees with memory\n"
+        << report.ToString();
+    Result<EveSystem> replica =
+        LoadCheckpoint(ReadFileToString(checkpoint_path_).MoveValue());
+    ASSERT_TRUE(replica.ok()) << replica.status();
+    const Result<JournalScan> scan = ReadJournal(journal_path_);
+    ASSERT_TRUE(scan.ok()) << scan.status();
+    JournalReplayer replayer;
+    for (const JournalRecord& record : scan.value().records) {
+      replayer.Apply(&replica.value(), record, nullptr);
+    }
+    EXPECT_FALSE(replayer.in_batch()) << "the journal ends inside a batch";
+    EXPECT_TRUE(Snap(replica.value()) == Snap(system))
+        << "a replica disagrees with memory";
   }
 
   // How often each site fires during one journaled run of the script.
@@ -210,7 +239,7 @@ TEST_F(CrashRecoveryTest, CrashAtEverySiteRecoversToPreOrPostState) {
       ++crash_runs;
 
       RecoveryReport report;
-      const Result<EveSystem> recovered =
+      Result<EveSystem> recovered =
           RecoverFromFiles(checkpoint_path_, journal_path_, &report);
       ASSERT_TRUE(recovered.ok()) << recovered.status();
       const Snapshot got = Snap(recovered.value());
@@ -223,6 +252,22 @@ TEST_F(CrashRecoveryTest, CrashAtEverySiteRecoversToPreOrPostState) {
           << "recovered state after crashing op " << crashed_op
           << " is neither its pre- nor post-state\n"
           << report.ToString();
+
+      // Restart the way eved does: the recovered system reopens the same
+      // journal and runs the rest of the script.
+      journal.reset();
+      Result<Journal> reopened = Journal::Open(journal_path_);
+      ASSERT_TRUE(reopened.ok()) << reopened.status();
+      EveSystem restarted = recovered.MoveValue();
+      restarted.AttachJournal(&reopened.value());
+      for (size_t i = crashed_op + 1; i < ops.size(); ++i) {
+        (void)ops[i](&restarted);
+      }
+      const Result<EveSystem> again =
+          RecoverFromFiles(checkpoint_path_, journal_path_);
+      ASSERT_TRUE(again.ok()) << again.status();
+      EXPECT_TRUE(Snap(again.value()) == Snap(restarted))
+          << "after the restarted run, recovery disagrees with memory";
     }
   }
   // The script must genuinely exercise the fault matrix.
@@ -272,13 +317,15 @@ TEST_F(CrashRecoveryTest, InjectedErrorKeepsMemoryAndJournalInAgreement) {
       EXPECT_TRUE(matched) << "live state after failing op " << failed_op
                            << " is neither its pre- nor post-state";
       // ...and the journal must describe exactly that state (write-ahead
-      // invariant: memory never runs ahead of or behind the disk).
-      const Result<EveSystem> recovered =
-          RecoverFromFiles(checkpoint_path_, journal_path_);
-      ASSERT_TRUE(recovered.ok()) << recovered.status();
-      EXPECT_TRUE(Snap(recovered.value()) == live)
-          << "recovery disagrees with the live system after an injected "
-             "error";
+      // invariant: memory never runs ahead of or behind the disk), also
+      // after every later op of the run, which keeps the journal attached.
+      // A later op may fail for real; memory and disk must still agree.
+      ExpectDiskMatchesMemory(system, "after the failed op " +
+                                          std::to_string(failed_op));
+      for (size_t i = failed_op + 1; i < ops.size(); ++i) {
+        (void)ops[i](&system);
+        ExpectDiskMatchesMemory(system, "after op " + std::to_string(i));
+      }
     }
   }
 }

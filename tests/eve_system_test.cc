@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -186,17 +187,17 @@ TEST_F(EveSystemTest, RegisterValidatesAgainstCurrentMkb) {
   EXPECT_FALSE(system_->RegisterViewText(CustomerPassengersAsiaSql()).ok());
 }
 
-TEST_F(EveSystemTest, SourceLeavesDropsEveryExportedRelation) {
+TEST_F(EveSystemTest, DepartSourceDropsEveryExportedRelation) {
   ASSERT_TRUE(system_->RegisterViewText(CustomerPassengersAsiaSql()).ok());
   // IS1 exports only Customer; its departure triggers the Ex. 9 rewrite.
-  const auto reports = system_->SourceLeaves("IS1").value();
+  const auto reports = system_->DepartSource("IS1").value();
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].CountOutcome(ViewOutcomeKind::kRewritten), 1u);
   EXPECT_FALSE(system_->mkb().catalog().HasRelation("Customer"));
   EXPECT_EQ(system_->NumActiveViews(), 1u);
 }
 
-TEST_F(EveSystemTest, SourceLeavesMidCascadeFailureRollsBack) {
+TEST_F(EveSystemTest, DepartSourceMidCascadeFailureRollsBack) {
   ASSERT_TRUE(system_->RegisterViewText(CustomerPassengersAsiaSql()).ok());
   // Two relations under one source: the cascade applies two delete-relation
   // changes and passes its between-changes failpoint once in between.
@@ -206,6 +207,11 @@ TEST_F(EveSystemTest, SourceLeavesMidCascadeFailureRollsBack) {
                               "SOURCE ExtraIS RELATION Extra2 "
                               "(Name string, Y int)")
                   .ok());
+  // Extra1 has no cover, so the first change disables this view.
+  ASSERT_TRUE(system_->RegisterViewText(
+                         "CREATE VIEW Rigid (VE = =) AS "
+                         "SELECT E.X (false, true) FROM Extra1 E")
+                  .ok());
   const std::string mkb_before = SaveMkb(system_->mkb());
   const std::string views_before = SaveViews(*system_);
   const size_t log_before = system_->change_log().size();
@@ -213,19 +219,23 @@ TEST_F(EveSystemTest, SourceLeavesMidCascadeFailureRollsBack) {
   Failpoints::Instance().Reset();
   Failpoints::Instance().Arm(fp::kSourceLeavesBetweenChanges,
                              FailpointAction::kError);
-  EXPECT_FALSE(system_->SourceLeaves("ExtraIS").ok());
+  const Status failed = system_->DepartSource("ExtraIS").status();
   Failpoints::Instance().Reset();
+  EXPECT_NE(failed.message().find("source-leave cascade aborted at 'Extra2'"),
+            std::string::npos)
+      << failed;
 
-  // The first relation was already deleted when the failpoint fired; the
-  // transactional cascade must have rolled that back.
+  // The first relation was already deleted, and Rigid disabled, when the
+  // failpoint fired; the transactional cascade must have rolled that back.
   EXPECT_TRUE(system_->mkb().catalog().HasRelation("Extra1"));
   EXPECT_TRUE(system_->mkb().catalog().HasRelation("Extra2"));
+  EXPECT_EQ(system_->GetView("Rigid").value()->state, ViewState::kActive);
   EXPECT_EQ(SaveMkb(system_->mkb()), mkb_before);
   EXPECT_EQ(SaveViews(*system_), views_before);
   EXPECT_EQ(system_->change_log().size(), log_before);
 
   // A clean retry goes through: the failure left no poison behind.
-  ASSERT_TRUE(system_->SourceLeaves("ExtraIS").ok());
+  ASSERT_TRUE(system_->DepartSource("ExtraIS").ok());
   EXPECT_FALSE(system_->mkb().catalog().HasRelation("Extra1"));
   EXPECT_FALSE(system_->mkb().catalog().HasRelation("Extra2"));
 }
@@ -302,31 +312,10 @@ TEST_F(EveSystemTest, DryRunChangeDoesNotMutate) {
             preview.CountOutcome(ViewOutcomeKind::kRewritten));
 }
 
-TEST_F(EveSystemTest, SourceLeavesUnknownSourceFails) {
-  EXPECT_EQ(system_->SourceLeaves("IS99").status().code(),
-            StatusCode::kNotFound);
-}
-
 TEST_F(EveSystemTest, EmptyNameRejected) {
   ViewDefinition anonymous;
   EXPECT_EQ(system_->RegisterView(anonymous).code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST_F(EveSystemTest, TransactionalBatchRollsBackOnFailure) {
-  ASSERT_TRUE(system_->RegisterViewText(
-                         "CREATE VIEW Rigid (VE = =) AS "
-                         "SELECT C.Name (false, true) FROM Customer C, "
-                         "FlightRes F WHERE C.Name = F.PName")
-                  .ok());
-  const size_t log_before = system_->change_log().size();
-  const Result<std::vector<ChangeReport>> result = system_->ApplyChanges(
-      {CapabilityChange::DeleteRelation("Customer"),
-       CapabilityChange::DeleteRelation("Customer")});
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(system_->mkb().catalog().HasRelation("Customer"));
-  EXPECT_EQ(system_->GetView("Rigid").value()->state, ViewState::kActive);
-  EXPECT_EQ(system_->change_log().size(), log_before);
 }
 
 // --- Batch undo -------------------------------------------------------------
@@ -404,65 +393,23 @@ void ExpectBatchUndone(EveSystem* system,
             SaveViews(*system));
 }
 
-TEST_F(EveSystemTest, AbortedBatchRestoresOnlyTheViewsItWrote) {
-  system_ = MakeBatchSystem();
-  const std::vector<CapabilityChange> applied = {
-      CapabilityChange::DeleteRelation("R4"),
-      CapabilityChange::RenameAttribute("R5", "P5", "P5x")};
-  // The applied part rewrites views, disables views and clears
-  // provisional marks.
-  EveSystem committed = *system_;
-  ASSERT_TRUE(committed.ApplyChanges(applied).ok());
-  size_t rewritten = 0, disabled = 0, unmarked = 0;
-  for (const std::string& name : system_->ViewNames()) {
-    const RegisteredView& was = *system_->GetView(name).value();
-    const RegisteredView& now = *committed.GetView(name).value();
-    rewritten += was.definition.ToString() != now.definition.ToString();
-    disabled += was.state != now.state;
-    unmarked += was.provisional_sources.size() > now.provisional_sources.size();
-  }
-  EXPECT_GT(rewritten, 0u);
-  EXPECT_GT(disabled, 0u);
-  EXPECT_GT(unmarked, 0u);
-
-  std::vector<CapabilityChange> failing = applied;
-  failing.push_back(CapabilityChange::DeleteRelation("Nowhere"));
-  ExpectBatchUndone(
-      system_.get(),
-      [&](EveSystem* s) { return s->ApplyChanges(applied).status(); },
-      [&](EveSystem* s) { return s->ApplyChanges(failing).status(); });
-}
-
-TEST_F(EveSystemTest, AbortedBatchRestoresAViewTwoChangesRewrote) {
-  system_ = MakeBatchSystem();
-  const CapabilityChange first =
-      CapabilityChange::RenameAttribute("R5", "P5", "P5x");
-  const CapabilityChange second =
-      CapabilityChange::RenameAttribute("R5", "P5x", "P5y");
-  // Both changes rewrite the same views.
-  EveSystem committed = *system_;
-  const std::vector<std::string> affected = committed.AffectedViews(first);
-  ASSERT_FALSE(affected.empty());
-  ASSERT_TRUE(committed.ApplyChange(first).ok());
-  EXPECT_EQ(committed.AffectedViews(second), affected);
-
-  ExpectBatchUndone(
-      system_.get(),
-      [&](EveSystem* s) { return s->ApplyChanges({first, second}).status(); },
-      [&](EveSystem* s) {
-        return s
-            ->ApplyChanges({first, second,
-                            CapabilityChange::DeleteRelation("Nowhere")})
-            .status();
-      });
-  for (const std::string& name : affected) {
-    EXPECT_TRUE(system_->GetView(name).value()->definition.ReferencesAttribute(
-        {"R5", "P5"}))
-        << name;
-  }
-}
-
 TEST_F(EveSystemTest, AbortedCascadeRestoresOnlyTheViewsItWrote) {
+  {
+    // R6's cover lives on R7: views the cascade's first change rewrites
+    // onto R7 are written again by its second, and the undo must restore
+    // what they were before the first write.
+    EveSystem committed = *MakeBatchSystem();
+    const std::vector<std::string> first =
+        committed.AffectedViews(CapabilityChange::DeleteRelation("R6"));
+    ASSERT_TRUE(
+        committed.ApplyChange(CapabilityChange::DeleteRelation("R6")).ok());
+    const std::vector<std::string> second =
+        committed.AffectedViews(CapabilityChange::DeleteRelation("R7"));
+    std::vector<std::string> twice;
+    std::set_intersection(first.begin(), first.end(), second.begin(),
+                          second.end(), std::back_inserter(twice));
+    EXPECT_FALSE(twice.empty());
+  }
   for (const char* site :
        {fp::kSourceLeavesBetweenChanges, fp::kSourceLeavesBeforeCommit}) {
     SCOPED_TRACE(site);
@@ -479,54 +426,55 @@ TEST_F(EveSystemTest, AbortedCascadeRestoresOnlyTheViewsItWrote) {
   }
 }
 
-TEST_F(EveSystemTest, FailedCommitMarkerUndoesTheBatchWithoutAnAbortMarker) {
+TEST_F(EveSystemTest, FailedBatchAppendLeavesNoRecordOfTheBatch) {
   system_ = MakeBatchSystem();
   const std::string checkpoint = RenderCheckpoint(*system_);
-  const std::string mkb_before = SaveMkb(system_->mkb());
-  const std::string path = ::testing::TempDir() + "failed_commit_marker.wal";
+  const std::string path = ::testing::TempDir() + "failed_batch_append.wal";
   std::remove(path.c_str());
   Result<Journal> journal = Journal::Open(path);
   ASSERT_TRUE(journal.ok()) << journal.status();
   system_->AttachJournal(&journal.value());
-  // The cascade appends its begin marker, R6's and R7's change records,
-  // IS6's DEPARTED row, then the commit marker: the fifth append.
+  // The cascade journals its begin marker, R6's and R7's change records,
+  // IS6's DEPARTED row and its commit marker with one append, the first.
   ExpectBatchUndone(
       system_.get(),
       [](EveSystem* s) { return s->DepartSource("IS6").status(); },
       [](EveSystem* s) {
         Failpoints::Instance().Arm(fp::kJournalAppendBeforeWrite,
-                                   FailpointAction::kError, 5);
+                                   FailpointAction::kError);
         const Status status = s->DepartSource("IS6").status();
         Failpoints::Instance().Reset();
         EXPECT_NE(status.message().find(fp::kJournalAppendBeforeWrite),
                   std::string::npos)
             << status;
-        // The batch stays open in the journal, so replay would fold later
-        // records into it: journal nothing after it.
-        s->AttachJournal(nullptr);
         return status;
       });
 
-  // Neither marker reached the journal, so replay discards the batch.
-  const Result<JournalScan> scan = ReadJournal(path);
+  // Nothing of the batch reached the journal: it holds only the probe
+  // source ExpectBatchUndone added after the failure.
+  Result<JournalScan> scan = ReadJournal(path);
   ASSERT_TRUE(scan.ok()) << scan.status();
-  std::vector<JournalRecordKind> kinds;
-  for (const JournalRecord& record : scan.value().records) {
-    kinds.push_back(record.kind);
-  }
-  EXPECT_EQ(kinds, (std::vector<JournalRecordKind>{
-                       JournalRecordKind::kBeginBatch,
-                       JournalRecordKind::kApplyChange,
-                       JournalRecordKind::kVersionCommit,
-                       JournalRecordKind::kApplyChange,
-                       JournalRecordKind::kVersionCommit,
-                       JournalRecordKind::kSourceMembership}));
+  ASSERT_EQ(scan.value().records.size(), 1u);
+  EXPECT_EQ(scan.value().records[0].kind, JournalRecordKind::kExtendMkb);
+
+  // The journal stays attached: a later commit lands, and recovery
+  // equals memory.
+  ASSERT_TRUE(system_
+                  ->ApplyChange(
+                      CapabilityChange::RenameAttribute("R5", "P5", "P5x"))
+                  .ok());
+  scan = ReadJournal(path);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  RecoveryReport report;
   const Result<EveSystem> recovered =
-      EveSystem::Recover(checkpoint, scan.value().records);
+      EveSystem::Recover(checkpoint, scan.value().records, &report);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(report.skipped + report.discarded, 0u) << report.ToString();
+  EXPECT_EQ(SaveMkb(recovered.value().mkb()), SaveMkb(system_->mkb()));
   EXPECT_EQ(SaveViews(recovered.value()), SaveViews(*system_));
-  EXPECT_EQ(SaveMkb(recovered.value().mkb()), mkb_before);
   EXPECT_EQ(SaveFederation(recovered.value()), SaveFederation(*system_));
+  EXPECT_EQ(recovered.value().versions().Render(),
+            system_->versions().Render());
   std::remove(path.c_str());
 }
 
@@ -725,21 +673,14 @@ TEST(ReportTest, OpStreamMatchesTheFullOutcomeRenderer) {
       stream.Apply(CapabilityChange::RenameAttribute("R3", "P3", "P3x"));
   EXPECT_EQ(after_rollback.active_views->size(), system.NumActiveViews());
 
-  // An aborted batch (its delete disables views first) restores the pool
-  // and the log.
-  const Result<std::vector<ChangeReport>> batch = system.ApplyChanges(
-      {CapabilityChange::DeleteRelation("R7"),
-       CapabilityChange::DeleteRelation("Nowhere")});
-  ASSERT_FALSE(batch.ok());
-  stream.ExpectLog();
-  stream.Apply(CapabilityChange::RenameAttribute("R3", "P3x", "P3"));
-
-  // An aborted source-leave cascade (IS7 exports R7) does the same.
+  // An aborted departure (IS7 exports R7, whose delete disables views
+  // first) restores the pool and the log.
   Failpoints::Instance().Arm(fp::kSourceLeavesBeforeCommit,
                              FailpointAction::kError);
-  ASSERT_FALSE(system.SourceLeaves("IS7").ok());
+  ASSERT_FALSE(system.DepartSource("IS7").ok());
   Failpoints::Instance().Reset();
   stream.ExpectLog();
+  stream.Apply(CapabilityChange::RenameAttribute("R3", "P3x", "P3"));
   stream.Apply(CapabilityChange::RenameAttribute("R2", "P2", "P2x"));
 
   // Heal un-marking: R3's cover lives on R4 (IS4). With IS4 degraded the

@@ -1,16 +1,9 @@
-// Differential testing of the executor and of incremental view
-// maintenance:
-//  * randomized conjunctive queries (joins, 3VL predicates, expression
-//    projections, NULL-heavy data, empty relations) must give Execute()
-//    and the nested-loop oracle in nested_loop_oracle.h byte-identical
-//    result tables; variants carrying an expression that fails when
-//    evaluated must fail in both exactly when a row reaches it;
-//  * MaterializedViewStore::IncrementalRefresh must produce an extent
-//    byte-identical (after Deduplicate) to a full Refresh for every CVS
-//    verdict — Equal (wholesale reuse, incl. permuted interfaces),
-//    Superset (dropped-condition deltas, incl. NULL rows the partition
-//    rule must not lose), Subset (added-condition filter over the stored
-//    extent) and Unknown (full-recompute fallback).
+// Differential testing of the executor: randomized conjunctive queries
+// (joins, 3VL predicates, expression projections, NULL-heavy data, empty
+// relations) must give Execute() and the nested-loop oracle in
+// nested_loop_oracle.h byte-identical result tables; variants carrying an
+// expression that fails when evaluated must fail in both exactly when a
+// row reaches it.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +13,6 @@
 
 #include "algebra/executor.h"
 #include "cvs/extent.h"
-#include "eve/materialization.h"
 #include "nested_loop_oracle.h"
 #include "storage/database.h"
 #include "workload/generator.h"
@@ -364,208 +356,6 @@ TEST(ExecutorEquivalenceTest, CartesianFallbackBumpsCounter) {
   ASSERT_TRUE(Execute(q, db, catalog).ok());
   EXPECT_EQ(GlobalExecutorCounters().cartesian_fallbacks.load(), 1u);
   EXPECT_EQ(GlobalExecutorCounters().queries.load(), 1u);
-}
-
-// --- Incremental refresh vs full refresh ----------------------------------
-
-ViewDefinition MakeView(const std::string& name,
-                        std::vector<ViewSelectItem> select,
-                        std::vector<ViewCondition> where) {
-  std::vector<ViewRelation> from = {{"R", {}}, {"A", {}}};
-  return ViewDefinition(name, ViewExtent::kAny, std::move(select),
-                        std::move(from), std::move(where));
-}
-
-std::vector<ViewSelectItem> BaseSelect() {
-  return {{Col("R", "p"), "P", {}},
-          {Col("R", "q"), "Q", {}},
-          {Col("A", "w"), "W", {}}};
-}
-
-ViewCondition JoinCond() {
-  return {Expr::ColumnsEqual({"R", "k"}, {"A", "k"}), {}};
-}
-
-// IncrementalRefresh(old, new, verdict) must agree byte-for-byte with a
-// full Refresh(new) for every verdict, including on NULL-heavy data where
-// a naive NOT-based superset delta would lose rows.
-TEST(IncrementalRefreshTest, MatchesFullRefreshForEveryVerdict) {
-  const Catalog catalog = MakeCatalog();
-  for (uint64_t seed = 0; seed < 12; ++seed) {
-    std::mt19937_64 rng(seed + 100);
-    const Database db = MakeDatabase(catalog, &rng, 80, 30, 4);
-
-    const ViewCondition drop1 = {
-        Expr::Binary(BinaryOp::kLt, Col("R", "q"),
-                     Expr::Lit(Value::Int(30))),
-        {}};
-    const ViewCondition drop2 = {
-        Expr::Binary(BinaryOp::kGe, Col("R", "p"),
-                     Expr::Lit(Value::Int(5))),
-        {}};
-
-    struct Case {
-      const char* name;
-      ViewDefinition old_view;
-      ViewDefinition new_view;
-      ExtentRelation verdict;
-      RefreshPath want_path;
-    };
-    const std::vector<Case> cases = {
-        // Equal: identical definition under a new registration.
-        {"equal-same-order",
-         MakeView("v", BaseSelect(), {JoinCond(), drop1}),
-         MakeView("v", BaseSelect(), {JoinCond(), drop1}),
-         ExtentRelation::kEqual, RefreshPath::kReuseEqual},
-        // Equal with a permuted interface: zero row work, permuted handles.
-        {"equal-permuted",
-         MakeView("v", BaseSelect(), {JoinCond()}),
-         MakeView("v",
-                  {{Col("A", "w"), "W", {}},
-                   {Col("R", "q"), "Q", {}},
-                   {Col("R", "p"), "P", {}}},
-                  {JoinCond()}),
-         ExtentRelation::kEqual, RefreshPath::kReuseEqual},
-        // Superset: one dropped condition (NULL q rows must reappear).
-        {"superset-one-drop",
-         MakeView("v", BaseSelect(), {JoinCond(), drop1}),
-         MakeView("v", BaseSelect(), {JoinCond()}),
-         ExtentRelation::kSuperset, RefreshPath::kDeltaSuperset},
-        // Superset: two dropped conditions (partition across delta terms).
-        {"superset-two-drops",
-         MakeView("v", BaseSelect(), {JoinCond(), drop1, drop2}),
-         MakeView("v", BaseSelect(), {JoinCond()}),
-         ExtentRelation::kSuperset, RefreshPath::kDeltaSuperset},
-        // Subset: added conditions over exposed bare columns filter the
-        // stored extent without touching base tables.
-        {"subset-added-filter",
-         MakeView("v", BaseSelect(), {JoinCond()}),
-         MakeView("v", BaseSelect(), {JoinCond(), drop1, drop2}),
-         ExtentRelation::kSubset, RefreshPath::kDeltaSubset},
-        // Unknown: full-recompute fallback.
-        {"unknown-falls-back",
-         MakeView("v", BaseSelect(), {JoinCond(), drop1}),
-         MakeView("v", BaseSelect(), {JoinCond()}),
-         ExtentRelation::kUnknown, RefreshPath::kFull},
-    };
-
-    for (const Case& c : cases) {
-      const std::string context =
-          std::string(c.name) + " seed " + std::to_string(seed);
-      // The claimed verdict must hold empirically (db is unchanged, so old
-      // and new evaluate over the same state). Unknown claims nothing.
-      if (c.verdict != ExtentRelation::kUnknown) {
-        const Result<ExtentRelation> empirical = CompareExtentsEmpirically(
-            c.old_view, c.new_view, db, catalog, catalog);
-        ASSERT_TRUE(empirical.ok()) << context;
-        const bool compatible =
-            empirical.value() == c.verdict ||
-            empirical.value() == ExtentRelation::kEqual;
-        EXPECT_TRUE(compatible)
-            << context << ": empirical verdict "
-            << ExtentRelationToString(empirical.value());
-      }
-
-      MaterializedViewStore incremental;
-      ASSERT_TRUE(incremental.Refresh(c.old_view, db, catalog).ok())
-          << context;
-      ASSERT_TRUE(incremental
-                      .IncrementalRefresh(c.old_view, c.new_view, c.verdict,
-                                          db, catalog)
-                      .ok())
-          << context;
-      EXPECT_EQ(incremental.StatsFor("v").last_path, c.want_path) << context;
-
-      MaterializedViewStore full;
-      ASSERT_TRUE(full.Refresh(c.new_view, db, catalog).ok()) << context;
-      ExpectTablesIdentical(*incremental.Extent("v").value(),
-                            *full.Extent("v").value(), context);
-    }
-  }
-}
-
-// Randomized drop/add sets: old = base conditions, new = random subset
-// (superset verdict) and the reverse (subset verdict); incremental must
-// match full either way.
-TEST(IncrementalRefreshTest, RandomizedConditionSubsets) {
-  const Catalog catalog = MakeCatalog();
-  for (uint64_t seed = 0; seed < 15; ++seed) {
-    std::mt19937_64 rng(seed * 31 + 5);
-    const Database db = MakeDatabase(catalog, &rng, 70, 25, 4);
-    // A pool of conditions over exposed columns only (P, Q and W are all
-    // bare select items, so the subset rule is always applicable).
-    std::vector<ViewCondition> pool = {JoinCond()};
-    const size_t extra = 1 + rng() % 3;
-    static const char* kCols[][2] = {{"R", "p"}, {"R", "q"}, {"A", "w"}};
-    static const BinaryOp kOps[] = {BinaryOp::kLt, BinaryOp::kGe,
-                                    BinaryOp::kNe};
-    for (size_t i = 0; i < extra; ++i) {
-      const auto& col = kCols[rng() % 3];
-      pool.push_back({Expr::Binary(kOps[rng() % 3], Col(col[0], col[1]),
-                                   Expr::Lit(Value::Int(rng() % 40))),
-                      {}});
-    }
-    // Narrow = all conditions; wide = join plus a strict subset of the
-    // extras.
-    std::vector<ViewCondition> wide = {pool.front()};
-    for (size_t i = 1; i < pool.size(); ++i) {
-      if (rng() % 2 == 0) wide.push_back(pool[i]);
-    }
-    const ViewDefinition narrow_view = MakeView("v", BaseSelect(), pool);
-    const ViewDefinition wide_view = MakeView("v", BaseSelect(), wide);
-
-    for (const bool dropping : {true, false}) {
-      const ViewDefinition& old_view = dropping ? narrow_view : wide_view;
-      const ViewDefinition& new_view = dropping ? wide_view : narrow_view;
-      const ExtentRelation verdict =
-          dropping ? ExtentRelation::kSuperset : ExtentRelation::kSubset;
-      const std::string context = std::string(dropping ? "drop" : "add") +
-                                  " seed " + std::to_string(seed);
-
-      MaterializedViewStore incremental;
-      ASSERT_TRUE(incremental.Refresh(old_view, db, catalog).ok()) << context;
-      ASSERT_TRUE(incremental
-                      .IncrementalRefresh(old_view, new_view, verdict, db,
-                                          catalog)
-                      .ok())
-          << context;
-
-      MaterializedViewStore full;
-      ASSERT_TRUE(full.Refresh(new_view, db, catalog).ok()) << context;
-      ExpectTablesIdentical(*incremental.Extent("v").value(),
-                            *full.Extent("v").value(), context);
-    }
-  }
-}
-
-// Structural preconditions failing must fall back to a full refresh, not
-// produce a wrong extent: a Superset verdict whose select lists differ.
-TEST(IncrementalRefreshTest, InapplicableRuleFallsBackToFull) {
-  const Catalog catalog = MakeCatalog();
-  std::mt19937_64 rng(3);
-  const Database db = MakeDatabase(catalog, &rng, 40, 15, 4);
-  const ViewCondition cond = {Expr::Binary(BinaryOp::kLt, Col("R", "q"),
-                                           Expr::Lit(Value::Int(20))),
-                              {}};
-  const ViewDefinition old_view = MakeView("v", BaseSelect(), {JoinCond(), cond});
-  // New view also renames an output: pairwise select match fails.
-  const ViewDefinition new_view =
-      MakeView("v",
-               {{Col("R", "p"), "P2", {}},
-                {Col("R", "q"), "Q", {}},
-                {Col("A", "w"), "W", {}}},
-               {JoinCond()});
-  MaterializedViewStore store;
-  ASSERT_TRUE(store.Refresh(old_view, db, catalog).ok());
-  ASSERT_TRUE(store
-                  .IncrementalRefresh(old_view, new_view,
-                                      ExtentRelation::kSuperset, db, catalog)
-                  .ok());
-  EXPECT_EQ(store.StatsFor("v").last_path, RefreshPath::kFull);
-  MaterializedViewStore full;
-  ASSERT_TRUE(full.Refresh(new_view, db, catalog).ok());
-  ExpectTablesIdentical(*store.Extent("v").value(), *full.Extent("v").value(),
-                        "inapplicable");
 }
 
 // The skewed workload generator is deterministic and honors its knobs.

@@ -2,12 +2,15 @@
 
 #include "hypergraph/hypergraph.h"
 #include "hypergraph/join_graph.h"
+#include "join_tree_drain.h"
 #include "mkb/builder.h"
 #include "mkb/evolution.h"
 #include "workload/travel_agency.h"
 
 namespace eve {
 namespace {
+
+using testing_trees::DrainJoinTrees;
 
 // --- Hypergraph (Fig. 4 reproduction) ------------------------------------
 
@@ -108,57 +111,57 @@ TEST_F(JoinGraphTest, EraseRelationRemovesEdges) {
   EXPECT_FALSE(pruned.SameComponent("FlightRes", "Participant"));
 }
 
-TEST_F(JoinGraphTest, FindConnectingTreesSingleRelation) {
-  const auto trees = graph_.FindConnectingTrees({"FlightRes"}, {}, {});
+TEST_F(JoinGraphTest, ConnectingTreesSingleRelation) {
+  const auto trees = DrainJoinTrees(graph_, {"FlightRes"}, {}, {});
   ASSERT_EQ(trees.size(), 1u);
   EXPECT_EQ(trees[0].relations, (std::vector<std::string>{"FlightRes"}));
   EXPECT_TRUE(trees[0].edges.empty());
 }
 
-TEST_F(JoinGraphTest, FindConnectingTreesDirectEdge) {
+TEST_F(JoinGraphTest, ConnectingTreesDirectEdge) {
   const auto trees =
-      graph_.FindConnectingTrees({"FlightRes", "Accident-Ins"}, {}, {});
+      DrainJoinTrees(graph_, {"FlightRes", "Accident-Ins"}, {}, {});
   ASSERT_GE(trees.size(), 1u);
   EXPECT_EQ(trees[0].relations.size(), 2u);
   ASSERT_EQ(trees[0].edges.size(), 1u);
   EXPECT_EQ(trees[0].edges[0].id, "JC6");
 }
 
-TEST_F(JoinGraphTest, FindConnectingTreesMultiHop) {
+TEST_F(JoinGraphTest, ConnectingTreesMultiHop) {
   // Tour to FlightRes requires Participant and Customer as Steiner nodes.
   JoinTreeSearchOptions options;
   options.max_extra_relations = 3;
   const auto trees =
-      graph_.FindConnectingTrees({"Tour", "FlightRes"}, {}, options);
+      DrainJoinTrees(graph_, {"Tour", "FlightRes"}, {}, options);
   ASSERT_GE(trees.size(), 1u);
   const JoinTree& best = trees[0];
   EXPECT_EQ(best.relations.size(), 4u);
   EXPECT_EQ(best.edges.size(), 3u);
 }
 
-TEST_F(JoinGraphTest, FindConnectingTreesRespectsBound) {
+TEST_F(JoinGraphTest, ConnectingTreesRespectsBound) {
   JoinTreeSearchOptions options;
   options.max_extra_relations = 1;  // not enough for Tour—FlightRes
   const auto trees =
-      graph_.FindConnectingTrees({"Tour", "FlightRes"}, {}, options);
+      DrainJoinTrees(graph_, {"Tour", "FlightRes"}, {}, options);
   EXPECT_TRUE(trees.empty());
 }
 
-TEST_F(JoinGraphTest, FindConnectingTreesAcrossComponentsFails) {
+TEST_F(JoinGraphTest, ConnectingTreesAcrossComponentsFails) {
   const auto trees =
-      graph_.FindConnectingTrees({"Customer", "Hotels"}, {}, {});
+      DrainJoinTrees(graph_, {"Customer", "Hotels"}, {}, {});
   EXPECT_TRUE(trees.empty());
 }
 
-TEST_F(JoinGraphTest, FindConnectingTreesMissingRelationFails) {
-  const auto trees = graph_.FindConnectingTrees({"Ghost"}, {}, {});
+TEST_F(JoinGraphTest, ConnectingTreesMissingRelationFails) {
+  const auto trees = DrainJoinTrees(graph_, {"Ghost"}, {}, {});
   EXPECT_TRUE(trees.empty());
 }
 
 TEST_F(JoinGraphTest, MandatoryEdgesAreIncluded) {
   const JoinConstraint* jc4 = mkb_.GetJoinConstraint("JC4").value();
-  const auto trees = graph_.FindConnectingTrees(
-      {"Participant", "Tour", "Customer"}, {*jc4}, {});
+  const auto trees =
+      DrainJoinTrees(graph_, {"Participant", "Tour", "Customer"}, {*jc4}, {});
   ASSERT_GE(trees.size(), 1u);
   bool found_jc4 = false;
   for (const JoinConstraint& edge : trees[0].edges) {
@@ -171,16 +174,8 @@ TEST_F(JoinGraphTest, MandatoryEdgesAreIncluded) {
 TEST_F(JoinGraphTest, MandatoryEdgeOutsideRequiredSetRejected) {
   const JoinConstraint* jc4 = mkb_.GetJoinConstraint("JC4").value();
   const auto trees =
-      graph_.FindConnectingTrees({"Customer", "FlightRes"}, {*jc4}, {});
+      DrainJoinTrees(graph_, {"Customer", "FlightRes"}, {*jc4}, {});
   EXPECT_TRUE(trees.empty());
-}
-
-TEST_F(JoinGraphTest, MaxResultsBoundsOutput) {
-  JoinTreeSearchOptions options;
-  options.max_results = 1;
-  const auto trees = graph_.FindConnectingTrees(
-      {"Customer", "Accident-Ins"}, {}, options);
-  EXPECT_EQ(trees.size(), 1u);
 }
 
 TEST(JoinGraphParallelEdgesTest, AlternativeJoinConstraintsBothUsable) {
@@ -199,7 +194,7 @@ TEST(JoinGraphParallelEdgesTest, AlternativeJoinConstraintsBothUsable) {
   ASSERT_TRUE(AddJoinConstraintText(&mkb, "J2", "R", "S", "R.b = S.b").ok());
   const JoinGraph graph = JoinGraph::Build(mkb);
   EXPECT_EQ(graph.Neighbors("R").size(), 2u);
-  const auto trees = graph.FindConnectingTrees({"R", "S"}, {}, {});
+  const auto trees = DrainJoinTrees(graph, {"R", "S"}, {}, {});
   ASSERT_EQ(trees.size(), 1u);  // one spanning tree per relation set
   EXPECT_EQ(trees[0].edges.size(), 1u);
 }

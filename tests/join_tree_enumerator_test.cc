@@ -29,6 +29,7 @@
 
 #include "common/cancellation.h"
 #include "hypergraph/join_graph.h"
+#include "join_tree_drain.h"
 #include "legacy_join_tree_enumerator.h"
 #include "mkb/mkb.h"
 
@@ -391,9 +392,9 @@ TEST(JoinTreeEnumeratorDifferential, MatchesLegacyEnumeratorStepByStep) {
   EXPECT_GE(totals.floor_above_frontier, 500u);
 }
 
-TEST(JoinTreeEnumeratorDifferential, FindConnectingTreesKeepsItsOrder) {
-  // The drain wrapper over a chain with skip edges: the same trees, in the
-  // same order, as draining the legacy enumerator.
+TEST(JoinTreeEnumeratorDifferential, DrainedTreesKeepTheLegacyOrder) {
+  // A drain over a chain with skip edges: the same trees, in the same
+  // order, as draining the legacy enumerator.
   std::mt19937_64 rng(7);
   std::vector<Edge> edges;
   for (size_t i = 0; i + 1 < 10; ++i) edges.emplace_back(i, i + 1);
@@ -403,13 +404,13 @@ TEST(JoinTreeEnumeratorDifferential, FindConnectingTreesKeepsItsOrder) {
   const JoinGraph graph = JoinGraph::Build(mkb);
   JoinTreeSearchOptions options;
   options.max_extra_relations = 3;
-  options.max_results = 40;
+  const size_t max_trees = 40;
   const std::set<std::string> required{names[0], names[5]};
   const std::vector<JoinTree> trees =
-      graph.FindConnectingTrees(required, {}, options);
+      testing_trees::DrainJoinTrees(graph, required, {}, options, max_trees);
   legacy::JoinTreeEnumerator oracle(graph, required, {}, options);
   std::vector<std::string> want;
-  while (want.size() < options.max_results) {
+  while (want.size() < max_trees) {
     const std::optional<JoinTree> tree = oracle.Next();
     if (!tree.has_value()) break;
     want.push_back(TreeKey(*tree));

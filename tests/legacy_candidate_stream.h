@@ -30,6 +30,7 @@
 #include "cvs/r_replacement.h"
 #include "esql/view_definition.h"
 #include "hypergraph/join_graph.h"
+#include "join_tree_drain.h"
 #include "mkb/mkb.h"
 
 namespace eve {
@@ -260,9 +261,9 @@ inline Result<std::vector<ReplacementCandidate>> ComputeRReplacementsEager(
     if (!required.empty()) {
       JoinTreeSearchOptions search;
       search.max_extra_relations = options.max_extra_relations;
-      search.max_results = options.max_results;
-      for (JoinTree& tree :
-           graph_prime.FindConnectingTrees(required, mandatory_edges, search)) {
+      for (JoinTree& tree : testing_trees::DrainJoinTrees(
+               graph_prime, required, mandatory_edges, search,
+               options.max_results)) {
         ReplacementCandidate candidate =
             AssembleCandidate(std::move(tree), chosen, choice_attrs,
                               needs.optional, r, mkb);

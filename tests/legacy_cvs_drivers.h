@@ -556,7 +556,6 @@ inline Result<CvsResult> SynchronizeDeleteAttribute(
 
   JoinTreeSearchOptions search;
   search.max_extra_relations = options.replacement.max_extra_relations;
-  search.max_results = options.replacement.max_results;
   search.token = options.replacement.token;
   for (const FunctionOfConstraint* cover : mkb.CoversOf(attr)) {
     if (cover->source.relation == relation) continue;

@@ -1,5 +1,5 @@
 // Determinism of parallel batch synchronization: ApplyChange /
-// ApplyChanges at sync parallelism 1 (the sequential reference), 4, 8 and
+// DepartSource at sync parallelism 1 (the sequential reference), 4, 8 and
 // the host default must produce byte-identical change reports, identical
 // view pools, and byte-identical journal files. Also checks when the sync
 // pool starts and unit-tests the ThreadPool / ParallelFor primitives (this
@@ -32,13 +32,18 @@ namespace {
 
 // A system over a chain MKB with `num_views` views: even-numbered views
 // sit at the chain head (and reference the victim relation R1), odd ones
-// live far down the chain and stay unaffected.
+// live far down the chain and stay unaffected. IS1 exports R1 and R2, so
+// its departure is a two-change cascade.
 EveSystem MakeBatchSystem(size_t num_views) {
   ChainMkbSpec spec;
   spec.length = 48;
   spec.skip_edges = true;
   spec.cover_distance = 2;
-  const Mkb mkb = MakeChainMkb(spec).MoveValue();
+  std::string misd = SaveMkb(MakeChainMkb(spec).MoveValue());
+  const size_t r2 = misd.find("SOURCE IS2 RELATION");
+  EXPECT_NE(r2, std::string::npos);
+  misd.replace(r2, std::string("SOURCE IS2").size(), "SOURCE IS1");
+  const Mkb mkb = LoadMkb(misd).MoveValue();
   EveSystem system(mkb);
   for (size_t i = 0; i < num_views; ++i) {
     const size_t start = (i % 2 == 0) ? (i / 2) % 2 : 20 + (i / 2) % 20;
@@ -159,21 +164,19 @@ TEST(ParallelSyncTest, ApplyChangeIsDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelSyncTest, ApplyChangesBatchIsDeterministicAcrossThreadCounts) {
+TEST(ParallelSyncTest, DepartureIsDeterministicAcrossThreadCounts) {
   const EveSystem base = MakeBatchSystem(16);
-  const std::vector<CapabilityChange> changes = {
-      CapabilityChange::DeleteAttribute("R1", "P1"),
-      CapabilityChange::DeleteRelation("R1"),
-      CapabilityChange::RenameRelation("R21", "R21x"),
-  };
+  ASSERT_GE(base.AffectedViews(CapabilityChange::DeleteRelation("R1")).size(),
+            2u);
 
   std::string reference;
   for (const std::optional<size_t> threads : kParallelisms) {
     EveSystem system = base;
     SetParallelism(&system, threads);
     const Result<std::vector<ChangeReport>> reports =
-        system.ApplyChanges(changes);
+        system.DepartSource("IS1");
     ASSERT_TRUE(reports.ok()) << "threads=" << Label(threads);
+    ASSERT_EQ(reports.value().size(), 2u);
     std::string fingerprint;
     for (const ChangeReport& report : reports.value()) {
       fingerprint += Fingerprint(report, system) + "\n====\n";

@@ -240,7 +240,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MutationTest,
 // Satellite integrity guarantee: EVERY single-byte flip inside the
 // checkpoint's VERSIONS section is caught — by the checkpoint loader (CRC
 // or framing validation, or the tip-consistency cross-check) or, failing
-// that, by the scrubber on the loaded system. No flip loads silently clean.
+// that, by the scrub of the loaded system. No flip loads silently clean.
 TEST(CheckpointVersionsFuzzTest, EveryFlipInVersionsSectionIsDetected) {
   EveSystem system(MakeTravelAgencyMkb().MoveValue());
   ASSERT_TRUE(system.RegisterViewText(CustomerPassengersAsiaSql()).ok());

@@ -67,13 +67,6 @@ TEST(TableTest, ToStringTruncates) {
   EXPECT_NE(rendered.find("(5 rows)"), std::string::npos);
 }
 
-TEST(TableTest, ClearResets) {
-  Table table(TwoColSchema());
-  ASSERT_TRUE(table.Insert({Value::Int(1), Value::String("x")}).ok());
-  table.Clear();
-  EXPECT_EQ(table.NumRows(), 0u);
-}
-
 class DatabaseTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -115,20 +108,11 @@ TEST_F(DatabaseTest, CreateAllTables) {
   EXPECT_TRUE(db_.CreateAllTables(catalog_).ok());
 }
 
-TEST_F(DatabaseTest, DropAndRename) {
+TEST_F(DatabaseTest, Drop) {
   ASSERT_TRUE(db_.CreateAllTables(catalog_).ok());
   EXPECT_TRUE(db_.DropTable("S").ok());
   EXPECT_FALSE(db_.HasTable("S"));
   EXPECT_EQ(db_.DropTable("S").code(), StatusCode::kNotFound);
-  EXPECT_TRUE(db_.RenameTable("R", "R2").ok());
-  EXPECT_TRUE(db_.HasTable("R2"));
-  EXPECT_EQ(db_.RenameTable("gone", "x").code(), StatusCode::kNotFound);
-}
-
-TEST_F(DatabaseTest, RenameClashes) {
-  ASSERT_TRUE(db_.CreateAllTables(catalog_).ok());
-  EXPECT_EQ(db_.RenameTable("R", "S").code(), StatusCode::kAlreadyExists);
-  EXPECT_TRUE(db_.RenameTable("R", "R").ok());  // self-rename is a no-op
 }
 
 TEST_F(DatabaseTest, GetTableMissing) {

@@ -2,8 +2,8 @@
 // snapshots that survive concurrent commits, what-if dry-runs that match the
 // real commit byte for byte while mutating nothing, rollback-as-new-version,
 // checkpoint VERSIONS round-trips where every flipped byte is detected, the
-// online scrubber (synchronous and background) catching 100% of injected
-// corruptions, and the per-commit oracle of the bucketed VIEWS segment:
+// scrub catching 100% of injected corruptions, and the per-commit oracle
+// of the bucketed VIEWS segment:
 // every commit's view text is the live pool's, and only the buckets of
 // views it changed hold new segments. Version nodes hold their buckets in
 // shared chunks: a commit copies only the chunks it changed, and the
@@ -13,14 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <optional>
 #include <random>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -30,7 +28,6 @@
 #include "eve/view_pool_io.h"
 #include "federation/membership.h"
 #include "legacy_version_crc.h"
-#include "mkb/scrubber.h"
 #include "mkb/serializer.h"
 #include "mkb/version_store.h"
 #include "pool_snapshot.h"
@@ -299,7 +296,7 @@ TEST_F(VersioningTest, EveryFlippedSerializedByteIsDetected) {
   EXPECT_EQ(undetected, 0u);
 }
 
-// The scrubber finds every injected segment corruption: any version, any
+// The scrub finds every injected segment corruption: any version, any
 // segment.
 TEST_F(VersioningTest, ScrubDetectsEveryInjectedSegmentCorruption) {
   EveSystem system = MakeBucketedSystem();
@@ -365,52 +362,6 @@ TEST_F(VersioningTest, ScrubFailpointCrashKillsThePassAndRetrySucceeds) {
   // Scrubbing is read-only: the killed pass left nothing behind.
   const VersionScrubStats stats = system.ScrubVersions();
   EXPECT_EQ(stats.corruptions, 0u) << stats.ToString();
-}
-
-TEST_F(VersioningTest, BackgroundScrubberRunsConcurrentlyWithCommits) {
-  EveSystem system = MakeSystem();
-  MkbScrubber scrubber(&system.versions());
-  scrubber.Start(std::chrono::milliseconds(1));
-  // Commits race the scrub passes; the store hands the scrubber immutable
-  // chain snapshots, so every pass sees whole versions and stays clean.
-  for (int i = 0; i < 20; ++i) {
-    const std::string name = "Bg" + std::to_string(i);
-    ASSERT_TRUE(
-        system
-            .ExtendMkb("SOURCE IS9 RELATION " + name + " (Name string)")
-            .ok());
-    ASSERT_TRUE(
-        system.ApplyChange(CapabilityChange::DeleteRelation(name)).ok());
-  }
-  // Let at least one full pass observe the final chain.
-  while (scrubber.passes() < 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  scrubber.Stop();
-  EXPECT_GE(scrubber.passes(), 2u);
-  EXPECT_EQ(scrubber.total_corruptions(), 0u)
-      << scrubber.last_stats().ToString();
-  EXPECT_GT(scrubber.last_stats().versions_checked, 0u);
-}
-
-TEST_F(VersioningTest, BackgroundScrubberReportsInjectedCorruption) {
-  EveSystem system = MakeSystem();
-  ASSERT_TRUE(
-      system.ApplyChange(CapabilityChange::DeleteRelation("RentACar")).ok());
-  MkbVersionStore corrupted = system.versions();
-  ASSERT_TRUE(corrupted.CorruptSegmentForTesting(/*id=*/1, /*segment=*/0,
-                                                 /*byte_offset=*/0));
-  MkbScrubber scrubber(&corrupted);
-  const VersionScrubStats stats = scrubber.RunOnce();
-  EXPECT_GT(stats.corruptions, 0u);
-  EXPECT_EQ(scrubber.passes(), 1u);
-  EXPECT_GE(scrubber.total_corruptions(), stats.corruptions);
-  // A transient finding is not erased by a later clean pass.
-  MkbScrubber clean_scrubber(&system.versions());
-  (void)clean_scrubber.RunOnce();
-  EXPECT_EQ(clean_scrubber.total_corruptions(), 0u);
-  (void)scrubber.RunOnce();
-  EXPECT_GE(scrubber.total_corruptions(), stats.corruptions);
 }
 
 // Versioning survives the durability cycle: checkpoint + journal replay
@@ -682,7 +633,15 @@ class OracleRun {
     ChainMkbSpec spec;
     spec.length = 12;
     spec.cover_distance = 2;
-    mkb_ = MakeChainMkb(spec).MoveValue();
+    // IS<2k> exports R<2k> and R<2k+1>, so departures are two-change
+    // cascades.
+    std::string misd = SaveMkb(MakeChainMkb(spec).MoveValue());
+    for (size_t odd = 1; odd < spec.length; odd += 2) {
+      const std::string from = "SOURCE IS" + std::to_string(odd) + " ";
+      misd.replace(misd.find(from), from.size(),
+                   "SOURCE IS" + std::to_string(odd - 1) + " ");
+    }
+    mkb_ = LoadMkb(misd).MoveValue();
     system_.emplace(mkb_);
     // Three names sharing one bucket, so commits splice a bucket that
     // holds clean views next to dirty ones.
@@ -733,14 +692,20 @@ class OracleRun {
                system_->ApplyChange(change).status().ToString();
       }
       case 6: {
-        const std::vector<CapabilityChange> batch = {
-            NextChange(), CapabilityChange::DeleteRelation("NoSuchRelation")};
+        // Fails between the two changes, or, with fewer than two of the
+        // source's relations left, before the commit.
+        const std::string source = "IS" + std::to_string(2 * (rng_() % 6));
         const testing_pool::PoolSnapshot before =
             testing_pool::SnapshotPool(*system_);
-        const Status status = system_->ApplyChanges(batch).status();
+        Failpoints::Instance().Arm(fp::kSourceLeavesBetweenChanges,
+                                   FailpointAction::kError);
+        Failpoints::Instance().Arm(fp::kSourceLeavesBeforeCommit,
+                                   FailpointAction::kError);
+        const Status status = system_->DepartSource(source).status();
+        Failpoints::Instance().Reset();
         testing_pool::ExpectSamePool(before,
                                      testing_pool::SnapshotPool(*system_));
-        return "aborted batch: " + status.ToString();
+        return "aborted departure " + source + ": " + status.ToString();
       }
       case 7: {
         const std::string source = "IS" + std::to_string(rng_() % 12);
@@ -748,7 +713,7 @@ class OracleRun {
             testing_pool::SnapshotPool(*system_);
         Failpoints::Instance().Arm(fp::kSourceLeavesBeforeCommit,
                                    FailpointAction::kError);
-        const Status status = system_->SourceLeaves(source).status();
+        const Status status = system_->DepartSource(source).status();
         Failpoints::Instance().Reset();
         testing_pool::ExpectSamePool(before,
                                      testing_pool::SnapshotPool(*system_));

@@ -185,34 +185,5 @@ TEST(ViewPoolIoTest, BulkRegistrationReplayKeepsQuotedSemicolonsAndHeaders) {
   std::remove(path.c_str());
 }
 
-TEST(BatchChangesTest, TransactionalRollbackOnFailure) {
-  EveSystem system = FreshSystem();
-  ASSERT_TRUE(system.RegisterViewText(CustomerPassengersAsiaSql()).ok());
-  const std::vector<CapabilityChange> batch = {
-      CapabilityChange::DeleteRelation("Tour"),
-      CapabilityChange::DeleteRelation("DoesNotExist"),  // fails
-  };
-  const auto result = system.ApplyChanges(batch);
-  EXPECT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("batch aborted"),
-            std::string::npos);
-  // Rolled back: Tour is still there, the log is clean.
-  EXPECT_TRUE(system.mkb().catalog().HasRelation("Tour"));
-  EXPECT_TRUE(system.change_log().empty());
-}
-
-TEST(BatchChangesTest, SuccessfulBatchReportsPerChange) {
-  EveSystem system = FreshSystem();
-  ASSERT_TRUE(system.RegisterViewText(CustomerPassengersAsiaSql()).ok());
-  const std::vector<CapabilityChange> batch = {
-      CapabilityChange::RenameAttribute("FlightRes", "Dest", "Destination"),
-      CapabilityChange::DeleteRelation("Customer"),
-  };
-  const auto reports = system.ApplyChanges(batch).value();
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_EQ(reports[1].CountOutcome(ViewOutcomeKind::kRewritten), 1u);
-  EXPECT_EQ(system.change_log().size(), 2u);
-}
-
 }  // namespace
 }  // namespace eve
