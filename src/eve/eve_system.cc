@@ -20,12 +20,6 @@ namespace eve {
 
 namespace {
 
-// Journal body for view-registration records: "<state>\n<E-SQL text>".
-std::string ViewRecordBody(ViewState state, const std::string& text) {
-  return std::string(state == ViewState::kActive ? "active" : "disabled") +
-         "\n" + text;
-}
-
 // Splits a "<word>\n<rest>" journal body.
 Status SplitRecordBody(const std::string& body, std::string* head,
                        std::string* rest) {
@@ -315,102 +309,69 @@ Status EveSystem::RegisterView(const ViewDefinition& view) {
   if (view.name().empty()) {
     return Status::InvalidArgument("view needs a non-empty name");
   }
-  if (views_.count(view.name()) > 0) {
-    return Status::AlreadyExists("view already registered: " + view.name());
-  }
-  // Re-validate against the current MKB state.
-  EVE_ASSIGN_OR_RETURN(ViewDefinition bound,
+  std::vector<RegisteredView> batch(1);
+  EVE_ASSIGN_OR_RETURN(batch[0].definition,
                        BindView(view.ToParsedView(), mkb().catalog()));
-  EVE_RETURN_IF_ERROR(
-      JournalAppend({JournalRecordKind::kRegisterView,
-                     ViewRecordBody(ViewState::kActive, bound.ToString())}));
-  RegisteredView registered;
-  registered.definition = std::move(bound);
-  // The registration itself commits the version the view is validated
-  // against; replay re-stamps the same id because version commits replay
-  // deterministically.
-  registered.synced_at_version = versions_.NextId();
-  AddView(view.name(), std::move(registered));
-  CommitVersion("register view " + view.name());
-  EVE_FAILPOINT(fp::kRegisterViewAfterJournal);
-  return Status::OK();
-}
-
-Status EveSystem::RestoreView(ViewDefinition definition, ViewState state,
-                              uint64_t synced_at_version) {
-  if (definition.name().empty()) {
-    return Status::InvalidArgument("view needs a non-empty name");
-  }
-  if (views_.count(definition.name()) > 0) {
-    return Status::AlreadyExists("view already registered: " +
-                                 definition.name());
-  }
-  std::string head(state == ViewState::kActive ? "active" : "disabled");
-  if (synced_at_version != 0) {
-    head += "@" + std::to_string(synced_at_version);
-  }
-  EVE_RETURN_IF_ERROR(
-      JournalAppend({JournalRecordKind::kRegisterView,
-                     head + "\n" + definition.ToString()}));
-  const std::string name = definition.name();
-  RegisteredView registered;
-  registered.definition = std::move(definition);
-  registered.state = state;
-  registered.synced_at_version = synced_at_version;
-  AddView(name, std::move(registered));
-  CommitVersion("restore view " + name);
-  return Status::OK();
+  return RegisterViews(std::move(batch));
 }
 
 Status EveSystem::RegisterViewText(std::string_view text) {
   EVE_ASSIGN_OR_RETURN(const ParsedView parsed, ParseView(text));
-  EVE_ASSIGN_OR_RETURN(const ViewDefinition bound,
-                       BindView(parsed, mkb().catalog()));
-  return RegisterView(bound);
+  std::vector<RegisteredView> batch(1);
+  EVE_ASSIGN_OR_RETURN(batch[0].definition, BindView(parsed, mkb().catalog()));
+  return RegisterViews(std::move(batch));
 }
 
-Status EveSystem::RegisterViewsBulk(const std::vector<ViewDefinition>& views) {
-  if (views.empty()) return Status::OK();
-  // Validate and bind the whole batch before journaling anything: a bad
-  // view aborts with the system (and the journal) untouched.
-  std::vector<ViewDefinition> bound;
-  bound.reserve(views.size());
-  std::set<std::string> batch_names;
-  for (const ViewDefinition& view : views) {
-    if (view.name().empty()) {
+Status EveSystem::RegisterViews(std::vector<RegisteredView> batch) {
+  if (batch.empty()) return Status::OK();
+  std::set<std::string_view> batch_names;
+  for (RegisteredView& view : batch) {
+    const std::string& name = view.definition.name();
+    if (name.empty()) {
       return Status::InvalidArgument("view needs a non-empty name");
     }
-    if (views_.count(view.name()) > 0 ||
-        !batch_names.insert(view.name()).second) {
-      return Status::AlreadyExists("view already registered: " + view.name());
+    if (views_.count(name) > 0 || !batch_names.insert(name).second) {
+      return Status::AlreadyExists("view already registered: " + name);
     }
-    EVE_ASSIGN_OR_RETURN(ViewDefinition rebound,
-                         BindView(view.ToParsedView(), mkb().catalog()));
-    bound.push_back(std::move(rebound));
+    // The registration stamps every view below; the record carries none.
+    view.synced_at_version = 0;
   }
-  std::vector<RegisteredView> batch(bound.size());
-  for (size_t i = 0; i < bound.size(); ++i) {
-    batch[i].definition = std::move(bound[i]);
-  }
-  // One record for the whole batch, in the SaveViews block format (before
-  // the views get their synced_at stamp, which the record leaves out) so
-  // replay reads it with the same reader as checkpoint pools. Rendered only
-  // when a journal will take it.
+  // One record for the whole batch, in the SaveViews block format, so
+  // replay reads it with ParseViewPool like every other pool text.
+  // Rendered only when a journal will take it.
   if (journal_ != nullptr) {
     std::string body;
     for (const RegisteredView& view : batch) AppendViewBlock(view, &body);
-    EVE_RETURN_IF_ERROR(
-        JournalAppend({JournalRecordKind::kRegisterViewsBulk, body}));
+    EVE_RETURN_IF_ERROR(JournalAppend(
+        {JournalRecordKind::kRegisterViewsBulk, std::move(body)}));
   }
+  // The registration commits the version every view is validated against;
+  // replay re-stamps the same id because version commits replay
+  // deterministically.
   const uint64_t stamp = versions_.NextId();
-  for (RegisteredView& registered : batch) {
-    const std::string name = registered.definition.name();
-    registered.synced_at_version = stamp;
-    AddView(name, std::move(registered));
+  const std::string change_desc =
+      batch.size() == 1
+          ? "register view " + batch.front().definition.name()
+          : "register " + std::to_string(batch.size()) + " views (bulk)";
+  for (RegisteredView& view : batch) {
+    view.synced_at_version = stamp;
+    std::string name = view.definition.name();
+    AddView(name, std::move(view));
   }
-  CommitVersion("register " + std::to_string(bound.size()) + " views (bulk)");
+  CommitVersion(change_desc);
   EVE_FAILPOINT(fp::kRegisterViewAfterJournal);
   return Status::OK();
+}
+
+void EveSystem::RestoreViews(std::vector<RegisteredView> pool) {
+  views_.clear();
+  for (RegisteredView& view : pool) {
+    std::string name = view.definition.name();
+    views_.emplace(std::move(name), std::move(view));
+  }
+  RebuildViewIndex();
+  InvalidateActiveViews();
+  dirty_ = DirtyViews{{}, true};
 }
 
 Result<const RegisteredView*> EveSystem::GetView(
@@ -822,39 +783,34 @@ Result<uint64_t> EveSystem::RollbackToVersion(uint64_t version) {
                             ")");
   }
   EVE_FAILPOINT(fp::kRollbackBeforeJournal);
-  // Stage everything fallible BEFORE the journal append: rebuild the pool
-  // in a scratch system bound against the pinned MKB, so a reparse/load
-  // failure (or an injected fault inside the loader) aborts with zero side
-  // effects and nothing durable. Past the append, the commit is pure
-  // pointer/map swaps that cannot fail — memory can never fall behind a
-  // durable kRollback record.
+  // Stage everything fallible BEFORE the journal append: parse the
+  // version's pool, bound against its pinned MKB, so a reparse failure (or
+  // an injected fault inside the reader) aborts with zero side effects and
+  // nothing durable. Past the append, the commit is pure pointer/map swaps
+  // that cannot fail — memory can never fall behind a durable kRollback
+  // record.
   EVE_ASSIGN_OR_RETURN(const PinnedMkb pinned, versions_.Pin(version));
   EVE_ASSIGN_OR_RETURN(const std::string views_text,
                        versions_.ViewsAt(version));
-  EveSystem loader(Mkb(*pinned.mkb));
-  EVE_RETURN_IF_ERROR(LoadViews(views_text, &loader));
+  EVE_ASSIGN_OR_RETURN(std::vector<RegisteredView> pool,
+                       ParseViewPool(views_text, pinned.mkb->catalog()));
+  // Surviving views keep their history: SaveViews does not persist it, so
+  // the restored pool alone would come back blank. The live map is the
+  // deterministic source — replay rebuilds the same histories.
+  for (RegisteredView& view : pool) {
+    const auto it = views_.find(view.definition.name());
+    if (it != views_.end()) view.history = it->second.history;
+    view.history.push_back("rolled back to version " +
+                           std::to_string(version));
+  }
   EVE_RETURN_IF_ERROR(JournalAppend(
       {JournalRecordKind::kRollback, std::to_string(version)}));
   // Journaled but not yet applied: an injected ERROR must still apply
   // (replay would), so it is deferred past the restore; a CRASH throws and
   // recovery replays the rollback.
   Status deferred = Failpoints::Instance().Hit(fp::kRollbackAfterJournal);
-  // Surviving views keep their history: SaveViews does not persist it, so
-  // the restored pool alone would come back blank. The live map is the
-  // deterministic source — replay rebuilds the same histories.
-  std::map<std::string, std::vector<std::string>> histories;
-  for (const auto& [name, view] : views_) histories[name] = view.history;
   mkb_tip_ = pinned.mkb;
-  views_ = std::move(loader.views_);
-  RebuildViewIndex();
-  InvalidateActiveViews();
-  dirty_ = DirtyViews{{}, true};
-  for (auto& [name, view] : views_) {
-    const auto it = histories.find(name);
-    if (it != histories.end()) view.history = it->second;
-    view.history.push_back("rolled back to version " +
-                           std::to_string(version));
-  }
+  RestoreViews(std::move(pool));
   const uint64_t new_version =
       CommitVersion("rollback to version " + std::to_string(version));
   const Status after = Failpoints::Instance().Hit(fp::kRollbackAfterRestore);
@@ -893,16 +849,6 @@ VersionScrubStats EveSystem::ScrubVersions() const {
     }
   }
   return stats;
-}
-
-Status EveSystem::SetViewSyncedVersion(const std::string& name,
-                                       uint64_t version) {
-  auto it = views_.find(name);
-  if (it == views_.end()) {
-    return Status::NotFound("view not registered: " + name);
-  }
-  MutableView(name).synced_at_version = version;
-  return Status::OK();
 }
 
 Status EveSystem::RestoreVersionStore(MkbVersionStore store) {
@@ -1092,16 +1038,6 @@ Status EveSystem::SetSourceMembership(
   return Status::OK();
 }
 
-Status EveSystem::SetViewProvisionalSources(const std::string& name,
-                                            std::set<std::string> sources) {
-  auto it = views_.find(name);
-  if (it == views_.end()) {
-    return Status::NotFound("view not registered: " + name);
-  }
-  MutableView(name).provisional_sources = std::move(sources);
-  return Status::OK();
-}
-
 std::vector<std::string> EveSystem::DegradedSourcesOf(
     const ViewDefinition& definition, const Catalog& catalog) const {
   std::set<std::string> degraded;
@@ -1123,50 +1059,28 @@ Status EveSystem::ReplayRecord(const JournalRecord& record) {
     case JournalRecordKind::kRetractConstraint:
       return RetractConstraint(record.body);
     case JournalRecordKind::kRegisterView: {
+      // One view, "<state>[@<stamp>]\n<E-SQL text>": what registrations
+      // journaled before kRegisterViewsBulk carried them all. Read as a
+      // one-block pool; the stamp named a version of another chain, so
+      // the view takes its registration's.
       std::string head, text;
       EVE_RETURN_IF_ERROR(SplitRecordBody(record.body, &head, &text));
-      // The state word may carry a "@<synced_at_version>" suffix (restored
-      // views whose stamp predates this system's version chain).
-      std::string state_word = head;
-      uint64_t synced_at = 0;
       const size_t at = head.find('@');
-      if (at != std::string::npos) {
-        state_word = head.substr(0, at);
-        if (!ParseDecimal(head.substr(at + 1), &synced_at)) {
-          return Status::ParseError("malformed synced-at suffix: " + head);
-        }
+      uint64_t stamp = 0;
+      if (at != std::string::npos &&
+          !ParseDecimal(std::string_view(head).substr(at + 1), &stamp)) {
+        return Status::ParseError("malformed synced-at suffix: " + head);
       }
-      if (state_word == "active") {
-        EVE_RETURN_IF_ERROR(RegisterViewText(text));
-        if (synced_at != 0) {
-          EVE_ASSIGN_OR_RETURN(const ParsedView parsed, ParseView(text));
-          return SetViewSyncedVersion(parsed.name, synced_at);
-        }
-        return Status::OK();
-      }
-      // Disabled views restore verbatim: their definitions may reference
-      // capabilities that no longer bind.
-      EVE_ASSIGN_OR_RETURN(const ParsedView parsed, ParseView(text));
-      EVE_ASSIGN_OR_RETURN(ViewDefinition unbound, BindViewUnchecked(parsed));
-      return RestoreView(std::move(unbound), ViewState::kDisabled, synced_at);
+      EVE_ASSIGN_OR_RETURN(
+          std::vector<RegisteredView> batch,
+          ParseViewPool("-- VIEW " + head.substr(0, at) + "\n" + text + ";\n",
+                        mkb().catalog()));
+      return RegisterViews(std::move(batch));
     }
     case JournalRecordKind::kRegisterViewsBulk: {
-      // The body is the SaveViews block format, active views only. Parse
-      // every block, then re-register through RegisterViewsBulk so replay
-      // commits exactly one version, like the original call.
-      std::vector<ViewDefinition> batch;
-      for (const ViewBlock& block : SplitViewBlocks(record.body)) {
-        if (!block.terminated) {
-          return Status::ParseError(
-              "bulk-registration statement missing terminating ';'");
-        }
-        EVE_ASSIGN_OR_RETURN(const ParsedView parsed,
-                             ParseView(block.definition));
-        EVE_ASSIGN_OR_RETURN(ViewDefinition bound,
-                             BindView(parsed, mkb().catalog()));
-        batch.push_back(std::move(bound));
-      }
-      return RegisterViewsBulk(batch);
+      EVE_ASSIGN_OR_RETURN(std::vector<RegisteredView> batch,
+                           ParseViewPool(record.body, mkb().catalog()));
+      return RegisterViews(std::move(batch));
     }
     case JournalRecordKind::kSetViewState: {
       std::string state_word, name;

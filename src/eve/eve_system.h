@@ -208,8 +208,6 @@ class EveSystem {
   // live MKB re-rendering byte-identically to the tip version's segments.
   VersionScrubStats ScrubVersions() const;
 
-  // Checkpoint loading only: overrides a view's synced-at stamp verbatim.
-  Status SetViewSyncedVersion(const std::string& name, uint64_t version);
   // Checkpoint loading only: replaces the version chain (the live MKB must
   // re-render to the store's tip, else the checkpoint is inconsistent).
   Status RestoreVersionStore(MkbVersionStore store);
@@ -226,15 +224,21 @@ class EveSystem {
   // lose the retracted semantics.
   Status RetractConstraint(const std::string& id);
 
-  // Registers a bound view (re-validated against the current MKB).
+  // Binds `view` against the current MKB and registers it (RegisterViews,
+  // a batch of one).
   Status RegisterView(const ViewDefinition& view);
   // Parses, binds and registers an E-SQL CREATE VIEW statement.
   Status RegisterViewText(std::string_view text);
-  // Registers a batch of views as ONE journal record and ONE committed
-  // version (all-or-nothing validation up front; nothing is journaled or
-  // registered if any view fails). Bulk loading a million-view pool this
-  // way is O(batch) journal fsyncs instead of O(views).
-  Status RegisterViewsBulk(const std::vector<ViewDefinition>& views);
+  // The one registration: registers `batch` — its views' definitions,
+  // states and provisional marks — as ONE journal record (kRegisterViewsBulk,
+  // the batch's SaveViews blocks without stamps) and ONE committed version,
+  // and stamps every view with that version. Active views must bind
+  // against mkb().catalog() as they are (ParseViewPool and RegisterView
+  // bind them). Names are checked against the pool and the batch before
+  // anything is journaled: a bad batch leaves system and journal untouched.
+  // However large, a batch is one journal fsync, and it fails whole when
+  // its record exceeds the journal's limit (kMaxRecordSize).
+  Status RegisterViews(std::vector<RegisteredView> batch);
 
   // Whether each ChangeReport lists the untouched views as unaffected
   // (CvsOptions::report_unaffected). Either way a report holds only the
@@ -410,10 +414,6 @@ class EveSystem {
     membership_ = std::move(table);
   }
 
-  // Checkpoint loading only: restores a view's provisional marks verbatim.
-  Status SetViewProvisionalSources(const std::string& name,
-                                   std::set<std::string> sources);
-
   const std::vector<ChangeReport>& change_log() const { return change_log_; }
 
   // --- Durability ----------------------------------------------------------
@@ -424,12 +424,11 @@ class EveSystem {
   void AttachJournal(Journal* journal) { journal_ = journal; }
   Journal* journal() const { return journal_; }
 
-  // Restores a view verbatim — no re-binding. Used by checkpoint/pool
-  // loading, where a disabled view's definition may reference capabilities
-  // the current MKB no longer has. `synced_at_version` is carried verbatim
-  // (0 = unknown/legacy pools).
-  Status RestoreView(ViewDefinition definition, ViewState state,
-                     uint64_t synced_at_version = 0);
+  // Replaces the view pool with `pool` (ParseViewPool's views, so names
+  // are unique) as it is: stamps, marks and histories included. Journals
+  // nothing and commits no version; the next commit renders every bucket
+  // afresh. Checkpoint load and RollbackToVersion install pools this way.
+  void RestoreViews(std::vector<RegisteredView> pool);
 
   // Replaces the change log wholesale (checkpoint loading only).
   void RestoreChangeLog(std::vector<ChangeReport> log) {
@@ -450,6 +449,8 @@ class EveSystem {
   // The incremental replay loop (eve/journal.h) feeds ReplayRecord one
   // record at a time — recovery and replication replicas share it.
   friend class JournalReplayer;
+  // Commits the restored pool of a checkpoint without a VERSIONS section.
+  friend Result<EveSystem> LoadCheckpoint(std::string_view text);
 
   // The abortable first phase of a capability change: MKB evolution,
   // affected-view detection and the full CVS fan-out, all against the
@@ -484,11 +485,11 @@ class EveSystem {
                          MkbSegmentSet changed_segments = kAllMkbSegments);
 
   // The view pool's write path. AddView registers a view; MutableView is
-  // the one way to write a registered view in place (RollbackToVersion
+  // the one way to write a registered view in place (RestoreViews
   // replaces the pool wholesale). Both mark the view dirty, so
   // the next commit re-renders its block — including changes that commit
-  // no version of their own (heal un-marking, checkpoint stamps), which
-  // the next commit then picks up. Inside a batch, MutableView also saves
+  // no version of their own (heal un-marking), which the next commit then
+  // picks up. Inside a batch, MutableView also saves
   // the view's pre-batch state the first time the batch writes it.
   void AddView(const std::string& name, RegisteredView view);
   RegisteredView& MutableView(const std::string& name);
@@ -530,8 +531,8 @@ class EveSystem {
   std::unordered_map<std::string, std::set<std::string>> views_by_relation_;
   std::unordered_map<std::string, std::set<std::string>> views_by_attribute_;
   // Views whose rendered block may differ from the tip version's. `all`
-  // is set when the pool (rollback) or the chain (checkpoint load) was
-  // replaced wholesale: the next commit renders every bucket afresh.
+  // is set when the pool (RestoreViews) or the chain (checkpoint load)
+  // was replaced wholesale: the next commit renders every bucket afresh.
   struct DirtyViews {
     std::set<std::string> names;
     bool all = false;

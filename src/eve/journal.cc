@@ -23,9 +23,6 @@ namespace {
 constexpr char kJournalMagic[] = "EVEJRNL1";
 constexpr size_t kMagicSize = 8;
 constexpr size_t kFrameHeaderSize = 8;  // u32 length + u32 crc
-// Journal records are short texts; anything larger than this is framing
-// corruption, not a record.
-constexpr uint32_t kMaxRecordSize = 64u << 20;
 
 constexpr char kCheckpointHeader[] = "-- EVE CHECKPOINT v1";
 constexpr char kSectionMkb[] = "-- SECTION MKB";
@@ -150,11 +147,19 @@ Status Journal::Append(JournalRecordKind kind, std::string_view body) {
 
 Status Journal::AppendAll(std::span<const JournalRecord> records) {
   if (fd_ < 0) return Status::FailedPrecondition("journal is closed");
-  EVE_FAILPOINT(fp::kJournalAppendBeforeWrite);
   size_t total = 0;
   for (const JournalRecord& record : records) {
+    // The scan would take a larger payload for framing corruption and cut
+    // the journal there, so such a record is refused, not written.
+    if (record.body.size() >= kMaxRecordSize) {
+      return Status::ResourceExhausted(
+          "journal record of " + std::to_string(1 + record.body.size()) +
+          " bytes exceeds the " + std::to_string(kMaxRecordSize) +
+          "-byte record limit");
+    }
     total += kFrameHeaderSize + 1 + record.body.size();
   }
+  EVE_FAILPOINT(fp::kJournalAppendBeforeWrite);
   std::string frames;
   frames.reserve(total);
   for (const JournalRecord& record : records) {
@@ -349,8 +354,11 @@ Result<EveSystem> LoadCheckpoint(std::string_view text) {
   EVE_ASSIGN_OR_RETURN(Mkb mkb,
                        LoadMkb(text.substr(mkb_start, views_at - mkb_start)));
   EveSystem system(std::move(mkb));
-  EVE_RETURN_IF_ERROR(
-      LoadViews(text.substr(views_start, log_at - views_start), &system));
+  EVE_ASSIGN_OR_RETURN(
+      std::vector<RegisteredView> views,
+      ParseViewPool(text.substr(views_start, log_at - views_start),
+                    system.mkb().catalog()));
+  system.RestoreViews(std::move(views));
   std::vector<ChangeReport> log;
   for (const std::string& line :
        Split(text.substr(log_start, log_end - log_start), '\n')) {
@@ -378,6 +386,11 @@ Result<EveSystem> LoadCheckpoint(std::string_view text) {
         MkbVersionStore::Deserialize(
             text.substr(versions_start, versions_end - versions_start)));
     EVE_RETURN_IF_ERROR(system.RestoreVersionStore(std::move(store)));
+  } else {
+    // A checkpoint from before versioning: the restored pool is one
+    // version on top of the empty initial one.
+    system.CommitVersion("restore " + std::to_string(system.NumViews()) +
+                         " views");
   }
   return system;
 }

@@ -39,6 +39,9 @@ namespace eve {
 enum class JournalRecordKind : uint8_t {
   kExtendMkb = 1,
   kRetractConstraint = 2,
+  // One view: "<state>[@<stamp>]\n<E-SQL text>". No longer written (every
+  // registration writes kRegisterViewsBulk); replay still reads it, so
+  // older journals recover.
   kRegisterView = 3,
   kSetViewState = 4,
   kApplyChange = 5,
@@ -55,9 +58,10 @@ enum class JournalRecordKind : uint8_t {
   // RollbackToVersion(n): decimal target version in the body. Replays via
   // RollbackToVersion, committing the restored state as a new version.
   kRollback = 11,
-  // Bulk view registration (body: concatenated "-- VIEW active" framed
-  // blocks, the SaveViews rendering of the batch). One record + one version
-  // commit for N views, so million-view registration is not O(N) fsyncs.
+  // A view registration (EveSystem::RegisterViews: CREATE VIEW, LOAD
+  // VIEWS). Body: the batch's SaveViews blocks with state and provisional=
+  // marks and no synced_at= stamp. One record + one version commit for N
+  // views, so million-view registration is not O(N) fsyncs.
   kRegisterViewsBulk = 12,
   // 13 is retired (a checkpoint-generation marker of per-shard journals)
   // and stays reserved: no later kind may reuse the number.
@@ -67,6 +71,11 @@ struct JournalRecord {
   JournalRecordKind kind;
   std::string body;
 };
+
+// The largest record payload (kind byte + body). ScanJournalBytes takes a
+// larger length field for framing corruption, so Journal::AppendAll
+// refuses a larger record before writing anything.
+inline constexpr uint32_t kMaxRecordSize = 64u << 20;
 
 // Append-only journal file handle. Owns the file descriptor; movable.
 class Journal {
@@ -88,7 +97,8 @@ class Journal {
   // Appends `records` in order with one write and one fsync. On success
   // every record is durable; on a reported failure none is (the file is cut
   // back to its length before the call). A crash mid-write leaves a prefix
-  // of whole records plus at most one torn one, which recovery drops.
+  // of whole records plus at most one torn one, which recovery drops. A
+  // record over kMaxRecordSize fails the call before anything is written.
   Status AppendAll(std::span<const JournalRecord> records);
 
   // Durably truncates the journal back to just the magic header — called

@@ -42,15 +42,17 @@ std::string SaveViews(const EveSystem& system) {
   return text;
 }
 
-Status LoadViews(std::string_view text, EveSystem* system) {
+Result<std::vector<RegisteredView>> ParseViewPool(std::string_view text,
+                                                  const Catalog& catalog) {
   EVE_FAILPOINT(fp::kViewPoolLoadValidate);
+  std::vector<RegisteredView> pool;
+  std::set<std::string> names;
   for (const ViewBlock& block : SplitViewBlocks(text)) {
     if (!block.terminated) {
       return Status::ParseError("view statement missing terminating ';'");
     }
+    RegisteredView view;
     std::string_view state_word = block.header;
-    std::set<std::string> provisional;
-    uint64_t synced_at = 0;
     const size_t space = block.header.find(' ');
     if (space != std::string_view::npos) {
       state_word = Trim(block.header.substr(0, space));
@@ -63,12 +65,12 @@ Status LoadViews(std::string_view text, EveSystem* system) {
                    extra.substr(std::string_view("provisional=").size()),
                    ',')) {
             if (!Trim(source).empty()) {
-              provisional.insert(std::string(Trim(source)));
+              view.provisional_sources.insert(std::string(Trim(source)));
             }
           }
         } else if (StartsWith(extra, "synced_at=")) {
           if (!ParseDecimal(extra.substr(std::string_view("synced_at=").size()),
-                            &synced_at)) {
+                            &view.synced_at_version)) {
             return Status::ParseError("malformed synced_at token: " +
                                       std::string(extra));
           }
@@ -78,42 +80,33 @@ Status LoadViews(std::string_view text, EveSystem* system) {
         }
       }
     }
-    ViewState state;
     if (EqualsIgnoreCase(state_word, "active")) {
-      state = ViewState::kActive;
+      view.state = ViewState::kActive;
     } else if (EqualsIgnoreCase(state_word, "disabled")) {
-      state = ViewState::kDisabled;
+      view.state = ViewState::kDisabled;
     } else {
       return Status::ParseError("unknown view state: " +
                                 std::string(state_word));
     }
-    const std::string_view statement = block.definition;
-    std::string view_name;
-    if (state == ViewState::kActive) {
-      EVE_ASSIGN_OR_RETURN(const ParsedView parsed, ParseView(statement));
-      view_name = parsed.name;
-      EVE_RETURN_IF_ERROR(system->RegisterViewText(statement));
+    EVE_ASSIGN_OR_RETURN(const ParsedView parsed, ParseView(block.definition));
+    if (view.state == ViewState::kActive) {
+      EVE_ASSIGN_OR_RETURN(view.definition, BindView(parsed, catalog));
     } else {
-      // A disabled view's definition may reference capabilities the current
-      // MKB no longer has (that is usually WHY it is disabled), so it cannot
-      // pass the strict binder. Restore it verbatim instead.
-      EVE_ASSIGN_OR_RETURN(const ParsedView parsed, ParseView(statement));
-      view_name = parsed.name;
-      EVE_ASSIGN_OR_RETURN(ViewDefinition bound, BindViewUnchecked(parsed));
-      EVE_RETURN_IF_ERROR(system->RestoreView(std::move(bound),
-                                              ViewState::kDisabled, synced_at));
+      EVE_ASSIGN_OR_RETURN(view.definition, BindViewUnchecked(parsed));
     }
-    if (!provisional.empty()) {
-      EVE_RETURN_IF_ERROR(system->SetViewProvisionalSources(
-          view_name, std::move(provisional)));
+    if (!names.insert(view.definition.name()).second) {
+      return Status::AlreadyExists("view named twice in the pool: " +
+                                   view.definition.name());
     }
-    if (synced_at != 0) {
-      // Active views re-registered above got a fresh registration stamp;
-      // the saved stamp wins (it names the version the pool was frozen at).
-      EVE_RETURN_IF_ERROR(system->SetViewSyncedVersion(view_name, synced_at));
-    }
+    pool.push_back(std::move(view));
   }
-  return Status::OK();
+  return pool;
+}
+
+Status LoadViews(std::string_view text, EveSystem* system) {
+  EVE_ASSIGN_OR_RETURN(std::vector<RegisteredView> views,
+                       ParseViewPool(text, system->mkb().catalog()));
+  return system->RegisterViews(std::move(views));
 }
 
 }  // namespace eve

@@ -114,9 +114,9 @@ struct ViewBlock {
 // the first ';' outside '...' literals and "..." identifiers; the next
 // header is searched for only after that ';', so a literal may hold ';' or
 // "\n-- VIEW ". An unterminated statement runs to the end of the text.
-// This is the one reader of view-pool text: commits bucket with it,
-// ViewsAt and the console's SHOW VIEW(S) read with it, and so do
-// LoadViews and the replay of a bulk registration.
+// This is the one splitter of view-pool text: commits bucket with it,
+// ViewsAt and the console's SHOW VIEW(S) read with it, and ParseViewPool
+// (eve/view_pool_io.h) turns its blocks into views.
 std::vector<ViewBlock> SplitViewBlocks(std::string_view views_text);
 
 // Every view block `version` froze, merged from its buckets into name

@@ -821,6 +821,7 @@ bool Console::Tick(const std::string& count_word) {
   uint64_t count = 0;
   if (!ParseTicks(count_word, &count)) return false;
   federation::FederationMonitor monitor = MakeMonitor();
+  const size_t logged = system_.change_log().size();
   const Status status = monitor.AdvanceTo(federation_now_ + count);
   if (!status.ok()) {
     Err() << "error: " << status << "\n";
@@ -832,14 +833,10 @@ bool Console::Tick(const std::string& count_word) {
         << " ok=" << stats.successes << " failed=" << stats.failures
         << " transitions=" << stats.state_transitions
         << " departures=" << stats.departures << "\n";
-  // A departure ran the DepartSource cascade: show its reports.
-  if (stats.departures > 0) {
-    const auto& log = system_.change_log();
-    const size_t shown = std::min<size_t>(log.size(), stats.departures);
-    for (size_t i = log.size() - shown; i < log.size(); ++i) {
-      Out() << log[i].ToString();
-    }
-  }
+  // Each departure ran the DepartSource cascade: show every report the
+  // cascades logged, one per relation a source exported.
+  const auto& log = system_.change_log();
+  for (size_t i = logged; i < log.size(); ++i) Out() << log[i].ToString();
   return true;
 }
 

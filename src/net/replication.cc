@@ -355,8 +355,23 @@ void ReplicationHub::OnJournalRecord(JournalRecordKind kind,
   wire.seq = seq;
   wire.kind = shipped.kind;
   wire.body = shipped.body;
-  const std::string frame =
-      EncodeFrame(FrameType::kReplRecord, EncodeReplRecord(wire));
+  const std::string payload = EncodeReplRecord(wire);
+  if (payload.size() > kMaxPayload) {
+    // No frame carries this record: a replica's decoder would skip it and
+    // break its stream on the gap, and a resume would re-ship it. Every
+    // peer is sent back to a fresh hello instead, and with the ring
+    // cleared each one bootstraps from the chunked snapshot, which holds
+    // the record's effect.
+    ring_.clear();
+    for (auto& [id, peer] : peers_) {
+      peer.sender(EncodeFrame(FrameType::kGoodbye,
+                              "record of " + std::to_string(payload.size()) +
+                                  " bytes exceeds the frame limit"));
+    }
+    peers_.clear();
+    return;
+  }
+  const std::string frame = EncodeFrame(FrameType::kReplRecord, payload);
   ring_.push_back(std::move(shipped));
   while (ring_.size() > options_.ring_capacity) ring_.pop_front();
   for (auto it = peers_.begin(); it != peers_.end();) {

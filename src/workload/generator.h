@@ -110,7 +110,7 @@ Result<ViewDefinition> MakeRandomConnectedView(const Mkb& mkb,
 // (rank = chain position, exponent `zipf_s`; 0 = uniform) so a few hot
 // relations anchor most views — the realistic shape for affected-set
 // experiments. Deterministic per spec (incl. seed); sized for
-// RegisterViewsBulk million-view loads.
+// million-view EveSystem::RegisterViews loads.
 struct ViewPoolSpec {
   size_t num_views = 1000;
   double zipf_s = 1.0;

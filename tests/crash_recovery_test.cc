@@ -53,6 +53,22 @@ const char kExtraMisd[] =
     "SOURCE StayIS RELATION Stay1 (Name string, Z int)\n"
     "SOURCE StayIS RELATION Stay2 (Name string, W int)";
 
+// A saved pool of three views: an active one with a stamp from another
+// chain, a disabled one over a relation the MKB lacks, and an active one
+// marked provisional on IS4. LoadViews registers them as one record and
+// one version, so a crash inside it recovers to none or all three, and the
+// replayed record restores the marks and the stamp memory holds.
+const char kLoadedPool[] =
+    "-- VIEW active synced_at=2\n"
+    "CREATE VIEW LoadedHotels (VE = ~) AS SELECT H.City (true, true) FROM "
+    "Hotels H (true, true);\n\n"
+    "-- VIEW disabled\n"
+    "CREATE VIEW LoadedGone (VE = ~) AS SELECT G.X (true, true) FROM Gone G "
+    "(true, true);\n\n"
+    "-- VIEW active provisional=IS4\n"
+    "CREATE VIEW LoadedTours (VE = ~) AS SELECT T.TourName (true, true) FROM "
+    "Tour T (true, true);\n\n";
+
 using Op = std::function<Status(EveSystem*)>;
 
 // Deterministic federation membership rows for the script: IS4 tracked,
@@ -71,6 +87,7 @@ std::vector<Op> ScriptOps() {
   return {
       [](EveSystem* s) { return s->ExtendMkb(kExtraMisd); },
       [](EveSystem* s) { return s->RegisterViewText(AsiaCustomerSql()); },
+      [](EveSystem* s) { return LoadViews(kLoadedPool, s); },
       [](EveSystem* s) {
         return s->SetSourceMembership("ExtraIS",
                                       federation::MakeHealthy({}, 0));
@@ -84,10 +101,11 @@ std::vector<Op> ScriptOps() {
       [](EveSystem* s) { return s->DepartSource("StayIS").status(); },
       [](EveSystem* s) { return s->DepartSource("ExtraIS").status(); },
       // Point-in-time rollback to the version RetractConstraint committed
-      // (v5: RentACar deleted, JC6 retracted, everything later restored).
-      // Journaled as kRollback and committed as a NEW version, so a crash
-      // on either side of the journal append recovers to pre or post.
-      [](EveSystem* s) { return s->RollbackToVersion(5).status(); },
+      // (v6: RentACar deleted, JC6 retracted, everything later restored,
+      // the loaded views with their stamps and marks included). Journaled
+      // as kRollback and committed as a NEW version, so a crash on either
+      // side of the journal append recovers to pre or post.
+      [](EveSystem* s) { return s->RollbackToVersion(6).status(); },
       [](EveSystem* s) {
         return s->SetSourceMembership(
             "IS4", federation::OnProbeSuccess(Is4Degraded(), "IS4", 9));
@@ -529,6 +547,29 @@ TEST_F(CrashRecoveryTest, ReportedCommitFailureKeepsNeitherRecord) {
     ASSERT_TRUE(after_retry.ok()) << after_retry.status();
     EXPECT_TRUE(Snap(after_retry.value()) == Snap(system));
   }
+}
+
+// ScanJournalBytes takes a frame longer than kMaxRecordSize for framing
+// corruption, so an append refuses such a record before writing any frame
+// of the call.
+TEST_F(CrashRecoveryTest, OversizedRecordIsRefusedBeforeAnythingIsWritten) {
+  Result<Journal> journal = Journal::Open(journal_path_);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  const size_t length = ReadFileToString(journal_path_).MoveValue().size();
+  const JournalRecord records[] = {
+      {JournalRecordKind::kRetractConstraint, "JC1"},
+      // Kind byte plus body: one byte over the limit.
+      {JournalRecordKind::kExtendMkb, std::string(kMaxRecordSize, 'x')},
+  };
+  const Status status = journal.value().AppendAll(records);
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
+  EXPECT_EQ(ReadFileToString(journal_path_).MoveValue().size(), length);
+  ASSERT_TRUE(
+      journal.value().Append(JournalRecordKind::kRetractConstraint, "JC1").ok());
+  const Result<JournalScan> scan = ReadJournal(journal_path_);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  EXPECT_FALSE(scan.value().torn_tail);
+  EXPECT_EQ(scan.value().records.size(), 1u);
 }
 
 // Every site in the catalog is exercised by this suite: either it fires

@@ -347,10 +347,11 @@ std::unique_ptr<EveSystem> MakeBatchSystem() {
   ViewPoolSpec pool_spec;
   pool_spec.num_views = 60;
   pool_spec.seed = 11;
-  EXPECT_TRUE(
-      system
-          ->RegisterViewsBulk(MakeViewPool(system->mkb(), pool_spec).value())
-          .ok());
+  EXPECT_TRUE(system
+                  ->RegisterViews(testing_pool::BoundBatch(
+                      MakeViewPool(system->mkb(), pool_spec).value(),
+                      system->mkb().catalog()))
+                  .ok());
   EXPECT_TRUE(
       system->SetSourceMembership("IS6", federation::MakeHealthy({}, 0)).ok());
   for (const char* source : {"IS2", "IS4"}) {
@@ -624,7 +625,10 @@ TEST(ReportTest, OpStreamMatchesTheFullOutcomeRenderer) {
   pool_spec.seed = 11;
   const std::vector<ViewDefinition> pool =
       MakeViewPool(system.mkb(), pool_spec).MoveValue();
-  ASSERT_TRUE(system.RegisterViewsBulk(pool).ok());
+  ASSERT_TRUE(system
+                  .RegisterViews(
+                      testing_pool::BoundBatch(pool, system.mkb().catalog()))
+                  .ok());
   ViewDefinition extra = MakeChainView(system.mkb(), 6, 2).MoveValue();
   extra.set_name("zz_extra");
   ASSERT_TRUE(system.RegisterView(extra).ok());
@@ -727,8 +731,9 @@ TEST(ReportTest, UnaffectedListingOffKeepsOnlyTheOutcomes) {
   ViewPoolSpec pool_spec;
   pool_spec.num_views = 20;
   ASSERT_TRUE(system
-                  .RegisterViewsBulk(
-                      MakeViewPool(system.mkb(), pool_spec).MoveValue())
+                  .RegisterViews(testing_pool::BoundBatch(
+                      MakeViewPool(system.mkb(), pool_spec).MoveValue(),
+                      system.mkb().catalog()))
                   .ok());
   system.SetReportUnaffected(false);
   const CapabilityChange change =

@@ -620,6 +620,38 @@ TEST(ConsoleTest, IntegerArgumentsAcceptOnlyPlainDecimals) {
   EXPECT_EQ(console.system().sync_candidate_budget(), SIZE_MAX);
 }
 
+TEST(ConsoleTest, TickPrintsEveryReportOfADeparture) {
+  // A source exporting two relations departs with a two-change cascade:
+  // TICK prints both reports, not only the cascade's last.
+  Console console;
+  std::ostringstream out;
+  std::ostringstream err;
+  for (const std::string statement : {
+           "DEFINE SOURCE IS9 RELATION Stay1 (Name string, Z int)",
+           "DEFINE SOURCE IS9 RELATION Stay2 (Name string, W int)",
+           "CREATE VIEW V1 (VE = ~) AS SELECT S.Name (true, true) FROM Stay1 "
+           "S (true, true)",
+           "CREATE VIEW V2 (VE = ~) AS SELECT S.Name (true, true) FROM Stay2 "
+           "S (true, true)",
+           "TRACK SOURCES",
+           "SET SOURCE IS9 LEASE 5",
+           "FAULT SOURCE IS9 TIMEOUT FROM 0 TO 200",
+       }) {
+    ASSERT_TRUE(console.Run(statement, out, err)) << statement << err.str();
+  }
+  std::ostringstream tick;
+  ASSERT_TRUE(console.Run("TICK 40", tick, err)) << err.str();
+  const std::string text = tick.str();
+  EXPECT_NE(text.find(" departures=1\n"), std::string::npos) << text;
+  const size_t first = text.find("change: delete-relation Stay1\n");
+  const size_t second = text.find("change: delete-relation Stay2\n");
+  ASSERT_NE(first, std::string::npos) << text;
+  ASSERT_NE(second, std::string::npos) << text;
+  EXPECT_LT(first, second) << text;
+  EXPECT_NE(text.find("view V1: DISABLED"), std::string::npos) << text;
+  EXPECT_NE(text.find("view V2: DISABLED"), std::string::npos) << text;
+}
+
 // --- SplitStatements line accounting (the evectl file:line contract) --------
 
 TEST(SplitStatementsTest, TracksTheStartingLineOfEachStatement) {

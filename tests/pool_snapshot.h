@@ -2,6 +2,7 @@
 // checks of eve_system_test and versioning_test: every view's registered
 // fields and the address of its entry, the inverted index's answers, and
 // the MKB, version chain, change log, membership table and view-pool text.
+// Also the batch EveSystem::RegisterViews takes for generated views.
 
 #ifndef EVE_TESTS_POOL_SNAPSHOT_H_
 #define EVE_TESTS_POOL_SNAPSHOT_H_
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "esql/binder.h"
 #include "eve/eve_system.h"
 #include "eve/journal.h"
 #include "eve/view_pool_io.h"
@@ -73,6 +75,20 @@ inline PoolSnapshot SnapshotPool(const EveSystem& system,
   snapshot.federation = SaveFederation(system);
   snapshot.saved_views = SaveViews(system);
   return snapshot;
+}
+
+// `views` bound against `catalog`, as active registrations: the batch
+// EveSystem::RegisterViews takes.
+inline std::vector<RegisteredView> BoundBatch(
+    const std::vector<ViewDefinition>& views, const Catalog& catalog) {
+  std::vector<RegisteredView> batch(views.size());
+  for (size_t i = 0; i < views.size(); ++i) {
+    Result<ViewDefinition> bound =
+        BindView(views[i].ToParsedView(), catalog);
+    EXPECT_TRUE(bound.ok()) << views[i].name() << ": " << bound.status();
+    if (bound.ok()) batch[i].definition = bound.MoveValue();
+  }
+  return batch;
 }
 
 // The names of the views whose fields differ between `a` and `b`.

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/file_io.h"
 #include "net/client.h"
 #include "net/console.h"
 #include "net/metrics.h"
@@ -874,6 +875,62 @@ TEST_F(ClusterTest, ChunkedSnapshotBootstrapsLateJoiner) {
   ASSERT_TRUE(WaitUntil([this] { return Converged(0); }));
   EXPECT_GE(nodes_[2].node->hub().stats().snapshots_installed, 1u);
   EXPECT_EQ(ShowMkb(2), ShowMkb(0));
+}
+
+TEST_F(ClusterTest, RecordTooLargeForAFrameFallsBackToSnapshots) {
+  Plan(3);
+  StartNode(0, "");
+  StartNode(1, "n1");
+  StartNode(2, "n1");
+  ASSERT_TRUE(WaitForPeers(0, 2));
+  NetClient client = ClientFor(0);
+  ASSERT_EQ(client.Run(Define(1)).value().code, 0);
+  ASSERT_TRUE(WaitUntil([this] { return Converged(0); }));
+
+  // A few hundred views padded with long literals: the load's one record
+  // is larger than any frame may be.
+  const std::string pad(16 * 1024, 'p');
+  std::string pool;
+  for (int i = 0; i < 300; ++i) {
+    pool += "-- VIEW active\nCREATE VIEW Big" + std::to_string(i) +
+            " (VE = ~) AS SELECT R.Name (true, true) FROM Rel1 R (true, "
+            "true) WHERE (R.Name = '" +
+            pad + "') (false, true);\n\n";
+  }
+  ASSERT_GT(pool.size(), kMaxPayload);
+  const std::string path = FreshDir("big_pool") + "/big.views";
+  ASSERT_TRUE(AtomicWriteFile(path, pool).ok());
+  const uint64_t snapshots = nodes_[0].node->hub().stats().snapshots_sent;
+
+  // The record stays off the stream: every replica is sent back to a
+  // fresh hello and bootstraps from a snapshot. Until they have, the load
+  // (durable on the primary) may answer that it was not acknowledged.
+  Result<Response> loaded = client.Run("LOAD VIEWS '" + path + "'");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  if (loaded.value().code != 0) {
+    EXPECT_NE(loaded.value().error.find("replication ack timeout"),
+              std::string::npos)
+        << loaded.value().error;
+  }
+  ASSERT_TRUE(WaitUntil([this] { return Converged(0); }));
+  EXPECT_GE(nodes_[0].node->hub().stats().snapshots_sent, snapshots + 2);
+  const std::pair<std::string, std::string> reads[] = {
+      {"SHOW VIEWS", "[active] Big299\n"},
+      {"SHOW VERSIONS", "register 300 views (bulk)"}};
+  for (const auto& [statement, loaded_line] : reads) {
+    std::string outputs[3];
+    for (size_t i = 0; i < 3; ++i) {
+      NetClient reader = ClientFor(i);
+      Result<Response> response = reader.Run(statement);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_EQ(response.value().code, 0) << response.value().error;
+      outputs[i] = response.value().output;
+    }
+    EXPECT_NE(outputs[0].find(loaded_line), std::string::npos)
+        << statement << ": " << outputs[0];
+    EXPECT_EQ(outputs[1], outputs[0]) << statement;
+    EXPECT_EQ(outputs[2], outputs[0]) << statement;
+  }
 }
 
 TEST_F(ClusterTest, ReplFailpointsInErrorModeSelfHeal) {

@@ -17,6 +17,7 @@
 #include "eve/eve_system.h"
 #include "eve/view_pool_io.h"
 #include "mkb/capability_change.h"
+#include "pool_snapshot.h"
 #include "workload/generator.h"
 
 namespace eve {
@@ -56,7 +57,10 @@ TEST(ScaleSmokeTest, BulkLoadServeAndSyncAtScale) {
   EveSystem system(mkb);
   // Reports list only affected views (O(affected) reports).
   system.SetReportUnaffected(false);
-  ASSERT_TRUE(system.RegisterViewsBulk(pool).ok());
+  ASSERT_TRUE(system
+                  .RegisterViews(
+                      testing_pool::BoundBatch(pool, system.mkb().catalog()))
+                  .ok());
   ASSERT_EQ(system.NumViews(), num_views);
 
   const PinnedMkb before = system.PinTip();

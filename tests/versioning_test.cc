@@ -330,8 +330,11 @@ TEST_F(VersioningTest, ScrubChecksViewSyncStamps) {
   EXPECT_EQ(system.ScrubVersions().corruptions, 0u);
   // A stamp naming a version that was never committed is an integrity
   // finding.
-  ASSERT_TRUE(
-      system.SetViewSyncedVersion("CustomerPassengersAsia", 77).ok());
+  std::vector<RegisteredView> pool =
+      ParseViewPool(SaveViews(system), system.mkb().catalog()).MoveValue();
+  ASSERT_EQ(pool.front().definition.name(), "CustomerPassengersAsia");
+  pool.front().synced_at_version = 77;
+  system.RestoreViews(std::move(pool));
   const VersionScrubStats stats = system.ScrubVersions();
   EXPECT_GT(stats.corruptions, 0u);
   ASSERT_FALSE(stats.findings.empty());
@@ -576,18 +579,18 @@ TEST_F(VersioningTest, ReEnablingAStaleViewFailsAndLeavesItDisabled) {
 
 // --- Per-commit oracle ------------------------------------------------------
 //
-// A seeded random op stream over registration, bulk registration, restore,
-// disabling, changes, aborted batches and cascades, rollback, source
-// degradation and heal, and LoadViews with synced_at=/provisional=
-// headers; then recovery replay and replica apply of the journal. After
-// every op that advanced the version, the tip's view text equals SaveViews
-// of the system, and a bucket holds a new segment exactly when a view in
-// it renders differently from the previous version. An aborted batch or
-// cascade leaves every view, the inverted index, the log, the chain and
-// the membership table as it found them. LoadViews stamps its
-// header fields after each registration commits, as heal un-marks without
-// committing; both reach the chain with the next commit, where the oracle
-// checks them.
+// A seeded random op stream over registration, bulk registration,
+// registration of a disabled view, disabling, changes, aborted batches and
+// cascades, rollback, source degradation and heal, and LoadViews with
+// synced_at=/provisional= headers; then, with the journal attached, more of
+// the same stream, followed by recovery replay and a replica applying the
+// journal. After every op that advanced the version, the tip's view text
+// equals SaveViews of the system, and a bucket holds a new segment exactly
+// when a view in it renders differently from the previous version. An
+// aborted batch or cascade leaves every view, the inverted index, the log,
+// the chain and the membership table as it found them. A heal un-marks
+// without committing; the next commit carries it, where the oracle checks
+// it.
 
 // Names of the views whose block differs between two versions.
 std::set<std::string> ChangedViews(const MkbVersion& before,
@@ -657,25 +660,35 @@ class OracleRun {
   // Heals that un-marked at least one provisional view.
   size_t unmarking_heals() const { return unmarking_heals_; }
 
-  // One random op; `with_load` enables LoadViews (whose header stamps are
-  // not journaled, so it runs only before the journal is attached).
-  std::string Step(bool with_load) {
-    const size_t kinds = with_load ? 11 : 10;
-    switch (rng_() % kinds) {
+  // One random op.
+  std::string Step() {
+    switch (rng_() % 11) {
       case 0: {
         ViewDefinition view = NextView();
         return "register " + view.name() + ": " +
                system_->RegisterView(view).ToString();
       }
       case 1: {
-        std::vector<ViewDefinition> batch;
-        for (int i = 0; i < 3; ++i) batch.push_back(NextView());
-        return "bulk: " + system_->RegisterViewsBulk(batch).ToString();
+        std::vector<ViewDefinition> views;
+        for (int i = 0; i < 3; ++i) views.push_back(NextView());
+        std::vector<RegisteredView> batch(views.size());
+        for (size_t i = 0; i < views.size(); ++i) {
+          Result<ViewDefinition> bound =
+              BindView(views[i].ToParsedView(), system_->mkb().catalog());
+          if (!bound.ok()) return "bulk: " + bound.status().ToString();
+          batch[i].definition = bound.MoveValue();
+        }
+        return "bulk: " + system_->RegisterViews(std::move(batch)).ToString();
       }
       case 2: {
-        ViewDefinition view = NextView();
-        return "restore " + view.name() + ": " +
-               system_->RestoreView(view, ViewState::kDisabled, 1).ToString();
+        // A disabled view registers without binding: it may read
+        // capabilities the MKB lost.
+        std::vector<RegisteredView> batch(1);
+        batch[0].definition = NextView();
+        batch[0].state = ViewState::kDisabled;
+        const std::string name = batch[0].definition.name();
+        return "register disabled " + name + ": " +
+               system_->RegisterViews(std::move(batch)).ToString();
       }
       case 3: {
         // Operators disable views; re-enabling one whose relations are
@@ -806,9 +819,7 @@ TEST_F(VersioningTest, PerCommitOracleHoldsOverRandomOpStreams) {
     EveSystem& system = run.system();
     for (int i = 0; i < 60; ++i) {
       const PinnedMkb before = system.PinTip();
-      const std::string op = run.Step(/*with_load=*/true);
-      if (op.rfind("load views", 0) == 0) continue;  // checked at next commit
-      CheckCommit(system, before, op);
+      CheckCommit(system, before, run.Step());
     }
 
     // Journal the rest of the stream, and follow it on a replica that
@@ -833,7 +844,7 @@ TEST_F(VersioningTest, PerCommitOracleHoldsOverRandomOpStreams) {
     system.AttachJournal(&journal.value());
     for (int i = 0; i < 60; ++i) {
       const PinnedMkb before = system.PinTip();
-      CheckCommit(system, before, run.Step(/*with_load=*/false));
+      CheckCommit(system, before, run.Step());
     }
     system.AttachJournal(nullptr);
     replayer.Finish(nullptr);
@@ -854,9 +865,9 @@ TEST_F(VersioningTest, PerCommitOracleHoldsOverRandomOpStreams) {
 }
 
 // A stream journaled from a fresh system can draw the rollback step before
-// its first commit, at version 0 (seed 1 draws it first).
+// its first commit, at version 0 (seed 19 draws it first).
 TEST_F(VersioningTest, FreshJournaledStreamRollsBackAtVersionZero) {
-  OracleRun run(1);
+  OracleRun run(19);
   EveSystem& system = run.system();
   ASSERT_EQ(system.current_version(), 0u);
   const std::string checkpoint = RenderCheckpoint(system);
@@ -865,11 +876,11 @@ TEST_F(VersioningTest, FreshJournaledStreamRollsBackAtVersionZero) {
   Result<Journal> journal = Journal::Open(path);
   ASSERT_TRUE(journal.ok()) << journal.status();
   system.AttachJournal(&journal.value());
-  const std::string first = run.Step(/*with_load=*/false);
+  const std::string first = run.Step();
   EXPECT_EQ(first.rfind("rollback to 0: ", 0), 0u) << first;
   for (int i = 0; i < 30; ++i) {
     const PinnedMkb before = system.PinTip();
-    CheckCommit(system, before, run.Step(/*with_load=*/false));
+    CheckCommit(system, before, run.Step());
   }
   system.AttachJournal(nullptr);
   const Result<JournalScan> scan = ReadJournal(path);
@@ -901,7 +912,7 @@ TEST_F(VersioningTest, ChunkedVersionCrcMatchesTheWholeRunOracle) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     OracleRun run(seed);
     EveSystem& system = run.system();
-    for (int i = 0; i < 40; ++i) (void)run.Step(/*with_load=*/true);
+    for (int i = 0; i < 40; ++i) (void)run.Step();
     const std::string checkpoint = RenderCheckpoint(system);
     std::vector<JournalRecord> records;
     const std::string path = ::testing::TempDir() + "crc_oracle_" +
@@ -914,7 +925,7 @@ TEST_F(VersioningTest, ChunkedVersionCrcMatchesTheWholeRunOracle) {
           records.push_back({kind, std::string(body)});
         });
     system.AttachJournal(&journal.value());
-    for (int i = 0; i < 60; ++i) (void)run.Step(/*with_load=*/false);
+    for (int i = 0; i < 60; ++i) (void)run.Step();
     system.AttachJournal(nullptr);
     ASSERT_GT(system.versions().NumVersions(), 20u);
     check_chain(system.versions(), "live chain");

@@ -21,7 +21,9 @@
 // Statements are ';'-terminated:
 //   LOAD MISD '<path>';                   -- load IS descriptions (MISD text)
 //   SAVE MISD '<path>';                   -- write the current MKB
-//   LOAD VIEWS '<path>';                  -- restore a saved view pool
+//   LOAD VIEWS '<path>';                  -- register a saved view pool
+//                                            (all or nothing: one journal
+//                                            record and one version)
 //   SAVE VIEWS '<path>';                  -- persist the view pool
 //   SHOW MKB;                             -- dump relations + constraints
 //   SHOW HYPERGRAPH;                      -- H(MKB) summary (Fig. 4 style)
