@@ -1,9 +1,6 @@
 #include "federation/monitor.h"
 
-#include <optional>
 #include <vector>
-
-#include "common/failpoint.h"
 
 namespace eve {
 namespace federation {
@@ -36,16 +33,6 @@ Status FederationMonitor::AdvanceTo(uint64_t now) {
   return Status::OK();
 }
 
-void FederationMonitor::SetProbeParallelism(size_t threads) {
-  if (threads <= 1) {
-    probe_pool_.reset();
-  } else {
-    // The calling thread participates in ParallelFor, so the pool carries
-    // one worker fewer than the requested parallelism.
-    probe_pool_ = std::make_unique<ThreadPool>(threads - 1);
-  }
-}
-
 Status FederationMonitor::Step(uint64_t tick) {
   // Stage 1: lease expiries. Departure wins over any probe at the same
   // tick — a reply arriving at the expiry instant is already too late.
@@ -74,10 +61,9 @@ Status FederationMonitor::Step(uint64_t tick) {
     due.push_back(source);  // map iteration: name-sorted
   }
 
-  // Deadline gate: spend one unit per due probe here, on the calling
-  // thread, in name order — the skip set is fixed BEFORE the fan-out, so
-  // it cannot depend on probe parallelism or worker timing. A skipped
-  // probe's row is untouched; it stays due and retries next tick.
+  // Deadline gate: spend one unit per due probe, in name order, before any
+  // probe is sent. A skipped probe's row is untouched; it stays due and
+  // retries next tick.
   if (token_.valid()) {
     std::vector<std::string> admitted;
     admitted.reserve(due.size());
@@ -91,20 +77,13 @@ Status FederationMonitor::Step(uint64_t tick) {
     due = std::move(admitted);
   }
 
-  // Stage 3: fan the due probes out. ParallelFor tasks must not throw, so
-  // a SimulatedCrash in the transport is parked in its slot and rethrown
-  // on this thread (lowest index first) once every worker has finished.
-  std::vector<std::optional<Result<ProbeReply>>> replies(due.size());
-  std::vector<std::optional<SimulatedCrash>> crashes(due.size());
-  ParallelFor(probe_pool_.get(), due.size(), [&](size_t i) {
-    try {
-      replies[i].emplace(transport_->Probe(due[i], tick));
-    } catch (const SimulatedCrash& crash) {
-      crashes[i].emplace(crash);
-    }
-  });
-  for (const std::optional<SimulatedCrash>& crash : crashes) {
-    if (crash.has_value()) throw *crash;
+  // Stage 3: probe every due source before any reply is folded, so a
+  // SimulatedCrash in the transport stops the tick before any reply is
+  // journaled.
+  std::vector<Result<ProbeReply>> replies;
+  replies.reserve(due.size());
+  for (const std::string& source : due) {
+    replies.push_back(transport_->Probe(source, tick));
   }
 
   // Stage 4: fold replies through the transition functions, sequentially
@@ -112,7 +91,7 @@ Status FederationMonitor::Step(uint64_t tick) {
   for (size_t i = 0; i < due.size(); ++i) {
     const std::string& source = due[i];
     const SourceMembership current = system_->source_membership().at(source);
-    const Result<ProbeReply>& reply = *replies[i];
+    const Result<ProbeReply>& reply = replies[i];
     ++stats_.probes;
     bool healthy_reply = reply.ok();
     if (healthy_reply) {

@@ -1,23 +1,20 @@
 // FederationMonitor: the probe scheduler that turns transport replies into
 // membership transitions. Each logical tick it (1) departs sources whose
 // lease lapsed (the only path into the DepartSource CVS cascade),
-// (2) half-opens tripped breakers whose cooldown elapsed, (3) fans the due
-// probes out over a thread pool, and (4) folds the replies through the pure
-// transition functions in membership.h, journaling every changed row via
-// EveSystem::SetSourceMembership. Probing is parallel but evaluation is
-// sequential in source-name order on the calling thread, so the journal,
-// the membership table and the stats are byte-identical at any parallelism.
+// (2) half-opens tripped breakers whose cooldown elapsed, (3) probes the
+// due sources, and (4) folds the replies through the pure transition
+// functions in membership.h, journaling every changed row via
+// EveSystem::SetSourceMembership. Probing and evaluation both run on the
+// calling thread in source-name order.
 
 #ifndef EVE_FEDERATION_MONITOR_H_
 #define EVE_FEDERATION_MONITOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/cancellation.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "eve/eve_system.h"
 #include "federation/membership.h"
 #include "federation/transport.h"
@@ -62,15 +59,10 @@ class FederationMonitor {
   // schedule's current tick. Does not probe.
   void SetNow(uint64_t now) { now_ = now; }
 
-  // Number of threads (including the caller) probing concurrently;
-  // 0 and 1 both mean sequential. Results are identical at any setting.
-  void SetProbeParallelism(size_t threads);
-
-  // Budgets the probe fan-out: each due probe costs one unit, spent on the
-  // CALLING thread in source-name order before the fan-out starts, so the
-  // skip set is deterministic at any probe parallelism (a wall-clock
-  // deadline on the token is best effort, like everywhere else). A default
-  // token removes the limit.
+  // Budgets the probes: each due probe costs one unit, spent in
+  // source-name order before any probe is sent, so the skip set is
+  // deterministic (a wall-clock deadline on the token is best effort, like
+  // everywhere else). A default token removes the limit.
   void SetDeadlineToken(DeadlineToken token) { token_ = std::move(token); }
   const DeadlineToken& deadline_token() const { return token_; }
 
@@ -82,7 +74,6 @@ class FederationMonitor {
   SourceTransport* transport_;  // non-owning
   SourceConfig default_config_;
   uint64_t now_ = 0;
-  std::unique_ptr<ThreadPool> probe_pool_;
   DeadlineToken token_;
   MonitorStats stats_;
 };

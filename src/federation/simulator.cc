@@ -138,7 +138,6 @@ void FederationSimulator::CheckConvergence(
 Result<SimResult> FederationSimulator::Run() {
   SimResult result;
   FederationMonitor monitor(system_, &transport_, options_.config);
-  monitor.SetProbeParallelism(options_.probe_parallelism);
   EVE_RETURN_IF_ERROR(monitor.TrackSources());
   const size_t log_before = system_->change_log().size();
   // Provisional marks must be sampled when a report is appended: a later

@@ -36,7 +36,6 @@ struct SimOptions {
   // the fault-free run's, byte for byte.
   bool heal_within_lease = true;
   SourceConfig config;
-  size_t probe_parallelism = 1;
 };
 
 struct SimResult {

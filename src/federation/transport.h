@@ -46,8 +46,8 @@ class SourceTransport {
                                    uint64_t tick) = 0;
 };
 
-// Deterministic simulated federation link. Thread-safe: the monitor fans
-// probes out over common/thread_pool.
+// Deterministic simulated federation link. Thread-safe: AddFault and
+// Probe may be called from different threads.
 class SimulatedTransport final : public SourceTransport {
  public:
   enum class FaultKind { kTimeout, kSlow, kCorrupt, kFlap };

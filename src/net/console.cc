@@ -1,6 +1,7 @@
 #include "net/console.h"
 
 #include <algorithm>
+#include <cctype>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -18,25 +19,151 @@ namespace net {
 
 namespace {
 
-// Splits a statement head into whitespace-separated words (enough for the
-// non-SQL commands; CREATE VIEW statements go to the E-SQL parser whole).
-std::vector<std::string> SplitWords(const std::string& statement) {
+// The end of the quoted token that starts at text[start] (a ' or "): the
+// index past its closing quote, or text.size() when it is unterminated.
+// Inside '...', '' stands for one quote.
+size_t QuotedEnd(std::string_view text, size_t start) {
+  const char quote = text[start];
+  for (size_t i = start + 1; i < text.size(); ++i) {
+    if (text[i] != quote) continue;
+    if (quote != '\'' || i + 1 >= text.size() || text[i + 1] != '\'') {
+      return i + 1;
+    }
+    ++i;
+  }
+  return text.size();
+}
+
+// Splits a statement into words on whitespace outside quotes; a quoted
+// token keeps its quotes (CREATE VIEW and DEFINE statements go to their
+// parsers whole).
+std::vector<std::string> SplitWords(std::string_view statement) {
   std::vector<std::string> words;
-  std::istringstream is(statement);
   std::string word;
-  while (is >> word) words.push_back(word);
+  for (size_t i = 0; i < statement.size();) {
+    const char c = statement[i];
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      if (!word.empty()) words.push_back(std::move(word));
+      word.clear();
+      ++i;
+      continue;
+    }
+    const size_t end =
+        c == '\'' || c == '"' ? QuotedEnd(statement, i) : i + 1;
+    word += statement.substr(i, end - i);
+    i = end;
+  }
+  if (!word.empty()) words.push_back(std::move(word));
   return words;
 }
 
-// Strips surrounding single quotes from a path argument.
+// Strips the quotes of a '...' path argument, turning each '' into '.
 std::string Unquote(const std::string& word) {
-  if (word.size() >= 2 && word.front() == '\'' && word.back() == '\'') {
-    return word.substr(1, word.size() - 2);
+  if (word.size() < 2 || word.front() != '\'' || word.back() != '\'') {
+    return word;
   }
-  return word;
+  const std::string_view inner(word.data() + 1, word.size() - 2);
+  std::string text;
+  for (size_t i = 0; i < inner.size(); ++i) {
+    text += inner[i];
+    if (inner[i] == '\'' && i + 1 < inner.size() && inner[i + 1] == '\'') ++i;
+  }
+  return text;
+}
+
+// Parses a non-negative integer command argument.
+bool ParseCount(const std::string& word, uint64_t* out, std::ostream& err) {
+  if (ParseDecimal(word, out)) return true;
+  err << "error: expected a non-negative integer, got " << word << "\n";
+  return false;
+}
+
+// The change phrase of DELETE, RENAME, ENQUEUE, PREVIEW and SYNC DRYRUN:
+//   DELETE RELATION <r> | DELETE ATTRIBUTE <r>.<a>
+//   RENAME RELATION <r> TO <s> | RENAME ATTRIBUTE <r>.<a> TO <b>
+// nullopt when `phrase` has not that shape (a word short, no TO).
+std::optional<Result<CapabilityChange>> ParseChange(
+    std::span<const std::string> phrase) {
+  const bool is_delete =
+      phrase.size() >= 3 && EqualsIgnoreCase(phrase[0], "DELETE");
+  const bool is_rename = phrase.size() >= 5 &&
+                         EqualsIgnoreCase(phrase[0], "RENAME") &&
+                         EqualsIgnoreCase(phrase[3], "TO");
+  if (!is_delete && !is_rename) return std::nullopt;
+  const std::string verb = is_delete ? "DELETE" : "RENAME";
+  if (EqualsIgnoreCase(phrase[1], "RELATION")) {
+    return is_delete ? CapabilityChange::DeleteRelation(phrase[2])
+                     : CapabilityChange::RenameRelation(phrase[2], phrase[4]);
+  }
+  if (!EqualsIgnoreCase(phrase[1], "ATTRIBUTE")) {
+    return Status::InvalidArgument(verb + " expects RELATION or ATTRIBUTE");
+  }
+  const std::vector<std::string> parts = Split(phrase[2], '.');
+  if (parts.size() != 2) {
+    return Status::InvalidArgument(verb +
+                                   " ATTRIBUTE expects <relation>.<attribute>");
+  }
+  return is_delete
+             ? CapabilityChange::DeleteAttribute(parts[0], parts[1])
+             : CapabilityChange::RenameAttribute(parts[0], parts[1], phrase[4]);
 }
 
 }  // namespace
+
+ParsedStatement ParseStatement(std::string_view statement) {
+  ParsedStatement parsed;
+  parsed.words = SplitWords(statement);
+  const std::vector<std::string>& words = parsed.words;
+  const auto is = [&words](size_t i, std::string_view word) {
+    return i < words.size() && EqualsIgnoreCase(words[i], word);
+  };
+  if (is(0, "SHOW")) {
+    // The forms Console::Show would answer from the tip: AT VERSION pins
+    // an older version instead.
+    const bool at_version =
+        words.size() >= 5 && is(2, "AT") && is(3, "VERSION");
+    if (is(1, "HYPERGRAPH") ||
+        ((is(1, "MKB") || is(1, "VIEWS")) && !at_version) ||
+        (is(1, "VIEW") && words.size() >= 3)) {
+      parsed.route = Route::kSnapshotRead;
+    } else if (words.size() == 3 && is(1, "SERVER") && is(2, "STATS")) {
+      // Exactly three words: the console itself has no such SHOW form.
+      parsed.route = Route::kServerStats;
+    } else if (is(1, "REPLICATION")) {
+      parsed.route = Route::kShowReplication;
+    } else {
+      parsed.route = Route::kReadOnly;
+    }
+  } else if (is(0, "SCRUB")) {
+    // The integrity scan reads the version chain and mutates nothing
+    // durable, and operators need it on every node.
+    parsed.route = Route::kReadOnly;
+  } else if (is(0, "READ") && is(1, "STALENESS") && words.size() >= 3) {
+    parsed.route = Route::kReadStaleness;
+  }
+  return parsed;
+}
+
+std::string QuoteArgument(std::string_view text) {
+  std::string quoted = "'";
+  for (const char c : text) {
+    quoted += c;
+    if (c == '\'') quoted += c;
+  }
+  return quoted + "'";
+}
+
+bool ReadStalenessBound(const std::string& word, uint64_t* bound,
+                        std::ostream& out, std::ostream& err) {
+  if (EqualsIgnoreCase(word, "NONE")) {
+    *bound = UINT64_MAX;
+    out << "read staleness bound = none\n";
+    return true;
+  }
+  if (!ParseCount(word, bound, err)) return false;
+  out << "read staleness bound = " << *bound << "\n";
+  return true;
+}
 
 std::vector<Statement> SplitStatements(const std::string& script) {
   std::vector<Statement> statements;
@@ -55,23 +182,12 @@ std::vector<Statement> SplitStatements(const std::string& script) {
       continue;
     }
     if (c == '\'' || c == '"') {
-      const char quote = c;
       if (Trim(current).empty()) start_line = line;
-      current += c;
-      ++i;
-      while (i < script.size()) {
-        bump(script[i]);
-        current += script[i];
-        if (script[i] == quote) {
-          if (quote == '\'' && i + 1 < script.size() &&
-              script[i + 1] == '\'') {
-            current += script[++i];
-          } else {
-            break;
-          }
-        }
-        ++i;
-      }
+      const std::string_view quoted =
+          std::string_view(script).substr(i, QuotedEnd(script, i) - i);
+      line += std::count(quoted.begin(), quoted.end(), '\n');
+      current += quoted;
+      i += quoted.size() - 1;
       continue;
     }
     if (c == ';') {
@@ -93,22 +209,14 @@ std::vector<Statement> SplitStatements(const std::string& script) {
   return statements;
 }
 
-bool Console::IsSnapshotRead(const std::string& statement) {
-  const std::vector<std::string> words = SplitWords(statement);
-  if (words.empty() || !EqualsIgnoreCase(words[0], "SHOW")) return false;
-  // Exactly the forms answered from the pinned tip; the AT VERSION
-  // variants reparse older versions and are excluded by the size checks.
-  if (words.size() == 2 && (EqualsIgnoreCase(words[1], "MKB") ||
-                            EqualsIgnoreCase(words[1], "HYPERGRAPH") ||
-                            EqualsIgnoreCase(words[1], "VIEWS"))) {
-    return true;
-  }
-  return words.size() == 3 && EqualsIgnoreCase(words[1], "VIEW");
-}
-
 bool Console::RunSnapshotRead(const std::string& statement, std::ostream& out,
                               std::ostream& err) const {
-  return SnapshotShow(SplitWords(statement), out, err);
+  const ParsedStatement parsed = ParseStatement(statement);
+  if (parsed.route != Route::kSnapshotRead) {
+    err << "error: not a snapshot read\n";
+    return false;
+  }
+  return SnapshotShow(parsed.words, out, err);
 }
 
 bool Console::SnapshotShow(const std::vector<std::string>& words,
@@ -117,45 +225,41 @@ bool Console::SnapshotShow(const std::vector<std::string>& words,
   // mutex, then only the version's immutable bytes, byte-stable against
   // any later commit.
   const PinnedMkb tip = system_.PinTip();
-  if (words.size() >= 2 && EqualsIgnoreCase(words[1], "MKB")) {
+  if (EqualsIgnoreCase(words[1], "MKB")) {
     out << tip.mkb->ToString();
     return true;
   }
-  if (words.size() >= 2 && EqualsIgnoreCase(words[1], "HYPERGRAPH")) {
+  if (EqualsIgnoreCase(words[1], "HYPERGRAPH")) {
     out << Hypergraph::Build(*tip.mkb).Summary();
     return true;
   }
-  if (words.size() >= 2 && EqualsIgnoreCase(words[1], "VIEWS")) {
+  if (EqualsIgnoreCase(words[1], "VIEWS")) {
     for (const ViewBlock& view : VersionViewBlocks(*tip.version)) {
       out << "  [" << (view.active ? "active" : "DISABLED") << "] "
           << view.name << "\n";
     }
     return true;
   }
-  if (words.size() >= 3 && EqualsIgnoreCase(words[1], "VIEW")) {
-    // Only the view's own bucket is parsed.
-    const std::string& name = words[2];
-    const std::vector<ViewBlock> bucket =
-        SplitViewBlocks(tip.version->view_bucket(ViewBucketOf(name)).body);
-    const auto found =
-        std::find_if(bucket.begin(), bucket.end(),
-                     [&](const ViewBlock& view) { return view.name == name; });
-    if (found == bucket.end()) {
-      err << "error: not_found: view not registered: " << name << "\n";
-      return false;
-    }
-    out << found->definition << "\n";
-    // History is live provenance (not part of the versioned bytes).
-    const Result<const RegisteredView*> view = system_.GetView(name);
-    if (view.ok()) {
-      for (const std::string& event : view.value()->history) {
-        out << "  history: " << event << "\n";
-      }
-    }
-    return true;
+  // SHOW VIEW <name>: only the view's own bucket is parsed.
+  const std::string& name = words[2];
+  const std::vector<ViewBlock> bucket =
+      SplitViewBlocks(tip.version->view_bucket(ViewBucketOf(name)).body);
+  const auto found =
+      std::find_if(bucket.begin(), bucket.end(),
+                   [&](const ViewBlock& view) { return view.name == name; });
+  if (found == bucket.end()) {
+    err << "error: not_found: view not registered: " << name << "\n";
+    return false;
   }
-  err << "error: not a snapshot read\n";
-  return false;
+  out << found->definition << "\n";
+  // History is live provenance (not part of the versioned bytes).
+  const Result<const RegisteredView*> view = system_.GetView(name);
+  if (view.ok()) {
+    for (const std::string& event : view.value()->history) {
+      out << "  history: " << event << "\n";
+    }
+  }
+  return true;
 }
 
 std::string Console::RenderSnapshotText() const {
@@ -224,7 +328,24 @@ bool Console::Run(const std::string& statement, std::ostream& out,
                   std::ostream& err) {
   out_ = &out;
   err_ = &err;
-  const std::vector<std::string> words = SplitWords(statement);
+  const ParsedStatement parsed = ParseStatement(statement);
+  const std::vector<std::string>& words = parsed.words;
+  switch (parsed.route) {
+    case Route::kSnapshotRead:
+      return SnapshotShow(words, out, err);
+    case Route::kShowReplication:
+      // A replicated eved answers this from its hub; the console has none.
+      Out() << "replication: disabled\n";
+      return true;
+    case Route::kReadStaleness: {
+      // The server enforces the bound against a replica's lag; the local
+      // console has no lag, so it only echoes it.
+      uint64_t bound = 0;
+      return ReadStalenessBound(words[2], &bound, out, err);
+    }
+    default:
+      break;
+  }
   if (words.empty()) return true;
   const std::string head = ToLower(words[0]);
 
@@ -287,47 +408,27 @@ bool Console::Run(const std::string& statement, std::ostream& out,
   if (head == "show") {
     return Show(words);
   }
-  if (head == "read" && words.size() >= 3 &&
-      EqualsIgnoreCase(words[1], "STALENESS")) {
-    // Per-session staleness bound for snapshot reads. On a replicated eved
-    // the server intercepts this and gates reads against the replica's
-    // lag; the local console has no lag, so the knob is accepted and
-    // echoed for script compatibility.
-    if (EqualsIgnoreCase(words[2], "NONE")) {
-      Out() << "read staleness bound = none\n";
-      return true;
+  if ((head == "enqueue" || head == "preview") && words.size() >= 4) {
+    const std::optional<Result<CapabilityChange>> change =
+        ParseChange(std::span(words).subspan(1));
+    if (!change.has_value()) {
+      Err() << "error: " << (head == "enqueue" ? "ENQUEUE" : "PREVIEW")
+            << " expects DELETE or RENAME\n";
+      return false;
     }
-    uint64_t bound = 0;
-    if (!ParseTicks(words[2], &bound)) return false;
-    Out() << "read staleness bound = " << bound << "\n";
-    return true;
-  }
-  if (head == "enqueue" && words.size() >= 4) {
-    const std::vector<std::string> rest(words.begin() + 1, words.end());
-    const std::string sub = ToLower(rest[0]);
-    if (sub == "delete" && rest.size() >= 3) {
-      return Enqueue(MakeDelete(rest));
-    }
-    if (sub == "rename" && rest.size() >= 5 &&
-        EqualsIgnoreCase(rest[3], "TO")) {
-      return Enqueue(MakeRename(rest));
-    }
-    Err() << "error: ENQUEUE expects DELETE or RENAME\n";
-    return false;
+    return head == "enqueue" ? Enqueue(*change)
+                             : Change(*change, /*preview=*/true);
   }
   if (head == "drain") {
     return Drain();
   }
-  if (head == "delete" && words.size() >= 3) {
-    return Change(MakeDelete(words), /*preview=*/false);
-  }
-  if (head == "rename" && words.size() >= 5 &&
-      EqualsIgnoreCase(words[3], "TO")) {
-    return Change(MakeRename(words), /*preview=*/false);
+  if (head == "delete" || head == "rename") {
+    const std::optional<Result<CapabilityChange>> change = ParseChange(words);
+    if (change.has_value()) return Change(*change, /*preview=*/false);
   }
   if (head == "sync" && words.size() >= 5 &&
       EqualsIgnoreCase(words[1], "DRYRUN")) {
-    return DryRun(std::vector<std::string>(words.begin() + 2, words.end()));
+    return DryRun(std::span(words).subspan(2));
   }
   if (head == "rollback" && words.size() >= 4 &&
       EqualsIgnoreCase(words[1], "TO") &&
@@ -336,19 +437,6 @@ bool Console::Run(const std::string& statement, std::ostream& out,
   }
   if (head == "scrub") {
     return Scrub();
-  }
-  if (head == "preview" && words.size() >= 4) {
-    const std::vector<std::string> rest(words.begin() + 1, words.end());
-    const std::string sub = ToLower(rest[0]);
-    if (sub == "delete" && rest.size() >= 3) {
-      return Change(MakeDelete(rest), /*preview=*/true);
-    }
-    if (sub == "rename" && rest.size() >= 5 &&
-        EqualsIgnoreCase(rest[3], "TO")) {
-      return Change(MakeRename(rest), /*preview=*/true);
-    }
-    Err() << "error: PREVIEW expects DELETE or RENAME\n";
-    return false;
   }
   Err() << "error: unrecognized statement: " << statement << "\n";
   return false;
@@ -403,12 +491,16 @@ bool Console::LoadViewPool(const std::string& path) {
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
+  // A load adds every view of the file or none (names already in the pool
+  // are refused), so the pool grows by exactly the file's views.
+  const size_t before = system_.NumViews();
   const Status status = LoadViews(buffer.str(), &system_);
   if (!status.ok()) {
     Err() << "error: " << status << "\n";
     return false;
   }
-  Out() << "loaded " << system_.NumViews() << " views from " << path << "\n";
+  Out() << "loaded " << system_.NumViews() - before << " views from " << path
+        << "\n";
   return true;
 }
 
@@ -552,7 +644,7 @@ bool Console::Show(const std::vector<std::string>& words) {
       EqualsIgnoreCase(words[2], "AT") &&
       EqualsIgnoreCase(words[3], "VERSION")) {
     uint64_t version = 0;
-    if (!ParseTicks(words[4], &version)) return false;
+    if (!ParseCount(words[4], &version, Err())) return false;
     const Result<PinnedMkb> pinned = system_.PinVersion(version);
     if (!pinned.ok()) {
       Err() << "error: " << pinned.status() << "\n";
@@ -566,7 +658,7 @@ bool Console::Show(const std::vector<std::string>& words) {
       EqualsIgnoreCase(words[2], "AT") &&
       EqualsIgnoreCase(words[3], "VERSION")) {
     uint64_t version = 0;
-    if (!ParseTicks(words[4], &version)) return false;
+    if (!ParseCount(words[4], &version, Err())) return false;
     const Result<std::string> views = system_.ViewsTextAt(version);
     if (!views.ok()) {
       Err() << "error: " << views.status() << "\n";
@@ -595,18 +687,6 @@ bool Console::Show(const std::vector<std::string>& words) {
   if (words.size() >= 2 && EqualsIgnoreCase(words[1], "SOURCES")) {
     return ShowSources();
   }
-  if (words.size() >= 2 && EqualsIgnoreCase(words[1], "REPLICATION")) {
-    // The replicated server intercepts this before the console; reaching
-    // here means the node runs without a replication hub.
-    Out() << "replication: disabled\n";
-    return true;
-  }
-  if ((words.size() >= 2 && (EqualsIgnoreCase(words[1], "MKB") ||
-                             EqualsIgnoreCase(words[1], "HYPERGRAPH") ||
-                             EqualsIgnoreCase(words[1], "VIEWS"))) ||
-      (words.size() >= 3 && EqualsIgnoreCase(words[1], "VIEW"))) {
-    return SnapshotShow(words, Out(), Err());
-  }
   Err() << "error: SHOW expects MKB, HYPERGRAPH, VIEWS, VIEW <name>, "
            "VERSIONS, MKB|VIEWS AT VERSION <n>, SCRUB STATS or SYNC "
            "STATS\n";
@@ -614,23 +694,17 @@ bool Console::Show(const std::vector<std::string>& words) {
 }
 
 // SYNC DRYRUN <change words> [AT VERSION n]: the full what-if pipeline.
-bool Console::DryRun(std::vector<std::string> rest) {
+bool Console::DryRun(std::span<const std::string> rest) {
   std::optional<uint64_t> at_version;
   if (rest.size() >= 3 && EqualsIgnoreCase(rest[rest.size() - 3], "AT") &&
       EqualsIgnoreCase(rest[rest.size() - 2], "VERSION")) {
     uint64_t version = 0;
-    if (!ParseTicks(rest.back(), &version)) return false;
+    if (!ParseCount(rest.back(), &version, Err())) return false;
     at_version = version;
-    rest.resize(rest.size() - 3);
+    rest = rest.first(rest.size() - 3);
   }
-  Result<CapabilityChange> change =
-      Status::InvalidArgument("SYNC DRYRUN expects DELETE or RENAME");
-  if (rest.size() >= 3 && EqualsIgnoreCase(rest[0], "DELETE")) {
-    change = MakeDelete(rest);
-  } else if (rest.size() >= 5 && EqualsIgnoreCase(rest[0], "RENAME") &&
-             EqualsIgnoreCase(rest[3], "TO")) {
-    change = MakeRename(rest);
-  }
+  const Result<CapabilityChange> change = ParseChange(rest).value_or(
+      Status::InvalidArgument("SYNC DRYRUN expects DELETE or RENAME"));
   if (!change.ok()) {
     Err() << "error: " << change.status() << "\n";
     return false;
@@ -649,7 +723,7 @@ bool Console::DryRun(std::vector<std::string> rest) {
 
 bool Console::Rollback(const std::string& version_word) {
   uint64_t version = 0;
-  if (!ParseTicks(version_word, &version)) return false;
+  if (!ParseCount(version_word, &version, Err())) return false;
   const Result<uint64_t> committed = system_.RollbackToVersion(version);
   if (!committed.ok()) {
     Err() << "error: " << committed.status() << "\n";
@@ -671,45 +745,6 @@ bool Console::Scrub() {
     return false;
   }
   return true;
-}
-
-Result<CapabilityChange> Console::MakeDelete(
-    const std::vector<std::string>& words) {
-  if (EqualsIgnoreCase(words[1], "RELATION")) {
-    return CapabilityChange::DeleteRelation(words[2]);
-  }
-  if (EqualsIgnoreCase(words[1], "ATTRIBUTE")) {
-    const std::vector<std::string> parts = Split(words[2], '.');
-    if (parts.size() != 2) {
-      return Status::InvalidArgument(
-          "DELETE ATTRIBUTE expects <relation>.<attribute>");
-    }
-    return CapabilityChange::DeleteAttribute(parts[0], parts[1]);
-  }
-  return Status::InvalidArgument("DELETE expects RELATION or ATTRIBUTE");
-}
-
-Result<CapabilityChange> Console::MakeRename(
-    const std::vector<std::string>& words) {
-  if (EqualsIgnoreCase(words[1], "RELATION")) {
-    return CapabilityChange::RenameRelation(words[2], words[4]);
-  }
-  if (EqualsIgnoreCase(words[1], "ATTRIBUTE")) {
-    const std::vector<std::string> parts = Split(words[2], '.');
-    if (parts.size() != 2) {
-      return Status::InvalidArgument(
-          "RENAME ATTRIBUTE expects <relation>.<attribute>");
-    }
-    return CapabilityChange::RenameAttribute(parts[0], parts[1], words[4]);
-  }
-  return Status::InvalidArgument("RENAME expects RELATION or ATTRIBUTE");
-}
-
-// Parses a non-negative integer command argument.
-bool Console::ParseTicks(const std::string& word, uint64_t* out) {
-  if (ParseDecimal(word, out)) return true;
-  Err() << "error: expected a non-negative integer, got " << word << "\n";
-  return false;
 }
 
 // A fresh monitor aligned to the console's federation clock. Stats are
@@ -760,7 +795,7 @@ bool Console::ShowSources() {
 bool Console::SetSource(const std::string& source, const std::string& knob,
                         const std::string& value) {
   uint64_t ticks = 0;
-  if (!ParseTicks(value, &ticks)) return false;
+  if (!ParseCount(value, &ticks, Err())) return false;
   const std::vector<std::string> sources =
       system_.mkb().catalog().SourceNames();
   if (std::find(sources.begin(), sources.end(), source) == sources.end()) {
@@ -805,8 +840,8 @@ bool Console::FaultSource(const std::string& source,
     return false;
   }
   federation::SimulatedTransport::FaultWindow window;
-  if (!ParseTicks(from_word, &window.from) ||
-      !ParseTicks(to_word, &window.to)) {
+  if (!ParseCount(from_word, &window.from, Err()) ||
+      !ParseCount(to_word, &window.to, Err())) {
     return false;
   }
   window.kind = kind.value();
@@ -819,7 +854,7 @@ bool Console::FaultSource(const std::string& source,
 
 bool Console::Tick(const std::string& count_word) {
   uint64_t count = 0;
-  if (!ParseTicks(count_word, &count)) return false;
+  if (!ParseCount(count_word, &count, Err())) return false;
   federation::FederationMonitor monitor = MakeMonitor();
   const size_t logged = system_.change_log().size();
   const Status status = monitor.AdvanceTo(federation_now_ + count);

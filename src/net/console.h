@@ -10,14 +10,19 @@
 //    each statement's output into the response frame.
 // Both produce byte-identical output for the same statement stream.
 //
+// ParseStatement is the one reader of statement text: Run, RunSnapshotRead
+// and the server (which picks its lock and replica gates from the route)
+// all work from its words.
+//
 // Threading: Run() mutates system state and console-local state; callers
 // with concurrent sessions must serialize it (the server holds an
-// exclusive lock). RunSnapshotRead() serves the IsSnapshotRead() subset —
-// reads answered from the pinned tip version (PinTip) — without touching
-// any console state, so any number may run concurrently with each other
-// (the server holds a shared lock). No second publication pointer is
-// needed: mutations run only under the exclusive lock, so a reader never
-// sees a half-applied statement, and a pin stays byte-stable on its own.
+// exclusive lock). RunSnapshotRead() serves the Route::kSnapshotRead
+// statements — reads answered from the pinned tip version (PinTip) —
+// without touching any console state, so any number may run concurrently
+// with each other (the server holds a shared lock). No second publication
+// pointer is needed: mutations run only under the exclusive lock, so a
+// reader never sees a half-applied statement, and a pin stays byte-stable
+// on its own.
 
 #ifndef EVE_NET_CONSOLE_H_
 #define EVE_NET_CONSOLE_H_
@@ -25,7 +30,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "eve/eve_system.h"
@@ -47,6 +54,41 @@ struct Statement {
 // strings, double-quoted identifiers, and "--" comments.
 std::vector<Statement> SplitStatements(const std::string& script);
 
+// How a statement is served.
+enum class Route {
+  kSnapshotRead,     // SHOW MKB|HYPERGRAPH|VIEWS|VIEW <name>, no AT VERSION:
+                     // the pinned tip, under a shared lock
+  kReadOnly,         // every other SHOW, and SCRUB: the exclusive lock,
+                     // allowed on a replica
+  kServerStats,      // SHOW SERVER STATS: answered by the server
+  kShowReplication,  // SHOW REPLICATION: answered by the server
+  kReadStaleness,    // READ STALENESS <n>|NONE: answered by the server
+  kWrite,            // everything else: the exclusive lock, refused on a
+                     // replica
+};
+
+// A statement read once. `words` are split on whitespace outside quotes:
+// a '...' or "..." token stays whole with its quotes, and inside '...'
+// the pair '' stands for one quote (as in SplitStatements). Reads no
+// console state.
+struct ParsedStatement {
+  std::vector<std::string> words;
+  Route route = Route::kWrite;
+};
+ParsedStatement ParseStatement(std::string_view statement);
+
+// Quotes `text` as one '...' statement argument (each ' doubled): the
+// inverse of the unquoting of LOAD, SAVE, JOURNAL, CHECKPOINT and RECOVER
+// paths.
+std::string QuoteArgument(std::string_view text);
+
+// READ STALENESS <n>|NONE: the one reading of a session's staleness bound,
+// shared by the console (which has no lag and only echoes it) and the
+// server (which enforces it). Sets *bound (UINT64_MAX for NONE) and echoes
+// it on `out`; refuses on `err` a bound that is not a plain decimal.
+bool ReadStalenessBound(const std::string& word, uint64_t* bound,
+                        std::ostream& out, std::ostream& err);
+
 class Console {
  public:
   // Executes one statement, writing its report to `out` and diagnostics
@@ -61,15 +103,9 @@ class Console {
                      uint64_t work_budget, std::ostream& out,
                      std::ostream& err);
 
-  // True when `statement` is served read-only from the pinned tip version
-  // (SHOW MKB / SHOW HYPERGRAPH / SHOW VIEWS / SHOW VIEW <name>, without
-  // an AT VERSION clause): safe to run as RunSnapshotRead under a shared
-  // lock, concurrently with other snapshot reads.
-  static bool IsSnapshotRead(const std::string& statement);
-
-  // Runs an IsSnapshotRead() statement against the pinned tip. Does not
-  // mutate console state. Returns false when the statement failed
-  // (e.g. SHOW VIEW on an unknown view).
+  // Runs a Route::kSnapshotRead statement against the pinned tip. Does not
+  // mutate console state. Returns false when the statement failed (e.g.
+  // SHOW VIEW on an unknown view) or has another route.
   bool RunSnapshotRead(const std::string& statement, std::ostream& out,
                        std::ostream& err) const;
 
@@ -115,7 +151,7 @@ class Console {
   // since the new system starts without them.
   void ReplaceSystem(EveSystem system);
 
-  // The shared implementation of the snapshot-read SHOW forms; const and
+  // The snapshot-read SHOW forms (Route::kSnapshotRead); const and
   // stream-parameterized so the server can run it under a shared lock.
   bool SnapshotShow(const std::vector<std::string>& words, std::ostream& out,
                     std::ostream& err) const;
@@ -132,12 +168,9 @@ class Console {
   bool Enqueue(const Result<CapabilityChange>& change);
   bool Drain();
   bool Show(const std::vector<std::string>& words);
-  bool DryRun(std::vector<std::string> rest);
+  bool DryRun(std::span<const std::string> rest);
   bool Rollback(const std::string& version_word);
   bool Scrub();
-  Result<CapabilityChange> MakeDelete(const std::vector<std::string>& words);
-  Result<CapabilityChange> MakeRename(const std::vector<std::string>& words);
-  bool ParseTicks(const std::string& word, uint64_t* out);
   federation::FederationMonitor MakeMonitor();
   bool TrackSources();
   bool ShowSources();

@@ -16,6 +16,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "common/cancellation.h"
 #include "common/failpoint.h"
 #include "common/file_io.h"
 #include "common/str_util.h"
@@ -26,14 +27,7 @@ namespace net {
 
 namespace {
 
-uint64_t NowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-uint64_t NowMillis() { return NowMicros() / 1000; }
+uint64_t NowMillis() { return SteadyClock()->NowMicros() / 1000; }
 
 // Blocking connect to host:port; -1 on failure.
 int DialBlocking(const std::string& host, uint16_t port) {
@@ -237,7 +231,7 @@ Status ReplicationHub::Initialize() {
     EVE_RETURN_IF_ERROR(PersistEpoch(persisted + 1));
     epoch_.store(persisted + 1);
     role_.store(ReplRole::kPrimary);
-    last_peer_contact_micros_.store(NowMicros());
+    last_peer_contact_micros_.store(SteadyClock()->NowMicros());
   } else {
     const auto it = options_.cluster.find(options_.primary_of);
     if (it == options_.cluster.end()) {
@@ -315,7 +309,8 @@ ReplVote ReplicationHub::HandleVoteRequest(const ReplVoteReq& request) {
   if (role == ReplRole::kPrimary || role == ReplRole::kSingle) return vote;
   if (role == ReplRole::kReplica && request.candidate != options_.node_id) {
     const uint64_t heard = last_heartbeat_micros_.load();
-    if (heard != 0 && NowMicros() - heard <= options_.lease_micros) {
+    if (heard != 0 &&
+        SteadyClock()->NowMicros() - heard <= options_.lease_micros) {
       return vote;
     }
   }
@@ -487,9 +482,9 @@ Status ReplicationHub::Subscribe(const ReplHello& hello, uint64_t session_id,
   // against state the replica never durably held.
   peer.acked_seq = resumed ? std::min(hello.applied_version, pos) : 0;
   peer.acked_version = 0;
-  peer.last_contact_micros = NowMicros();
+  peer.last_contact_micros = SteadyClock()->NowMicros();
   peers_[session_id] = std::move(peer);
-  last_peer_contact_micros_.store(NowMicros());
+  last_peer_contact_micros_.store(SteadyClock()->NowMicros());
   return Status::OK();
 }
 
@@ -500,11 +495,11 @@ void ReplicationHub::OnAck(const ReplAck& ack) {
       if (peer.node_id != ack.node_id) continue;
       peer.acked_seq = std::max(peer.acked_seq, ack.applied_seq);
       peer.acked_version = std::max(peer.acked_version, ack.applied_version);
-      peer.last_contact_micros = NowMicros();
+      peer.last_contact_micros = SteadyClock()->NowMicros();
     }
   }
   acks_received_.fetch_add(1);
-  last_peer_contact_micros_.store(NowMicros());
+  last_peer_contact_micros_.store(SteadyClock()->NowMicros());
   ack_cv_.notify_all();
 }
 
@@ -566,7 +561,7 @@ bool ReplicationHub::WaitForReplication(uint64_t position) {
 uint64_t ReplicationHub::MicrosSinceReplicaContact() const {
   const uint64_t last = last_peer_contact_micros_.load();
   if (last == 0) return 0;
-  const uint64_t now = NowMicros();
+  const uint64_t now = SteadyClock()->NowMicros();
   return now > last ? now - last : 0;
 }
 
@@ -579,7 +574,7 @@ void ReplicationHub::OnPrimaryHeartbeat(const ReplHeartbeat& heartbeat) {
   if (heartbeat.epoch < epoch_.load()) return;  // stale primary
   primary_tip_position_.store(
       std::max(primary_tip_position_.load(), heartbeat.tip_version));
-  last_heartbeat_micros_.store(NowMicros());
+  last_heartbeat_micros_.store(SteadyClock()->NowMicros());
 }
 
 std::string ReplicationHub::primary_address() const {
@@ -601,7 +596,7 @@ bool ReplicationHub::WithinStalenessBound(uint64_t bound, uint64_t* lag_out,
   }
   const uint64_t heard = last_heartbeat_micros_.load();
   const bool known =
-      heard != 0 && NowMicros() - heard <= options_.lease_micros;
+      heard != 0 && SteadyClock()->NowMicros() - heard <= options_.lease_micros;
   const uint64_t tip = primary_tip_position_.load();
   const uint64_t applied = position_.load();
   const uint64_t lag = tip > applied ? tip - applied : 0;
@@ -629,7 +624,7 @@ Status ReplicationHub::Promote(uint64_t new_epoch) {
   // someone else's divergent suffix and must bootstrap, never resume.
   promotion_base_position_.store(position_.load());
   role_.store(ReplRole::kPrimary);
-  last_peer_contact_micros_.store(NowMicros());
+  last_peer_contact_micros_.store(SteadyClock()->NowMicros());
   promotions_.fetch_add(1);
   ack_cv_.notify_all();
   return Status::OK();
@@ -716,7 +711,7 @@ std::string ReplicationHub::RenderStatus() const {
   }
   os << "\n";
   if (self.role == ReplRole::kPrimary) {
-    const uint64_t now = NowMicros();
+    const uint64_t now = SteadyClock()->NowMicros();
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [id, peer] : peers_) {
       const uint64_t pos = position_.load();
@@ -833,9 +828,9 @@ void ReplicaAgent::Stop() {
 bool ReplicaAgent::Stopping() const { return stop_.load(); }
 
 void ReplicaAgent::SleepMicros(uint64_t micros) {
-  const uint64_t deadline = NowMicros() + micros;
-  while (!Stopping() && NowMicros() < deadline) {
-    const uint64_t left = deadline - NowMicros();
+  const uint64_t deadline = SteadyClock()->NowMicros() + micros;
+  while (!Stopping() && SteadyClock()->NowMicros() < deadline) {
+    const uint64_t left = deadline - SteadyClock()->NowMicros();
     std::this_thread::sleep_for(
         std::chrono::microseconds(std::min<uint64_t>(left, 10'000)));
   }
@@ -1331,10 +1326,12 @@ Status ReplicatedNode::Start(const ReplicatedNodeOptions& options) {
   const std::string wal = options.repl.data_dir + "/wal";
   std::ostringstream out;
   std::ostringstream err;
-  if (!console_.Run("RECOVER '" + checkpoint + "' '" + wal + "'", out, err)) {
+  if (!console_.Run("RECOVER " + QuoteArgument(checkpoint) + " " +
+                        QuoteArgument(wal),
+                    out, err)) {
     return Status::Internal("recover failed: " + err.str());
   }
-  if (!console_.Run("JOURNAL '" + wal + "'", out, err)) {
+  if (!console_.Run("JOURNAL " + QuoteArgument(wal), out, err)) {
     return Status::Internal("journal failed: " + err.str());
   }
   hub_ = std::make_unique<ReplicationHub>(options.repl, &console_);

@@ -13,74 +13,14 @@
 #include <arpa/inet.h>
 
 #include <atomic>
-#include <chrono>
 #include <sstream>
 
+#include "common/cancellation.h"
 #include "common/failpoint.h"
-#include "common/str_util.h"
 #include "net/replication.h"
 
 namespace eve {
 namespace net {
-
-namespace {
-
-uint64_t NowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-bool IsServerStatsStatement(const std::string& statement) {
-  std::istringstream is(statement);
-  std::string a;
-  std::string b;
-  std::string c;
-  std::string rest;
-  is >> a >> b >> c;
-  return !(is >> rest) && EqualsIgnoreCase(a, "SHOW") &&
-         EqualsIgnoreCase(b, "SERVER") && EqualsIgnoreCase(c, "STATS");
-}
-
-bool IsShowReplicationStatement(const std::string& statement) {
-  std::istringstream is(statement);
-  std::string a;
-  std::string b;
-  std::string rest;
-  is >> a >> b;
-  return !(is >> rest) && EqualsIgnoreCase(a, "SHOW") &&
-         EqualsIgnoreCase(b, "REPLICATION");
-}
-
-// READ STALENESS <bound>|NONE — yields the bound word, or nullopt when the
-// statement is something else.
-std::optional<std::string> ReadStalenessWord(const std::string& statement) {
-  std::istringstream is(statement);
-  std::string a;
-  std::string b;
-  std::string c;
-  std::string rest;
-  is >> a >> b >> c;
-  if ((is >> rest) || !EqualsIgnoreCase(a, "READ") ||
-      !EqualsIgnoreCase(b, "STALENESS") || c.empty()) {
-    return std::nullopt;
-  }
-  return c;
-}
-
-// Statements a non-primary may execute: the read-only SHOW family. Every
-// mutation is redirected to the leader.
-bool AllowedOnReplica(const std::string& statement) {
-  std::istringstream is(statement);
-  std::string head;
-  is >> head;
-  // SHOW variants plus SCRUB: the integrity scan reads the version chain
-  // and mutates nothing durable, and operators need it on every node.
-  return EqualsIgnoreCase(head, "SHOW") || EqualsIgnoreCase(head, "SCRUB");
-}
-
-}  // namespace
 
 std::string ServerStats::ToString() const {
   std::ostringstream os;
@@ -217,7 +157,7 @@ void Server::BeginDrain() {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_ || stopping_) return;
     draining_ = true;
-    drain_started_micros_ = NowMicros();
+    drain_started_micros_ = SteadyClock()->NowMicros();
   }
   NudgeIo();
 }
@@ -339,7 +279,8 @@ void Server::IoLoopBody() {
       if (stopping_) return;
       draining = draining_;
       if (draining && drain_started_micros_ != 0 &&
-          NowMicros() - drain_started_micros_ > options_.drain_timeout_micros) {
+          SteadyClock()->NowMicros() - drain_started_micros_ >
+              options_.drain_timeout_micros) {
         // Drain overstayed its budget: give up on stragglers.
         return;
       }
@@ -388,7 +329,7 @@ void Server::IoLoopBody() {
       if (sessions_.count(tag) == 0) continue;  // evicted while reading
       if ((events[i].events & EPOLLOUT) != 0) FlushSession(session);
     }
-    SweepSlowLoris(NowMicros());
+    SweepSlowLoris(SteadyClock()->NowMicros());
   }
 }
 
@@ -494,16 +435,8 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
         QueueResponse(session, bad);
         continue;
       }
-      if (IsServerStatsStatement(request.value().statement)) {
-        // Answered from the server's own counters: no console lock, no
-        // worker hop, usable even when the console is saturated.
-        Response stats_response;
-        stats_response.id = request.value().id;
-        stats_response.output = "server: " + stats().ToString() + "\n";
-        QueueResponse(session, stats_response);
-        continue;
-      }
-      if (HandleReplIntercept(session, request.value())) continue;
+      const ParsedStatement parsed = ParseStatement(request.value().statement);
+      if (AnswerServerStatement(session, request.value(), parsed)) continue;
       bool shed = false;
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -527,8 +460,9 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
       std::shared_ptr<Session> owned = session;
       Request req = request.MoveValue();
       workers_->Submit(
-          [this, owned = std::move(owned), req = std::move(req)]() mutable {
-            ExecuteRequest(std::move(owned), std::move(req));
+          [this, owned = std::move(owned), req = std::move(req),
+           route = parsed.route]() mutable {
+            ExecuteRequest(std::move(owned), std::move(req), route);
           },
           "eved-request");
     }
@@ -544,7 +478,7 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
   // clean inter-frame boundary clears it.
   if (session->decoder.has_partial()) {
     if (session->partial_since_micros == 0) {
-      session->partial_since_micros = NowMicros();
+      session->partial_since_micros = SteadyClock()->NowMicros();
     }
   } else {
     session->partial_since_micros = 0;
@@ -615,54 +549,61 @@ void Server::HandleReplFrame(const std::shared_ptr<Session>& session,
       "eved-repl-hello");
 }
 
-bool Server::HandleReplIntercept(const std::shared_ptr<Session>& session,
-                                 const Request& request) {
-  if (IsShowReplicationStatement(request.statement)) {
-    Response response;
-    response.id = request.id;
-    response.output = hub_ != nullptr ? hub_->RenderStatus()
-                                      : "replication: disabled\n";
-    QueueResponse(session, response);
-    return true;
-  }
-  const std::optional<std::string> bound_word =
-      ReadStalenessWord(request.statement);
-  if (!bound_word.has_value()) return false;
+bool Server::AnswerServerStatement(const std::shared_ptr<Session>& session,
+                                   const Request& request,
+                                   const ParsedStatement& parsed) {
   Response response;
   response.id = request.id;
-  if (EqualsIgnoreCase(*bound_word, "NONE")) {
-    session->staleness_bound.store(UINT64_MAX);
-    response.output = "read staleness bound = none\n";
-  } else {
-    uint64_t bound = 0;
-    std::istringstream is(*bound_word);
-    if (!(is >> bound) || !is.eof()) {
-      response.code = static_cast<int32_t>(StatusCode::kInvalidArgument);
-      response.error =
-          "error: READ STALENESS expects a non-negative integer or NONE\n";
-      QueueResponse(session, response);
-      return true;
+  switch (parsed.route) {
+    case Route::kServerStats:
+      response.output = "server: " + stats().ToString() + "\n";
+      break;
+    case Route::kShowReplication:
+      response.output = hub_ != nullptr ? hub_->RenderStatus()
+                                        : "replication: disabled\n";
+      break;
+    case Route::kReadStaleness: {
+      std::ostringstream out;
+      std::ostringstream err;
+      uint64_t bound = 0;
+      if (ReadStalenessBound(parsed.words[2], &bound, out, err)) {
+        session->staleness_bound.store(bound);
+      } else {
+        response.code = static_cast<int32_t>(StatusCode::kInvalidArgument);
+      }
+      response.output = out.str();
+      response.error = err.str();
+      break;
     }
-    session->staleness_bound.store(bound);
-    response.output =
-        "read staleness bound = " + std::to_string(bound) + "\n";
+    default:
+      return false;
   }
   QueueResponse(session, response);
   return true;
 }
 
-void Server::ExecuteRequest(std::shared_ptr<Session> session,
-                            Request request) {
+void Server::ExecuteRequest(std::shared_ptr<Session> session, Request request,
+                            Route route) {
   Response response;
   response.id = request.id;
   std::ostringstream out;
   std::ostringstream err;
   bool ok = false;
-  const bool snapshot_read = Console::IsSnapshotRead(request.statement);
+  const bool snapshot_read = route == Route::kSnapshotRead;
+  const bool allowed_on_replica = route != Route::kWrite;
   // Semi-sync bracket: positions the statement advanced must be replica-
   // acked before the client sees success (checked after the lock drops).
   uint64_t position_before = 0;
   uint64_t position_after = 0;
+  // Every outcome but a crash ends here: the statement stops being pending
+  // and its response is queued.
+  const auto respond = [this, &session, &response] {
+    {
+      std::lock_guard<std::mutex> wlock(session->w_mu);
+      if (session->pending > 0) --session->pending;
+    }
+    QueueResponse(session, response);
+  };
   // The not-primary redirect, used by the pre-lock gate and the locked
   // re-check below.
   const auto fill_not_primary = [this, &response](ReplRole role) {
@@ -690,21 +631,13 @@ void Server::ExecuteRequest(std::shared_ptr<Session> session,
                 : "error: replica lag unknown (no live primary heartbeat); "
                   "staleness bound " +
                       std::to_string(bound) + " not satisfiable\n";
-        {
-          std::lock_guard<std::mutex> wlock(session->w_mu);
-          if (session->pending > 0) --session->pending;
-        }
-        QueueResponse(session, response);
+        respond();
         return;
       }
     } else if (role != ReplRole::kPrimary && role != ReplRole::kSingle &&
-               !AllowedOnReplica(request.statement)) {
+               !allowed_on_replica) {
       fill_not_primary(role);
-      {
-        std::lock_guard<std::mutex> wlock(session->w_mu);
-        if (session->pending > 0) --session->pending;
-      }
-      QueueResponse(session, response);
+      respond();
       return;
     }
   }
@@ -728,15 +661,10 @@ void Server::ExecuteRequest(std::shared_ptr<Session> session,
       if (hub_ != nullptr) {
         const ReplRole locked_role = hub_->role();
         if (locked_role != ReplRole::kPrimary &&
-            locked_role != ReplRole::kSingle &&
-            !AllowedOnReplica(request.statement)) {
+            locked_role != ReplRole::kSingle && !allowed_on_replica) {
           lock.unlock();
           fill_not_primary(locked_role);
-          {
-            std::lock_guard<std::mutex> wlock(session->w_mu);
-            if (session->pending > 0) --session->pending;
-          }
-          QueueResponse(session, response);
+          respond();
           return;
         }
         position_before = hub_->position();
@@ -770,11 +698,7 @@ void Server::ExecuteRequest(std::shared_ptr<Session> session,
         std::to_string(hub_->effective_ack_replicas()) + " replica(s)\n";
     response.output.clear();
   }
-  {
-    std::lock_guard<std::mutex> wlock(session->w_mu);
-    if (session->pending > 0) --session->pending;
-  }
-  QueueResponse(session, response);
+  respond();
 }
 
 Response Server::ShedResponse(uint64_t request_id,

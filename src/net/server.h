@@ -7,11 +7,14 @@
 //   * A common/thread_pool of workers executes statements. A worker never
 //     touches a socket: it renders the response frame into the session's
 //     write buffer and nudges the I/O thread through an eventfd.
-//   * Statement execution is guarded by one reader/writer lock on the
-//     console: snapshot reads (Console::IsSnapshotRead) run concurrently
-//     under the shared lock against the pinned tip version;
-//     everything else serializes under the exclusive lock (the classic
-//     single-writer console contract, now network-wide).
+//   * Each request is parsed once on the I/O thread (net/console.h's
+//     ParseStatement), and its route decides who serves it. The I/O thread
+//     answers SHOW SERVER STATS, SHOW REPLICATION and READ STALENESS itself,
+//     without the console lock. Statement execution is guarded by one
+//     reader/writer lock on the console: snapshot reads run concurrently
+//     under the shared lock against the pinned tip version; everything
+//     else serializes under the exclusive lock (the classic single-writer
+//     console contract, now network-wide).
 //
 // Robustness
 //   * Bounded buffers both ways: a session whose decoder accumulates more
@@ -163,10 +166,12 @@ class Server {
   // the exclusive console lock).
   void HandleReplFrame(const std::shared_ptr<Session>& session,
                        const Frame& frame);
-  // True when the frame was answered inline (SHOW REPLICATION / READ
-  // STALENESS — replication session controls that never hit the console).
-  bool HandleReplIntercept(const std::shared_ptr<Session>& session,
-                           const Request& request);
+  // Answers a server-routed statement (SHOW SERVER STATS, SHOW
+  // REPLICATION, READ STALENESS) on the I/O thread, without the console
+  // lock. False for every other route.
+  bool AnswerServerStatement(const std::shared_ptr<Session>& session,
+                             const Request& request,
+                             const ParsedStatement& parsed);
   void FlushSession(const std::shared_ptr<Session>& session);
   // Teardown-path flush (goodbyes): one synchronous attempt, no failpoints.
   void FlushBestEffort(Session* session);
@@ -177,8 +182,10 @@ class Server {
   bool DrainComplete();
   void CloseAllSessions();
 
-  // Worker-side: execute one statement and queue its response.
-  void ExecuteRequest(std::shared_ptr<Session> session, Request request);
+  // Worker-side: execute one statement (routed `route` by the I/O thread's
+  // parse) and queue its response.
+  void ExecuteRequest(std::shared_ptr<Session> session, Request request,
+                      Route route);
   void QueueResponse(const std::shared_ptr<Session>& session,
                      const Response& response);
   // Enqueues pre-encoded frame bytes (replication stream, status replies).
@@ -187,7 +194,6 @@ class Server {
   void QueueGoodbye(const std::shared_ptr<Session>& session,
                     const std::string& reason);
   Response ShedResponse(uint64_t request_id, const std::string& why) const;
-  std::string RenderServerStats() const;
   void RecordCrash(const std::string& site);
   void NudgeIo();
 

@@ -164,7 +164,7 @@ TEST(ThreadPoolDeathTest, EscapedExceptionReportsTaskProvenance) {
 
 // --- FederationMonitor probe budgeting -------------------------------------
 
-TEST(MonitorDeadlineTest, ProbeFanOutIsBudgetedDeterministically) {
+TEST(MonitorDeadlineTest, ProbesAreBudgetedDeterministically) {
   ChainMkbSpec spec;
   spec.length = 5;
   EveSystem system(MakeChainMkb(spec).MoveValue());
@@ -174,8 +174,8 @@ TEST(MonitorDeadlineTest, ProbeFanOutIsBudgetedDeterministically) {
   ASSERT_EQ(system.source_membership().size(), 5u);
 
   // Budget three probe units: at the first due tick all five sources are
-  // due; the first three (name order, decided on the calling thread before
-  // the fan-out) probe, the last two are skipped and stay due.
+  // due; the first three (name order, decided before any probe is sent)
+  // probe, the last two are skipped and stay due.
   monitor.SetDeadlineToken(DeadlineToken::Root({3, 0}));
   ASSERT_TRUE(monitor.AdvanceTo(10).ok());  // default probe cadence is 10
   EXPECT_EQ(monitor.stats().probes, 3u);

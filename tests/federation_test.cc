@@ -383,20 +383,14 @@ TEST_F(FederationTest, FailpointSitesConvertProbesIntoEachFaultKind) {
   Failpoints::Instance().Reset();
 }
 
-TEST_F(FederationTest, CrashDuringProbePropagatesFromWorkerThreads) {
-  for (const size_t parallelism : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE(parallelism);
-    Failpoints::Instance().Reset();
-    EveSystem system(MakeTravelAgencyMkb().MoveValue());
-    SimulatedTransport transport;
-    FederationMonitor monitor(&system, &transport);
-    monitor.SetProbeParallelism(parallelism);
-    ASSERT_TRUE(monitor.TrackSources().ok());
-    Failpoints::Instance().Arm(fp::kFederationProbeSend,
-                               FailpointAction::kCrash);
-    EXPECT_THROW((void)monitor.AdvanceTo(10), SimulatedCrash);
-    Failpoints::Instance().Reset();
-  }
+TEST_F(FederationTest, CrashDuringProbePropagates) {
+  EveSystem system(MakeTravelAgencyMkb().MoveValue());
+  SimulatedTransport transport;
+  FederationMonitor monitor(&system, &transport);
+  ASSERT_TRUE(monitor.TrackSources().ok());
+  Failpoints::Instance().Arm(fp::kFederationProbeSend,
+                             FailpointAction::kCrash);
+  EXPECT_THROW((void)monitor.AdvanceTo(10), SimulatedCrash);
 }
 
 // --- End-to-end convergence ------------------------------------------------
@@ -485,26 +479,6 @@ TEST_F(FederationTest, HarshRandomizedSchedulesStillConverge) {
   }
   EXPECT_GT(total_departures, 0u)
       << "the harsh schedule should actually expire leases";
-}
-
-TEST_F(FederationTest, MonitorResultsAreIdenticalAtAnyParallelism) {
-  const auto run = [](size_t parallelism) {
-    EveSystem system(MakeMkbWithPc());
-    EXPECT_TRUE(system.RegisterViewText(CustomerPassengersAsiaSql()).ok());
-    SimulatedTransport transport;
-    transport.AddFault("IS4",
-                       {5, 35, SimulatedTransport::FaultKind::kTimeout});
-    transport.AddFault("IS5",
-                       {20, 60, SimulatedTransport::FaultKind::kCorrupt});
-    FederationMonitor monitor(&system, &transport);
-    monitor.SetProbeParallelism(parallelism);
-    EXPECT_TRUE(monitor.TrackSources().ok());
-    EXPECT_TRUE(monitor.AdvanceTo(150).ok());
-    return SaveFederation(system) + SaveViews(system) + SaveMkb(system.mkb());
-  };
-  const std::string sequential = run(1);
-  EXPECT_EQ(run(2), sequential);
-  EXPECT_EQ(run(8), sequential);
 }
 
 }  // namespace

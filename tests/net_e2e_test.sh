@@ -4,9 +4,13 @@
 #   net_e2e_test.sh <mode> <evectl> <eved> <srcdir>
 #
 # Modes:
-#   identity       The demo script's stdout over eved + `evectl --connect`
-#                  is byte-identical to a local evectl run, and SIGTERM
-#                  drains eved to a clean exit 0.
+#   identity       The demo script's stdout and stderr over eved +
+#                  `evectl --connect` are byte-identical to a local evectl
+#                  run, and SIGTERM drains eved to a clean exit 0. So are
+#                  those of a generated script of edge statements (quoted
+#                  paths holding a space or a quote, integer refusals,
+#                  session controls, malformed change phrases) run against
+#                  a fresh eved.
 #   crash_recover  kill -9 eved mid-load, then RECOVER from the surviving
 #                  checkpoint + journal must land on a whole version and
 #                  scrub clean (exit 0). When EVE_CRASH_FAILPOINTS is set
@@ -37,6 +41,7 @@ die() { echo "FAIL($MODE): $*" >&2; exit 1; }
 # Starts eved (cwd = SRCDIR so scripts resolve tools/demo.misd), waits for
 # the port file, and sets EVED_PID / PORT.
 start_eved() {
+  rm -f "$WORK/port"
   (cd "$SRCDIR" && \
       EVE_FAILPOINTS="${EVED_FAILPOINTS:-}" \
       exec "$EVED" --port 0 --port-file "$WORK/port" "$@" \
@@ -65,6 +70,8 @@ case "$MODE" in
 
     diff -u "$WORK/local.out" "$WORK/remote.out" \
         || die "remote output is not byte-identical to the local run"
+    diff -u "$WORK/local.err" "$WORK/remote.err" \
+        || die "remote stderr is not byte-identical to the local run"
 
     # Graceful drain: SIGTERM must end in a clean exit 0.
     kill -TERM "$EVED_PID"
@@ -73,6 +80,71 @@ case "$MODE" in
     [ "$RC" -eq 0 ] || die "SIGTERM drain exited $RC (want 0): $(cat "$WORK/eved.err")"
     grep -q "eved exited cleanly" "$WORK/eved.out" \
         || die "missing clean-exit banner: $(cat "$WORK/eved.out")"
+
+    # Edge statements. Each run starts from the same files: a fresh copy of
+    # the demo MISD in a directory whose name holds a space.
+    EDGE="$WORK/edge dir"
+    cat > "$WORK/edge.evectl" <<EOF
+LOAD MISD '$EDGE/demo.misd';
+SAVE MISD '$EDGE/it''s.misd';
+LOAD MISD '$EDGE/it''s.misd';
+CREATE VIEW AsiaCustomers (VE = ~) AS
+SELECT C.Name (false, true), C.Age (true, true)
+FROM Customer C (true, true), FlightRes F (true, true)
+WHERE (C.Name = F.PName) (false, true) AND (F.Dest = 'Asia') (false, true);
+SAVE VIEWS '$EDGE/pool; of views';
+JOURNAL '$EDGE/w.wal';
+CHECKPOINT '$EDGE/c.ckpt';
+RENAME RELATION Customer TO Client;
+RECOVER '$EDGE/c.ckpt' '$EDGE/w.wal';
+SHOW VERSIONS;
+SHOW VIEW AsiaCustomers;
+LOAD VIEWS '$EDGE/pool; of views';
+LOAD MISD '$EDGE/no such.misd';
+READ STALENESS -5;
+READ STALENESS +5;
+READ STALENESS 12abc;
+READ STALENESS 123456789012345678901;
+READ STALENESS soon;
+READ STALENESS 5 x;
+READ STALENESS NONE;
+SHOW REPLICATION x;
+SHOW MKB AT VERSION -1;
+SHOW VIEW 'no such view';
+ENQUEUE RENAME RELATION Client Customer;
+PREVIEW DELETE TABLE Client;
+SYNC DRYRUN DELETE ATTRIBUTE Client;
+SYNC DRYRUN RENAME RELATION Client TO Customer AT VERSION 1;
+DELETE RELATION;
+ROLLBACK TO VERSION 1;
+SHOW MKB;
+EOF
+    run_edge() {
+      rm -rf "$EDGE" && mkdir -p "$EDGE" \
+          && cp "$SRCDIR/tools/demo.misd" "$EDGE/" \
+          && (cd "$SRCDIR" && "$EVECTL" "$@" "$WORK/edge.evectl")
+    }
+    run_edge > "$WORK/edge_local.out" 2> "$WORK/edge_local.err"
+    LOCAL_RC=$?
+    # The script fails on purpose (refusals, missing files), but it must
+    # recover what it checkpointed and journaled.
+    [ "$LOCAL_RC" -eq 1 ] || die "local edge run exited $LOCAL_RC (want 1)"
+    grep -q "^recovered 1 views, 7 relations$" "$WORK/edge_local.out" \
+        || die "the edge run recovered nothing: $(cat "$WORK/edge_local.out")"
+
+    start_eved
+    run_edge --connect "127.0.0.1:$PORT" \
+        > "$WORK/edge_remote.out" 2> "$WORK/edge_remote.err"
+    REMOTE_RC=$?
+    [ "$REMOTE_RC" -eq "$LOCAL_RC" ] \
+        || die "remote edge run exited $REMOTE_RC, local $LOCAL_RC"
+    diff -u "$WORK/edge_local.out" "$WORK/edge_remote.out" \
+        || die "remote edge output is not byte-identical to the local run"
+    diff -u "$WORK/edge_local.err" "$WORK/edge_remote.err" \
+        || die "remote edge stderr is not byte-identical to the local run"
+    kill -TERM "$EVED_PID"
+    wait "$EVED_PID"
+    EVED_PID=""
     ;;
 
   crash_recover)

@@ -15,6 +15,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -41,6 +43,78 @@ const char* const kCreateView =
     "SELECT C.Name (true, true), C.Age (true, true) "
     "FROM Customer C (true, true) "
     "WHERE (C.Age = 30) (true, true)";
+
+// Runs one statement and returns its code (0 = ok), output and error, the
+// way a client sees it.
+using StatementRunner = std::function<Response(const std::string&)>;
+
+StatementRunner LocalRunner(Console* console) {
+  return [console](const std::string& statement) {
+    std::ostringstream out;
+    std::ostringstream err;
+    Response response;
+    response.code = console->Run(statement, out, err) ? 0 : 1;
+    response.output = out.str();
+    response.error = err.str();
+    return response;
+  };
+}
+
+StatementRunner RemoteRunner(NetClient* client) {
+  return [client](const std::string& statement) {
+    Result<Response> response = client->Run(statement);
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    return response.ok() ? response.value() : Response{};
+  };
+}
+
+// '...' with each ' doubled: how a statement spells a path argument.
+// Written out here, not through QuoteArgument, so the statements these
+// tests send do not depend on the code they check.
+std::string Quoted(const std::string& path) {
+  std::string quoted = "'";
+  for (const char c : path) {
+    quoted += c;
+    if (c == '\'') quoted += c;
+  }
+  return quoted + "'";
+}
+
+// Saves, journals, checkpoints and recovers through files under `dir`,
+// whose name may hold a space or a quote; returns the transcript of
+// outputs and errors. Every statement must succeed.
+std::string RunPathStatements(const StatementRunner& run,
+                              const std::string& dir) {
+  const std::string misd = dir + "/schema.misd";
+  const std::string views = dir + "/pool.views";
+  const std::string wal = dir + "/w.wal";
+  const std::string ckpt = dir + "/c.ckpt";
+  for (const std::string& file : {misd, views, wal, ckpt}) {
+    std::remove(file.c_str());
+  }
+  std::string transcript;
+  for (const std::string& statement : {
+           std::string(kDefineCustomer),
+           std::string(kDefineFlight),
+           std::string(kCreateView),
+           "SAVE MISD " + Quoted(misd),
+           "SAVE VIEWS " + Quoted(views),
+           "JOURNAL " + Quoted(wal),
+           "CHECKPOINT " + Quoted(ckpt),
+           std::string("RENAME RELATION Customer TO Client"),
+           "RECOVER " + Quoted(ckpt) + " " + Quoted(wal),
+           std::string("SHOW VIEWS"),
+           std::string("SHOW MKB"),
+           "LOAD MISD " + Quoted(misd),
+           "LOAD VIEWS " + Quoted(views),
+           std::string("SHOW VIEWS"),
+       }) {
+    const Response response = run(statement);
+    EXPECT_EQ(response.code, 0) << statement << "\n" << response.error;
+    transcript += response.output + response.error;
+  }
+  return transcript;
+}
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -163,6 +237,59 @@ TEST_F(ServerTest, ShowServerStatsAnswersFromCounters) {
   EXPECT_NE(response->output.find("server: accepted=1"), std::string::npos)
       << response->output;
   EXPECT_NE(response->output.find("shed_overload=0"), std::string::npos);
+}
+
+TEST_F(ServerTest, ServedReadStalenessRefusesWhatTheConsoleRefuses) {
+  // One rule decides READ STALENESS: the same forms, the same integer rule
+  // and the same texts locally and served; a served refusal answers
+  // kInvalidArgument.
+  StartServer();
+  NetClient client = MustConnect();
+  Console local;
+  const StatementRunner local_run = LocalRunner(&local);
+  for (const std::string value :
+       {"-5", "+5", "12abc", "123456789012345678901"}) {
+    const std::string statement = "READ STALENESS " + value;
+    const std::string refusal =
+        "error: expected a non-negative integer, got " + value + "\n";
+    Result<Response> served = client.Run(statement);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served->code,
+              static_cast<int32_t>(StatusCode::kInvalidArgument))
+        << statement;
+    EXPECT_EQ(served->error, refusal);
+    EXPECT_EQ(served->output, "");
+    EXPECT_EQ(local_run(statement).error, refusal);
+  }
+  for (const std::string statement :
+       {"READ STALENESS 5", "READ STALENESS 5 x", "read staleness none",
+        "READ STALENESS NONE x", "READ STALENESS soon"}) {
+    const Response mine = local_run(statement);
+    Result<Response> served = client.Run(statement);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served->output, mine.output) << statement;
+    EXPECT_EQ(served->error, mine.error) << statement;
+    EXPECT_EQ(served->code == 0, mine.code == 0) << statement;
+  }
+}
+
+TEST_F(ServerTest, ServedPathArgumentsMayHoldSpacesAndQuotes) {
+  for (const std::string name : {"eve served dir", "eve served it's"}) {
+    const std::string dir = ::testing::TempDir() + name;
+    std::filesystem::create_directories(dir);
+    Console local;
+    const std::string expected = RunPathStatements(LocalRunner(&local), dir);
+    EXPECT_NE(expected.find("recovered 1 views, 2 relations\n"),
+              std::string::npos)
+        << expected;
+    StartServer();
+    NetClient client = MustConnect();
+    EXPECT_EQ(RunPathStatements(RemoteRunner(&client), dir), expected);
+    server_->Stop();
+    server_->WaitUntilStopped();
+    server_.reset();
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST_F(ServerTest, PerRequestWorkBudgetPropagatesAndRestores) {
@@ -606,11 +733,14 @@ TEST(ConsoleTest, IntegerArgumentsAcceptOnlyPlainDecimals) {
     EXPECT_EQ(err.str(),
               "error: SET SYNC BUDGET expects a non-negative integer, got " +
                   value + "\n");
-    std::ostringstream at_out;
-    std::ostringstream at_err;
-    EXPECT_FALSE(console.Run("SHOW MKB AT VERSION " + value, at_out, at_err));
-    EXPECT_EQ(at_err.str(),
-              "error: expected a non-negative integer, got " + value + "\n");
+    for (const std::string& statement :
+         {"SHOW MKB AT VERSION " + value, "READ STALENESS " + value}) {
+      std::ostringstream at_out;
+      std::ostringstream at_err;
+      EXPECT_FALSE(console.Run(statement, at_out, at_err));
+      EXPECT_EQ(at_err.str(),
+                "error: expected a non-negative integer, got " + value + "\n");
+    }
   }
   EXPECT_EQ(console.system().sync_candidate_budget(), 0u);
   std::ostringstream out;
@@ -650,6 +780,147 @@ TEST(ConsoleTest, TickPrintsEveryReportOfADeparture) {
   EXPECT_LT(first, second) << text;
   EXPECT_NE(text.find("view V1: DISABLED"), std::string::npos) << text;
   EXPECT_NE(text.find("view V2: DISABLED"), std::string::npos) << text;
+}
+
+TEST(ConsoleTest, PathArgumentsMayHoldSpacesAndQuotes) {
+  // Each path is one quoted word however many spaces it holds, and ''
+  // inside it is a quote: RECOVER restores the checkpointed relations and
+  // views, and every statement names the path it used.
+  for (const std::string name : {"eve path dir", "eve path it's"}) {
+    const std::string dir = ::testing::TempDir() + name;
+    std::filesystem::create_directories(dir);
+    Console console;
+    const std::string transcript =
+        RunPathStatements(LocalRunner(&console), dir);
+    for (const std::string& line : {
+             "saved MKB to " + dir + "/schema.misd\n",
+             "saved 1 views to " + dir + "/pool.views\n",
+             "journaling to " + dir + "/w.wal\n",
+             "checkpointed to " + dir + "/c.ckpt\n",
+             std::string("recovered 1 views, 2 relations\n"),
+             "loaded 2 relations, 0 join constraints, 0 function-of "
+             "constraints, 0 PC constraints from " +
+                 dir + "/schema.misd\n",
+             "loaded 1 views from " + dir + "/pool.views\n",
+         }) {
+      EXPECT_NE(transcript.find(line), std::string::npos)
+          << line << "in:\n" << transcript;
+    }
+    // The recovered MKB holds the rename journaled after the checkpoint.
+    EXPECT_NE(transcript.find("IS1.Client(Name: string, Age: int)\n"),
+              std::string::npos)
+        << transcript;
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(ConsoleTest, LoadViewsCountsTheViewsOfTheFile) {
+  const std::string path = ::testing::TempDir() + "console_count.views";
+  std::ostringstream out;
+  std::ostringstream err;
+  Console saver;
+  ASSERT_TRUE(saver.Run(kDefineCustomer, out, err)) << err.str();
+  for (const char* name : {"A", "B", "C"}) {
+    ASSERT_TRUE(saver.Run(std::string("CREATE VIEW ") + name +
+                              " AS SELECT C.Name FROM Customer C",
+                          out, err))
+        << err.str();
+  }
+  ASSERT_TRUE(saver.Run("SAVE VIEWS '" + path + "'", out, err)) << err.str();
+
+  Console loader;
+  ASSERT_TRUE(loader.Run(kDefineCustomer, out, err)) << err.str();
+  ASSERT_TRUE(loader.Run(kCreateView, out, err)) << err.str();
+  std::ostringstream loaded;
+  ASSERT_TRUE(loader.Run("LOAD VIEWS '" + path + "'", loaded, err))
+      << err.str();
+  EXPECT_EQ(loaded.str(), "loaded 3 views from " + path + "\n");
+  EXPECT_EQ(loader.system().NumViews(), 4u);
+  std::remove(path.c_str());
+}
+
+// --- ParseStatement: the one reading of a statement ------------------------
+
+TEST(ParseStatementTest, EveryReferenceFormHasItsRoute) {
+  // Every statement form of evectl's reference (tools/evectl.cc), plus the
+  // server's own SHOW SERVER STATS.
+  const std::vector<std::pair<std::string, Route>> table = {
+      {"LOAD MISD 'a.misd'", Route::kWrite},
+      {"SAVE MISD 'a.misd'", Route::kWrite},
+      {"LOAD VIEWS 'a.views'", Route::kWrite},
+      {"SAVE VIEWS 'a.views'", Route::kWrite},
+      {"SHOW MKB", Route::kSnapshotRead},
+      {"SHOW HYPERGRAPH", Route::kSnapshotRead},
+      {"SHOW VIEWS", Route::kSnapshotRead},
+      {"SHOW VIEW V1", Route::kSnapshotRead},
+      {"show view V1", Route::kSnapshotRead},
+      {kCreateView, Route::kWrite},
+      {kDefineCustomer, Route::kWrite},
+      {"RETRACT JC1", Route::kWrite},
+      {"SET SYNC BUDGET 3", Route::kWrite},
+      {"SET SYNC WORKBUDGET 3", Route::kWrite},
+      {"SET SYNC DEADLINE 3", Route::kWrite},
+      {"SET SYNC QUEUE 3", Route::kWrite},
+      {"ENQUEUE DELETE RELATION R", Route::kWrite},
+      {"ENQUEUE RENAME RELATION R TO S", Route::kWrite},
+      {"DRAIN", Route::kWrite},
+      {"SHOW SYNC STATS", Route::kReadOnly},
+      {"SHOW EXECUTOR STATS", Route::kReadOnly},
+      {"PREVIEW DELETE RELATION R", Route::kWrite},
+      {"PREVIEW RENAME ATTRIBUTE R.A TO B", Route::kWrite},
+      {"SYNC DRYRUN DELETE RELATION R", Route::kWrite},
+      {"SYNC DRYRUN RENAME RELATION R TO S AT VERSION 2", Route::kWrite},
+      {"SHOW VERSIONS", Route::kReadOnly},
+      {"SHOW MKB AT VERSION 2", Route::kReadOnly},
+      {"SHOW VIEWS AT VERSION 2", Route::kReadOnly},
+      {"ROLLBACK TO VERSION 2", Route::kWrite},
+      {"SCRUB", Route::kReadOnly},
+      {"SHOW SCRUB STATS", Route::kReadOnly},
+      {"DELETE RELATION R", Route::kWrite},
+      {"DELETE ATTRIBUTE R.A", Route::kWrite},
+      {"RENAME RELATION R TO S", Route::kWrite},
+      {"RENAME ATTRIBUTE R.A TO B", Route::kWrite},
+      {"TRACK SOURCES", Route::kWrite},
+      {"SHOW SOURCES", Route::kReadOnly},
+      {"SET SOURCE IS1 LEASE 5", Route::kWrite},
+      {"SET SOURCE IS1 PROBE 5", Route::kWrite},
+      {"SET SOURCE IS1 BREAKER 5", Route::kWrite},
+      {"FAULT SOURCE IS1 TIMEOUT FROM 1 TO 5", Route::kWrite},
+      {"TICK 5", Route::kWrite},
+      {"JOURNAL 'w.wal'", Route::kWrite},
+      {"CHECKPOINT 'c.ckpt'", Route::kWrite},
+      {"RECOVER 'c.ckpt' 'w.wal'", Route::kWrite},
+      {"SHOW REPLICATION", Route::kShowReplication},
+      {"SHOW REPLICATION x", Route::kShowReplication},
+      {"READ STALENESS 5", Route::kReadStaleness},
+      {"READ STALENESS NONE", Route::kReadStaleness},
+      {"READ STALENESS 5 x", Route::kReadStaleness},
+      {"READ STALENESS", Route::kWrite},
+      {"SHOW SERVER STATS", Route::kServerStats},
+      {"SHOW SERVER STATS x", Route::kReadOnly},
+      {"", Route::kWrite},
+  };
+  for (const auto& [statement, route] : table) {
+    EXPECT_EQ(ParseStatement(statement).route, route) << statement;
+  }
+}
+
+TEST(ParseStatementTest, QuotedTokensStayWhole) {
+  using Words = std::vector<std::string>;
+  EXPECT_EQ(ParseStatement("RECOVER '/a b/c.ckpt'\t'it''s; w.wal'").words,
+            (Words{"RECOVER", "'/a b/c.ckpt'", "'it''s; w.wal'"}));
+  EXPECT_EQ(ParseStatement("  SHOW VIEW \"My View\"\n").words,
+            (Words{"SHOW", "VIEW", "\"My View\""}));
+  EXPECT_EQ(ParseStatement("SHOW VIEW \"My View\"").route,
+            Route::kSnapshotRead);
+  // Words without quoted whitespace split exactly as before.
+  EXPECT_EQ(ParseStatement("WHERE F.\"Date\" = 'x'").words,
+            (Words{"WHERE", "F.\"Date\"", "=", "'x'"}));
+  EXPECT_EQ(ParseStatement("LOAD MISD 'open").words,
+            (Words{"LOAD", "MISD", "'open"}));
+  EXPECT_EQ(QuoteArgument("it's a b"), "'it''s a b'");
+  EXPECT_EQ(ParseStatement("JOURNAL " + QuoteArgument("x' y")).words,
+            (Words{"JOURNAL", "'x'' y'"}));
 }
 
 // --- SplitStatements line accounting (the evectl file:line contract) --------

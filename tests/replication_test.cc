@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -596,7 +597,7 @@ class ClusterTest : public ::testing::Test {
     options.repl.cluster = ClusterMap();
     options.repl.primary_of = primary_of;
     options.repl.data_dir = member.data_dir;
-    options.repl.lease_micros = 400'000;
+    options.repl.lease_micros = lease_micros_;
     options.repl.heartbeat_micros = 30'000;
     options.repl.ack_replicas = ack_replicas;
     options.repl.ack_timeout_micros = ack_timeout_micros;
@@ -652,6 +653,7 @@ class ClusterTest : public ::testing::Test {
   // When non-zero, StartNode overrides snapshot_chunk_bytes (tests shrink
   // it to force multi-chunk bootstrap transfers).
   size_t snapshot_chunk_bytes_ = 0;
+  uint64_t lease_micros_ = 400'000;
 };
 
 TEST_F(ClusterTest, ShipsApplyAndConvergeByteIdentical) {
@@ -764,6 +766,85 @@ TEST_F(ClusterTest, ReadStalenessBoundGatesReplicaReads) {
   ASSERT_TRUE(bad.ok());
   EXPECT_EQ(bad.value().code,
             static_cast<int32_t>(StatusCode::kInvalidArgument));
+}
+
+TEST_F(ClusterTest, ReplicaSessionEnforcesTheBoundItsEchoNames) {
+  // A replica whose primary never comes up has no live heartbeat, so every
+  // finite bound refuses its reads, naming the bound it enforced. A long
+  // lease keeps it a replica for the whole test.
+  lease_micros_ = 60'000'000;
+  Plan(2);
+  StartNode(1, "n1");
+  NetClient replica = ClientFor(1);
+  const auto read_refusal = [&replica] {
+    Result<Response> read = replica.Run("SHOW MKB");
+    EXPECT_TRUE(read.ok()) << read.status().ToString();
+    return read.ok() ? read.value().error : "";
+  };
+  const auto unsatisfiable = [](const std::string& bound) {
+    return "error: replica lag unknown (no live primary heartbeat); "
+           "staleness bound " +
+           bound + " not satisfiable\n";
+  };
+  for (const auto& [statement, echo, refusal] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"READ STALENESS 7", "7", unsatisfiable("7")},
+           {"READ STALENESS NONE x", "none", ""},
+           {"READ STALENESS 5 x", "5", unsatisfiable("5")},
+           {"read staleness none", "none", ""},
+           {"READ STALENESS 0 trailing words", "0", unsatisfiable("0")},
+       }) {
+    Result<Response> set = replica.Run(statement);
+    ASSERT_TRUE(set.ok()) << set.status().ToString();
+    EXPECT_EQ(set.value().code, 0) << statement;
+    EXPECT_EQ(set.value().output, "read staleness bound = " + echo + "\n")
+        << statement;
+    EXPECT_EQ(read_refusal(), refusal) << statement;
+  }
+  // A refused bound leaves the session's bound as it was (0 here).
+  Result<Response> bad = replica.Run("READ STALENESS -5");
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  EXPECT_EQ(bad.value().code,
+            static_cast<int32_t>(StatusCode::kInvalidArgument));
+  EXPECT_EQ(bad.value().error,
+            "error: expected a non-negative integer, got -5\n");
+  EXPECT_EQ(read_refusal(), unsatisfiable("0"));
+
+  // SHOW REPLICATION with a trailing word is answered by the hub too.
+  Result<Response> status = replica.Run("SHOW REPLICATION x");
+  ASSERT_TRUE(status.ok()) << status.status().ToString();
+  EXPECT_NE(status.value().output.find("role=replica"), std::string::npos)
+      << status.value().output;
+  EXPECT_NE(status.value().output, "replication: disabled\n");
+}
+
+TEST_F(ClusterTest, DataDirWithASpaceRestartsOntoItsCheckpointAndWal) {
+  Plan(1);
+  nodes_[0].data_dir = FreshDir("data dir");
+  StartNode(0, "", /*ack_replicas=*/0);
+  ASSERT_FALSE(HasFatalFailure());
+  {
+    NetClient client = ClientFor(0);
+    for (const std::string& statement :
+         {Define(1), Define(2),
+          "CHECKPOINT '" + nodes_[0].data_dir + "/checkpoint'", Define(3)}) {
+      Result<Response> response = client.Run(statement);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_EQ(response.value().code, 0) << response.value().error;
+    }
+  }
+  // Rel1 and Rel2 are only in the checkpoint (it reset the WAL), Rel3 only
+  // in the WAL.
+  nodes_[0].node->Stop();
+  nodes_[0].node->WaitUntilStopped();
+  nodes_[0].node.reset();
+  StartNode(0, "", /*ack_replicas=*/0);
+  ASSERT_FALSE(HasFatalFailure());
+  const std::string mkb = ShowMkb(0);
+  for (const char* relation : {"IS1.Rel1(", "IS2.Rel2(", "IS3.Rel3("}) {
+    EXPECT_NE(mkb.find(relation), std::string::npos) << relation << "\n"
+                                                     << mkb;
+  }
 }
 
 TEST_F(ClusterTest, ShowReplicationReportsRolesAndLag) {
@@ -1077,7 +1158,7 @@ TEST_F(ClusterTest, MetricsEndpointServesAdmissionAndReplicationGauges) {
     options.repl.node_id = member.id;
     options.repl.cluster = ClusterMap();
     options.repl.data_dir = member.data_dir;
-    options.repl.lease_micros = 400'000;
+    options.repl.lease_micros = lease_micros_;
     options.repl.heartbeat_micros = 30'000;
     options.repl.ack_replicas = 0;
     options.metrics_port = ReservePort();

@@ -101,6 +101,10 @@
 //                                            journal replay (crash recovery)
 //   -- comments run to end of line
 //
+// A quoted argument ('<path>' above, or a "quoted identifier") is one word
+// and may hold spaces or ';'. Inside '...', '' stands for one quote:
+// LOAD MISD 'it''s here.misd' loads the file "it's here.misd".
+//
 // The statement language is implemented by net/console.h (shared with
 // eved). Every capability change prints the EVE change report (rewritten /
 // disabled views, dropped constraints).
