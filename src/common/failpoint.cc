@@ -37,8 +37,11 @@ Status Failpoints::Hit(const char* site) {
   FailpointAction fired_action;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++hits_[site];
-    auto it = armed_.find(site);
+    const std::string_view name(site);
+    auto hit = hits_.find(name);
+    if (hit == hits_.end()) hit = hits_.emplace(name, 0).first;
+    ++hit->second;
+    auto it = armed_.find(name);
     if (it == armed_.end()) return Status::OK();
     if (--it->second.remaining > 0) return Status::OK();
     fired_action = it->second.action;

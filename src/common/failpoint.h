@@ -191,8 +191,10 @@ class Failpoints {
   Failpoints();
 
   mutable std::mutex mu_;
-  std::map<std::string, Arming> armed_;
-  std::map<std::string, uint64_t> hits_;
+  // Transparent comparators: a hit looks its site up without building a
+  // std::string; only a site's first hit allocates its counter.
+  std::map<std::string, Arming, std::less<>> armed_;
+  std::map<std::string, uint64_t, std::less<>> hits_;
 };
 
 }  // namespace eve

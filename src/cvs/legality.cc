@@ -66,11 +66,10 @@ LegalityReport CheckLegality(
   }
 
   // --- P2: evaluable over MKB' ---------------------------------------------
-  const Result<ViewDefinition> rebound =
-      BindView(new_view.ToParsedView(), mkb_prime.catalog());
-  report.p2_evaluable = rebound.ok();
-  if (!rebound.ok()) {
-    report.violations.push_back("P2: " + rebound.status().ToString());
+  const Status evaluable = CheckBoundView(new_view, mkb_prime.catalog());
+  report.p2_evaluable = evaluable.ok();
+  if (!evaluable.ok()) {
+    report.violations.push_back("P2: " + evaluable.ToString());
   }
 
   // --- P3: view-extent parameter ------------------------------------------

@@ -29,9 +29,9 @@
 #define EVE_CVS_TOP_K_DRIVER_H_
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -129,12 +129,14 @@ void RunTopK(TopKRequest request, Stream* stream, Splice splice,
          !stream->deadline_stopped()) {
     if (top_k.Excludes(stream->NextLowerBound())) {
       terminated_early = true;
-      std::ostringstream note;
-      note << "top-k early termination: next candidate lower bound "
-           << stream->NextLowerBound() << " >= k-th best cost "
-           << top_k.KthBest() << " with " << stream->PendingStates()
-           << " queue states unexplored";
-      result->diagnostics.push_back(note.str());
+      // %g prints a double as operator<< does.
+      char note[192];
+      std::snprintf(note, sizeof note,
+                    "top-k early termination: next candidate lower bound %g "
+                    ">= k-th best cost %g with %zu queue states unexplored",
+                    stream->NextLowerBound(), top_k.KthBest(),
+                    stream->PendingStates());
+      result->diagnostics.push_back(note);
       break;
     }
     if (pull_limit > 0 && pulled >= pull_limit) {

@@ -14,13 +14,24 @@
 
 namespace eve {
 
-// Binds `parsed` against `catalog`. Checks:
-//  * every FROM relation exists; no relation appears twice (paper Sec. 4),
-//  * every column reference resolves to exactly one FROM relation,
-//  * SELECT expressions and WHERE clauses type-check,
-//  * the explicit column-name list (if given) matches the SELECT arity.
+// Binds `parsed` against `catalog`: checks that the explicit column-name
+// list (if given) matches the SELECT arity and that no FROM alias repeats,
+// resolves the aliases, then runs CheckBoundView.
 Result<ViewDefinition> BindView(const ParsedView& parsed,
                                 const Catalog& catalog);
+
+// BindView's checks of a view whose qualifiers are FROM relation names (an
+// unqualified column must name an attribute of exactly one of them), run on
+// the view as it is:
+//  * SELECT and FROM are not empty,
+//  * every FROM relation exists; no relation appears twice (paper Sec. 4),
+//  * every column's qualifier is in FROM and its attribute in `catalog`,
+//  * SELECT items type-check to a non-NULL type, with distinct output names,
+//  * WHERE clauses type-check to boolean.
+// Returns the first failure in BindView's order and words, so on a bound
+// view it answers as BindView(view.ToParsedView(), catalog) does, without
+// rebuilding the view. This is Def. 1's P2 (cvs/legality.h).
+Status CheckBoundView(const ViewDefinition& view, const Catalog& catalog);
 
 // Convenience: parse + bind.
 Result<ViewDefinition> ParseAndBindView(std::string_view text,

@@ -8,7 +8,6 @@
 
 #include "common/failpoint.h"
 #include "common/str_util.h"
-#include "cvs/explain.h"
 #include "esql/binder.h"
 #include "eve/journal.h"
 #include "eve/view_pool_io.h"
@@ -47,28 +46,38 @@ bool CountBoundTruncated(const EnumerationStats& stats) {
 }
 
 // The detail of a view's kRewritten outcome line: the kind of rewriting,
-// its extent, and what it replaced, dropped and joined in.
+// its extent, how many attributes it replaced and dropped, and the
+// relations it joined in.
 std::string RewrittenDetail(const ViewDefinition& original,
                             const SynchronizedView& best) {
-  const RewritingExplanation explanation = ExplainRewriting(original, best);
+  const ViewDefinition& rewritten = best.view;
   std::string detail = best.is_drop ? "drop-based" : "replacement-based";
-  detail += ", extent " +
-            std::string(ExtentRelationToString(best.legality.inferred_extent));
-  if (!explanation.replaced_attributes.empty()) {
+  detail += ", extent ";
+  detail += ExtentRelationToString(best.legality.inferred_extent);
+  if (!best.candidate.replacements.empty()) {
     detail += "; replaced " +
-              std::to_string(explanation.replaced_attributes.size()) +
+              std::to_string(best.candidate.replacements.size()) +
               " attribute(s)";
   }
-  if (!explanation.dropped_attributes.empty()) {
-    detail += "; dropped " +
-              std::to_string(explanation.dropped_attributes.size()) +
-              " attribute(s)";
+  const auto dropped = std::count_if(
+      original.select().begin(), original.select().end(),
+      [&](const ViewSelectItem& item) {
+        return std::none_of(rewritten.select().begin(),
+                            rewritten.select().end(),
+                            [&](const ViewSelectItem& kept) {
+                              return kept.output_name == item.output_name;
+                            });
+      });
+  if (dropped > 0) {
+    detail += "; dropped " + std::to_string(dropped) + " attribute(s)";
   }
-  if (!explanation.added_relations.empty()) {
-    detail += "; joined in";
-    for (const std::string& rel : explanation.added_relations) {
-      detail += " " + rel;
-    }
+  bool joined = false;
+  for (const ViewRelation& rel : rewritten.from()) {
+    if (original.HasFromRelation(rel.name)) continue;
+    if (!joined) detail += "; joined in";
+    joined = true;
+    detail += ' ';
+    detail += rel.name;
   }
   return detail;
 }
@@ -531,29 +540,24 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
 
   // Step 2: detect affected views. The report lists the unaffected ones
   // through the shared active-view list, not one outcome per view.
-  const std::vector<std::string> affected = AffectedViews(change);
-  prepared.affected = affected;
+  prepared.affected = AffectedViews(change);
+  const std::vector<std::string>& affected = prepared.affected;
   if (options_.report_unaffected) report.active_views = ActiveViewList();
 
-  // Step 3: synchronize each affected view. All mutations land on a delta
-  // map holding just the affected views, so discarding the PreparedChange
-  // (the dry-run/abort path) leaves this system untouched and a prepare
-  // costs O(affected), not O(pool); the delta, the evolved MKB and the log
-  // entry commit together in CommitPrepared.
+  // Step 3: synchronize each affected view. The results stay in the
+  // PreparedChange, so discarding it (the dry-run/abort path) leaves this
+  // system untouched and a prepare costs O(affected), not O(pool); the
+  // rewritings, the evolved MKB and the log entry commit together in
+  // CommitPrepared, which writes them into the pool in place.
   //
   // The per-view work is independent across views: each view's CVS run
   // reads the shared SyncContext (MKB, MKB', the lazily built join graph
   // of MKB' and its shared join-tree searches), and the view's half of
-  // its outcome (explanation, detail line, renamed rewriting, degraded
-  // sources) reads only that run, so a delete's views fan out across the
-  // sync pool into private slots. Everything order-dependent — merging
-  // the stats, the outcome appends, journaling, the commit — happens on
-  // this thread in view-name order, making the result byte-identical at
-  // any parallelism.
-  std::map<std::string, RegisteredView> next_views;
-  for (const std::string& name : affected) {
-    next_views.emplace(name, views_.at(name));
-  }
+  // its outcome (detail line, renamed rewriting, degraded sources) reads
+  // only that run, so a delete's views fan out across the sync pool into
+  // private slots. Everything order-dependent — merging the stats, the
+  // outcome appends, journaling, the commit — happens on this thread in
+  // view-name order, making the result byte-identical at any parallelism.
   prepared.next_mkb = std::make_shared<const Mkb>(std::move(evolution.mkb));
   const SyncContext context(base.mkb, prepared.next_mkb,
                             prepared.base_version);
@@ -588,12 +592,16 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
     Status status;  // the CVS run's error, or an injected one
     EnumerationStats enumeration;
     bool preserved = false;
-    ViewDefinition definition;  // the rewriting, under the registered name
     std::string detail;                 // the outcome line's detail
     std::vector<std::string> degraded;  // degraded sources it leans on
   };
   const Catalog& next_catalog = prepared.next_mkb->catalog();
   std::vector<ViewSync> slots(affected.size());
+  prepared.rewritings.resize(affected.size());
+  // Whether a rewriting can lean on a degraded source at all.
+  const bool any_degraded =
+      std::any_of(membership_.begin(), membership_.end(),
+                  [](const auto& row) { return row.second.Degraded(); });
   std::vector<std::exception_ptr> crashes(affected.size());
   ParallelFor(pool, affected.size(), [&](size_t i) {
     try {
@@ -621,14 +629,17 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
       if (slot.preserved) {
         SynchronizedView& best = result.rewritings.front();
         slot.detail = RewrittenDetail(original, best);
-        slot.definition = std::move(best.view);
-        slot.definition.set_name(affected[i]);  // keep the registered name
+        ViewDefinition& rewriting = prepared.rewritings[i];
+        rewriting = std::move(best.view);
+        rewriting.set_name(affected[i]);  // keep the registered name
         // Degraded-mode bookkeeping: when the chosen rewriting leans on a
         // SUSPECT/QUARANTINED source, its constraints came from that
         // source's last-known snapshot, so the rewriting is provisional
         // until the source heals (SetSourceMembership clears the marks)
         // or departs.
-        slot.degraded = DegradedSourcesOf(slot.definition, next_catalog);
+        if (any_degraded) {
+          slot.degraded = DegradedSourcesOf(rewriting, next_catalog);
+        }
       } else {
         for (const std::string& diagnostic : result.diagnostics) {
           if (!slot.detail.empty()) slot.detail += "; ";
@@ -646,7 +657,6 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
   EnumerationStats sync_stats;
   sync_stats.exhausted = true;  // MergeFrom ANDs; vacuously true for none
   SyncDiagnostics diagnostics;
-  const std::string change_text = change.ToString();
   for (size_t slot = 0; slot < affected.size(); ++slot) {
     const std::string& name = affected[slot];
     ViewSync& synced = slots[slot];
@@ -659,30 +669,14 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
     } else if (CountBoundTruncated(synced.enumeration)) {
       diagnostics.truncated_views.push_back(name);
     }
-    RegisteredView& registered = next_views.at(name);
-    if (synced.preserved) {
-      registered.definition = std::move(synced.definition);
-      registered.history.push_back("rewritten under " + change_text);
-      registered.provisional_sources =
-          std::set<std::string>(synced.degraded.begin(), synced.degraded.end());
-      ViewOutcome outcome{name, ViewOutcomeKind::kRewritten,
-                          std::move(synced.detail), {}};
-      outcome.provisional_sources = std::move(synced.degraded);
-      report.outcomes.push_back(std::move(outcome));
-    } else {
-      registered.state = ViewState::kDisabled;
-      registered.provisional_sources.clear();
-      registered.history.push_back("disabled under " + change_text);
-      report.outcomes.push_back(ViewOutcome{name, ViewOutcomeKind::kDisabled,
-                                            std::move(synced.detail), {}});
-    }
-    // Rewritten or disabled, the view was synchronized against `base` and
-    // will carry the version this change commits (base + 1).
-    registered.synced_at_version = prepared.base_version + 1;
+    report.outcomes.push_back(ViewOutcome{
+        name,
+        synced.preserved ? ViewOutcomeKind::kRewritten
+                         : ViewOutcomeKind::kDisabled,
+        std::move(synced.detail), std::move(synced.degraded)});
   }
   last_sync_stats_ = sync_stats;
   last_sync_diagnostics_ = std::move(diagnostics);
-  prepared.next_views = std::move(next_views);
   EVE_FAILPOINT(fp::kPrepareChangeComplete);
   return prepared;
 }
@@ -711,23 +705,35 @@ Result<ChangeReport> EveSystem::CommitPrepared(PreparedChange prepared) {
   // deferred past the swap and models a response lost after commit. A
   // simulated CRASH may throw here: recovery replays to the post state.
   Status deferred = Failpoints::Instance().Hit(fp::kVersionBeforeSwap);
-  // Re-index the synchronized views: out with the pre-change definitions,
-  // in with the rewritten ones (a disabled view keeps its definition and
-  // thus its index entries). next_views is a delta of just the affected
-  // views; unaffected entries are untouched.
-  for (const std::string& name : prepared.affected) {
-    UnindexView(name, views_.at(name).definition);
-  }
+  // Write each affected view's synchronization into the pool in place. A
+  // rewritten view is re-indexed under its new definition; a disabled one
+  // keeps its definition and thus its index entries.
   mkb_tip_ = prepared.next_mkb;
-  for (auto& [name, synced] : prepared.next_views) {
-    if (synced.state != ViewState::kActive) InvalidateActiveViews();
-    MutableView(name) = std::move(synced);
-  }
-  for (const std::string& name : prepared.affected) {
-    IndexView(name, views_.at(name).definition);
+  const std::string change_text = prepared.change.ToString();
+  for (size_t i = 0; i < prepared.affected.size(); ++i) {
+    const std::string& name = prepared.affected[i];
+    const ViewOutcome& outcome = prepared.report.outcomes[i];
+    RegisteredView& view = MutableView(name);
+    if (outcome.kind == ViewOutcomeKind::kRewritten) {
+      UnindexView(name, view.definition);
+      view.definition = std::move(prepared.rewritings[i]);
+      IndexView(name, view.definition);
+      view.history.push_back("rewritten under " + change_text);
+      view.provisional_sources =
+          std::set<std::string>(outcome.provisional_sources.begin(),
+                                outcome.provisional_sources.end());
+    } else {
+      InvalidateActiveViews();
+      view.state = ViewState::kDisabled;
+      view.provisional_sources.clear();
+      view.history.push_back("disabled under " + change_text);
+    }
+    // Rewritten or disabled, the view was synchronized against the base
+    // version and carries the version this change commits.
+    view.synced_at_version = prepared.base_version + 1;
   }
   change_log_.push_back(prepared.report);
-  CommitVersion(prepared.change.ToString(), prepared.changed_segments);
+  CommitVersion(change_text, prepared.changed_segments);
   const Status after = Failpoints::Instance().Hit(fp::kVersionAfterSwap);
   if (deferred.ok()) deferred = after;
   // Past this point the change is committed both durably and in memory; an

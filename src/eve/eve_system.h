@@ -460,20 +460,22 @@ class EveSystem {
     CapabilityChange change;
     uint64_t base_version = 0;  // tip id the prepare ran against
     std::shared_ptr<const Mkb> next_mkb;
-    // Post-sync state of ONLY the affected views (a delta, not a pool
-    // copy — prepare must stay O(affected) on million-view pools).
-    std::map<std::string, RegisteredView> next_views;
+    // The affected views, name-sorted; report.outcomes[i] is affected[i]'s
+    // outcome and, when it is kRewritten, rewritings[i] its new definition.
+    // No view is copied: prepare stays O(affected) on million-view pools.
     std::vector<std::string> affected;
+    std::vector<ViewDefinition> rewritings;
     ChangeReport report;
     // The MISD segments the evolution changed (MkbEvolutionReport).
     MkbSegmentSet changed_segments;
   };
   Result<PreparedChange> PrepareChange(const CapabilityChange& change) const;
   // Journals kApplyChange and kVersionCommit with one write and one fsync,
-  // swaps the tip pointer and view pool, and commits the new version. Fails
-  // with kFailedPrecondition if the tip advanced since the prepare, and
-  // with the journal's error (nothing journaled, nothing changed) if the
-  // append fails.
+  // swaps the tip pointer, writes the affected views in place (definition,
+  // state, history line, provisional marks, stamp) and commits the new
+  // version. Fails with kFailedPrecondition if the tip advanced since the
+  // prepare, and with the journal's error (nothing journaled, nothing
+  // changed) if the append fails.
   Result<ChangeReport> CommitPrepared(PreparedChange prepared);
 
   // Commits the current live state as a new version. Only the blocks of

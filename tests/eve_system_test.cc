@@ -479,6 +479,69 @@ TEST_F(EveSystemTest, FailedBatchAppendLeavesNoRecordOfTheBatch) {
   std::remove(path.c_str());
 }
 
+// --- Dry run and commit ------------------------------------------------------
+
+// A dry run renders the report ApplyChange commits and leaves the system as
+// it found it; the commit writes each affected view in place. Run on the
+// batch pool, whose IS4 is suspect (its rewritings are provisional), and on
+// the same pool once IS4 has healed.
+TEST(DryRunTest, RendersWhatTheCommitWritesAndWritesNothing) {
+  for (const bool degraded : {true, false}) {
+    SCOPED_TRACE(degraded ? "IS4 suspect" : "no degraded source");
+    std::unique_ptr<EveSystem> system = MakeBatchSystem();
+    if (!degraded) {
+      ASSERT_TRUE(system
+                      ->SetSourceMembership("IS4",
+                                            federation::MakeHealthy({}, 30))
+                      .ok());
+    }
+    size_t provisional = 0;
+    size_t disabled = 0;
+    for (const CapabilityChange& change :
+         {CapabilityChange::DeleteRelation("R5"),
+          CapabilityChange::RenameAttribute("R4", "P4", "P4x"),
+          CapabilityChange::DeleteAttribute("R4", "P4x"),
+          CapabilityChange::DeleteRelation("R4")}) {
+      SCOPED_TRACE(change.ToString());
+      const PoolSnapshot before = SnapshotPool(*system);
+      const Result<DryRunReport> dry = system->DryRunChange(change);
+      ASSERT_TRUE(dry.ok()) << dry.status();
+      ExpectSamePool(before, SnapshotPool(*system));
+
+      EveSystem committed = *system;
+      const Result<ChangeReport> applied = committed.ApplyChange(change);
+      ASSERT_TRUE(applied.ok()) << applied.status();
+      EXPECT_EQ(dry.value().report.ToString(), applied.value().ToString());
+      ASSERT_FALSE(applied.value().outcomes.empty());
+
+      // Exactly the affected views changed, each as its outcome says.
+      std::vector<std::string> affected;
+      for (const ViewOutcome& outcome : applied.value().outcomes) {
+        affected.push_back(outcome.view_name);
+        const RegisteredView& view =
+            *committed.GetView(outcome.view_name).value();
+        const bool rewritten = outcome.kind == ViewOutcomeKind::kRewritten;
+        EXPECT_EQ(view.state,
+                  rewritten ? ViewState::kActive : ViewState::kDisabled);
+        EXPECT_EQ(view.history.back(),
+                  (rewritten ? "rewritten under " : "disabled under ") +
+                      change.ToString());
+        EXPECT_EQ(view.provisional_sources,
+                  std::set<std::string>(outcome.provisional_sources.begin(),
+                                        outcome.provisional_sources.end()));
+        EXPECT_EQ(view.synced_at_version, committed.current_version());
+        provisional += outcome.provisional_sources.size();
+        disabled += rewritten ? 0 : 1;
+      }
+      EXPECT_EQ(TouchedViews(before, SnapshotPool(committed)), affected);
+      // The next change runs on the committed pool.
+      *system = std::move(committed);
+    }
+    EXPECT_EQ(provisional > 0, degraded);
+    EXPECT_GT(disabled, 0u);
+  }
+}
+
 // --- Reports against the full-outcome-list renderer ------------------------
 
 // ChangeReport::ToString as it was when a report carried one kUnaffected

@@ -751,11 +751,18 @@ TEST_F(ClusterTest, ReadStalenessBoundGatesReplicaReads) {
 
   // Bound 0 right after a write: the replica may pass only once it has
   // caught up AND heard a heartbeat carrying the new tip.
+  Result<Response> exact = replica.Run("READ STALENESS 0");
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(exact.value().output, "read staleness bound = 0\n");
   ASSERT_EQ(primary.Run(Define(2)).value().code, 0);
-  ASSERT_TRUE(WaitUntil([this, &replica] {
+  std::string mkb;
+  ASSERT_TRUE(WaitUntil([&replica, &mkb] {
     const Result<Response> read = replica.Run("SHOW MKB");
-    return read.ok() && read.value().code == 0;
+    if (!read.ok() || read.value().code != 0) return false;
+    mkb = read.value().output;
+    return true;
   }));
+  EXPECT_NE(mkb.find("Rel2"), std::string::npos) << mkb;
 
   // NONE resets the bound.
   Result<Response> none = replica.Run("READ STALENESS NONE");

@@ -333,7 +333,7 @@ TEST_F(DegenerateOptionsTest, EmptySuffixStillNamesViews) {
 
 TEST_F(DegenerateOptionsTest, StaleMkbPrimeRejectedByLegality) {
   // Passing the UN-evolved MKB as MKB' : candidates would still reference
-  // deleted state consistently, but P2 rebinding uses the passed
+  // deleted state consistently, but P2 checks against the passed
   // catalog — which still has Customer, so the rewriting is fine; what
   // must NOT happen is a crash. Verify the call succeeds gracefully.
   const Result<CvsResult> result =
