@@ -129,13 +129,9 @@ std::vector<RegisteredView> Bound(const Mkb& mkb,
   return batch;
 }
 
-// `report_unaffected` off keeps each report's text O(affected); eved
-// leaves it on and sends the whole O(pool) text.
 std::unique_ptr<EveSystem> FreshSystem(const Mkb& mkb,
-                                       const std::vector<ViewDefinition>& pool,
-                                       bool report_unaffected = false) {
+                                       const std::vector<ViewDefinition>& pool) {
   auto system = std::make_unique<EveSystem>(mkb);
-  system->SetReportUnaffected(report_unaffected);
   const Status registered = system->RegisterViews(Bound(mkb, pool));
   if (!registered.ok()) {
     std::cerr << "bulk registration failed: " << registered << "\n";
@@ -185,7 +181,6 @@ void BM_BulkRegistration(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     auto system = std::make_unique<EveSystem>(mkb);
-    system->SetReportUnaffected(false);
     state.ResumeTiming();
     if (!system->RegisterViews(Bound(mkb, pool)).ok()) std::abort();
     state.PauseTiming();
@@ -212,7 +207,6 @@ void BM_LoadViews(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     auto system = std::make_unique<EveSystem>(mkb);
-    system->SetReportUnaffected(false);
     state.ResumeTiming();
     const Clock::time_point t0 = Clock::now();
     const Status loaded = LoadViews(text, system.get());
@@ -236,13 +230,12 @@ BENCHMARK(BM_LoadViews)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 // ApplyChange on the 16,512-view pool, full snapshots: the time per
 // iteration is ms per commit; items/s = commits per second. With
-// `report_unaffected` each iteration also renders the report's text, the
-// path eved runs for every change (every other view listed as unaffected).
-void DisjointCommits(benchmark::State& state, bool report_unaffected) {
+// `render_report` each iteration also renders the report's text, the path
+// eved runs for every change (every other view listed as unaffected).
+void DisjointCommits(benchmark::State& state, bool render_report) {
   const Mkb mkb = BenchMkb();
   const std::vector<ViewDefinition> pool = StreamPool(16384);
-  std::unique_ptr<EveSystem> system =
-      FreshSystem(mkb, pool, report_unaffected);
+  std::unique_ptr<EveSystem> system = FreshSystem(mkb, pool);
   size_t i = 0;
   size_t report_bytes = 0;
   for (auto _ : state) {
@@ -251,23 +244,23 @@ void DisjointCommits(benchmark::State& state, bool report_unaffected) {
       std::cerr << "commit failed: " << report.status() << "\n";
       std::abort();
     }
-    if (report_unaffected) report_bytes = report.value().ToString().size();
+    if (render_report) report_bytes = report.value().ToString().size();
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.counters["views"] = static_cast<double>(pool.size());
-  if (report_unaffected) {
+  if (render_report) {
     state.counters["report_bytes"] = static_cast<double>(report_bytes);
   }
 }
 
 void BM_DisjointCommit(benchmark::State& state) {
-  DisjointCommits(state, /*report_unaffected=*/false);
+  DisjointCommits(state, /*render_report=*/false);
 }
 BENCHMARK(BM_DisjointCommit)->Unit(benchmark::kMillisecond);
 
 void BM_DisjointCommitWithReport(benchmark::State& state) {
-  DisjointCommits(state, /*report_unaffected=*/true);
+  DisjointCommits(state, /*render_report=*/true);
 }
 BENCHMARK(BM_DisjointCommitWithReport)->Unit(benchmark::kMillisecond);
 
@@ -359,7 +352,6 @@ void BM_MillionViewLoadAndCommit(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     auto system = std::make_unique<EveSystem>(mkb);
-    system->SetReportUnaffected(false);
     state.ResumeTiming();
     if (!system->RegisterViews(Bound(mkb, pool)).ok()) std::abort();
     if (system->NumViews() != kViews) std::abort();

@@ -116,7 +116,7 @@ int ConnectNonblocking(uint16_t port) {
 std::string HalfFrame() {
   const std::string whole = net::EncodeFrame(
       net::FrameType::kRequest,
-      net::EncodeRequest(net::Request{1, 0, 0, "SHOW MKB"}));
+      net::EncodeRequest(net::Request{1, "SHOW MKB"}));
   return whole.substr(0, whole.size() / 2);
 }
 
@@ -437,7 +437,7 @@ bool QueryServerStats(uint16_t port, std::string* stats_line) {
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) & ~O_NONBLOCK);
   const std::string wire = net::EncodeFrame(
       net::FrameType::kRequest,
-      net::EncodeRequest(net::Request{1, 0, 0, "SHOW SERVER STATS"}));
+      net::EncodeRequest(net::Request{1, "SHOW SERVER STATS"}));
   if (::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) !=
       static_cast<ssize_t>(wire.size())) {
     ::close(fd);

@@ -10,11 +10,6 @@
 
 namespace eve {
 
-ExecutorCounters& GlobalExecutorCounters() {
-  static ExecutorCounters counters;
-  return counters;
-}
-
 namespace {
 
 // Join state: one row-id vector per bound relation, all the same length.
@@ -342,7 +337,6 @@ Result<Table> Execute(const ConjunctiveQuery& query, const Database& db,
     out_attrs.push_back(AttributeDef{query.output_names[i], t});
   }
   EVE_ASSIGN_OR_RETURN(Schema out_schema, Schema::Create(std::move(out_attrs)));
-  GlobalExecutorCounters().queries.fetch_add(1, std::memory_order_relaxed);
 
   // slots[i]: the conjuncts (in query order) evaluable once relations[0..i]
   // are bound. Scheduling and resolving every relation up front reports a
@@ -426,10 +420,7 @@ Result<Table> Execute(const ConjunctiveQuery& query, const Database& db,
       size_t next_rows = 0;
 
       if (keys.empty()) {
-        // No equi link: cartesian extension. Correct but quadratic — count
-        // it so operators can see the missing join predicate.
-        GlobalExecutorCounters().cartesian_fallbacks.fetch_add(
-            1, std::memory_order_relaxed);
+        // No equi link: cartesian extension. Correct but quadratic.
         const size_t right_n = table.NumRows();
         for (auto& ids : next_ids) ids.reserve(batch.num_rows * right_n);
         for (size_t i = 0; i < batch.num_rows; ++i) {

@@ -11,7 +11,6 @@
 #ifndef EVE_ALGEBRA_EXECUTOR_H_
 #define EVE_ALGEBRA_EXECUTOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,23 +35,6 @@ struct ConjunctiveQuery {
   // paper's extent-containment definitions.
   bool distinct = true;
 };
-
-// Process-wide executor telemetry. A relation with no equi-join link to
-// the relations before it is joined by a cartesian extension, which is
-// correct but O(|L|x|R|); instead of silently exploding it bumps
-// `cartesian_fallbacks` so operators can spot the missing equi-join
-// predicate (surfaced via evectl SHOW EXECUTOR STATS).
-struct ExecutorCounters {
-  std::atomic<uint64_t> queries{0};
-  std::atomic<uint64_t> cartesian_fallbacks{0};
-
-  void Reset() {
-    queries.store(0, std::memory_order_relaxed);
-    cartesian_fallbacks.store(0, std::memory_order_relaxed);
-  }
-};
-
-ExecutorCounters& GlobalExecutorCounters();
 
 // Executes `query` against `db`; output schema types are inferred from
 // `catalog`. `registry` resolves function calls (may be null). Evaluation

@@ -7,7 +7,6 @@
 #define EVE_CVS_CVS_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -35,8 +34,6 @@ struct CvsOptions {
   // reported in diagnostics; when false they are kept with
   // legality.p3_extent == false (useful for inspection).
   bool require_view_extent = true;
-  // Suffix appended to the view name for rewritings ("'" in the paper).
-  std::string rename_suffix = "'";
   // Cost model ranking the rewritings (lowest total first) and driving
   // the enumeration's lower bounds. Unset means DefaultRankingCostModel()
   // — the historical lexicographic order (extent strength, attributes
@@ -49,16 +46,6 @@ struct CvsOptions {
   // provably the same top-k the exhaustive run would rank first. EveSystem
   // runs every view with k = 1.
   size_t top_k = 0;
-  // Hard cap on candidates pulled from the stream per synchronization
-  // (0 = no extra cap beyond replacement.max_results). When it fires, a
-  // diagnostic reports exactly how much of the space was left unexplored.
-  size_t candidate_budget = 0;
-  // List every untouched view as unaffected in each ChangeReport's text.
-  // The default preserves the paper's full per-view report; building a
-  // report is O(affected) either way (the unaffected lines come from a
-  // shared active-view list), but its text stays O(pool), so large pools
-  // (million-view benches) turn it off.
-  bool report_unaffected = true;
 };
 
 // One synchronized view with full provenance.
@@ -110,41 +97,23 @@ struct CvsResult {
 // of a private search, at any parallelism and in any interleaving.
 class SyncContext {
  public:
-  // Borrowing construction: both MKBs must outlive the context (the
-  // single-change convenience path).
+  // Both MKBs must outlive the context.
   SyncContext(const Mkb& mkb, const Mkb& mkb_prime)
       : mkb_(&mkb), mkb_prime_(&mkb_prime) {}
-
-  // Pinned-version construction: the context co-owns both snapshots, so a
-  // synchronization keeps its source version alive (and byte-stable) even
-  // if the version store's tip advances concurrently. `base_version` is
-  // the id of the pinned source version (mkb/version_store.h); the commit
-  // phase re-checks it against the live tip before swapping.
-  SyncContext(std::shared_ptr<const Mkb> mkb,
-              std::shared_ptr<const Mkb> mkb_prime, uint64_t base_version = 0)
-      : pinned_(std::move(mkb)),
-        pinned_prime_(std::move(mkb_prime)),
-        mkb_(pinned_.get()),
-        mkb_prime_(pinned_prime_.get()),
-        base_version_(base_version) {}
 
   SyncContext(const SyncContext&) = delete;
   SyncContext& operator=(const SyncContext&) = delete;
 
   const Mkb& mkb() const { return *mkb_; }
   const Mkb& mkb_prime() const { return *mkb_prime_; }
-  uint64_t base_version() const { return base_version_; }
 
   // H'(MKB') at the relation level, built once per change, with its
   // join-tree searches shared.
   const JoinGraph& graph_prime() const;
 
  private:
-  std::shared_ptr<const Mkb> pinned_;        // null in borrowing mode
-  std::shared_ptr<const Mkb> pinned_prime_;  // null in borrowing mode
   const Mkb* mkb_;
   const Mkb* mkb_prime_;
-  uint64_t base_version_ = 0;
   mutable std::once_flag graph_once_;
   mutable std::optional<JoinGraph> graph_prime_;
 };

@@ -63,8 +63,11 @@ struct ReplacementCandidate {
 };
 
 struct RReplacementOptions {
-  // Bounds passed to the join-tree search.
+  // Bound passed to the join-tree search.
   size_t max_extra_relations = 3;
+  // The pull cap: at most this many candidates are pulled from the stream
+  // per synchronization (0 = no cap; SET SYNC BUDGET sets it). When it
+  // fires, a diagnostic reports how much of the space was left unexplored.
   size_t max_results = 32;
   // Bound on the cartesian product of per-attribute cover choices.
   size_t max_cover_combinations = 256;

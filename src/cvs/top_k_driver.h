@@ -10,9 +10,9 @@
 //    and result order (neither the legality check nor the score reads the
 //    name);
 //  * the pull loop: stop once the TopKBound excludes the stream's next
-//    lower bound, or at the pull cap (the tighter of max_results and
-//    candidate_budget), each with its note; otherwise splice the next
-//    candidate, check it (Def. 1) and accept it or note its rejection;
+//    lower bound, or at the pull cap (max_results), each with its note;
+//    otherwise splice the next candidate, check it (Def. 1) and accept it
+//    or note its rejection;
 //  * the stable ranking by total (ties keep arrival order: candidates in
 //    stream order, then the drop-based rewriting) and the top-k trim.
 // FoldDeadline is the deadline fold; each driver calls it where its
@@ -89,7 +89,7 @@ void RunTopK(TopKRequest request, Stream* stream, Splice splice,
   const CvsOptions& options = request.options;
   int name_counter = 0;
   auto next_name = [&] {
-    std::string name = view.name() + options.rename_suffix;
+    std::string name = view.name() + "'";  // V' in the paper
     if (++name_counter > 1) name += std::to_string(name_counter);
     return name;
   };
@@ -111,13 +111,7 @@ void RunTopK(TopKRequest request, Stream* stream, Splice splice,
     }
   }
 
-  size_t pull_cap = options.replacement.max_results;
-  const char* cap_name = "max_results";
-  if (options.candidate_budget > 0 &&
-      (pull_cap == 0 || options.candidate_budget < pull_cap)) {
-    pull_cap = options.candidate_budget;
-    cap_name = "candidate_budget";
-  }
+  const size_t pull_cap = options.replacement.max_results;
   const size_t pull_limit = request.probe_only ? 1 : pull_cap;
 
   // Candidates are pulled strictly in lower-bound order, stopping as soon
@@ -142,7 +136,7 @@ void RunTopK(TopKRequest request, Stream* stream, Splice splice,
     if (pull_limit > 0 && pulled >= pull_limit) {
       if (!request.probe_only) {
         result->diagnostics.push_back(
-            std::string(cap_name) + "=" + std::to_string(pull_cap) +
+            "max_results=" + std::to_string(pull_cap) +
             " stopped the enumeration after " + std::to_string(pulled) +
             " candidates with " + std::to_string(stream->PendingStates()) +
             " queue states unexplored; the result may be incomplete");

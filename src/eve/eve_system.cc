@@ -542,7 +542,7 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
   // through the shared active-view list, not one outcome per view.
   prepared.affected = AffectedViews(change);
   const std::vector<std::string>& affected = prepared.affected;
-  if (options_.report_unaffected) report.active_views = ActiveViewList();
+  report.active_views = ActiveViewList();
 
   // Step 3: synchronize each affected view. The results stay in the
   // PreparedChange, so discarding it (the dry-run/abort path) leaves this
@@ -559,8 +559,8 @@ Result<EveSystem::PreparedChange> EveSystem::PrepareChange(
   // outcome appends, journaling, the commit — happens on this thread in
   // view-name order, making the result byte-identical at any parallelism.
   prepared.next_mkb = std::make_shared<const Mkb>(std::move(evolution.mkb));
-  const SyncContext context(base.mkb, prepared.next_mkb,
-                            prepared.base_version);
+  // `base` and `prepared` hold both MKBs for as long as the context lives.
+  const SyncContext context(*base.mkb, *prepared.next_mkb);
 
   // Deadline tokens: one per affected view, carrying the logical work
   // budget and the change's wall deadline. Each view's token is spent

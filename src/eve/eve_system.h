@@ -76,8 +76,8 @@ struct ChangeReport {
   // The views active when the change was prepared, name-sorted; each one
   // without an outcome is unaffected. Immutable and shared by every report
   // prepared while the active set stayed the same, so a report costs
-  // O(affected views). Null when the system does not report unaffected
-  // views (EveSystem::SetReportUnaffected).
+  // O(affected views). Null in a change-log entry restored from a
+  // checkpoint, which keeps only the change.
   std::shared_ptr<const std::vector<std::string>> active_views;
 
   // kUnaffected counts the active views without an outcome.
@@ -93,9 +93,8 @@ struct ChangeReport {
 // Observability only — not part of ChangeReport, not journaled.
 struct SyncDiagnostics {
   // Views whose candidate enumeration was cut by a count bound
-  // (max_cover_combinations, candidate_budget/max_results before
-  // exhaustion, or search_sets_cut) — their result may be incomplete.
-  // Sorted by name.
+  // (max_cover_combinations, max_results before exhaustion, or
+  // search_sets_cut) — their result may be incomplete. Sorted by name.
   std::vector<std::string> truncated_views;
   // Views whose search was stopped by the deadline token (work budget or
   // wall deadline): their rewriting list is a valid best-under-budget
@@ -240,14 +239,6 @@ class EveSystem {
   // its record exceeds the journal's limit (kMaxRecordSize).
   Status RegisterViews(std::vector<RegisteredView> batch);
 
-  // Whether each ChangeReport lists the untouched views as unaffected
-  // (CvsOptions::report_unaffected). Either way a report holds only the
-  // affected views' outcomes; the unaffected lines come from a shared list
-  // of the active views, rebuilt only after the active set changes, and
-  // are rendered by ChangeReport::ToString.
-  void SetReportUnaffected(bool on) { options_.report_unaffected = on; }
-  bool report_unaffected() const { return options_.report_unaffected; }
-
   Result<const RegisteredView*> GetView(const std::string& name) const;
 
   // Flags a registered view (used by view-pool persistence and operators
@@ -283,13 +274,16 @@ class EveSystem {
   void SetSyncParallelism(size_t threads);
   size_t sync_parallelism() const { return sync_pool_->threads; }
 
-  // Per-sync candidate cap, threaded into every CVS run (including the
-  // parallel batch path — it only narrows each view's private search, so
-  // reports stay byte-identical across thread counts). 0 disables it.
+  // The pull cap (RReplacementOptions::max_results, default 32): the most
+  // candidates one view's CVS run pulls, in every run including the
+  // parallel batch path (it only narrows each view's private search, so
+  // reports stay byte-identical across thread counts). 0 means no cap.
   void SetSyncCandidateBudget(size_t budget) {
-    options_.candidate_budget = budget;
+    options_.replacement.max_results = budget;
   }
-  size_t sync_candidate_budget() const { return options_.candidate_budget; }
+  size_t sync_candidate_budget() const {
+    return options_.replacement.max_results;
+  }
 
   // --- Deadlines -------------------------------------------------------------
   //

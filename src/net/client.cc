@@ -12,11 +12,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
 #include "common/status.h"
+#include "common/str_util.h"
 #include "federation/membership.h"
 
 namespace eve {
@@ -42,24 +42,6 @@ int DialHostPort(const std::string& host, uint16_t port) {
   return fd;
 }
 
-// Splits "host:port"; false on malformed input.
-bool SplitHostPort(const std::string& text, std::string* host,
-                   uint16_t* port) {
-  const size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) {
-    return false;
-  }
-  char* end = nullptr;
-  const long parsed = std::strtol(text.c_str() + colon + 1, &end, 10);
-  if (end == text.c_str() + colon + 1 || *end != '\0' || parsed < 1 ||
-      parsed > 65535) {
-    return false;
-  }
-  *host = text.substr(0, colon);
-  *port = static_cast<uint16_t>(parsed);
-  return true;
-}
-
 // Pulls "host:port" out of a "...; leader=host:port" redirect error.
 std::string ExtractLeaderHint(const std::string& error_text) {
   const size_t at = error_text.find("leader=");
@@ -73,6 +55,23 @@ std::string ExtractLeaderHint(const std::string& error_text) {
 }
 
 }  // namespace
+
+std::string NodeAddress::ToString() const {
+  return host + ":" + std::to_string(port);
+}
+
+Result<NodeAddress> ParseNodeAddress(const std::string& text) {
+  const size_t colon = text.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) {
+    return Status::InvalidArgument("expected <host>:<port>, got: " + text);
+  }
+  uint64_t port = 0;
+  if (!ParseDecimal(std::string_view(text).substr(colon + 1), &port) ||
+      port < 1 || port > 65535) {
+    return Status::InvalidArgument("bad port in address: " + text);
+  }
+  return NodeAddress{text.substr(0, colon), static_cast<uint16_t>(port)};
+}
 
 uint64_t TransportBackoffMicros(const ClientOptions& options,
                                 std::string_view key, uint64_t attempt) {
@@ -108,10 +107,9 @@ Result<NetClient> NetClient::Connect(const ClientOptions& options) {
     // A failover client must come up even when its preferred endpoint is
     // the dead node: fall through the rest of the cluster list.
     for (const std::string& node : options.nodes) {
-      std::string host;
-      uint16_t port = 0;
-      if (!SplitHostPort(node, &host, &port)) continue;
-      fd = DialHostPort(host, port);
+      const Result<NodeAddress> address = ParseNodeAddress(node);
+      if (!address.ok()) continue;
+      fd = DialHostPort(address.value().host, address.value().port);
       if (fd >= 0) break;
     }
   }
@@ -205,10 +203,9 @@ bool NetClient::Reconnect() {
     candidates.push_back(base[(start + i) % base.size()]);
   }
   for (const std::string& candidate : candidates) {
-    std::string host;
-    uint16_t port = 0;
-    if (!SplitHostPort(candidate, &host, &port)) continue;
-    const int fd = DialHostPort(host, port);
+    const Result<NodeAddress> address = ParseNodeAddress(candidate);
+    if (!address.ok()) continue;
+    const int fd = DialHostPort(address.value().host, address.value().port);
     if (fd >= 0) {
       fd_ = fd;
       ApplySocketTimeouts(fd_, options_.receive_timeout_micros);
@@ -220,8 +217,6 @@ bool NetClient::Reconnect() {
 
 Result<Response> NetClient::Run(const std::string& statement) {
   Request request;
-  request.deadline_micros = options_.deadline_micros;
-  request.work_budget = options_.work_budget;
   request.statement = statement;
   uint64_t backoff = options_.initial_backoff_micros;
   int shed_attempt = 0;

@@ -30,12 +30,21 @@
 namespace eve {
 namespace net {
 
+struct NodeAddress {
+  std::string host;
+  uint16_t port = 0;
+
+  std::string ToString() const;
+  bool operator==(const NodeAddress&) const = default;
+};
+
+// Parses "host:port", the one reader of an endpoint: the port is a plain
+// decimal in [1, 65535] (no sign, no spaces, no trailing bytes).
+Result<NodeAddress> ParseNodeAddress(const std::string& text);
+
 struct ClientOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  // Per-request limits forwarded in every request (0 = server default).
-  uint64_t deadline_micros = 0;
-  uint64_t work_budget = 0;
   // Backoff ladder for kResourceExhausted responses: initial delay doubles
   // per retry up to the cap; 0 retries turns shed responses into a direct
   // return.

@@ -6,7 +6,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "algebra/executor.h"
 #include "common/file_io.h"
 #include "common/str_util.h"
 #include "eve/view_pool_io.h"
@@ -278,10 +277,6 @@ void Console::ReplaceSystem(EveSystem system) {
   if (journal_.has_value() && system_journal_attached_) {
     system_.AttachJournal(&*journal_);
   }
-  // The new system runs with its own (default) sync limits, and
-  // RunWithLimits restores these after a per-request override.
-  configured_deadline_micros_ = 0;
-  configured_work_budget_ = 0;
 }
 
 Status Console::ApplyReplicatedRecord(const JournalRecord& record,
@@ -294,34 +289,6 @@ void Console::SetSystemJournalAttached(bool attached) {
   system_journal_attached_ = attached;
   if (!journal_.has_value()) return;
   system_.AttachJournal(attached ? &*journal_ : nullptr);
-}
-
-bool Console::RunWithLimits(const std::string& statement,
-                            uint64_t deadline_micros, uint64_t work_budget,
-                            std::ostream& out, std::ostream& err) {
-  const bool override_deadline = deadline_micros != 0;
-  const bool override_budget = work_budget != 0;
-  if (override_deadline) system_.SetSyncDeadlineMicros(deadline_micros);
-  if (override_budget) system_.SetSyncWorkBudget(work_budget);
-  // Run may itself execute SET SYNC DEADLINE/WORKBUDGET, updating the
-  // configured values — restoring to them is still correct.
-  const auto restore = [&] {
-    if (override_deadline) {
-      system_.SetSyncDeadlineMicros(configured_deadline_micros_);
-    }
-    if (override_budget) system_.SetSyncWorkBudget(configured_work_budget_);
-  };
-  bool ok = false;
-  try {
-    ok = Run(statement, out, err);
-  } catch (...) {
-    // A SimulatedCrash must not leave the per-request override behind:
-    // the server survives error-mode injections and keeps serving.
-    restore();
-    throw;
-  }
-  restore();
-  return ok;
 }
 
 bool Console::Run(const std::string& statement, std::ostream& out,
@@ -574,13 +541,11 @@ bool Console::SetSync(const std::string& knob, const std::string& value) {
   }
   if (EqualsIgnoreCase(knob, "WORKBUDGET")) {
     system_.SetSyncWorkBudget(parsed);
-    configured_work_budget_ = parsed;
     Out() << "sync work budget = " << parsed << " units/view\n";
     return true;
   }
   if (EqualsIgnoreCase(knob, "DEADLINE")) {
     system_.SetSyncDeadlineMicros(parsed);
-    configured_deadline_micros_ = parsed;
     Out() << "sync deadline = " << parsed << " us\n";
     return true;
   }
@@ -665,13 +630,6 @@ bool Console::Show(const std::vector<std::string>& words) {
       return false;
     }
     Out() << "-- view pool at version " << version << "\n" << views.value();
-    return true;
-  }
-  if (words.size() >= 3 && EqualsIgnoreCase(words[1], "EXECUTOR") &&
-      EqualsIgnoreCase(words[2], "STATS")) {
-    const ExecutorCounters& counters = GlobalExecutorCounters();
-    Out() << "queries: " << counters.queries.load() << "; cartesian fallbacks "
-          << counters.cartesian_fallbacks.load() << "\n";
     return true;
   }
   if (words.size() >= 3 && EqualsIgnoreCase(words[1], "SYNC") &&

@@ -96,13 +96,6 @@ class Console {
   bool Run(const std::string& statement, std::ostream& out,
            std::ostream& err);
 
-  // Like Run, but with per-request limits: a non-zero deadline/budget is
-  // applied to the system for this statement only, then the console's
-  // own configured values (SET SYNC DEADLINE/WORKBUDGET) are restored.
-  bool RunWithLimits(const std::string& statement, uint64_t deadline_micros,
-                     uint64_t work_budget, std::ostream& out,
-                     std::ostream& err);
-
   // Runs a Route::kSnapshotRead statement against the pinned tip. Does not
   // mutate console state. Returns false when the statement failed (e.g.
   // SHOW VIEW on an unknown view) or has another route.
@@ -146,9 +139,9 @@ class Console {
  private:
   bool Report(const Status& status, const std::string& context);
 
-  // Installs a freshly built system (LOAD MISD, RECOVER, snapshot install):
-  // re-attaches the journal and resets the configured SET SYNC limits,
-  // since the new system starts without them.
+  // Installs a freshly built system (LOAD MISD, RECOVER, snapshot install)
+  // and re-attaches the journal. The new system starts without the old
+  // one's SET SYNC limits.
   void ReplaceSystem(EveSystem system);
 
   // The snapshot-read SHOW forms (Route::kSnapshotRead); const and
@@ -198,11 +191,6 @@ class Console {
   // that persists across TICK commands (monitors are per-command).
   federation::SimulatedTransport transport_;
   uint64_t federation_now_ = 0;
-  // The console-configured sync limits (SET SYNC DEADLINE/WORKBUDGET),
-  // mirrored here so RunWithLimits can restore them after a per-request
-  // override.
-  uint64_t configured_deadline_micros_ = 0;
-  uint64_t configured_work_budget_ = 0;
 };
 
 }  // namespace net

@@ -163,10 +163,8 @@ std::optional<Frame> FrameDecoder::Next() {
 
 std::string EncodeRequest(const Request& request) {
   std::string payload;
-  payload.reserve(28 + request.statement.size());
+  payload.reserve(12 + request.statement.size());
   PutU64(&payload, request.id);
-  PutU64(&payload, request.deadline_micros);
-  PutU64(&payload, request.work_budget);
   PutBytes(&payload, request.statement);
   return payload;
 }
@@ -174,10 +172,8 @@ std::string EncodeRequest(const Request& request) {
 Result<Request> DecodeRequest(std::string_view payload) {
   Request request;
   Reader reader(payload);
-  if (!reader.GetU64(&request.id) ||
-      !reader.GetU64(&request.deadline_micros) ||
-      !reader.GetU64(&request.work_budget) ||
-      !reader.GetBytes(&request.statement) || !reader.exhausted()) {
+  if (!reader.GetU64(&request.id) || !reader.GetBytes(&request.statement) ||
+      !reader.exhausted()) {
     return Status::ParseError("malformed request payload");
   }
   return request;

@@ -105,13 +105,10 @@ class FrameDecoder {
 
 // --- Request / response payloads -------------------------------------------
 
-// One statement, plus the client's per-request limits. A zero deadline or
-// budget means "use the server's configured default" (the limits can only
-// tighten a request, they never loosen server policy).
+// One statement. It runs under the console's sync limits (SET SYNC
+// WORKBUDGET and DEADLINE); a request carries none of its own.
 struct Request {
-  uint64_t id = 0;              // echoed back verbatim in the response
-  uint64_t deadline_micros = 0; // wall-clock budget for this statement
-  uint64_t work_budget = 0;     // logical work units for this statement
+  uint64_t id = 0;  // echoed back verbatim in the response
   std::string statement;
 };
 

@@ -124,27 +124,6 @@ std::string_view ReplRoleToString(ReplRole role) {
   return "unknown";
 }
 
-std::string NodeAddress::ToString() const {
-  return host + ":" + std::to_string(port);
-}
-
-Result<NodeAddress> ParseNodeAddress(const std::string& text) {
-  const size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) {
-    return Status::InvalidArgument("expected <host>:<port>, got: " + text);
-  }
-  NodeAddress address;
-  address.host = text.substr(0, colon);
-  const std::string port_text = text.substr(colon + 1);
-  char* end = nullptr;
-  const long port = std::strtol(port_text.c_str(), &end, 10);
-  if (end == port_text.c_str() || *end != '\0' || port < 1 || port > 65535) {
-    return Status::InvalidArgument("bad port in address: " + text);
-  }
-  address.port = static_cast<uint16_t>(port);
-  return address;
-}
-
 Result<std::map<std::string, NodeAddress>> ParseCluster(
     const std::string& spec) {
   std::map<std::string, NodeAddress> cluster;

@@ -59,6 +59,7 @@
 #include "common/result.h"
 #include "eve/journal.h"
 #include "federation/membership.h"
+#include "net/client.h"
 #include "net/console.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -69,17 +70,6 @@ namespace net {
 class MetricsServer;
 
 std::string_view ReplRoleToString(ReplRole role);
-
-struct NodeAddress {
-  std::string host;
-  uint16_t port = 0;
-
-  std::string ToString() const;
-  bool operator==(const NodeAddress&) const = default;
-};
-
-// Parses "host:port".
-Result<NodeAddress> ParseNodeAddress(const std::string& text);
 
 // Parses a cluster spec "n1=host:port,n2=host:port,...". Node ids are
 // opaque non-empty tokens without '=', ',' or whitespace.

@@ -22,6 +22,20 @@
 namespace eve {
 namespace net {
 
+namespace {
+
+// A session whose unsent responses exceed this is not reading them: evict.
+constexpr size_t kMaxWriteBufferBytes = 8u << 20;
+// Replication peers get a higher write ceiling: a bootstrap ships a full
+// checkpoint (chunked) through the session buffer, which can dwarf the
+// normal response cap. A replica that stops reading past THIS bound is
+// evicted and re-syncs from a fresh hello.
+constexpr size_t kMaxReplWriteBufferBytes = 256u << 20;
+// Retry-after hint attached to kResourceExhausted responses.
+constexpr uint64_t kRetryAfterMicros = 50'000;
+
+}  // namespace
+
 std::string ServerStats::ToString() const {
   std::ostringstream os;
   os << "accepted=" << accepted << " refused=" << refused
@@ -669,8 +683,7 @@ void Server::ExecuteRequest(std::shared_ptr<Session> session, Request request,
         }
         position_before = hub_->position();
       }
-      ok = console_->RunWithLimits(request.statement, request.deadline_micros,
-                                   request.work_budget, out, err);
+      ok = console_->Run(request.statement, out, err);
       if (hub_ != nullptr) position_after = hub_->position();
     }
   } catch (const SimulatedCrash& crash) {
@@ -706,7 +719,7 @@ Response Server::ShedResponse(uint64_t request_id,
   Response response;
   response.id = request_id;
   response.code = static_cast<int32_t>(StatusCode::kResourceExhausted);
-  response.retry_after_micros = options_.retry_after_micros;
+  response.retry_after_micros = kRetryAfterMicros;
   response.error = "error: resource_exhausted: " + why + "\n";
   return response;
 }
@@ -718,8 +731,7 @@ void Server::QueueResponse(const std::shared_ptr<Session>& session,
       EncodeFrame(FrameType::kResponse, EncodeResponse(response));
   {
     std::lock_guard<std::mutex> wlock(session->w_mu);
-    if (session->write_buffer.size() + frame.size() >
-        options_.max_write_buffer_bytes) {
+    if (session->write_buffer.size() + frame.size() > kMaxWriteBufferBytes) {
       // The peer is not reading its responses; evict on the next flush.
       session->overflowed = true;
     } else {
@@ -740,8 +752,8 @@ void Server::QueueRawFrame(const std::shared_ptr<Session>& session,
   {
     std::lock_guard<std::mutex> wlock(session->w_mu);
     const size_t limit = session->is_repl_peer.load()
-                             ? options_.max_repl_write_buffer_bytes
-                             : options_.max_write_buffer_bytes;
+                             ? kMaxReplWriteBufferBytes
+                             : kMaxWriteBufferBytes;
     if (session->write_buffer.size() + frame_bytes.size() > limit) {
       // A replica that stopped reading its stream: evict on next flush —
       // it will re-sync from a fresh hello.

@@ -19,7 +19,8 @@
 // Robustness
 //   * Bounded buffers both ways: a session whose decoder accumulates more
 //     than max_read_buffer_bytes (flooding) or whose write buffer exceeds
-//     max_write_buffer_bytes (not reading its responses) is evicted.
+//     8 MiB (not reading its responses; 256 MiB for a replication peer) is
+//     evicted.
 //   * Slow-loris detection: a session holding a PARTIAL frame for longer
 //     than idle_timeout_micros is evicted; an idle session BETWEEN frames
 //     is fine and stays connected indefinitely.
@@ -72,16 +73,8 @@ struct ServerOptions {
   // Statements in flight per session before the server sheds.
   size_t max_pending_per_session = 64;
   size_t max_read_buffer_bytes = 1u << 20;
-  size_t max_write_buffer_bytes = 8u << 20;
-  // Replication peers get a higher write ceiling: a bootstrap ships a full
-  // checkpoint (chunked) through the session buffer, which can dwarf the
-  // normal response cap. A replica that stops reading past THIS bound is
-  // evicted and re-syncs from a fresh hello.
-  size_t max_repl_write_buffer_bytes = 256u << 20;
   // A partial frame older than this is a slow-loris: evict.
   uint64_t idle_timeout_micros = 30'000'000;
-  // Retry-after hint attached to kResourceExhausted responses.
-  uint64_t retry_after_micros = 50'000;
   // BeginDrain force-closes whatever is still in flight after this.
   uint64_t drain_timeout_micros = 30'000'000;
 };

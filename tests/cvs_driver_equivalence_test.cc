@@ -3,8 +3,9 @@
 // (legacy_cvs_drivers.h). Both run on seeded random federations and views
 // (random_federation.h): delete-relation of every FROM relation, and
 // delete-attribute of each FROM relation's payloads and of a join
-// attribute, under top_k 0, 1 and 2, candidate budgets 0, 1 and 3, work
-// budgets 0, 5, 12 and 40 and a token whose deadline passed up front,
+// attribute, under top_k 0, 1 and 2, pull caps (max_results) 0, 1, 3 and
+// 32, work budgets 0, 5, 12 and 40 and a token whose deadline passed up
+// front,
 // require_view_extent and include_drop_rewriting off and on, the default
 // and a flat cost model, and chase_optional_covers off and on, with every
 // view-extent parameter. Every result must match: the status, each rewriting's text,
@@ -268,8 +269,8 @@ TEST(CvsDriverEquivalence, MatchesTheLegacyDriversOnRandomFederations) {
                 options.include_drop_rewriting = drop;
                 for (const size_t top_k : {0, 1, 2}) {
                   options.top_k = top_k;
-                  for (const size_t budget : {0, 1, 3}) {
-                    options.candidate_budget = budget;
+                  for (const size_t cap : {0, 1, 3, 32}) {
+                    options.replacement.max_results = cap;
                     for (const uint64_t work :
                          {uint64_t{0}, uint64_t{5}, uint64_t{12}, uint64_t{40},
                           kExpired}) {
@@ -279,8 +280,8 @@ TEST(CvsDriverEquivalence, MatchesTheLegacyDriversOnRandomFederations) {
                           (chase ? " chase" : "") + (flat ? " flat" : "") +
                           (require ? "" : " keep-p3") +
                           (drop ? "" : " no-drop") + " top_k " +
-                          std::to_string(top_k) + " budget " +
-                          std::to_string(budget) + " work " +
+                          std::to_string(top_k) + " max_results " +
+                          std::to_string(cap) + " work " +
                           std::to_string(work);
                       options.replacement.token = TokenFor(work);
                       CvsOptions legacy_options = options;

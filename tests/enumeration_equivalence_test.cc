@@ -520,9 +520,9 @@ TEST_F(CoverFanTest, BudgetedRunReturnsPrefixOfUnbudgetedTopK) {
   }
 }
 
-TEST_F(CoverFanTest, CandidateBudgetReportsTruncation) {
+TEST_F(CoverFanTest, PullCapReportsTruncation) {
   CvsOptions options = WideOptions();
-  options.candidate_budget = 2;
+  options.replacement.max_results = 2;
   const CvsResult result =
       SynchronizeDeleteRelation(view_, "R0", mkb_, mkb_prime_, options)
           .value();
@@ -532,7 +532,8 @@ TEST_F(CoverFanTest, CandidateBudgetReportsTruncation) {
   const bool noted = std::any_of(
       result.diagnostics.begin(), result.diagnostics.end(),
       [](const std::string& d) {
-        return d.find("candidate_budget") != std::string::npos;
+        return d.find("max_results=2 stopped the enumeration") !=
+               std::string::npos;
       });
   EXPECT_TRUE(noted);
 }

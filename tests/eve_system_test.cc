@@ -787,29 +787,5 @@ TEST(ReportTest, OpStreamMatchesTheFullOutcomeRenderer) {
   EXPECT_EQ(reloaded_report.ToString(), original_report.ToString());
 }
 
-TEST(ReportTest, UnaffectedListingOffKeepsOnlyTheOutcomes) {
-  ChainMkbSpec spec;
-  spec.length = 6;
-  EveSystem system(MakeChainMkb(spec).MoveValue());
-  ViewPoolSpec pool_spec;
-  pool_spec.num_views = 20;
-  ASSERT_TRUE(system
-                  .RegisterViews(testing_pool::BoundBatch(
-                      MakeViewPool(system.mkb(), pool_spec).MoveValue(),
-                      system.mkb().catalog()))
-                  .ok());
-  system.SetReportUnaffected(false);
-  const CapabilityChange change =
-      CapabilityChange::RenameAttribute("R1", "P1", "P1x");
-  const std::vector<std::string> affected = system.AffectedViews(change);
-  ASSERT_FALSE(affected.empty());
-  const ChangeReport report = system.ApplyChange(change).value();
-  EXPECT_EQ(report.active_views, nullptr);
-  EXPECT_EQ(report.CountOutcome(ViewOutcomeKind::kUnaffected), 0u);
-  EXPECT_EQ(report.ToString(),
-            LegacyRender(report, ReportStream::FullOutcomes(
-                                     affected, affected, report)));
-}
-
 }  // namespace
 }  // namespace eve

@@ -344,20 +344,6 @@ TEST(ExecutorEquivalenceTest, EmptyBatchReturnsOracleTable) {
       StatusCode::kInvalidArgument);
 }
 
-TEST(ExecutorEquivalenceTest, CartesianFallbackBumpsCounter) {
-  const Catalog catalog = MakeCatalog();
-  std::mt19937_64 rng(42);
-  const Database db = MakeDatabase(catalog, &rng, 10, 8, 4);
-  ConjunctiveQuery q;
-  q.relations = {"A", "B"};
-  q.projections = {Col("A", "w"), Col("B", "u")};
-  q.output_names = {"W", "U"};
-  GlobalExecutorCounters().Reset();
-  ASSERT_TRUE(Execute(q, db, catalog).ok());
-  EXPECT_EQ(GlobalExecutorCounters().cartesian_fallbacks.load(), 1u);
-  EXPECT_EQ(GlobalExecutorCounters().queries.load(), 1u);
-}
-
 // The skewed workload generator is deterministic and honors its knobs.
 TEST(SkewedDataTest, DeterministicAndSelective) {
   const Catalog catalog = MakeCatalog();

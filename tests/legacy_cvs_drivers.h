@@ -4,8 +4,11 @@
 // SynchronizeDeleteAttribute (cvs/delete_attribute.cc) ran its own
 // per-cover best-first heap with its own pull cap, drop admission, ranking
 // and deadline accounting. Both are unchanged except for their namespace
-// and `inline`; so are the delete-attribute splice and drop helpers they
-// call.
+// and `inline`, and for two options that became constants with the
+// shared driver: the pull cap is max_results alone (the tighter of it and
+// a candidate budget was the cap before), and rewritings are named with
+// the paper's "'". So are the delete-attribute splice and drop helpers
+// they call.
 
 #ifndef EVE_TESTS_LEGACY_CVS_DRIVERS_H_
 #define EVE_TESTS_LEGACY_CVS_DRIVERS_H_
@@ -193,7 +196,7 @@ inline Result<CvsResult> SynchronizeDeleteRelation(
   int name_counter = 0;
   auto next_name = [&]() {
     ++name_counter;
-    std::string name = view.name() + options.rename_suffix;
+    std::string name = view.name() + "'";
     if (name_counter > 1) name += std::to_string(name_counter);
     return name;
   };
@@ -233,15 +236,7 @@ inline Result<CvsResult> SynchronizeDeleteRelation(
     }
   }
 
-  // Effective pull cap: the historical max_results plus the per-sync
-  // candidate budget; whichever is tighter.
-  size_t pull_cap = options.replacement.max_results;
-  const char* cap_name = "max_results";
-  if (options.candidate_budget > 0 &&
-      (pull_cap == 0 || options.candidate_budget < pull_cap)) {
-    pull_cap = options.candidate_budget;
-    cap_name = "candidate_budget";
-  }
+  const size_t pull_cap = options.replacement.max_results;
 
   // Steps 4-6, pull-driven: splice/legality-check candidates strictly in
   // lower-bound order, stopping as soon as the stream provably cannot
@@ -265,7 +260,7 @@ inline Result<CvsResult> SynchronizeDeleteRelation(
       if (probe_limit > 0 && pulled >= probe_limit) {
         if (!stream->Exhausted() && r_params.replaceable) {
           result.diagnostics.push_back(
-              std::string(cap_name) + "=" + std::to_string(pull_cap) +
+              "max_results=" + std::to_string(pull_cap) +
               " stopped the enumeration after " + std::to_string(pulled) +
               " candidates with " + std::to_string(stream->PendingStates()) +
               " queue states unexplored; the result may be incomplete");
@@ -443,7 +438,7 @@ inline Result<CvsResult> SynchronizeDeleteAttribute(
   int name_counter = 0;
   auto next_name = [&]() {
     ++name_counter;
-    std::string name = view.name() + options.rename_suffix;
+    std::string name = view.name() + "'";
     if (name_counter > 1) name += std::to_string(name_counter);
     return name;
   };
@@ -617,13 +612,7 @@ inline Result<CvsResult> SynchronizeDeleteAttribute(
     }
   }
 
-  size_t pull_cap = options.replacement.max_results;
-  const char* cap_name = "max_results";
-  if (options.candidate_budget > 0 &&
-      (pull_cap == 0 || options.candidate_budget < pull_cap)) {
-    pull_cap = options.candidate_budget;
-    cap_name = "candidate_budget";
-  }
+  const size_t pull_cap = options.replacement.max_results;
 
   size_t pulled = 0;
   bool deadline_partial = false;
@@ -648,7 +637,7 @@ inline Result<CvsResult> SynchronizeDeleteAttribute(
     }
     if (pull_cap > 0 && pulled >= pull_cap) {
       result.diagnostics.push_back(
-          std::string(cap_name) + "=" + std::to_string(pull_cap) +
+          "max_results=" + std::to_string(pull_cap) +
           " stopped the enumeration after " + std::to_string(pulled) +
           " candidates with " + std::to_string(heap.size()) +
           " queue states unexplored; the result may be incomplete");

@@ -21,6 +21,11 @@
 #   stress_failline  With an injected admission fault, evectl must exit
 #                  nonzero and report the failing statement as
 #                  <script>:<line>: error (the script-diagnostic contract).
+#   flags          A numeric eved flag or an evectl --connect endpoint whose
+#                  value does not fit its field (a sign, trailing bytes, an
+#                  overflow, a port past 65535) exits 2 with an error line
+#                  before anything starts: eved writes no port file and
+#                  evectl runs no statement.
 set -u
 
 MODE="$1"; EVECTL="$2"; EVED="$3"; SRCDIR="$4"
@@ -217,6 +222,46 @@ EOF
     [ "$RC" -ne 0 ] || die "evectl exited 0 despite an injected drain fault"
     grep -Eq 'stress\.evectl:[0-9]+: error' "$WORK/stress.err" \
         || die "missing file:line diagnostic, stderr was: $(cat "$WORK/stress.err")"
+    ;;
+
+  flags)
+    # Only values refused while the flags are parsed: a well-formed value
+    # that fails later (a large --workers, a port nothing listens on) would
+    # start something.
+    expect_refused() {
+      local what="$1"; shift
+      rm -f "$WORK/port"
+      timeout 5 "$@" > "$WORK/flags.out" 2> "$WORK/flags.err"
+      local rc=$?
+      [ "$rc" -eq 2 ] || die "$what exited $rc (want 2): $(cat "$WORK/flags.err")"
+      grep -q "^error: " "$WORK/flags.err" \
+          || die "$what printed no error line: $(cat "$WORK/flags.err")"
+      [ ! -e "$WORK/port" ] || die "$what started eved"
+      [ ! -s "$WORK/flags.out" ] || die "$what ran: $(cat "$WORK/flags.out")"
+    }
+    while read -r flag value; do
+      expect_refused "eved $flag $value" \
+          "$EVED" --port-file "$WORK/port" "$flag" "$value"
+    done <<'EOF'
+--port 70000
+--port +80
+--metrics-port 65536
+--workers -1
+--max-sessions 12x
+--max-pending abc
+--idle-timeout-micros 18446744073709551616
+--drain-timeout-micros 1e6
+--lease-micros -5
+--heartbeat-micros 0x10
+--ack-replicas 4294967296
+--ack-timeout-micros 5.0
+EOF
+    echo "SHOW MKB;" > "$WORK/one.evectl"
+    for endpoint in 127.0.0.1:99999 h:abc 127.0.0.1 127.0.0.1:+80 \
+                    127.0.0.1:1,127.0.0.1:0; do
+      expect_refused "evectl --connect $endpoint" \
+          "$EVECTL" --connect "$endpoint" "$WORK/one.evectl"
+    done
     ;;
 
   *)

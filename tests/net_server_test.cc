@@ -292,17 +292,19 @@ TEST_F(ServerTest, ServedPathArgumentsMayHoldSpacesAndQuotes) {
   }
 }
 
-TEST_F(ServerTest, PerRequestWorkBudgetPropagatesAndRestores) {
+TEST_F(ServerTest, RemoteWorkBudgetReachesTheSyncUntilReset) {
   StartServer();
   NetClient setup = MustConnect();
   ASSERT_TRUE(setup.Run(kDefineCustomer).ok());
   ASSERT_TRUE(setup.Run(kCreateView).ok());
 
-  // A budgeted session: its DRAIN runs under a per-request work budget of
-  // 7 units (the enumeration stats echo "spent N/7 units" afterwards).
-  ClientOptions budgeted;
-  budgeted.work_budget = 7;
-  NetClient limited = MustConnect(budgeted);
+  // A remote SET SYNC WORKBUDGET limits the console's syncs: the DRAIN
+  // runs under 7 units per view (the enumeration stats echo "spent N/7
+  // units" afterwards, to any session).
+  NetClient limited = MustConnect();
+  Result<Response> set = limited.Run("SET SYNC WORKBUDGET 7");
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  EXPECT_EQ(set->output, "sync work budget = 7 units/view\n");
   ASSERT_TRUE(limited.Run("ENQUEUE DELETE ATTRIBUTE Customer.Age").ok());
   Result<Response> drained = limited.Run("DRAIN");
   ASSERT_TRUE(drained.ok()) << drained.status().ToString();
@@ -311,10 +313,11 @@ TEST_F(ServerTest, PerRequestWorkBudgetPropagatesAndRestores) {
   Result<Response> stats = setup.Run("SHOW SYNC STATS");
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_NE(stats->output.find("/7 units"), std::string::npos)
-      << "the request budget did not reach the sync: " << stats->output;
+      << "the budget did not reach the sync: " << stats->output;
 
-  // The override was per-request: the default-limits session's next drain
-  // runs with NO deadline clause in its stats (unlimited again).
+  // SET SYNC WORKBUDGET 0 lifts it: the next drain runs with NO deadline
+  // clause in its stats (unlimited again).
+  ASSERT_TRUE(limited.Run("SET SYNC WORKBUDGET 0").ok());
   ASSERT_TRUE(setup.Run("ENQUEUE DELETE ATTRIBUTE Customer.Name").ok());
   Result<Response> redrained = setup.Run("DRAIN");
   ASSERT_TRUE(redrained.ok()) << redrained.status().ToString();
@@ -322,7 +325,7 @@ TEST_F(ServerTest, PerRequestWorkBudgetPropagatesAndRestores) {
   Result<Response> after = setup.Run("SHOW SYNC STATS");
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after->output.find("deadline:"), std::string::npos)
-      << "the budget override leaked past its request: " << after->output;
+      << "the budget outlived its reset: " << after->output;
 }
 
 // --- Concurrency ------------------------------------------------------------
@@ -420,7 +423,7 @@ TEST_F(ServerTest, CorruptBytesResyncWithoutDroppingTheConnection) {
   // Garbage, then a valid request: the decoder must resync and serve it.
   const std::string garbage = "this is not a frame at all...";
   const std::string request = EncodeFrame(
-      FrameType::kRequest, EncodeRequest(Request{7, 0, 0, "SHOW MKB"}));
+      FrameType::kRequest, EncodeRequest(Request{7, "SHOW MKB"}));
   ASSERT_EQ(::write(fd, garbage.data(), garbage.size()),
             static_cast<ssize_t>(garbage.size()));
   ASSERT_EQ(::write(fd, request.data(), request.size()),
@@ -452,7 +455,7 @@ TEST_F(ServerTest, SlowLorisPartialFrameIsEvicted) {
 
   // Half a frame, then silence: the sweep must evict this session.
   const std::string wire = EncodeFrame(
-      FrameType::kRequest, EncodeRequest(Request{1, 0, 0, "SHOW MKB"}));
+      FrameType::kRequest, EncodeRequest(Request{1, "SHOW MKB"}));
   ASSERT_EQ(::write(fd, wire.data(), wire.size() / 2),
             static_cast<ssize_t>(wire.size() / 2));
   EXPECT_TRUE(WaitFor(
@@ -676,9 +679,7 @@ TEST_F(ServerTest, ServerFailpointFrameWriteCrashStopsTheServer) {
 
 TEST(ConsoleTest, ReplacingTheSystemForgetsTheConfiguredSyncLimits) {
   // LOAD MISD, RECOVER and a replica's snapshot install each serve a new
-  // system without the old SET SYNC limits. A request with its own budget
-  // and deadline must afterwards restore the new system's limits, not
-  // write the replaced system's back.
+  // system without the old SET SYNC limits.
   const std::string dir = ::testing::TempDir();
   const std::string misd = dir + "console_replace.misd";
   const std::string checkpoint = dir + "console_replace.ckpt";
@@ -710,11 +711,6 @@ TEST(ConsoleTest, ReplacingTheSystemForgetsTheConfiguredSyncLimits) {
     }
     EXPECT_EQ(console.system().sync_work_budget(), 0u) << replacement;
     EXPECT_EQ(console.system().sync_deadline_micros(), 0u) << replacement;
-
-    ASSERT_TRUE(console.RunWithLimits("SHOW MKB", 100, 7, out, err))
-        << err.str();
-    EXPECT_EQ(console.system().sync_work_budget(), 0u) << replacement;
-    EXPECT_EQ(console.system().sync_deadline_micros(), 0u) << replacement;
   }
   std::remove(misd.c_str());
   std::remove(checkpoint.c_str());
@@ -742,12 +738,83 @@ TEST(ConsoleTest, IntegerArgumentsAcceptOnlyPlainDecimals) {
                 "error: expected a non-negative integer, got " + value + "\n");
     }
   }
-  EXPECT_EQ(console.system().sync_candidate_budget(), 0u);
+  EXPECT_EQ(console.system().sync_candidate_budget(), 32u);
   std::ostringstream out;
   std::ostringstream err;
   ASSERT_TRUE(console.Run("SET SYNC BUDGET 18446744073709551615", out, err))
       << err.str();
   EXPECT_EQ(console.system().sync_candidate_budget(), SIZE_MAX);
+}
+
+TEST(ConsoleTest, SetSyncBudgetIsThePullCap) {
+  // R's one attribute has 50 covers and the view needs an equal extent,
+  // which no cover establishes: every candidate is rejected, so the pull
+  // loop runs until the cap (or the stream) ends it.
+  Console console;
+  std::ostringstream setup;
+  std::ostringstream setup_err;
+  ASSERT_TRUE(console.Run("DEFINE SOURCE S0 RELATION R (K int, A int)", setup,
+                          setup_err))
+      << setup_err.str();
+  for (int i = 1; i <= 50; ++i) {
+    const std::string cover = "C" + std::to_string(i);
+    ASSERT_TRUE(console.Run("DEFINE SOURCE S" + std::to_string(i) +
+                                " RELATION " + cover + " (K int, A int)",
+                            setup, setup_err))
+        << setup_err.str();
+    ASSERT_TRUE(console.Run("DEFINE FUNCTION F" + std::to_string(i) +
+                                " R.A = " + cover + ".A",
+                            setup, setup_err))
+        << setup_err.str();
+  }
+  ASSERT_TRUE(console.Run("CREATE VIEW V (VE = =) AS SELECT R.A (false, true) "
+                          "FROM R (false, true)",
+                          setup, setup_err))
+      << setup_err.str();
+  const auto dry_run = [&console] {
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_TRUE(console.Run("SYNC DRYRUN DELETE RELATION R", out, err))
+        << err.str();
+    EXPECT_TRUE(console.Run("SHOW SYNC STATS", out, err)) << err.str();
+    return out.str();
+  };
+  const auto contains = [](const std::string& text, const std::string& part) {
+    return text.find(part) != std::string::npos;
+  };
+
+  // Never set: the default cap, 32.
+  EXPECT_EQ(console.system().sync_candidate_budget(), 32u);
+  const std::string unset = dry_run();
+  EXPECT_TRUE(contains(unset,
+                       "; max_results=32 stopped the enumeration after 32 "
+                       "candidates with 18 queue states unexplored; the "
+                       "result may be incomplete\nsync: truncated views: V\n"))
+      << unset;
+  EXPECT_TRUE(contains(unset,
+                       "enumeration: combos 50, trees expanded 50, yielded "
+                       "32, rejected 32, pending 18\n"))
+      << unset;
+
+  std::ostringstream out;
+  std::ostringstream err;
+  ASSERT_TRUE(console.Run("SET SYNC BUDGET 40", out, err)) << err.str();
+  EXPECT_EQ(out.str(), "sync candidate budget = 40\n");
+  const std::string forty = dry_run();
+  EXPECT_TRUE(contains(forty,
+                       "; max_results=40 stopped the enumeration after 40 "
+                       "candidates with 10 queue states unexplored"))
+      << forty;
+  EXPECT_TRUE(contains(forty, "yielded 40, rejected 40, pending 10\n"))
+      << forty;
+
+  // 0 is no cap: the stream runs dry and nothing is truncated.
+  ASSERT_TRUE(console.Run("SET SYNC BUDGET 0", out, err)) << err.str();
+  const std::string uncapped = dry_run();
+  EXPECT_FALSE(contains(uncapped, "max_results")) << uncapped;
+  EXPECT_FALSE(contains(uncapped, "truncated views")) << uncapped;
+  EXPECT_TRUE(contains(uncapped, "yielded 50, rejected 50, exhausted\n"))
+      << uncapped;
 }
 
 TEST(ConsoleTest, TickPrintsEveryReportOfADeparture) {
@@ -865,7 +932,6 @@ TEST(ParseStatementTest, EveryReferenceFormHasItsRoute) {
       {"ENQUEUE RENAME RELATION R TO S", Route::kWrite},
       {"DRAIN", Route::kWrite},
       {"SHOW SYNC STATS", Route::kReadOnly},
-      {"SHOW EXECUTOR STATS", Route::kReadOnly},
       {"PREVIEW DELETE RELATION R", Route::kWrite},
       {"PREVIEW RENAME ATTRIBUTE R.A TO B", Route::kWrite},
       {"SYNC DRYRUN DELETE RELATION R", Route::kWrite},

@@ -99,6 +99,10 @@ TEST(ReplParseTest, NodeAddressRoundTrip) {
   EXPECT_FALSE(ParseNodeAddress("h:").ok());
   EXPECT_FALSE(ParseNodeAddress("h:99999").ok());
   EXPECT_FALSE(ParseNodeAddress("h:12x").ok());
+  // The port is a plain decimal: no sign, no leading space, no zero port.
+  EXPECT_FALSE(ParseNodeAddress("h:+80").ok());
+  EXPECT_FALSE(ParseNodeAddress("h: 80").ok());
+  EXPECT_FALSE(ParseNodeAddress("h:0").ok());
 }
 
 TEST(ReplParseTest, ClusterSpec) {

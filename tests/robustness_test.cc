@@ -318,17 +318,6 @@ TEST_F(DegenerateOptionsTest, HugeBudgetsTerminate) {
   EXPECT_EQ(result.value().rewritings.size(), 2u);  // still just two
 }
 
-TEST_F(DegenerateOptionsTest, EmptySuffixStillNamesViews) {
-  CvsOptions options;
-  options.rename_suffix = "";
-  const Result<CvsResult> result = SynchronizeDeleteRelation(
-      view_, "Customer", mkb_, mkb_prime_, options);
-  ASSERT_TRUE(result.ok());
-  for (const SynchronizedView& rewriting : result.value().rewritings) {
-    EXPECT_FALSE(rewriting.view.name().empty());
-  }
-}
-
 // --- Inconsistent inputs -------------------------------------------------------
 
 TEST_F(DegenerateOptionsTest, StaleMkbPrimeRejectedByLegality) {

@@ -55,8 +55,6 @@ TEST(ScaleSmokeTest, BulkLoadServeAndSyncAtScale) {
       MakeViewPool(mkb, pool_spec).MoveValue();
 
   EveSystem system(mkb);
-  // Reports list only affected views (O(affected) reports).
-  system.SetReportUnaffected(false);
   ASSERT_TRUE(system
                   .RegisterViews(
                       testing_pool::BoundBatch(pool, system.mkb().catalog()))

@@ -34,7 +34,8 @@
 //                                            or constraint (additive)
 //   RETRACT <constraint id>;              -- a source withdraws a constraint
 //   SET SYNC BUDGET <n>;                  -- cap candidates pulled per view
-//                                            synchronization (0 = no cap)
+//                                            synchronization (0 = no cap;
+//                                            default 32)
 //   SET SYNC WORKBUDGET <n>;              -- per-view logical work budget
 //                                            (0 = unlimited): deterministic
 //                                            best-under-budget partials
@@ -52,9 +53,6 @@
 //                                            block, per-view truncation list
 //                                            and admission counters for the
 //                                            last change/preview
-//   SHOW EXECUTOR STATS;                  -- process-wide executor counters:
-//                                            queries run and cartesian
-//                                            fallbacks
 //   PREVIEW DELETE|RENAME ...;            -- what-if: the report the change
 //                                            would commit; applies nothing
 //   SYNC DRYRUN DELETE|RENAME ... [AT VERSION <n>];
@@ -121,49 +119,52 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/str_util.h"
 #include "net/client.h"
 #include "net/console.h"
 
 namespace eve {
 namespace {
 
+// Reads --connect's "<host>:<port>[,<host>:<port>...]", each endpoint
+// through ParseNodeAddress. The first is dialed; the rest are failover
+// candidates the client retries across (with leader-redirect chasing) when
+// a node dies.
+Result<net::ClientOptions> ParseConnect(const std::string& spec) {
+  net::ClientOptions options;
+  bool first = true;
+  for (const std::string& endpoint : Split(spec, ',')) {
+    if (endpoint.empty()) continue;
+    EVE_ASSIGN_OR_RETURN(const net::NodeAddress address,
+                         net::ParseNodeAddress(endpoint));
+    if (first) {
+      options.host = address.host;
+      options.port = address.port;
+      first = false;
+    } else {
+      options.nodes.push_back(endpoint);
+    }
+  }
+  if (first) {
+    return Status::InvalidArgument(
+        "--connect expects <host>:<port>[,<host>:<port>...]");
+  }
+  if (!options.nodes.empty()) options.max_transport_retries = 8;
+  return options;
+}
+
 // Runs every statement against a remote eved, mirroring the local loop's
 // output byte-for-byte: the response's output/error fields are exactly
 // what the local console would have written to stdout/stderr.
-bool RunRemote(const std::string& endpoint,
+bool RunRemote(const net::ClientOptions& options,
                const std::vector<net::Statement>& statements,
                const std::string& script_name, std::string* first_failure) {
-  // --connect takes one endpoint, or a comma-separated cluster list: the
-  // first entry is dialed, the rest are failover candidates the client
-  // retries across (with leader-redirect chasing) when a node dies.
-  std::vector<std::string> endpoints;
-  std::istringstream parts(endpoint);
-  std::string part;
-  while (std::getline(parts, part, ',')) {
-    if (!part.empty()) endpoints.push_back(part);
-  }
-  if (endpoints.empty()) {
-    std::cerr << "error: --connect expects <host>:<port>[,<host>:<port>...]\n";
-    return false;
-  }
-  const size_t colon = endpoints[0].rfind(':');
-  if (colon == std::string::npos) {
-    std::cerr << "error: --connect expects <host>:<port>\n";
-    return false;
-  }
-  net::ClientOptions options;
-  options.host = endpoints[0].substr(0, colon);
-  options.port = static_cast<uint16_t>(
-      std::strtoul(endpoints[0].c_str() + colon + 1, nullptr, 10));
-  if (endpoints.size() > 1) {
-    options.nodes.assign(endpoints.begin() + 1, endpoints.end());
-    options.max_transport_retries = 8;
-  }
   Result<net::NetClient> client = net::NetClient::Connect(options);
   if (!client.ok()) {
     std::cerr << "error: " << client.status() << "\n";
@@ -215,6 +216,15 @@ int Main(int argc, char** argv) {
                  "<script>|-\n";
     return 2;
   }
+  std::optional<net::ClientOptions> remote;
+  if (!connect.empty()) {
+    Result<net::ClientOptions> parsed = ParseConnect(connect);
+    if (!parsed.ok()) {
+      std::cerr << "error: " << parsed.status() << "\n";
+      return 2;
+    }
+    remote = parsed.MoveValue();
+  }
   std::string script;
   if (source == "-") {
     std::stringstream buffer;
@@ -245,8 +255,8 @@ int Main(int argc, char** argv) {
   // one-line pointer make the failure impossible to miss.
   std::string first_failure;
   bool ok = true;
-  if (!connect.empty()) {
-    ok = RunRemote(connect, statements, script_name, &first_failure);
+  if (remote.has_value()) {
+    ok = RunRemote(*remote, statements, script_name, &first_failure);
   } else {
     net::Console console;
     for (const net::Statement& statement : statements) {

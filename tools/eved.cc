@@ -40,6 +40,9 @@
 // that fires anywhere in the serving path stops the server abruptly and
 // exits 3, leaving durable state for RECOVER — exactly like evectl.
 //
+// Every <n> is a plain decimal (no sign, no trailing bytes) that fits its
+// field; any other value exits 2 before anything starts.
+//
 // Exit status: 0 = clean drain/stop; 1 = failed statement in --init;
 // 2 = usage/startup problem; 3 = simulated crash.
 
@@ -48,15 +51,18 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "common/failpoint.h"
+#include "common/str_util.h"
 #include "net/console.h"
 #include "net/metrics.h"
 #include "net/replication.h"
@@ -81,6 +87,22 @@ void RaiseFdLimit() {
   }
 }
 
+// Reads a numeric flag's value into `field`: a plain decimal (ParseDecimal
+// refuses a sign, trailing bytes and overflow) no larger than the field
+// holds. Says why on stderr when it refuses.
+template <typename T>
+bool ReadNumber(const std::string& flag, const char* text, T* field) {
+  uint64_t value = 0;
+  if (!ParseDecimal(text, &value) || value > std::numeric_limits<T>::max()) {
+    std::cerr << "error: " << flag << " expects an integer in [0, "
+              << uint64_t{std::numeric_limits<T>::max()} << "], got " << text
+              << "\n";
+    return false;
+  }
+  *field = static_cast<T>(value);
+  return true;
+}
+
 int Main(int argc, char** argv) {
   net::ServerOptions options;
   net::ReplicationOptions repl;
@@ -92,25 +114,23 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    bool read = true;
     if (arg == "--host" && has_value) {
       options.host = argv[++i];
     } else if (arg == "--port" && has_value) {
-      options.port = static_cast<uint16_t>(std::atoi(argv[++i]));
+      read = ReadNumber(arg, argv[++i], &options.port);
     } else if (arg == "--port-file" && has_value) {
       port_file = argv[++i];
     } else if (arg == "--workers" && has_value) {
-      options.worker_threads = static_cast<size_t>(std::atoll(argv[++i]));
+      read = ReadNumber(arg, argv[++i], &options.worker_threads);
     } else if (arg == "--max-sessions" && has_value) {
-      options.max_sessions = static_cast<size_t>(std::atoll(argv[++i]));
+      read = ReadNumber(arg, argv[++i], &options.max_sessions);
     } else if (arg == "--max-pending" && has_value) {
-      options.max_pending_per_session =
-          static_cast<size_t>(std::atoll(argv[++i]));
+      read = ReadNumber(arg, argv[++i], &options.max_pending_per_session);
     } else if (arg == "--idle-timeout-micros" && has_value) {
-      options.idle_timeout_micros =
-          static_cast<uint64_t>(std::atoll(argv[++i]));
+      read = ReadNumber(arg, argv[++i], &options.idle_timeout_micros);
     } else if (arg == "--drain-timeout-micros" && has_value) {
-      options.drain_timeout_micros =
-          static_cast<uint64_t>(std::atoll(argv[++i]));
+      read = ReadNumber(arg, argv[++i], &options.drain_timeout_micros);
     } else if (arg == "--init" && has_value) {
       init_script = argv[++i];
     } else if (arg == "--node-id" && has_value) {
@@ -122,15 +142,15 @@ int Main(int argc, char** argv) {
     } else if (arg == "--data-dir" && has_value) {
       repl.data_dir = argv[++i];
     } else if (arg == "--lease-micros" && has_value) {
-      repl.lease_micros = static_cast<uint64_t>(std::atoll(argv[++i]));
+      read = ReadNumber(arg, argv[++i], &repl.lease_micros);
     } else if (arg == "--heartbeat-micros" && has_value) {
-      repl.heartbeat_micros = static_cast<uint64_t>(std::atoll(argv[++i]));
+      read = ReadNumber(arg, argv[++i], &repl.heartbeat_micros);
     } else if (arg == "--ack-replicas" && has_value) {
-      repl.ack_replicas = static_cast<uint32_t>(std::atoi(argv[++i]));
+      read = ReadNumber(arg, argv[++i], &repl.ack_replicas);
     } else if (arg == "--ack-timeout-micros" && has_value) {
-      repl.ack_timeout_micros = static_cast<uint64_t>(std::atoll(argv[++i]));
+      read = ReadNumber(arg, argv[++i], &repl.ack_timeout_micros);
     } else if (arg == "--metrics-port" && has_value) {
-      metrics_port = static_cast<uint16_t>(std::atoi(argv[++i]));
+      read = ReadNumber(arg, argv[++i], &metrics_port);
     } else if (arg == "--metrics-host" && has_value) {
       metrics_host = argv[++i];
     } else {
@@ -146,6 +166,7 @@ int Main(int argc, char** argv) {
                    "[--metrics-port <n>] [--metrics-host <addr>]\n";
       return 2;
     }
+    if (!read) return 2;
   }
   RaiseFdLimit();
   const bool replicated = !repl.node_id.empty() || !cluster_spec.empty();
