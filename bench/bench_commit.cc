@@ -16,6 +16,16 @@
 // SaveViews of the live system, and exactly the rewritten views' buckets
 // hold new segments. A mismatch aborts the binary without numbers.
 //
+// The MKB-size sweep (BM_Sweep*) builds an EveSystem on MakeChainMkb at
+// 32, 256, 1,024 and 4,096 relations, with no journal and one 1,000-view
+// MakeViewPool drawn over the chain's first 16 relations, so every row
+// holds the same views and the three timed operations touch none of them:
+// a rename of the payload of cold relation R(n-2) (and back), a
+// delete-relation of a cold relation (R(n-1), R(n-2), ... down to R16 on
+// one system, each after an untimed dry run of it), and DryRunChange of a delete of
+// the middle relation R(n/2). Rows differ only in the MKB's size, so their
+// ratio is how a change's cost grows with it.
+//
 // Set EVE_BENCH_MILLION=1 to also bulk-load a million views and time one
 // commit on that pool (skipped by default to keep local runs quick).
 
@@ -337,6 +347,112 @@ void BM_PinnedReadDuringCommits(benchmark::State& state) {
 }
 BENCHMARK(BM_PinnedReadDuringCommits)->Unit(benchmark::kMillisecond)
     ->MinTime(2.0);
+
+// --- MKB-size sweep --------------------------------------------------------
+
+constexpr size_t kSweepPoolRelations = 16;
+constexpr size_t kSweepViews = 1000;
+
+// A chain of `relations` relations (MakeChainMkb defaults) with the sweep
+// pool registered, warmed by one dry run (which builds the active-view
+// list a first change after registration would build).
+std::unique_ptr<EveSystem> SweepSystem(size_t relations) {
+  ChainMkbSpec spec;
+  spec.length = relations;
+  ChainMkbSpec pool_spec;
+  pool_spec.length = kSweepPoolRelations;
+  ViewPoolSpec views;
+  views.num_views = kSweepViews;
+  Result<Mkb> mkb = MakeChainMkb(spec);
+  Result<Mkb> pool_mkb = MakeChainMkb(pool_spec);
+  if (!mkb.ok() || !pool_mkb.ok()) std::abort();
+  Result<std::vector<ViewDefinition>> pool =
+      MakeViewPool(pool_mkb.value(), views);
+  if (!pool.ok()) std::abort();
+  std::unique_ptr<EveSystem> system = FreshSystem(mkb.value(), pool.value());
+  if (!system->DryRunChange(CapabilityChange::DeleteRelation("R0")).ok()) {
+    std::abort();
+  }
+  return system;
+}
+
+void Apply(EveSystem* system, const CapabilityChange& change) {
+  const Result<ChangeReport> report = system->ApplyChange(change);
+  if (!report.ok() || !report.value().outcomes.empty()) {
+    std::cerr << change.ToString() << ": "
+              << (report.ok() ? "touched a view" : report.status().ToString())
+              << "\n";
+    std::abort();
+  }
+}
+
+// A rename of cold relation R(n-2)'s payload, alternating with its undo.
+void BM_SweepRename(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::unique_ptr<EveSystem> system = SweepSystem(n);
+  const std::string rel = "R" + std::to_string(n - 2);
+  const std::string payload = "P" + std::to_string(n - 2);
+  bool forward = true;
+  for (auto _ : state) {
+    Apply(system.get(),
+          forward ? CapabilityChange::RenameAttribute(rel, payload, payload + "x")
+                  : CapabilityChange::RenameAttribute(rel, payload + "x",
+                                                      payload));
+    forward = !forward;
+  }
+  state.counters["relations"] = static_cast<double>(n);
+}
+BENCHMARK(BM_SweepRename)
+    ->Arg(32)->Arg(256)->Arg(1024)->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
+
+// A delete of a cold relation: R(n-1), R(n-2), ... down to the pool's
+// last relation, then again on a fresh system. Only the ApplyChange is
+// timed (manual time): building a system takes far longer than a delete,
+// and PauseTiming costs more than one. An untimed dry run of the delete
+// goes first, so that, as in the other two rows, the time is that of warm
+// work, not of the first touch of a system just built.
+void BM_SweepDeleteRelation(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::unique_ptr<EveSystem> system;
+  size_t deleted = n - kSweepPoolRelations;
+  for (auto _ : state) {
+    if (deleted == n - kSweepPoolRelations) {
+      system = SweepSystem(n);
+      deleted = 0;
+    }
+    const CapabilityChange change =
+        CapabilityChange::DeleteRelation("R" + std::to_string(n - 1 - deleted++));
+    if (!system->DryRunChange(change).ok()) std::abort();
+    const Clock::time_point t0 = Clock::now();
+    Apply(system.get(), change);
+    state.SetIterationTime(
+        std::chrono::duration<double>(Clock::now() - t0).count());
+  }
+  state.counters["relations"] = static_cast<double>(n);
+}
+BENCHMARK(BM_SweepDeleteRelation)
+    ->Arg(32)->Arg(256)->Arg(1024)->Arg(4096)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// The what-if delete of the middle relation.
+void BM_SweepDryRunDelete(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::unique_ptr<EveSystem> system = SweepSystem(n);
+  const CapabilityChange change =
+      CapabilityChange::DeleteRelation("R" + std::to_string(n / 2));
+  for (auto _ : state) {
+    Result<DryRunReport> dry = system->DryRunChange(change);
+    if (!dry.ok()) std::abort();
+    benchmark::DoNotOptimize(dry);
+  }
+  state.counters["relations"] = static_cast<double>(n);
+}
+BENCHMARK(BM_SweepDryRunDelete)
+    ->Arg(32)->Arg(256)->Arg(1024)->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
 
 // A million-view bulk load with full snapshots, then one stream commit on
 // that pool (EVE_BENCH_MILLION=1). The time is the load; the commit's time

@@ -5,11 +5,12 @@
 #ifndef EVE_CATALOG_CATALOG_H_
 #define EVE_CATALOG_CATALOG_H_
 
-#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "catalog/attribute_ref.h"
+#include "common/persistent_table.h"
 #include "common/result.h"
 #include "types/schema.h"
 
@@ -32,6 +33,14 @@ struct RelationDef {
 // Registry of information sources and relation definitions. Relation names
 // are unique across sources; attribute names sharing a name across
 // relations are assumed to share a type (paper, Sec. 2).
+//
+// Persistent: each relation is one shared, immutable RelationDef in a
+// name-ordered SortedTable, so copying a catalog is O(1) and an edit
+// copies one leaf of at most SortedTable::kLeafEntries relations (plus the
+// leaf list). The same-name-same-type convention is checked against a
+// per-attribute-name index, not a scan of every relation. A RelationDef
+// pointer handed out stays valid while any copy of the catalog holding
+// that relation unchanged lives.
 class Catalog {
  public:
   Catalog() = default;
@@ -78,11 +87,34 @@ class Catalog {
 
   size_t NumRelations() const { return relations_.size(); }
 
+  // The relations by name, in leaves; two catalogs holding one leaf
+  // pointer hold the same relations there.
+  const SortedTable<RelationDef>& relation_table() const { return relations_; }
+
   // Multi-line dump for debugging and docs.
   std::string ToString() const;
 
  private:
-  std::map<std::string, RelationDef> relations_;
+  // How many relations export an attribute name, and its type.
+  struct AttributeUse {
+    DataType type;
+    size_t relations = 0;
+  };
+
+  // Type-checks `attr` against every relation but `relation` exporting its
+  // name.
+  Status CheckSameNameSameType(const std::string& relation,
+                               const AttributeDef& attr) const;
+  // Counts one more (delta 1) or one fewer (-1) relation exporting `attr`.
+  void CountAttribute(const AttributeDef& attr, int delta);
+  // Installs `def` under its name, replacing a relation of that name.
+  void Put(std::shared_ptr<const RelationDef> def) {
+    const std::string name = def->name;
+    relations_.Set(name, std::move(def));
+  }
+
+  SortedTable<RelationDef> relations_;
+  PersistentHashMap<AttributeUse> attribute_uses_;
 };
 
 }  // namespace eve

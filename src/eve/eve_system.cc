@@ -128,7 +128,6 @@ size_t ChangeReport::CountOutcome(ViewOutcomeKind kind) const {
 }
 
 std::string ChangeReport::ToString() const {
-  static constexpr std::string_view kUnaffectedLine = ": unaffected\n";
   std::string out = "change: " + change.ToString() + "\n";
   if (!dropped_constraints.empty()) {
     out += "  dropped constraints:";
@@ -141,22 +140,26 @@ std::string ChangeReport::ToString() const {
     out += "\n";
   }
   if (active_views != nullptr) {
-    size_t bytes = out.size();
-    for (const std::string& name : *active_views) {
-      bytes += 7 + name.size() + kUnaffectedLine.size();
+    // Both lists are name-sorted: copy the unaffected lines between the
+    // affected views in ranges.
+    const std::vector<std::string>& names = active_views->names;
+    const std::string& lines = active_views->unaffected_lines;
+    size_t bytes = out.size() + lines.size();
+    for (const ViewOutcome& outcome : outcomes) {
+      bytes += outcome.view_name.size() + outcome.detail.size() + 64;
     }
     out.reserve(bytes);
-    // Both lists are name-sorted: one merge pass skips the affected views.
-    auto affected = outcomes.begin();
-    for (const std::string& name : *active_views) {
-      while (affected != outcomes.end() && affected->view_name < name) {
-        ++affected;
-      }
-      if (affected != outcomes.end() && affected->view_name == name) continue;
-      out += "  view ";
-      out += name;
-      out += kUnaffectedLine;
+    size_t copied = 0;  // the lines before this offset are out
+    auto next = names.begin();
+    for (const ViewOutcome& outcome : outcomes) {
+      next = std::lower_bound(next, names.end(), outcome.view_name);
+      if (next == names.end() || *next != outcome.view_name) continue;
+      const size_t i = static_cast<size_t>(next - names.begin());
+      const size_t start = i == 0 ? 0 : active_views->line_ends[i - 1];
+      out.append(lines, copied, start - copied);
+      copied = active_views->line_ends[i];
     }
+    out.append(lines, copied, std::string::npos);
   }
   for (const ViewOutcome& outcome : outcomes) {
     out += "  view ";
@@ -279,15 +282,19 @@ Status EveSystem::JournalAppend(const JournalRecord& record) {
   return JournalAppendAll({&record, 1});
 }
 
-std::shared_ptr<const std::vector<std::string>> EveSystem::ActiveViewList()
-    const {
+std::shared_ptr<const ActiveViews> EveSystem::ActiveViewList() const {
   std::lock_guard<std::mutex> lock(*active_views_mu_);
   if (active_views_ == nullptr) {
-    auto names = std::make_shared<std::vector<std::string>>();
+    auto active = std::make_shared<ActiveViews>();
     for (const auto& [name, view] : views_) {
-      if (view.state == ViewState::kActive) names->push_back(name);
+      if (view.state != ViewState::kActive) continue;
+      active->names.push_back(name);
+      active->unaffected_lines += "  view ";
+      active->unaffected_lines += name;
+      active->unaffected_lines += ": unaffected\n";
+      active->line_ends.push_back(active->unaffected_lines.size());
     }
-    active_views_ = std::move(names);
+    active_views_ = std::move(active);
   }
   return active_views_;
 }
@@ -846,7 +853,7 @@ VersionScrubStats EveSystem::ScrubVersions() const {
   if (tip.version != nullptr) {
     for (size_t i = 0; i < live.size(); ++i) {
       const auto& segment = tip.version->misd[i];
-      if (segment != nullptr && segment->body != live[i]) {
+      if (segment != nullptr && segment->Text() != live[i]) {
         ++stats.corruptions;
         stats.findings.push_back("live MKB diverges from tip version " +
                                  std::to_string(tip.id()) + " segment " +

@@ -67,18 +67,30 @@ struct ViewOutcome {
   std::vector<std::string> provisional_sources;
 };
 
+// The views active when a change was prepared, name-sorted, with the
+// report line of each as unaffected ("  view <name>: unaffected\n")
+// rendered once, when the list is built: a report copies the lines of its
+// unaffected views in ranges around its affected ones.
+struct ActiveViews {
+  std::vector<std::string> names;
+  std::string unaffected_lines;    // every name's line, in name order
+  std::vector<size_t> line_ends;   // names[i]'s line ends at line_ends[i]
+
+  size_t size() const { return names.size(); }
+};
+
 struct ChangeReport {
   CapabilityChange change;
   std::vector<std::string> dropped_constraints;
   std::vector<std::string> weakened_constraints;
   // The affected views' outcomes (kRewritten or kDisabled), name-sorted.
   std::vector<ViewOutcome> outcomes;
-  // The views active when the change was prepared, name-sorted; each one
-  // without an outcome is unaffected. Immutable and shared by every report
-  // prepared while the active set stayed the same, so a report costs
-  // O(affected views). Null in a change-log entry restored from a
-  // checkpoint, which keeps only the change.
-  std::shared_ptr<const std::vector<std::string>> active_views;
+  // The views active when the change was prepared; each one without an
+  // outcome is unaffected. Immutable and shared by every report prepared
+  // while the active set stayed the same, so a report costs O(affected
+  // views). Null in a change-log entry restored from a checkpoint, which
+  // keeps only the change.
+  std::shared_ptr<const ActiveViews> active_views;
 
   // kUnaffected counts the active views without an outcome.
   size_t CountOutcome(ViewOutcomeKind kind) const;
@@ -497,7 +509,7 @@ class EveSystem {
   Status JournalAppend(const JournalRecord& record);
   // The name-sorted active views for reports (see ChangeReport), built on
   // first use after InvalidateActiveViews.
-  std::shared_ptr<const std::vector<std::string>> ActiveViewList() const;
+  std::shared_ptr<const ActiveViews> ActiveViewList() const;
   // Called wherever the set of active views may have changed.
   void InvalidateActiveViews() { active_views_.reset(); }
   // Replays one journal record onto this system (no journaling).
@@ -555,7 +567,7 @@ class EveSystem {
   // Cache behind ActiveViewList(); null until built. mutable: a dry run
   // builds it too. Guarded by active_views_mu_ (shared across copies, like
   // the other mutexes) against concurrent const callers.
-  mutable std::shared_ptr<const std::vector<std::string>> active_views_;
+  mutable std::shared_ptr<const ActiveViews> active_views_;
   std::shared_ptr<std::mutex> active_views_mu_ = std::make_shared<std::mutex>();
   std::vector<ChangeReport> change_log_;
   std::map<std::string, federation::SourceMembership> membership_;

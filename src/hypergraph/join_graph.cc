@@ -27,7 +27,10 @@ std::string JoinTree::ToString() const {
 JoinGraph JoinGraph::Build(const Mkb& mkb) {
   JoinGraph graph;
   graph.relations_ = mkb.catalog().RelationNames();
-  graph.external_edges_ = &mkb.join_constraints();
+  graph.edges_.reserve(mkb.join_constraints().size());
+  for (const JoinConstraint& jc : mkb.join_constraints()) {
+    graph.edges_.push_back(&jc);
+  }
   graph.IndexParts();
   return graph;
 }
@@ -40,7 +43,7 @@ size_t JoinGraph::IndexOf(const std::string& relation) const {
 }
 
 void JoinGraph::IndexParts() {
-  const std::vector<JoinConstraint>& edges = Edges();
+  const std::vector<const JoinConstraint*>& edges = Edges();
   // Construction-time interning: hash each relation name once and each
   // edge endpoint once. The map is scratch — queries afterwards use
   // IndexOf's binary search over the sorted relations_.
@@ -52,8 +55,8 @@ void JoinGraph::IndexParts() {
   // A JC may mention a relation the catalog no longer lists; keep it a
   // node (the old string-keyed adjacency did implicitly).
   bool appended = false;
-  for (const JoinConstraint& jc : edges) {
-    for (const std::string* end : {&jc.lhs, &jc.rhs}) {
+  for (const JoinConstraint* jc : edges) {
+    for (const std::string* end : {&jc->lhs, &jc->rhs}) {
       if (intern.emplace(*end, relations_.size()).second) {
         relations_.push_back(*end);
         appended = true;
@@ -71,8 +74,8 @@ void JoinGraph::IndexParts() {
   endpoints_.resize(edges.size());
   std::vector<size_t> degree(num_relations, 0);
   for (size_t i = 0; i < edges.size(); ++i) {
-    const size_t lhs = intern.at(edges[i].lhs);
-    const size_t rhs = intern.at(edges[i].rhs);
+    const size_t lhs = intern.at(edges[i]->lhs);
+    const size_t rhs = intern.at(edges[i]->rhs);
     endpoints_[i] = {lhs, rhs};
     ++degree[lhs];
     ++degree[rhs];
@@ -117,11 +120,11 @@ std::vector<JoinGraph::Neighbor> JoinGraph::Neighbors(
   const size_t index = IndexOf(relation);
   if (index == kNpos) return out;
   out.reserve(adj_offsets_[index + 1] - adj_offsets_[index]);
-  const std::vector<JoinConstraint>& edges = Edges();
+  const std::vector<const JoinConstraint*>& edges = Edges();
   for (const size_t edge_index : IncidentEdges(index)) {
     const auto [lhs, rhs] = endpoints_[edge_index];
     out.push_back(Neighbor{relations_[lhs == index ? rhs : lhs],
-                           edges[edge_index]});
+                           *edges[edge_index]});
   }
   return out;
 }
@@ -163,9 +166,12 @@ JoinGraph JoinGraph::EraseRelation(const std::string& relation) const {
   for (const std::string& rel : relations_) {
     if (rel != relation) out.relations_.push_back(rel);
   }
-  for (const JoinConstraint& jc : Edges()) {
-    if (!jc.Involves(relation)) out.owned_edges_.push_back(jc);
+  auto owned = std::make_shared<std::vector<JoinConstraint>>();
+  for (const JoinConstraint* jc : Edges()) {
+    if (!jc->Involves(relation)) owned->push_back(*jc);
   }
+  for (const JoinConstraint& jc : *owned) out.edges_.push_back(&jc);
+  out.owned_edges_ = std::move(owned);
   out.IndexParts();
   return out;
 }
@@ -377,7 +383,7 @@ bool JoinTreeSearchLog::TryBuildTree(const uint32_t* chosen) {
     if (unite(PositionIn(chosen, lhs), PositionIn(chosen, rhs))) ++merges;
   }
   tree_edges_.clear();
-  const std::vector<JoinConstraint>& edges = graph_->Edges();
+  const std::vector<const JoinConstraint*>& edges = graph_->Edges();
   for (size_t i = 0; i < size && merges + 1 < size; ++i) {
     for (const size_t edge_index : graph_->IncidentEdges(chosen[i])) {
       const auto [lhs, rhs] = graph_->endpoints_[edge_index];
@@ -386,7 +392,7 @@ bool JoinTreeSearchLog::TryBuildTree(const uint32_t* chosen) {
       // Skip a JC already included as mandatory.
       const std::vector<std::string>& ids = request_.mandatory_ids;
       if (!ids.empty() &&
-          std::binary_search(ids.begin(), ids.end(), edges[edge_index].id)) {
+          std::binary_search(ids.begin(), ids.end(), edges[edge_index]->id)) {
         continue;
       }
       if (!unite(i, j)) continue;
@@ -584,8 +590,8 @@ JoinTree JoinTreeEnumerator::Materialize(
   }
   tree.edges.reserve(mandatory_edges_.size() + edges.size());
   tree.edges = mandatory_edges_;
-  const std::vector<JoinConstraint>& graph_edges = graph_->Edges();
-  for (const uint32_t edge : edges) tree.edges.push_back(graph_edges[edge]);
+  const std::vector<const JoinConstraint*>& graph_edges = graph_->Edges();
+  for (const uint32_t edge : edges) tree.edges.push_back(*graph_edges[edge]);
   return tree;
 }
 

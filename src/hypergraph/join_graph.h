@@ -64,9 +64,9 @@ struct JoinTreeSearchOptions {
 class JoinGraph {
  public:
   // Builds the relation-level graph from every catalog relation and JC.
-  // The graph borrows `mkb`'s join-constraint storage instead of copying
-  // it, so it must not outlive the Mkb (nor survive a mutation of its
-  // constraint set). SyncContext already ties the two lifetimes together;
+  // The graph points at `mkb`'s join constraints (in registration order)
+  // instead of copying them, so it must not outlive the Mkb (nor survive
+  // a mutation of its constraint set). SyncContext already ties the two lifetimes together;
   // EraseRelation results own their edges and have no such dependency.
   static JoinGraph Build(const Mkb& mkb);
 
@@ -133,12 +133,10 @@ class JoinGraph {
   void IndexParts();
 
   // Every JC edge once; adjacency lists hold indices into this vector.
-  // Build() borrows the Mkb's vector (external_edges_); EraseRelation()
-  // fills owned_edges_. The pointer never aims inside the object itself,
-  // so default copy/move keep both forms valid.
-  const std::vector<JoinConstraint>& Edges() const {
-    return external_edges_ != nullptr ? *external_edges_ : owned_edges_;
-  }
+  // Build() points at the Mkb's constraints; EraseRelation() at copies in
+  // owned_edges_, a shared immutable vector, so default copy/move keep
+  // both forms valid.
+  const std::vector<const JoinConstraint*>& Edges() const { return edges_; }
 
   // Edge indices incident to relation index i:
   // adj_edges_[adj_offsets_[i] .. adj_offsets_[i+1]).
@@ -154,8 +152,8 @@ class JoinGraph {
   }
 
   std::vector<std::string> relations_;  // sorted
-  std::vector<JoinConstraint> owned_edges_;
-  const std::vector<JoinConstraint>* external_edges_ = nullptr;
+  std::vector<const JoinConstraint*> edges_;
+  std::shared_ptr<const std::vector<JoinConstraint>> owned_edges_;
   // Per edge: (index of lhs, index of rhs) in relations_.
   std::vector<std::pair<size_t, size_t>> endpoints_;
   // CSR adjacency over relation indices (see IncidentEdges).

@@ -149,7 +149,7 @@ Result<MkbEvolutionReport> EvolveMkb(const Mkb& mkb,
                    ? drop(pc->id)
                    : ConstraintEdit::kKept;
       };
-      report.changed_segments = next.EditConstraints(edits);
+      report.changed_segments = next.EditConstraintsOf(rel, edits);
       break;
     }
     case CapabilityChange::Kind::kDeleteAttribute: {
@@ -189,14 +189,15 @@ Result<MkbEvolutionReport> EvolveMkb(const Mkb& mkb,
             (pc->rhs_condition && ExprMentions(*pc->rhs_condition, is_attr));
         return mentions ? drop(pc->id) : ConstraintEdit::kKept;
       };
-      report.changed_segments = next.EditConstraints(edits);
+      report.changed_segments = next.EditConstraintsOf(change.relation, edits);
       break;
     }
     case CapabilityChange::Kind::kRenameRelation: {
       EVE_RETURN_IF_ERROR(
           next.catalog().RenameRelation(change.relation, change.new_name));
       const Rename rename{{change.relation, ""}, change.new_name};
-      report.changed_segments = next.EditConstraints(RenameEdits(rename));
+      report.changed_segments =
+          next.EditConstraintsOf(change.relation, RenameEdits(rename));
       break;
     }
     case CapabilityChange::Kind::kRenameAttribute: {
@@ -204,7 +205,8 @@ Result<MkbEvolutionReport> EvolveMkb(const Mkb& mkb,
           change.relation, change.attribute, change.new_name));
       const Rename rename{{change.relation, change.attribute},
                           change.new_name};
-      report.changed_segments = next.EditConstraints(RenameEdits(rename));
+      report.changed_segments =
+          next.EditConstraintsOf(change.relation, RenameEdits(rename));
       break;
     }
     default:

@@ -34,9 +34,11 @@ struct MkbEvolutionReport {
 //  * rename-relation / rename-attribute: rewrite all references in place;
 //  * add-relation / add-attribute: extend the catalog (no constraints are
 //    inferred automatically).
-// MKB' starts as a copy of `mkb`, and only the constraints the change
-// names are rewritten or dropped; the rest are neither rebuilt nor
-// re-validated, and keep their order.
+// MKB' starts as an O(1) copy of `mkb` that shares all of its structure
+// (Mkb is persistent), and only the constraints the change names are
+// reached (through the changed relation's block), rewritten or dropped;
+// the rest are neither copied nor re-validated, and keep their order. The
+// input MKB is left as it was.
 Result<MkbEvolutionReport> EvolveMkb(const Mkb& mkb,
                                      const CapabilityChange& change);
 

@@ -1,6 +1,7 @@
 #include "mkb/mkb.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -8,71 +9,133 @@ namespace eve {
 
 namespace {
 
-// Index key for an unordered relation pair. '\x1f' (ASCII unit separator)
-// cannot appear in parsed identifiers, so keys never collide.
-std::string PairKey(const std::string& a, const std::string& b) {
-  return a <= b ? a + '\x1f' + b : b + '\x1f' + a;
-}
-
-std::string AttrKey(const AttributeRef& ref) {
-  return ref.relation + '\x1f' + ref.attribute;
-}
-
-using PositionIndex = std::unordered_map<std::string, std::vector<size_t>>;
-
-// Moves constraint `index` from key `from` to key `to`, keeping each key's
-// positions ascending (registration order).
-void MoveIndexEntry(PositionIndex* positions, const std::string& from,
-                    const std::string& to, size_t index) {
-  if (from == to) return;
-  const auto it = positions->find(from);
-  if (it != positions->end()) {
-    std::vector<size_t>& old = it->second;
-    old.erase(std::remove(old.begin(), old.end(), index), old.end());
-    if (old.empty()) positions->erase(it);
+void AddRelationOf(const AttributeRef& ref, std::vector<std::string>* out) {
+  if (!ref.relation.empty() &&
+      std::find(out->begin(), out->end(), ref.relation) == out->end()) {
+    out->push_back(ref.relation);
   }
-  std::vector<size_t>& dest = (*positions)[to];
-  dest.insert(std::lower_bound(dest.begin(), dest.end(), index), index);
 }
 
-// Applies `edit` to every constraint of `constraints` and erases the
-// dropped ones. `key(c)` reads the fields a constraint is indexed under,
-// and `rekey(i, old_key)` re-indexes a rewritten constraint; it is skipped
-// once anything was dropped (`*dropped_any`), since a drop shifts positions
-// and the caller rebuilds the indexes. Returns whether any constraint was
-// rewritten or dropped.
-template <typename Constraint, typename Edit, typename Key, typename Rekey>
-bool EditVector(std::vector<Constraint>* constraints, const Edit& edit,
-                const Key& key, const Rekey& rekey, bool* dropped_any) {
+void AddRelationsOf(const ExprPtr& expr, std::vector<std::string>* out) {
+  if (expr == nullptr) return;
+  std::vector<AttributeRef> cols;
+  expr->CollectColumns(&cols);
+  for (const AttributeRef& ref : cols) AddRelationOf(ref, out);
+}
+
+// The relations whose blocks list a constraint: those it names.
+std::vector<std::string> RelationsOf(const JoinConstraint& jc) {
+  return {jc.lhs, jc.rhs};  // AddJoinConstraint refuses a self-join
+}
+std::vector<std::string> RelationsOf(const FunctionOfConstraint& fc) {
+  return {fc.target.relation, fc.source.relation};  // distinct, as validated
+}
+std::vector<std::string> RelationsOf(const PCConstraint& pc) {
+  std::vector<std::string> out = {pc.lhs_relation};
+  AddRelationOf({pc.rhs_relation, ""}, &out);
+  // A selection is not validated against the endpoints, so index it under
+  // every relation it reads: a change to one of them can rewrite it.
+  AddRelationsOf(pc.lhs_condition, &out);
+  AddRelationsOf(pc.rhs_condition, &out);
+  return out;
+}
+
+bool Has(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+}  // namespace
+
+// Edits of relation blocks, each block copied once on its first edit and
+// installed by Commit().
+class Mkb::BlockEditor {
+ public:
+  using Slots = std::vector<uint64_t> RelationBlock::*;
+
+  explicit BlockEditor(Mkb* mkb) : mkb_(mkb) {}
+
+  void Add(const std::string& relation, Slots slots, uint64_t seq) {
+    std::vector<uint64_t>& list = Block(relation).*slots;
+    const auto it = std::lower_bound(list.begin(), list.end(), seq);
+    if (it == list.end() || *it != seq) list.insert(it, seq);
+  }
+  void Remove(const std::string& relation, Slots slots, uint64_t seq) {
+    std::vector<uint64_t>& list = Block(relation).*slots;
+    const auto it = std::lower_bound(list.begin(), list.end(), seq);
+    if (it != list.end() && *it == seq) list.erase(it);
+  }
+  // Moves `seq`'s entries from the relations it named to those it names.
+  void Relink(const std::vector<std::string>& before,
+              const std::vector<std::string>& after, Slots slots,
+              uint64_t seq) {
+    for (const std::string& relation : before) {
+      if (!Has(after, relation)) Remove(relation, slots, seq);
+    }
+    for (const std::string& relation : after) {
+      if (!Has(before, relation)) Add(relation, slots, seq);
+    }
+  }
+
+  void Commit() {
+    for (auto& [relation, block] : touched_) {
+      if (block.joins.empty() && block.functions.empty() &&
+          block.pcs.empty()) {
+        mkb_->blocks_.Erase(relation);
+      } else {
+        mkb_->blocks_.Set(relation, std::make_shared<const RelationBlock>(
+                                        std::move(block)));
+      }
+    }
+    touched_.clear();
+  }
+
+ private:
+  RelationBlock& Block(const std::string& relation) {
+    const auto it = touched_.find(relation);
+    if (it != touched_.end()) return it->second;
+    const RelationBlock* current = mkb_->BlockOf(relation);
+    return touched_
+        .emplace(relation, current != nullptr ? *current : RelationBlock())
+        .first->second;
+  }
+
+  Mkb* mkb_;
+  std::map<std::string, RelationBlock> touched_;
+};
+
+namespace {
+
+// Applies `edit` to a copy of each constraint of `seq` at `slots` (in
+// order) and installs the outcomes together: a rewritten copy takes the
+// slot and moves its block entries; a dropped constraint leaves its slot
+// empty and loses its id and entries. Returns whether any was rewritten or
+// dropped.
+template <typename Constraint, typename Edit, typename Slots, typename Editor,
+          typename Ids>
+bool EditSlots(ChunkedSeq<Constraint>* seq, const std::vector<uint64_t>& slots,
+               const Edit& edit, Slots member, Editor* blocks, Ids* ids) {
   if (!edit) return false;
-  bool changed = false;
-  std::vector<bool> dropped;
-  for (size_t i = 0; i < constraints->size(); ++i) {
-    auto old_key = key((*constraints)[i]);
-    switch (edit(&(*constraints)[i])) {
+  std::vector<std::pair<uint64_t, std::shared_ptr<const Constraint>>> outcomes;
+  for (const uint64_t slot : slots) {
+    const Constraint& current = *seq->At(slot);
+    Constraint copy = current;
+    switch (edit(&copy)) {
       case Mkb::ConstraintEdit::kKept:
         break;
       case Mkb::ConstraintEdit::kRewritten:
-        changed = true;
-        if (!*dropped_any) rekey(i, old_key);
+        blocks->Relink(RelationsOf(current), RelationsOf(copy), member, slot);
+        outcomes.emplace_back(
+            slot, std::make_shared<const Constraint>(std::move(copy)));
         break;
       case Mkb::ConstraintEdit::kDropped:
-        changed = true;
-        *dropped_any = true;
-        dropped.resize(constraints->size());
-        dropped[i] = true;
+        blocks->Relink(RelationsOf(current), {}, member, slot);
+        ids->Erase(current.id);
+        outcomes.emplace_back(slot, nullptr);
         break;
     }
   }
-  if (!dropped.empty()) {
-    size_t kept = 0;
-    for (size_t i = 0; i < constraints->size(); ++i) {
-      if (dropped[i]) continue;
-      if (kept != i) (*constraints)[kept] = std::move((*constraints)[i]);
-      ++kept;
-    }
-    constraints->resize(kept);
-  }
+  const bool changed = !outcomes.empty();
+  seq->Replace(std::move(outcomes));
   return changed;
 }
 
@@ -87,46 +150,9 @@ Status Mkb::ValidateAttribute(const AttributeRef& ref,
   return Status::OK();
 }
 
-bool Mkb::IdInUse(const std::string& id) const {
-  return constraint_by_id_.count(id) > 0;
-}
-
-void Mkb::IndexJoinConstraint(size_t index) {
-  const JoinConstraint& jc = join_constraints_[index];
-  constraint_by_id_.emplace(jc.id,
-                            ConstraintSlot{ConstraintKind::kJoin, index});
-  joins_by_relation_[jc.lhs].push_back(index);
-  joins_by_relation_[jc.rhs].push_back(index);
-  joins_by_pair_[PairKey(jc.lhs, jc.rhs)].push_back(index);
-}
-
-void Mkb::IndexFunctionOf(size_t index) {
-  const FunctionOfConstraint& fc = function_of_constraints_[index];
-  constraint_by_id_.emplace(
-      fc.id, ConstraintSlot{ConstraintKind::kFunctionOf, index});
-  covers_by_target_[AttrKey(fc.target)].push_back(index);
-}
-
-void Mkb::IndexPCConstraint(size_t index) {
-  const PCConstraint& pc = pc_constraints_[index];
-  constraint_by_id_.emplace(pc.id,
-                            ConstraintSlot{ConstraintKind::kPc, index});
-  pcs_by_pair_[PairKey(pc.lhs_relation, pc.rhs_relation)].push_back(index);
-}
-
-void Mkb::Reindex() {
-  constraint_by_id_.clear();
-  joins_by_relation_.clear();
-  joins_by_pair_.clear();
-  pcs_by_pair_.clear();
-  covers_by_target_.clear();
-  for (size_t i = 0; i < join_constraints_.size(); ++i) {
-    IndexJoinConstraint(i);
-  }
-  for (size_t i = 0; i < function_of_constraints_.size(); ++i) {
-    IndexFunctionOf(i);
-  }
-  for (size_t i = 0; i < pc_constraints_.size(); ++i) IndexPCConstraint(i);
+const Mkb::RelationBlock* Mkb::BlockOf(const std::string& relation) const {
+  const std::shared_ptr<const RelationBlock>* block = blocks_.Find(relation);
+  return block != nullptr ? block->get() : nullptr;
 }
 
 Status Mkb::AddJoinConstraint(JoinConstraint jc) {
@@ -176,8 +202,14 @@ Status Mkb::AddJoinConstraint(JoinConstraint jc) {
         "join constraint " + jc.id +
         " has no clause relating the two relations");
   }
-  join_constraints_.push_back(std::move(jc));
-  IndexJoinConstraint(join_constraints_.size() - 1);
+  const std::vector<std::string> relations = RelationsOf(jc);
+  const std::string id = jc.id;
+  const uint64_t seq =
+      joins_.Append(std::make_shared<const JoinConstraint>(std::move(jc)));
+  ids_.Set(id, ConstraintSlot{ConstraintKind::kJoin, seq});
+  BlockEditor blocks(this);
+  blocks.Relink({}, relations, &RelationBlock::joins, seq);
+  blocks.Commit();
   return Status::OK();
 }
 
@@ -213,8 +245,14 @@ Status Mkb::AddFunctionOf(FunctionOfConstraint fc) {
           fc.source.ToString() + ", found " + ref.ToString());
     }
   }
-  function_of_constraints_.push_back(std::move(fc));
-  IndexFunctionOf(function_of_constraints_.size() - 1);
+  const std::vector<std::string> relations = RelationsOf(fc);
+  const std::string id = fc.id;
+  const uint64_t seq = functions_.Append(
+      std::make_shared<const FunctionOfConstraint>(std::move(fc)));
+  ids_.Set(id, ConstraintSlot{ConstraintKind::kFunctionOf, seq});
+  BlockEditor blocks(this);
+  blocks.Relink({}, relations, &RelationBlock::functions, seq);
+  blocks.Commit();
   return Status::OK();
 }
 
@@ -252,94 +290,85 @@ Status Mkb::AddPCConstraint(PCConstraint pc) {
                                      " is not from " + pc.rhs_relation);
     }
   }
-  pc_constraints_.push_back(std::move(pc));
-  IndexPCConstraint(pc_constraints_.size() - 1);
+  const std::vector<std::string> relations = RelationsOf(pc);
+  const std::string id = pc.id;
+  const uint64_t seq =
+      pcs_.Append(std::make_shared<const PCConstraint>(std::move(pc)));
+  ids_.Set(id, ConstraintSlot{ConstraintKind::kPc, seq});
+  BlockEditor blocks(this);
+  blocks.Relink({}, relations, &RelationBlock::pcs, seq);
+  blocks.Commit();
   return Status::OK();
 }
 
 Status Mkb::RemoveConstraint(const std::string& id) {
-  const auto slot_it = constraint_by_id_.find(id);
-  if (slot_it == constraint_by_id_.end()) {
+  const ConstraintSlot* found = ids_.Find(id);
+  if (found == nullptr) {
     return Status::NotFound("constraint not found: " + id);
   }
-  const ConstraintSlot slot = slot_it->second;
+  const ConstraintSlot slot = *found;
+  const ConstraintEdits drop_it = {
+      [](JoinConstraint*) { return ConstraintEdit::kDropped; },
+      [](FunctionOfConstraint*) { return ConstraintEdit::kDropped; },
+      [](PCConstraint*) { return ConstraintEdit::kDropped; }};
+  const std::vector<uint64_t> slots = {slot.seq};
+  BlockEditor blocks(this);
   switch (slot.kind) {
     case ConstraintKind::kJoin:
-      join_constraints_.erase(join_constraints_.begin() + slot.index);
+      EditSlots(&joins_, slots, drop_it.join, &RelationBlock::joins, &blocks,
+                &ids_);
       break;
     case ConstraintKind::kFunctionOf:
-      function_of_constraints_.erase(function_of_constraints_.begin() +
-                                     slot.index);
+      EditSlots(&functions_, slots, drop_it.function_of,
+                &RelationBlock::functions, &blocks, &ids_);
       break;
     case ConstraintKind::kPc:
-      pc_constraints_.erase(pc_constraints_.begin() + slot.index);
+      EditSlots(&pcs_, slots, drop_it.pc, &RelationBlock::pcs, &blocks, &ids_);
       break;
   }
-  // The erase shifted every later index; removal is rare (a source
-  // retracting a published constraint), so a full rebuild is fine.
-  Reindex();
+  blocks.Commit();
   return Status::OK();
 }
 
-MkbSegmentSet Mkb::EditConstraints(const ConstraintEdits& edits) {
-  using Endpoints = std::pair<std::string, std::string>;
+MkbSegmentSet Mkb::EditConstraintsOf(const std::string& relation,
+                                     const ConstraintEdits& edits) {
+  const RelationBlock* block = BlockOf(relation);
+  if (block == nullptr) return {};
+  // The edits below replace the block; walk the slots it held.
+  const RelationBlock reach = *block;
+  BlockEditor blocks(this);
   MkbSegmentSet changed;
-  bool dropped_any = false;
-  changed[kJoinsSegment] = EditVector(
-      &join_constraints_, edits.join,
-      [](const JoinConstraint& jc) { return Endpoints(jc.lhs, jc.rhs); },
-      [&](size_t i, const Endpoints& old) {
-        const JoinConstraint& jc = join_constraints_[i];
-        MoveIndexEntry(&joins_by_relation_, old.first, jc.lhs, i);
-        MoveIndexEntry(&joins_by_relation_, old.second, jc.rhs, i);
-        MoveIndexEntry(&joins_by_pair_, PairKey(old.first, old.second),
-                       PairKey(jc.lhs, jc.rhs), i);
-      },
-      &dropped_any);
-  changed[kFunctionsSegment] = EditVector(
-      &function_of_constraints_, edits.function_of,
-      [](const FunctionOfConstraint& fc) { return fc.target; },
-      [&](size_t i, const AttributeRef& old) {
-        MoveIndexEntry(&covers_by_target_, AttrKey(old),
-                       AttrKey(function_of_constraints_[i].target), i);
-      },
-      &dropped_any);
-  changed[kPcsSegment] = EditVector(
-      &pc_constraints_, edits.pc,
-      [](const PCConstraint& pc) {
-        return Endpoints(pc.lhs_relation, pc.rhs_relation);
-      },
-      [&](size_t i, const Endpoints& old) {
-        const PCConstraint& pc = pc_constraints_[i];
-        MoveIndexEntry(&pcs_by_pair_, PairKey(old.first, old.second),
-                       PairKey(pc.lhs_relation, pc.rhs_relation), i);
-      },
-      &dropped_any);
-  // A drop shifts every later position: rebuild instead of patching.
-  if (dropped_any) Reindex();
+  changed[kJoinsSegment] = EditSlots(&joins_, reach.joins, edits.join,
+                                     &RelationBlock::joins, &blocks, &ids_);
+  changed[kFunctionsSegment] =
+      EditSlots(&functions_, reach.functions, edits.function_of,
+                &RelationBlock::functions, &blocks, &ids_);
+  changed[kPcsSegment] = EditSlots(&pcs_, reach.pcs, edits.pc,
+                                   &RelationBlock::pcs, &blocks, &ids_);
+  blocks.Commit();
   return changed;
 }
 
 std::vector<const JoinConstraint*> Mkb::JoinConstraintsOf(
     const std::string& relation) const {
   std::vector<const JoinConstraint*> out;
-  const auto it = joins_by_relation_.find(relation);
-  if (it == joins_by_relation_.end()) return out;
-  out.reserve(it->second.size());
-  for (const size_t index : it->second) {
-    out.push_back(&join_constraints_[index]);
-  }
+  const RelationBlock* block = BlockOf(relation);
+  if (block == nullptr) return out;
+  out.reserve(block->joins.size());
+  for (const uint64_t seq : block->joins) out.push_back(joins_.At(seq));
   return out;
 }
 
 std::vector<const JoinConstraint*> Mkb::JoinConstraintsBetween(
     const std::string& a, const std::string& b) const {
   std::vector<const JoinConstraint*> out;
-  const auto it = joins_by_pair_.find(PairKey(a, b));
-  if (it == joins_by_pair_.end()) return out;
-  out.reserve(it->second.size());
-  for (const size_t index : it->second) {
-    out.push_back(&join_constraints_[index]);
+  const RelationBlock* block = BlockOf(a);
+  if (block == nullptr) return out;
+  for (const uint64_t seq : block->joins) {
+    const JoinConstraint* jc = joins_.At(seq);
+    if ((jc->lhs == a && jc->rhs == b) || (jc->lhs == b && jc->rhs == a)) {
+      out.push_back(jc);
+    }
   }
   return out;
 }
@@ -347,11 +376,11 @@ std::vector<const JoinConstraint*> Mkb::JoinConstraintsBetween(
 std::vector<const FunctionOfConstraint*> Mkb::CoversOf(
     const AttributeRef& attr) const {
   std::vector<const FunctionOfConstraint*> out;
-  const auto it = covers_by_target_.find(AttrKey(attr));
-  if (it == covers_by_target_.end()) return out;
-  out.reserve(it->second.size());
-  for (const size_t index : it->second) {
-    out.push_back(&function_of_constraints_[index]);
+  const RelationBlock* block = BlockOf(attr.relation);
+  if (block == nullptr) return out;
+  for (const uint64_t seq : block->functions) {
+    const FunctionOfConstraint* fc = functions_.At(seq);
+    if (fc->target == attr) out.push_back(fc);
   }
   return out;
 }
@@ -359,48 +388,49 @@ std::vector<const FunctionOfConstraint*> Mkb::CoversOf(
 std::vector<const PCConstraint*> Mkb::PCConstraintsBetween(
     const std::string& a, const std::string& b) const {
   std::vector<const PCConstraint*> out;
-  const auto it = pcs_by_pair_.find(PairKey(a, b));
-  if (it == pcs_by_pair_.end()) return out;
-  out.reserve(it->second.size());
-  for (const size_t index : it->second) {
-    out.push_back(&pc_constraints_[index]);
+  const RelationBlock* block = BlockOf(a);
+  if (block == nullptr) return out;
+  for (const uint64_t seq : block->pcs) {
+    const PCConstraint* pc = pcs_.At(seq);
+    if ((pc->lhs_relation == a && pc->rhs_relation == b) ||
+        (pc->lhs_relation == b && pc->rhs_relation == a)) {
+      out.push_back(pc);
+    }
   }
   return out;
 }
 
 Result<const JoinConstraint*> Mkb::GetJoinConstraint(
     const std::string& id) const {
-  const auto it = constraint_by_id_.find(id);
-  if (it == constraint_by_id_.end() ||
-      it->second.kind != ConstraintKind::kJoin) {
+  const ConstraintSlot* slot = ids_.Find(id);
+  if (slot == nullptr || slot->kind != ConstraintKind::kJoin) {
     return Status::NotFound("join constraint not found: " + id);
   }
-  return &join_constraints_[it->second.index];
+  return joins_.At(slot->seq);
 }
 
 Result<const FunctionOfConstraint*> Mkb::GetFunctionOf(
     const std::string& id) const {
-  const auto it = constraint_by_id_.find(id);
-  if (it == constraint_by_id_.end() ||
-      it->second.kind != ConstraintKind::kFunctionOf) {
+  const ConstraintSlot* slot = ids_.Find(id);
+  if (slot == nullptr || slot->kind != ConstraintKind::kFunctionOf) {
     return Status::NotFound("function-of constraint not found: " + id);
   }
-  return &function_of_constraints_[it->second.index];
+  return functions_.At(slot->seq);
 }
 
 std::string Mkb::ToString() const {
   std::ostringstream os;
   os << "-- Relations --\n" << catalog_.ToString();
   os << "-- Join constraints --\n";
-  for (const JoinConstraint& jc : join_constraints_) {
+  for (const JoinConstraint& jc : joins_) {
     os << jc.ToString() << "\n";
   }
   os << "-- Function-of constraints --\n";
-  for (const FunctionOfConstraint& fc : function_of_constraints_) {
+  for (const FunctionOfConstraint& fc : functions_) {
     os << fc.ToString() << "\n";
   }
   os << "-- PC constraints --\n";
-  for (const PCConstraint& pc : pc_constraints_) {
+  for (const PCConstraint& pc : pcs_) {
     os << pc.ToString() << "\n";
   }
   return os.str();

@@ -6,12 +6,14 @@
 #define EVE_MKB_MKB_H_
 
 #include <bitset>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "common/persistent_table.h"
 #include "common/result.h"
 #include "mkb/constraints.h"
 
@@ -29,6 +31,12 @@ inline constexpr size_t kNumMkbSegments = 4;
 using MkbSegmentSet = std::bitset<kNumMkbSegments>;
 inline constexpr MkbSegmentSet kAllMkbSegments{0xF};
 
+// Persistent: the catalog, the three constraint sequences and the lookup
+// indexes are persistent tables (common/persistent_table.h), so copying an
+// Mkb is O(1) and an edit copies only the chunks it changes. Each relation
+// has one block of index entries, the constraints naming it per kind in
+// registration order, and each constraint keeps its registration slot for
+// good, so rewriting a constraint touches no index. See DESIGN.md.
 class Mkb {
  public:
   Mkb() = default;
@@ -66,29 +74,32 @@ class Mkb {
     std::function<ConstraintEdit(FunctionOfConstraint*)> function_of;
     std::function<ConstraintEdit(PCConstraint*)> pc;
   };
-  // Hands every constraint to the edit of its kind, kind by kind (joins,
-  // function-of, PC) in registration order, removes the dropped ones and
-  // keeps the lookup indexes in step. Nothing is re-validated: a rewritten
-  // constraint must stay valid against the catalog. Returns the segments
-  // (kJoinsSegment, kFunctionsSegment, kPcsSegment) whose constraints an
-  // edit rewrote or dropped.
-  MkbSegmentSet EditConstraints(const ConstraintEdits& edits);
+  // Hands every constraint naming `relation` (as an endpoint, a cover's
+  // target or source, or in a PC's selection) to the edit of its kind, a
+  // copy at a time, kind by kind (joins, function-of, PC) in registration
+  // order; installs the rewritten copies in their slots, removes the
+  // dropped constraints and moves the index entries of each one whose
+  // relations changed. Nothing is re-validated: a rewritten constraint
+  // must stay valid against the catalog. Every constraint that can be
+  // rewritten or dropped by a change to `relation` names it, so this
+  // reaches them through `relation`'s block in O(constraints naming it).
+  // Returns the segments (kJoinsSegment, kFunctionsSegment, kPcsSegment)
+  // whose constraints an edit rewrote or dropped.
+  MkbSegmentSet EditConstraintsOf(const std::string& relation,
+                                  const ConstraintEdits& edits);
 
   // --- Queries -----------------------------------------------------------
-  const std::vector<JoinConstraint>& join_constraints() const {
-    return join_constraints_;
+  // Every constraint of a kind, in registration order; iterable, with
+  // size() and empty().
+  const ChunkedSeq<JoinConstraint>& join_constraints() const { return joins_; }
+  const ChunkedSeq<FunctionOfConstraint>& function_of_constraints() const {
+    return functions_;
   }
-  const std::vector<FunctionOfConstraint>& function_of_constraints() const {
-    return function_of_constraints_;
-  }
-  const std::vector<PCConstraint>& pc_constraints() const {
-    return pc_constraints_;
-  }
+  const ChunkedSeq<PCConstraint>& pc_constraints() const { return pcs_; }
 
-  // All lookups below are served from hash indexes maintained through
-  // every mutation (O(1) amortized, results in registration order — the
-  // same order the former linear scans produced). See docs/PERFORMANCE.md
-  // for the index invariants.
+  // All lookups below read one relation's block (found in O(1)) and return
+  // its matches in registration order; see docs/PERFORMANCE.md for the
+  // index invariants.
 
   // All join constraints with `relation` as an endpoint.
   std::vector<const JoinConstraint*> JoinConstraintsOf(
@@ -118,37 +129,32 @@ class Mkb {
   enum class ConstraintKind { kJoin, kFunctionOf, kPc };
   struct ConstraintSlot {
     ConstraintKind kind;
-    size_t index;  // into the kind's constraint vector
+    uint64_t seq;  // the constraint's slot in its kind's sequence
   };
+  // One relation's index entries: the slots of the constraints naming it,
+  // per kind, ascending (registration order).
+  struct RelationBlock {
+    std::vector<uint64_t> joins;
+    std::vector<uint64_t> functions;
+    std::vector<uint64_t> pcs;
+  };
+  class BlockEditor;
 
   Status ValidateAttribute(const AttributeRef& ref,
                            const std::string& context) const;
-  bool IdInUse(const std::string& id) const;
-
-  // Records a freshly appended constraint in the lookup indexes.
-  void IndexJoinConstraint(size_t index);
-  void IndexFunctionOf(size_t index);
-  void IndexPCConstraint(size_t index);
-  // Rebuilds every index from the constraint vectors (after a removal,
-  // which shifts vector indices).
-  void Reindex();
+  bool IdInUse(const std::string& id) const {
+    return ids_.Find(id) != nullptr;
+  }
+  const RelationBlock* BlockOf(const std::string& relation) const;
 
   Catalog catalog_;
-  std::vector<JoinConstraint> join_constraints_;
-  std::vector<FunctionOfConstraint> function_of_constraints_;
-  std::vector<PCConstraint> pc_constraints_;
-
-  // Lookup indexes, derived from the vectors above and kept in sync by
-  // every mutation. All values are indices (not pointers) so the default
-  // copy of an Mkb keeps working indexes.
-  std::unordered_map<std::string, ConstraintSlot> constraint_by_id_;
-  // relation -> join constraints touching it.
-  std::unordered_map<std::string, std::vector<size_t>> joins_by_relation_;
-  // unordered relation pair -> join / PC constraints between them.
-  std::unordered_map<std::string, std::vector<size_t>> joins_by_pair_;
-  std::unordered_map<std::string, std::vector<size_t>> pcs_by_pair_;
-  // target attribute -> function-of constraints covering it.
-  std::unordered_map<std::string, std::vector<size_t>> covers_by_target_;
+  ChunkedSeq<JoinConstraint> joins_;
+  ChunkedSeq<FunctionOfConstraint> functions_;
+  ChunkedSeq<PCConstraint> pcs_;
+  // constraint id -> its kind and slot.
+  PersistentHashMap<ConstraintSlot> ids_;
+  // relation -> its block; a relation no constraint names has none.
+  PersistentHashMap<std::shared_ptr<const RelationBlock>> blocks_;
 };
 
 }  // namespace eve

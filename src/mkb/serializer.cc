@@ -307,52 +307,66 @@ std::string RenderRelationMisd(const RelationDef& def) {
   return out;
 }
 
+std::string RenderJoinMisd(const JoinConstraint& jc) {
+  std::string out = "JOIN CONSTRAINT " + QuoteIdentifier(jc.id) + " BETWEEN " +
+                    QuoteIdentifier(jc.lhs) + " AND " +
+                    QuoteIdentifier(jc.rhs) + " WHERE ";
+  for (size_t i = 0; i < jc.clauses.size(); ++i) {
+    if (i > 0) out += " AND ";
+    out += PrintExpression(*jc.clauses[i]);
+  }
+  return out;
+}
+
+std::string RenderFunctionMisd(const FunctionOfConstraint& fc) {
+  return "FUNCTION " + QuoteIdentifier(fc.id) + " " +
+         QuoteIdentifier(fc.target.relation) + "." +
+         QuoteIdentifier(fc.target.attribute) + " = " +
+         PrintExpression(*fc.fn);
+}
+
+std::string RenderPcMisd(const PCConstraint& pc) {
+  std::string out = "PC " + QuoteIdentifier(pc.id) + " " +
+                    QuoteIdentifier(pc.lhs_relation) + " ";
+  AppendAttrList(&out, pc.lhs_attrs);
+  if (pc.lhs_condition != nullptr) {
+    out += " WHERE (" + PrintExpression(*pc.lhs_condition) + ")";
+  }
+  out += " ";
+  out += SetRelationKeyword(pc.relation);
+  out += " " + QuoteIdentifier(pc.rhs_relation) + " ";
+  AppendAttrList(&out, pc.rhs_attrs);
+  if (pc.rhs_condition != nullptr) {
+    out += " WHERE (" + PrintExpression(*pc.rhs_condition) + ")";
+  }
+  return out;
+}
+
 std::string RenderMkbSegment(const Mkb& mkb, size_t segment) {
   std::string out;
+  const auto lines = [&out](const auto& items, const auto& render) {
+    for (const auto& item : items) {
+      out += render(item);
+      out += "\n";
+    }
+  };
   switch (segment) {
     case kRelationsSegment:
-      for (const std::string& name : mkb.catalog().RelationNames()) {
-        out += RenderRelationMisd(*mkb.catalog().GetRelation(name).value());
-        out += "\n";
+      for (const auto& leaf : mkb.catalog().relation_table().leaves()) {
+        for (const auto& [name, def] : leaf->entries) {
+          out += RenderRelationMisd(*def);
+          out += "\n";
+        }
       }
       break;
     case kJoinsSegment:
-      for (const JoinConstraint& jc : mkb.join_constraints()) {
-        out += "JOIN CONSTRAINT " + QuoteIdentifier(jc.id) + " BETWEEN " +
-               QuoteIdentifier(jc.lhs) + " AND " + QuoteIdentifier(jc.rhs) +
-               " WHERE ";
-        for (size_t i = 0; i < jc.clauses.size(); ++i) {
-          if (i > 0) out += " AND ";
-          out += PrintExpression(*jc.clauses[i]);
-        }
-        out += "\n";
-      }
+      lines(mkb.join_constraints(), RenderJoinMisd);
       break;
     case kFunctionsSegment:
-      for (const FunctionOfConstraint& fc : mkb.function_of_constraints()) {
-        out += "FUNCTION " + QuoteIdentifier(fc.id) + " " +
-               QuoteIdentifier(fc.target.relation) + "." +
-               QuoteIdentifier(fc.target.attribute) + " = " +
-               PrintExpression(*fc.fn) + "\n";
-      }
+      lines(mkb.function_of_constraints(), RenderFunctionMisd);
       break;
     case kPcsSegment:
-      for (const PCConstraint& pc : mkb.pc_constraints()) {
-        out += "PC " + QuoteIdentifier(pc.id) + " " +
-               QuoteIdentifier(pc.lhs_relation) + " ";
-        AppendAttrList(&out, pc.lhs_attrs);
-        if (pc.lhs_condition != nullptr) {
-          out += " WHERE (" + PrintExpression(*pc.lhs_condition) + ")";
-        }
-        out += " ";
-        out += SetRelationKeyword(pc.relation);
-        out += " " + QuoteIdentifier(pc.rhs_relation) + " ";
-        AppendAttrList(&out, pc.rhs_attrs);
-        if (pc.rhs_condition != nullptr) {
-          out += " WHERE (" + PrintExpression(*pc.rhs_condition) + ")";
-        }
-        out += "\n";
-      }
+      lines(mkb.pc_constraints(), RenderPcMisd);
       break;
   }
   return out;

@@ -40,6 +40,11 @@ std::string RenderMkbSegment(const Mkb& mkb, size_t segment);
 // Renders one relation as its MISD SOURCE statement (no trailing newline).
 // Also used to encode add-relation capability changes in the change journal.
 std::string RenderRelationMisd(const RelationDef& def);
+// One constraint's MISD statement (no trailing newline): a line of the
+// JOINS, FUNCTIONS or PCS segment.
+std::string RenderJoinMisd(const JoinConstraint& jc);
+std::string RenderFunctionMisd(const FunctionOfConstraint& fc);
+std::string RenderPcMisd(const PCConstraint& pc);
 
 // Parses MISD text into a fresh MKB; all validation of Mkb::Add* applies.
 Result<Mkb> LoadMkb(std::string_view text);

@@ -1,6 +1,7 @@
 #include "mkb/version_store.h"
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <sstream>
 #include <unordered_map>
@@ -57,7 +58,8 @@ SegmentPtr MakeViewBucket(std::string body) {
 }
 
 // Folds one segment's (name, crc) pair into a running version CRC.
-uint32_t PairCrc(const MkbVersionSegment& segment, uint32_t crc) {
+template <typename Segment>
+uint32_t PairCrc(const Segment& segment, uint32_t crc) {
   crc = Crc32(segment.name, crc);
   return Crc32(&segment.crc, sizeof(segment.crc), crc);
 }
@@ -79,6 +81,12 @@ uint32_t ChunkCrc(const MkbBucketChunk& chunk) {
                sizeof(bucket->crc));
   }
   return Crc32(run);
+}
+
+uint64_t ChunkBytes(const MkbBucketChunk& chunk) {
+  uint64_t bytes = 0;
+  for (const SegmentPtr& bucket : chunk.buckets) bytes += bucket->body.size();
+  return bytes;
 }
 
 // A v0 holds only empty buckets, so every chunk of it is this one chunk.
@@ -122,6 +130,7 @@ class BucketEditor {
     for (size_t c = 0; c < kBucketChunks; ++c) {
       if (copies_[c] == nullptr) continue;
       copies_[c]->crc = ChunkCrc(*copies_[c]);
+      copies_[c]->bytes = ChunkBytes(*copies_[c]);
       chunks_[c] = std::move(copies_[c]);
     }
   }
@@ -130,6 +139,271 @@ class BucketEditor {
   BucketChunks& chunks_;
   std::array<std::shared_ptr<MkbBucketChunk>, kBucketChunks> copies_;
 };
+
+using RunPtr = std::shared_ptr<const MisdRun>;
+using MisdPtr = std::shared_ptr<const MkbMisdSegment>;
+using RelationLeaf = SortedTable<RelationDef>::Leaf;
+
+CrcSpan SpanOf(const MisdRun& run) { return {run.crc, run.text.size()}; }
+
+CrcSpan Join(const CrcSpan& a, const CrcSpan& b) {
+  if (b.bytes == 0) return a;
+  if (a.bytes == 0) return b;
+  return {Crc32Combine(a.crc, b.crc, b.bytes), a.bytes + b.bytes};
+}
+
+// The run of an empty chunk.
+const RunPtr& EmptyRun() {
+  static const RunPtr kEmpty = std::make_shared<const MisdRun>();
+  return kEmpty;
+}
+
+// Whether `source` (a segment's weak reference) names `chunk`; reads
+// neither.
+template <typename Chunk>
+bool Names(const std::weak_ptr<const void>& source,
+           const std::shared_ptr<Chunk>& chunk) {
+  return !source.owner_before(chunk) && !chunk.owner_before(source);
+}
+
+// Line `entry` of `run` (its text up to its line end).
+std::string_view LineOf(const MisdRun& run, size_t entry) {
+  const uint32_t from = entry == 0 ? 0 : run.line_ends[entry - 1];
+  return std::string_view(run.text).substr(from, run.line_ends[entry] - from);
+}
+
+void AppendLine(const std::string& line, MisdRun* run) {
+  run->text += line;
+  run->text += '\n';
+}
+
+// The run of constraint chunk `chunk`: its lines, copied from `old` (the
+// run of `old_chunk`, the chunk at the same position in the tip's MKB)
+// for the slots whose item the two chunks share, rendered for the rest.
+template <typename T>
+MisdRun ConstraintRun(const typename ChunkedSeq<T>::Chunk& chunk,
+                      const typename ChunkedSeq<T>::Chunk* old_chunk,
+                      const MisdRun* old, std::string (*render)(const T&)) {
+  MisdRun run;
+  run.line_ends.reserve(ChunkedSeq<T>::kChunkSlots);
+  for (size_t slot = 0; slot < ChunkedSeq<T>::kChunkSlots; ++slot) {
+    const std::shared_ptr<const T>& item = chunk.slots[slot];
+    if (item != nullptr && old != nullptr && old_chunk->slots[slot] == item) {
+      run.text += LineOf(*old, slot);
+    } else if (item != nullptr) {
+      AppendLine(render(*item), &run);
+    }
+    run.line_ends.push_back(static_cast<uint32_t>(run.text.size()));
+  }
+  run.crc = Crc32(run.text);
+  return run;
+}
+
+// The runs of a constraint segment, one per chunk of `seq`: the tip's run
+// where the chunk at a position is the one the tip rendered there, else
+// the chunk's memoized run.
+template <typename T>
+void ConstraintRuns(const ChunkedSeq<T>& seq, const MkbMisdSegment* tip,
+                    std::string (*render)(const T&), MkbMisdSegment* segment) {
+  using Chunk = typename ChunkedSeq<T>::Chunk;
+  const std::vector<typename ChunkedSeq<T>::ChunkPtr>& chunks = seq.chunks();
+  segment->runs.reserve(chunks.size());
+  segment->sources.reserve(chunks.size());
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    const typename ChunkedSeq<T>::ChunkPtr& chunk = chunks[c];
+    const bool at_tip = tip != nullptr && c < tip->sources.size();
+    if (chunk == nullptr) {
+      segment->runs.push_back(EmptyRun());
+    } else if (at_tip && Names(tip->sources[c], chunk)) {
+      segment->runs.push_back(tip->runs[c]);
+    } else {
+      // The chunk this one replaced, if any MKB still holds it.
+      const std::shared_ptr<const void> old =
+          at_tip ? tip->sources[c].lock() : nullptr;
+      const Chunk* old_chunk = static_cast<const Chunk*>(old.get());
+      segment->runs.push_back(chunk->memo.template Get<MisdRun>([&] {
+        return ConstraintRun<T>(
+            *chunk, old_chunk,
+            old_chunk != nullptr ? tip->runs[c].get() : nullptr, render);
+      }));
+    }
+    segment->sources.push_back(chunk);
+  }
+}
+
+// The runs of the RELATIONS segment, one per catalog leaf: the tip's run
+// where the leaf is one the tip rendered (found at the next position, else
+// by its first key), else the leaf's memoized run, which copies the line
+// of every relation a tip leaf holds unchanged and renders the others.
+void RelationRuns(const Catalog& catalog, const MkbMisdSegment* tip,
+                  MkbMisdSegment* segment) {
+  const SortedTable<RelationDef>& table = catalog.relation_table();
+  size_t old_size = tip != nullptr ? tip->sources.size() : 0;
+  // The tip's leaves, locked by the first leaf that is not the tip's at
+  // its position. If an MKB no longer holds one of them, no tip run lends
+  // its lines.
+  std::vector<std::shared_ptr<const void>> old_leaves;
+  bool locked = false;
+  const auto lock_old_leaves = [&] {
+    if (locked) return;
+    locked = true;
+    for (size_t r = 0; r < old_size; ++r) {
+      old_leaves.push_back(tip->sources[r].lock());
+      if (old_leaves.back() == nullptr) old_size = 0;
+    }
+  };
+  const auto old_leaf = [&](size_t r) {
+    return static_cast<const RelationLeaf*>(old_leaves[r].get());
+  };
+  const auto first_key = [&](size_t r) -> const std::string& {
+    return old_leaf(r)->entries.front().first;
+  };
+  // The last tip leaf whose first key is not after `key`; old_size if none.
+  const auto run_holding = [&](const std::string& key) {
+    size_t lo = 0;
+    size_t hi = old_size;
+    while (lo < hi) {
+      const size_t mid = (lo + hi) / 2;
+      if (key < first_key(mid)) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return lo == 0 ? old_size : lo - 1;
+  };
+  const auto render = [&](const RelationLeaf& leaf, size_t r) {
+    MisdRun run;
+    run.line_ends.reserve(leaf.entries.size());
+    for (const auto& [name, def] : leaf.entries) {
+      // Keys ascend, so the tip leaf holding `name` only moves forward.
+      for (size_t n = r == old_size ? 0 : r + 1;
+           n < old_size && !(name < first_key(n)); ++n) {
+        r = n;
+      }
+      bool copied = false;
+      if (r < old_size) {
+        const std::vector<SortedTable<RelationDef>::Entry>& entries =
+            old_leaf(r)->entries;
+        const auto it = std::lower_bound(
+            entries.begin(), entries.end(), name,
+            [](const auto& entry, const std::string& key) {
+              return entry.first < key;
+            });
+        if (it != entries.end() && it->first == name && it->second == def) {
+          run.text += LineOf(*tip->runs[r],
+                             static_cast<size_t>(it - entries.begin()));
+          copied = true;
+        }
+      }
+      if (!copied) AppendLine(RenderRelationMisd(*def), &run);
+      run.line_ends.push_back(static_cast<uint32_t>(run.text.size()));
+    }
+    run.crc = Crc32(run.text);
+    return run;
+  };
+  segment->runs.reserve(table.leaves().size());
+  segment->sources.reserve(table.leaves().size());
+  size_t next = 0;  // the tip leaf the next leaf is expected to be
+  for (const SortedTable<RelationDef>::LeafPtr& leaf : table.leaves()) {
+    if (next < old_size && Names(tip->sources[next], leaf)) {
+      segment->runs.push_back(tip->runs[next++]);
+    } else {
+      lock_old_leaves();
+      const size_t r = run_holding(leaf->entries.front().first);
+      if (r < old_size) next = r + 1;
+      segment->runs.push_back(
+          r < old_size && Names(tip->sources[r], leaf)
+              ? tip->runs[r]
+              : leaf->memo.Get<MisdRun>([&] { return render(*leaf, r); }));
+    }
+    segment->sources.push_back(leaf);
+  }
+}
+
+// Sets `segment`'s spans, crc and bytes from its runs. With a `tip` of as
+// many runs, its spans are copied and only the ancestors of the runs that
+// differ are recombined.
+void SealSegment(const MkbMisdSegment* tip, MkbMisdSegment* segment) {
+  const size_t n = segment->runs.size();
+  size_t width = 1;
+  while (width < n) width <<= 1;
+  std::vector<CrcSpan>& spans = segment->spans;
+  if (tip != nullptr && tip->runs.size() == n &&
+      tip->spans.size() == 2 * width) {
+    spans = tip->spans;
+    std::vector<size_t> level;  // the nodes to recombine, ascending
+    for (size_t i = 0; i < n; ++i) {
+      if (segment->runs[i] == tip->runs[i]) continue;
+      spans[width + i] = SpanOf(*segment->runs[i]);
+      level.push_back((width + i) / 2);
+    }
+    while (!level.empty() && level.front() >= 1) {
+      level.erase(std::unique(level.begin(), level.end()), level.end());
+      for (const size_t node : level) {
+        spans[node] = Join(spans[2 * node], spans[2 * node + 1]);
+      }
+      for (size_t& node : level) node /= 2;
+    }
+  } else {
+    spans.assign(2 * width, CrcSpan{});
+    for (size_t i = 0; i < n; ++i) spans[width + i] = SpanOf(*segment->runs[i]);
+    for (size_t node = width - 1; node >= 1; --node) {
+      spans[node] = Join(spans[2 * node], spans[2 * node + 1]);
+    }
+  }
+  segment->crc = spans[1].crc;
+  segment->bytes = spans[1].bytes;
+}
+
+// MISD segment `i` of `mkb`, built on the tip's segment: runs whose chunk
+// the MKB still holds are kept, and a segment that comes out
+// byte-identical to the tip's is the tip's.
+MisdPtr BuildMisdSegment(const Mkb& mkb, size_t i, const MisdPtr& tip) {
+  const MkbMisdSegment* mirrored =
+      tip != nullptr && !tip->sources.empty() ? tip.get() : nullptr;
+  auto segment = std::make_shared<MkbMisdSegment>();
+  segment->name = kMkbSegmentNames[i];
+  switch (i) {
+    case kRelationsSegment:
+      RelationRuns(mkb.catalog(), mirrored, segment.get());
+      break;
+    case kJoinsSegment:
+      ConstraintRuns(mkb.join_constraints(), mirrored, RenderJoinMisd,
+                     segment.get());
+      break;
+    case kFunctionsSegment:
+      ConstraintRuns(mkb.function_of_constraints(), mirrored,
+                     RenderFunctionMisd, segment.get());
+      break;
+    case kPcsSegment:
+      ConstraintRuns(mkb.pc_constraints(), mirrored, RenderPcMisd,
+                     segment.get());
+      break;
+  }
+  SealSegment(mirrored, segment.get());
+  if (tip != nullptr && (segment->runs == tip->runs ||
+                         (segment->crc == tip->crc &&
+                          segment->bytes == tip->bytes &&
+                          segment->Text() == tip->Text()))) {
+    return tip;
+  }
+  return segment;
+}
+
+// A MISD segment read from a checkpoint: one run of the whole text.
+MisdPtr MisdFromText(const MkbVersionSegment& segment) {
+  auto run = std::make_shared<MisdRun>();
+  run->text = segment.body;
+  run->crc = segment.crc;
+  auto misd = std::make_shared<MkbMisdSegment>();
+  misd->name = segment.name;
+  misd->runs.push_back(std::move(run));
+  misd->spans = {CrcSpan{}, CrcSpan{segment.crc, segment.body.size()}};
+  misd->crc = segment.crc;
+  misd->bytes = segment.body.size();
+  return misd;
+}
 
 const char* SegmentNameAt(size_t slot) {
   return slot < kNumMkbSegments ? kMkbSegmentNames[slot]
@@ -262,6 +536,20 @@ std::vector<ViewBlock> VersionViewBlocks(const MkbVersion& version) {
   return blocks;
 }
 
+std::string MkbMisdSegment::Text() const {
+  std::string text;
+  text.reserve(bytes);
+  for (const RunPtr& run : runs) text += run->text;
+  return text;
+}
+
+uint64_t MkbVersion::bytes() const {
+  uint64_t total = 0;
+  for (const MisdPtr& segment : misd) total += segment->bytes;
+  for (const auto& chunk : chunks) total += chunk->bytes;
+  return total;
+}
+
 std::string VersionScrubStats::ToString() const {
   std::ostringstream os;
   os << "versions=" << versions_checked << " segments=" << segments_checked
@@ -305,16 +593,10 @@ std::shared_ptr<MkbVersion> MkbVersionStore::BuildNode(
   if (mkb == nullptr) changed.reset();
   if (tip == nullptr) changed = kAllMkbSegments;
   for (size_t i = 0; i < kNumMkbSegments; ++i) {
-    if (!changed[i]) {
-      node->misd[i] = tip->misd[i];
-      continue;
-    }
-    std::string rendered = RenderMkbSegment(*mkb, i);
-    if (tip != nullptr && tip->misd[i]->body == rendered) {
-      node->misd[i] = tip->misd[i];
-    } else {
-      node->misd[i] = MakeSegment(kMkbSegmentNames[i], std::move(rendered));
-    }
+    node->misd[i] =
+        changed[i] ? BuildMisdSegment(*mkb, i,
+                                      tip != nullptr ? tip->misd[i] : nullptr)
+                   : tip->misd[i];
   }
   // Only the chunks holding a re-rendered bucket are copied.
   node->chunks = tip != nullptr ? tip->chunks : EmptyChunks();
@@ -425,7 +707,7 @@ Result<PinnedMkb> MkbVersionStore::Pin(uint64_t id) const {
   }
   if (id == tip_version) return PinnedMkb{std::move(node), std::move(tip)};
   std::string text;
-  for (const SegmentPtr& segment : node->misd) text += segment->body;
+  for (const MisdPtr& segment : node->misd) text += segment->Text();
   Result<Mkb> mkb = LoadMkb(text);
   if (!mkb.ok()) {
     return Status::Internal("version " + std::to_string(id) +
@@ -458,7 +740,7 @@ uint32_t MkbVersionStore::VersionCrc(const MkbVersion& version) {
                            std::to_string(version.parent) + "|" +
                            version.change;
   uint32_t crc = Crc32(head);
-  for (const SegmentPtr& segment : version.misd) crc = PairCrc(*segment, crc);
+  for (const MisdPtr& segment : version.misd) crc = PairCrc(*segment, crc);
   // The bucket pairs, a chunk's run at a time: the value is the CRC of the
   // whole run of kNumVersionSegments pairs.
   for (const auto& chunk : version.chunks) {
@@ -476,9 +758,11 @@ VersionScrubStats MkbVersionStore::Scrub() const {
     stats.findings.push_back("version " + std::to_string(version.id) + " " +
                              what);
   };
-  // Versions share most segments and chunks; each distinct one is
+  // Versions share most segments, runs and chunks; each distinct one is
   // checked once.
   std::unordered_set<const MkbVersionSegment*> verified;
+  std::unordered_set<const MkbMisdSegment*> verified_misd;
+  std::unordered_set<const MisdRun*> verified_runs;
   std::unordered_set<const MkbBucketChunk*> verified_chunks;
   const auto check_segment = [&](const MkbVersion& version, size_t s,
                                  const MkbVersionSegment& segment) {
@@ -521,7 +805,28 @@ VersionScrubStats MkbVersionStore::Scrub() const {
       if (parent != nullptr && version.misd[s] == parent->misd[s]) {
         ++stats.segments_shared;
       }
-      check_segment(version, s, *version.misd[s]);
+      const MkbMisdSegment& segment = *version.misd[s];
+      const std::string where = "segment " + std::to_string(s);
+      if (segment.name != kMkbSegmentNames[s]) {
+        finding(version, where + " named '" + segment.name + "', want '" +
+                             kMkbSegmentNames[s] + "'");
+      }
+      if (!verified_misd.insert(&segment).second) continue;
+      // Every run holds its CRC, and the runs concatenate to the segment's.
+      bool intact = true;
+      CrcSpan whole;
+      for (const RunPtr& run : segment.runs) {
+        if (verified_runs.insert(run.get()).second &&
+            Crc32(run->text) != run->crc) {
+          intact = false;
+        }
+        whole = Join(whole, SpanOf(*run));
+      }
+      if (!intact || whole.crc != segment.crc ||
+          whole.bytes != segment.bytes) {
+        finding(version,
+                where + " (" + segment.name + ") body fails its checksum");
+      }
     }
     // A chunk changes only where a bucket pointer does, so sharing every
     // chunk is sharing every bucket.
@@ -555,13 +860,23 @@ VersionScrubStats MkbVersionStore::Scrub() const {
 VersionByteStats MkbVersionStore::ByteStats() const {
   const std::vector<std::shared_ptr<const MkbVersion>> versions = Versions();
   VersionByteStats stats;
-  std::unordered_set<const MkbVersionSegment*> seen;
+  std::unordered_set<const void*> seen;
   for (const auto& version : versions) {
-    for (size_t i = 0; i < kNumVersionSegments; ++i) {
-      const MkbVersionSegment& segment = version->segment(i);
-      stats.logical_bytes += segment.body.size();
-      if (seen.insert(&segment).second) {
-        stats.retained_bytes += segment.body.size();
+    stats.logical_bytes += version->bytes();
+    for (const MisdPtr& segment : version->misd) {
+      if (!seen.insert(segment.get()).second) continue;
+      for (const RunPtr& run : segment->runs) {
+        if (seen.insert(run.get()).second) {
+          stats.retained_bytes += run->text.size();
+        }
+      }
+    }
+    for (const auto& chunk : version->chunks) {
+      if (!seen.insert(chunk.get()).second) continue;
+      for (const SegmentPtr& bucket : chunk->buckets) {
+        if (seen.insert(bucket.get()).second) {
+          stats.retained_bytes += bucket->body.size();
+        }
       }
     }
   }
@@ -574,12 +889,8 @@ std::string MkbVersionStore::Render() const {
   for (const auto& version : versions) {
     os << "  v" << version->id;
     if (version->id != version->parent) os << " <- v" << version->parent;
-    os << "  crc=" << ToHex(version->crc);
-    uint64_t bytes = 0;
-    for (size_t i = 0; i < kNumVersionSegments; ++i) {
-      bytes += version->segment(i).body.size();
-    }
-    os << " bytes=" << bytes << "  " << version->change << "\n";
+    os << "  crc=" << ToHex(version->crc) << " bytes=" << version->bytes()
+       << "  " << version->change << "\n";
   }
   return os.str();
 }
@@ -591,21 +902,37 @@ std::string MkbVersionStore::Serialize() const {
   // no two table entries are interchangeable: retargeting any reference
   // changes some checksum. Entry 0 is always the empty bucket, which every
   // bucket of a version before v0 is taken to hold.
-  std::vector<const MkbVersionSegment*> table = {EmptyViewBucket().get()};
-  std::unordered_map<const MkbVersionSegment*, size_t> by_pointer = {
-      {table[0], 0}};
+  // A MISD segment is written as the concatenation of its runs.
+  struct Entry {
+    std::string_view name;
+    std::string_view body;
+    uint32_t crc;
+  };
+  const MkbVersionSegment& empty = *EmptyViewBucket();
+  std::vector<Entry> table = {{empty.name, empty.body, empty.crc}};
+  std::unordered_map<const void*, size_t> by_pointer = {{&empty, 0}};
   std::map<std::pair<std::string_view, std::string_view>, size_t> by_content =
-      {{{table[0]->name, table[0]->body}, 0}};
-  const auto intern = [&](const MkbVersionSegment* segment) {
-    const auto hit = by_pointer.find(segment);
-    if (hit != by_pointer.end()) return hit->second;
+      {{{empty.name, empty.body}, 0}};
+  std::deque<std::string> misd_texts;  // the bodies of the MISD entries
+  const auto intern = [&](const void* segment, const Entry& entry) {
     const auto [it, added] =
-        by_content.emplace(std::make_pair(std::string_view(segment->name),
-                                          std::string_view(segment->body)),
-                           table.size());
-    if (added) table.push_back(segment);
+        by_content.emplace(std::make_pair(entry.name, entry.body), table.size());
+    if (added) table.push_back(entry);
     by_pointer.emplace(segment, it->second);
     return it->second;
+  };
+  const auto intern_bucket = [&](const MkbVersionSegment& segment) {
+    const auto hit = by_pointer.find(&segment);
+    if (hit != by_pointer.end()) return hit->second;
+    return intern(&segment, {segment.name, segment.body, segment.crc});
+  };
+  const auto intern_misd = [&](const MkbMisdSegment& segment) {
+    const auto hit = by_pointer.find(&segment);
+    if (hit != by_pointer.end()) return hit->second;
+    const std::string& body = misd_texts.emplace_back(segment.Text());
+    const size_t index = intern(&segment, {segment.name, body, segment.crc});
+    if (table[index].body.data() != body.data()) misd_texts.pop_back();
+    return index;
   };
   // A version lists the MISD segments, then only the buckets whose segment
   // differs from its parent's.
@@ -615,8 +942,8 @@ std::string MkbVersionStore::Serialize() const {
   for (const auto& version : versions) {
     lines << "VERSION " << version->id << " " << version->parent << " "
           << ToHex(version->crc) << " MKB";
-    for (const SegmentPtr& segment : version->misd) {
-      lines << " " << intern(segment.get());
+    for (const MisdPtr& segment : version->misd) {
+      lines << " " << intern_misd(*segment);
     }
     lines << " VIEWS";
     for (size_t c = 0; c < kBucketChunks; ++c) {
@@ -630,7 +957,7 @@ std::string MkbVersionStore::Serialize() const {
           continue;
         }
         const size_t b = c * kChunkBuckets + k;
-        const size_t index = intern(segment.get());
+        const size_t index = intern_bucket(*segment);
         if (index == bucket_index[b]) continue;
         bucket_index[b] = index;
         lines << " " << b << "=" << index;
@@ -642,7 +969,7 @@ std::string MkbVersionStore::Serialize() const {
   std::ostringstream os;
   os << "BUCKETS " << kViewBuckets << "\n";
   for (size_t i = 0; i < table.size(); ++i) {
-    const MkbVersionSegment& segment = *table[i];
+    const Entry& segment = table[i];
     os << "SEGMENT " << i << " " << segment.name << " "
        << segment.body.size() << " " << ToHex(segment.crc) << "\n"
        << segment.body << "\n";
@@ -660,6 +987,7 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
         std::to_string(kViewBuckets) + " buckets, or is corrupt)");
   }
   std::vector<SegmentPtr> table;
+  std::unordered_map<const MkbVersionSegment*, MisdPtr> misd_of;
   std::vector<std::shared_ptr<const MkbVersion>> versions;
   // The buckets of the last version read; each VERSION line edits them.
   BucketChunks chunks = EmptyChunks();
@@ -765,7 +1093,12 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
           return Status::ParseError("VERSIONS: VERSION " + id_word +
                                     " lists too few MKB segments");
         }
-        EVE_RETURN_IF_ERROR(resolve(word, i, &node->misd[i]));
+        SegmentPtr segment;
+        EVE_RETURN_IF_ERROR(resolve(word, i, &segment));
+        // Versions naming one table entry share one MISD segment.
+        MisdPtr& misd = misd_of[segment.get()];
+        if (misd == nullptr) misd = MisdFromText(*segment);
+        node->misd[i] = misd;
       }
       if (!(is >> word) || word != "VIEWS") {
         return Status::ParseError("VERSIONS: VERSION " + id_word +
@@ -826,8 +1159,8 @@ Result<MkbVersionStore> MkbVersionStore::Deserialize(std::string_view text) {
   }
   MkbVersionStore store;
   std::string tip_text;
-  for (const SegmentPtr& segment : versions.back()->misd) {
-    tip_text += segment->body;
+  for (const MisdPtr& segment : versions.back()->misd) {
+    tip_text += segment->Text();
   }
   Result<Mkb> tip_mkb = LoadMkb(tip_text);
   if (!tip_mkb.ok()) {
@@ -843,15 +1176,30 @@ bool MkbVersionStore::CorruptSegmentForTesting(uint64_t id, size_t segment,
                                                size_t byte_offset) {
   std::lock_guard<std::mutex> lock(mu_);
   if (id >= versions_.size() || segment >= kNumVersionSegments) return false;
-  const MkbVersionSegment& victim = versions_[id]->segment(segment);
-  if (byte_offset >= victim.body.size()) return false;
-  auto corrupt_segment = std::make_shared<MkbVersionSegment>(victim);
-  corrupt_segment->body[byte_offset] =
-      static_cast<char>(corrupt_segment->body[byte_offset] ^ 0x40);
   auto corrupt_version = std::make_shared<MkbVersion>(*versions_[id]);
   if (segment < kNumMkbSegments) {
+    const MkbMisdSegment& victim = *versions_[id]->misd[segment];
+    if (byte_offset >= victim.bytes) return false;
+    auto corrupt_segment = std::make_shared<MkbMisdSegment>(victim);
+    for (RunPtr& run : corrupt_segment->runs) {
+      if (byte_offset >= run->text.size()) {
+        byte_offset -= run->text.size();
+        continue;
+      }
+      auto corrupt_run = std::make_shared<MisdRun>(*run);
+      corrupt_run->text[byte_offset] =
+          static_cast<char>(corrupt_run->text[byte_offset] ^ 0x40);
+      run = std::move(corrupt_run);
+      break;
+    }
     corrupt_version->misd[segment] = std::move(corrupt_segment);
   } else {
+    const MkbVersionSegment& victim =
+        versions_[id]->view_bucket(segment - kNumMkbSegments);
+    if (byte_offset >= victim.body.size()) return false;
+    auto corrupt_segment = std::make_shared<MkbVersionSegment>(victim);
+    corrupt_segment->body[byte_offset] =
+        static_cast<char>(corrupt_segment->body[byte_offset] ^ 0x40);
     BucketEditor editor(&corrupt_version->chunks);
     editor.Set(segment - kNumMkbSegments, std::move(corrupt_segment));
     editor.Seal();

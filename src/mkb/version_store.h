@@ -3,9 +3,15 @@
 // immutable version v0..vN. A version is a list of CRC-checksummed text
 // segments — the four MISD blocks of the MKB, then the serialized view pool
 // split into kViewBuckets hash buckets — and a version shares by
-// shared_ptr every segment it leaves untouched. A commit therefore renders
-// the MKB plus only the buckets holding views it changed: O(MKB + affected
-// views), never O(pool).
+// shared_ptr every segment it leaves untouched.
+//
+// Each MISD segment is held as ordered runs of its text, one run per chunk
+// of the MKB's persistent tables (a leaf of catalog relations, or a chunk
+// of constraint slots), and a commit re-renders only the runs whose chunk
+// the MKB replaced, and in them only the lines whose entries changed; the
+// segment CRC, still the CRC of the whole text, comes from a tree of run
+// CRCs (Crc32Combiner). The buckets of a changed view are re-rendered the
+// same way, so a commit costs O(what it changed), never O(MKB) or O(pool).
 //
 // The node's own table costs what the commit changed, too: it holds the
 // four MISD segment pointers and kBucketChunks pointers to immutable chunks
@@ -51,8 +57,49 @@ struct MkbVersionSegment {
   uint32_t crc = 0;  // Crc32(body)
 };
 
-// The four MISD segments (RELATIONS, JOINS, FUNCTIONS, PCS; kNumMkbSegments
-// in mkb/mkb.h) lead every version, in this order.
+// One run of a MISD segment's text: the lines of one chunk of the MKB's
+// persistent tables (a leaf of catalog relations, or a chunk of
+// constraint slots), in the chunk's order. Rendered once per chunk and
+// kept in the chunk's memo, so every MKB and every version holding the
+// chunk shares it; a version keeps its runs after the MKB drops the chunk.
+// Immutable once built.
+struct MisdRun {
+  std::string text;
+  uint32_t crc = 0;  // Crc32(text)
+  // The end offset in `text` of each entry's line, by position in the
+  // chunk (a leaf's entry, or a constraint chunk's slot, whose line is
+  // empty when the slot is).
+  std::vector<uint32_t> line_ends;
+};
+
+// The (crc, length) of a stretch of text; two of them combine into the
+// span of their concatenation.
+struct CrcSpan {
+  uint32_t crc = 0;
+  uint64_t bytes = 0;
+};
+
+// One MISD segment (RELATIONS, JOINS, FUNCTIONS, PCS; kNumMkbSegments in
+// mkb/mkb.h; they lead every version, in this order): its text is the
+// concatenation of its runs. Shared (by shared_ptr) between versions whose
+// segment is unchanged.
+struct MkbMisdSegment {
+  std::string name;
+  std::vector<std::shared_ptr<const MisdRun>> runs;
+  // The chunk run i renders, held weakly (the MKB owns its chunks), so the
+  // next commit can tell which runs to keep and, for a replaced chunk, copy
+  // the lines it shares with its predecessor. Empty for a segment read from
+  // a checkpoint, which is one run of the whole text.
+  std::vector<std::weak_ptr<const void>> sources;
+  // An implicit binary tree of run spans: leaves at [width, width + runs),
+  // node i spans nodes 2i and 2i + 1, node 1 the whole segment. A commit
+  // that replaces k runs recombines O(k log runs) nodes.
+  std::vector<CrcSpan> spans;
+  uint32_t crc = 0;    // Crc32 of the whole text
+  uint64_t bytes = 0;  // its length
+
+  std::string Text() const;
+};
 
 // The VIEWS part of a version: view v's SaveViews block lives in bucket
 // ViewBucketOf(v), each bucket holding its blocks in name order. Fixed at
@@ -76,6 +123,7 @@ struct MkbBucketChunk {
   // CRC-32 of the buckets' (name, segment crc) pairs in order, which the
   // version CRC folds in.
   uint32_t crc = 0;
+  uint64_t bytes = 0;  // the buckets' body bytes
 };
 
 // One immutable node in the version chain.
@@ -83,7 +131,7 @@ struct MkbVersion {
   uint64_t id = 0;
   uint64_t parent = 0;  // id - 1; v0 is its own parent
   std::string change;   // single-line description of the committing change
-  std::array<std::shared_ptr<const MkbVersionSegment>, kNumMkbSegments> misd;
+  std::array<std::shared_ptr<const MkbMisdSegment>, kNumMkbSegments> misd;
   std::array<std::shared_ptr<const MkbBucketChunk>, kBucketChunks> chunks;
   // Covers id, parent, change and every segment's name and crc, as one
   // run: the MISD segments, then the buckets in order.
@@ -92,10 +140,8 @@ struct MkbVersion {
   const MkbVersionSegment& view_bucket(size_t bucket) const {
     return *chunks[bucket / kChunkBuckets]->buckets[bucket % kChunkBuckets];
   }
-  // Segment i < kNumVersionSegments: the MISD segments, then the buckets.
-  const MkbVersionSegment& segment(size_t i) const {
-    return i < kNumMkbSegments ? *misd[i] : view_bucket(i - kNumMkbSegments);
-  }
+  // The text bytes of all kNumVersionSegments segments.
+  uint64_t bytes() const;
 };
 
 // One view's block in SaveViews text: the "-- VIEW <state> ..." header line
@@ -148,8 +194,9 @@ struct VersionScrubStats {
   std::string ToString() const;
 };
 
-// Retained (unique segment) vs logical (sum over versions) byte counts —
-// the COW amplification measured by bench_versioning.
+// Retained (each distinct MISD run and view bucket once) vs logical (every
+// version's segment bytes, summed) byte counts — the COW amplification
+// measured by bench_versioning. Both walks are O(versions x chunks).
 struct VersionByteStats {
   uint64_t retained_bytes = 0;
   uint64_t logical_bytes = 0;
@@ -173,8 +220,10 @@ class MkbVersionStore {
   // the caller vouches that the others render as the tip's do (as
   // MkbEvolutionReport::changed_segments does for an evolved tip MKB), so
   // they are shared unrendered, and so are all four when `mkb` is
-  // pointer-identical to the tip's MKB. A rendered segment byte-identical
-  // to the tip's is shared, not copied. Returns the new version id.
+  // pointer-identical to the tip's MKB. A rendered segment keeps every run
+  // whose MKB chunk is the tip's and re-renders only the lines of entries
+  // the MKB replaced; one byte-identical to the tip's is shared. Returns
+  // the new version id.
   // Commits and resets must come from one thread at a time.
   uint64_t Commit(std::shared_ptr<const Mkb> mkb, ViewBucketBodies buckets,
                   std::string change,
@@ -226,8 +275,9 @@ class MkbVersionStore {
   std::string Serialize() const;
   static Result<MkbVersionStore> Deserialize(std::string_view text);
 
-  // Testing back doors: deep-copy version `id` (with the chunk involved)
-  // and flip one byte of segment `segment`'s body, or one bit of chunk
+  // Testing back doors: deep-copy version `id` (with the chunk or MISD run
+  // involved) and flip one byte of segment `segment`'s text (a MISD
+  // segment i < kNumMkbSegments, then the buckets), or one bit of chunk
   // `chunk`'s stored crc, in the copy, so exactly one version is corrupted
   // and shared siblings stay intact. Return false on bad args.
   bool CorruptSegmentForTesting(uint64_t id, size_t segment,

@@ -1,14 +1,13 @@
 #include "net/client.h"
 
 #include <errno.h>
+#include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
-
-#include <arpa/inet.h>
 
 #include <algorithm>
 #include <chrono>
@@ -24,24 +23,6 @@ namespace net {
 
 namespace {
 
-// Blocking connect to "host:port"-style coordinates; -1 on any failure.
-int DialHostPort(const std::string& host, uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-          0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
 // Pulls "host:port" out of a "...; leader=host:port" redirect error.
 std::string ExtractLeaderHint(const std::string& error_text) {
   const size_t at = error_text.find("leader=");
@@ -55,6 +36,39 @@ std::string ExtractLeaderHint(const std::string& error_text) {
 }
 
 }  // namespace
+
+Result<int> DialTcp(const std::string& host, uint16_t port) {
+  const std::string endpoint = host + ":" + std::to_string(port);
+  addrinfo hints{};
+  hints.ai_family = AF_INET;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* found = nullptr;
+  const int resolved = ::getaddrinfo(host.c_str(), std::to_string(port).c_str(),
+                                     &hints, &found);
+  if (resolved != 0) {
+    return Status::Internal("connect " + endpoint + ": cannot resolve '" +
+                            host + "': " + ::gai_strerror(resolved));
+  }
+  std::string failure = "no IPv4 address";
+  for (const addrinfo* a = found; a != nullptr; a = a->ai_next) {
+    const int fd =
+        ::socket(a->ai_family, a->ai_socktype | SOCK_CLOEXEC, a->ai_protocol);
+    if (fd < 0) {
+      failure = strerror(errno);
+      continue;
+    }
+    if (::connect(fd, a->ai_addr, a->ai_addrlen) == 0) {
+      ::freeaddrinfo(found);
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      return fd;
+    }
+    failure = strerror(errno);
+    ::close(fd);
+  }
+  ::freeaddrinfo(found);
+  return Status::Internal("connect " + endpoint + ": " + failure);
+}
 
 std::string NodeAddress::ToString() const {
   return host + ":" + std::to_string(port);
@@ -102,24 +116,19 @@ void ApplySocketTimeouts(int fd, uint64_t micros) {
 }  // namespace
 
 Result<NetClient> NetClient::Connect(const ClientOptions& options) {
-  int fd = DialHostPort(options.host, options.port);
-  if (fd < 0 && !options.nodes.empty()) {
-    // A failover client must come up even when its preferred endpoint is
-    // the dead node: fall through the rest of the cluster list.
-    for (const std::string& node : options.nodes) {
-      const Result<NodeAddress> address = ParseNodeAddress(node);
-      if (!address.ok()) continue;
-      fd = DialHostPort(address.value().host, address.value().port);
-      if (fd >= 0) break;
-    }
+  Result<int> fd = DialTcp(options.host, options.port);
+  // A failover client must come up even when its preferred endpoint is the
+  // dead node: fall through the rest of the cluster list. The error names
+  // the preferred endpoint.
+  for (size_t i = 0; !fd.ok() && i < options.nodes.size(); ++i) {
+    const Result<NodeAddress> address = ParseNodeAddress(options.nodes[i]);
+    if (!address.ok()) continue;
+    Result<int> other = DialTcp(address.value().host, address.value().port);
+    if (other.ok()) fd = std::move(other);
   }
-  if (fd < 0) {
-    return Status::Internal("connect " + options.host + ":" +
-                            std::to_string(options.port) + ": " +
-                            strerror(errno));
-  }
-  ApplySocketTimeouts(fd, options.receive_timeout_micros);
-  return NetClient(fd, options);
+  if (!fd.ok()) return fd.status();
+  ApplySocketTimeouts(fd.value(), options.receive_timeout_micros);
+  return NetClient(fd.value(), options);
 }
 
 NetClient::NetClient(int fd, ClientOptions options)
@@ -205,9 +214,10 @@ bool NetClient::Reconnect() {
   for (const std::string& candidate : candidates) {
     const Result<NodeAddress> address = ParseNodeAddress(candidate);
     if (!address.ok()) continue;
-    const int fd = DialHostPort(address.value().host, address.value().port);
-    if (fd >= 0) {
-      fd_ = fd;
+    const Result<int> fd =
+        DialTcp(address.value().host, address.value().port);
+    if (fd.ok()) {
+      fd_ = fd.value();
       ApplySocketTimeouts(fd_, options_.receive_timeout_micros);
       return true;
     }

@@ -42,6 +42,12 @@ struct NodeAddress {
 // decimal in [1, 65535] (no sign, no spaces, no trailing bytes).
 Result<NodeAddress> ParseNodeAddress(const std::string& text);
 
+// The one dialer of the program: a blocking TCP connection (TCP_NODELAY)
+// to `host`, a name or an IPv4 literal resolved with getaddrinfo, and
+// `port`. Returns the socket, or an error that names the endpoint and what
+// failed: the resolver ("cannot resolve ...") or connect(2) (its errno).
+Result<int> DialTcp(const std::string& host, uint16_t port);
+
 struct ClientOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;

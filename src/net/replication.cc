@@ -29,22 +29,10 @@ namespace {
 
 uint64_t NowMillis() { return SteadyClock()->NowMicros() / 1000; }
 
-// Blocking connect to host:port; -1 on failure.
+// Blocking connect to host:port (DialTcp); -1 on failure.
 int DialBlocking(const std::string& host, uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-          0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
+  const Result<int> fd = DialTcp(host, port);
+  return fd.ok() ? fd.value() : -1;
 }
 
 void SetSocketTimeouts(int fd, uint64_t micros) {

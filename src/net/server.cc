@@ -458,7 +458,10 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
       }
       {
         std::lock_guard<std::mutex> wlock(session->w_mu);
-        if (session->pending >= options_.max_pending_per_session) shed = true;
+        if (options_.max_pending_per_session != 0 &&
+            session->pending >= options_.max_pending_per_session) {
+          shed = true;
+        }
       }
       if (shed) {
         counters_->shed_overload.fetch_add(1);

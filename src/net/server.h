@@ -70,7 +70,8 @@ struct ServerOptions {
   size_t worker_threads = 4;
   // Sessions beyond this are refused at accept (0 = unlimited).
   size_t max_sessions = 0;
-  // Statements in flight per session before the server sheds.
+  // Statements in flight per session before the server sheds (0 =
+  // unbounded, as for max_sessions).
   size_t max_pending_per_session = 64;
   size_t max_read_buffer_bytes = 1u << 20;
   // A partial frame older than this is a slow-loris: evict.

@@ -1,16 +1,22 @@
 #include <algorithm>
+#include <atomic>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "eve/eve_system.h"
+#include "hypergraph/join_graph.h"
 #include "legacy_mkb_evolution.h"
 #include "mkb/builder.h"
 #include "mkb/evolution.h"
 #include "mkb/serializer.h"
+#include "random_federation.h"
+#include "workload/generator.h"
 #include "workload/travel_agency.h"
 
 namespace eve {
@@ -424,6 +430,46 @@ TEST(EvolutionDifferentialTest, MatchesTheReAddOracleOnRandomMkbs) {
   EXPECT_LT(failed, compared / 2);
 }
 
+// Evolves `mkb` under every change of AllChanges, in place and by the
+// re-add oracle, and compares the two; the input MKB must render as it did
+// before every evolution. Returns the number of changes compared.
+size_t CompareWithTheOracle(const Mkb& mkb) {
+  const std::string before = SaveMkb(mkb);
+  size_t compared = 0;
+  for (const CapabilityChange& change : AllChanges(mkb)) {
+    SCOPED_TRACE(change.ToString());
+    const Result<MkbEvolutionReport> evolved = EvolveMkb(mkb, change);
+    const Result<MkbEvolutionReport> oracle =
+        legacy::EvolveMkbByCopy(mkb, change);
+    EXPECT_EQ(evolved.status(), oracle.status());
+    EXPECT_EQ(SaveMkb(mkb), before);
+    ++compared;
+    if (!evolved.ok() || !oracle.ok()) continue;
+    EXPECT_EQ(SaveMkb(evolved.value().mkb), SaveMkb(oracle.value().mkb));
+    EXPECT_EQ(evolved.value().dropped_constraints,
+              oracle.value().dropped_constraints);
+    EXPECT_EQ(evolved.value().weakened_constraints,
+              oracle.value().weakened_constraints);
+    EXPECT_EQ(IndexFingerprint(evolved.value().mkb),
+              IndexFingerprint(oracle.value().mkb));
+  }
+  return compared;
+}
+
+TEST(EvolutionDifferentialTest, MatchesTheReAddOracleOnRandomFederations) {
+  // testing_federation worlds: names that need quoting and sort in a
+  // shuffled order, parallel JCs, several covers per payload and PCs of
+  // every direction.
+  size_t compared = 0;
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    SCOPED_TRACE("world " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const testing_federation::World world = testing_federation::MakeWorld(&rng);
+    compared += CompareWithTheOracle(world.mkb);
+  }
+  EXPECT_GT(compared, 1000u);
+}
+
 TEST(EvolutionDifferentialTest, RenameFlagsExactlyTheSegmentsItTouches) {
   // A rename to a new name changes the text of every constraint it
   // rewrites, so its flags are exact, not just a superset.
@@ -478,6 +524,131 @@ TEST(EvolutionDifferentialTest, VersionChainScrubsCleanAfterEveryCommit) {
     }
     EXPECT_GT(applied, 10u) << "seed " << seed;
   }
+}
+
+// --- The persistent MKB: sharing, and reads during commits ------------------
+
+// A rename of one attribute of a 4,096-relation MKB: the next version shares
+// every relation, constraint, constraint chunk, relation leaf and MISD run
+// of its parent except those holding what the rename touched.
+TEST(PersistentMkbTest, RenameAt4096SharesAllButTheTouchedRelation) {
+  ChainMkbSpec spec;
+  spec.length = 4096;
+  EveSystem system(MakeChainMkb(spec).MoveValue());
+  const PinnedMkb before = system.PinTip();
+  ASSERT_TRUE(system
+                  .ApplyChange(CapabilityChange::RenameAttribute(
+                      "R4094", "P4094", "P4094x"))
+                  .ok());
+  const PinnedMkb after = system.PinTip();
+  const Mkb& old_mkb = *before.mkb;
+  const Mkb& new_mkb = *after.mkb;
+
+  // Relations: one RelationDef and one leaf of the catalog are new.
+  for (const std::string& name : old_mkb.catalog().RelationNames()) {
+    const RelationDef* old_def = old_mkb.catalog().GetRelation(name).value();
+    const RelationDef* new_def = new_mkb.catalog().GetRelation(name).value();
+    EXPECT_EQ(old_def == new_def, name != "R4094") << name;
+  }
+  const auto differing = [](const auto& a, const auto& b) {
+    size_t count = a.size() > b.size() ? a.size() - b.size()
+                                       : b.size() - a.size();
+    for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+      if (a[i] != b[i]) ++count;
+    }
+    return count;
+  };
+  EXPECT_EQ(differing(old_mkb.catalog().relation_table().leaves(),
+                      new_mkb.catalog().relation_table().leaves()),
+            1u);
+  // Constraints: the cover of R4094.P4094 and its PC are rewritten, each in
+  // its own chunk; every other constraint is the parent's object.
+  EXPECT_EQ(&old_mkb.join_constraints().chunks(),
+            &new_mkb.join_constraints().chunks());
+  EXPECT_EQ(differing(old_mkb.function_of_constraints().chunks(),
+                      new_mkb.function_of_constraints().chunks()),
+            1u);
+  EXPECT_EQ(differing(old_mkb.pc_constraints().chunks(),
+                      new_mkb.pc_constraints().chunks()),
+            1u);
+  size_t rewritten = 0;
+  auto old_fc = old_mkb.function_of_constraints().begin();
+  for (const FunctionOfConstraint& fc : new_mkb.function_of_constraints()) {
+    if (&fc != &*old_fc) ++rewritten;
+    ++old_fc;
+  }
+  auto old_pc = old_mkb.pc_constraints().begin();
+  for (const PCConstraint& pc : new_mkb.pc_constraints()) {
+    if (&pc != &*old_pc) ++rewritten;
+    ++old_pc;
+  }
+  EXPECT_EQ(rewritten, 2u);
+  for (const std::string& name : new_mkb.catalog().RelationNames()) {
+    EXPECT_EQ(old_mkb.JoinConstraintsOf(name), new_mkb.JoinConstraintsOf(name));
+  }
+  // MISD text: JOINS is the parent's segment; each other segment renews
+  // exactly the run of the chunk that changed.
+  const MkbVersion& parent = *before.version;
+  const MkbVersion& child = *after.version;
+  EXPECT_EQ(parent.misd[kJoinsSegment], child.misd[kJoinsSegment]);
+  for (const size_t s :
+       {kRelationsSegment, kFunctionsSegment, kPcsSegment}) {
+    ASSERT_EQ(parent.misd[s]->runs.size(), child.misd[s]->runs.size()) << s;
+    EXPECT_EQ(differing(parent.misd[s]->runs, child.misd[s]->runs), 1u) << s;
+    EXPECT_EQ(child.misd[s]->Text(), RenderMkbSegment(new_mkb, s)) << s;
+  }
+  EXPECT_EQ(parent.chunks, child.chunks);
+  EXPECT_EQ(SaveMkb(old_mkb), SaveMkb(MakeChainMkb(spec).MoveValue()));
+}
+
+// One thread reads a pinned MKB the way CVS does (relation, cover, join
+// and PC lookups, the join graph, the MISD text) while another evolves and
+// commits change after change; the pinned MKB must answer as it did
+// before. CI runs this under ThreadSanitizer.
+TEST(PersistentMkbTest, PinnedMkbReadsStayStableWhileAnotherThreadCommits) {
+  ChainMkbSpec spec;
+  spec.length = 64;
+  EveSystem system(MakeChainMkb(spec).MoveValue());
+  const PinnedMkb pinned = system.PinTip();
+  const Mkb& mkb = *pinned.mkb;
+  const auto fingerprint = [&mkb] {
+    std::string out = IndexFingerprint(mkb);
+    for (const std::string& name : mkb.catalog().RelationNames()) {
+      for (const char* other : {"R0", "R31", "R63"}) {
+        for (const PCConstraint* pc : mkb.PCConstraintsBetween(name, other)) {
+          out += pc->id;
+        }
+      }
+    }
+    const JoinGraph graph = JoinGraph::Build(mkb);
+    out += std::to_string(graph.relations().size()) + "/" +
+           std::to_string(graph.Components().size());
+    out += SaveMkb(mkb);
+    return out;
+  };
+  const std::string expected = fingerprint();
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (size_t i = 0; i < 60; ++i) {
+      const std::string rel = "R" + std::to_string(63 - i % 32);
+      const std::string payload = "P" + rel.substr(1);
+      const CapabilityChange change =
+          i % 3 == 2 ? CapabilityChange::DeleteRelation(rel)
+          : i % 6 < 3
+              ? CapabilityChange::RenameAttribute(rel, payload, payload + "x")
+              : CapabilityChange::RenameAttribute(rel, payload + "x", payload);
+      (void)system.ApplyChange(change);
+    }
+    done.store(true);
+  });
+  size_t reads = 0;
+  while (!done.load() || reads == 0) {
+    ASSERT_EQ(fingerprint(), expected);
+    ++reads;
+  }
+  writer.join();
+  EXPECT_EQ(fingerprint(), expected);
+  EXPECT_GT(system.current_version(), 10u);
 }
 
 }  // namespace

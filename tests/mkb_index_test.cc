@@ -1,16 +1,21 @@
 // Property suite for the MKB lookup indexes: on randomized MKBs, every
 // indexed query (JoinConstraintsOf / JoinConstraintsBetween / CoversOf /
 // PCConstraintsBetween / GetJoinConstraint / GetFunctionOf) must return
-// exactly what a brute-force scan over the constraint vectors returns —
+// exactly what a brute-force scan over the constraint sequences returns —
 // same elements, same (registration) order, same addresses — and must
-// stay consistent through constraint removals and MKB copies.
+// stay consistent through constraint removals, MKB copies and every kind
+// of evolution (EvolveMkb).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "mkb/evolution.h"
 #include "mkb/mkb.h"
+#include "mkb/serializer.h"
 #include "workload/generator.h"
 
 namespace eve {
@@ -119,8 +124,9 @@ TEST_P(MkbIndexPropertyTest, IndexSurvivesRemovalsAndCopies) {
   // Removing constraints shifts vector indices: the rebuilt index must
   // still agree with brute force after every removal.
   while (mkb.join_constraints().size() > 1) {
-    const std::string victim =
-        mkb.join_constraints()[mkb.join_constraints().size() / 2].id;
+    auto middle = mkb.join_constraints().begin();
+    std::advance(middle, mkb.join_constraints().size() / 2);
+    const std::string victim = middle->id;
     ASSERT_TRUE(mkb.RemoveConstraint(victim).ok());
     EXPECT_FALSE(mkb.GetJoinConstraint(victim).ok());
     ExpectIndexMatchesBruteForce(mkb);
@@ -131,16 +137,63 @@ TEST_P(MkbIndexPropertyTest, IndexSurvivesRemovalsAndCopies) {
     ExpectIndexMatchesBruteForce(mkb);
   }
 
-  // A copy must carry working indexes that point into ITS OWN vectors
-  // (index values are positions, not pointers).
+  // A copy must carry working indexes that point at the constraints ITS
+  // OWN sequences hold (index values are slots, not pointers).
   const Mkb copy = mkb;
   ExpectIndexMatchesBruteForce(copy);
+  std::vector<const JoinConstraint*> held;
+  for (const JoinConstraint& jc : copy.join_constraints()) held.push_back(&jc);
   for (const JoinConstraint* jc : copy.JoinConstraintsOf(
            copy.catalog().RelationNames().front())) {
-    EXPECT_GE(jc, copy.join_constraints().data());
-    EXPECT_LT(jc, copy.join_constraints().data() +
-                      copy.join_constraints().size());
+    EXPECT_NE(std::find(held.begin(), held.end(), jc), held.end());
   }
+}
+
+// Every change kind on every relation (and on one attribute of each): the
+// evolved MKB answers every lookup as brute force over its own sequences
+// does, and the MKB it evolved from still does and still renders as before.
+TEST_P(MkbIndexPropertyTest, IndexedLookupsMatchBruteForceOnEvolvedMkbs) {
+  RandomMkbSpec spec;
+  spec.num_relations = 10;
+  spec.extra_edge_probability = 0.3;
+  spec.cover_probability = 0.8;
+  spec.seed = GetParam();
+  const Mkb mkb = MakeRandomMkb(spec).MoveValue();
+  const std::string before = SaveMkb(mkb);
+  size_t evolved = 0;
+  for (const std::string& relation : mkb.catalog().RelationNames()) {
+    const RelationDef& def = *mkb.catalog().GetRelation(relation).value();
+    const std::string attribute = def.schema.attribute(0).name;
+    RelationDef added;
+    added.source = "IS-new";
+    added.name = relation + "_new";
+    added.schema = Schema({{"Fresh" + relation, DataType::kInt}});
+    for (const CapabilityChange& change :
+         {CapabilityChange::DeleteRelation(relation),
+          CapabilityChange::DeleteAttribute(relation, attribute),
+          CapabilityChange::RenameRelation(relation, relation + "x"),
+          CapabilityChange::RenameAttribute(relation, attribute,
+                                            attribute + "x"),
+          CapabilityChange::AddAttribute(relation,
+                                         {"Fresh" + relation, DataType::kInt}),
+          CapabilityChange::AddRelation(added)}) {
+      SCOPED_TRACE(change.ToString());
+      const Result<MkbEvolutionReport> report = EvolveMkb(mkb, change);
+      ASSERT_TRUE(report.ok()) << report.status();
+      ExpectIndexMatchesBruteForce(report.value().mkb);
+      // A second change on top of the first keeps the indexes exact.
+      const std::vector<std::string> left =
+          report.value().mkb.catalog().RelationNames();
+      const Result<MkbEvolutionReport> again = EvolveMkb(
+          report.value().mkb, CapabilityChange::DeleteRelation(left.back()));
+      ASSERT_TRUE(again.ok()) << again.status();
+      ExpectIndexMatchesBruteForce(again.value().mkb);
+      ++evolved;
+    }
+  }
+  EXPECT_EQ(SaveMkb(mkb), before);
+  ExpectIndexMatchesBruteForce(mkb);
+  EXPECT_GT(evolved, 50u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MkbIndexPropertyTest,

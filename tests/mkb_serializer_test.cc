@@ -7,6 +7,14 @@
 namespace eve {
 namespace {
 
+// A constraint sequence's items in registration order.
+template <typename T>
+std::vector<const T*> Items(const ChunkedSeq<T>& seq) {
+  std::vector<const T*> items;
+  for (const T& item : seq) items.push_back(&item);
+  return items;
+}
+
 // Structural equality between two MKBs, independent of formatting.
 void ExpectSameMkb(const Mkb& a, const Mkb& b) {
   EXPECT_EQ(a.catalog().RelationNames(), b.catalog().RelationNames());
@@ -18,9 +26,12 @@ void ExpectSameMkb(const Mkb& a, const Mkb& b) {
     EXPECT_EQ(da.ordered_by, db.ordered_by) << name;
   }
   ASSERT_EQ(a.join_constraints().size(), b.join_constraints().size());
-  for (size_t i = 0; i < a.join_constraints().size(); ++i) {
-    const JoinConstraint& ja = a.join_constraints()[i];
-    const JoinConstraint& jb = b.join_constraints()[i];
+  const std::vector<const JoinConstraint*> joins_a = Items(a.join_constraints());
+  const std::vector<const JoinConstraint*> joins_b = Items(b.join_constraints());
+  ASSERT_EQ(joins_a.size(), a.join_constraints().size());
+  for (size_t i = 0; i < joins_a.size(); ++i) {
+    const JoinConstraint& ja = *joins_a[i];
+    const JoinConstraint& jb = *joins_b[i];
     EXPECT_EQ(ja.id, jb.id);
     EXPECT_EQ(ja.lhs, jb.lhs);
     EXPECT_EQ(ja.rhs, jb.rhs);
@@ -33,18 +44,26 @@ void ExpectSameMkb(const Mkb& a, const Mkb& b) {
   }
   ASSERT_EQ(a.function_of_constraints().size(),
             b.function_of_constraints().size());
-  for (size_t i = 0; i < a.function_of_constraints().size(); ++i) {
-    const FunctionOfConstraint& fa = a.function_of_constraints()[i];
-    const FunctionOfConstraint& fb = b.function_of_constraints()[i];
+  const std::vector<const FunctionOfConstraint*> functions_a =
+      Items(a.function_of_constraints());
+  const std::vector<const FunctionOfConstraint*> functions_b =
+      Items(b.function_of_constraints());
+  ASSERT_EQ(functions_a.size(), a.function_of_constraints().size());
+  for (size_t i = 0; i < functions_a.size(); ++i) {
+    const FunctionOfConstraint& fa = *functions_a[i];
+    const FunctionOfConstraint& fb = *functions_b[i];
     EXPECT_EQ(fa.id, fb.id);
     EXPECT_EQ(fa.target, fb.target);
     EXPECT_EQ(fa.source, fb.source);
     EXPECT_TRUE(fa.fn->Equals(*fb.fn)) << fa.id;
   }
   ASSERT_EQ(a.pc_constraints().size(), b.pc_constraints().size());
-  for (size_t i = 0; i < a.pc_constraints().size(); ++i) {
-    const PCConstraint& pa = a.pc_constraints()[i];
-    const PCConstraint& pb = b.pc_constraints()[i];
+  const std::vector<const PCConstraint*> pcs_a = Items(a.pc_constraints());
+  const std::vector<const PCConstraint*> pcs_b = Items(b.pc_constraints());
+  ASSERT_EQ(pcs_a.size(), a.pc_constraints().size());
+  for (size_t i = 0; i < pcs_a.size(); ++i) {
+    const PCConstraint& pa = *pcs_a[i];
+    const PCConstraint& pb = *pcs_b[i];
     EXPECT_EQ(pa.id, pb.id);
     EXPECT_EQ(pa.lhs_relation, pb.lhs_relation);
     EXPECT_EQ(pa.rhs_relation, pb.rhs_relation);
@@ -109,7 +128,7 @@ TEST(SerializerTest, PcWithSelections) {
     PC P1 A (x) WHERE (A.y > 0) SUBSET B (x) WHERE (B.z > 0)
   )misd");
   ASSERT_TRUE(mkb.ok()) << mkb.status();
-  const PCConstraint& pc = mkb.value().pc_constraints()[0];
+  const PCConstraint& pc = mkb.value().pc_constraints().front();
   ASSERT_NE(pc.lhs_condition, nullptr);
   ASSERT_NE(pc.rhs_condition, nullptr);
   EXPECT_EQ(pc.lhs_condition->ToString(), "(A.y > 0)");
@@ -117,8 +136,8 @@ TEST(SerializerTest, PcWithSelections) {
   // And it round-trips.
   const Result<Mkb> again = LoadMkb(SaveMkb(mkb.value()));
   ASSERT_TRUE(again.ok()) << again.status();
-  ASSERT_NE(again.value().pc_constraints()[0].lhs_condition, nullptr);
-  EXPECT_TRUE(again.value().pc_constraints()[0].lhs_condition->Equals(
+  ASSERT_NE(again.value().pc_constraints().front().lhs_condition, nullptr);
+  EXPECT_TRUE(again.value().pc_constraints().front().lhs_condition->Equals(
       *pc.lhs_condition));
 }
 

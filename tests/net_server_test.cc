@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -376,22 +377,148 @@ TEST_F(ServerTest, ConcurrentSessionsMixReadersAndWriters) {
 // --- Overload and shedding --------------------------------------------------
 
 TEST_F(ServerTest, OverloadShedsExplicitlyAndClientBacksOff) {
+  // Server half: one statement in flight per session. A burst of
+  // pipelined requests outruns the worker, so the ones that arrive while
+  // the first is pending are answered at once with an explicit shed.
   ServerOptions options;
-  options.max_pending_per_session = 0;  // shed every statement
+  options.max_pending_per_session = 1;
   StartServer(options);
+  const int fd = RawConnect();
+  constexpr uint64_t kBurst = 32;
+  std::string burst;
+  for (uint64_t id = 1; id <= kBurst; ++id) {
+    burst += EncodeFrame(FrameType::kRequest,
+                         EncodeRequest(Request{id, "SHOW MKB"}));
+  }
+  ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+            static_cast<ssize_t>(burst.size()));
+  FrameDecoder decoder;
+  uint64_t answered = 0;
+  uint64_t shed = 0;
+  char buf[4096];
+  while (answered < kBurst) {
+    std::optional<Frame> frame = decoder.Next();
+    if (!frame) {
+      const ssize_t n = ::read(fd, buf, sizeof(buf));
+      ASSERT_GT(n, 0) << "server closed the connection mid-burst";
+      decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+      continue;
+    }
+    ASSERT_EQ(frame->type, FrameType::kResponse);
+    Result<Response> response = DecodeResponse(frame->payload);
+    ASSERT_TRUE(response.ok());
+    ++answered;
+    if (response->code == 0) continue;
+    EXPECT_EQ(response->code,
+              static_cast<int32_t>(StatusCode::kResourceExhausted));
+    EXPECT_GT(response->retry_after_micros, 0u);
+    ++shed;
+  }
+  ::close(fd);
+  EXPECT_GE(shed, 1u);
+  EXPECT_LT(shed, kBurst);  // the first request is always admitted
+  EXPECT_EQ(server_->stats().shed_overload, shed);
 
-  ClientOptions retrying;
-  retrying.max_shed_retries = 2;
-  retrying.initial_backoff_micros = 1'000;
-  NetClient client = MustConnect(retrying);
-  Result<Response> response = client.Run("SHOW MKB");
+  // Client half: against an endpoint that sheds every request, the client
+  // retries (and re-sends) max_shed_retries times, then surfaces the shed.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  int requests_seen = 0;
+  std::thread shedder([&] {
+    const int conn = ::accept(listener, nullptr, nullptr);
+    if (conn < 0) return;
+    FrameDecoder requests;
+    char in[4096];
+    while (true) {
+      std::optional<Frame> frame = requests.Next();
+      if (!frame) {
+        const ssize_t n = ::read(conn, in, sizeof(in));
+        if (n <= 0) break;
+        requests.Feed(std::string_view(in, static_cast<size_t>(n)));
+        continue;
+      }
+      Result<Request> request = DecodeRequest(frame->payload);
+      if (!request.ok()) break;
+      ++requests_seen;
+      Response reply;
+      reply.id = request->id;
+      reply.code = static_cast<int32_t>(StatusCode::kResourceExhausted);
+      reply.retry_after_micros = 1'000;
+      reply.error = "overloaded";
+      const std::string out =
+          EncodeFrame(FrameType::kResponse, EncodeResponse(reply));
+      if (::write(conn, out.data(), out.size()) !=
+          static_cast<ssize_t>(out.size())) {
+        break;
+      }
+    }
+    ::close(conn);
+  });
+  {
+    ClientOptions retrying;
+    retrying.port = ntohs(addr.sin_port);
+    retrying.max_shed_retries = 2;
+    retrying.initial_backoff_micros = 1'000;
+    Result<NetClient> client = NetClient::Connect(retrying);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    Result<Response> response = client.value().Run("SHOW MKB");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->code,
+              static_cast<int32_t>(StatusCode::kResourceExhausted));
+    EXPECT_GT(response->retry_after_micros, 0u);
+    EXPECT_EQ(client.value().sheds_retried(), 2u);
+  }  // the client hangs up, which ends the shedder
+  shedder.join();
+  ::close(listener);
+  EXPECT_EQ(requests_seen, 3);
+}
+
+TEST_F(ServerTest, ZeroMaxPendingMeansNoPerSessionBound) {
+  ServerOptions options;
+  options.max_pending_per_session = 0;
+  StartServer(options);
+  NetClient client = MustConnect();
+  for (int i = 0; i < 3; ++i) {
+    Result<Response> response = client.Run("SHOW MKB");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->code, 0) << response->error;
+  }
+  EXPECT_EQ(server_->stats().shed_overload, 0u);
+}
+
+TEST_F(ServerTest, ClientConnectsByHostName) {
+  StartServer();
+  ClientOptions options;
+  options.host = "localhost";
+  options.port = server_->port();
+  Result<NetClient> client = NetClient::Connect(options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Result<Response> response = client.value().Run("SHOW MKB");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->code,
-            static_cast<int32_t>(StatusCode::kResourceExhausted));
-  EXPECT_GT(response->retry_after_micros, 0u);
-  // The client retried (and re-sent) before surfacing the shed.
-  EXPECT_EQ(client.sheds_retried(), 2u);
-  EXPECT_GE(server_->stats().shed_overload, 3u);
+  EXPECT_EQ(response->code, 0) << response->error;
+}
+
+TEST_F(ServerTest, UnresolvableHostNamesTheResolverFailure) {
+  // A 64-byte label is longer than DNS allows, so the name fails to
+  // resolve before any query could be built.
+  ClientOptions options;
+  options.host = std::string(64, 'x') + ".invalid";
+  options.port = 7433;
+  const Result<NetClient> client = NetClient::Connect(options);
+  ASSERT_FALSE(client.ok());
+  const std::string error = client.status().ToString();
+  EXPECT_NE(error.find("connect " + options.host + ":7433: cannot resolve"),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(error.find("Success"), std::string::npos) << error;
 }
 
 TEST_F(ServerTest, SessionCapRefusesTheExtraConnection) {

@@ -18,7 +18,9 @@
 #include <optional>
 #include <random>
 #include <set>
+#include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -632,7 +634,10 @@ void CheckCommit(const EveSystem& system, const PinnedMkb& before,
 
 class OracleRun {
  public:
-  explicit OracleRun(uint64_t seed) : rng_(seed) {
+  // With `all_change_kinds`, the capability changes also rename relations
+  // (and back), add attributes and add relations.
+  explicit OracleRun(uint64_t seed, bool all_change_kinds = false)
+      : rng_(seed), all_change_kinds_(all_change_kinds) {
     ChainMkbSpec spec;
     spec.length = 12;
     spec.cover_distance = 2;
@@ -789,7 +794,7 @@ class OracleRun {
   CapabilityChange NextChange() {
     const std::string relation = "R" + std::to_string(rng_() % 12);
     const std::string payload = "P" + relation.substr(1);
-    switch (rng_() % 4) {
+    switch (rng_() % (all_change_kinds_ ? 8 : 4)) {
       case 0:
         return CapabilityChange::DeleteAttribute(relation, payload);
       case 1:
@@ -798,12 +803,28 @@ class OracleRun {
       case 2:
         return CapabilityChange::RenameAttribute(relation, payload + "x",
                                                  payload);
+      case 4:
+        return CapabilityChange::RenameRelation(relation, relation + "r");
+      case 5:
+        return CapabilityChange::RenameRelation(relation + "r", relation);
+      case 6:
+        return CapabilityChange::AddAttribute(
+            relation, {"A" + std::to_string(next_added_++), DataType::kInt});
+      case 7: {
+        RelationDef added;
+        added.source = "IS" + std::to_string(rng_() % 12);
+        added.name = "N" + std::to_string(next_added_++);
+        added.schema = Schema({{"K" + added.name, DataType::kInt}});
+        return CapabilityChange::AddRelation(added);
+      }
       default:
         return CapabilityChange::DeleteRelation(relation);
     }
   }
 
   std::mt19937_64 rng_;
+  bool all_change_kinds_ = false;
+  size_t next_added_ = 0;
   Mkb mkb_;
   std::optional<EveSystem> system_;
   std::vector<std::string> shared_bucket_names_;
@@ -893,10 +914,11 @@ TEST_F(VersioningTest, FreshJournaledStreamRollsBackAtVersionZero) {
   std::remove(path.c_str());
 }
 
-// Over seeded op streams, every version's checksum (the head, the MISD
-// pairs and one combined CRC per bucket chunk) equals the whole-run oracle,
-// in the live chain, in the chain Deserialize rebuilds, and in the chain
-// recovery replays.
+// Over seeded op streams of every change kind, rollbacks and aborted
+// batches, every version's checksum (the head, the MISD pairs, each MISD
+// crc combined from its runs, and one combined CRC per bucket chunk)
+// equals the whole-segment oracle, in the live chain, in the chain
+// Deserialize rebuilds, and in the chain recovery replays.
 TEST_F(VersioningTest, ChunkedVersionCrcMatchesTheWholeRunOracle) {
   const auto check_chain = [](const MkbVersionStore& store,
                               const std::string& what) {
@@ -910,7 +932,7 @@ TEST_F(VersioningTest, ChunkedVersionCrcMatchesTheWholeRunOracle) {
   };
   for (const uint64_t seed : {1, 2, 3, 4}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    OracleRun run(seed);
+    OracleRun run(seed, /*all_change_kinds=*/true);
     EveSystem& system = run.system();
     for (int i = 0; i < 40; ++i) (void)run.Step();
     const std::string checkpoint = RenderCheckpoint(system);
@@ -944,6 +966,66 @@ TEST_F(VersioningTest, ChunkedVersionCrcMatchesTheWholeRunOracle) {
               system.versions().Render());
     std::remove(path.c_str());
   }
+}
+
+// ByteStats and Render read a byte total per MISD segment and per bucket
+// chunk; on a 1,001-version chain they must agree with a walk over every
+// segment of every version (SHOW VERSIONS and logical bytes unchanged;
+// retained bytes count each distinct MISD run and bucket once).
+TEST_F(VersioningTest, ByteStatsAndRenderMatchThePerSegmentWalk) {
+  ChainMkbSpec spec;
+  spec.length = 16;
+  EveSystem system(MakeChainMkb(spec).MoveValue());
+  for (int v = 0; v < 40; ++v) {
+    Result<ViewDefinition> view = MakeChainView(system.mkb(), v % 15, 1 + v % 2);
+    ASSERT_TRUE(view.ok()) << view.status();
+    view.value().set_name("V" + std::to_string(v));
+    ASSERT_TRUE(system.RegisterView(view.MoveValue()).ok());
+  }
+  while (system.versions().NumVersions() < 1001) {
+    const size_t r = 1 + system.versions().NumVersions() % 14;
+    const std::string rel = "R" + std::to_string(r);
+    const std::string payload = "P" + std::to_string(r);
+    const bool forward = system.mkb().catalog().HasAttribute({rel, payload});
+    ASSERT_TRUE(system
+                    .ApplyChange(CapabilityChange::RenameAttribute(
+                        rel, forward ? payload : payload + "x",
+                        forward ? payload + "x" : payload))
+                    .ok());
+  }
+  const std::vector<std::shared_ptr<const MkbVersion>> versions =
+      system.versions().Versions();
+  ASSERT_EQ(versions.size(), 1001u);
+  VersionByteStats walked;
+  std::unordered_set<const void*> seen;
+  std::ostringstream render;
+  for (const auto& version : versions) {
+    uint64_t bytes = 0;
+    for (const auto& segment : version->misd) {
+      bytes += segment->Text().size();
+      for (const auto& run : segment->runs) {
+        if (seen.insert(run.get()).second) {
+          walked.retained_bytes += run->text.size();
+        }
+      }
+    }
+    for (size_t bucket = 0; bucket < kViewBuckets; ++bucket) {
+      const MkbVersionSegment& segment = version->view_bucket(bucket);
+      bytes += segment.body.size();
+      if (seen.insert(&segment).second) {
+        walked.retained_bytes += segment.body.size();
+      }
+    }
+    walked.logical_bytes += bytes;
+    render << "  v" << version->id;
+    if (version->id != version->parent) render << " <- v" << version->parent;
+    render << "  crc=" << std::hex << version->crc << std::dec
+           << " bytes=" << bytes << "  " << version->change << "\n";
+  }
+  const VersionByteStats stats = system.versions().ByteStats();
+  EXPECT_EQ(stats.logical_bytes, walked.logical_bytes);
+  EXPECT_EQ(stats.retained_bytes, walked.retained_bytes);
+  EXPECT_EQ(system.versions().Render(), render.str());
 }
 
 }  // namespace

@@ -19,6 +19,9 @@
 //   election vote majority (0 opts out of semi-sync entirely).
 //        [--metrics-port <n> [--metrics-host <addr>]]
 //
+//   --max-sessions (default 0) bounds the open sessions and --max-pending
+//   (default 64) the statements in flight on one session; 0 means no bound
+//   for either.
 //   --port 0 (the default) binds an ephemeral port; --port-file writes the
 //   chosen port as a decimal line once the server is listening, so test
 //   harnesses can rendezvous without racing.
@@ -157,6 +160,7 @@ int Main(int argc, char** argv) {
       std::cerr << "usage: eved [--host <addr>] [--port <n>] "
                    "[--port-file <path>] [--workers <n>] "
                    "[--max-sessions <n>] [--max-pending <n>] "
+                   "(0 = no bound) "
                    "[--idle-timeout-micros <n>] "
                    "[--drain-timeout-micros <n>] [--init <script>] "
                    "[--node-id <id> --cluster <spec> --data-dir <dir> "
