@@ -4,8 +4,10 @@
 // the 10k server sockets each get their own fd table), connects N
 // concurrent sessions (default 10,000), and drives a closed loop: every
 // session keeps exactly one statement in flight and sends the next the
-// instant its response arrives. A deterministic slice of the sessions
-// misbehaves on a scripted schedule instead of talking the protocol:
+// instant its response arrives, cycling through SHOW VIEW V1 (half the
+// statements), SHOW VIEWS and SHOW SYNC STATS. A deterministic slice of
+// the sessions misbehaves on a scripted schedule instead of talking the
+// protocol:
 //
 //   disconnect  writes half a frame, hangs up, reconnects, repeats
 //   stall       writes half a frame and goes silent (slow-loris bait:
@@ -238,10 +240,14 @@ class Driver {
     Conn& conn = conns_[index];
     net::Request request;
     request.id = ++conn.request_id;
-    // Mostly snapshot reads (the shared-lock fast path), with a slice of
-    // exclusive-lock statements so both classes are always in flight.
-    request.statement =
-        (conn.request_id % 16 == 0) ? "SHOW SYNC STATS" : "SHOW VIEWS";
+    // Mostly snapshot reads: point reads (SHOW VIEW V1, which the I/O
+    // thread serves itself when the console lock is free) and pool reads
+    // (SHOW VIEWS, on a worker under the shared lock), with a slice of
+    // exclusive-lock statements so every class is always in flight.
+    const uint64_t id = conn.request_id;
+    request.statement = id % 16 == 0  ? "SHOW SYNC STATS"
+                        : id % 2 == 1 ? "SHOW VIEW V1"
+                                      : "SHOW VIEWS";
     conn.sent_micros = NowMicros();
     conn.in_flight = true;
     Send(index, net::EncodeFrame(net::FrameType::kRequest,
@@ -564,6 +570,9 @@ int Main(int argc, char** argv) {
   server_stats.evicted_io_error = StatsField(stats_line, "evicted_io_error");
   server_stats.resyncs = StatsField(stats_line, "resyncs");
   server_stats.crc_failures = StatsField(stats_line, "crc_failures");
+  // Read by name, so a server without these counters reports 0.
+  const uint64_t reads_inline = StatsField(stats_line, "reads_inline");
+  const uint64_t reads_deferred = StatsField(stats_line, "reads_deferred");
 
   DriverStats total;
   for (auto& driver : fleet) {
@@ -592,8 +601,9 @@ int Main(int argc, char** argv) {
   out << "{\n"
       << "  \"description\": \"Closed-loop chaos load against a forked"
          " eved server child: every session keeps one statement in"
-         " flight; ~3% of sessions run scripted faults (disconnect"
-         " mid-frame, slow-loris stall, flood).\",\n"
+         " flight, in the mix SHOW VIEW V1 (1/2), SHOW VIEWS (7/16) and"
+         " SHOW SYNC STATS (1/16); ~3% of sessions run scripted faults"
+         " (disconnect mid-frame, slow-loris stall, flood).\",\n"
       << "  \"sessions\": " << sessions << ",\n"
       << "  \"peak_concurrent_sessions\": " << peak_sessions.load() << ",\n"
       << "  \"duration_seconds\": " << seconds << ",\n"
@@ -612,7 +622,9 @@ int Main(int argc, char** argv) {
       << ", \"evicted_overflow\": " << server_stats.evicted_overflow
       << ", \"evicted_io_error\": " << server_stats.evicted_io_error
       << ", \"resyncs\": " << server_stats.resyncs
-      << ", \"crc_failures\": " << server_stats.crc_failures << "},\n"
+      << ", \"crc_failures\": " << server_stats.crc_failures
+      << ", \"reads_inline\": " << reads_inline
+      << ", \"reads_deferred\": " << reads_deferred << "},\n"
       << "  \"server_alive_at_end\": " << (child_alive ? "true" : "false")
       << ",\n"
       << "  \"zero_crashes\": " << (crashed ? "false" : "true") << ",\n"

@@ -44,9 +44,12 @@ void NameCurrentThread(const std::string& prefix, size_t index) {
 ThreadPool::ThreadPool(size_t num_threads, std::string name_prefix) {
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i, name_prefix] {
+    workers_.push_back(std::make_unique<Worker>());
+  }
+  for (size_t i = 0; i < num_threads; ++i) {
+    workers_[i]->thread = std::thread([this, i, name_prefix] {
       NameCurrentThread(name_prefix, i);
-      WorkerLoop();
+      WorkerLoop(i);
     });
   }
 }
@@ -54,6 +57,7 @@ ThreadPool::ThreadPool(size_t num_threads, std::string name_prefix) {
 ThreadPool::~ThreadPool() { Shutdown(/*drain=*/false); }
 
 void ThreadPool::Submit(std::function<void()> task, std::string label) {
+  Worker* wake = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_) {
@@ -63,8 +67,15 @@ void ThreadPool::Submit(std::function<void()> task, std::string label) {
       return;
     }
     tasks_.push(Task{std::move(task), std::move(label)});
+    if (!idle_.empty()) {
+      wake = workers_[idle_.back()].get();
+      idle_.pop_back();
+      wake->woken = true;
+    }
   }
-  cv_.notify_one();
+  // With no worker parked every one is running, and each takes the queue's
+  // front before it parks again.
+  if (wake != nullptr) wake->wake.notify_one();
 }
 
 size_t ThreadPool::Shutdown(bool drain) {
@@ -81,9 +92,11 @@ size_t ThreadPool::Shutdown(bool drain) {
       while (!tasks_.empty()) tasks_.pop();
     }
   }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
+  for (const std::unique_ptr<Worker>& worker : workers_) {
+    worker->wake.notify_all();
+  }
+  for (const std::unique_ptr<Worker>& worker : workers_) {
+    if (worker->thread.joinable()) worker->thread.join();
   }
   return discarded;
 }
@@ -118,19 +131,29 @@ void ThreadPool::RunTask(Task task) {
   }
 }
 
-void ThreadPool::WorkerLoop() {
+size_t ThreadPool::idle_workers() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return idle_.size();
+}
+
+void ThreadPool::WorkerLoop(size_t index) {
+  Worker& self = *workers_[index];
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
-      // On drain shutdown the queue empties by execution; on discard
-      // shutdown it was cleared under the lock, so both modes exit here.
-      if (tasks_.empty()) return;
-      task = std::move(tasks_.front());
+    if (!tasks_.empty()) {
+      Task task = std::move(tasks_.front());
       tasks_.pop();
+      lock.unlock();
+      RunTask(std::move(task));
+      lock.lock();
+      continue;
     }
-    RunTask(std::move(task));
+    // On drain shutdown the queue empties by execution; on discard
+    // shutdown it was cleared under the lock, so both modes exit here.
+    if (shutdown_) return;
+    self.woken = false;
+    idle_.push_back(index);
+    self.wake.wait(lock, [&] { return self.woken || shutdown_; });
   }
 }
 

@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <string>
@@ -17,10 +18,14 @@
 
 namespace eve {
 
-// Fixed set of worker threads draining a FIFO task queue. Tasks must not
-// throw: an exception escaping a task is a bug, and the pool reports the
-// task's provenance label on stderr before the process terminates, so the
-// crash is attributable instead of an anonymous std::terminate.
+// Fixed set of worker threads running tasks in submission order (one FIFO
+// queue). Submit wakes the worker that went idle last: idle workers wait
+// on a stack, each on its own condition variable, so a sequential stream
+// (submit, wait for the result, submit again) stays on one warm thread
+// instead of waking a different sleeping CPU for every task. Tasks must
+// not throw: an exception escaping a task is a bug, and the pool reports
+// the task's provenance label on stderr before the process terminates, so
+// the crash is attributable instead of an anonymous std::terminate.
 //
 // Shutdown semantics are explicit: Shutdown(/*drain=*/true) finishes every
 // queued task first; Shutdown(false) discards tasks that have not started
@@ -56,24 +61,37 @@ class ThreadPool {
   // Total tasks discarded without running, over the pool's lifetime.
   size_t discarded_tasks() const;
 
+  // Workers parked waiting for a task.
+  size_t idle_workers() const;
+
  private:
   struct Task {
     std::function<void()> fn;
     std::string label;
   };
+  // One worker thread and the condition variable it parks on while its
+  // index is on idle_.
+  struct Worker {
+    std::thread thread;
+    std::condition_variable wake;
+    bool woken = false;  // guarded by mu_: Submit popped it off idle_
+  };
 
-  void WorkerLoop();
+  void WorkerLoop(size_t index);
   // Runs `task`, reporting its label before rethrowing any escaping
   // exception (which then terminates the process).
   static void RunTask(Task task);
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::queue<Task> tasks_;
+  // Indices of the parked workers; the back went idle last and is the
+  // next one Submit wakes.
+  std::vector<size_t> idle_;
   bool shutdown_ = false;
   bool drain_on_shutdown_ = false;
   size_t discarded_ = 0;
-  std::vector<std::thread> workers_;
+  // Built whole before any thread starts, never resized after.
+  std::vector<std::unique_ptr<Worker>> workers_;
 };
 
 // Runs fn(0), ..., fn(n-1), distributing indices over the pool's workers

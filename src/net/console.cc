@@ -122,9 +122,10 @@ ParsedStatement ParseStatement(std::string_view statement) {
     const bool at_version =
         words.size() >= 5 && is(2, "AT") && is(3, "VERSION");
     if (is(1, "HYPERGRAPH") ||
-        ((is(1, "MKB") || is(1, "VIEWS")) && !at_version) ||
-        (is(1, "VIEW") && words.size() >= 3)) {
+        ((is(1, "MKB") || is(1, "VIEWS")) && !at_version)) {
       parsed.route = Route::kSnapshotRead;
+    } else if (is(1, "VIEW") && words.size() >= 3) {
+      parsed.route = Route::kPointRead;
     } else if (words.size() == 3 && is(1, "SERVER") && is(2, "STATS")) {
       // Exactly three words: the console itself has no such SHOW form.
       parsed.route = Route::kServerStats;
@@ -208,14 +209,19 @@ std::vector<Statement> SplitStatements(const std::string& script) {
   return statements;
 }
 
-bool Console::RunSnapshotRead(const std::string& statement, std::ostream& out,
-                              std::ostream& err) const {
-  const ParsedStatement parsed = ParseStatement(statement);
-  if (parsed.route != Route::kSnapshotRead) {
+bool Console::RunSnapshotRead(const ParsedStatement& parsed,
+                              std::ostream& out, std::ostream& err) const {
+  if (parsed.route != Route::kSnapshotRead &&
+      parsed.route != Route::kPointRead) {
     err << "error: not a snapshot read\n";
     return false;
   }
   return SnapshotShow(parsed.words, out, err);
+}
+
+bool Console::RunSnapshotRead(const std::string& statement, std::ostream& out,
+                              std::ostream& err) const {
+  return RunSnapshotRead(ParseStatement(statement), out, err);
 }
 
 bool Console::SnapshotShow(const std::vector<std::string>& words,
@@ -299,6 +305,7 @@ bool Console::Run(const std::string& statement, std::ostream& out,
   const std::vector<std::string>& words = parsed.words;
   switch (parsed.route) {
     case Route::kSnapshotRead:
+    case Route::kPointRead:
       return SnapshotShow(words, out, err);
     case Route::kShowReplication:
       // A replicated eved answers this from its hub; the console has none.

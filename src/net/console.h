@@ -16,13 +16,13 @@
 //
 // Threading: Run() mutates system state and console-local state; callers
 // with concurrent sessions must serialize it (the server holds an
-// exclusive lock). RunSnapshotRead() serves the Route::kSnapshotRead
-// statements — reads answered from the pinned tip version (PinTip) —
-// without touching any console state, so any number may run concurrently
-// with each other (the server holds a shared lock). No second publication
-// pointer is needed: mutations run only under the exclusive lock, so a
-// reader never sees a half-applied statement, and a pin stays byte-stable
-// on its own.
+// exclusive lock). RunSnapshotRead() serves the Route::kSnapshotRead and
+// Route::kPointRead statements — reads answered from the pinned tip
+// version (PinTip) — without touching any console state, so any number
+// may run concurrently with each other (the server holds a shared lock).
+// No second publication pointer is needed: mutations run only under the
+// exclusive lock, so a reader never sees a half-applied statement, and a
+// pin stays byte-stable on its own.
 
 #ifndef EVE_NET_CONSOLE_H_
 #define EVE_NET_CONSOLE_H_
@@ -56,8 +56,10 @@ std::vector<Statement> SplitStatements(const std::string& script);
 
 // How a statement is served.
 enum class Route {
-  kSnapshotRead,     // SHOW MKB|HYPERGRAPH|VIEWS|VIEW <name>, no AT VERSION:
-                     // the pinned tip, under a shared lock
+  kSnapshotRead,     // SHOW MKB|HYPERGRAPH|VIEWS, no AT VERSION: the pinned
+                     // tip, under a shared lock; O(MKB) or O(pool)
+  kPointRead,        // SHOW VIEW <name>: one view bucket of the pinned tip,
+                     // under a shared lock
   kReadOnly,         // every other SHOW, and SCRUB: the exclusive lock,
                      // allowed on a replica
   kServerStats,      // SHOW SERVER STATS: answered by the server
@@ -96,9 +98,12 @@ class Console {
   bool Run(const std::string& statement, std::ostream& out,
            std::ostream& err);
 
-  // Runs a Route::kSnapshotRead statement against the pinned tip. Does not
-  // mutate console state. Returns false when the statement failed (e.g.
-  // SHOW VIEW on an unknown view) or has another route.
+  // Runs a Route::kSnapshotRead or Route::kPointRead statement against the
+  // pinned tip. Does not mutate console state. Returns false when the
+  // statement failed (e.g. SHOW VIEW on an unknown view) or has another
+  // route. The server passes the parse it routed by; the text form parses.
+  bool RunSnapshotRead(const ParsedStatement& parsed, std::ostream& out,
+                       std::ostream& err) const;
   bool RunSnapshotRead(const std::string& statement, std::ostream& out,
                        std::ostream& err) const;
 
@@ -144,8 +149,9 @@ class Console {
   // one's SET SYNC limits.
   void ReplaceSystem(EveSystem system);
 
-  // The snapshot-read SHOW forms (Route::kSnapshotRead); const and
-  // stream-parameterized so the server can run it under a shared lock.
+  // The snapshot-read SHOW forms (Route::kSnapshotRead and kPointRead);
+  // const and stream-parameterized so the server can run it under a shared
+  // lock.
   bool SnapshotShow(const std::vector<std::string>& words, std::ostream& out,
                     std::ostream& err) const;
 

@@ -39,6 +39,8 @@ std::string RenderMetricsText(Server& server, Console& console,
   os << "eve_server_resyncs_total " << stats.resyncs << "\n";
   os << "eve_server_crc_failures_total " << stats.crc_failures << "\n";
   os << "eve_server_goodbyes_total " << stats.goodbyes << "\n";
+  os << "eve_server_reads_inline_total " << stats.reads_inline << "\n";
+  os << "eve_server_reads_deferred_total " << stats.reads_deferred << "\n";
 
   {
     // The system is console state (RECOVER and LOAD MISD replace it): read

@@ -44,7 +44,9 @@ std::string ServerStats::ToString() const {
      << " evicted_slow_loris=" << evicted_slow_loris
      << " evicted_overflow=" << evicted_overflow
      << " evicted_io_error=" << evicted_io_error << " resyncs=" << resyncs
-     << " crc_failures=" << crc_failures << " goodbyes=" << goodbyes;
+     << " crc_failures=" << crc_failures << " goodbyes=" << goodbyes
+     << " reads_inline=" << reads_inline
+     << " reads_deferred=" << reads_deferred;
   return os.str();
 }
 
@@ -62,6 +64,8 @@ struct Server::Counters {
   std::atomic<uint64_t> resyncs{0};
   std::atomic<uint64_t> crc_failures{0};
   std::atomic<uint64_t> goodbyes{0};
+  std::atomic<uint64_t> reads_inline{0};
+  std::atomic<uint64_t> reads_deferred{0};
 };
 
 // Per-connection state. The I/O thread owns fd, decoder and the timestamps;
@@ -218,6 +222,8 @@ ServerStats Server::stats() const {
   s.resyncs = counters_->resyncs.load();
   s.crc_failures = counters_->crc_failures.load();
   s.goodbyes = counters_->goodbyes.load();
+  s.reads_inline = counters_->reads_inline.load();
+  s.reads_deferred = counters_->reads_deferred.load();
   return s;
 }
 
@@ -407,6 +413,9 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
     return;
   }
   char buf[65536];
+  // Set once the I/O thread answers a request itself: the session is
+  // flushed before returning to epoll.
+  bool answered = false;
   while (true) {
     const ssize_t n = ::read(session->fd, buf, sizeof(buf));
     if (n == 0) {
@@ -446,29 +455,49 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
         bad.id = 0;
         bad.code = static_cast<int32_t>(StatusCode::kParseError);
         bad.error = "error: " + request.status().ToString() + "\n";
-        QueueResponse(session, bad);
+        AppendResponse(*session, bad, /*finishes_statement=*/false);
+        answered = true;
         continue;
       }
-      const ParsedStatement parsed = ParseStatement(request.value().statement);
-      if (AnswerServerStatement(session, request.value(), parsed)) continue;
+      ParsedStatement parsed = ParseStatement(request.value().statement);
+      if (AnswerServerStatement(*session, request.value(), parsed)) {
+        answered = true;
+        continue;
+      }
       bool shed = false;
       {
         std::lock_guard<std::mutex> lock(mu_);
         shed = draining_ || stopping_;
       }
+      // Only this thread raises pending, so a session seen idle here stays
+      // idle until the statement below is handed out.
+      size_t pending = 0;
       {
         std::lock_guard<std::mutex> wlock(session->w_mu);
-        if (options_.max_pending_per_session != 0 &&
-            session->pending >= options_.max_pending_per_session) {
-          shed = true;
-        }
+        pending = session->pending;
+      }
+      if (options_.max_pending_per_session != 0 &&
+          pending >= options_.max_pending_per_session) {
+        shed = true;
       }
       if (shed) {
         counters_->shed_overload.fetch_add(1);
-        QueueResponse(session,
-                      ShedResponse(request.value().id,
-                                   "server overloaded or draining"));
+        AppendResponse(*session,
+                       ShedResponse(request.value().id,
+                                    "server overloaded or draining"),
+                       /*finishes_statement=*/false);
+        answered = true;
         continue;
+      }
+      if (parsed.route == Route::kPointRead) {
+        // Served here, a read would always answer before a statement
+        // already in flight on its session; it hops to a worker after it.
+        if (pending == 0 &&
+            ServePointRead(*session, request.value().id, parsed)) {
+          answered = true;
+          continue;
+        }
+        counters_->reads_deferred.fetch_add(1);
       }
       {
         std::lock_guard<std::mutex> wlock(session->w_mu);
@@ -478,8 +507,8 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
       Request req = request.MoveValue();
       workers_->Submit(
           [this, owned = std::move(owned), req = std::move(req),
-           route = parsed.route]() mutable {
-            ExecuteRequest(std::move(owned), std::move(req), route);
+           parsed = std::move(parsed)]() mutable {
+            ExecuteRequest(std::move(owned), std::move(req), std::move(parsed));
           },
           "eved-request");
     }
@@ -500,6 +529,7 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
   } else {
     session->partial_since_micros = 0;
   }
+  if (answered) FlushSession(session);
 }
 
 void Server::HandleReplFrame(const std::shared_ptr<Session>& session,
@@ -566,8 +596,7 @@ void Server::HandleReplFrame(const std::shared_ptr<Session>& session,
       "eved-repl-hello");
 }
 
-bool Server::AnswerServerStatement(const std::shared_ptr<Session>& session,
-                                   const Request& request,
+bool Server::AnswerServerStatement(Session& session, const Request& request,
                                    const ParsedStatement& parsed) {
   Response response;
   response.id = request.id;
@@ -584,7 +613,7 @@ bool Server::AnswerServerStatement(const std::shared_ptr<Session>& session,
       std::ostringstream err;
       uint64_t bound = 0;
       if (ReadStalenessBound(parsed.words[2], &bound, out, err)) {
-        session->staleness_bound.store(bound);
+        session.staleness_bound.store(bound);
       } else {
         response.code = static_cast<int32_t>(StatusCode::kInvalidArgument);
       }
@@ -595,19 +624,59 @@ bool Server::AnswerServerStatement(const std::shared_ptr<Session>& session,
     default:
       return false;
   }
-  QueueResponse(session, response);
+  AppendResponse(session, response, /*finishes_statement=*/false);
   return true;
 }
 
+bool Server::ServePointRead(Session& session, uint64_t request_id,
+                            const ParsedStatement& parsed) {
+  Response response;
+  response.id = request_id;
+  if (PassesStalenessGate(session, &response)) {
+    std::shared_lock<std::shared_mutex> lock(console_mu_, std::try_to_lock);
+    if (!lock.owns_lock()) return false;
+    std::ostringstream out;
+    std::ostringstream err;
+    const bool ok = console_->RunSnapshotRead(parsed, out, err);
+    response.code = ok ? 0 : static_cast<int32_t>(StatusCode::kInternal);
+    response.output = out.str();
+    response.error = err.str();
+  }
+  AppendResponse(session, response, /*finishes_statement=*/false);
+  counters_->reads_inline.fetch_add(1);
+  return true;
+}
+
+bool Server::PassesStalenessGate(const Session& session,
+                                 Response* response) const {
+  const uint64_t bound = session.staleness_bound.load();
+  uint64_t lag = 0;
+  bool lag_known = false;
+  if (hub_ == nullptr || bound == UINT64_MAX ||
+      hub_->WithinStalenessBound(bound, &lag, &lag_known)) {
+    return true;
+  }
+  response->code = static_cast<int32_t>(StatusCode::kFailedPrecondition);
+  response->error =
+      lag_known ? "error: replica lag " + std::to_string(lag) +
+                      " exceeds staleness bound " + std::to_string(bound) +
+                      "\n"
+                : "error: replica lag unknown (no live primary heartbeat); "
+                  "staleness bound " +
+                      std::to_string(bound) + " not satisfiable\n";
+  return false;
+}
+
 void Server::ExecuteRequest(std::shared_ptr<Session> session, Request request,
-                            Route route) {
+                            ParsedStatement parsed) {
   Response response;
   response.id = request.id;
   std::ostringstream out;
   std::ostringstream err;
   bool ok = false;
-  const bool snapshot_read = route == Route::kSnapshotRead;
-  const bool allowed_on_replica = route != Route::kWrite;
+  const bool snapshot_read = parsed.route == Route::kSnapshotRead ||
+                             parsed.route == Route::kPointRead;
+  const bool allowed_on_replica = parsed.route != Route::kWrite;
   // Semi-sync bracket: positions the statement advanced must be replica-
   // acked before the client sees success (checked after the lock drops).
   uint64_t position_before = 0;
@@ -615,10 +684,6 @@ void Server::ExecuteRequest(std::shared_ptr<Session> session, Request request,
   // Every outcome but a crash ends here: the statement stops being pending
   // and its response is queued.
   const auto respond = [this, &session, &response] {
-    {
-      std::lock_guard<std::mutex> wlock(session->w_mu);
-      if (session->pending > 0) --session->pending;
-    }
     QueueResponse(session, response);
   };
   // The not-primary redirect, used by the pre-lock gate and the locked
@@ -631,28 +696,15 @@ void Server::ExecuteRequest(std::shared_ptr<Session> session, Request request,
                      (hint.empty() ? "" : "; leader=" + hint) + "\n";
   };
   // Replication gates, decided before touching the console.
-  if (hub_ != nullptr) {
+  if (snapshot_read) {
+    if (!PassesStalenessGate(*session, &response)) {
+      respond();
+      return;
+    }
+  } else if (hub_ != nullptr) {
     const ReplRole role = hub_->role();
-    if (snapshot_read) {
-      const uint64_t bound = session->staleness_bound.load();
-      uint64_t lag = 0;
-      bool lag_known = false;
-      if (bound != UINT64_MAX &&
-          !hub_->WithinStalenessBound(bound, &lag, &lag_known)) {
-        response.code = static_cast<int32_t>(StatusCode::kFailedPrecondition);
-        response.error =
-            lag_known
-                ? "error: replica lag " + std::to_string(lag) +
-                      " exceeds staleness bound " + std::to_string(bound) +
-                      "\n"
-                : "error: replica lag unknown (no live primary heartbeat); "
-                  "staleness bound " +
-                      std::to_string(bound) + " not satisfiable\n";
-        respond();
-        return;
-      }
-    } else if (role != ReplRole::kPrimary && role != ReplRole::kSingle &&
-               !allowed_on_replica) {
+    if (role != ReplRole::kPrimary && role != ReplRole::kSingle &&
+        !allowed_on_replica) {
       fill_not_primary(role);
       respond();
       return;
@@ -664,7 +716,7 @@ void Server::ExecuteRequest(std::shared_ptr<Session> session, Request request,
       // against the pinned tip version, never blocked by a writer that
       // is WAITING (writers hold the lock only while executing).
       std::shared_lock<std::shared_mutex> lock(console_mu_);
-      ok = console_->RunSnapshotRead(request.statement, out, err);
+      ok = console_->RunSnapshotRead(parsed, out, err);
     } else {
       std::unique_lock<std::shared_mutex> lock(console_mu_);
       // The pre-lock gate raced with any demotion that took this lock
@@ -727,21 +779,25 @@ Response Server::ShedResponse(uint64_t request_id,
   return response;
 }
 
+void Server::AppendResponse(Session& session, const Response& response,
+                            bool finishes_statement) {
+  const std::string frame =
+      EncodeFrame(FrameType::kResponse, EncodeResponse(response));
+  std::lock_guard<std::mutex> wlock(session.w_mu);
+  if (finishes_statement && session.pending > 0) --session.pending;
+  if (session.write_buffer.size() + frame.size() > kMaxWriteBufferBytes) {
+    // The peer is not reading its responses; evict on the next flush.
+    session.overflowed = true;
+  } else {
+    session.write_buffer.append(frame);
+    counters_->responses.fetch_add(1);
+  }
+}
+
 void Server::QueueResponse(const std::shared_ptr<Session>& session,
                            const Response& response) {
   if (session->closed.load()) return;
-  const std::string frame =
-      EncodeFrame(FrameType::kResponse, EncodeResponse(response));
-  {
-    std::lock_guard<std::mutex> wlock(session->w_mu);
-    if (session->write_buffer.size() + frame.size() > kMaxWriteBufferBytes) {
-      // The peer is not reading its responses; evict on the next flush.
-      session->overflowed = true;
-    } else {
-      session->write_buffer.append(frame);
-      counters_->responses.fetch_add(1);
-    }
-  }
+  AppendResponse(*session, response, /*finishes_statement=*/true);
   {
     std::lock_guard<std::mutex> lock(mu_);
     write_ready_.push_back(session->id);

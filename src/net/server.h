@@ -6,7 +6,9 @@
 //     buffers, and is the only thread that ever closes an fd.
 //   * A common/thread_pool of workers executes statements. A worker never
 //     touches a socket: it renders the response frame into the session's
-//     write buffer and nudges the I/O thread through an eventfd.
+//     write buffer and nudges the I/O thread through an eventfd. The pool
+//     wakes the worker that went idle last, so a sequential stream stays
+//     on one warm thread.
 //   * Each request is parsed once on the I/O thread (net/console.h's
 //     ParseStatement), and its route decides who serves it. The I/O thread
 //     answers SHOW SERVER STATS, SHOW REPLICATION and READ STALENESS itself,
@@ -15,6 +17,14 @@
 //     under the shared lock against the pinned tip version; everything
 //     else serializes under the exclusive lock (the classic single-writer
 //     console contract, now network-wide).
+//   * A point read (SHOW VIEW <name>, one view bucket) is served on the I/O
+//     thread too, behind the session's staleness gate, when its session has
+//     no statement in flight and try_lock_shared on the console lock
+//     succeeds; otherwise it hops to a worker (counted as deferred). The
+//     I/O thread never waits for the lock, and the O(MKB) and O(pool) reads
+//     (SHOW MKB, HYPERGRAPH, VIEWS) always hop, so no read stalls the loop.
+//     Responses the I/O thread produces are flushed before it returns to
+//     epoll, with no eventfd round trip.
 //
 // Robustness
 //   * Bounded buffers both ways: a session whose decoder accumulates more
@@ -95,6 +105,10 @@ struct ServerStats {
   uint64_t resyncs = 0;            // frame-boundary recoveries
   uint64_t crc_failures = 0;
   uint64_t goodbyes = 0;
+  uint64_t reads_inline = 0;       // point reads answered on the I/O thread
+  uint64_t reads_deferred = 0;     // point reads that hopped to a worker:
+                                   // the console lock was held or the
+                                   // session had a statement in flight
 
   std::string ToString() const;
 };
@@ -163,9 +177,17 @@ class Server {
   // Answers a server-routed statement (SHOW SERVER STATS, SHOW
   // REPLICATION, READ STALENESS) on the I/O thread, without the console
   // lock. False for every other route.
-  bool AnswerServerStatement(const std::shared_ptr<Session>& session,
-                             const Request& request,
+  bool AnswerServerStatement(Session& session, const Request& request,
                              const ParsedStatement& parsed);
+  // Serves a point read on the I/O thread when try_lock_shared on the
+  // console lock succeeds (or the staleness gate refuses it). False, with
+  // nothing answered, when a writer holds the lock.
+  bool ServePointRead(Session& session, uint64_t request_id,
+                      const ParsedStatement& parsed);
+  // The replica staleness gate of a snapshot or point read, decided before
+  // touching the console: false, with the refusal in *response, when the
+  // session's READ STALENESS bound does not hold.
+  bool PassesStalenessGate(const Session& session, Response* response) const;
   void FlushSession(const std::shared_ptr<Session>& session);
   // Teardown-path flush (goodbyes): one synchronous attempt, no failpoints.
   void FlushBestEffort(Session* session);
@@ -176,10 +198,19 @@ class Server {
   bool DrainComplete();
   void CloseAllSessions();
 
-  // Worker-side: execute one statement (routed `route` by the I/O thread's
-  // parse) and queue its response.
+  // Worker-side: execute one statement (`parsed` is the I/O thread's parse)
+  // and queue its response.
   void ExecuteRequest(std::shared_ptr<Session> session, Request request,
-                      Route route);
+                      ParsedStatement parsed);
+  // Appends a response frame to the session's write buffer; with
+  // `finishes_statement` it also ends one pending statement, in the same
+  // critical section, so the I/O thread never sees the session idle
+  // before that response is buffered. The I/O thread flushes what it
+  // appends itself.
+  void AppendResponse(Session& session, const Response& response,
+                      bool finishes_statement);
+  // Worker side: appends a statement's response, ends the statement and
+  // nudges the I/O thread to flush it.
   void QueueResponse(const std::shared_ptr<Session>& session,
                      const Response& response);
   // Enqueues pre-encoded frame bytes (replication stream, status replies).

@@ -1,5 +1,6 @@
 // The deadline/admission layer: DeadlineToken semantics (deterministic
-// work budgets, virtual-clock deadlines), hardened ThreadPool shutdown,
+// work budgets, virtual-clock deadlines), hardened ThreadPool shutdown and
+// its wake order (the worker that went idle last; tasks in submission order),
 // FederationMonitor probe budgeting, and EveSystem admission control —
 // bounded queue with explicit shedding, per-change deadlines, and the
 // chain-view partial-result acceptance scenario at sync parallelism
@@ -11,6 +12,8 @@
 #include <condition_variable>
 #include <latch>
 #include <mutex>
+#include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -160,6 +163,80 @@ TEST(ThreadPoolDeathTest, EscapedExceptionReportsTaskProvenance) {
         pool.Shutdown(true);
       },
       "exploding-task.*boom");
+}
+
+// --- ThreadPool wake order --------------------------------------------------
+
+TEST(ThreadPoolWakeTest, SequentialStreamStaysOnOneWorker) {
+  // Submit, wait for the task, submit again: each task wakes the worker
+  // that parked last, which is the one that ran the previous task.
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  int done = 0;
+  std::set<std::thread::id> threads;
+  for (int i = 0; i < 200; ++i) {
+    // Every worker parked, the previous task's one last.
+    while (pool.idle_workers() < pool.num_threads()) std::this_thread::yield();
+    pool.Submit(
+        [&] {
+          std::lock_guard<std::mutex> lock(mu);
+          threads.insert(std::this_thread::get_id());
+          ++done;
+          cv.notify_one();
+        },
+        "sequential");
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done == i + 1; });
+  }
+  EXPECT_EQ(threads.size(), 1u);
+}
+
+TEST(ThreadPoolWakeTest, TasksQueuedBehindBusyWorkersStartInSubmissionOrder) {
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  int blocked = 0;
+  size_t released = 0;
+  std::vector<int> order;
+  // Occupy every worker; blocker b runs until `released` exceeds b.
+  for (size_t b = 0; b < pool.num_threads(); ++b) {
+    pool.Submit(
+        [&, b] {
+          std::unique_lock<std::mutex> lock(mu);
+          ++blocked;
+          cv.notify_all();
+          cv.wait(lock, [&] { return released > b; });
+        },
+        "blocker");
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return blocked == 4; });
+  }
+  constexpr int kQueued = 32;
+  for (int i = 0; i < kQueued; ++i) {
+    pool.Submit(
+        [&, i] {
+          std::lock_guard<std::mutex> lock(mu);
+          order.push_back(i);
+          cv.notify_all();
+        },
+        "queued");
+  }
+  // One worker frees up and runs the whole queue while the rest stay busy.
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    released = 1;
+    cv.notify_all();
+    cv.wait(lock, [&] { return order.size() == kQueued; });
+    released = pool.num_threads();
+    cv.notify_all();
+  }
+  pool.Shutdown(/*drain=*/true);
+  std::vector<int> expected(kQueued);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
 }
 
 // --- FederationMonitor probe budgeting -------------------------------------

@@ -1,10 +1,12 @@
 // eved's serving loop, end to end over real sockets: remote statements
 // are byte-identical to the local console, snapshot reads and writers
-// multiplex across concurrent sessions, overload sheds explicitly (and
-// NetClient's backoff absorbs it), slow-loris and flooding sessions are
-// evicted, corrupt bytes resync without dropping the connection, graceful
-// drain says goodbye — and every net.* failpoint site is exercised in
-// error mode (the server keeps serving) and crash mode (crashed_site()).
+// multiplex across concurrent sessions, point reads are answered on the
+// I/O thread unless the console lock or their session is busy, overload
+// sheds explicitly (and NetClient's backoff absorbs it), slow-loris and
+// flooding sessions are evicted, corrupt bytes resync without dropping the
+// connection, graceful drain says goodbye — and every net.* failpoint site
+// is exercised in error mode (the server keeps serving) and crash mode
+// (crashed_site()).
 
 #include <gtest/gtest.h>
 
@@ -17,8 +19,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -154,6 +159,37 @@ class ServerTest : public ::testing::Test {
     EXPECT_EQ(
         ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
     return fd;
+  }
+
+  // Writes request frames, one per (id, statement), in one write.
+  static void SendRequests(
+      int fd, const std::vector<std::pair<uint64_t, std::string>>& requests) {
+    std::string wire;
+    for (const auto& [id, statement] : requests) {
+      wire += EncodeFrame(FrameType::kRequest,
+                          EncodeRequest(Request{id, statement}));
+    }
+    ASSERT_EQ(::write(fd, wire.data(), wire.size()),
+              static_cast<ssize_t>(wire.size()));
+  }
+
+  // Reads the next response frame off a raw connection.
+  static Response ReadResponse(int fd, FrameDecoder* decoder) {
+    char buf[4096];
+    while (true) {
+      if (std::optional<Frame> frame = decoder->Next()) {
+        EXPECT_EQ(frame->type, FrameType::kResponse);
+        Result<Response> response = DecodeResponse(frame->payload);
+        EXPECT_TRUE(response.ok()) << response.status().ToString();
+        return response.ok() ? response.value() : Response{};
+      }
+      const ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n <= 0) {
+        ADD_FAILURE() << "the server closed the connection";
+        return Response{};
+      }
+      decoder->Feed(std::string_view(buf, static_cast<size_t>(n)));
+    }
   }
 
   // Spins (bounded) until `probe` returns true; server counters are
@@ -372,6 +408,122 @@ TEST_F(ServerTest, ConcurrentSessionsMixReadersAndWriters) {
   EXPECT_GE(stats.accepted, static_cast<uint64_t>(kSessions));
   EXPECT_GE(stats.responses,
             static_cast<uint64_t>(kSessions * kStatementsEach));
+}
+
+// --- Point reads on the I/O thread -----------------------------------------
+
+TEST_F(ServerTest, PointReadOnTheIoThreadMatchesTheLocalConsole) {
+  Console local;
+  const StatementRunner local_run = LocalRunner(&local);
+  StartServer();
+  NetClient client = MustConnect();
+  for (const char* statement : {kDefineCustomer, kCreateView}) {
+    ASSERT_EQ(local_run(statement).code, 0);
+    Result<Response> served = client.Run(statement);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_EQ(served->code, 0) << served->error;
+  }
+  for (const std::string statement : {"SHOW VIEW V1", "SHOW VIEW NoSuchView"}) {
+    const Response mine = local_run(statement);
+    Result<Response> served = client.Run(statement);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served->output, mine.output) << statement;
+    EXPECT_EQ(served->error, mine.error) << statement;
+    EXPECT_EQ(served->code == 0, mine.code == 0) << statement;
+  }
+  // A failed read answers with the code a worker answers with.
+  Result<Response> unknown = client.Run("SHOW VIEW NoSuchView");
+  ASSERT_TRUE(unknown.ok()) << unknown.status().ToString();
+  EXPECT_EQ(unknown->code, static_cast<int32_t>(StatusCode::kInternal));
+  const ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.reads_inline, 3u);
+  EXPECT_EQ(stats.reads_deferred, 0u);
+}
+
+TEST_F(ServerTest, PointReadHopsToAWorkerWhileAWriterHoldsTheConsole) {
+  StartServer();
+  NetClient client = MustConnect();
+  ASSERT_TRUE(client.Run(kDefineCustomer).ok());
+  ASSERT_TRUE(client.Run(kCreateView).ok());
+  Result<Response> served_inline = client.Run("SHOW VIEW V1");
+  ASSERT_TRUE(served_inline.ok()) << served_inline.status().ToString();
+  ASSERT_EQ(served_inline->code, 0) << served_inline->error;
+  ASSERT_EQ(server_->stats().reads_inline, 1u);
+
+  const int fd = RawConnect();
+  FrameDecoder decoder;
+  {
+    std::unique_lock<std::shared_mutex> writer(server_->console_mutex());
+    SendRequests(fd, {{7, "SHOW VIEW V1"}});
+    ASSERT_TRUE(
+        WaitFor([this] { return server_->stats().reads_deferred == 1; }));
+    // The I/O thread never waits for the lock: another session's
+    // statements are still answered.
+    Result<Response> stats = client.Run("SHOW SERVER STATS");
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_NE(stats->output.find(" reads_inline=1 reads_deferred=1\n"),
+              std::string::npos)
+        << stats->output;
+  }
+  const Response deferred = ReadResponse(fd, &decoder);
+  EXPECT_EQ(deferred.id, 7u);
+  EXPECT_EQ(deferred.code, served_inline->code);
+  EXPECT_EQ(deferred.output, served_inline->output);
+  EXPECT_EQ(deferred.error, served_inline->error);
+  EXPECT_EQ(server_->stats().reads_inline, 1u);
+  ::close(fd);
+}
+
+TEST_F(ServerTest, PoolAndMkbReadsAlwaysHopToAWorker) {
+  // SHOW VIEWS, MKB and HYPERGRAPH cost O(pool) or O(MKB): they are not
+  // point reads, so they are neither served inline nor counted deferred.
+  StartServer();
+  NetClient client = MustConnect();
+  ASSERT_TRUE(client.Run(kDefineCustomer).ok());
+  ASSERT_TRUE(client.Run(kCreateView).ok());
+  for (const std::string statement : {"SHOW VIEWS", "SHOW MKB",
+                                      "SHOW HYPERGRAPH"}) {
+    Result<Response> response = client.Run(statement);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->code, 0) << statement << response->error;
+  }
+  const ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.reads_inline, 0u);
+  EXPECT_EQ(stats.reads_deferred, 0u);
+}
+
+TEST_F(ServerTest, PointReadBehindAStatementInFlightIsDeferred) {
+  Console local;
+  const StatementRunner local_run = LocalRunner(&local);
+  StartServer();
+  {
+    NetClient setup = MustConnect();
+    for (const char* statement : {kDefineCustomer, kCreateView}) {
+      ASSERT_EQ(local_run(statement).code, 0);
+      ASSERT_TRUE(setup.Run(statement).ok());
+    }
+  }
+  const int fd = RawConnect();
+  FrameDecoder decoder;
+  {
+    // SHOW SYNC STATS needs the exclusive lock, so this shared hold keeps
+    // it in flight while the I/O thread reads the point read behind it.
+    std::shared_lock<std::shared_mutex> reader(server_->console_mutex());
+    SendRequests(fd, {{1, "SHOW SYNC STATS"}, {2, "SHOW VIEW V1"}});
+    ASSERT_TRUE(
+        WaitFor([this] { return server_->stats().reads_deferred == 1; }));
+  }
+  std::map<uint64_t, Response> responses;
+  for (int i = 0; i < 2; ++i) {
+    const Response response = ReadResponse(fd, &decoder);
+    responses[response.id] = response;
+  }
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[1].code, 0) << responses[1].error;
+  EXPECT_EQ(responses[2].code, 0) << responses[2].error;
+  EXPECT_EQ(responses[2].output, local_run("SHOW VIEW V1").output);
+  EXPECT_EQ(server_->stats().reads_inline, 0u);
+  ::close(fd);
 }
 
 // --- Overload and shedding --------------------------------------------------
@@ -1046,8 +1198,9 @@ TEST(ParseStatementTest, EveryReferenceFormHasItsRoute) {
       {"SHOW MKB", Route::kSnapshotRead},
       {"SHOW HYPERGRAPH", Route::kSnapshotRead},
       {"SHOW VIEWS", Route::kSnapshotRead},
-      {"SHOW VIEW V1", Route::kSnapshotRead},
-      {"show view V1", Route::kSnapshotRead},
+      {"SHOW VIEW V1", Route::kPointRead},
+      {"show view V1", Route::kPointRead},
+      {"SHOW VIEW", Route::kReadOnly},
       {kCreateView, Route::kWrite},
       {kDefineCustomer, Route::kWrite},
       {"RETRACT JC1", Route::kWrite},
@@ -1105,7 +1258,7 @@ TEST(ParseStatementTest, QuotedTokensStayWhole) {
   EXPECT_EQ(ParseStatement("  SHOW VIEW \"My View\"\n").words,
             (Words{"SHOW", "VIEW", "\"My View\""}));
   EXPECT_EQ(ParseStatement("SHOW VIEW \"My View\"").route,
-            Route::kSnapshotRead);
+            Route::kPointRead);
   // Words without quoted whitespace split exactly as before.
   EXPECT_EQ(ParseStatement("WHERE F.\"Date\" = 'x'").words,
             (Words{"WHERE", "F.\"Date\"", "=", "'x'"}));

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <shared_mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -777,6 +778,33 @@ TEST_F(ClusterTest, ReadStalenessBoundGatesReplicaReads) {
   ASSERT_TRUE(bad.ok());
   EXPECT_EQ(bad.value().code,
             static_cast<int32_t>(StatusCode::kInvalidArgument));
+
+  // A point read is answered on the I/O thread behind the same gate, with
+  // the same refusal. Holding the replica's console stalls its agent on
+  // the next record, so it hears no heartbeat until the lease lapses.
+  Result<Response> zero = replica.Run("READ STALENESS 0");
+  ASSERT_TRUE(zero.ok());
+  ASSERT_EQ(zero.value().code, 0);
+  Server& replica_server = nodes_[1].node->server();
+  const uint64_t inline_before = replica_server.stats().reads_inline;
+  {
+    std::shared_lock<std::shared_mutex> hold(replica_server.console_mutex());
+    ASSERT_EQ(primary.Run(Define(3)).value().code, 0);
+    ASSERT_TRUE(WaitUntil([this] {
+      bool known = true;
+      nodes_[1].node->hub().WithinStalenessBound(0, nullptr, &known);
+      return !known;
+    }));
+    Result<Response> refused = replica.Run("SHOW VIEW V1");
+    ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+    EXPECT_EQ(refused.value().code,
+              static_cast<int32_t>(StatusCode::kFailedPrecondition));
+    EXPECT_EQ(refused.value().error,
+              "error: replica lag unknown (no live primary heartbeat); "
+              "staleness bound 0 not satisfiable\n");
+    EXPECT_EQ(refused.value().output, "");
+  }
+  EXPECT_EQ(replica_server.stats().reads_inline, inline_before + 1);
 }
 
 TEST_F(ClusterTest, ReplicaSessionEnforcesTheBoundItsEchoNames) {
@@ -1188,6 +1216,11 @@ TEST_F(ClusterTest, MetricsEndpointServesAdmissionAndReplicationGauges) {
         "ENQUEUE RENAME RELATION Rel1 TO Rel1y", "DRAIN"}) {
     ASSERT_EQ(client.Run(statement).value().code, 0) << statement;
   }
+  // One point read: served on the I/O thread, or deferred if the console
+  // lock was held at that moment.
+  Result<Response> read = client.Run("SHOW VIEW NoSuchView");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_NE(read.value().code, 0);
 
   // Scrape over plain HTTP.
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -1210,6 +1243,16 @@ TEST_F(ClusterTest, MetricsEndpointServesAdmissionAndReplicationGauges) {
 
   EXPECT_NE(body.find("200 OK"), std::string::npos);
   EXPECT_NE(body.find("eve_server_accepted_total"), std::string::npos);
+  const auto counter = [&body](const std::string& name) {
+    const size_t at = body.find("\n" + name + " ");
+    return at == std::string::npos
+               ? -1
+               : std::stoll(body.substr(at + name.size() + 2));
+  };
+  EXPECT_EQ(counter("eve_server_reads_inline_total") +
+                counter("eve_server_reads_deferred_total"),
+            1)
+      << body;
   EXPECT_NE(body.find("eve_admission_submitted_total 2\n"), std::string::npos)
       << body;
   EXPECT_NE(body.find("eve_admission_shed_total 1\n"), std::string::npos)
