@@ -35,10 +35,16 @@ std::string ExtractLeaderHint(const std::string& error_text) {
   return error_text.substr(at + 7, end - (at + 7));
 }
 
-}  // namespace
-
-Result<int> DialTcp(const std::string& host, uint16_t port) {
-  const std::string endpoint = host + ":" + std::to_string(port);
+// Resolves `host` (a name or an IPv4 literal) with getaddrinfo and opens a
+// TCP socket (plus `socket_flags`) on each address in turn until `use`
+// succeeds on it. Returns that socket, or an error that names `verb`, the
+// endpoint and what failed: the resolver ("cannot resolve ...") or the
+// errno of the last failed call. Closes every socket it does not return.
+template <typename Use>
+Result<int> OpenTcp(const char* verb, const std::string& host, uint16_t port,
+                    int socket_flags, Use use) {
+  const std::string what =
+      std::string(verb) + " " + host + ":" + std::to_string(port);
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
@@ -46,28 +52,58 @@ Result<int> DialTcp(const std::string& host, uint16_t port) {
   const int resolved = ::getaddrinfo(host.c_str(), std::to_string(port).c_str(),
                                      &hints, &found);
   if (resolved != 0) {
-    return Status::Internal("connect " + endpoint + ": cannot resolve '" +
-                            host + "': " + ::gai_strerror(resolved));
+    return Status::Internal(what + ": cannot resolve '" + host + "': " +
+                            ::gai_strerror(resolved));
   }
   std::string failure = "no IPv4 address";
   for (const addrinfo* a = found; a != nullptr; a = a->ai_next) {
-    const int fd =
-        ::socket(a->ai_family, a->ai_socktype | SOCK_CLOEXEC, a->ai_protocol);
+    const int fd = ::socket(a->ai_family,
+                            a->ai_socktype | socket_flags | SOCK_CLOEXEC,
+                            a->ai_protocol);
     if (fd < 0) {
       failure = strerror(errno);
       continue;
     }
-    if (::connect(fd, a->ai_addr, a->ai_addrlen) == 0) {
+    if (use(fd, *a)) {
       ::freeaddrinfo(found);
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       return fd;
     }
     failure = strerror(errno);
     ::close(fd);
   }
   ::freeaddrinfo(found);
-  return Status::Internal("connect " + endpoint + ": " + failure);
+  return Status::Internal(what + ": " + failure);
+}
+
+}  // namespace
+
+Result<int> DialTcp(const std::string& host, uint16_t port) {
+  return OpenTcp("connect", host, port, 0, [](int fd, const addrinfo& a) {
+    if (::connect(fd, a.ai_addr, a.ai_addrlen) != 0) return false;
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    return true;
+  });
+}
+
+Result<int> ListenTcp(const std::string& host, uint16_t port,
+                      uint16_t* bound_port) {
+  return OpenTcp(
+      "listen", host, port, SOCK_NONBLOCK,
+      [bound_port](int fd, const addrinfo& a) {
+        const int one = 1;
+        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+        sockaddr_in bound{};
+        socklen_t len = sizeof(bound);
+        if (::bind(fd, a.ai_addr, a.ai_addrlen) != 0 ||
+            ::listen(fd, SOMAXCONN) != 0 ||
+            ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) !=
+                0) {
+          return false;
+        }
+        *bound_port = ntohs(bound.sin_port);
+        return true;
+      });
 }
 
 std::string NodeAddress::ToString() const {

@@ -1,12 +1,13 @@
 // NetClient: a blocking client for the eved wire protocol.
 //
 // One connection, statements executed in order. The retry policy encodes
-// the shed contract from the server side: a kResourceExhausted response is
-// an EXPECTED overload outcome, so Run retries it with capped exponential
-// backoff, honoring the server's retry-after hint when it is longer than
-// the client's own next delay. Any other outcome (success, a failed
-// statement, a transport error) is returned to the caller directly —
-// failures of the statement itself are not transient and never retried.
+// the shed contract from the server side: a kResourceExhausted response
+// (a draining server's shed) is an EXPECTED outcome, so Run retries it
+// with capped exponential backoff, honoring the server's retry-after hint
+// when it is longer than the client's own next delay. Any other outcome
+// (success, a failed statement, a transport error) is returned to the
+// caller directly — failures of the statement itself are not transient
+// and never retried.
 //
 // Cluster awareness (opt-in, max_transport_retries > 0): a transport error
 // (connect refused, EPIPE, peer reset — an eved restarting or failing
@@ -47,6 +48,13 @@ Result<NodeAddress> ParseNodeAddress(const std::string& text);
 // `port`. Returns the socket, or an error that names the endpoint and what
 // failed: the resolver ("cannot resolve ...") or connect(2) (its errno).
 Result<int> DialTcp(const std::string& host, uint16_t port);
+
+// The one listener: a non-blocking TCP socket (SO_REUSEADDR) bound to
+// `host`, resolved as DialTcp resolves it, and `port` (0 = an ephemeral
+// port), listening. Sets *bound_port to the port it bound. On failure it
+// closes what it opened and names the endpoint and what failed.
+Result<int> ListenTcp(const std::string& host, uint16_t port,
+                      uint16_t* bound_port);
 
 struct ClientOptions {
   std::string host = "127.0.0.1";

@@ -117,12 +117,11 @@ ParsedStatement ParseStatement(std::string_view statement) {
     return i < words.size() && EqualsIgnoreCase(words[i], word);
   };
   if (is(0, "SHOW")) {
-    // The forms Console::Show would answer from the tip: AT VERSION pins
-    // an older version instead.
-    const bool at_version =
-        words.size() >= 5 && is(2, "AT") && is(3, "VERSION");
-    if (is(1, "HYPERGRAPH") ||
-        ((is(1, "MKB") || is(1, "VIEWS")) && !at_version)) {
+    // A SHOW <what> AT ... form never reads the tip: Console::Show answers
+    // MKB|VIEWS AT VERSION <n> and refuses every other one.
+    if (is(1, "VIEW") ? is(3, "AT") : is(2, "AT")) {
+      parsed.route = Route::kReadOnly;
+    } else if (is(1, "HYPERGRAPH") || is(1, "MKB") || is(1, "VIEWS")) {
       parsed.route = Route::kSnapshotRead;
     } else if (is(1, "VIEW") && words.size() >= 3) {
       parsed.route = Route::kPointRead;

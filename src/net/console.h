@@ -56,12 +56,12 @@ std::vector<Statement> SplitStatements(const std::string& script);
 
 // How a statement is served.
 enum class Route {
-  kSnapshotRead,     // SHOW MKB|HYPERGRAPH|VIEWS, no AT VERSION: the pinned
-                     // tip, under a shared lock; O(MKB) or O(pool)
-  kPointRead,        // SHOW VIEW <name>: one view bucket of the pinned tip,
-                     // under a shared lock
-  kReadOnly,         // every other SHOW, and SCRUB: the exclusive lock,
-                     // allowed on a replica
+  kSnapshotRead,     // SHOW MKB|HYPERGRAPH|VIEWS, no AT: the pinned tip,
+                     // under a shared lock; O(MKB) or O(pool)
+  kPointRead,        // SHOW VIEW <name>, no AT: one view bucket of the
+                     // pinned tip, under a shared lock
+  kReadOnly,         // every other SHOW (SHOW <what> AT ... included), and
+                     // SCRUB: the exclusive lock, allowed on a replica
   kServerStats,      // SHOW SERVER STATS: answered by the server
   kShowReplication,  // SHOW REPLICATION: answered by the server
   kReadStaleness,    // READ STALENESS <n>|NONE: answered by the server

@@ -1,13 +1,9 @@
 #include "net/metrics.h"
 
 #include <errno.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#include <arpa/inet.h>
 
 #include <mutex>
 #include <shared_mutex>
@@ -15,6 +11,7 @@
 
 #include "eve/eve_system.h"
 #include "federation/membership.h"
+#include "net/client.h"
 #include "net/console.h"
 #include "net/replication.h"
 #include "net/server.h"
@@ -81,34 +78,9 @@ MetricsServer::MetricsServer(std::string host, uint16_t port,
 MetricsServer::~MetricsServer() { Stop(); }
 
 Status MetricsServer::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("metrics socket: ") +
-                            ::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(requested_port_);
-  if (::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad metrics host: " + host_);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) < 0 ||
-      ::listen(listen_fd_, 16) < 0) {
-    const std::string err = ::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal("metrics bind/listen on " + host_ + ":" +
-                            std::to_string(requested_port_) + ": " + err);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
+  Result<int> listener = ListenTcp(host_, requested_port_, &port_);
+  if (!listener.ok()) return listener.status();
+  listen_fd_ = listener.value();
   thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }

@@ -114,7 +114,7 @@ struct Request {
 
 // The statement's outcome. `code` is the eve::StatusCode as an integer:
 // 0 = the statement succeeded (output holds what evectl would print),
-// kResourceExhausted = shed by admission/overload (retry_after_micros is
+// kResourceExhausted = shed by a draining server (retry_after_micros is
 // the server's backoff hint), anything else = the statement failed and
 // `error` holds the diagnostic.
 struct Response {

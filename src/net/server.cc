@@ -1,7 +1,6 @@
 #include "net/server.h"
 
 #include <errno.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string.h>
@@ -10,13 +9,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <arpa/inet.h>
-
 #include <atomic>
 #include <sstream>
 
 #include "common/cancellation.h"
 #include "common/failpoint.h"
+#include "net/client.h"
 #include "net/replication.h"
 
 namespace eve {
@@ -69,7 +67,7 @@ struct Server::Counters {
 };
 
 // Per-connection state. The I/O thread owns fd, decoder and the timestamps;
-// write_buffer and pending are shared with workers under w_mu. Lifetime is
+// write_buffer and busy are shared with workers under w_mu. Lifetime is
 // shared_ptr: a worker may finish a statement after its session was
 // evicted (closed == true) — the response is simply dropped.
 struct Server::Session {
@@ -83,7 +81,8 @@ struct Server::Session {
 
   std::mutex w_mu;
   std::string write_buffer;        // encoded frames awaiting the socket
-  size_t pending = 0;              // statements handed to workers
+  bool busy = false;               // a statement is on a worker; the next
+                                   // frames wait in the decoder
   bool overflowed = false;         // write bound exceeded: evict on flush
 
   std::atomic<bool> closed{false};
@@ -112,34 +111,17 @@ Server::~Server() {
 }
 
 Status Server::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("socket: ") + strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad bind address: " + options_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return Status::Internal(std::string("bind: ") + strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) <
-      0) {
-    return Status::Internal(std::string("getsockname: ") + strerror(errno));
-  }
-  port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, SOMAXCONN) < 0) {
-    return Status::Internal(std::string("listen: ") + strerror(errno));
-  }
+  Result<int> listener = ListenTcp(options_.host, options_.port, &port_);
+  if (!listener.ok()) return listener.status();
+  listen_fd_ = listener.value();
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (epoll_fd_ < 0 || wake_fd_ < 0) {
+    // Nothing started, so ~Server closes nothing: close what this opened.
+    for (const int fd : {listen_fd_, epoll_fd_, wake_fd_}) {
+      if (fd >= 0) ::close(fd);
+    }
+    listen_fd_ = epoll_fd_ = wake_fd_ = -1;
     return Status::Internal("epoll/eventfd setup failed");
   }
   epoll_event ev{};
@@ -262,8 +244,8 @@ void Server::IoLoop() {
     }
   }
   // Teardown: stop the workers (running statements finish; queued ones are
-  // discarded — on a graceful drain the loop only exits once nothing is
-  // pending, so there is nothing to discard), then close every socket.
+  // discarded — on a graceful drain the loop only exits once no statement
+  // is in flight, so there is nothing to discard), then close every socket.
   if (workers_ != nullptr) workers_->Shutdown(/*drain=*/false);
   bool graceful = false;
   {
@@ -334,7 +316,11 @@ void Server::IoLoopBody() {
         }
         for (const uint64_t id : ready) {
           const auto it = sessions_.find(id);
-          if (it != sessions_.end()) FlushSession(it->second);
+          if (it == sessions_.end()) continue;
+          const std::shared_ptr<Session> session = it->second;
+          FlushSession(session);
+          // A finished statement frees its session for the next frames.
+          if (sessions_.count(id) != 0) TakeFrames(session);
         }
         continue;
       }
@@ -413,9 +399,6 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
     return;
   }
   char buf[65536];
-  // Set once the I/O thread answers a request itself: the session is
-  // flushed before returning to epoll.
-  bool answered = false;
   while (true) {
     const ssize_t n = ::read(session->fd, buf, sizeof(buf));
     if (n == 0) {
@@ -423,103 +406,107 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
       return;
     }
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
       EvictSession(session->id, "io_error");
       return;
     }
     session->decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
     if (session->decoder.buffered_bytes() > options_.max_read_buffer_bytes) {
-      // Flooding: the peer outruns frame extraction by more than the
-      // bound. (A well-formed burst is drained below before this trips.)
+      // Flooding: the peer sent more than the bound that the session has
+      // not served, statements pipelined behind a running one included.
       EvictSession(session->id, "overflow");
       return;
     }
-    while (std::optional<Frame> frame = session->decoder.Next()) {
-      if (frame->type == FrameType::kGoodbye) {
-        EvictSession(session->id, "peer_closed");
-        return;
-      }
-      if (frame->type == FrameType::kReplStatusReq ||
-          frame->type == FrameType::kReplVoteReq ||
-          frame->type == FrameType::kReplHello ||
-          frame->type == FrameType::kReplAck) {
-        HandleReplFrame(session, *frame);
-        continue;
-      }
-      if (frame->type != FrameType::kRequest) continue;
-      counters_->requests.fetch_add(1);
-      Result<Request> request = DecodeRequest(frame->payload);
-      if (!request.ok()) {
-        Response bad;
-        bad.id = 0;
-        bad.code = static_cast<int32_t>(StatusCode::kParseError);
-        bad.error = "error: " + request.status().ToString() + "\n";
-        AppendResponse(*session, bad, /*finishes_statement=*/false);
-        answered = true;
-        continue;
-      }
-      ParsedStatement parsed = ParseStatement(request.value().statement);
-      if (AnswerServerStatement(*session, request.value(), parsed)) {
-        answered = true;
-        continue;
-      }
-      bool shed = false;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        shed = draining_ || stopping_;
-      }
-      // Only this thread raises pending, so a session seen idle here stays
-      // idle until the statement below is handed out.
-      size_t pending = 0;
-      {
-        std::lock_guard<std::mutex> wlock(session->w_mu);
-        pending = session->pending;
-      }
-      if (options_.max_pending_per_session != 0 &&
-          pending >= options_.max_pending_per_session) {
-        shed = true;
-      }
-      if (shed) {
-        counters_->shed_overload.fetch_add(1);
-        AppendResponse(*session,
-                       ShedResponse(request.value().id,
-                                    "server overloaded or draining"),
-                       /*finishes_statement=*/false);
-        answered = true;
-        continue;
-      }
-      if (parsed.route == Route::kPointRead) {
-        // Served here, a read would always answer before a statement
-        // already in flight on its session; it hops to a worker after it.
-        if (pending == 0 &&
-            ServePointRead(*session, request.value().id, parsed)) {
-          answered = true;
-          continue;
-        }
-        counters_->reads_deferred.fetch_add(1);
-      }
-      {
-        std::lock_guard<std::mutex> wlock(session->w_mu);
-        ++session->pending;
-      }
-      std::shared_ptr<Session> owned = session;
-      Request req = request.MoveValue();
-      workers_->Submit(
-          [this, owned = std::move(owned), req = std::move(req),
-           parsed = std::move(parsed)]() mutable {
-            ExecuteRequest(std::move(owned), std::move(req), std::move(parsed));
-          },
-          "eved-request");
-    }
-    // Fold this session's decoder counters into the server totals.
-    counters_->resyncs.fetch_add(session->decoder.resyncs() -
-                                 session->reported_resyncs);
-    session->reported_resyncs = session->decoder.resyncs();
-    counters_->crc_failures.fetch_add(session->decoder.crc_failures() -
-                                      session->reported_crc);
-    session->reported_crc = session->decoder.crc_failures();
+    if (!TakeFrames(session)) return;
   }
+}
+
+bool Server::TakeFrames(const std::shared_ptr<Session>& session) {
+  // Only this thread sets busy, so a session seen idle here stays idle
+  // until the loop below hands a statement out.
+  bool busy = false;
+  {
+    std::lock_guard<std::mutex> wlock(session->w_mu);
+    busy = session->busy;
+  }
+  // Set once the I/O thread answers a request itself: the session is
+  // flushed before returning.
+  bool answered = false;
+  while (!busy) {
+    std::optional<Frame> frame = session->decoder.Next();
+    if (!frame) break;
+    if (frame->type == FrameType::kGoodbye) {
+      EvictSession(session->id, "peer_closed");
+      return false;
+    }
+    if (frame->type == FrameType::kReplStatusReq ||
+        frame->type == FrameType::kReplVoteReq ||
+        frame->type == FrameType::kReplHello ||
+        frame->type == FrameType::kReplAck) {
+      HandleReplFrame(session, *frame);
+      continue;
+    }
+    if (frame->type != FrameType::kRequest) continue;
+    counters_->requests.fetch_add(1);
+    Result<Request> request = DecodeRequest(frame->payload);
+    if (!request.ok()) {
+      Response bad;
+      bad.id = 0;
+      bad.code = static_cast<int32_t>(StatusCode::kParseError);
+      bad.error = "error: " + request.status().ToString() + "\n";
+      AppendResponse(*session, bad, /*finishes_statement=*/false);
+      answered = true;
+      continue;
+    }
+    ParsedStatement parsed = ParseStatement(request.value().statement);
+    if (AnswerServerStatement(*session, request.value(), parsed)) {
+      answered = true;
+      continue;
+    }
+    bool draining = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      draining = draining_ || stopping_;
+    }
+    if (draining) {
+      Response shed;
+      shed.id = request.value().id;
+      shed.code = static_cast<int32_t>(StatusCode::kResourceExhausted);
+      shed.retry_after_micros = kRetryAfterMicros;
+      shed.error = "error: resource_exhausted: server draining\n";
+      counters_->shed_overload.fetch_add(1);
+      AppendResponse(*session, shed, /*finishes_statement=*/false);
+      answered = true;
+      continue;
+    }
+    if (parsed.route == Route::kPointRead) {
+      if (ServePointRead(*session, request.value().id, parsed)) {
+        answered = true;
+        continue;
+      }
+      counters_->reads_deferred.fetch_add(1);
+    }
+    {
+      std::lock_guard<std::mutex> wlock(session->w_mu);
+      session->busy = busy = true;
+    }
+    std::shared_ptr<Session> owned = session;
+    Request req = request.MoveValue();
+    workers_->Submit(
+        [this, owned = std::move(owned), req = std::move(req),
+         parsed = std::move(parsed)]() mutable {
+          ExecuteRequest(std::move(owned), std::move(req), std::move(parsed));
+        },
+        "eved-request");
+  }
+  // Fold this session's decoder counters into the server totals.
+  counters_->resyncs.fetch_add(session->decoder.resyncs() -
+                               session->reported_resyncs);
+  session->reported_resyncs = session->decoder.resyncs();
+  counters_->crc_failures.fetch_add(session->decoder.crc_failures() -
+                                    session->reported_crc);
+  session->reported_crc = session->decoder.crc_failures();
   // Slow-loris clock: a partial frame starts (or keeps) the timer; a
   // clean inter-frame boundary clears it.
   if (session->decoder.has_partial()) {
@@ -530,6 +517,7 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
     session->partial_since_micros = 0;
   }
   if (answered) FlushSession(session);
+  return true;
 }
 
 void Server::HandleReplFrame(const std::shared_ptr<Session>& session,
@@ -681,8 +669,8 @@ void Server::ExecuteRequest(std::shared_ptr<Session> session, Request request,
   // acked before the client sees success (checked after the lock drops).
   uint64_t position_before = 0;
   uint64_t position_after = 0;
-  // Every outcome but a crash ends here: the statement stops being pending
-  // and its response is queued.
+  // Every outcome but a crash ends here: the response is queued and the
+  // session is free for its next statement.
   const auto respond = [this, &session, &response] {
     QueueResponse(session, response);
   };
@@ -746,8 +734,6 @@ void Server::ExecuteRequest(std::shared_ptr<Session> session, Request request,
     // is ever written (the client sees the connection drop when teardown
     // closes it), matching a real crash.
     RecordCrash(crash.site());
-    std::lock_guard<std::mutex> wlock(session->w_mu);
-    if (session->pending > 0) --session->pending;
     return;
   }
   response.code = ok ? 0 : static_cast<int32_t>(StatusCode::kInternal);
@@ -769,22 +755,12 @@ void Server::ExecuteRequest(std::shared_ptr<Session> session, Request request,
   respond();
 }
 
-Response Server::ShedResponse(uint64_t request_id,
-                              const std::string& why) const {
-  Response response;
-  response.id = request_id;
-  response.code = static_cast<int32_t>(StatusCode::kResourceExhausted);
-  response.retry_after_micros = kRetryAfterMicros;
-  response.error = "error: resource_exhausted: " + why + "\n";
-  return response;
-}
-
 void Server::AppendResponse(Session& session, const Response& response,
                             bool finishes_statement) {
   const std::string frame =
       EncodeFrame(FrameType::kResponse, EncodeResponse(response));
   std::lock_guard<std::mutex> wlock(session.w_mu);
-  if (finishes_statement && session.pending > 0) --session.pending;
+  if (finishes_statement) session.busy = false;
   if (session.write_buffer.size() + frame.size() > kMaxWriteBufferBytes) {
     // The peer is not reading its responses; evict on the next flush.
     session.overflowed = true;
@@ -936,8 +912,12 @@ void Server::SweepSlowLoris(uint64_t now_micros) {
 
 bool Server::DrainComplete() {
   for (const auto& [id, session] : sessions_) {
+    // A whole frame at the head of the decoder waits to be taken (and
+    // shed) once the statement before it answers.
+    const FrameDecoder& decoder = session->decoder;
+    if (decoder.buffered_bytes() != 0 && !decoder.has_partial()) return false;
     std::lock_guard<std::mutex> wlock(session->w_mu);
-    if (session->pending != 0 || !session->write_buffer.empty()) return false;
+    if (session->busy || !session->write_buffer.empty()) return false;
   }
   return true;
 }

@@ -9,6 +9,12 @@
 //     write buffer and nudges the I/O thread through an eventfd. The pool
 //     wakes the worker that went idle last, so a sequential stream stays
 //     on one warm thread.
+//   * A session's statements run one at a time, in order: the I/O thread
+//     takes a session's next frame from its decoder only while none of the
+//     session's statements is on a worker. Pipelined frames wait in the
+//     decoder; the worker clears the session's busy flag where it appends
+//     the response, and the I/O thread takes the next frames right after
+//     it flushes that response.
 //   * Each request is parsed once on the I/O thread (net/console.h's
 //     ParseStatement), and its route decides who serves it. The I/O thread
 //     answers SHOW SERVER STATS, SHOW REPLICATION and READ STALENESS itself,
@@ -18,26 +24,24 @@
 //     else serializes under the exclusive lock (the classic single-writer
 //     console contract, now network-wide).
 //   * A point read (SHOW VIEW <name>, one view bucket) is served on the I/O
-//     thread too, behind the session's staleness gate, when its session has
-//     no statement in flight and try_lock_shared on the console lock
-//     succeeds; otherwise it hops to a worker (counted as deferred). The
-//     I/O thread never waits for the lock, and the O(MKB) and O(pool) reads
-//     (SHOW MKB, HYPERGRAPH, VIEWS) always hop, so no read stalls the loop.
-//     Responses the I/O thread produces are flushed before it returns to
-//     epoll, with no eventfd round trip.
+//     thread too, behind the session's staleness gate, when try_lock_shared
+//     on the console lock succeeds; otherwise it hops to a worker (counted
+//     as deferred). The I/O thread never waits for the lock, and the O(MKB)
+//     and O(pool) reads (SHOW MKB, HYPERGRAPH, VIEWS) always hop, so no
+//     read stalls the loop. Responses the I/O thread produces are flushed
+//     before it returns to epoll, with no eventfd round trip.
 //
 // Robustness
 //   * Bounded buffers both ways: a session whose decoder accumulates more
-//     than max_read_buffer_bytes (flooding) or whose write buffer exceeds
-//     8 MiB (not reading its responses; 256 MiB for a replication peer) is
-//     evicted.
+//     than max_read_buffer_bytes (flooding; pipelined statements count) or
+//     whose write buffer exceeds 8 MiB (not reading its responses; 256 MiB
+//     for a replication peer) is evicted.
 //   * Slow-loris detection: a session holding a PARTIAL frame for longer
 //     than idle_timeout_micros is evicted; an idle session BETWEEN frames
 //     is fine and stays connected indefinitely.
-//   * Overload: more than max_pending_per_session in-flight statements on
-//     one session, or any new statement while draining, is answered
-//     immediately with kResourceExhausted plus a retry-after hint — the
-//     same explicit-shed contract as the admission queue.
+//   * Drain shed: a statement taken while draining is answered at once
+//     with kResourceExhausted plus a retry-after hint — the same
+//     explicit-shed contract as the admission queue.
 //   * Corrupt bytes never kill a connection: the FrameDecoder resyncs to
 //     the next frame boundary (counted in stats().resyncs).
 //   * Graceful drain (BeginDrain, eved wires SIGTERM to it): stop
@@ -80,9 +84,8 @@ struct ServerOptions {
   size_t worker_threads = 4;
   // Sessions beyond this are refused at accept (0 = unlimited).
   size_t max_sessions = 0;
-  // Statements in flight per session before the server sheds (0 =
-  // unbounded, as for max_sessions).
-  size_t max_pending_per_session = 64;
+  // Bytes a session may have read and not yet served, pipelined
+  // statements included; past it the session is evicted as a flood.
   size_t max_read_buffer_bytes = 1u << 20;
   // A partial frame older than this is a slow-loris: evict.
   uint64_t idle_timeout_micros = 30'000'000;
@@ -101,14 +104,13 @@ struct ServerStats {
   uint64_t evicted_io_error = 0;   // socket error or injected read/write fault
   uint64_t requests = 0;
   uint64_t responses = 0;
-  uint64_t shed_overload = 0;      // kResourceExhausted answers
+  uint64_t shed_overload = 0;      // kResourceExhausted answers (drain)
   uint64_t resyncs = 0;            // frame-boundary recoveries
   uint64_t crc_failures = 0;
   uint64_t goodbyes = 0;
   uint64_t reads_inline = 0;       // point reads answered on the I/O thread
-  uint64_t reads_deferred = 0;     // point reads that hopped to a worker:
-                                   // the console lock was held or the
-                                   // session had a statement in flight
+  uint64_t reads_deferred = 0;     // point reads that hopped to a worker
+                                   // because a writer held the console lock
 
   std::string ToString() const;
 };
@@ -170,6 +172,10 @@ class Server {
   void IoLoopBody();
   void HandleAccept();
   void HandleReadable(const std::shared_ptr<Session>& session);
+  // Takes the session's buffered frames while none of its statements is on
+  // a worker, then flushes what the I/O thread answered itself. False when
+  // the session was evicted.
+  bool TakeFrames(const std::shared_ptr<Session>& session);
   // Dispatches one kRepl* frame (I/O thread; hellos hop to a worker for
   // the exclusive console lock).
   void HandleReplFrame(const std::shared_ptr<Session>& session,
@@ -193,8 +199,8 @@ class Server {
   void FlushBestEffort(Session* session);
   void EvictSession(uint64_t session_id, const char* reason);
   void SweepSlowLoris(uint64_t now_micros);
-  // True once draining and every session has quiesced (nothing pending,
-  // nothing buffered).
+  // True once draining and every session has quiesced (no statement in
+  // flight, no response unsent, no frame left to take).
   bool DrainComplete();
   void CloseAllSessions();
 
@@ -203,10 +209,10 @@ class Server {
   void ExecuteRequest(std::shared_ptr<Session> session, Request request,
                       ParsedStatement parsed);
   // Appends a response frame to the session's write buffer; with
-  // `finishes_statement` it also ends one pending statement, in the same
-  // critical section, so the I/O thread never sees the session idle
-  // before that response is buffered. The I/O thread flushes what it
-  // appends itself.
+  // `finishes_statement` it also clears the session's busy flag, in the
+  // same critical section, so the I/O thread never takes the session's
+  // next frame before that response is buffered. The I/O thread flushes
+  // what it appends itself.
   void AppendResponse(Session& session, const Response& response,
                       bool finishes_statement);
   // Worker side: appends a statement's response, ends the statement and
@@ -218,7 +224,6 @@ class Server {
                      std::string frame_bytes);
   void QueueGoodbye(const std::shared_ptr<Session>& session,
                     const std::string& reason);
-  Response ShedResponse(uint64_t request_id, const std::string& why) const;
   void RecordCrash(const std::string& site);
   void NudgeIo();
 

@@ -248,7 +248,6 @@ EOF
 --metrics-port 65536
 --workers -1
 --max-sessions 12x
---max-pending abc
 --idle-timeout-micros 18446744073709551616
 --drain-timeout-micros 1e6
 --lease-micros -5

@@ -1,12 +1,12 @@
 // eved's serving loop, end to end over real sockets: remote statements
 // are byte-identical to the local console, snapshot reads and writers
-// multiplex across concurrent sessions, point reads are answered on the
-// I/O thread unless the console lock or their session is busy, overload
-// sheds explicitly (and NetClient's backoff absorbs it), slow-loris and
-// flooding sessions are evicted, corrupt bytes resync without dropping the
-// connection, graceful drain says goodbye — and every net.* failpoint site
-// is exercised in error mode (the server keeps serving) and crash mode
-// (crashed_site()).
+// multiplex across concurrent sessions while each session's statements run
+// one at a time, in order, point reads are answered on the I/O thread
+// unless a writer holds the console lock, a drain sheds explicitly (and
+// NetClient's backoff absorbs sheds), slow-loris and flooding sessions are
+// evicted, corrupt bytes resync without dropping the connection, graceful
+// drain says goodbye — and every net.* failpoint site is exercised in error
+// mode (the server keeps serving) and crash mode (crashed_site()).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -32,6 +31,7 @@
 #include "common/failpoint.h"
 #include "net/client.h"
 #include "net/console.h"
+#include "net/metrics.h"
 #include "net/protocol.h"
 #include "net/server.h"
 
@@ -265,6 +265,45 @@ TEST_F(ServerTest, OutOfRangeLiteralFailsTheStatementNotTheServer) {
   EXPECT_EQ(alive->code, 0);
 }
 
+TEST_F(ServerTest, ShowAtFormsOtherThanMkbOrViewsAtVersionAreRefused) {
+  // None of these names a version to pin: each is the console's usage
+  // error, locally and served alike, and never the tip.
+  Console local;
+  const StatementRunner local_run = LocalRunner(&local);
+  StartServer();
+  NetClient client = MustConnect();
+  const StatementRunner served_run = RemoteRunner(&client);
+  for (const char* statement :
+       {kDefineCustomer, kDefineFlight, kCreateView,
+        "DELETE RELATION FlightRes"}) {
+    ASSERT_EQ(local_run(statement).code, 0) << statement;
+    ASSERT_EQ(served_run(statement).code, 0) << statement;
+  }
+  for (const char* statement :
+       {"SHOW MKB AT VERSION", "SHOW VIEWS AT 0",
+        "SHOW HYPERGRAPH AT VERSION 0", "SHOW VIEW V1 AT VERSION 0"}) {
+    const Response mine = local_run(statement);
+    const Response served = served_run(statement);
+    EXPECT_NE(mine.code, 0) << statement;
+    EXPECT_EQ(mine.output, "") << statement;
+    EXPECT_EQ(mine.error.rfind("error: SHOW expects ", 0), 0u)
+        << statement << ": " << mine.error;
+    EXPECT_EQ(served.code, static_cast<int32_t>(StatusCode::kInternal))
+        << statement;
+    EXPECT_EQ(served.output, mine.output) << statement;
+    EXPECT_EQ(served.error, mine.error) << statement;
+  }
+  // The AT VERSION forms still answer the version they name.
+  for (const char* statement :
+       {"SHOW MKB AT VERSION 0", "SHOW VIEWS AT VERSION 1"}) {
+    const Response mine = local_run(statement);
+    const Response served = served_run(statement);
+    EXPECT_EQ(mine.code, 0) << statement << ": " << mine.error;
+    EXPECT_EQ(served.code, 0) << statement << ": " << served.error;
+    EXPECT_EQ(served.output, mine.output) << statement;
+  }
+}
+
 TEST_F(ServerTest, ShowServerStatsAnswersFromCounters) {
   StartServer();
   NetClient client = MustConnect();
@@ -492,7 +531,7 @@ TEST_F(ServerTest, PoolAndMkbReadsAlwaysHopToAWorker) {
   EXPECT_EQ(stats.reads_deferred, 0u);
 }
 
-TEST_F(ServerTest, PointReadBehindAStatementInFlightIsDeferred) {
+TEST_F(ServerTest, PointReadBehindAStatementAnswersAfterItOnTheIoThread) {
   Console local;
   const StatementRunner local_run = LocalRunner(&local);
   StartServer();
@@ -503,76 +542,126 @@ TEST_F(ServerTest, PointReadBehindAStatementInFlightIsDeferred) {
       ASSERT_TRUE(setup.Run(statement).ok());
     }
   }
+  const uint64_t before = server_->stats().requests;
   const int fd = RawConnect();
   FrameDecoder decoder;
   {
     // SHOW SYNC STATS needs the exclusive lock, so this shared hold keeps
-    // it in flight while the I/O thread reads the point read behind it.
+    // it in flight; the point read behind it waits in the decoder.
     std::shared_lock<std::shared_mutex> reader(server_->console_mutex());
     SendRequests(fd, {{1, "SHOW SYNC STATS"}, {2, "SHOW VIEW V1"}});
     ASSERT_TRUE(
-        WaitFor([this] { return server_->stats().reads_deferred == 1; }));
+        WaitFor([&] { return server_->stats().requests == before + 1; }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(server_->stats().requests, before + 1);
   }
-  std::map<uint64_t, Response> responses;
-  for (int i = 0; i < 2; ++i) {
+  const Response first = ReadResponse(fd, &decoder);
+  const Response second = ReadResponse(fd, &decoder);
+  EXPECT_EQ(first.id, 1u);
+  EXPECT_EQ(first.code, 0) << first.error;
+  EXPECT_EQ(second.id, 2u);
+  EXPECT_EQ(second.code, 0) << second.error;
+  EXPECT_EQ(second.output, local_run("SHOW VIEW V1").output);
+  const ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.reads_inline, 1u);
+  EXPECT_EQ(stats.reads_deferred, 0u);
+  ::close(fd);
+}
+
+// --- One statement at a time per session ------------------------------------
+
+TEST_F(ServerTest, PipelinedReadSeesTheViewCreatedBeforeIt) {
+  StartServer();
+  {
+    NetClient setup = MustConnect();
+    ASSERT_TRUE(setup.Run(kDefineCustomer).ok());
+  }
+  const uint64_t before = server_->stats().requests;
+  const int fd = RawConnect();
+  FrameDecoder decoder;
+  {
+    // The shared hold keeps CREATE VIEW (exclusive) waiting, while a
+    // SHOW VIEWS (shared) on a worker of its own would run at once.
+    std::shared_lock<std::shared_mutex> reader(server_->console_mutex());
+    SendRequests(fd, {{1, kCreateView}, {2, "SHOW VIEWS"}});
+    ASSERT_TRUE(
+        WaitFor([&] { return server_->stats().requests >= before + 1; }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  const Response first = ReadResponse(fd, &decoder);
+  const Response second = ReadResponse(fd, &decoder);
+  EXPECT_EQ(first.id, 1u);
+  EXPECT_EQ(second.id, 2u);
+  const Response& views = first.id == 2 ? first : second;
+  EXPECT_EQ(views.code, 0) << views.error;
+  EXPECT_EQ(views.output, "  [active] V1\n");
+  ::close(fd);
+}
+
+TEST_F(ServerTest, PipelinedStatementsAreAnsweredInOrderAndNoneIsShed) {
+  StartServer();
+  {
+    NetClient setup = MustConnect();
+    ASSERT_TRUE(setup.Run(kDefineCustomer).ok());
+    ASSERT_TRUE(setup.Run(kCreateView).ok());
+  }
+  constexpr uint64_t kStatements = 32;
+  std::vector<std::pair<uint64_t, std::string>> requests;
+  for (uint64_t id = 1; id <= kStatements; ++id) {
+    const std::string n = std::to_string(id);
+    const std::string statement =
+        id % 4 == 0   ? "DEFINE SOURCE S" + n + " RELATION R" + n + " (A int)"
+        : id % 4 == 1 ? "SHOW VIEW V1"
+        : id % 4 == 2 ? "SHOW VIEWS"
+                      : "SHOW SERVER STATS";
+    requests.emplace_back(id, statement);
+  }
+  const int fd = RawConnect();
+  SendRequests(fd, requests);
+  FrameDecoder decoder;
+  for (uint64_t id = 1; id <= kStatements; ++id) {
     const Response response = ReadResponse(fd, &decoder);
-    responses[response.id] = response;
+    EXPECT_EQ(response.id, id);
+    EXPECT_EQ(response.code, 0) << requests[id - 1].second << "\n"
+                                << response.error;
   }
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_EQ(responses[1].code, 0) << responses[1].error;
-  EXPECT_EQ(responses[2].code, 0) << responses[2].error;
-  EXPECT_EQ(responses[2].output, local_run("SHOW VIEW V1").output);
-  EXPECT_EQ(server_->stats().reads_inline, 0u);
+  EXPECT_EQ(server_->stats().shed_overload, 0u);
   ::close(fd);
 }
 
 // --- Overload and shedding --------------------------------------------------
 
-TEST_F(ServerTest, OverloadShedsExplicitlyAndClientBacksOff) {
-  // Server half: one statement in flight per session. A burst of
-  // pipelined requests outruns the worker, so the ones that arrive while
-  // the first is pending are answered at once with an explicit shed.
-  ServerOptions options;
-  options.max_pending_per_session = 1;
-  StartServer(options);
+TEST_F(ServerTest, DrainShedsAStatementPipelinedBehindOneInFlight) {
+  StartServer();
+  const uint64_t before = server_->stats().requests;
   const int fd = RawConnect();
-  constexpr uint64_t kBurst = 32;
-  std::string burst;
-  for (uint64_t id = 1; id <= kBurst; ++id) {
-    burst += EncodeFrame(FrameType::kRequest,
-                         EncodeRequest(Request{id, "SHOW MKB"}));
-  }
-  ASSERT_EQ(::write(fd, burst.data(), burst.size()),
-            static_cast<ssize_t>(burst.size()));
   FrameDecoder decoder;
-  uint64_t answered = 0;
-  uint64_t shed = 0;
-  char buf[4096];
-  while (answered < kBurst) {
-    std::optional<Frame> frame = decoder.Next();
-    if (!frame) {
-      const ssize_t n = ::read(fd, buf, sizeof(buf));
-      ASSERT_GT(n, 0) << "server closed the connection mid-burst";
-      decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
-      continue;
-    }
-    ASSERT_EQ(frame->type, FrameType::kResponse);
-    Result<Response> response = DecodeResponse(frame->payload);
-    ASSERT_TRUE(response.ok());
-    ++answered;
-    if (response->code == 0) continue;
-    EXPECT_EQ(response->code,
-              static_cast<int32_t>(StatusCode::kResourceExhausted));
-    EXPECT_GT(response->retry_after_micros, 0u);
-    ++shed;
+  {
+    // SHOW SYNC STATS waits for the exclusive lock; SHOW MKB waits behind
+    // it in the decoder and is taken only once the drain has begun.
+    std::shared_lock<std::shared_mutex> reader(server_->console_mutex());
+    SendRequests(fd, {{1, "SHOW SYNC STATS"}, {2, "SHOW MKB"}});
+    ASSERT_TRUE(
+        WaitFor([&] { return server_->stats().requests == before + 1; }));
+    server_->BeginDrain();
   }
+  const Response finished = ReadResponse(fd, &decoder);
+  EXPECT_EQ(finished.id, 1u);
+  EXPECT_EQ(finished.code, 0) << finished.error;
+  const Response shed = ReadResponse(fd, &decoder);
+  EXPECT_EQ(shed.id, 2u);
+  EXPECT_EQ(shed.code, static_cast<int32_t>(StatusCode::kResourceExhausted));
+  EXPECT_GT(shed.retry_after_micros, 0u);
+  EXPECT_EQ(shed.error, "error: resource_exhausted: server draining\n");
+  server_->WaitUntilStopped();
+  EXPECT_EQ(server_->stats().shed_overload, 1u);
+  EXPECT_TRUE(server_->crashed_site().empty());
   ::close(fd);
-  EXPECT_GE(shed, 1u);
-  EXPECT_LT(shed, kBurst);  // the first request is always admitted
-  EXPECT_EQ(server_->stats().shed_overload, shed);
+}
 
-  // Client half: against an endpoint that sheds every request, the client
-  // retries (and re-sends) max_shed_retries times, then surfaces the shed.
+TEST_F(ServerTest, ClientBacksOffOnShedResponses) {
+  // Against an endpoint that sheds every request, the client retries (and
+  // re-sends) max_shed_retries times, then surfaces the shed.
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listener, 0);
   sockaddr_in addr{};
@@ -633,19 +722,6 @@ TEST_F(ServerTest, OverloadShedsExplicitlyAndClientBacksOff) {
   EXPECT_EQ(requests_seen, 3);
 }
 
-TEST_F(ServerTest, ZeroMaxPendingMeansNoPerSessionBound) {
-  ServerOptions options;
-  options.max_pending_per_session = 0;
-  StartServer(options);
-  NetClient client = MustConnect();
-  for (int i = 0; i < 3; ++i) {
-    Result<Response> response = client.Run("SHOW MKB");
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    EXPECT_EQ(response->code, 0) << response->error;
-  }
-  EXPECT_EQ(server_->stats().shed_overload, 0u);
-}
-
 TEST_F(ServerTest, ClientConnectsByHostName) {
   StartServer();
   ClientOptions options;
@@ -656,6 +732,63 @@ TEST_F(ServerTest, ClientConnectsByHostName) {
   Result<Response> response = client.value().Run("SHOW MKB");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->code, 0) << response->error;
+}
+
+TEST_F(ServerTest, ServerAndMetricsBindByHostName) {
+  ServerOptions options;
+  options.host = "localhost";
+  StartServer(options);
+  NetClient client = MustConnect();
+  Result<Response> response = client.Run("SHOW MKB");
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->code, 0) << response->error;
+
+  MetricsServer metrics("localhost", 0, [] { return std::string("up 1\n"); });
+  const Status started = metrics.Start();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  Result<int> scrape = DialTcp("localhost", metrics.port());
+  ASSERT_TRUE(scrape.ok()) << scrape.status().ToString();
+  const std::string get = "GET /metrics HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(::write(scrape.value(), get.data(), get.size()),
+            static_cast<ssize_t>(get.size()));
+  std::string page;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::read(scrape.value(), buf, sizeof(buf))) > 0) {
+    page.append(buf, static_cast<size_t>(n));
+  }
+  ::close(scrape.value());
+  EXPECT_EQ(page.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << page;
+  EXPECT_NE(page.find("\r\n\r\nup 1\n"), std::string::npos) << page;
+}
+
+TEST_F(ServerTest, StartOnATakenPortFailsAndClosesWhatItOpened) {
+  StartServer();
+  const auto open_fds = [] {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                         std::filesystem::directory_iterator());
+  };
+  const auto fds = open_fds();
+  Console console;
+  ServerOptions options;
+  options.port = server_->port();
+  const std::string in_use = "listen 127.0.0.1:" +
+                             std::to_string(options.port) +
+                             ": Address already in use";
+  {
+    Server second(&console, options);
+    const Status started = second.Start();
+    ASSERT_FALSE(started.ok());
+    EXPECT_NE(started.ToString().find(in_use), std::string::npos)
+        << started.ToString();
+    MetricsServer metrics("127.0.0.1", options.port,
+                          [] { return std::string(); });
+    const Status metrics_started = metrics.Start();
+    ASSERT_FALSE(metrics_started.ok());
+    EXPECT_NE(metrics_started.ToString().find(in_use), std::string::npos)
+        << metrics_started.ToString();
+  }
+  EXPECT_EQ(open_fds(), fds);
 }
 
 TEST_F(ServerTest, UnresolvableHostNamesTheResolverFailure) {
@@ -1219,6 +1352,14 @@ TEST(ParseStatementTest, EveryReferenceFormHasItsRoute) {
       {"SHOW VERSIONS", Route::kReadOnly},
       {"SHOW MKB AT VERSION 2", Route::kReadOnly},
       {"SHOW VIEWS AT VERSION 2", Route::kReadOnly},
+      // Every other SHOW ... AT ... form goes to Console::Show, which
+      // refuses it, instead of being answered from the tip.
+      {"SHOW MKB AT VERSION", Route::kReadOnly},
+      {"SHOW VIEWS AT 0", Route::kReadOnly},
+      {"SHOW HYPERGRAPH AT VERSION 0", Route::kReadOnly},
+      {"SHOW VIEW V1 AT VERSION 0", Route::kReadOnly},
+      {"SHOW REPLICATION AT VERSION 0", Route::kReadOnly},
+      {"SHOW VIEW AT", Route::kPointRead},  // the view named AT
       {"ROLLBACK TO VERSION 2", Route::kWrite},
       {"SCRUB", Route::kReadOnly},
       {"SHOW SCRUB STATS", Route::kReadOnly},

@@ -7,7 +7,7 @@
 //
 // Usage:
 //   eved [--host <addr>] [--port <n>] [--port-file <path>]
-//        [--workers <n>] [--max-sessions <n>] [--max-pending <n>]
+//        [--workers <n>] [--max-sessions <n>]
 //        [--idle-timeout-micros <n>] [--drain-timeout-micros <n>]
 //        [--init <script>]
 //        [--node-id <id> --cluster <n1=h:p,...> --data-dir <dir>
@@ -19,9 +19,8 @@
 //   election vote majority (0 opts out of semi-sync entirely).
 //        [--metrics-port <n> [--metrics-host <addr>]]
 //
-//   --max-sessions (default 0) bounds the open sessions and --max-pending
-//   (default 64) the statements in flight on one session; 0 means no bound
-//   for either.
+//   --max-sessions (default 0) bounds the open sessions; 0 means no bound.
+//   A session's statements run one at a time, in the order it sent them.
 //   --port 0 (the default) binds an ephemeral port; --port-file writes the
 //   chosen port as a decimal line once the server is listening, so test
 //   harnesses can rendezvous without racing.
@@ -57,6 +56,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -106,6 +106,58 @@ bool ReadNumber(const std::string& flag, const char* text, T* field) {
   return true;
 }
 
+// The serving loop of both modes: writes the port file, prints the
+// listening line (`announce`), installs the signal handlers and ticks until
+// `node` stops: the first signal starts a graceful drain, a second forces
+// an immediate stop, and a crash-mode failpoint stops the node on its own
+// (noticed through stopped()). `release` then stops what the node does not
+// stop itself. Returns eved's exit status.
+template <typename Node>
+int Serve(Node& node, const std::string& port_file,
+          const std::function<void()>& announce,
+          const std::function<void()>& release) {
+  if (!port_file.empty()) {
+    std::ofstream out(port_file);
+    out << node.port() << "\n";
+    if (!out) {
+      std::cerr << "error: cannot write " << port_file << "\n";
+      return 2;
+    }
+  }
+  announce();
+
+  struct sigaction action{};
+  action.sa_handler = OnSignal;
+  sigaction(SIGTERM, &action, nullptr);
+  sigaction(SIGINT, &action, nullptr);
+  signal(SIGPIPE, SIG_IGN);  // dead peers surface as write errors, not death
+
+  int handled_signals = 0;
+  while (!node.stopped()) {
+    const int seen = g_signals.load();
+    if (seen > handled_signals) {
+      handled_signals = seen;
+      if (seen == 1) {
+        std::cout << "eved draining (signal)" << std::endl;
+        node.BeginDrain();
+      } else {
+        std::cout << "eved stopping (repeated signal)" << std::endl;
+        node.Stop();
+      }
+    }
+    usleep(20'000);  // signal latency without busy-waiting
+  }
+  release();
+  node.WaitUntilStopped();
+  const std::string crashed = node.crashed_site();
+  if (!crashed.empty()) {
+    std::cerr << "simulated crash at failpoint " << crashed << "\n";
+    return 3;
+  }
+  std::cout << "eved exited cleanly" << std::endl;
+  return 0;
+}
+
 int Main(int argc, char** argv) {
   net::ServerOptions options;
   net::ReplicationOptions repl;
@@ -128,8 +180,6 @@ int Main(int argc, char** argv) {
       read = ReadNumber(arg, argv[++i], &options.worker_threads);
     } else if (arg == "--max-sessions" && has_value) {
       read = ReadNumber(arg, argv[++i], &options.max_sessions);
-    } else if (arg == "--max-pending" && has_value) {
-      read = ReadNumber(arg, argv[++i], &options.max_pending_per_session);
     } else if (arg == "--idle-timeout-micros" && has_value) {
       read = ReadNumber(arg, argv[++i], &options.idle_timeout_micros);
     } else if (arg == "--drain-timeout-micros" && has_value) {
@@ -159,8 +209,7 @@ int Main(int argc, char** argv) {
     } else {
       std::cerr << "usage: eved [--host <addr>] [--port <n>] "
                    "[--port-file <path>] [--workers <n>] "
-                   "[--max-sessions <n>] [--max-pending <n>] "
-                   "(0 = no bound) "
+                   "[--max-sessions <n>] (0 = no bound) "
                    "[--idle-timeout-micros <n>] "
                    "[--drain-timeout-micros <n>] [--init <script>] "
                    "[--node-id <id> --cluster <spec> --data-dir <dir> "
@@ -213,54 +262,20 @@ int Main(int argc, char** argv) {
       std::cerr << "error: " << started << "\n";
       return 2;
     }
-    if (!port_file.empty()) {
-      std::ofstream out(port_file);
-      out << node.port() << "\n";
-      if (!out) {
-        std::cerr << "error: cannot write " << port_file << "\n";
-        return 2;
-      }
-    }
-    std::cout << "eved node " << node_options.repl.node_id << " ("
-              << net::ReplRoleToString(node.hub().role()) << ", epoch "
-              << node.hub().epoch() << ") listening on " << options.host
-              << ":" << node.port();
-    if (node.metrics_port() != 0) {
-      std::cout << ", metrics on " << metrics_host << ":"
-                << node.metrics_port();
-    }
-    std::cout << std::endl;
-
-    struct sigaction action{};
-    action.sa_handler = OnSignal;
-    sigaction(SIGTERM, &action, nullptr);
-    sigaction(SIGINT, &action, nullptr);
-    signal(SIGPIPE, SIG_IGN);
-
-    int handled_signals = 0;
-    while (!node.stopped()) {
-      const int seen = g_signals.load();
-      if (seen > handled_signals) {
-        handled_signals = seen;
-        if (seen == 1) {
-          std::cout << "eved draining (signal)" << std::endl;
-          node.BeginDrain();
-        } else {
-          std::cout << "eved stopping (repeated signal)" << std::endl;
-          node.Stop();
-        }
-      }
-      usleep(20'000);
-    }
-    node.Stop();  // join the agent/metrics threads
-    node.WaitUntilStopped();
-    const std::string crashed = node.crashed_site();
-    if (!crashed.empty()) {
-      std::cerr << "simulated crash at failpoint " << crashed << "\n";
-      return 3;
-    }
-    std::cout << "eved exited cleanly" << std::endl;
-    return 0;
+    return Serve(
+        node, port_file,
+        [&] {
+          std::cout << "eved node " << node_options.repl.node_id << " ("
+                    << net::ReplRoleToString(node.hub().role()) << ", epoch "
+                    << node.hub().epoch() << ") listening on " << options.host
+                    << ":" << node.port();
+          if (node.metrics_port() != 0) {
+            std::cout << ", metrics on " << metrics_host << ":"
+                      << node.metrics_port();
+          }
+          std::cout << std::endl;
+        },
+        [&node] { node.Stop(); });  // joins the agent and metrics threads
   }
 
   net::Console console;
@@ -310,50 +325,15 @@ int Main(int argc, char** argv) {
     std::cout << "eved metrics on " << metrics_host << ":"
               << metrics->port() << std::endl;
   }
-  if (!port_file.empty()) {
-    std::ofstream out(port_file);
-    out << server.port() << "\n";
-    if (!out) {
-      std::cerr << "error: cannot write " << port_file << "\n";
-      return 2;
-    }
-  }
-  std::cout << "eved listening on " << options.host << ":" << server.port()
-            << std::endl;
-
-  struct sigaction action{};
-  action.sa_handler = OnSignal;
-  sigaction(SIGTERM, &action, nullptr);
-  sigaction(SIGINT, &action, nullptr);
-  signal(SIGPIPE, SIG_IGN);  // dead peers surface as write errors, not death
-
-  // Tick until teardown: the first signal starts a graceful drain, a
-  // second forces an immediate stop, and a crash-mode failpoint stops the
-  // server on its own (noticed here through stopped()).
-  int handled_signals = 0;
-  while (!server.stopped()) {
-    const int seen = g_signals.load();
-    if (seen > handled_signals) {
-      handled_signals = seen;
-      if (seen == 1) {
-        std::cout << "eved draining (signal)" << std::endl;
-        server.BeginDrain();
-      } else {
-        std::cout << "eved stopping (repeated signal)" << std::endl;
-        server.Stop();
-      }
-    }
-    usleep(20'000);  // signal latency without busy-waiting
-  }
-  server.WaitUntilStopped();
-  if (metrics != nullptr) metrics->Stop();
-  const std::string crashed = server.crashed_site();
-  if (!crashed.empty()) {
-    std::cerr << "simulated crash at failpoint " << crashed << "\n";
-    return 3;
-  }
-  std::cout << "eved exited cleanly" << std::endl;
-  return 0;
+  return Serve(
+      server, port_file,
+      [&] {
+        std::cout << "eved listening on " << options.host << ":"
+                  << server.port() << std::endl;
+      },
+      [&metrics] {
+        if (metrics != nullptr) metrics->Stop();
+      });
 }
 
 }  // namespace
