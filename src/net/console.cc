@@ -598,11 +598,13 @@ bool Console::Drain() {
 }
 
 bool Console::Show(const std::vector<std::string>& words) {
-  if (words.size() >= 2 && EqualsIgnoreCase(words[1], "VERSIONS")) {
+  // Each form takes exactly its words, so no trailing AT ... is answered
+  // from the tip: only MKB|VIEWS AT VERSION <n> names a version.
+  if (words.size() == 2 && EqualsIgnoreCase(words[1], "VERSIONS")) {
     Out() << system_.versions().Render();
     return true;
   }
-  if (words.size() >= 3 && EqualsIgnoreCase(words[1], "SCRUB") &&
+  if (words.size() == 3 && EqualsIgnoreCase(words[1], "SCRUB") &&
       EqualsIgnoreCase(words[2], "STATS")) {
     if (!last_scrub_.has_value()) {
       Out() << "no scrub has run yet (use SCRUB)\n";
@@ -611,7 +613,7 @@ bool Console::Show(const std::vector<std::string>& words) {
     Out() << last_scrub_->ToString() << "\n";
     return true;
   }
-  if (words.size() >= 5 && EqualsIgnoreCase(words[1], "MKB") &&
+  if (words.size() == 5 && EqualsIgnoreCase(words[1], "MKB") &&
       EqualsIgnoreCase(words[2], "AT") &&
       EqualsIgnoreCase(words[3], "VERSION")) {
     uint64_t version = 0;
@@ -625,7 +627,7 @@ bool Console::Show(const std::vector<std::string>& words) {
           << pinned.value().mkb->ToString();
     return true;
   }
-  if (words.size() >= 5 && EqualsIgnoreCase(words[1], "VIEWS") &&
+  if (words.size() == 5 && EqualsIgnoreCase(words[1], "VIEWS") &&
       EqualsIgnoreCase(words[2], "AT") &&
       EqualsIgnoreCase(words[3], "VERSION")) {
     uint64_t version = 0;
@@ -638,7 +640,7 @@ bool Console::Show(const std::vector<std::string>& words) {
     Out() << "-- view pool at version " << version << "\n" << views.value();
     return true;
   }
-  if (words.size() >= 3 && EqualsIgnoreCase(words[1], "SYNC") &&
+  if (words.size() == 3 && EqualsIgnoreCase(words[1], "SYNC") &&
       EqualsIgnoreCase(words[2], "STATS")) {
     Out() << "enumeration: " << system_.last_sync_stats().ToString() << "\n";
     // Per-view truncation/deadline lists for the last change or preview
@@ -648,12 +650,12 @@ bool Console::Show(const std::vector<std::string>& words) {
     Out() << "admission: " << system_.admission_stats().ToString() << "\n";
     return true;
   }
-  if (words.size() >= 2 && EqualsIgnoreCase(words[1], "SOURCES")) {
+  if (words.size() == 2 && EqualsIgnoreCase(words[1], "SOURCES")) {
     return ShowSources();
   }
   Err() << "error: SHOW expects MKB, HYPERGRAPH, VIEWS, VIEW <name>, "
-           "VERSIONS, MKB|VIEWS AT VERSION <n>, SCRUB STATS or SYNC "
-           "STATS\n";
+           "VERSIONS, SOURCES, MKB|VIEWS AT VERSION <n>, SCRUB STATS or "
+           "SYNC STATS\n";
   return false;
 }
 

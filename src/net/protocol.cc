@@ -86,68 +86,78 @@ std::string EncodeFrame(FrameType type, std::string_view payload) {
 
 void FrameDecoder::Feed(std::string_view bytes) { buffer_.append(bytes); }
 
+void FrameDecoder::Consume(size_t n) {
+  head_ += n;
+  if (head_ * 2 >= buffer_.size()) {
+    buffer_.erase(0, head_);
+    head_ = 0;
+  }
+}
+
 void FrameDecoder::Resync(size_t n) {
   // Skip the poisoned prefix, then scan for the next plausible frame
   // start. Counted once per discard run, however many bytes it spans.
+  const std::string_view bytes = pending();
   size_t pos = n;
-  while (pos + sizeof(kMagic) <= buffer_.size() &&
-         std::memcmp(buffer_.data() + pos, kMagic, sizeof(kMagic)) != 0) {
+  while (pos + sizeof(kMagic) <= bytes.size() &&
+         std::memcmp(bytes.data() + pos, kMagic, sizeof(kMagic)) != 0) {
     ++pos;
   }
-  if (pos + sizeof(kMagic) > buffer_.size()) {
+  if (pos + sizeof(kMagic) > bytes.size()) {
     // No full magic ahead: keep only a tail that is still a prefix of the
     // magic (it may complete on the next Feed), discard the rest.
-    while (pos < buffer_.size() &&
-           std::memcmp(buffer_.data() + pos, kMagic,
-                       buffer_.size() - pos) != 0) {
+    while (pos < bytes.size() &&
+           std::memcmp(bytes.data() + pos, kMagic, bytes.size() - pos) != 0) {
       ++pos;
     }
   }
-  buffer_.erase(0, pos);
+  Consume(pos);
   ++resyncs_;
 }
 
 bool FrameDecoder::has_partial() const {
-  if (buffer_.empty()) return false;
-  if (buffer_.size() < kHeaderSize) return true;
+  const std::string_view bytes = pending();
+  if (bytes.empty()) return false;
+  if (bytes.size() < kHeaderSize) return true;
   uint32_t len = 0;
   for (int i = 3; i >= 0; --i) {
-    len = (len << 8) | static_cast<uint8_t>(buffer_[5 + i]);
+    len = (len << 8) | static_cast<uint8_t>(bytes[5 + i]);
   }
-  return buffer_.size() < kHeaderSize + len;
+  return bytes.size() < kHeaderSize + len;
 }
 
 std::optional<Frame> FrameDecoder::Next() {
   while (true) {
-    if (buffer_.size() < kHeaderSize) {
+    const std::string_view bytes = pending();
+    if (bytes.size() < kHeaderSize) {
       // Could still be mid-header; but if what we have already cannot be
       // a magic prefix, discard it now so has_partial() means "plausible
       // frame underway", not "buffered garbage".
-      if (!buffer_.empty() &&
-          std::memcmp(buffer_.data(), kMagic,
-                      std::min(buffer_.size(), sizeof(kMagic))) != 0) {
+      if (!bytes.empty() &&
+          std::memcmp(bytes.data(), kMagic,
+                      std::min(bytes.size(), sizeof(kMagic))) != 0) {
         Resync(1);
         continue;
       }
       return std::nullopt;
     }
-    if (std::memcmp(buffer_.data(), kMagic, sizeof(kMagic)) != 0) {
+    if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
       Resync(1);
       continue;
     }
-    const uint8_t type = static_cast<uint8_t>(buffer_[4]);
+    const uint8_t type = static_cast<uint8_t>(bytes[4]);
     uint32_t len = 0;
     uint32_t crc = 0;
     for (int i = 3; i >= 0; --i) {
-      len = (len << 8) | static_cast<uint8_t>(buffer_[5 + i]);
-      crc = (crc << 8) | static_cast<uint8_t>(buffer_[9 + i]);
+      len = (len << 8) | static_cast<uint8_t>(bytes[5 + i]);
+      crc = (crc << 8) | static_cast<uint8_t>(bytes[9 + i]);
     }
     if (!KnownType(type) || len > kMaxPayload) {
       Resync(1);
       continue;
     }
-    if (buffer_.size() < kHeaderSize + len) return std::nullopt;
-    const std::string_view payload(buffer_.data() + kHeaderSize, len);
+    if (bytes.size() < kHeaderSize + len) return std::nullopt;
+    const std::string_view payload = bytes.substr(kHeaderSize, len);
     if (Crc32(payload) != crc) {
       ++crc_failures_;
       Resync(1);
@@ -156,7 +166,7 @@ std::optional<Frame> FrameDecoder::Next() {
     Frame frame;
     frame.type = static_cast<FrameType>(type);
     frame.payload.assign(payload);
-    buffer_.erase(0, kHeaderSize + len);
+    Consume(kHeaderSize + len);
     return frame;
   }
 }

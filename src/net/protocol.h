@@ -88,17 +88,26 @@ class FrameDecoder {
   // payload still short) — the slow-loris signal when it persists.
   bool has_partial() const;
 
-  size_t buffered_bytes() const { return buffer_.size(); }
+  size_t buffered_bytes() const { return buffer_.size() - head_; }
   // Times the decoder discarded bytes to find the next frame boundary.
   uint64_t resyncs() const { return resyncs_; }
   // Structurally complete frames rejected for a CRC mismatch.
   uint64_t crc_failures() const { return crc_failures_; }
 
  private:
+  // The bytes not yet taken.
+  std::string_view pending() const {
+    return std::string_view(buffer_).substr(head_);
+  }
+  // Takes `n` bytes off the front of pending(). The taken prefix is erased
+  // once it is at least half the buffer, so taking a frame costs O(frame)
+  // however many frames are buffered behind it.
+  void Consume(size_t n);
   // Drops `n` bytes, then discards everything up to the next magic.
   void Resync(size_t n);
 
   std::string buffer_;
+  size_t head_ = 0;  // buffer_[0, head_) is taken
   uint64_t resyncs_ = 0;
   uint64_t crc_failures_ = 0;
 };

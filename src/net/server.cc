@@ -318,9 +318,10 @@ void Server::IoLoopBody() {
           const auto it = sessions_.find(id);
           if (it == sessions_.end()) continue;
           const std::shared_ptr<Session> session = it->second;
+          // A finished statement frees its session for the next frames;
+          // one flush sends its response and what was answered behind it.
+          TakeFrames(session);
           FlushSession(session);
-          // A finished statement frees its session for the next frames.
-          if (sessions_.count(id) != 0) TakeFrames(session);
         }
         continue;
       }
@@ -399,6 +400,9 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
     return;
   }
   char buf[65536];
+  // Set once the I/O thread answers a request itself: the session is
+  // flushed after its last read, so an eviction there ends the reads.
+  bool answered = false;
   while (true) {
     const ssize_t n = ::read(session->fd, buf, sizeof(buf));
     if (n == 0) {
@@ -406,7 +410,7 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
       return;
     }
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
       EvictSession(session->id, "io_error");
       return;
@@ -418,8 +422,10 @@ void Server::HandleReadable(const std::shared_ptr<Session>& session) {
       EvictSession(session->id, "overflow");
       return;
     }
-    if (!TakeFrames(session)) return;
+    answered = TakeFrames(session) || answered;
+    if (session->closed.load()) return;  // the peer said goodbye
   }
+  if (answered) FlushSession(session);
 }
 
 bool Server::TakeFrames(const std::shared_ptr<Session>& session) {
@@ -430,8 +436,6 @@ bool Server::TakeFrames(const std::shared_ptr<Session>& session) {
     std::lock_guard<std::mutex> wlock(session->w_mu);
     busy = session->busy;
   }
-  // Set once the I/O thread answers a request itself: the session is
-  // flushed before returning.
   bool answered = false;
   while (!busy) {
     std::optional<Frame> frame = session->decoder.Next();
@@ -516,8 +520,7 @@ bool Server::TakeFrames(const std::shared_ptr<Session>& session) {
   } else {
     session->partial_since_micros = 0;
   }
-  if (answered) FlushSession(session);
-  return true;
+  return answered;
 }
 
 void Server::HandleReplFrame(const std::shared_ptr<Session>& session,

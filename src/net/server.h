@@ -13,8 +13,8 @@
 //     takes a session's next frame from its decoder only while none of the
 //     session's statements is on a worker. Pipelined frames wait in the
 //     decoder; the worker clears the session's busy flag where it appends
-//     the response, and the I/O thread takes the next frames right after
-//     it flushes that response.
+//     the response, and on the eventfd wake the I/O thread takes the next
+//     frames and flushes that response with what it answered behind it.
 //   * Each request is parsed once on the I/O thread (net/console.h's
 //     ParseStatement), and its route decides who serves it. The I/O thread
 //     answers SHOW SERVER STATS, SHOW REPLICATION and READ STALENESS itself,
@@ -173,8 +173,8 @@ class Server {
   void HandleAccept();
   void HandleReadable(const std::shared_ptr<Session>& session);
   // Takes the session's buffered frames while none of its statements is on
-  // a worker, then flushes what the I/O thread answered itself. False when
-  // the session was evicted.
+  // a worker. True when the I/O thread queued an answer of its own, which
+  // the caller flushes; a goodbye frame evicts the session.
   bool TakeFrames(const std::shared_ptr<Session>& session);
   // Dispatches one kRepl* frame (I/O thread; hellos hop to a worker for
   // the exclusive console lock).

@@ -106,6 +106,36 @@ TEST(FrameDecoderTest, TornFrameThenRestResumesCleanly) {
   EXPECT_EQ(frame->payload, "torn in half");
 }
 
+TEST(FrameDecoderTest, FramesTakenBetweenFeedsKeepTheirBytes) {
+  // Frames of every length, some behind junk, arrive in odd-sized chunks
+  // and are taken as soon as they complete: each comes out whole, in
+  // order, and buffered_bytes() counts only what is not taken yet.
+  std::string wire;
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 200; ++i) {
+    payloads.push_back(std::string(static_cast<size_t>(i % 37), 'a' + i % 26));
+    if (i % 9 == 4) wire += "junk";
+    wire += EncodeFrame(FrameType::kRequest, payloads.back());
+  }
+  FrameDecoder decoder;
+  std::vector<std::string> taken;
+  size_t fed = 0;
+  for (size_t chunk = 1; fed < wire.size(); chunk = chunk % 61 + 7) {
+    const std::string_view bytes =
+        std::string_view(wire).substr(fed, chunk);
+    decoder.Feed(bytes);
+    fed += bytes.size();
+    while (std::optional<Frame> frame = decoder.Next()) {
+      taken.push_back(frame->payload);
+    }
+    EXPECT_LT(decoder.buffered_bytes(), kHeaderSize + 37);
+  }
+  EXPECT_EQ(taken, payloads);
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);
+  EXPECT_FALSE(decoder.has_partial());
+  EXPECT_EQ(decoder.crc_failures(), 0u);
+}
+
 // --- Corruption and resync --------------------------------------------------
 
 TEST(FrameDecoderTest, CrcCorruptionDropsOnlyTheBadFrame) {

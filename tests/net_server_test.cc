@@ -281,7 +281,10 @@ TEST_F(ServerTest, ShowAtFormsOtherThanMkbOrViewsAtVersionAreRefused) {
   }
   for (const char* statement :
        {"SHOW MKB AT VERSION", "SHOW VIEWS AT 0",
-        "SHOW HYPERGRAPH AT VERSION 0", "SHOW VIEW V1 AT VERSION 0"}) {
+        "SHOW HYPERGRAPH AT VERSION 0", "SHOW VIEW V1 AT VERSION 0",
+        "SHOW VERSIONS AT 0", "SHOW SOURCES AT 0",
+        "SHOW SYNC STATS AT VERSION 0", "SHOW SCRUB STATS AT VERSION 0",
+        "SHOW MKB AT VERSION 0 1"}) {
     const Response mine = local_run(statement);
     const Response served = served_run(statement);
     EXPECT_NE(mine.code, 0) << statement;
@@ -626,6 +629,53 @@ TEST_F(ServerTest, PipelinedStatementsAreAnsweredInOrderAndNoneIsShed) {
                                 << response.error;
   }
   EXPECT_EQ(server_->stats().shed_overload, 0u);
+  ::close(fd);
+}
+
+TEST_F(ServerTest, TinyFramesQueuedBehindAStatementDoNotStallOtherSessions) {
+  StartServer();
+  const uint64_t before = server_->stats().requests;
+  const int fd = RawConnect();
+  // Nearly a read buffer's worth of empty 13-byte frames the server skips:
+  // the I/O thread takes them all at once when the statement answers.
+  const std::string tiny = EncodeFrame(FrameType::kResponse, "");
+  ASSERT_EQ(tiny.size(), kHeaderSize);
+  std::string flood;
+  while (flood.size() + tiny.size() + 4096 <
+         ServerOptions{}.max_read_buffer_bytes) {
+    flood += tiny;
+  }
+  NetClient other = MustConnect();
+  const uint64_t answered = server_->stats().responses;
+  {
+    std::shared_lock<std::shared_mutex> reader(server_->console_mutex());
+    SendRequests(fd, {{1, "SHOW SYNC STATS"}});
+    ASSERT_TRUE(
+        WaitFor([&] { return server_->stats().requests == before + 1; }));
+    size_t off = 0;
+    while (off < flood.size()) {
+      const ssize_t n = ::write(fd, flood.data() + off, flood.size() - off);
+      ASSERT_GT(n, 0);
+      off += static_cast<size_t>(n);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  // The statement has answered: the I/O thread now takes the flood. Taking
+  // a frame costs O(frame), so the other session is served within a few
+  // milliseconds (a decoder that shifts its buffer per frame took a
+  // second on a 4-core x86 VM).
+  ASSERT_TRUE(
+      WaitFor([&] { return server_->stats().responses == answered + 1; }));
+  const auto start = std::chrono::steady_clock::now();
+  Result<Response> stats = other.Run("SHOW SERVER STATS");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500));
+  SendRequests(fd, {{2, "SHOW SERVER STATS"}});
+  FrameDecoder decoder;
+  EXPECT_EQ(ReadResponse(fd, &decoder).id, 1u);
+  EXPECT_EQ(ReadResponse(fd, &decoder).id, 2u);
+  EXPECT_EQ(server_->stats().evicted_overflow, 0u);
   ::close(fd);
 }
 
@@ -1000,13 +1050,25 @@ TEST_F(ServerTest, ServerFailpointFrameReadErrorEvictsTheSession) {
 }
 
 TEST_F(ServerTest, ServerFailpointFrameWriteErrorEvictsTheSession) {
+  // A worker's answer, and one the I/O thread gives itself and flushes
+  // after the session's last read, so that the eviction ends the reads.
   StartServer();
-  NetClient victim = MustConnect();
-  ASSERT_TRUE(victim.Run("SHOW MKB").ok());
-  Failpoints::Instance().Arm(fp::kNetFrameWrite, FailpointAction::kError);
-  EXPECT_FALSE(victim.Run("SHOW MKB").ok());
-  EXPECT_TRUE(
-      WaitFor([this] { return server_->stats().evicted_io_error >= 1; }));
+  for (const char* statement : {"SHOW MKB", "SHOW SERVER STATS"}) {
+    SCOPED_TRACE(statement);
+    const uint64_t evicted = server_->stats().evicted_io_error;
+    NetClient victim = MustConnect();
+    ASSERT_TRUE(victim.Run(statement).ok());
+    const uint64_t flushes =
+        Failpoints::Instance().HitCount(fp::kNetFrameWrite);
+    Failpoints::Instance().Arm(fp::kNetFrameWrite, FailpointAction::kError);
+    EXPECT_FALSE(victim.Run(statement).ok());
+    EXPECT_TRUE(WaitFor([&] {
+      return server_->stats().evicted_io_error == evicted + 1;
+    }));
+    EXPECT_EQ(Failpoints::Instance().HitCount(fp::kNetFrameWrite),
+              flushes + 1);
+    EXPECT_EQ(server_->stats().sessions_now, 0u);
+  }
   NetClient client = MustConnect();
   ASSERT_TRUE(client.Run("SHOW MKB").ok());
 }
@@ -1359,6 +1421,8 @@ TEST(ParseStatementTest, EveryReferenceFormHasItsRoute) {
       {"SHOW HYPERGRAPH AT VERSION 0", Route::kReadOnly},
       {"SHOW VIEW V1 AT VERSION 0", Route::kReadOnly},
       {"SHOW REPLICATION AT VERSION 0", Route::kReadOnly},
+      {"SHOW VERSIONS AT 0", Route::kReadOnly},
+      {"SHOW SYNC STATS AT VERSION 0", Route::kReadOnly},
       {"SHOW VIEW AT", Route::kPointRead},  // the view named AT
       {"ROLLBACK TO VERSION 2", Route::kWrite},
       {"SCRUB", Route::kReadOnly},

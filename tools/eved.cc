@@ -107,14 +107,14 @@ bool ReadNumber(const std::string& flag, const char* text, T* field) {
 }
 
 // The serving loop of both modes: writes the port file, prints the
-// listening line (`announce`), installs the signal handlers and ticks until
-// `node` stops: the first signal starts a graceful drain, a second forces
-// an immediate stop, and a crash-mode failpoint stops the node on its own
+// `listening` line, installs the signal handlers and ticks until `node`
+// stops: the first signal starts a graceful drain, a second forces an
+// immediate stop, and a crash-mode failpoint stops the node on its own
 // (noticed through stopped()). `release` then stops what the node does not
 // stop itself. Returns eved's exit status.
 template <typename Node>
 int Serve(Node& node, const std::string& port_file,
-          const std::function<void()>& announce,
+          const std::string& listening,
           const std::function<void()>& release) {
   if (!port_file.empty()) {
     std::ofstream out(port_file);
@@ -124,7 +124,7 @@ int Serve(Node& node, const std::string& port_file,
       return 2;
     }
   }
-  announce();
+  std::cout << listening << std::endl;
 
   struct sigaction action{};
   action.sa_handler = OnSignal;
@@ -262,20 +262,17 @@ int Main(int argc, char** argv) {
       std::cerr << "error: " << started << "\n";
       return 2;
     }
-    return Serve(
-        node, port_file,
-        [&] {
-          std::cout << "eved node " << node_options.repl.node_id << " ("
-                    << net::ReplRoleToString(node.hub().role()) << ", epoch "
-                    << node.hub().epoch() << ") listening on " << options.host
-                    << ":" << node.port();
-          if (node.metrics_port() != 0) {
-            std::cout << ", metrics on " << metrics_host << ":"
-                      << node.metrics_port();
-          }
-          std::cout << std::endl;
-        },
-        [&node] { node.Stop(); });  // joins the agent and metrics threads
+    std::ostringstream listening;
+    listening << "eved node " << node_options.repl.node_id << " ("
+              << net::ReplRoleToString(node.hub().role()) << ", epoch "
+              << node.hub().epoch() << ") listening on " << options.host << ":"
+              << node.port();
+    if (node.metrics_port() != 0) {
+      listening << ", metrics on " << metrics_host << ":"
+                << node.metrics_port();
+    }
+    return Serve(node, port_file, listening.str(),
+                 [&node] { node.Stop(); });  // joins the agent and metrics
   }
 
   net::Console console;
@@ -325,15 +322,12 @@ int Main(int argc, char** argv) {
     std::cout << "eved metrics on " << metrics_host << ":"
               << metrics->port() << std::endl;
   }
-  return Serve(
-      server, port_file,
-      [&] {
-        std::cout << "eved listening on " << options.host << ":"
-                  << server.port() << std::endl;
-      },
-      [&metrics] {
-        if (metrics != nullptr) metrics->Stop();
-      });
+  return Serve(server, port_file,
+               "eved listening on " + options.host + ":" +
+                   std::to_string(server.port()),
+               [&metrics] {
+                 if (metrics != nullptr) metrics->Stop();
+               });
 }
 
 }  // namespace
